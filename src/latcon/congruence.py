@@ -54,12 +54,68 @@ def _canonical(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int
     return tuple(bl), tuple(cls)
 
 
+def _find(parent: list[int], u: int) -> int:
+    """Root of ``u`` in a union-find forest, halving the path on the way."""
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    return u
+
+
+def _classes(L: FiniteLattice, parent: list[int]) -> "Congruence":
+    """The partition of L into the trees of a union-find forest."""
+    groups: dict[int, list[int]] = {}
+    for x in range(L.n):
+        groups.setdefault(_find(parent, x), []).append(x)
+    return Congruence(L, groups.values())
+
+
+def _join_blocks(L: FiniteLattice, blocks: Iterable[Sequence[int]]) -> "Congruence":
+    """The finest partition of L that keeps each given block inside one class."""
+    parent = list(range(L.n))
+    for blk in blocks:
+        r = _find(parent, blk[0])
+        for x in blk[1:]:
+            rx = _find(parent, x)
+            if rx != r:
+                parent[rx] = r
+    return _classes(L, parent)
+
+
+def _broken_pair(
+    L: FiniteLattice,
+    blocks: Sequence[Sequence[int]],
+    ops: Sequence[list[list[int]]],
+    zs: Sequence[int],
+) -> tuple[int, int, int] | None:
+    """First ``(a, y, z)`` that breaks substitution, or None.
+
+    ``a`` is the first member of a block holding ``y``, ``z`` runs over
+    ``zs`` and the images of ``a`` and ``y`` under ``op(., z)`` lie in
+    different blocks for one of the operation tables ``ops``.  Elements in
+    no block count as singletons.
+    """
+    cls = [-1 - x for x in range(L.n)]
+    for i, b in enumerate(blocks):
+        for x in b:
+            cls[x] = i
+    for b in blocks:
+        a = b[0]
+        for y in b[1:]:
+            for op in ops:
+                oa, oy = op[a], op[y]
+                for z in zs:
+                    if cls[oa[z]] != cls[oy[z]]:
+                        return a, y, z
+    return None
+
+
 class Congruence:
     """A congruence of a finite lattice, in canonical partition form.
 
-    Instances are produced by the library (principal closure, joins,
-    restriction); :func:`congruence_from_blocks` is the validating entry
-    point for external data.
+    Instances are produced by the library (principal closure, joins);
+    :func:`congruence_from_blocks` is the validating entry point for
+    external data.
     """
 
     __slots__ = ("lattice", "blocks", "cls")
@@ -97,24 +153,7 @@ class Congruence:
         return True
 
     def join(self, other: "Congruence") -> "Congruence":
-        parent = list(range(self.lattice.n))
-
-        def find(u: int) -> int:
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for b in list(self.blocks) + list(other.blocks):
-            r = find(b[0])
-            for x in b[1:]:
-                rx = find(x)
-                if rx != r:
-                    parent[rx] = r
-        groups: dict[int, list[int]] = {}
-        for x in range(self.lattice.n):
-            groups.setdefault(find(x), []).append(x)
-        return Congruence(self.lattice, groups.values())
+        return _join_blocks(self.lattice, self.blocks + other.blocks)
 
     def meet(self, other: "Congruence") -> "Congruence":
         n = self.lattice.n
@@ -140,47 +179,16 @@ def delta(L: FiniteLattice) -> Congruence:
     return Congruence(L, [[x] for x in range(L.n)])
 
 
-def nabla(L: FiniteLattice) -> Congruence:
-    return Congruence(L, [list(range(L.n))])
-
-
 def is_congruence(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> bool:
     """Full substitution property: both meet and join sides."""
     bl = _check_partition(L.n, blocks)
-    cls = [0] * L.n
-    for i, b in enumerate(bl):
-        for x in b:
-            cls[x] = i
-    n = L.n
-    meet, join = L._meet, L._join
-    for b in bl:
-        a = b[0]
-        ma, ja = meet[a], join[a]
-        for y in b[1:]:
-            my, jy = meet[y], join[y]
-            for z in range(n):
-                if cls[ma[z]] != cls[my[z]] or cls[ja[z]] != cls[jy[z]]:
-                    return False
-    return True
+    return _broken_pair(L, bl, (L._meet, L._join), range(L.n)) is None
 
 
 def is_meet_congruence(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> bool:
     """Meet-side substitution only."""
     bl = _check_partition(L.n, blocks)
-    cls = [0] * L.n
-    for i, b in enumerate(bl):
-        for x in b:
-            cls[x] = i
-    meet = L._meet
-    for b in bl:
-        a = b[0]
-        ma = meet[a]
-        for y in b[1:]:
-            my = meet[y]
-            for z in range(L.n):
-                if cls[ma[z]] != cls[my[z]]:
-                    return False
-    return True
+    return _broken_pair(L, bl, (L._meet,), range(L.n)) is None
 
 
 def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
@@ -193,17 +201,10 @@ def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> 
     n = L.n
     meet, join = L._meet, L._join
     parent = list(range(n))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
     work: list[tuple[int, int]] = []
 
     def unite(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx != ry:
             parent[ry] = rx
             work.append((x, y))
@@ -219,10 +220,7 @@ def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> 
         for z in range(n):
             unite(mx[z], my[z])
             unite(jx[z], jy[z])
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return Congruence(L, groups.values())
+    return _classes(L, parent)
 
 
 def principal_congruence(L: FiniteLattice, a: int, b: int) -> Congruence:
@@ -298,18 +296,9 @@ class ConLattice:
         """Con L as a FiniteLattice; element i is ``congruences[i]``."""
         if self._lattice_view is None:
             k = len(self.congruences)
-            leq = [[False] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(k):
-                    leq[i][j] = i == j or (i < j and self.leq(i, j))
-            covers = []
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if leq[i][j] and not any(
-                        leq[i][m] and leq[m][j] for m in range(i + 1, j)
-                    ):
-                        covers.append((i, j))
-            lat, renum = core.make_lattice_with_map(k, covers)
+            # ids are a linear extension, so only i <= j can hold
+            up = [sum(1 << j for j in range(i, k) if self.leq(i, j)) for i in range(k)]
+            lat, renum = core.make_lattice_with_map(k, core._reduce(range(k), up))
             assert renum == tuple(range(k)), "canonical congruence order is a linear extension"
             self._lattice_view = lat
         return self._lattice_view
@@ -323,7 +312,6 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     if L._con is not None:
         return L._con
 
-    n = L.n
     edge_theta: dict[tuple[int, int], Congruence] = {}
     ji_list: list[Congruence] = []
     ji_keys: dict[tuple[int, ...], int] = {}
@@ -349,25 +337,7 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
         )
         if not is_down:
             continue
-        parent = list(range(n))
-
-        def find(u: int) -> int:
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for a in members:
-            for blk in ji_list[a].blocks:
-                r = find(blk[0])
-                for x in blk[1:]:
-                    rx = find(x)
-                    if rx != r:
-                        parent[rx] = r
-        groups: dict[int, list[int]] = {}
-        for x in range(n):
-            groups.setdefault(find(x), []).append(x)
-        c = Congruence(L, groups.values())
+        c = _join_blocks(L, (blk for a in members for blk in ji_list[a].blocks))
         if c.cls in all_keys:
             raise AssertionError("distinct down-sets of join-irreducibles must have distinct joins")
         all_keys[c.cls] = c
@@ -376,47 +346,13 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     index = {c.cls: i for i, c in enumerate(ordered)}
 
     ji_canon = sorted(index[c.cls] for c in ji_list)
-    pos = {lbl: p for p, lbl in enumerate(ji_canon)}
-    ji_covers = []
-    for a in ji_canon:
-        for b in ji_canon:
-            if a != b and ordered[a].refines(ordered[b]):
-                if not any(
-                    ordered[a].refines(ordered[m]) and ordered[m].refines(ordered[b])
-                    for m in ji_canon
-                    if m != a and m != b
-                ):
-                    ji_covers.append((pos[a], pos[b]))
-    ji_poset = Poset(len(ji_canon), ji_covers, labels=ji_canon)
+    up = {a: sum(1 << b for b in ji_canon if ordered[a].refines(ordered[b])) for a in ji_canon}
+    ji_poset = Poset(j, core._reduce(ji_canon, up), labels=ji_canon)
 
     edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
     con = ConLattice(L, ordered, ji_poset, edge_color)
     L._con = con
     return con
-
-
-def restrict_blocks(alpha: Congruence, S: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """The partition alpha induces on S, in the carrier's ids.
-
-    Pure set restriction; no sublattice structure is assumed or built.
-    """
-    groups: dict[int, list[int]] = {}
-    for x in sorted(set(S)):
-        groups.setdefault(alpha.cls[x], []).append(x)
-    return tuple(tuple(b) for b in sorted(groups.values(), key=lambda b: b[0]))
-
-
-def restrict(alpha: Congruence, S: Iterable[int]) -> Congruence:
-    """alpha restricted to a convex sublattice S, as a congruence of S.
-
-    The result lives on the extracted sublattice (elements renumbered by
-    ascending parent id).
-    """
-    sub, to_parent, to_sub = core.sublattice(alpha.lattice, S)
-    groups: dict[int, list[int]] = {}
-    for x in to_parent:
-        groups.setdefault(alpha.cls[x], []).append(to_sub[x])
-    return Congruence(sub, groups.values())
 
 
 def _restricted_key(alpha: Congruence, elems: Sequence[int]) -> tuple[int, ...]:
@@ -470,16 +406,12 @@ def singleton_extension(
         raise NotAPartition("blocks do not cover the ideal")
     # meet-substitution inside the ideal is the weakest sensible input;
     # callers needing a full congruence check the extension themselves
-    cls = {x: i for i, b in enumerate(bl) for x in b}
-    for b in bl:
-        a = b[0]
-        for y in b[1:]:
-            for z in ideal:
-                if cls[L.meet(a, z)] != cls[L.meet(y, z)]:
-                    raise NotACongruence(
-                        f"blocks are not a meet-congruence of the ideal:"
-                        f" ({a},{y}) with z={z}"
-                    )
+    bad = _broken_pair(L, bl, (L._meet,), ideal)
+    if bad is not None:
+        a, y, z = bad
+        raise NotACongruence(
+            f"blocks are not a meet-congruence of the ideal: ({a},{y}) with z={z}"
+        )
     out = [tuple(b) for b in bl] + [(x,) for x in range(L.n) if x not in iset]
     return tuple(sorted(out, key=lambda b: b[0]))
 

@@ -160,9 +160,6 @@ def _check_hom_endpoints(phi: BoundedHom, conF: ConLattice, conG: ConLattice) ->
         )
 
 
-_BCE_CACHE: dict[int, tuple[RectLattice, RectLattice, ConstructionReport]] = {}
-
-
 def boundary_color_extension(
     F: RectLattice, *, _order: Sequence[int] | None = None
 ) -> tuple[RectLattice, ConstructionReport]:
@@ -175,12 +172,12 @@ def boundary_color_extension(
     gluing center; the extension preserves ``F``'s congruence lattice.
 
     ``_order`` overrides the color processing order (positions into the
-    join-irreducible list); the output is isomorphic for any order.
+    join-irreducible list); the output is isomorphic for any order.  The
+    result for the default order is computed once per input instance and
+    cached.
     """
-    if _order is None and id(F) in _BCE_CACHE:
-        cached_f, cached_r, cached_rep = _BCE_CACHE[id(F)]
-        if cached_f is F:
-            return cached_r, cached_rep
+    if _order is None and F._bce is not None:
+        return F._bce
 
     con = cg.congruence_lattice(F.lattice)
     ji = con.ji_indices
@@ -219,8 +216,9 @@ def boundary_color_extension(
 
     table = _color_table(R)
     assert len(table) == j
-    assert all(table[p]["ul"] and table[p]["ur"] for p in range(j)), (
-        "every color must appear on both upper chains"
+    # the lower chains are the bottom grid's, one diagonal eye per color
+    assert all(all(table[p].values()) for p in range(j)), (
+        "every color must appear on all four boundary chains"
     )
 
     report = ConstructionReport(
@@ -233,23 +231,7 @@ def boundary_color_extension(
         assembly=asm,
     )
     if _order is None:
-        _BCE_CACHE[id(F)] = (F, R, report)
-    return R, report
-
-
-def lower_boundary_color_extension(
-    F: RectLattice,
-) -> tuple[RectLattice, ConstructionReport]:
-    """Extend ``F`` so every color reaches both lower chains (upper too).
-
-    The bottom grid of :func:`boundary_color_extension` already places
-    every color on both of its own lower chains, which are the lower chains
-    of the result; the strengthened postcondition is asserted here.
-    """
-    R, report = boundary_color_extension(F)
-    assert all(
-        row["ll"] and row["lr"] for row in report.color_table.values()
-    ), "every color must appear on both lower chains"
+        F._bce = (R, report)
     return R, report
 
 
@@ -356,9 +338,10 @@ def ideal_representation(
     Requires every nontrivial congruence of ``G`` to collapse an edge of an
     upper boundary chain of ``G`` (:func:`upper_chain_collapse_check`);
     raises :class:`UpperChainConditionFails` otherwise.  ``G`` becomes the
-    ideal below the gluing center, a lower-color extension of ``F`` the
-    filter above it, and EVERY upper-chain edge of ``G`` is tied by a flap
-    eye to an edge of the image color on the facing lower chain above.
+    ideal below the gluing center, the boundary color extension of ``F``
+    (whose colors also reach both lower chains) the filter above it, and
+    EVERY upper-chain edge of ``G`` is tied by a flap eye to an edge of the
+    image color on the facing lower chain above.
     """
     conF = cg.congruence_lattice(F.lattice)
     conG = cg.congruence_lattice(G.lattice)
@@ -371,7 +354,7 @@ def ideal_representation(
             f"congruence collapsing no upper-chain edge: {blocks}"
         )
 
-    Fp, inner = lower_boundary_color_extension(F)
+    Fp, inner = boundary_color_extension(F)
     conFp = cg.congruence_lattice(Fp.lattice)
     psi = birkhoff.ji_of_hom(phi)
     pos_of_g = {idx: q for q, idx in enumerate(conG.ji_indices)}

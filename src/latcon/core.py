@@ -38,20 +38,31 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _toposort(n: int, covers: Sequence[tuple[int, int]]) -> list[int]:
-    """Kahn's algorithm with a min-heap tie-break.
+def _close(n: int, covers: Iterable[tuple[int, int]]):
+    """Validate a cover relation on ``0..n-1`` and close it into bitmasks.
 
-    Returns the processing order.  Raises :class:`Cyclic` when the cover
-    relation has a directed cycle.  On input whose numbering is already a
-    linear extension the returned order is ``0..n-1``: the smallest
-    unprocessed id always has all predecessors processed, so it is on the
-    heap when its turn comes.
+    Returns ``(order, succ, pred, up, down)`` in the input's ids: ``order``
+    is Kahn's topological order with a min-heap tie-break, ``succ``/``pred``
+    the upper/lower cover lists and ``up``/``down`` the up- and down-set
+    masks.  On input whose numbering is already a linear extension ``order``
+    is ``0..n-1``: the smallest unprocessed id always has all predecessors
+    processed, so it is on the heap when its turn comes.  Raises
+    :class:`ElementOutOfRange`, :class:`Cyclic` or :class:`NotReduced`.
     """
+    covers = [(int(a), int(b)) for a, b in covers]
+    for a, b in covers:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
+        if a == b:
+            raise Cyclic(f"self-loop at element {a}")
+    if len(set(covers)) != len(covers):
+        raise NotReduced("duplicate cover pair")
     succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
+    pred: list[list[int]] = [[] for _ in range(n)]
     for a, b in covers:
         succ[a].append(b)
-        indeg[b] += 1
+        pred[b].append(a)
+    indeg = [len(p) for p in pred]
     heap = [x for x in range(n) if indeg[x] == 0]
     heapq.heapify(heap)
     order = []
@@ -64,10 +75,72 @@ def _toposort(n: int, covers: Sequence[tuple[int, int]]) -> list[int]:
                 heapq.heappush(heap, y)
     if len(order) < n:
         raise Cyclic("cover relation contains a directed cycle")
-    return order
+    up = [0] * n
+    for x in reversed(order):
+        m = 1 << x
+        for y in succ[x]:
+            m |= up[y]
+        up[x] = m
+    down = [0] * n
+    for x in order:
+        m = 1 << x
+        for y in pred[x]:
+            m |= down[y]
+        down[x] = m
+    for a, b in covers:
+        between = up[a] & down[b] & ~(1 << a) & ~(1 << b)
+        if between:
+            raise NotReduced(
+                f"cover ({a}, {b}) is implied by transitivity through {list(_bits(between))}"
+            )
+    return order, succ, pred, up, down
 
 
-class Poset:
+def _reduce(elems: Sequence[int], up: Sequence[int] | dict[int, int]) -> list[tuple[int, int]]:
+    """Cover pairs, as positions in ``elems``, of the order on ``elems``.
+
+    ``elems`` is ascending and ``up[x]`` is the up-set of ``x`` as a
+    bitmask; bits outside ``elems`` are ignored.  ``y`` covers ``x`` when
+    it lies strictly above ``x`` and strictly above nothing that lies
+    strictly above ``x``.
+    """
+    pos = {x: i for i, x in enumerate(elems)}
+    inside = sum(1 << x for x in elems)
+    above = {x: up[x] & inside & ~(1 << x) for x in elems}
+    out = []
+    for x in elems:
+        far = 0
+        for c in _bits(above[x]):
+            far |= above[c]
+        out.extend((pos[x], pos[y]) for y in _bits(above[x] & ~far))
+    return out
+
+
+class _Order:
+    """Order queries shared by posets and lattices on ``0..n-1``."""
+
+    __slots__ = ("n", "_up", "_down", "_upper", "_lower")
+
+    def leq(self, x: int, y: int) -> bool:
+        return bool(self._up[x] >> y & 1)
+
+    def up(self, x: int) -> tuple[int, ...]:
+        return _bits(self._up[x])
+
+    def down(self, x: int) -> tuple[int, ...]:
+        return _bits(self._down[x])
+
+    def upper_covers(self, x: int) -> tuple[int, ...]:
+        return self._upper[x]
+
+    def lower_covers(self, x: int) -> tuple[int, ...]:
+        return self._lower[x]
+
+    def covers(self) -> list[tuple[int, int]]:
+        return [(x, y) for x in range(self.n) for y in self._upper[x]]
+
+
+class Poset(_Order):
     """A finite partial order given by its cover relation.
 
     ``labels`` optionally ties elements back to an external carrier, e.g.
@@ -75,7 +148,7 @@ class Poset:
     (``n == 0``) is allowed.
     """
 
-    __slots__ = ("n", "labels", "_up", "_down", "_upper", "_lower")
+    __slots__ = ("labels",)
 
     def __init__(
         self,
@@ -85,38 +158,7 @@ class Poset:
     ):
         if n < 0:
             raise ZeroSize("poset size must be >= 0")
-        covers = [(int(a), int(b)) for a, b in covers]
-        for a, b in covers:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
-            if a == b:
-                raise Cyclic(f"self-loop at element {a}")
-        if len(set(covers)) != len(covers):
-            raise NotReduced("duplicate cover pair")
-        order = _toposort(n, covers)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for a, b in covers:
-            succ[a].append(b)
-            pred[b].append(a)
-        up = [0] * n
-        for x in reversed(order):
-            m = 1 << x
-            for y in succ[x]:
-                m |= up[y]
-            up[x] = m
-        down = [0] * n
-        for x in order:
-            m = 1 << x
-            for y in pred[x]:
-                m |= down[y]
-            down[x] = m
-        for a, b in covers:
-            between = up[a] & down[b] & ~(1 << a) & ~(1 << b)
-            if between:
-                raise NotReduced(
-                    f"cover ({a}, {b}) is implied by transitivity through {_bits(between)}"
-                )
+        _, succ, pred, up, down = _close(n, covers)
         self.n = n
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
@@ -125,27 +167,6 @@ class Poset:
         self._down = down
         self._upper = [tuple(sorted(s)) for s in succ]
         self._lower = [tuple(sorted(p)) for p in pred]
-
-    def leq(self, a: int, b: int) -> bool:
-        return bool(self._up[a] >> b & 1)
-
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
-
-    def up(self, a: int) -> tuple[int, ...]:
-        return _bits(self._up[a])
-
-    def down(self, a: int) -> tuple[int, ...]:
-        return _bits(self._down[a])
-
-    def upper_covers(self, a: int) -> tuple[int, ...]:
-        return self._upper[a]
-
-    def lower_covers(self, a: int) -> tuple[int, ...]:
-        return self._lower[a]
-
-    def covers(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.n) for b in self._upper[a]]
 
     def minimal(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.n) if not self._lower[x])
@@ -169,7 +190,7 @@ class Poset:
         return f"Poset(n={self.n}, covers={self.covers()!r})"
 
 
-class FiniteLattice:
+class FiniteLattice(_Order):
     """A finite lattice; construct through :func:`make_lattice`.
 
     Instances are immutable after construction and safe to share.  Element
@@ -178,11 +199,6 @@ class FiniteLattice:
     """
 
     __slots__ = (
-        "n",
-        "_up",
-        "_down",
-        "_upper",
-        "_lower",
         "_covup",
         "_meet",
         "_join",
@@ -230,20 +246,8 @@ class FiniteLattice:
     def top(self) -> int:
         return self.n - 1
 
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self._up[x] >> y & 1)
-
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq(x, y)
-
     def is_cover(self, x: int, y: int) -> bool:
         return bool(self._covup[x] >> y & 1)
-
-    def up(self, x: int) -> tuple[int, ...]:
-        return _bits(self._up[x])
-
-    def down(self, x: int) -> tuple[int, ...]:
-        return _bits(self._down[x])
 
     def up_mask(self, x: int) -> int:
         return self._up[x]
@@ -253,15 +257,6 @@ class FiniteLattice:
 
     def interval(self, a: int, b: int) -> tuple[int, ...]:
         return _bits(self._up[a] & self._down[b])
-
-    def upper_covers(self, x: int) -> tuple[int, ...]:
-        return self._upper[x]
-
-    def lower_covers(self, x: int) -> tuple[int, ...]:
-        return self._lower[x]
-
-    def covers(self) -> list[tuple[int, int]]:
-        return [(x, y) for x in range(self.n) for y in self._upper[x]]
 
     def atoms(self) -> tuple[int, ...]:
         return self._upper[0]
@@ -345,27 +340,16 @@ def make_lattice_with_map(
     """
     if size < 1:
         raise ZeroSize("a lattice has at least one element")
-    cov = [(int(a), int(b)) for a, b in covers]
-    for a, b in cov:
-        if not (0 <= a < size and 0 <= b < size):
-            raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {size}")
-        if a == b:
-            raise Cyclic(f"self-loop at element {a}")
-    if len(set(cov)) != len(cov):
-        raise NotReduced("duplicate cover pair")
-
-    order = _toposort(size, cov)
+    order, succ, pred, up, down = _close(size, covers)
     new_id = [0] * size
     for pos, old in enumerate(order):
         new_id[old] = pos
     old_of = order
     n = size
-
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for a, b in cov:
-        succ[new_id[a]].append(new_id[b])
-        pred[new_id[b]].append(new_id[a])
+    if order != list(range(n)):
+        # renumber along the linear extension; the relation is already valid
+        renumbered = [(new_id[a], new_id[b]) for a in range(n) for b in succ[a]]
+        _, succ, pred, up, down = _close(n, renumbered)
 
     bottoms = [x for x in range(n) if not pred[x]]
     tops = [x for x in range(n) if not succ[x]]
@@ -375,26 +359,6 @@ def make_lattice_with_map(
         )
     if len(tops) != 1:
         raise NotALattice(f"no unique top: maximal elements {[old_of[x] for x in tops]}")
-
-    up = [0] * n
-    for x in range(n - 1, -1, -1):
-        m = 1 << x
-        for y in succ[x]:
-            m |= up[y]
-        up[x] = m
-    down = [0] * n
-    for x in range(n):
-        m = 1 << x
-        for y in pred[x]:
-            m |= down[y]
-        down[x] = m
-
-    for a, b in cov:
-        na, nb = new_id[a], new_id[b]
-        between = up[na] & down[nb] & ~(1 << na) & ~(1 << nb)
-        if between:
-            mids = [old_of[z] for z in _bits(between)]
-            raise NotReduced(f"cover ({a}, {b}) is implied by transitivity through {mids}")
 
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
@@ -472,13 +436,6 @@ def make_lattice(
     return make_lattice_with_map(size, covers, upper_order, lower_order)[0]
 
 
-def meet_join(L: FiniteLattice, x: int, y: int) -> tuple[int, int]:
-    """``(x meet y, x join y)`` with range checking."""
-    if not (0 <= x < L.n and 0 <= y < L.n):
-        raise ElementOutOfRange(f"({x}, {y}) out of range for size {L.n}")
-    return L.meet(x, y), L.join(x, y)
-
-
 def chain(n: int) -> FiniteLattice:
     """The n-element chain."""
     if n < 1:
@@ -553,17 +510,6 @@ def is_semimodular(L: FiniteLattice) -> bool:
                 if not L.is_cover(b, L.join(a, b)):
                     return False
     return True
-
-
-def predicates(L: FiniteLattice) -> dict[str, bool]:
-    """Report the structural flags used throughout: distributive, semimodular, simple."""
-    from . import congruence  # deferred: congruence builds on this module
-
-    return {
-        "distributive": is_distributive(L),
-        "semimodular": is_semimodular(L),
-        "simple": congruence.is_simple(L),
-    }
 
 
 def ideal_filter(L: FiniteLattice, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -664,15 +610,7 @@ def sublattice(
 def join_irreducibles(L: FiniteLattice) -> Poset:
     """The poset of join-irreducible elements, labeled by their lattice ids."""
     elems = L.ji_elements()
-    covers = []
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            if p != q and L.leq(p, q):
-                if not any(
-                    L.lt(p, r) and L.lt(r, q) for r in elems if r != p and r != q
-                ):
-                    covers.append((i, j))
-    return Poset(len(elems), covers, labels=elems)
+    return Poset(len(elems), _reduce(elems, L._up), labels=elems)
 
 
 def downsets(P: Poset) -> list[int]:

@@ -44,9 +44,22 @@ def _require(obj: Any, key: str, kind: type) -> Any:
     if not isinstance(obj, dict) or key not in obj:
         raise LatconError(f"missing {key!r} in JSON object")
     value = obj[key]
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but true is not a size or an element
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise LatconError(f"{key!r} must be a {kind.__name__}")
     return value
+
+
+def _integer(value: Any, what: str) -> int:
+    """An element id: a JSON integer, or the decimal string of an object key."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise LatconError(f"{what} must be an integer, got {value!r}")
 
 
 def _order_maps(obj: dict) -> tuple[dict | None, dict | None]:
@@ -54,7 +67,12 @@ def _order_maps(obj: dict) -> tuple[dict | None, dict | None]:
     for key in ("upper_order", "lower_order"):
         if key in obj and obj[key] is not None:
             raw = _require(obj, key, dict)
-            out.append({int(k): [int(v) for v in vs] for k, vs in raw.items()})
+            rows = {}
+            for k, vs in raw.items():
+                if not isinstance(vs, list):
+                    raise LatconError(f"{key} entry {k!r} must be a list")
+                rows[_integer(k, f"{key} key")] = [_integer(v, f"{key} entry") for v in vs]
+            out.append(rows)
         else:
             out.append(None)
     return out[0], out[1]
@@ -66,7 +84,11 @@ def lattice_from_obj(obj: Any) -> FiniteLattice:
 
 def lattice_from_obj_with_map(obj: Any) -> tuple[FiniteLattice, tuple[int, ...]]:
     size = _require(obj, "size", int)
-    covers = [(int(a), int(b)) for a, b in _require(obj, "covers", list)]
+    covers = []
+    for pair in _require(obj, "covers", list):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise LatconError(f"cover entry {pair!r} is not a pair")
+        covers.append((_integer(pair[0], "cover entry"), _integer(pair[1], "cover entry")))
     upper, lower = _order_maps(obj)
     return core.make_lattice_with_map(size, covers, upper, lower)
 

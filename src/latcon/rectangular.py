@@ -48,7 +48,7 @@ class RectLattice:
     """
 
     __slots__ = ("lattice", "lc", "rc", "lower_left", "upper_left",
-                 "lower_right", "upper_right", "eyes")
+                 "lower_right", "upper_right", "eyes", "_bce")
 
     def __init__(self, lattice, lc, rc, lower_left, upper_left,
                  lower_right, upper_right, eyes):
@@ -60,6 +60,7 @@ class RectLattice:
         self.lower_right = lower_right
         self.upper_right = upper_right
         self.eyes = eyes
+        self._bce = None  # boundary-color-extension cache, set lazily
 
     @property
     def n(self) -> int:
@@ -451,29 +452,11 @@ def glue_congruence_pair(
     if cg._restricted_key(alpha_a, F) != cg._restricted_key(alpha_b, I):
         raise Incompatible("restrictions to the shared part differ")
 
-    n = glued.lattice.n
-    parent = list(range(n))
-
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for blocks, emap in (
-        (alpha_a.blocks, glued.a_map),
-        (alpha_b.blocks, glued.b_map),
-    ):
-        for blk in blocks:
-            r = find(emap[blk[0]])
-            for x in blk[1:]:
-                rx = find(emap[x])
-                if rx != r:
-                    parent[rx] = r
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    result = cg.Congruence(glued.lattice, groups.values())
+    result = cg._join_blocks(glued.lattice, (
+        [emap[x] for x in blk]
+        for blocks, emap in ((alpha_a.blocks, glued.a_map), (alpha_b.blocks, glued.b_map))
+        for blk in blocks
+    ))
     assert cg.is_congruence(glued.lattice, result.blocks), \
         "joint extension of compatible congruences must be a congruence"
     return result

@@ -41,19 +41,10 @@ def steep_edges(L: FiniteLattice) -> frozenset:
     return frozenset(out)
 
 
-def _height(L: FiniteLattice) -> list[int]:
-    h = [0] * L.n
-    for x in range(L.n):
-        for y in L.upper_covers(x):
-            h[y] = max(h[y], h[x] + 1)
-    return h
-
-
 def render_spec(L: FiniteLattice) -> RenderSpec:
-    h = _height(L)
     levels: dict[int, list[int]] = {}
     for x in range(L.n):
-        levels.setdefault(h[x], []).append(x)
+        levels.setdefault(L.height(x), []).append(x)
     coords: dict[int, tuple[float, float]] = {}
     for lvl in sorted(levels):
         members = levels[lvl]

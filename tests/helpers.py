@@ -130,3 +130,15 @@ def brute_join_irreducibles(L):
         if len(covers) == 1:
             out.append(x)
     return out
+
+
+def brute_covers(k, leq):
+    """Cover pairs of the order ``leq`` on range(k), by scanning every triple."""
+    return sorted(
+        (a, b)
+        for a in range(k)
+        for b in range(k)
+        if a != b
+        and leq(a, b)
+        and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in range(k))
+    )

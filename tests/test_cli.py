@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import latcon
 from latcon import birkhoff as bk
 from latcon import catalog
 from latcon import congruence as cg
@@ -43,6 +44,22 @@ class TestInputResolution:
         p = tmp_path / "broken.json"
         p.write_text("{nope")
         assert main(["con", str(p)]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"size": 3, "covers": [["a", 1]]}',
+            '{"size": 3, "covers": [[0, 1, 2]]}',
+            '{"size": true, "covers": []}',
+            '{"size": 2, "covers": [[0, 1]], "upper_order": {"x": [1]}}',
+        ],
+        ids=["non-integer-cover", "cover-not-a-pair", "bool-size", "non-integer-order-key"],
+    )
+    def test_malformed_lattice_is_input_error(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["con", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_plain_lattice_accepted_for_rect_argument(self, tmp_path, capsys):
         p = tmp_path / "sq.json"
@@ -201,3 +218,8 @@ class TestConsoleScript:
         )
         assert proc.returncode == 4
         assert "fails" in proc.stdout
+
+
+def test_every_export_resolves():
+    missing = [name for name in latcon.__all__ if not hasattr(latcon, name)]
+    assert missing == []

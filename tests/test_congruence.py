@@ -113,8 +113,11 @@ class TestPredicatesAndRestriction:
         for name in ("n5", "m3", "grid-2x2"):
             L = catalog.get(name)
             want = helpers.brute_congruences(L)
+            want_meet = helpers.brute_meet_congruences(L)
             for p in helpers.set_partitions(L.n):
-                assert cg.is_congruence(L, p) == (helpers.blocks_key(p) in want)
+                key = helpers.blocks_key(p)
+                assert cg.is_congruence(L, p) == (key in want)
+                assert cg.is_meet_congruence(L, p) == (key in want_meet)
 
     def test_meet_congruence_strictly_weaker_on_n5(self):
         # collapses the long side only: meet-compatible but join breaks it
@@ -126,13 +129,6 @@ class TestPredicatesAndRestriction:
         assert cg.is_simple(catalog.get("m3"))
         assert not cg.is_simple(S7)
         assert cg.is_simple(core.chain(2))
-
-    def test_restrict(self):
-        con = cg.congruence_lattice(S7)
-        beta = con.congruences[2]  # ((0,1,3),(2,4,5,6))
-        assert cg.restrict_blocks(beta, [0, 1, 2, 4]) == ((0, 1), (2, 4))
-        sub = cg.restrict(beta, [0, 1, 2, 4])
-        assert sub.lattice.n == 4 and sub.blocks == ((0, 1), (2, 3))
 
     def test_cp_extension_of_glued_sum(self):
         # stacking a chain on top adds no new congruence classes below

@@ -70,7 +70,7 @@ class TestBoundaryColorExtension:
 
     def test_lower_variant_reaches_both_lower_chains(self):
         F = catalog.rect_catalog()["m3"]
-        R, rep = cn.lower_boundary_color_extension(F)
+        R, rep = cn.boundary_color_extension(F)
         con = cg.congruence_lattice(R.lattice)
         ll = {con.edge_color[e] for e in zip(R.lower_left, R.lower_left[1:])}
         lr = {con.edge_color[e] for e in zip(R.lower_right, R.lower_right[1:])}

@@ -3,7 +3,8 @@
 import pytest
 
 import helpers
-from latcon import core
+from latcon import catalog, core
+from latcon import congruence as cg
 from latcon.errors import (
     Cyclic,
     ElementOutOfRange,
@@ -209,9 +210,23 @@ class TestPredicates:
 
 class TestJoinIrreduciblePoset:
     def test_ji_poset_matches_brute_scan(self):
-        for L in (s7(), core.chain(4), core.direct_product(core.chain(2), core.chain(3))):
+        for L in (
+            s7(),
+            core.chain(4),
+            core.direct_product(core.chain(2), core.chain(3)),
+            catalog.get("n5"),
+            catalog.get("stacked-m3"),
+            catalog.rect_catalog()["s7-eye"].lattice,
+        ):
             P = core.join_irreducibles(L)
             assert list(P.labels) == helpers.brute_join_irreducibles(L)
+            j = P.labels
+            assert P.covers() == helpers.brute_covers(P.n, lambda a, b: L.leq(j[a], j[b]))
+            con = cg.congruence_lattice(L)
+            c = con.ji_indices
+            assert con.ji.covers() == helpers.brute_covers(
+                con.ji.n, lambda a, b: con.leq(c[a], c[b])
+            )
 
     def test_downset_lattice_of_two_antichain(self):
         P = core.join_irreducibles(core.direct_product(core.chain(2), core.chain(2)))
