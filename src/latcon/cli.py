@@ -24,8 +24,7 @@ from . import catalog, congruence as cg, construction as cn, core
 from . import jsonio as jio
 from . import render as rd
 from . import rectangular as rl
-from . import verify as vf
-from .errors import LatconError, UpperChainConditionFails
+from .errors import LatconError, UpperChainConditionFails, VerificationFailed
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -83,8 +82,8 @@ def _load_lattice(arg: str) -> core.FiniteLattice:
 
 
 def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
-    D = cg.congruence_lattice(F.lattice).as_lattice()
-    E = cg.congruence_lattice(G.lattice).as_lattice()
+    conF = cg.congruence_lattice(F.lattice)
+    conG = cg.congruence_lattice(G.lattice)
     if args.phi is not None and args.hom_index is not None:
         raise _InputError("give either a hom file or --hom-index, not both")
     if args.phi is not None:
@@ -93,15 +92,12 @@ def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
             raise _InputError(f"{args.phi}: no such file")
         try:
             phi = jio.hom_from_obj(obj)
+            cn._check_hom_endpoints(phi, conF, conG)
         except LatconError as exc:
             raise _InputError(f"{args.phi}: {exc}") from exc
-        if phi.source.covers() != D.covers() or phi.target.covers() != E.covers():
-            raise _InputError(
-                "hom endpoints do not match the congruence lattices of the inputs"
-            )
         return phi
     if args.hom_index is not None:
-        homs = bk.enumerate_bounded_homs(D, E)
+        homs = bk.enumerate_bounded_homs(conF.as_lattice(), conG.as_lattice())
         if not 0 <= args.hom_index < len(homs):
             raise _InputError(
                 f"--hom-index {args.hom_index} out of range ({len(homs)} homs)"
@@ -115,18 +111,19 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _emit_build(outdir: str, L, crep, vrep) -> None:
+def _emit_build(outdir: str, crep) -> None:
     out = Path(outdir)
-    _write(out / "result.json", jio.dumps(jio.rect_to_obj(L)))
+    _write(out / "result.json", jio.dumps(jio.rect_to_obj(crep.output)))
     _write(
         out / "report.json",
         jio.dumps(
             {
                 "construction": jio.construction_report_to_obj(crep),
-                "verification": jio.verification_report_to_obj(vrep),
+                "verification": jio.verification_report_to_obj(crep.verification),
             }
         ),
     )
+    print(crep.verification.render_text())
 
 
 def _cmd_build(args, ideal: bool) -> int:
@@ -134,12 +131,9 @@ def _cmd_build(args, ideal: bool) -> int:
     G = _load_rect(args.g)
     phi = _load_phi(args, F, G)
     build = cn.ideal_representation if ideal else cn.filter_representation
-    L, crep = build(F, G, phi)
-    check = vf.verify_ideal_representation if ideal else vf.verify_filter_representation
-    vrep = check(L.lattice, crep.embedded_f, crep.embedded_g, phi)
-    _emit_build(args.out, L, crep, vrep)
-    print(vrep.render_text())
-    return EXIT_OK if vrep.summary else EXIT_VERIFY
+    _, crep = build(F, G, phi)
+    _emit_build(args.out, crep)
+    return EXIT_OK
 
 
 def cmd_build_filter(args) -> int:
@@ -153,17 +147,9 @@ def cmd_build_ideal(args) -> int:
 def cmd_embed_simple(args) -> int:
     G = _load_rect(args.g)
     L, crep = cn.simple_ideal_embedding(G)
-    D = cg.congruence_lattice(rl.grid_with_eyes(2, 2, [(0, 0)])[0].lattice).as_lattice()
-    E = cg.congruence_lattice(G.lattice).as_lattice()
-    phi = bk.make_bounded_hom(D, E, (0, E.n - 1))
-    vrep = vf.verify_ideal_representation(
-        L.lattice, crep.embedded_f, crep.embedded_g, phi
-    )
-    _emit_build(args.out, L, crep, vrep)
-    ncon = len(cg.congruence_lattice(L.lattice))
-    print(vrep.render_text())
-    print(f"output: {L.n} elements, {ncon} congruences")
-    return EXIT_OK if vrep.summary and ncon == 2 else EXIT_VERIFY
+    _emit_build(args.out, crep)
+    print(f"output: {L.n} elements, {len(cg.congruence_lattice(L.lattice))} congruences")
+    return EXIT_OK
 
 
 def cmd_check_ideal(args) -> int:
@@ -242,14 +228,11 @@ def cmd_demo(args) -> int:
     F = catalog.s7()
     conS = cg.congruence_lattice(F.lattice).as_lattice()
     phi = bk.make_bounded_hom(conS, conS, tuple(range(conS.n)))
-    R, brep = cn.boundary_color_extension(F)
     L, crep = cn.filter_representation(F, F, phi)
-    vrep = vf.verify_filter_representation(
-        L.lattice, crep.embedded_f, crep.embedded_g, phi
-    )
+    brep, vrep = crep.inner, crep.verification
     out = Path(args.out)
     _write(out / "input.json", jio.dumps(jio.rect_to_obj(F)))
-    _write(out / "extension.json", jio.dumps(jio.rect_to_obj(R)))
+    _write(out / "extension.json", jio.dumps(jio.rect_to_obj(brep.output)))
     _write(
         out / "extension-report.json",
         jio.dumps(jio.construction_report_to_obj(brep)),
@@ -265,7 +248,7 @@ def cmd_demo(args) -> int:
     _write(out / "result.svg", rd.to_svg(L.lattice))
     print(f"wrote {out}/: input, extension, result, reports, diagrams")
     print(vrep.render_text())
-    return EXIT_OK if vrep.summary else EXIT_VERIFY
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,6 +319,9 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except VerificationFailed as exc:
+        print(exc.report.render_text())
+        return EXIT_VERIFY
     except UpperChainConditionFails as exc:
         print(f"upper-chain collapse condition fails: {exc}", file=sys.stderr)
         return EXIT_CONDITION

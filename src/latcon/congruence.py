@@ -395,6 +395,8 @@ def singleton_extension(
     seen: set[int] = set()
     for b in alpha_blocks:
         b = sorted(int(x) for x in b)
+        if not b:
+            raise NotAPartition("empty block")
         for x in b:
             if x not in iset:
                 raise NotAPartition(f"element {x} is not in the ideal")

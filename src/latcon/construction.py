@@ -17,23 +17,25 @@ boundary color of another.  The pipelines are:
 * :func:`simple_ideal_embedding` — embed ``G`` as an ideal of a simple
   rectangular lattice.
 
-All pipelines return ``(RectLattice, ConstructionReport)`` and verify their
-own postconditions (structure here, the restriction diagram through
-:mod:`latcon.verify`).
+All pipelines return ``(RectLattice, ConstructionReport)``.  The two
+representation pipelines check their output once, through
+:mod:`latcon.verify`: a failing check raises :class:`VerificationFailed`,
+and a passing report is kept in ``ConstructionReport.verification``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from . import birkhoff, congruence as cg, core, rectangular as rl
+from . import birkhoff, congruence as cg, rectangular as rl, verify
 from .birkhoff import BoundedHom
 from .congruence import ConLattice, Congruence
 from .errors import (
     ColorMissingOnLowerBoundary,
     LatconError,
     UpperChainConditionFails,
+    VerificationFailed,
 )
 from .rectangular import RectLattice, TripleGluingAssembly
 
@@ -67,6 +69,8 @@ class ConstructionReport:
     positions where it appears along the four boundary chains; ``pieces``
     holds the glued pieces by role and ``assembly`` the gluing bookkeeping.
     ``inner`` is the report of a nested pipeline stage, when there is one.
+    ``verification`` is the passing :mod:`latcon.verify` report of a
+    representation pipeline (``None`` for the boundary color extension).
     """
 
     output: RectLattice
@@ -77,6 +81,7 @@ class ConstructionReport:
     pieces: dict[str, RectLattice]
     assembly: TripleGluingAssembly
     inner: "ConstructionReport | None" = None
+    verification: verify.VerificationReport | None = None
 
 
 @dataclass(frozen=True)
@@ -210,8 +215,6 @@ def boundary_color_extension(
     R, asm = rl.triple_glue(F, y_rect, z_rect, u_rect)
 
     embedded_f = asm.t_map
-    up_of_c = tuple(x for x in range(R.n) if R.lattice.leq(asm.c, x))
-    assert tuple(sorted(embedded_f)) == up_of_c, "input must be the filter above c"
     assert cg.is_cp_extension(R.lattice, embedded_f)
 
     table = _color_table(R)
@@ -245,8 +248,9 @@ def filter_representation(
     join-irreducible color of ``G`` is tied by a flap eye to the image
     color's edge on the facing upper chain below.  Restriction
     ``Con L -> Con F`` is a bijection and, transported along it, restriction
-    to ``G`` is exactly ``phi``; both facts are re-checked through
-    :mod:`latcon.verify` before returning.
+    to ``G`` is exactly ``phi``; both facts are checked through
+    :mod:`latcon.verify` before returning, and :class:`VerificationFailed`
+    is raised when one fails.
     """
     conF = cg.congruence_lattice(F.lattice)
     conG = cg.congruence_lattice(G.lattice)
@@ -278,16 +282,9 @@ def filter_representation(
 
     embedded_g = asm.t_map
     embedded_f = tuple(asm.b_map[x] for x in inner.embedded_f)
-    up_of_c = tuple(x for x in range(L.n) if L.lattice.leq(asm.c, x))
-    down_of_c = tuple(x for x in range(L.n) if L.lattice.leq(x, asm.c))
-    assert tuple(sorted(embedded_g)) == up_of_c, "G must be the filter above c"
-    assert tuple(sorted(asm.b_map)) == down_of_c, "the extension is the ideal below c"
-    assert cg.is_cp_extension(L.lattice, embedded_f)
-
-    from . import verify as _verify
-
-    vrep = _verify.verify_filter_representation(L.lattice, embedded_f, embedded_g, phi)
-    assert vrep.summary, vrep.render_text()
+    vrep = verify.verify_filter_representation(L.lattice, embedded_f, embedded_g, phi)
+    if not vrep.summary:
+        raise VerificationFailed(vrep)
 
     report = ConstructionReport(
         output=L,
@@ -298,6 +295,7 @@ def filter_representation(
         pieces={"top": G, "bottom": R, "left": y_rect, "right": z_rect},
         assembly=asm,
         inner=inner,
+        verification=vrep,
     )
     return L, report
 
@@ -305,9 +303,8 @@ def filter_representation(
 def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     """Does every nontrivial congruence collapse an upper-chain edge?
 
-    Checked on the atoms of the congruence lattice (anything nontrivial
-    lies above an atom and collapses whatever the atom collapses); the
-    full scan over all nontrivial congruences cross-validates.
+    Checked on the atoms of the congruence lattice: anything nontrivial
+    lies above an atom and collapses whatever the atom collapses.
     """
     con = cg.congruence_lattice(G.lattice)
     edges = [
@@ -322,11 +319,6 @@ def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     atom_misses = tuple(
         con.congruences[t] for t in con.atoms() if not touches(con.congruences[t])
     )
-    full_misses = tuple(
-        alpha for alpha in con.congruences[1:] if not touches(alpha)
-    )
-    assert bool(atom_misses) == bool(full_misses)
-    assert {a.cls for a in atom_misses} <= {a.cls for a in full_misses}
     return ChainCollapseReport(not atom_misses, atom_misses)
 
 
@@ -341,7 +333,8 @@ def ideal_representation(
     ideal below the gluing center, the boundary color extension of ``F``
     (whose colors also reach both lower chains) the filter above it, and
     EVERY upper-chain edge of ``G`` is tied by a flap eye to an edge of the
-    image color on the facing lower chain above.
+    image color on the facing lower chain above.  The output is checked
+    through :mod:`latcon.verify` as in :func:`filter_representation`.
     """
     conF = cg.congruence_lattice(F.lattice)
     conG = cg.congruence_lattice(G.lattice)
@@ -381,17 +374,12 @@ def ideal_representation(
 
     embedded_g = asm.b_map
     embedded_f = tuple(asm.t_map[x] for x in inner.embedded_f)
-    down_of_c = tuple(x for x in range(L.n) if L.lattice.leq(x, asm.c))
-    assert tuple(sorted(embedded_g)) == down_of_c, "G must be the ideal below c"
     top_of_f = embedded_f[F.lattice.bottom]
     up_of_f = tuple(x for x in range(L.n) if L.lattice.leq(top_of_f, x))
     assert tuple(sorted(embedded_f)) == up_of_f, "F must be a filter of the result"
-    assert cg.is_cp_extension(L.lattice, embedded_f)
-
-    from . import verify as _verify
-
-    vrep = _verify.verify_ideal_representation(L.lattice, embedded_f, embedded_g, phi)
-    assert vrep.summary, vrep.render_text()
+    vrep = verify.verify_ideal_representation(L.lattice, embedded_f, embedded_g, phi)
+    if not vrep.summary:
+        raise VerificationFailed(vrep)
 
     report = ConstructionReport(
         output=L,
@@ -402,6 +390,7 @@ def ideal_representation(
         pieces={"top": Fp, "bottom": G, "left": y_rect, "right": z_rect},
         assembly=asm,
         inner=inner,
+        verification=vrep,
     )
     return L, report
 
@@ -419,5 +408,8 @@ def simple_ideal_embedding(G: RectLattice) -> tuple[RectLattice, ConstructionRep
     E = cg.congruence_lattice(G.lattice).as_lattice()
     phi = birkhoff.make_bounded_hom(D, E, (0, E.n - 1))
     L, report = ideal_representation(F, G, phi)
-    assert cg.is_simple(L.lattice)
+    if not cg.is_simple(L.lattice):
+        simple = verify.CheckResult("output-is-simple", False, "Con L is not 2-element")
+        checks = (*report.verification.checks, simple)
+        raise VerificationFailed(verify.VerificationReport(checks))
     return L, report

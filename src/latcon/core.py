@@ -388,6 +388,12 @@ def make_lattice_with_map(
     def _ordered(given, computed, kind):
         if given is None:
             return [tuple(sorted(s)) for s in computed]
+        for key, row in given.items():
+            for e in (key, *row):
+                if not 0 <= int(e) < n:
+                    raise ElementOutOfRange(
+                        f"{kind} names element {e}, out of range for size {n}"
+                    )
         out = []
         for x in range(n):
             want = computed[x]

@@ -150,3 +150,11 @@ class UpperChainConditionFails(LatconError):
 
 class EmbeddingInvalid(LatconError):
     """A claimed ideal/filter embedding does not hold in the ambient lattice."""
+
+
+class VerificationFailed(LatconError):
+    """A pipeline output failed its :mod:`latcon.verify` check; ``report`` says which."""
+
+    def __init__(self, report) -> None:
+        super().__init__(report.render_text())
+        self.report = report

@@ -18,7 +18,7 @@ from .birkhoff import BoundedHom
 from .congruence import ConLattice, Congruence
 from .construction import ConstructionReport
 from .core import FiniteLattice
-from .errors import InvalidLattice, LatconError
+from .errors import ElementOutOfRange, InvalidLattice, LatconError
 from .rectangular import RectLattice
 from .verify import VerificationReport
 
@@ -60,6 +60,14 @@ def _integer(value: Any, what: str) -> int:
     elif isinstance(value, int) and not isinstance(value, bool):
         return value
     raise LatconError(f"{what} must be an integer, got {value!r}")
+
+
+def _element(value: Any, n: int, what: str) -> int:
+    """An element id (see :func:`_integer`) of a lattice of size ``n``."""
+    x = _integer(value, what)
+    if not 0 <= x < n:
+        raise ElementOutOfRange(f"{what} {x} out of range for size {n}")
+    return x
 
 
 def _order_maps(obj: dict) -> tuple[dict | None, dict | None]:
@@ -106,15 +114,14 @@ def rect_from_obj(obj: Any) -> RectLattice:
     R = rl.make_rectangular(lat)
     if "lc" in obj:
         claimed = {
-            "lc": renum[_require(obj, "lc", int)],
-            "rc": renum[_require(obj, "rc", int)],
+            k: renum[_element(_require(obj, k, int), lat.n, k)] for k in ("lc", "rc")
         }
         if claimed["lc"] != R.lc or claimed["rc"] != R.rc:
             raise InvalidLattice(
                 f"claimed corners {claimed} differ from the recomputed"
                 f" ({R.lc}, {R.rc})"
             )
-        eyes = {renum[int(e)] for e in _require(obj, "eyes", list)}
+        eyes = {renum[_element(e, lat.n, "eye")] for e in _require(obj, "eyes", list)}
         if eyes != set(R.eyes):
             raise InvalidLattice(
                 f"claimed eyes {sorted(eyes)} differ from the recomputed"
@@ -132,9 +139,11 @@ def congruence_to_obj(alpha: Congruence) -> dict:
 
 def congruence_from_obj(obj: Any) -> Congruence:
     lat, renum = lattice_from_obj_with_map(_require(obj, "lattice", dict))
-    blocks = [
-        [renum[int(x)] for x in b] for b in _require(obj, "blocks", list)
-    ]
+    blocks = []
+    for b in _require(obj, "blocks", list):
+        if not isinstance(b, list):
+            raise LatconError(f"block {b!r} must be a list")
+        blocks.append([renum[_element(x, lat.n, "block member")] for x in b])
     return cg.congruence_from_blocks(lat, blocks)
 
 
@@ -149,13 +158,11 @@ def hom_to_obj(phi: BoundedHom) -> dict:
 def hom_from_obj(obj: Any) -> BoundedHom:
     src, renum_s = lattice_from_obj_with_map(_require(obj, "source", dict))
     tgt, renum_t = lattice_from_obj_with_map(_require(obj, "target", dict))
-    raw = [int(v) for v in _require(obj, "map", list)]
+    raw = [_element(v, tgt.n, "map entry") for v in _require(obj, "map", list)]
     if len(raw) != src.n:
         raise LatconError(f"map length {len(raw)} != source size {src.n}")
     assignment = [0] * src.n
     for old, img in enumerate(raw):
-        if not 0 <= img < tgt.n:
-            raise LatconError(f"image {img} out of range for size {tgt.n}")
         assignment[renum_s[old]] = renum_t[img]
     return birkhoff.make_bounded_hom(src, tgt, assignment)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from latcon import congruence as cg
+
 
 def set_partitions(n):
     """All partitions of range(n), as tuples of sorted tuples.
@@ -142,3 +144,22 @@ def brute_covers(k, leq):
         and leq(a, b)
         and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in range(k))
     )
+
+
+def condition_oracle(R):
+    """Direct definition scan: every nontrivial congruence collapses some
+    edge of an upper boundary chain.
+
+    Returns ``(holds, blocking congruences)``.  The congruences come from
+    the library's congruence lattice; what this checks independently is the
+    atoms-only shortcut of ``upper_chain_collapse_check``.
+    """
+    ul = list(zip(R.upper_left, R.upper_left[1:]))
+    ur = list(zip(R.upper_right, R.upper_right[1:]))
+    bad = []
+    for alpha in cg.congruence_lattice(R.lattice):
+        if alpha.is_equality:
+            continue
+        if not any(alpha.collapses(a, b) for a, b in ul + ur):
+            bad.append(alpha)
+    return not bad, bad

@@ -194,21 +194,6 @@ def test_a7_lemma_suite_has_zero_counterexamples():
     )
 
 
-def _condition_oracle(R) -> tuple[bool, list]:
-    """Direct definition scan: every nontrivial congruence collapses some
-    edge of an upper boundary chain."""
-    L = R.lattice
-    ul = list(zip(R.upper_left, R.upper_left[1:]))
-    ur = list(zip(R.upper_right, R.upper_right[1:]))
-    bad = []
-    for alpha in cg.congruence_lattice(L):
-        if alpha.is_equality:
-            continue
-        if not any(alpha.collapses(a, b) for a, b in ul + ur):
-            bad.append(alpha)
-    return not bad, bad
-
-
 def test_a8_ideal_embedding_equivalence_both_directions():
     rect = catalog.rect_catalog()
     ok = True
@@ -217,7 +202,7 @@ def test_a8_ideal_embedding_equivalence_both_directions():
     # ideal of a simple rectangular lattice, and carries every hom
     positives = 0
     for name, G in sorted(rect.items()):
-        holds, _ = _condition_oracle(G)
+        holds, _ = helpers.condition_oracle(G)
         chk = cn.upper_chain_collapse_check(G)
         ok &= chk.holds == holds  # checker/oracle agreement on the catalog
         if not holds:
@@ -238,7 +223,7 @@ def test_a8_ideal_embedding_equivalence_both_directions():
     # negative: scan the derived catalog up to 12 elements
     witnesses = []
     for name, R in catalog.search_rectangular(12):
-        holds, bad = _condition_oracle(R)
+        holds, bad = helpers.condition_oracle(R)
         chk = cn.upper_chain_collapse_check(R)
         ok &= chk.holds == holds  # agreement is the pass criterion
         if holds:

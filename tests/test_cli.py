@@ -12,6 +12,7 @@ from latcon import birkhoff as bk
 from latcon import catalog
 from latcon import congruence as cg
 from latcon import jsonio as jio
+from latcon import verify as vf
 from latcon.cli import main
 
 
@@ -52,13 +53,48 @@ class TestInputResolution:
             '{"size": 3, "covers": [[0, 1, 2]]}',
             '{"size": true, "covers": []}',
             '{"size": 2, "covers": [[0, 1]], "upper_order": {"x": [1]}}',
+            '{"size": 2, "covers": [[0, 1]], "upper_order": {"0": [5]}}',
+            '{"size": 2, "covers": [[0, 1]], "upper_order": {"0": [-1]}}',
+            '{"size": 3, "covers": [[0, 1], [1, 2]], "upper_order": {"7": [1]}}',
         ],
-        ids=["non-integer-cover", "cover-not-a-pair", "bool-size", "non-integer-order-key"],
+        ids=[
+            "non-integer-cover", "cover-not-a-pair", "bool-size",
+            "non-integer-order-key", "order-entry-too-large", "order-entry-negative",
+            "order-key-names-no-element",
+        ],
     )
     def test_malformed_lattice_is_input_error(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"
         p.write_text(text)
         assert main(["con", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "claims",
+        [
+            '"lc": 9, "rc": 2, "eyes": []',
+            '"lc": 1, "rc": -2, "eyes": []',
+            '"lc": 1, "rc": 2, "eyes": [9]',
+        ],
+        ids=["corner-out-of-range", "corner-negative", "eye-out-of-range"],
+    )
+    def test_malformed_rect_claim_is_input_error(self, tmp_path, capsys, claims):
+        p = tmp_path / "bad.json"
+        square = '"size": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]'
+        p.write_text("{%s, %s}" % (square, claims))
+        assert main(["check-ideal", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["x", True, 1.5], ids=["string", "bool", "float"])
+    def test_malformed_hom_entry_is_input_error(self, tmp_path, capsys, entry):
+        D = cg.congruence_lattice(catalog.get("grid-2x2")).as_lattice()
+        E = cg.congruence_lattice(catalog.get("m3")).as_lattice()
+        obj = jio.hom_to_obj(bk.enumerate_bounded_homs(D, E)[0])
+        obj["map"][obj["map"].index(1)] = entry
+        p = tmp_path / "phi.json"
+        p.write_text(json.dumps(obj))
+        rc = main(["build-filter", "grid-2x2", "m3", str(p), "--out", str(tmp_path)])
+        assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     def test_plain_lattice_accepted_for_rect_argument(self, tmp_path, capsys):
@@ -124,6 +160,33 @@ class TestBuildCommands:
 
     def test_missing_hom_is_exit_2(self, tmp_path, capsys):
         assert main(["build-filter", "grid-2x2", "m3", "--out", str(tmp_path)]) == 2
+
+    def test_failing_verification_is_exit_1_without_files(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        bad = vf.VerificationReport((vf.CheckResult("injected", False, "fault"),))
+        monkeypatch.setattr(vf, "verify_filter_representation", lambda *args: bad)
+        rc = main(
+            ["build-filter", "s7", "m3", "--hom-index", "0", "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        assert "FAIL injected — fault" in capsys.readouterr().out.splitlines()
+        assert not (tmp_path / "result.json").exists()
+
+    def test_build_filter_verifies_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        check = vf.verify_filter_representation
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(vf, "verify_filter_representation", counted)
+        rc = main(
+            ["build-filter", "s7", "m3", "--hom-index", "0", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_embed_simple(self, tmp_path, capsys):
         rc = main(["embed-simple", "grid-2x2", "--out", str(tmp_path)])

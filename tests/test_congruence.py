@@ -156,6 +156,10 @@ class TestSingletonExtension:
         with pytest.raises(NotACongruence):
             cg.singleton_extension(S7, [0, 1, 2, 4], [[0, 4], [1], [2]])
 
+    def test_rejects_empty_block(self):
+        with pytest.raises(NotAPartition):
+            cg.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2, 4], []])
+
     def test_rejects_non_ideal(self):
         from latcon.errors import NotAnIdeal
 

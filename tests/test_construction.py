@@ -1,13 +1,20 @@
 """End-to-end representation pipelines and their reports."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import helpers
 from latcon import birkhoff as bk
 from latcon import catalog, core
 from latcon import congruence as cg
 from latcon import construction as cn
 from latcon import rectangular as rl
-from latcon.errors import LatconError, UpperChainConditionFails
+from latcon import verify as vf
+from latcon.errors import LatconError, UpperChainConditionFails, VerificationFailed
 
 G22 = catalog.rect_catalog()["grid-2x2"]
 M3 = catalog.rect_catalog()["m3"]
@@ -22,6 +29,10 @@ def con_lat(R):
 
 def hom(F, G, k=0):
     return bk.enumerate_bounded_homs(con_lat(F), con_lat(G))[k]
+
+
+def failing_report(*args):
+    return vf.VerificationReport((vf.CheckResult("injected", False, "fault"),))
 
 
 class TestBoundaryColorExtension:
@@ -135,7 +146,63 @@ class TestFilterRepresentation:
             cn.filter_representation(G22, M3, hom(M3, G22))
 
 
+class TestVerification:
+    def test_report_is_carried(self):
+        _, rep = cn.filter_representation(S7, M3, hom(S7, M3))
+        assert rep.verification.summary
+        assert rep.inner.verification is None
+        _, rep = cn.ideal_representation(M3, G22, hom(M3, G22))
+        assert [c.name for c in rep.verification.checks][0] == "target-copy-is-ideal"
+
+    def test_failing_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(vf, "verify_filter_representation", failing_report)
+        with pytest.raises(VerificationFailed) as err:
+            cn.filter_representation(G22, M3, hom(G22, M3))
+        assert err.value.report.render_text().startswith("FAIL injected — fault")
+
+    def test_failing_verification_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from latcon import catalog, congruence as cg, birkhoff as bk\n"
+            "from latcon import construction as cn, verify as vf\n"
+            "from latcon.errors import VerificationFailed\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "bad = vf.VerificationReport((vf.CheckResult('injected', False),))\n"
+            "vf.verify_filter_representation = lambda *args: bad\n"
+            "F = G = catalog.rect_catalog()['m3']\n"
+            "D = cg.congruence_lattice(F.lattice).as_lattice()\n"
+            "phi = bk.make_bounded_hom(D, D, range(D.n))\n"
+            "try:\n"
+            "    cn.filter_representation(F, G, phi)\n"
+            "except VerificationFailed:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(cn.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
+
+    def test_simple_check_raises(self, monkeypatch):
+        monkeypatch.setattr(cg, "is_simple", lambda L: False)
+        with pytest.raises(VerificationFailed) as err:
+            cn.simple_ideal_embedding(G22)
+        assert "FAIL output-is-simple" in err.value.report.render_text()
+
+
 class TestUpperChainCollapseCheck:
+    def test_matches_direct_definition_oracle(self):
+        scanned = catalog.search_rectangular(16)
+        assert len(scanned) == 117
+        for name, R in scanned:
+            holds, bad = helpers.condition_oracle(R)
+            chk = cn.upper_chain_collapse_check(R)
+            assert chk.holds == holds, name
+            assert {w.cls for w in chk.witnesses} == {w.cls for w in bad}, name
+
     def test_holds_for_grids_and_m3(self):
         for R in (G22, M3, G33):
             chk = cn.upper_chain_collapse_check(R)

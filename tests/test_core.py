@@ -88,6 +88,19 @@ class TestMakeLattice:
         # unspecified elements fall back to ascending ids
         assert L.upper_covers(1) == (3,)
 
+    @pytest.mark.parametrize(
+        "size, covers, upper",
+        [
+            (2, [(0, 1)], {0: [5]}),
+            (2, [(0, 1)], {0: [-1]}),
+            (3, [(0, 1), (1, 2)], {7: [1]}),
+        ],
+        ids=["entry-too-large", "entry-negative", "key-names-no-element"],
+    )
+    def test_cover_order_ids_in_range(self, size, covers, upper):
+        with pytest.raises(ElementOutOfRange):
+            core.make_lattice_with_map(size, covers, upper)
+
     def test_cover_order_must_be_permutation(self):
         with pytest.raises(InvalidLattice):
             core.make_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)], upper_order={0: [1, 1]})

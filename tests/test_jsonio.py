@@ -84,6 +84,23 @@ class TestCongruenceAndHom:
         with pytest.raises(LatconError):
             jio.congruence_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "member", [99, -1, "x", True], ids=["too-large", "negative", "string", "bool"]
+    )
+    def test_congruence_block_member_validated(self, member):
+        L = catalog.get("s7")
+        obj = jio.congruence_to_obj(cg.congruence_lattice(L).congruences[0])
+        obj["blocks"][-1] = [member]  # the block of element 6 (-1 would alias it)
+        with pytest.raises(LatconError):
+            jio.congruence_from_obj(obj)
+
+    def test_congruence_block_must_be_a_list(self):
+        L = catalog.get("s7")
+        obj = jio.congruence_to_obj(cg.congruence_lattice(L).congruences[0])
+        obj["blocks"][-1] = 6
+        with pytest.raises(LatconError):
+            jio.congruence_from_obj(obj)
+
     def test_hom_round_trip(self):
         D = cg.congruence_lattice(catalog.get("grid-2x2")).as_lattice()
         E = cg.congruence_lattice(catalog.get("m3")).as_lattice()
