@@ -151,15 +151,6 @@ def make_bounded_hom(
     return BoundedHom(D, E, f)
 
 
-def spectrum(D: FiniteLattice, a: int) -> tuple[int, ...]:
-    """The join-irreducible elements below a; their join is a."""
-    if not 0 <= a < D.n:
-        raise ElementOutOfRange(f"element {a} out of range for size {D.n}")
-    out = tuple(p for p in D.ji_elements() if D.leq(p, a))
-    assert D.join_of(out) == a
-    return out
-
-
 def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     """The dual isotone map  Ji(target) -> Ji(source).
 

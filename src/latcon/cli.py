@@ -107,8 +107,11 @@ def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise _InputError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def _emit_build(outdir: str, crep) -> None:

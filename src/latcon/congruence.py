@@ -5,9 +5,13 @@ and ordered by least member, plus the element->block-index table ``cls``.
 The table doubles as a canonical key — two congruences on the same lattice
 are equal iff their ``cls`` tuples are.
 
-The congruence lattice is generated the classical way: the principal
-congruences of cover pairs ("edge colors") are exactly the join-irreducible
-congruences, and every congruence is the join of a down-set of them.
+Con L is built as the down-sets of its join-irreducible congruences.  The
+principal congruences of cover pairs ("edge colors") are exactly the
+join-irreducible congruences, and Con L is distributive, so every congruence
+is the join of the down-set of colors below it and distinct down-sets have
+distinct joins.  :func:`congruence_lattice` enumerates the down-sets with
+:func:`core.downsets` and reaches each congruence from a smaller one by a
+single join.
 """
 
 from __future__ import annotations
@@ -293,62 +297,56 @@ class ConLattice:
         )
 
     def as_lattice(self) -> FiniteLattice:
-        """Con L as a FiniteLattice; element i is ``congruences[i]``."""
+        """Con L as a FiniteLattice; element i is ``congruences[i]``.
+
+        Congruence i is matched with the down-set of join-irreducibles
+        below it, and the covers are those of the down-set lattice.
+        """
         if self._lattice_view is None:
-            k = len(self.congruences)
-            # ids are a linear extension, so only i <= j can hold
-            up = [sum(1 << j for j in range(i, k) if self.leq(i, j)) for i in range(k)]
-            lat, renum = core.make_lattice_with_map(k, core._reduce(range(k), up))
-            assert renum == tuple(range(k)), "canonical congruence order is a linear extension"
+            ji = [self.congruences[i] for i in self.ji.labels]
+            ds = [sum(1 << x for x, a in enumerate(ji) if a.refines(c)) for c in self.congruences]
+            lat, renum = core.make_lattice_with_map(len(ds), core._downset_covers(self.ji, ds))
+            assert renum == tuple(range(len(ds))), "canonical congruence order is a linear extension"
             self._lattice_view = lat
         return self._lattice_view
+
+
+def _rank(c: Congruence) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Key of the canonical order: block count descending, then blocks."""
+    return -c.nblocks, c.blocks
 
 
 def congruence_lattice(L: FiniteLattice) -> ConLattice:
     """All congruences of L, its join-irreducible poset, and the edge coloring.
 
-    Computed once per lattice instance and cached.
+    The down-set of join-irreducibles that is one element short of ``d``
+    drops the element of ``d`` at the highest position, which is maximal in
+    ``d`` and comes earlier in :func:`core.downsets`; so each congruence is
+    one join away from an earlier one.  Computed once per lattice instance
+    and cached.
     """
     if L._con is not None:
         return L._con
 
-    edge_theta: dict[tuple[int, int], Congruence] = {}
-    ji_list: list[Congruence] = []
-    ji_keys: dict[tuple[int, ...], int] = {}
-    for p, q in L.covers():
-        theta = principal_congruence(L, p, q)
-        edge_theta[(p, q)] = theta
-        if theta.cls not in ji_keys:
-            ji_keys[theta.cls] = len(ji_list)
-            ji_list.append(theta)
+    edge_theta = {e: principal_congruence(L, *e) for e in L.covers()}
+    ji = sorted({t.cls: t for t in edge_theta.values()}.values(), key=_rank)
+    j = len(ji)
+    # positions are a linear extension of refinement, so only a <= b can hold
+    up = [sum(1 << b for b in range(a, j) if ji[a].refines(ji[b])) for a in range(j)]
+    ji_covers = core._reduce(range(j), up)
 
-    j = len(ji_list)
-    # refinement order among the join-irreducible congruences
-    ji_leq = [[ji_list[a].refines(ji_list[b]) for b in range(j)] for a in range(j)]
+    ds = core.downsets(Poset(j, ji_covers))
+    at = {d: i for i, d in enumerate(ds)}
+    cons = [delta(L)]
+    for d in ds[1:]:
+        x = d.bit_length() - 1
+        cons.append(cons[at[d ^ 1 << x]].join(ji[x]))
 
-    all_keys: dict[tuple[int, ...], Congruence] = {}
-    base = delta(L)
-    all_keys[base.cls] = base
-    for mask in range(1, 1 << j):
-        # joins of down-sets only; other subsets repeat them
-        members = [a for a in range(j) if mask >> a & 1]
-        is_down = all(
-            mask >> b & 1 for a in members for b in range(j) if ji_leq[b][a]
-        )
-        if not is_down:
-            continue
-        c = _join_blocks(L, (blk for a in members for blk in ji_list[a].blocks))
-        if c.cls in all_keys:
-            raise AssertionError("distinct down-sets of join-irreducibles must have distinct joins")
-        all_keys[c.cls] = c
-
-    ordered = sorted(all_keys.values(), key=lambda c: (-c.nblocks, c.blocks))
+    ordered = sorted(cons, key=_rank)
     index = {c.cls: i for i, c in enumerate(ordered)}
-
-    ji_canon = sorted(index[c.cls] for c in ji_list)
-    up = {a: sum(1 << b for b in ji_canon if ordered[a].refines(ordered[b])) for a in ji_canon}
-    ji_poset = Poset(j, core._reduce(ji_canon, up), labels=ji_canon)
-
+    if len(index) != len(ordered):
+        raise AssertionError("distinct down-sets of join-irreducibles must have distinct joins")
+    ji_poset = Poset(j, ji_covers, labels=[index[c.cls] for c in ji])
     edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
     con = ConLattice(L, ordered, ji_poset, edge_color)
     L._con = con

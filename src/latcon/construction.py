@@ -152,13 +152,7 @@ def _lift_position(
 
 
 def _check_hom_endpoints(phi: BoundedHom, conF: ConLattice, conG: ConLattice) -> None:
-    D, E = conF.as_lattice(), conG.as_lattice()
-    if (
-        phi.source.n != D.n
-        or phi.source.covers() != D.covers()
-        or phi.target.n != E.n
-        or phi.target.covers() != E.covers()
-    ):
+    if not verify._endpoints_match(phi, conF, conG):
         raise LatconError(
             "homomorphism endpoints do not match the congruence lattices"
             " of the inputs"

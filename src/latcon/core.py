@@ -619,36 +619,38 @@ def join_irreducibles(L: FiniteLattice) -> Poset:
     return Poset(len(elems), _reduce(elems, L._up), labels=elems)
 
 
+def _addable(P: Poset, d: int) -> list[int]:
+    """Elements ``x`` outside the down-set ``d`` of P with ``d | 1 << x`` a
+    down-set: the down-sets covering ``d`` under inclusion."""
+    return [x for x in range(P.n) if not d >> x & 1 and not P._down[x] & ~(d | 1 << x)]
+
+
+def _downset_covers(P: Poset, ds: Sequence[int]) -> list[tuple[int, int]]:
+    """Cover pairs, as positions in ``ds``, of the inclusion order on ``ds``,
+    a list of all down-sets of P."""
+    index = {m: i for i, m in enumerate(ds)}
+    return [(i, index[d | 1 << x]) for i, d in enumerate(ds) for x in _addable(P, d)]
+
+
 def downsets(P: Poset) -> list[int]:
-    """All down-sets of P as bitmasks, sorted by (size, mask value)."""
-    need = P._down
-    out = []
-    for mask in range(1 << P.n):
-        m = mask
-        ok = True
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            if need[x] & ~mask:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out.append(mask)
-    out.sort(key=lambda m: (bin(m).count("1"), m))
+    """All down-sets of P as bitmasks, sorted by (size, mask value).
+
+    Grown one size at a time: the down-sets of size ``s + 1`` are those of
+    size ``s`` with one addable element added, so the work is linear in
+    the number of down-sets times ``P.n``.
+    """
+    out: list[int] = []
+    level = [0]
+    while level:
+        out.extend(level)
+        level = sorted({d | 1 << x for d in level for x in _addable(P, d)})
     return out
 
 
 def downset_lattice(P: Poset) -> FiniteLattice:
     """The distributive lattice of down-sets of P, ordered by inclusion."""
     ds = downsets(P)
-    index = {m: i for i, m in enumerate(ds)}
-    covers = []
-    for i, d in enumerate(ds):
-        for x in range(P.n):
-            if not d >> x & 1 and not P._down[x] & ~(d | 1 << x):
-                covers.append((i, index[d | 1 << x]))
-    return make_lattice(len(ds), covers)
+    return make_lattice(len(ds), _downset_covers(P, ds))
 
 
 def _signature(L: FiniteLattice, x: int) -> tuple[int, int, int, int, int, int]:

@@ -124,10 +124,6 @@ class IndexOutOfRange(LatconError):
     pass
 
 
-class FlapNotPlainGrid(LatconError):
-    """Cell arithmetic on a flap requires an eye-free grid."""
-
-
 class BoundaryMismatch(LatconError):
     """Gluing boundaries have different lengths or are not chains."""
 

@@ -25,7 +25,6 @@ from .errors import (
     BoundaryMismatch,
     BoundaryNotChain,
     CornersNotComplementary,
-    FlapNotPlainGrid,
     Incompatible,
     IndexOutOfRange,
     LatconError,
@@ -296,32 +295,6 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
     lower[e] = [cell.bottom]
     lat, _ = core.make_lattice_with_map(n + 1, covers, upper, lower)
     return make_rectangular(lat)
-
-
-def crossing_cell(flap: RectLattice, i: int, k: int) -> Cell:
-    """The cell of a plain grid where row-edge i meets column-edge k.
-
-    Row edges are counted up the lower-left chain, column edges up the
-    lower-right chain; the cell's sides generate exactly those two edge
-    colors.
-    """
-    if flap.eyes or not core.is_distributive(flap.lattice):
-        raise FlapNotPlainGrid("flap has eyes or is not a plain grid")
-    if not 0 <= i <= flap.bl - 2:
-        raise IndexOutOfRange(
-            f"row edge {i} out of range: {flap.bl - 1} edges on the lower-left chain"
-        )
-    if not 0 <= k <= flap.br - 2:
-        raise IndexOutOfRange(
-            f"column edge {k} out of range: {flap.br - 1} edges on the lower-right chain"
-        )
-    L = flap.lattice
-    b = L.join(flap.lower_left[i], flap.lower_right[k])
-    t = L.join(flap.lower_left[i + 1], flap.lower_right[k + 1])
-    for c in cells(flap):
-        if c.bottom == b and c.top == t:
-            return c
-    raise FlapNotPlainGrid("trajectories do not cross in a cell; not a plain grid")
 
 
 def dual(R: RectLattice) -> RectLattice:

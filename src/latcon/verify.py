@@ -86,6 +86,14 @@ def _induced_copy(L: FiniteLattice, emb: Sequence[int]) -> FiniteLattice:
     return sub
 
 
+def _endpoints_match(phi: BoundedHom, conF: cg.ConLattice, conG: cg.ConLattice) -> bool:
+    """Are phi's source and target Con F and Con G, cover for cover?"""
+    return all(
+        lat.n == len(con) and lat.covers() == con.as_lattice().covers()
+        for lat, con in ((phi.source, conF), (phi.target, conG))
+    )
+
+
 def _verify_representation(
     L: FiniteLattice,
     f_emb: Sequence[int],
@@ -100,12 +108,7 @@ def _verify_representation(
     conL = cg.congruence_lattice(L)
     conF = cg.congruence_lattice(fsub)
     conG = cg.congruence_lattice(gsub)
-    if (
-        phi.source.n != len(conF)
-        or phi.source.covers() != conF.as_lattice().covers()
-        or phi.target.n != len(conG)
-        or phi.target.covers() != conG.as_lattice().covers()
-    ):
+    if not _endpoints_match(phi, conF, conG):
         raise EmbeddingInvalid(
             "homomorphism endpoints do not match the embedded copies'"
             " congruence lattices"

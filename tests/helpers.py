@@ -3,14 +3,16 @@
 Everything here recomputes results from first principles — partitions are
 enumerated as restricted growth strings and filtered by the substitution
 property, homomorphisms by checking every map — so the library's own closure
-algorithms are never in the loop.
+algorithms are never in the loop.  The exception is
+:func:`reference_congruence_lattice`, the previous subset-scan construction
+of Con L, kept to test the down-set construction against.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from latcon import congruence as cg
+from latcon import congruence as cg, core
 
 
 def set_partitions(n):
@@ -144,6 +146,53 @@ def brute_covers(k, leq):
         and leq(a, b)
         and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in range(k))
     )
+
+
+def brute_downsets(P):
+    """Down-sets of the poset P as bitmasks, by scanning all 2^n subsets."""
+    return sorted(
+        (
+            m
+            for m in range(1 << P.n)
+            if all(m >> y & 1 for x in range(P.n) if m >> x & 1 for y in P.down(x))
+        ),
+        key=lambda m: (bin(m).count("1"), m),
+    )
+
+
+def reference_congruence_lattice(L):
+    """Con L by scanning all 2^j subsets of the j edge colors.
+
+    Each subset that is a down-set of the colors' refinement order is joined
+    from its members' blocks.  Not cached on ``L``.
+    """
+    edge_theta = {}
+    ji_list = []
+    ji_keys = set()
+    for p, q in L.covers():
+        theta = cg.principal_congruence(L, p, q)
+        edge_theta[(p, q)] = theta
+        if theta.cls not in ji_keys:
+            ji_keys.add(theta.cls)
+            ji_list.append(theta)
+    j = len(ji_list)
+    ji_leq = [[ji_list[a].refines(ji_list[b]) for b in range(j)] for a in range(j)]
+    base = cg.delta(L)
+    all_keys = {base.cls: base}
+    for mask in range(1, 1 << j):
+        members = [a for a in range(j) if mask >> a & 1]
+        if not all(mask >> b & 1 for a in members for b in range(j) if ji_leq[b][a]):
+            continue
+        c = cg._join_blocks(L, (blk for a in members for blk in ji_list[a].blocks))
+        assert c.cls not in all_keys, "distinct down-sets must have distinct joins"
+        all_keys[c.cls] = c
+    ordered = sorted(all_keys.values(), key=lambda c: (-c.nblocks, c.blocks))
+    index = {c.cls: i for i, c in enumerate(ordered)}
+    ji_canon = sorted(index[c.cls] for c in ji_list)
+    ji_covers = brute_covers(j, lambda a, b: ordered[ji_canon[a]].refines(ordered[ji_canon[b]]))
+    ji_poset = core.Poset(j, ji_covers, labels=ji_canon)
+    edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
+    return cg.ConLattice(L, ordered, ji_poset, edge_color)
 
 
 def condition_oracle(R):

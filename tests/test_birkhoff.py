@@ -114,14 +114,6 @@ class TestDuality:
                     rep = bk.brt_report(phi)
                     assert rep.ok, rep.witness
 
-    def test_spectrum(self):
-        # join-irreducibles of C2xC2 below each element
-        ji = C2SQ.ji_elements()
-        assert ji == (1, 2)
-        assert bk.spectrum(C2SQ, 0) == ()
-        assert bk.spectrum(C2SQ, 1) == (1,)
-        assert bk.spectrum(C2SQ, 3) == (1, 2)
-
     def test_ji_map_direction_reversed(self):
         # projecting the square onto one coordinate: the dual picks, for
         # C2's single join-irreducible, the atom that still maps up

@@ -273,6 +273,24 @@ class TestDemo:
         assert main(["demo", "nope"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "s7", "--out", "{F}/sub"],
+        ["build-filter", "s7", "s7", "--hom-index", "0", "--out", "{F}"],
+        ["con", "s7", "--out", "{F}/x.json"],
+        ["render", "s7", "--out", "{F}/a.svg"],
+    ],
+    ids=["demo", "build-filter", "con", "render"],
+)
+def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
+    F = tmp_path / "F"
+    F.write_text("")
+    assert main([a.format(F=F) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {F}") and err.count("\n") == 1
+
+
 class TestConsoleScript:
     @pytest.mark.skipif(shutil.which("latcon") is None, reason="not installed")
     def test_entry_point_runs(self):

@@ -1,5 +1,7 @@
 """Congruences, their lattice, edge coloring, and extensions."""
 
+import random
+
 import pytest
 
 import helpers
@@ -106,6 +108,43 @@ class TestConLattice:
         assert con.index_of(gamma) == 1
         assert con.index_of_key(gamma.cls) == 1
         assert con.index_of_key(tuple([0] * 7)) == 4
+
+
+def _assert_matches_reference(L):
+    new = cg.congruence_lattice(L)
+    old = helpers.reference_congruence_lattice(L)
+    assert [c.blocks for c in new] == [c.blocks for c in old]
+    assert new.ji.labels == old.ji.labels
+    assert new.ji.covers() == old.ji.covers()
+    assert new.edge_color == old.edge_color
+    assert new.as_lattice().covers() == helpers.brute_covers(len(old), old.leq)
+
+
+@pytest.fixture(scope="module")
+def searched():
+    return [R.lattice for _, R in catalog.search_rectangular(16)]
+
+
+class TestDownSetConstruction:
+    """The down-set construction of Con L against the 2^j subset scan."""
+
+    def test_searched_lattices(self, searched):
+        assert len(searched) == 117
+        for L in searched:
+            _assert_matches_reference(L)
+
+    def test_order_duals(self, searched):
+        for L in searched:
+            _assert_matches_reference(core.make_lattice(L.n, [(b, a) for a, b in L.covers()]))
+
+    def test_random_relabellings(self):
+        rng = random.Random(4)
+        for name in ("s7", "n5", "grid-2x3", "cube", "m3"):
+            L = catalog.get(name)
+            for _ in range(3):
+                perm = rng.sample(range(L.n), L.n)
+                M = core.make_lattice(L.n, [(perm[a], perm[b]) for a, b in L.covers()])
+                _assert_matches_reference(M)
 
 
 class TestPredicatesAndRestriction:

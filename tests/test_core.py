@@ -1,5 +1,7 @@
 """Lattice construction, canonical numbering, and order arithmetic."""
 
+import random
+
 import pytest
 
 import helpers
@@ -250,6 +252,34 @@ class TestJoinIrreduciblePoset:
         L = core.direct_product(core.chain(3), core.chain(2))
         D = core.downset_lattice(core.join_irreducibles(L))
         assert core.are_isomorphic(D, L)
+
+
+class TestDownsets:
+    @pytest.mark.parametrize(
+        "n, covers",
+        [(0, []), (4, []), (3, [(2, 0), (1, 0)]), (4, [(3, 1), (1, 0), (2, 0)])],
+        ids=["empty", "antichain", "positions-not-extension", "chain-above-fork"],
+    )
+    def test_matches_brute_scan(self, n, covers):
+        P = core.Poset(n, covers)
+        assert core.downsets(P) == helpers.brute_downsets(P)
+
+    def test_random_posets(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(0, 8)
+            perm = rng.sample(range(n), n)
+            up = [1 << x for x in range(n)]
+            for i in reversed(range(n)):
+                for k in range(i + 1, n):
+                    if rng.random() < 0.3:
+                        up[perm[i]] |= up[perm[k]]
+            P = core.Poset(n, core._reduce(range(n), up))
+            ds = core.downsets(P)
+            assert ds == helpers.brute_downsets(P)
+            assert core.downset_lattice(P).covers() == helpers.brute_covers(
+                len(ds), lambda a, b: not ds[a] & ~ds[b]
+            )
 
 
 class TestIsomorphism:

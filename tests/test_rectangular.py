@@ -9,7 +9,6 @@ from latcon.errors import (
     AmbiguousCorner,
     BoundaryMismatch,
     CornersNotComplementary,
-    FlapNotPlainGrid,
     Incompatible,
     IndexOutOfRange,
     NoCorner,
@@ -121,21 +120,6 @@ class TestGridsAndEyes:
         eyed = [c for c in rl.cells(R) if c.middles]
         assert len(eyed) == 1
         assert eyed[0].middles == (eye_of[(0, 1)],)
-
-    def test_crossing_cell_coordinates(self):
-        F = rl.grid(3, 4)
-        for i in range(F.bl - 1):
-            for k in range(F.br - 1):
-                c = rl.crossing_cell(F, i, k)
-                L = F.lattice
-                assert c.bottom == L.join(F.lower_left[i], F.lower_right[k])
-        with pytest.raises(IndexOutOfRange):
-            rl.crossing_cell(F, F.bl - 1, 0)
-
-    def test_crossing_cell_needs_plain_grid(self):
-        R, _ = rl.grid_with_eyes(2, 2, [(0, 0)])
-        with pytest.raises(FlapNotPlainGrid):
-            rl.crossing_cell(R, 0, 0)
 
 
 class TestGlue:
