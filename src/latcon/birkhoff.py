@@ -10,7 +10,7 @@ that correspondence; ``brt_report`` evaluates the classical equivalences
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
@@ -200,10 +200,6 @@ class BrtReport:
     witness: str | None = None
 
     @property
-    def bijection_ok(self) -> bool:
-        return self.round_trip_ok
-
-    @property
     def injective_iff_onto(self) -> bool:
         return self.injective == self.ji_onto
 
@@ -213,7 +209,7 @@ class BrtReport:
 
     @property
     def ok(self) -> bool:
-        return self.bijection_ok and self.injective_iff_onto and self.onto_iff_embedding
+        return self.round_trip_ok and self.injective_iff_onto and self.onto_iff_embedding
 
 
 def brt_report(phi: BoundedHom) -> BrtReport:

@@ -47,7 +47,9 @@ def _find_json(arg: str):
         if p.is_file():
             try:
                 return json.loads(p.read_text())
-            except json.JSONDecodeError as exc:
+            except OSError as exc:
+                raise _os_error(exc, p) from exc
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise _InputError(f"{p}: {exc}") from exc
     return None
 
@@ -106,16 +108,29 @@ def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
     raise _InputError("a hom file or --hom-index is required")
 
 
+def _os_error(exc: OSError, path: Path) -> _InputError:
+    return _InputError(f"{exc.filename or path}: {exc.strerror or exc}")
+
+
+def _out_dir(arg: str) -> Path:
+    """The output directory, created before any pipeline runs."""
+    out = Path(arg)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _os_error(exc, out) from exc
+    return out
+
+
 def _write(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
-        raise _InputError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
+        raise _os_error(exc, path) from exc
 
 
-def _emit_build(outdir: str, crep) -> None:
-    out = Path(outdir)
+def _emit_build(out: Path, crep) -> None:
     _write(out / "result.json", jio.dumps(jio.rect_to_obj(crep.output)))
     _write(
         out / "report.json",
@@ -133,9 +148,10 @@ def _cmd_build(args, ideal: bool) -> int:
     F = _load_rect(args.f)
     G = _load_rect(args.g)
     phi = _load_phi(args, F, G)
+    out = _out_dir(args.out)
     build = cn.ideal_representation if ideal else cn.filter_representation
     _, crep = build(F, G, phi)
-    _emit_build(args.out, crep)
+    _emit_build(out, crep)
     return EXIT_OK
 
 
@@ -149,8 +165,9 @@ def cmd_build_ideal(args) -> int:
 
 def cmd_embed_simple(args) -> int:
     G = _load_rect(args.g)
+    out = _out_dir(args.out)
     L, crep = cn.simple_ideal_embedding(G)
-    _emit_build(args.out, crep)
+    _emit_build(out, crep)
     print(f"output: {L.n} elements, {len(cg.congruence_lattice(L.lattice))} congruences")
     return EXIT_OK
 
@@ -228,12 +245,12 @@ def cmd_render(args) -> int:
 def cmd_demo(args) -> int:
     if args.name != "s7":
         raise _InputError(f"unknown demo {args.name!r}")
+    out = _out_dir(args.out)
     F = catalog.s7()
     conS = cg.congruence_lattice(F.lattice).as_lattice()
     phi = bk.make_bounded_hom(conS, conS, tuple(range(conS.n)))
     L, crep = cn.filter_representation(F, F, phi)
     brep, vrep = crep.inner, crep.verification
-    out = Path(args.out)
     _write(out / "input.json", jio.dumps(jio.rect_to_obj(F)))
     _write(out / "extension.json", jio.dumps(jio.rect_to_obj(brep.output)))
     _write(

@@ -1,9 +1,17 @@
 """Congruences of finite lattices.
 
-A congruence is stored as a canonical partition: blocks sorted internally
-and ordered by least member, plus the element->block-index table ``cls``.
-The table doubles as a canonical key — two congruences on the same lattice
-are equal iff their ``cls`` tuples are.
+A congruence is stored as its class table ``cls``: element x lies in class
+``cls[x]``, and classes are numbered by first occurrence (:func:`_key`), so
+class i is the block with the i-th smallest least member.  The table is the
+canonical key — two congruences on the same lattice are equal iff their
+``cls`` tuples are — and ``blocks`` lists the classes in that order, each
+sorted.  Any per-element labelling of the classes gives the same table.
+
+:func:`restriction` is the map Con L -> Con K to a convex sublattice K: the
+restriction of a congruence to K's copy in L, numbered by first occurrence
+along K's elements, is looked up among K's congruences.  Congruence
+preservation (:func:`is_cp_extension`), verification and the pipelines'
+color matching all go through it.
 
 Con L is built as the down-sets of its join-irreducible congruences.  The
 principal congruences of cover pairs ("edge colors") are exactly the
@@ -22,40 +30,38 @@ from . import core
 from .core import FiniteLattice, Poset
 from .errors import (
     ElementOutOfRange,
-    LatconError,
     NotACongruence,
     NotAnIdeal,
     NotAPartition,
 )
 
 
-def _check_partition(n: int, blocks: Iterable[Iterable[int]]) -> list[list[int]]:
+def _check_partition(elems: Iterable[int], blocks: Iterable[Iterable[int]]) -> list[list[int]]:
+    """``blocks`` as sorted lists, checked to be a partition of ``elems``."""
+    inside = set(elems)
     out = []
     seen = set()
     for b in blocks:
-        b = [int(x) for x in b]
+        b = sorted(int(x) for x in b)
         if not b:
             raise NotAPartition("empty block")
         for x in b:
-            if not 0 <= x < n:
-                raise NotAPartition(f"element {x} out of range for size {n}")
+            if x not in inside:
+                raise NotAPartition(f"element {x} is not among the partitioned elements")
             if x in seen:
                 raise NotAPartition(f"element {x} appears in two blocks")
             seen.add(x)
-        out.append(sorted(b))
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
+        out.append(b)
+    if len(seen) != len(inside):
+        missing = sorted(inside - seen)
         raise NotAPartition(f"elements {missing} missing from the partition")
     return out
 
 
-def _canonical(n: int, blocks: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    bl = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-    cls = [0] * n
-    for i, b in enumerate(bl):
-        for x in b:
-            cls[x] = i
-    return tuple(bl), tuple(cls)
+def _key(labels: Iterable) -> tuple[int, ...]:
+    """Class table of a per-element labelling, classes numbered by first occurrence."""
+    seen: dict = {}
+    return tuple([seen.setdefault(c, len(seen)) for c in labels])
 
 
 def _find(parent: list[int], u: int) -> int:
@@ -68,15 +74,19 @@ def _find(parent: list[int], u: int) -> int:
 
 def _classes(L: FiniteLattice, parent: list[int]) -> "Congruence":
     """The partition of L into the trees of a union-find forest."""
-    groups: dict[int, list[int]] = {}
-    for x in range(L.n):
-        groups.setdefault(_find(parent, x), []).append(x)
-    return Congruence(L, groups.values())
+    return Congruence(L, [_find(parent, x) for x in range(L.n)])
 
 
-def _join_blocks(L: FiniteLattice, blocks: Iterable[Sequence[int]]) -> "Congruence":
-    """The finest partition of L that keeps each given block inside one class."""
-    parent = list(range(L.n))
+def _join_blocks(
+    L: FiniteLattice, blocks: Iterable[Sequence[int]], parent: list[int] | None = None
+) -> "Congruence":
+    """The finest partition of L that keeps each given block inside one class.
+
+    ``parent`` seeds the union-find with a forest whose trees must stay
+    together as well; by default every element starts alone.
+    """
+    if parent is None:
+        parent = list(range(L.n))
     for blk in blocks:
         r = _find(parent, blk[0])
         for x in blk[1:]:
@@ -115,36 +125,33 @@ def _broken_pair(
 
 
 class Congruence:
-    """A congruence of a finite lattice, in canonical partition form.
+    """A congruence of a finite lattice, as its class table and blocks.
 
-    Instances are produced by the library (principal closure, joins);
-    :func:`congruence_from_blocks` is the validating entry point for
-    external data.
+    ``labels`` gives each element's class under any labels; the table
+    renumbers them by first occurrence.  Instances are produced by the
+    library (principal closure, joins); :func:`congruence_from_blocks` is
+    the validating entry point for external data.
     """
 
     __slots__ = ("lattice", "blocks", "cls")
 
-    def __init__(self, lattice: FiniteLattice, blocks: Iterable[Iterable[int]]):
+    def __init__(self, lattice: FiniteLattice, labels: Iterable):
         self.lattice = lattice
-        self.blocks, self.cls = _canonical(lattice.n, blocks)
+        self.cls = _key(labels)
+        blocks: list[list[int]] = []
+        for x, c in enumerate(self.cls):
+            if c == len(blocks):
+                blocks.append([x])
+            else:
+                blocks[c].append(x)
+        self.blocks = tuple(map(tuple, blocks))
 
     @property
     def nblocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def is_equality(self) -> bool:
-        return len(self.blocks) == self.lattice.n
-
-    @property
-    def is_all(self) -> bool:
-        return len(self.blocks) == 1
-
     def collapses(self, x: int, y: int) -> bool:
         return self.cls[x] == self.cls[y]
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self.cls[x]]
 
     def refines(self, other: "Congruence") -> bool:
         """self <= other in the congruence order."""
@@ -157,14 +164,12 @@ class Congruence:
         return True
 
     def join(self, other: "Congruence") -> "Congruence":
-        return _join_blocks(self.lattice, self.blocks + other.blocks)
+        # every element starts at the least member of its class in self
+        least = [b[0] for b in self.blocks]
+        return _join_blocks(self.lattice, other.blocks, [least[c] for c in self.cls])
 
     def meet(self, other: "Congruence") -> "Congruence":
-        n = self.lattice.n
-        groups: dict[tuple[int, int], list[int]] = {}
-        for x in range(n):
-            groups.setdefault((self.cls[x], other.cls[x]), []).append(x)
-        return Congruence(self.lattice, groups.values())
+        return Congruence(self.lattice, zip(self.cls, other.cls))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Congruence):
@@ -180,18 +185,18 @@ class Congruence:
 
 
 def delta(L: FiniteLattice) -> Congruence:
-    return Congruence(L, [[x] for x in range(L.n)])
+    return Congruence(L, range(L.n))
 
 
 def is_congruence(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> bool:
     """Full substitution property: both meet and join sides."""
-    bl = _check_partition(L.n, blocks)
+    bl = _check_partition(range(L.n), blocks)
     return _broken_pair(L, bl, (L._meet, L._join), range(L.n)) is None
 
 
 def is_meet_congruence(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> bool:
     """Meet-side substitution only."""
-    bl = _check_partition(L.n, blocks)
+    bl = _check_partition(range(L.n), blocks)
     return _broken_pair(L, bl, (L._meet,), range(L.n)) is None
 
 
@@ -233,10 +238,11 @@ def principal_congruence(L: FiniteLattice, a: int, b: int) -> Congruence:
 
 
 def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> Congruence:
-    bl = _check_partition(L.n, blocks)
-    if not is_congruence(L, bl):
+    bl = _check_partition(range(L.n), blocks)
+    if _broken_pair(L, bl, (L._meet, L._join), range(L.n)) is not None:
         raise NotACongruence("partition violates the substitution property")
-    return Congruence(L, bl)
+    # the finest partition keeping each block together is the partition itself
+    return _join_blocks(L, bl)
 
 
 class ConLattice:
@@ -245,25 +251,27 @@ class ConLattice:
     ``congruences`` is the full list in a canonical order (block count
     descending, then canonical block key), which is a linear extension of
     the refinement order: index 0 is the equality congruence, the last index
-    collapses everything.  ``ji`` is the poset of join-irreducible
-    congruences, labeled by their indices; ``edge_color`` maps every cover
-    edge of the base lattice to the index of its principal congruence.
+    collapses everything.  ``index`` maps each congruence's ``cls`` to its
+    position.  ``ji`` is the poset of join-irreducible congruences, labeled
+    by their indices; ``edge_color`` maps every cover edge of the base
+    lattice to the index of its principal congruence.
     """
 
-    __slots__ = ("lattice", "congruences", "ji", "edge_color", "_index", "_lattice_view")
+    __slots__ = ("lattice", "congruences", "index", "ji", "edge_color", "_lattice_view")
 
     def __init__(
         self,
         lattice: FiniteLattice,
         congruences: Sequence[Congruence],
+        index: dict[tuple[int, ...], int],
         ji: Poset,
         edge_color: dict[tuple[int, int], int],
     ):
         self.lattice = lattice
         self.congruences = tuple(congruences)
+        self.index = index
         self.ji = ji
         self.edge_color = edge_color
-        self._index = {c.cls: i for i, c in enumerate(self.congruences)}
         self._lattice_view = None
 
     def __len__(self) -> int:
@@ -275,15 +283,6 @@ class ConLattice:
     @property
     def ji_indices(self) -> tuple[int, ...]:
         return self.ji.labels
-
-    def index_of(self, c: Congruence) -> int:
-        try:
-            return self._index[c.cls]
-        except KeyError:
-            raise LatconError(f"{c!r} is not a congruence of this lattice") from None
-
-    def index_of_key(self, cls: tuple[int, ...]) -> int | None:
-        return self._index.get(tuple(cls))
 
     def leq(self, i: int, j: int) -> bool:
         return self.congruences[i].refines(self.congruences[j])
@@ -348,19 +347,26 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
         raise AssertionError("distinct down-sets of join-irreducibles must have distinct joins")
     ji_poset = Poset(j, ji_covers, labels=[index[c.cls] for c in ji])
     edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
-    con = ConLattice(L, ordered, ji_poset, edge_color)
+    con = ConLattice(L, ordered, index, ji_poset, edge_color)
     L._con = con
     return con
 
 
 def _restricted_key(alpha: Congruence, elems: Sequence[int]) -> tuple[int, ...]:
-    """Restriction of alpha to ``elems`` as a normalized class table."""
-    seen: dict[int, int] = {}
-    out = []
-    for x in elems:
-        c = alpha.cls[x]
-        out.append(seen.setdefault(c, len(seen)))
-    return tuple(out)
+    """Restriction of alpha to ``elems`` as a class table of positions in ``elems``."""
+    cls = alpha.cls
+    return _key([cls[x] for x in elems])
+
+
+def restriction(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> list[int]:
+    """The restriction map Con L -> Con K, by congruence indices.
+
+    ``emb[i]`` is the element of L that plays K's element ``i``, and the
+    copy must be a sublattice of L.  Entry ``a`` is the index in ``con_k``
+    of the restriction of L's ``a``-th congruence to the copy.
+    """
+    index = con_k.index
+    return [index[_restricted_key(alpha, emb)] for alpha in con_l.congruences]
 
 
 def is_cp_extension(L: FiniteLattice, K: Iterable[int]) -> bool:
@@ -368,10 +374,7 @@ def is_cp_extension(L: FiniteLattice, K: Iterable[int]) -> bool:
     sub, to_parent, _ = core.sublattice(L, K)
     con_l = congruence_lattice(L)
     con_k = congruence_lattice(sub)
-    seen = {_restricted_key(a, to_parent) for a in con_l.congruences}
-    if len(seen) != len(con_l.congruences):
-        return False
-    return seen == {c.cls for c in con_k.congruences}
+    return sorted(restriction(con_l, to_parent, con_k)) == list(range(len(con_k)))
 
 
 def singleton_extension(
@@ -388,22 +391,7 @@ def singleton_extension(
     ideal = sorted(set(int(x) for x in I))
     if not core.is_ideal(L, ideal):
         raise NotAnIdeal(f"{ideal} is not an ideal")
-    iset = set(ideal)
-    bl = []
-    seen: set[int] = set()
-    for b in alpha_blocks:
-        b = sorted(int(x) for x in b)
-        if not b:
-            raise NotAPartition("empty block")
-        for x in b:
-            if x not in iset:
-                raise NotAPartition(f"element {x} is not in the ideal")
-            if x in seen:
-                raise NotAPartition(f"element {x} appears in two blocks")
-            seen.add(x)
-        bl.append(b)
-    if seen != iset:
-        raise NotAPartition("blocks do not cover the ideal")
+    bl = _check_partition(ideal, alpha_blocks)
     # meet-substitution inside the ideal is the weakest sensible input;
     # callers needing a full congruence check the extension themselves
     bad = _broken_pair(L, bl, (L._meet,), ideal)
@@ -412,6 +400,7 @@ def singleton_extension(
         raise NotACongruence(
             f"blocks are not a meet-congruence of the ideal: ({a},{y}) with z={z}"
         )
+    iset = set(ideal)
     out = [tuple(b) for b in bl] + [(x,) for x in range(L.n) if x not in iset]
     return tuple(sorted(out, key=lambda b: b[0]))
 

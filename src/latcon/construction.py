@@ -129,28 +129,6 @@ def _first_lower_edge(R: RectLattice, con: ConLattice, color: int) -> tuple[str,
     )
 
 
-def _lift_position(
-    con_big: ConLattice, embedded: Sequence[int], con_small: ConLattice, p: int
-) -> int:
-    """Position in ``con_big``'s ji order matching ji position ``p`` of ``con_small``.
-
-    Matching is by restriction to the embedded copy: the unique
-    join-irreducible congruence of the big lattice whose restriction to the
-    embedded sublattice equals the small one's ``p``-th join-irreducible.
-    """
-    want = cg._restricted_key(
-        con_small.congruences[con_small.ji_indices[p]],
-        range(con_small.lattice.n),
-    )
-    hits = [
-        q
-        for q, idx in enumerate(con_big.ji_indices)
-        if cg._restricted_key(con_big.congruences[idx], embedded) == want
-    ]
-    assert len(hits) == 1, "restriction must match exactly one color"
-    return hits[0]
-
-
 def _check_hom_endpoints(phi: BoundedHom, conF: ConLattice, conG: ConLattice) -> None:
     if not verify._endpoints_match(phi, conF, conG):
         raise LatconError(
@@ -253,13 +231,15 @@ def filter_representation(
     R, inner = boundary_color_extension(F)
     conR = cg.congruence_lattice(R.lattice)
     psi = birkhoff.ji_of_hom(phi)
+    # the color of R that restricts to each color of F (R preserves F's congruences)
+    rho = cg.restriction(conR, inner.embedded_f, conF)
+    lift = {rho[idx]: q for q, idx in enumerate(conR.ji_indices)}
 
     log: list[EyeRecord] = []
     y_cells: list[tuple[int, int]] = []
     z_cells: list[tuple[int, int]] = []
     for q in range(len(conG.ji_indices)):
-        p = psi(q)
-        lifted = _lift_position(conR, inner.embedded_f, conF, p)
+        lifted = lift[conF.ji_indices[psi(q)]]
         nm, a = _first_lower_edge(G, conG, conG.ji_indices[q])
         if nm == "ll":
             b = inner.color_table[lifted]["ul"][0]
@@ -345,6 +325,8 @@ def ideal_representation(
     conFp = cg.congruence_lattice(Fp.lattice)
     psi = birkhoff.ji_of_hom(phi)
     pos_of_g = {idx: q for q, idx in enumerate(conG.ji_indices)}
+    rho = cg.restriction(conFp, inner.embedded_f, conF)
+    lift = {rho[idx]: q for q, idx in enumerate(conFp.ji_indices)}
 
     log: list[EyeRecord] = []
     y_cells: list[tuple[int, int]] = []
@@ -356,7 +338,7 @@ def ideal_representation(
         ch = _chain(G, nm_g)
         for a in range(len(ch) - 1):
             q = pos_of_g[conG.edge_color[(ch[a], ch[a + 1])]]
-            lifted = _lift_position(conFp, inner.embedded_f, conF, psi(q))
+            lifted = lift[conF.ji_indices[psi(q)]]
             b = inner.color_table[lifted][nm_fp][0]
             cell = (b, a) if flap == "left" else (a, b)
             cells.append(cell)

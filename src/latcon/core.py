@@ -168,12 +168,6 @@ class Poset(_Order):
         self._upper = [tuple(sorted(s)) for s in succ]
         self._lower = [tuple(sorted(p)) for p in pred]
 
-    def minimal(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.n) if not self._lower[x])
-
-    def maximal(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.n) if not self._upper[x])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
@@ -255,9 +249,6 @@ class FiniteLattice(_Order):
     def down_mask(self, x: int) -> int:
         return self._down[x]
 
-    def interval(self, a: int, b: int) -> tuple[int, ...]:
-        return _bits(self._up[a] & self._down[b])
-
     def atoms(self) -> tuple[int, ...]:
         return self._upper[0]
 
@@ -300,17 +291,11 @@ class FiniteLattice(_Order):
     def is_join_irreducible(self, x: int) -> bool:
         return len(self._lower[x]) == 1
 
-    def is_meet_irreducible(self, x: int) -> bool:
-        return len(self._upper[x]) == 1
-
     def is_doubly_irreducible(self, x: int) -> bool:
         return len(self._lower[x]) == 1 and len(self._upper[x]) == 1
 
     def ji_elements(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.n) if len(self._lower[x]) == 1)
-
-    def mi_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.n) if len(self._upper[x]) == 1)
 
     # -- plumbing ----------------------------------------------------------
 

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from . import congruence as cg, core, rectangular as rl
 from .birkhoff import BoundedHom
-from .congruence import Congruence
 from .core import FiniteLattice
 from .errors import EmbeddingInvalid, Incompatible, LatconError, NotACongruence
 from .rectangular import GluedLattice, RectLattice, TripleGluingAssembly
@@ -128,10 +127,7 @@ def _verify_representation(
     )
 
     # restriction Con L -> Con F must be a bijection
-    key_f = {
-        cg._restricted_key(beta, range(fsub.n)): i for i, beta in enumerate(conF)
-    }
-    image = [key_f[cg._restricted_key(alpha, f_emb)] for alpha in conL]
+    image = cg.restriction(conL, f_emb, conF)
     ok = len(set(image)) == len(image) and len(image) == len(conF)
     witness = None
     if not ok:
@@ -150,22 +146,15 @@ def _verify_representation(
     checks.append(CheckResult("restriction-bijective", ok, witness))
 
     # the diagram: restricting to the target copy must act as phi
-    key_g = {
-        i: cg._restricted_key(beta, range(gsub.n)) for i, beta in enumerate(conG)
-    }
-    bad = None
-    for k, alpha in enumerate(conL):
-        expected = key_g[phi(image[k])]
-        if cg._restricted_key(alpha, g_emb) != expected:
-            bad = (k, alpha)
-            break
+    g_image = cg.restriction(conL, g_emb, conG)
+    bad = next((k for k, i in enumerate(image) if g_image[k] != phi(i)), None)
     checks.append(
         CheckResult(
             "restriction-diagram",
             bad is None,
             None
             if bad is None
-            else f"congruence #{bad[0]} {list(map(list, bad[1].blocks))}"
+            else f"congruence #{bad} {list(map(list, conL.congruences[bad].blocks))}"
             " restricts off the prescribed map",
         )
     )

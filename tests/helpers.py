@@ -46,6 +46,52 @@ def blocks_key(blocks):
     return frozenset(frozenset(b) for b in blocks)
 
 
+def reference_canonical(n, blocks):
+    """Canonical partition form by sorting: blocks sorted internally and
+    ordered by least member, and the element -> block-index table."""
+    bl = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
+    cls = [0] * n
+    for i, b in enumerate(bl):
+        for x in b:
+            cls[x] = i
+    return tuple(bl), tuple(cls)
+
+
+def brute_join(n, a_blocks, b_blocks):
+    """Partition join: the classes of the transitive closure (Warshall) of
+    the union of both equivalence relations."""
+    r = [[False] * n for _ in range(n)]
+    for blocks in (a_blocks, b_blocks):
+        for blk in blocks:
+            for x in blk:
+                for y in blk:
+                    r[x][y] = True
+    for k in range(n):
+        for i in range(n):
+            if r[i][k]:
+                r[i] = [u or v for u, v in zip(r[i], r[k])]
+    return {frozenset(y for y in range(n) if r[x][y]) for x in range(n)}
+
+
+def brute_meet(a_blocks, b_blocks):
+    """Partition meet: the nonempty intersections of a block of each."""
+    cuts = (set(a) & set(b) for a in a_blocks for b in b_blocks)
+    return [c for c in cuts if c]
+
+
+def brute_restriction(con_l, emb, con_k):
+    """Restriction Con L -> Con K by block sets: each block of an L
+    congruence cut down to the copy ``emb`` of K, in K's ids, matched
+    against K's congruences by block set."""
+    pos = {x: i for i, x in enumerate(emb)}
+    keys = [blocks_key(c.blocks) for c in con_k]
+    out = []
+    for alpha in con_l:
+        cut = ([pos[x] for x in b if x in pos] for b in alpha.blocks)
+        out.append(keys.index(blocks_key(c for c in cut if c)))
+    return out
+
+
 def _class_table(n, blocks):
     cls = [0] * n
     for i, b in enumerate(blocks):
@@ -192,7 +238,7 @@ def reference_congruence_lattice(L):
     ji_covers = brute_covers(j, lambda a, b: ordered[ji_canon[a]].refines(ordered[ji_canon[b]]))
     ji_poset = core.Poset(j, ji_covers, labels=ji_canon)
     edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
-    return cg.ConLattice(L, ordered, ji_poset, edge_color)
+    return cg.ConLattice(L, ordered, index, ji_poset, edge_color)
 
 
 def condition_oracle(R):
@@ -207,7 +253,7 @@ def condition_oracle(R):
     ur = list(zip(R.upper_right, R.upper_right[1:]))
     bad = []
     for alpha in cg.congruence_lattice(R.lattice):
-        if alpha.is_equality:
+        if alpha.nblocks == R.n:
             continue
         if not any(alpha.collapses(a, b) for a, b in ul + ur):
             bad.append(alpha)

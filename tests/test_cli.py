@@ -11,6 +11,7 @@ import latcon
 from latcon import birkhoff as bk
 from latcon import catalog
 from latcon import congruence as cg
+from latcon import construction as cn
 from latcon import jsonio as jio
 from latcon import verify as vf
 from latcon.cli import main
@@ -56,16 +57,18 @@ class TestInputResolution:
             '{"size": 2, "covers": [[0, 1]], "upper_order": {"0": [5]}}',
             '{"size": 2, "covers": [[0, 1]], "upper_order": {"0": [-1]}}',
             '{"size": 3, "covers": [[0, 1], [1, 2]], "upper_order": {"7": [1]}}',
+            "\xff\xfe\x00",
+            "[" * 100000 + "]" * 100000,
         ],
         ids=[
             "non-integer-cover", "cover-not-a-pair", "bool-size",
             "non-integer-order-key", "order-entry-too-large", "order-entry-negative",
-            "order-key-names-no-element",
+            "order-key-names-no-element", "not-utf-8", "nesting-too-deep",
         ],
     )
     def test_malformed_lattice_is_input_error(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"
-        p.write_text(text)
+        p.write_bytes(text.encode("latin-1"))  # one byte per character
         assert main(["con", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -278,17 +281,23 @@ class TestDemo:
     [
         ["demo", "s7", "--out", "{F}/sub"],
         ["build-filter", "s7", "s7", "--hom-index", "0", "--out", "{F}"],
+        ["build-ideal", "m3", "grid-2x2", "--hom-index", "0", "--out", "{F}"],
+        ["embed-simple", "grid-2x3", "--out", "{F}/sub"],
         ["con", "s7", "--out", "{F}/x.json"],
         ["render", "s7", "--out", "{F}/a.svg"],
     ],
-    ids=["demo", "build-filter", "con", "render"],
+    ids=["demo", "build-filter", "build-ideal", "embed-simple", "con", "render"],
 )
-def test_unwritable_out_is_input_error(tmp_path, capsys, argv):
+def test_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    for name in ("filter_representation", "ideal_representation", "simple_ideal_embedding"):
+        monkeypatch.setattr(cn, name, lambda *args, name=name: calls.append(name))
     F = tmp_path / "F"
     F.write_text("")
     assert main([a.format(F=F) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {F}") and err.count("\n") == 1
+    assert calls == []  # the output directory is refused before any pipeline runs
 
 
 class TestConsoleScript:

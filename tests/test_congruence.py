@@ -34,11 +34,26 @@ class TestCongruenceObject:
         a = cg.congruence_from_blocks(S7, [[6, 4], [5, 2], [3, 1], [0]])
         assert a.blocks == ((0,), (1, 3), (2, 5), (4, 6))
         assert a.collapses(4, 6) and not a.collapses(0, 1)
-        assert a.block_of(5) == (2, 5)
 
     def test_rejects_non_partition(self):
         with pytest.raises(NotAPartition):
             cg.congruence_from_blocks(S7, [[0, 1], [1, 2], [3, 4, 5, 6]])
+
+    @pytest.mark.parametrize(
+        "whole, ideal_part",
+        [
+            ([[0, 1, 2, 3, 4, 5, 6], []], [[0, 1], [2, 4], []]),
+            ([[0, 1, 2, 3, 4, 5, 6], [7]], [[0, 1], [2, 4, 5]]),
+            ([[0, 1, 2, 3], [3, 4, 5, 6]], [[0, 1], [1, 2, 4]]),
+            ([[0, 1, 2, 3, 4, 5]], [[0, 1], [2]]),
+        ],
+        ids=["empty-block", "outside", "twice", "missing"],
+    )
+    def test_one_validator_for_both_entry_points(self, whole, ideal_part):
+        with pytest.raises(NotAPartition):
+            cg.congruence_from_blocks(S7, whole)
+        with pytest.raises(NotAPartition):
+            cg.singleton_extension(S7, [0, 1, 2, 4], ideal_part)
 
     def test_rejects_non_congruence(self):
         with pytest.raises(NotACongruence):
@@ -102,12 +117,15 @@ class TestConLattice:
         lat = con.as_lattice()
         assert tuple(con.ji_indices) == lat.ji_elements()
 
-    def test_index_lookup(self):
+    def test_restriction_indices(self):
         con = cg.congruence_lattice(S7)
-        gamma = cg.congruence_from_blocks(S7, [[0], [1, 3], [2, 5], [4, 6]])
-        assert con.index_of(gamma) == 1
-        assert con.index_of_key(gamma.cls) == 1
-        assert con.index_of_key(tuple([0] * 7)) == 4
+        assert cg.restriction(con, range(7), con) == [0, 1, 2, 3, 4]
+        # the ideal below 3 is a 3-element chain: restriction is onto, not one-to-one
+        sub, to_parent, _ = core.sublattice(S7, [0, 1, 3])
+        assert cg.restriction(con, to_parent, cg.congruence_lattice(sub)) == [0, 1, 3, 1, 3]
+        # on the square below 4, {1,3},{2,5},{4,6} restricts to equality
+        sub, to_parent, _ = core.sublattice(S7, [0, 1, 2, 4])
+        assert cg.restriction(con, to_parent, cg.congruence_lattice(sub)) == [0, 0, 1, 2, 3]
 
 
 def _assert_matches_reference(L):
@@ -145,6 +163,45 @@ class TestDownSetConstruction:
                 perm = rng.sample(range(L.n), L.n)
                 M = core.make_lattice(L.n, [(perm[a], perm[b]) for a, b in L.covers()])
                 _assert_matches_reference(M)
+
+
+class TestPartitionForm:
+    """Class tables, joins, meets and restriction against block-set oracles."""
+
+    def test_labels_match_reference_canonical(self):
+        rng = random.Random(5)
+        for n in (1, 2, 5, 9, 16):
+            L = core.chain(n)
+            for _ in range(40):
+                labels = [rng.choice("abcdefg"[: rng.randint(1, 7)]) for _ in range(n)]
+                groups = {}
+                for x, c in enumerate(labels):
+                    groups.setdefault(c, []).append(x)
+                blocks = [rng.sample(b, len(b)) for b in groups.values()]
+                rng.shuffle(blocks)
+                c = cg.Congruence(L, labels)
+                assert (c.blocks, c.cls) == helpers.reference_canonical(n, blocks)
+
+    def test_join_meet_against_brute_force(self):
+        for name, L in catalog.congruence_catalog().items():
+            cons = cg.congruence_lattice(L).congruences
+            for a in cons:
+                for b in cons:
+                    for got, want in (
+                        (a.join(b), helpers.brute_join(L.n, a.blocks, b.blocks)),
+                        (a.meet(b), helpers.brute_meet(a.blocks, b.blocks)),
+                    ):
+                        assert (got.blocks, got.cls) == helpers.reference_canonical(L.n, want), name
+
+    def test_restriction_to_principal_ideals_and_filters(self, searched):
+        for L in searched:
+            con = cg.congruence_lattice(L)
+            for x in range(L.n):
+                for elems in core.ideal_filter(L, x):
+                    sub, to_parent, _ = core.sublattice(L, elems)
+                    con_k = cg.congruence_lattice(sub)
+                    want = helpers.brute_restriction(con, to_parent, con_k)
+                    assert cg.restriction(con, to_parent, con_k) == want
 
 
 class TestPredicatesAndRestriction:

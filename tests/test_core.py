@@ -134,7 +134,6 @@ class TestOrderArithmetic:
         L = s7()
         assert L.up(4) == (4, 6)
         assert L.down(4) == (0, 1, 2, 4)
-        assert L.interval(1, 6) == (1, 3, 4, 6)
 
     def test_height_depth(self):
         L = s7()
@@ -151,7 +150,6 @@ class TestOrderArithmetic:
     def test_irreducibles(self):
         L = s7()
         assert L.ji_elements() == (1, 2, 3, 5)
-        assert L.mi_elements() == (3, 4, 5)
         assert L.is_doubly_irreducible(3)
         assert not L.is_doubly_irreducible(4)  # two lower covers
         assert not L.is_doubly_irreducible(0)
