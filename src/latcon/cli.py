@@ -37,50 +37,50 @@ class _InputError(Exception):
     pass
 
 
-def _find_json(arg: str):
-    """Parsed JSON for a path, or a $LATCON_CATALOG entry, or None."""
+def _find_json(arg: str) -> Path | None:
+    """The JSON file a path names, or a $LATCON_CATALOG entry, or None."""
     paths = [Path(arg)]
     env = os.environ.get("LATCON_CATALOG")
     if env:
         paths += [Path(env) / arg, Path(env) / f"{arg}.json"]
-    for p in paths:
-        if p.is_file():
-            try:
-                return json.loads(p.read_text())
-            except OSError as exc:
-                raise _os_error(exc, p) from exc
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-                raise _InputError(f"{p}: {exc}") from exc
-    return None
+    return next((p for p in paths if p.is_file()), None)
+
+
+def _read_json(p: Path):
+    try:
+        return json.loads(p.read_text())
+    except OSError as exc:
+        raise _os_error(exc, p) from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise _InputError(f"{p}: {exc}") from exc
+
+
+def _catalog_rect(name: str) -> rl.RectLattice:
+    named = catalog.rect_catalog()
+    return named[name] if name in named else rl.make_rectangular(catalog.get(name))
+
+
+def _load(arg: str, from_obj, from_catalog):
+    """A lattice from a JSON file (see :func:`_find_json`), else from the catalog."""
+    path = _find_json(arg)
+    if path is not None:
+        obj = _read_json(path)
+        try:
+            return from_obj(obj)
+        except LatconError as exc:
+            raise _InputError(f"{arg}: {exc}") from exc
+    try:
+        return from_catalog(arg)
+    except LatconError as exc:
+        raise _InputError(f"{arg}: no such file or catalog entry ({exc})") from exc
 
 
 def _load_rect(arg: str) -> rl.RectLattice:
-    obj = _find_json(arg)
-    if obj is not None:
-        try:
-            return jio.rect_from_obj(obj)
-        except LatconError as exc:
-            raise _InputError(f"{arg}: {exc}") from exc
-    named = catalog.rect_catalog()
-    if arg in named:
-        return named[arg]
-    try:
-        return rl.make_rectangular(catalog.get(arg))
-    except LatconError as exc:
-        raise _InputError(f"{arg}: no such file or catalog entry ({exc})") from exc
+    return _load(arg, jio.rect_from_obj, _catalog_rect)
 
 
 def _load_lattice(arg: str) -> core.FiniteLattice:
-    obj = _find_json(arg)
-    if obj is not None:
-        try:
-            return jio.lattice_from_obj(obj)
-        except LatconError as exc:
-            raise _InputError(f"{arg}: {exc}") from exc
-    try:
-        return catalog.get(arg)
-    except LatconError as exc:
-        raise _InputError(f"{arg}: no such file or catalog entry ({exc})") from exc
+    return _load(arg, jio.lattice_from_obj, catalog.get)
 
 
 def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
@@ -89,9 +89,10 @@ def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
     if args.phi is not None and args.hom_index is not None:
         raise _InputError("give either a hom file or --hom-index, not both")
     if args.phi is not None:
-        obj = _find_json(args.phi)
-        if obj is None:
+        path = _find_json(args.phi)
+        if path is None:
             raise _InputError(f"{args.phi}: no such file")
+        obj = _read_json(path)
         try:
             phi = jio.hom_from_obj(obj)
             cn._check_hom_endpoints(phi, conF, conG)

@@ -10,8 +10,7 @@ sorted.  Any per-element labelling of the classes gives the same table.
 :func:`restriction` is the map Con L -> Con K to a convex sublattice K: the
 restriction of a congruence to K's copy in L, numbered by first occurrence
 along K's elements, is looked up among K's congruences.  Congruence
-preservation (:func:`is_cp_extension`), verification and the pipelines'
-color matching all go through it.
+preservation (:func:`is_cp_extension`) and verification go through it.
 
 Con L is built as the down-sets of its join-irreducible congruences.  The
 principal congruences of cover pairs ("edge colors") are exactly the

@@ -17,10 +17,15 @@ boundary color of another.  The pipelines are:
 * :func:`simple_ideal_embedding` — embed ``G`` as an ideal of a simple
   rectangular lattice.
 
-All pipelines return ``(RectLattice, ConstructionReport)``.  The two
-representation pipelines check their output once, through
-:mod:`latcon.verify`: a failing check raises :class:`VerificationFailed`,
-and a passing report is kept in ``ConstructionReport.verification``.
+The pipelines work on colors, positions in the join-irreducible order
+read off the edge coloring in one place (:func:`_edge_colors`), and one
+routine (:func:`_glue_flaps`) turns ties between colors into flap eyes and
+glues the pieces.  All return ``(RectLattice, ConstructionReport)``.  The
+representation pipelines check their output once through
+:mod:`latcon.verify`, which re-checks by partition restriction and shares
+no color matching with them: a failing check raises
+:class:`VerificationFailed`, and a passing report is kept in
+``ConstructionReport.verification``.
 """
 
 from __future__ import annotations
@@ -46,11 +51,10 @@ CHAIN_NAMES = ("ll", "ul", "lr", "ur")
 class EyeRecord:
     """One eye insertion: which flap, which cell, which two colors it ties.
 
-    ``color_x`` is the position (in the join-irreducible order of the top
-    piece's congruence lattice) of the color whose edge the eye reaches
-    through the facing upper boundary; ``color_y`` the corresponding
-    position for the bottom piece.  For the diagonal eyes of the bottom
-    grid both coincide.
+    ``color_x`` is the tied color of the piece whose edges the pipeline
+    walks (``G``, or ``F`` in the boundary color extension), ``color_y``
+    the color of the color-extended piece it is tied to.  For the diagonal
+    eyes of the bottom grid both coincide.
     """
 
     flap: str
@@ -63,25 +67,32 @@ class EyeRecord:
 class ConstructionReport:
     """What a pipeline built and how.
 
-    ``embedded_f``/``embedded_g`` map input element ids to output ids (as
-    ordered tuples); ``eye_log`` records every inserted eye; ``color_table``
-    maps each join-irreducible color position of the output to the edge
-    positions where it appears along the four boundary chains; ``pieces``
-    holds the glued pieces by role and ``assembly`` the gluing bookkeeping.
+    ``assembly`` is the gluing bookkeeping, from which ``output`` and
+    ``pieces`` (by role) are read.  ``embedded_f``/``embedded_g`` map input
+    element ids to output ids; ``eye_log`` records every inserted eye;
+    ``color_table`` maps each color of the output to the edge positions
+    where it appears along the four boundary chains.
     ``inner`` is the report of a nested pipeline stage, when there is one.
     ``verification`` is the passing :mod:`latcon.verify` report of a
     representation pipeline (``None`` for the boundary color extension).
     """
 
-    output: RectLattice
     embedded_f: tuple[int, ...]
     embedded_g: tuple[int, ...] | None
     eye_log: tuple[EyeRecord, ...]
     color_table: dict[int, dict[str, tuple[int, ...]]]
-    pieces: dict[str, RectLattice]
     assembly: TripleGluingAssembly
     inner: "ConstructionReport | None" = None
     verification: verify.VerificationReport | None = None
+
+    @property
+    def output(self) -> RectLattice:
+        return self.assembly.result
+
+    @property
+    def pieces(self) -> dict[str, RectLattice]:
+        a = self.assembly
+        return {"top": a.top, "bottom": a.bottom, "left": a.left, "right": a.right}
 
 
 @dataclass(frozen=True)
@@ -92,49 +103,97 @@ class ChainCollapseReport:
     witnesses: tuple[Congruence, ...]
 
 
-def _chain(R: RectLattice, name: str) -> tuple[int, ...]:
+def _edge_colors(con: ConLattice) -> dict[tuple[int, int], int]:
+    """Every cover edge's color, as a position in the join-irreducible order."""
+    pos = {idx: p for p, idx in enumerate(con.ji_indices)}
+    return {e: pos[c] for e, c in con.edge_color.items()}
+
+
+def _chain_colors(R: RectLattice, con: ConLattice) -> dict[str, tuple[int, ...]]:
+    """The colors of each boundary chain's edges, bottom-up, by chain name."""
+    color = _edge_colors(con)
+    chains = (R.lower_left, R.upper_left, R.lower_right, R.upper_right)
     return {
-        "ll": R.lower_left,
-        "ul": R.upper_left,
-        "lr": R.lower_right,
-        "ur": R.upper_right,
-    }[name]
+        nm: tuple(color[e] for e in zip(ch, ch[1:])) for nm, ch in zip(CHAIN_NAMES, chains)
+    }
 
 
 def _color_table(R: RectLattice) -> dict[int, dict[str, tuple[int, ...]]]:
     """Edge positions of every join-irreducible color on the boundary chains."""
     con = cg.congruence_lattice(R.lattice)
-    pos_of = {idx: p for p, idx in enumerate(con.ji_indices)}
-    table: dict[int, dict[str, list[int]]] = {
-        p: {nm: [] for nm in CHAIN_NAMES} for p in range(len(con.ji_indices))
-    }
-    for nm in CHAIN_NAMES:
-        ch = _chain(R, nm)
-        for i in range(len(ch) - 1):
-            table[pos_of[con.edge_color[(ch[i], ch[i + 1])]]][nm].append(i)
+    chains = _chain_colors(R, con)
     return {
-        p: {nm: tuple(v) for nm, v in row.items()} for p, row in table.items()
+        p: {nm: tuple(i for i, c in enumerate(chains[nm]) if c == p) for nm in CHAIN_NAMES}
+        for p in range(len(con.ji_indices))
     }
 
 
-def _first_lower_edge(R: RectLattice, con: ConLattice, color: int) -> tuple[str, int]:
-    """First boundary edge of the given color: lower-left scanned first."""
-    for nm in ("ll", "lr"):
-        ch = _chain(R, nm)
-        for i in range(len(ch) - 1):
-            if con.edge_color[(ch[i], ch[i + 1])] == color:
-                return nm, i
-    raise ColorMissingOnLowerBoundary(
-        f"join-irreducible congruence #{color} colors no lower-boundary edge"
-    )
+def _first_lower_edge(chains: dict[str, tuple[int, ...]], color: int) -> tuple[str, int]:
+    """First lower-boundary edge of a color, lower-left first: its flap and position."""
+    for nm, flap in (("ll", "left"), ("lr", "right")):
+        if color in chains[nm]:
+            return flap, chains[nm].index(color)
+    raise ColorMissingOnLowerBoundary(f"color {color} is on no lower-boundary edge")
 
 
 def _check_hom_endpoints(phi: BoundedHom, conF: ConLattice, conG: ConLattice) -> None:
     if not verify._endpoints_match(phi, conF, conG):
-        raise LatconError(
-            "homomorphism endpoints do not match the congruence lattices"
-            " of the inputs"
-        )
+        msg = "homomorphism endpoints do not match the congruence lattices of the inputs"
+        raise LatconError(msg)
+
+
+def _tied_colors(F: RectLattice, phi: BoundedHom) -> tuple[ConstructionReport, list[int]]:
+    """F's boundary color extension R, and the color of R that ``phi`` sends each color of G to.
+
+    F's colors are lifted to R along the edges of F's copy: F is a filter of
+    R and R preserves F's congruences, so each color of F has one in R.
+    """
+    R, inner = boundary_color_extension(F)
+    colors_f = _edge_colors(cg.congruence_lattice(F.lattice))
+    colors_r = _edge_colors(cg.congruence_lattice(R.lattice))
+    emb = inner.embedded_f
+    lift = {p: colors_r[emb[a], emb[b]] for (a, b), p in colors_f.items()}
+    return inner, [lift[p] for p in birkhoff.ji_of_hom(phi).assignment]
+
+
+def _glue_flaps(
+    T: RectLattice, B: RectLattice, ties: Sequence[tuple[str, int, int, int, int]]
+) -> tuple[TripleGluingAssembly, tuple[EyeRecord, ...]]:
+    """Triple-glue ``T`` over ``B`` with two grid flaps that carry the ties as eyes.
+
+    A tie ``(flap, t, b, color_x, color_y)`` puts an eye in the cell of the
+    flap where edge ``t`` of T's facing lower chain meets edge ``b`` of B's
+    facing upper chain: cell ``(t, b)`` of the left flap, ``(b, t)`` of the
+    right one.  The eye records follow the order of the ties.
+    """
+    cells: dict[str, list[tuple[int, int]]] = {"left": [], "right": []}
+    log = []
+    for flap, t, b, color_x, color_y in ties:
+        cell = (t, b) if flap == "left" else (b, t)
+        cells[flap].append(cell)
+        log.append(EyeRecord(flap, cell, color_x, color_y))
+    left, _ = rl.grid_with_eyes(T.bl, B.tl, cells["left"])
+    right, _ = rl.grid_with_eyes(B.tr, T.br, cells["right"])
+    _, asm = rl.triple_glue(T, left, right, B)
+    return asm, tuple(log)
+
+
+def _verified(check, phi, inner, asm, log, f_map, g_map) -> tuple[RectLattice, ConstructionReport]:
+    """Output and report, once ``check`` passes; ``f_map``/``g_map`` place F's extension and G."""
+    L = asm.result
+    embedded_f = tuple(f_map[x] for x in inner.embedded_f)
+    vrep = check(L.lattice, embedded_f, g_map, phi)
+    if not vrep.summary:
+        raise VerificationFailed(vrep)
+    return L, ConstructionReport(
+        embedded_f=embedded_f,
+        embedded_g=g_map,
+        eye_log=log,
+        color_table=_color_table(L),
+        assembly=asm,
+        inner=inner,
+        verification=vrep,
+    )
 
 
 def boundary_color_extension(
@@ -157,52 +216,30 @@ def boundary_color_extension(
         return F._bce
 
     con = cg.congruence_lattice(F.lattice)
-    ji = con.ji_indices
-    j = len(ji)
+    j = len(con.ji_indices)
     order = list(range(j)) if _order is None else [int(p) for p in _order]
     assert sorted(order) == list(range(j)), "order must permute the colors"
 
-    # precondition: every color owns a lower-boundary edge
-    first_edge = {p: _first_lower_edge(F, con, ji[p]) for p in order}
-
-    log: list[EyeRecord] = [
-        EyeRecord("bottom", (p, p), p, p) for p in range(j)
-    ]
-    y_cells: list[tuple[int, int]] = []
-    z_cells: list[tuple[int, int]] = []
-    for p in order:
-        nm, a = first_edge[p]
-        if nm == "ll":
-            # left flap rows follow F's lower-left edges, columns follow
-            # U's upper-left edges (color p sits on column p)
-            y_cells.append((a, p))
-            log.append(EyeRecord("left", (a, p), p, p))
-        else:
-            z_cells.append((p, a))
-            log.append(EyeRecord("right", (p, a), p, p))
-
+    # precondition: every color owns a lower-boundary edge; color p sits on
+    # edge p of both upper chains of U
+    chains = _chain_colors(F, con)
+    ties = [(*_first_lower_edge(chains, p), p, p, p) for p in order]
     u_rect, _ = rl.grid_with_eyes(j + 1, j + 1, [(p, p) for p in range(j)])
-    y_rect, _ = rl.grid_with_eyes(F.bl, j + 1, y_cells)
-    z_rect, _ = rl.grid_with_eyes(j + 1, F.br, z_cells)
-    R, asm = rl.triple_glue(F, y_rect, z_rect, u_rect)
+    asm, flap_log = _glue_flaps(F, u_rect, ties)
+    R = asm.result
 
-    embedded_f = asm.t_map
-    assert cg.is_cp_extension(R.lattice, embedded_f)
-
+    assert cg.is_cp_extension(R.lattice, asm.t_map)
     table = _color_table(R)
-    assert len(table) == j
     # the lower chains are the bottom grid's, one diagonal eye per color
-    assert all(all(table[p].values()) for p in range(j)), (
+    assert all(all(row.values()) for row in table.values()), (
         "every color must appear on all four boundary chains"
     )
 
     report = ConstructionReport(
-        output=R,
-        embedded_f=embedded_f,
+        embedded_f=asm.t_map,
         embedded_g=None,
-        eye_log=tuple(log),
+        eye_log=tuple(EyeRecord("bottom", (p, p), p, p) for p in range(j)) + flap_log,
         color_table=table,
-        pieces={"top": F, "bottom": u_rect, "left": y_rect, "right": z_rect},
         assembly=asm,
     )
     if _order is None:
@@ -224,75 +261,32 @@ def filter_representation(
     :mod:`latcon.verify` before returning, and :class:`VerificationFailed`
     is raised when one fails.
     """
-    conF = cg.congruence_lattice(F.lattice)
     conG = cg.congruence_lattice(G.lattice)
-    _check_hom_endpoints(phi, conF, conG)
+    _check_hom_endpoints(phi, cg.congruence_lattice(F.lattice), conG)
 
-    R, inner = boundary_color_extension(F)
-    conR = cg.congruence_lattice(R.lattice)
-    psi = birkhoff.ji_of_hom(phi)
-    # the color of R that restricts to each color of F (R preserves F's congruences)
-    rho = cg.restriction(conR, inner.embedded_f, conF)
-    lift = {rho[idx]: q for q, idx in enumerate(conR.ji_indices)}
-
-    log: list[EyeRecord] = []
-    y_cells: list[tuple[int, int]] = []
-    z_cells: list[tuple[int, int]] = []
-    for q in range(len(conG.ji_indices)):
-        lifted = lift[conF.ji_indices[psi(q)]]
-        nm, a = _first_lower_edge(G, conG, conG.ji_indices[q])
-        if nm == "ll":
-            b = inner.color_table[lifted]["ul"][0]
-            y_cells.append((a, b))
-            log.append(EyeRecord("left", (a, b), q, lifted))
-        else:
-            b = inner.color_table[lifted]["ur"][0]
-            z_cells.append((b, a))
-            log.append(EyeRecord("right", (b, a), q, lifted))
-
-    y_rect, _ = rl.grid_with_eyes(G.bl, R.tl, y_cells)
-    z_rect, _ = rl.grid_with_eyes(R.tr, G.br, z_cells)
-    L, asm = rl.triple_glue(G, y_rect, z_rect, R)
-
-    embedded_g = asm.t_map
-    embedded_f = tuple(asm.b_map[x] for x in inner.embedded_f)
-    vrep = verify.verify_filter_representation(L.lattice, embedded_f, embedded_g, phi)
-    if not vrep.summary:
-        raise VerificationFailed(vrep)
-
-    report = ConstructionReport(
-        output=L,
-        embedded_f=embedded_f,
-        embedded_g=embedded_g,
-        eye_log=tuple(log),
-        color_table=_color_table(L),
-        pieces={"top": G, "bottom": R, "left": y_rect, "right": z_rect},
-        assembly=asm,
-        inner=inner,
-        verification=vrep,
-    )
-    return L, report
+    inner, tie = _tied_colors(F, phi)
+    chains = _chain_colors(G, conG)
+    ties = []
+    for q, lifted in enumerate(tie):
+        flap, a = _first_lower_edge(chains, q)
+        facing = "ul" if flap == "left" else "ur"
+        ties.append((flap, a, inner.color_table[lifted][facing][0], q, lifted))
+    asm, log = _glue_flaps(G, inner.output, ties)
+    check = verify.verify_filter_representation
+    return _verified(check, phi, inner, asm, log, asm.b_map, asm.t_map)
 
 
 def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     """Does every nontrivial congruence collapse an upper-chain edge?
 
     Checked on the atoms of the congruence lattice: anything nontrivial
-    lies above an atom and collapses whatever the atom collapses.
+    lies above an atom and collapses whatever the atom collapses.  An atom
+    collapses an edge exactly when the edge has the atom's color.
     """
     con = cg.congruence_lattice(G.lattice)
-    edges = [
-        (ch[i], ch[i + 1])
-        for ch in (G.upper_left, G.upper_right)
-        for i in range(len(ch) - 1)
-    ]
-
-    def touches(alpha: Congruence) -> bool:
-        return any(alpha.cls[p] == alpha.cls[q] for p, q in edges)
-
-    atom_misses = tuple(
-        con.congruences[t] for t in con.atoms() if not touches(con.congruences[t])
-    )
+    chains = _chain_colors(G, con)
+    upper = {con.ji_indices[p] for p in chains["ul"] + chains["ur"]}
+    atom_misses = tuple(con.congruences[t] for t in con.atoms() if t not in upper)
     return ChainCollapseReport(not atom_misses, atom_misses)
 
 
@@ -310,65 +304,24 @@ def ideal_representation(
     image color on the facing lower chain above.  The output is checked
     through :mod:`latcon.verify` as in :func:`filter_representation`.
     """
-    conF = cg.congruence_lattice(F.lattice)
     conG = cg.congruence_lattice(G.lattice)
-    _check_hom_endpoints(phi, conF, conG)
+    _check_hom_endpoints(phi, cg.congruence_lattice(F.lattice), conG)
 
     chk = upper_chain_collapse_check(G)
     if not chk.holds:
         blocks = ", ".join(str(list(map(list, w.blocks))) for w in chk.witnesses)
-        raise UpperChainConditionFails(
-            f"congruence collapsing no upper-chain edge: {blocks}"
-        )
+        raise UpperChainConditionFails(f"congruence collapsing no upper-chain edge: {blocks}")
 
-    Fp, inner = boundary_color_extension(F)
-    conFp = cg.congruence_lattice(Fp.lattice)
-    psi = birkhoff.ji_of_hom(phi)
-    pos_of_g = {idx: q for q, idx in enumerate(conG.ji_indices)}
-    rho = cg.restriction(conFp, inner.embedded_f, conF)
-    lift = {rho[idx]: q for q, idx in enumerate(conFp.ji_indices)}
-
-    log: list[EyeRecord] = []
-    y_cells: list[tuple[int, int]] = []
-    z_cells: list[tuple[int, int]] = []
-    for nm_g, nm_fp, flap, cells in (
-        ("ul", "ll", "left", y_cells),
-        ("ur", "lr", "right", z_cells),
-    ):
-        ch = _chain(G, nm_g)
-        for a in range(len(ch) - 1):
-            q = pos_of_g[conG.edge_color[(ch[a], ch[a + 1])]]
-            lifted = lift[conF.ji_indices[psi(q)]]
-            b = inner.color_table[lifted][nm_fp][0]
-            cell = (b, a) if flap == "left" else (a, b)
-            cells.append(cell)
-            log.append(EyeRecord(flap, cell, q, lifted))
-
-    y_rect, _ = rl.grid_with_eyes(Fp.bl, G.tl, y_cells)
-    z_rect, _ = rl.grid_with_eyes(G.tr, Fp.br, z_cells)
-    L, asm = rl.triple_glue(Fp, y_rect, z_rect, G)
-
-    embedded_g = asm.b_map
-    embedded_f = tuple(asm.t_map[x] for x in inner.embedded_f)
-    top_of_f = embedded_f[F.lattice.bottom]
-    up_of_f = tuple(x for x in range(L.n) if L.lattice.leq(top_of_f, x))
-    assert tuple(sorted(embedded_f)) == up_of_f, "F must be a filter of the result"
-    vrep = verify.verify_ideal_representation(L.lattice, embedded_f, embedded_g, phi)
-    if not vrep.summary:
-        raise VerificationFailed(vrep)
-
-    report = ConstructionReport(
-        output=L,
-        embedded_f=embedded_f,
-        embedded_g=embedded_g,
-        eye_log=tuple(log),
-        color_table=_color_table(L),
-        pieces={"top": Fp, "bottom": G, "left": y_rect, "right": z_rect},
-        assembly=asm,
-        inner=inner,
-        verification=vrep,
-    )
-    return L, report
+    inner, tie = _tied_colors(F, phi)
+    chains = _chain_colors(G, conG)
+    ties = [
+        (flap, inner.color_table[tie[q]][facing][0], a, q, tie[q])
+        for upper, facing, flap in (("ul", "ll", "left"), ("ur", "lr", "right"))
+        for a, q in enumerate(chains[upper])
+    ]
+    asm, log = _glue_flaps(inner.output, G, ties)
+    check = verify.verify_ideal_representation
+    return _verified(check, phi, inner, asm, log, asm.t_map, asm.b_map)
 
 
 def simple_ideal_embedding(G: RectLattice) -> tuple[RectLattice, ConstructionReport]:

@@ -256,13 +256,6 @@ class FiniteLattice(_Order):
         """Length of a longest chain from the bottom to ``x``."""
         return self._height[x]
 
-    def depth(self, x: int) -> int:
-        return self._depth[x]
-
-    @property
-    def length(self) -> int:
-        return self._height[self.n - 1]
-
     # -- algebra -----------------------------------------------------------
 
     def meet(self, x: int, y: int) -> int:

@@ -81,10 +81,6 @@ class RectLattice:
     def tr(self) -> int:
         return len(self.upper_right)
 
-    def boundary(self) -> frozenset:
-        return frozenset(self.lower_left + self.upper_left
-                         + self.lower_right + self.upper_right)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RectLattice):
             return NotImplemented

@@ -3,16 +3,18 @@
 Everything here recomputes results from first principles — partitions are
 enumerated as restricted growth strings and filtered by the substitution
 property, homomorphisms by checking every map — so the library's own closure
-algorithms are never in the loop.  The exception is
+algorithms are never in the loop.  The exceptions are
 :func:`reference_congruence_lattice`, the previous subset-scan construction
-of Con L, kept to test the down-set construction against.
+of Con L, kept to test the down-set construction against, and
+:func:`reference_tied_colors`, the previous restriction-based color matching
+of the representation pipelines, kept to test the edge-color lift against.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from latcon import congruence as cg, core
+from latcon import birkhoff as bk, congruence as cg, construction as cn, core
 
 
 def set_partitions(n):
@@ -258,3 +260,17 @@ def condition_oracle(R):
         if not any(alpha.collapses(a, b) for a, b in ul + ur):
             bad.append(alpha)
     return not bad, bad
+
+
+def reference_tied_colors(F, G, phi):
+    """For each color of G, the color of F's boundary color extension R that
+    ``phi`` sends it to, matched by restriction: each join-irreducible
+    congruence of R is paired with the congruence of F it restricts to."""
+    R, inner = cn.boundary_color_extension(F)
+    conF = cg.congruence_lattice(F.lattice)
+    conG = cg.congruence_lattice(G.lattice)
+    conR = cg.congruence_lattice(R.lattice)
+    psi = bk.ji_of_hom(phi)
+    rho = cg.restriction(conR, inner.embedded_f, conF)
+    lift = {rho[idx]: q for q, idx in enumerate(conR.ji_indices)}
+    return [lift[conF.ji_indices[psi(q)]] for q in range(len(conG.ji_indices))]

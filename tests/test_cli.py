@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -99,6 +100,18 @@ class TestInputResolution:
         rc = main(["build-filter", "grid-2x2", "m3", str(p), "--out", str(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["con", "{p}"], ["check-ideal", "{p}"], ["build-filter", "m3", "m3", "{p}", "-o", "{o}"]],
+        ids=["con", "check-ideal", "hom-file"],
+    )
+    def test_null_json_is_not_a_missing_file(self, tmp_path, capsys, command):
+        p = tmp_path / "F.json"
+        p.write_text("null\n")
+        assert main([a.format(p=p, o=tmp_path / "out") for a in command]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "no such file" not in err
 
     def test_plain_lattice_accepted_for_rect_argument(self, tmp_path, capsys):
         p = tmp_path / "sq.json"
@@ -274,6 +287,38 @@ class TestDemo:
 
     def test_unknown_demo_is_exit_2(self, capsys):
         assert main(["demo", "nope"]) == 2
+
+
+class TestFrozenOutputBytes:
+    # sha256 of output files as written before the pipelines read colors
+    # from the edge coloring; a construction change that moves an eye, a
+    # color position or an element id changes one of them
+    DIGESTS = {
+        ("demo", "s7"): {
+            "construction-report.json": "d3b6e32992f871e74e6e19907c1cc5a58c8a8d70474a695607fd591f9ee2a43e",
+            "extension-report.json": "8bbaa5b2d174270e022a6b61bcfb190cd5e7717803bc0b0347ecc8c81270a870",
+            "extension.json": "c7d29556775d0bf34b6cefff8c59416bec39fe1f865717068c13ce3af00ec2f1",
+            "input.json": "ff8398558974eab2772ad13cfc1baf4d1b26717797b7de67899c5878756eaece",
+            "input.svg": "21f0b9f43efcd4bd889ace706cfabbdead9bc5aee4d8e404aa32fef3e7e51acf",
+            "result.json": "2ddddb96c630e140037f1345f2927d0e00b9345fe959bd5042f13bffad803f47",
+            "result.svg": "65e648a2716cae41f61b8559f929b21ade2bc4790e7935ff61de8a3473814211",
+            "verification.json": "034f41236a44cc9b09e5a2fce1524a79c0f761218590959756e3741d9b54d0a3",
+            "verification.txt": "0fe70e380599a2501525f54abfa408171bedb6ff2e1693c8488afd72f6f2a7ae",
+        },
+        ("build-filter", "s7", "m3", "--hom-index", "0"): {
+            "report.json": "293fcab5fa6fe98ea665e66094af5418e26f15d65c5de7f856a0ee7b0e52d533",
+        },
+        ("build-ideal", "m3", "grid-2x2", "--hom-index", "0"): {
+            "report.json": "4e05d4696b08af11fb03a269e0171ccbc69dfb1226d456ae37ccb5eeb9589602",
+        },
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS), ids=["demo", "build-filter", "build-ideal"])
+    def test_digests(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        want = self.DIGESTS[argv]
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+        assert got == want
 
 
 @pytest.mark.parametrize(

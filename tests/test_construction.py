@@ -107,6 +107,21 @@ class TestBoundaryColorExtension:
         assert a[0] is b[0]
 
 
+class TestTiedColors:
+    def test_edge_color_lift_matches_restriction_reference(self):
+        rect = catalog.rect_catalog()
+        names = ("grid-2x2", "m3", "s7", "s7-eye", "grid-2x3")
+        checked = 0
+        for f in names:
+            for g in names:
+                F, G = rect[f], rect[g]
+                for phi in bk.enumerate_bounded_homs(con_lat(F), con_lat(G)):
+                    _, tie = cn._tied_colors(F, phi)
+                    assert tie == helpers.reference_tied_colors(F, G, phi), (f, g, phi.assignment)
+                    checked += 1
+        assert checked == 145
+
+
 class TestFilterRepresentation:
     def test_frozen_sizes(self):
         L, rep = cn.filter_representation(G22, M3, hom(G22, M3))
@@ -276,3 +291,14 @@ class TestSimpleIdealEmbedding:
         else:
             with pytest.raises(UpperChainConditionFails):
                 cn.simple_ideal_embedding(fork_eye)
+
+
+def test_benchmark_smoke_run_passes():
+    # the traced benchmark requires its exercised functions to be called
+    # (is_cp_extension among them), so a pipeline change can break it
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "perfbench/smoke.py"], capture_output=True, text=True,
+        cwd=root, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

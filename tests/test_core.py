@@ -138,7 +138,6 @@ class TestOrderArithmetic:
     def test_height_depth(self):
         L = s7()
         assert [L.height(x) for x in range(7)] == [0, 1, 1, 2, 2, 2, 3]
-        assert L.length == 3
 
     def test_meet_join_of_sets(self):
         L = s7()
