@@ -12,13 +12,14 @@ restriction of a congruence to K's copy in L, numbered by first occurrence
 along K's elements, is looked up among K's congruences.  Congruence
 preservation (:func:`is_cp_extension`) and verification go through it.
 
-Con L is built as the down-sets of its join-irreducible congruences.  The
-principal congruences of cover pairs ("edge colors") are exactly the
-join-irreducible congruences, and Con L is distributive, so every congruence
-is the join of the down-set of colors below it and distinct down-sets have
-distinct joins.  :func:`congruence_lattice` enumerates the down-sets with
-:func:`core.downsets` and reaches each congruence from a smaller one by a
-single join.
+Con L needs no closure per edge.  A cover ``a < b`` gets the color of the
+least join-irreducible ``p`` with ``p <= b``, ``p !<= a``: ``(p_*, p)`` is
+perspective to ``(a, b)``, so con(a, b) = con(p_*, p).  And con(p_*, p) <=
+con(q_*, q) exactly when p D* q, the reflexive-transitive closure of
+Freese's relation p D q: some x has ``p <= q v x``, ``p !<= q_* v x``
+(Freese, Jezek and Nation, *Free Lattices*, 2.5).  The classes of mutual D*
+are the join-irreducible congruences, and the classes of a congruence are
+the connected components of the covers colored in its down-set of them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     NotACongruence,
     NotAnIdeal,
     NotAPartition,
+    PostconditionFailed,
 )
 
 
@@ -163,9 +165,12 @@ class Congruence:
         return True
 
     def join(self, other: "Congruence") -> "Congruence":
-        # every element starts at the least member of its class in self
+        return self._joined(other.blocks)
+
+    def _joined(self, blocks: Iterable[Sequence[int]]) -> "Congruence":
+        """The finest partition coarser than self keeping each block together."""
         least = [b[0] for b in self.blocks]
-        return _join_blocks(self.lattice, other.blocks, [least[c] for c in self.cls])
+        return _join_blocks(self.lattice, blocks, [least[c] for c in self.cls])
 
     def meet(self, other: "Congruence") -> "Congruence":
         return Congruence(self.lattice, zip(self.cls, other.cls))
@@ -304,7 +309,8 @@ class ConLattice:
             ji = [self.congruences[i] for i in self.ji.labels]
             ds = [sum(1 << x for x, a in enumerate(ji) if a.refines(c)) for c in self.congruences]
             lat, renum = core.make_lattice_with_map(len(ds), core._downset_covers(self.ji, ds))
-            assert renum == tuple(range(len(ds))), "canonical congruence order is a linear extension"
+            if renum != tuple(range(len(ds))):
+                raise PostconditionFailed("canonical congruence order is not a linear extension")
             self._lattice_view = lat
         return self._lattice_view
 
@@ -317,20 +323,55 @@ def _rank(c: Congruence) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def congruence_lattice(L: FiniteLattice) -> ConLattice:
     """All congruences of L, its join-irreducible poset, and the edge coloring.
 
-    The down-set of join-irreducibles that is one element short of ``d``
+    Covers are colored by join-irreducibles, colors are ordered by D* (see
+    the module docstring), and the down-sets of D* classes are enumerated
+    with :func:`core.downsets`.  The down-set one element short of ``d``
     drops the element of ``d`` at the highest position, which is maximal in
-    ``d`` and comes earlier in :func:`core.downsets`; so each congruence is
-    one join away from an earlier one.  Computed once per lattice instance
-    and cached.
+    ``d`` and comes earlier; so each congruence unites the covers of one
+    more color in an earlier one.  Each join-irreducible congruence must
+    equal one principal closure, else :class:`PostconditionFailed`.
+    Computed once per lattice instance and cached.
     """
     if L._con is not None:
         return L._con
 
-    edge_theta = {e: principal_congruence(L, *e) for e in L.covers()}
-    ji = sorted({t.cls: t for t in edge_theta.values()}.values(), key=_rank)
+    down, join, lower = L._down, L._join, L._lower
+    J = L.ji_elements()
+    jmask = sum(1 << p for p in J)
+    # below[q]: the p with p D q, then with p D* q (Warshall)
+    below = {}
+    for q in J:
+        m = 0
+        for a, b in zip(join[q], join[lower[q][0]]):
+            m |= down[a] & ~down[b]
+        below[q] = m & jmask
+    for k in J:
+        for q in J:
+            if below[q] >> k & 1:
+                below[q] |= below[k]
+    rep: dict[int, int] = {}  # rep[p]: the least member of p's class of mutual D*
+    for q in J:
+        for p in core._bits(below[q]):
+            if below[p] >> q & 1:
+                rep.setdefault(p, q)
+
+    covers = L.covers()
+    color = {}
+    edges: dict[int, list[tuple[int, int]]] = {r: [] for r in sorted(set(rep.values()))}
+    for a, b in covers:
+        m = down[b] & ~down[a] & jmask
+        color[a, b] = rep[(m & -m).bit_length() - 1]
+        edges[color[a, b]].append((a, b))
+    theta = {r: _join_blocks(L, [e for c in edges if below[r] >> c & 1 for e in edges[c]])
+             for r in edges}
+    for r, t in theta.items():
+        if principal_congruence(L, lower[r][0], r).cls != t.cls:
+            raise PostconditionFailed(f"con({lower[r][0]}, {r}) is not the congruence of color {r}")
+
+    order = sorted(edges, key=lambda r: _rank(theta[r]))
+    ji = [theta[r] for r in order]
     j = len(ji)
-    # positions are a linear extension of refinement, so only a <= b can hold
-    up = [sum(1 << b for b in range(a, j) if ji[a].refines(ji[b])) for a in range(j)]
+    up = [sum(1 << b for b in range(j) if below[order[b]] >> r & 1) for r in order]
     ji_covers = core._reduce(range(j), up)
 
     ds = core.downsets(Poset(j, ji_covers))
@@ -338,14 +379,14 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     cons = [delta(L)]
     for d in ds[1:]:
         x = d.bit_length() - 1
-        cons.append(cons[at[d ^ 1 << x]].join(ji[x]))
+        cons.append(cons[at[d ^ 1 << x]]._joined(edges[order[x]]))
 
     ordered = sorted(cons, key=_rank)
     index = {c.cls: i for i, c in enumerate(ordered)}
     if len(index) != len(ordered):
-        raise AssertionError("distinct down-sets of join-irreducibles must have distinct joins")
+        raise PostconditionFailed("two down-sets of join-irreducibles have the same join")
     ji_poset = Poset(j, ji_covers, labels=[index[c.cls] for c in ji])
-    edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
+    edge_color = {e: index[theta[color[e]].cls] for e in covers}
     con = ConLattice(L, ordered, index, ji_poset, edge_color)
     L._con = con
     return con

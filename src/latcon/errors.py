@@ -60,6 +60,10 @@ class NotIsomorphic(LatconError):
     pass
 
 
+class PostconditionFailed(LatconError):
+    """A computed result failed its own consistency check: a defect in latcon."""
+
+
 # ---------------------------------------------------------------------------
 # congruences and homomorphisms
 

@@ -208,6 +208,30 @@ def brute_downsets(P):
     )
 
 
+def random_closure_lattice(rng):
+    """A seeded random lattice: an intersection-closed family of subsets of
+    3-6 points that holds the whole set, ordered by inclusion.
+
+    Every finite lattice is such a family on enough points, and most of the
+    ones drawn here are not modular.
+    """
+    k = rng.randint(3, 6)
+    full = (1 << k) - 1
+    family = {full}
+    for _ in range(rng.randint(k, 3 * k)):
+        s = rng.randrange(full)
+        family |= {s & t for t in family}
+    sets = sorted(family, key=lambda s: (bin(s).count("1"), s))
+    above = [[b for b, t in enumerate(sets) if s != t and s & t == s] for s in sets]
+    covers = [
+        (a, b)
+        for a in range(len(sets))
+        for b in above[a]
+        if not any(sets[c] & sets[b] == sets[c] for c in above[a] if c != b)
+    ]
+    return core.make_lattice(len(sets), covers)
+
+
 def reference_congruence_lattice(L):
     """Con L by scanning all 2^j subsets of the j edge colors.
 

@@ -1,13 +1,18 @@
 """Congruences, their lattice, edge coloring, and extensions."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
 from latcon import catalog, core
 from latcon import congruence as cg
-from latcon.errors import NotACongruence, NotAPartition
+from latcon.cli import main
+from latcon.errors import NotACongruence, NotAPartition, PostconditionFailed
 
 S7 = catalog.get("s7")
 N5 = core.make_lattice(5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
@@ -163,6 +168,56 @@ class TestDownSetConstruction:
                 perm = rng.sample(range(L.n), L.n)
                 M = core.make_lattice(L.n, [(perm[a], perm[b]) for a, b in L.covers()])
                 _assert_matches_reference(M)
+
+
+class TestRandomLattices:
+    """The D* kernel against the subset scan off planar lattices.
+
+    Freese's characterization holds in every finite lattice; random
+    intersection-closed families reach non-modular ones of other shapes.
+    """
+
+    def test_random_closure_lattices(self):
+        rng = random.Random(7)
+        lattices = [helpers.random_closure_lattice(rng) for _ in range(200)]
+        assert sum(not core.is_distributive(L) for L in lattices) > 100
+        for L in lattices:
+            _assert_matches_reference(L)
+
+
+class TestPostcondition:
+    """Each join-irreducible congruence is checked against a principal closure."""
+
+    def test_wrong_closure_raises(self, monkeypatch):
+        monkeypatch.setattr(cg, "principal_congruence", lambda L, a, b: cg.delta(L))
+        with pytest.raises(PostconditionFailed):
+            cg.congruence_lattice(catalog.s7().lattice)
+
+    def test_cli_reports_construction_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cg, "principal_congruence", lambda L, a, b: cg.delta(L))
+        assert main(["con", "s7"]) == 3
+        assert capsys.readouterr().err.startswith("construction error: con(")
+
+    def test_wrong_closure_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from latcon import catalog, congruence as cg\n"
+            "from latcon.errors import PostconditionFailed\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "cg.principal_congruence = lambda L, a, b: cg.delta(L)\n"
+            "try:\n"
+            "    cg.congruence_lattice(catalog.s7().lattice)\n"
+            "except PostconditionFailed:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(cg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
 
 
 class TestPartitionForm:
