@@ -67,7 +67,7 @@ def cube() -> FiniteLattice:
 def stacked_m3() -> FiniteLattice:
     """Two diamonds stacked top-to-bottom."""
     a = m3().lattice
-    return core.glued_sum(a, a)
+    return rl.glue(a, a, {a.top: a.bottom}).lattice
 
 
 def rect_catalog() -> dict[str, RectLattice]:

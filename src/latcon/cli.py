@@ -57,7 +57,13 @@ def _read_json(p: Path):
 
 def _catalog_rect(name: str) -> rl.RectLattice:
     named = catalog.rect_catalog()
-    return named[name] if name in named else rl.make_rectangular(catalog.get(name))
+    if name in named:
+        return named[name]
+    L = catalog.get(name)
+    try:
+        return rl.make_rectangular(L)
+    except LatconError as exc:  # the entry exists: say why it is unusable
+        raise _InputError(f"{name}: {exc}") from exc
 
 
 def _load(arg: str, from_obj, from_catalog):

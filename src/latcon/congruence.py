@@ -154,26 +154,10 @@ class Congruence:
     def collapses(self, x: int, y: int) -> bool:
         return self.cls[x] == self.cls[y]
 
-    def refines(self, other: "Congruence") -> bool:
-        """self <= other in the congruence order."""
-        ocls = other.cls
-        for b in self.blocks:
-            c = ocls[b[0]]
-            for x in b[1:]:
-                if ocls[x] != c:
-                    return False
-        return True
-
-    def join(self, other: "Congruence") -> "Congruence":
-        return self._joined(other.blocks)
-
     def _joined(self, blocks: Iterable[Sequence[int]]) -> "Congruence":
         """The finest partition coarser than self keeping each block together."""
         least = [b[0] for b in self.blocks]
         return _join_blocks(self.lattice, blocks, [least[c] for c in self.cls])
-
-    def meet(self, other: "Congruence") -> "Congruence":
-        return Congruence(self.lattice, zip(self.cls, other.cls))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Congruence):
@@ -257,11 +241,14 @@ class ConLattice:
     the refinement order: index 0 is the equality congruence, the last index
     collapses everything.  ``index`` maps each congruence's ``cls`` to its
     position.  ``ji`` is the poset of join-irreducible congruences, labeled
-    by their indices; ``edge_color`` maps every cover edge of the base
+    by their indices; ``downsets[i]`` is the bitmask of the ``ji`` positions
+    below congruence i, so i <= k exactly when ``downsets[i]`` is a subset
+    of ``downsets[k]``; ``edge_color`` maps every cover edge of the base
     lattice to the index of its principal congruence.
     """
 
-    __slots__ = ("lattice", "congruences", "index", "ji", "edge_color", "_lattice_view")
+    __slots__ = ("lattice", "congruences", "index", "ji", "downsets", "edge_color",
+                 "_lattice_view")
 
     def __init__(
         self,
@@ -269,12 +256,14 @@ class ConLattice:
         congruences: Sequence[Congruence],
         index: dict[tuple[int, ...], int],
         ji: Poset,
+        downsets: Sequence[int],
         edge_color: dict[tuple[int, int], int],
     ):
         self.lattice = lattice
         self.congruences = tuple(congruences)
         self.index = index
         self.ji = ji
+        self.downsets = tuple(downsets)
         self.edge_color = edge_color
         self._lattice_view = None
 
@@ -288,9 +277,6 @@ class ConLattice:
     def ji_indices(self) -> tuple[int, ...]:
         return self.ji.labels
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.congruences[i].refines(self.congruences[j])
-
     def atoms(self) -> tuple[int, ...]:
         """Indices of the congruences covering equality: the minimal join-irreducibles."""
         return tuple(
@@ -302,12 +288,10 @@ class ConLattice:
     def as_lattice(self) -> FiniteLattice:
         """Con L as a FiniteLattice; element i is ``congruences[i]``.
 
-        Congruence i is matched with the down-set of join-irreducibles
-        below it, and the covers are those of the down-set lattice.
+        The covers are those of the down-set lattice, read off ``downsets``.
         """
         if self._lattice_view is None:
-            ji = [self.congruences[i] for i in self.ji.labels]
-            ds = [sum(1 << x for x, a in enumerate(ji) if a.refines(c)) for c in self.congruences]
+            ds = self.downsets
             lat, renum = core.make_lattice_with_map(len(ds), core._downset_covers(self.ji, ds))
             if renum != tuple(range(len(ds))):
                 raise PostconditionFailed("canonical congruence order is not a linear extension")
@@ -381,13 +365,14 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
         x = d.bit_length() - 1
         cons.append(cons[at[d ^ 1 << x]]._joined(edges[order[x]]))
 
-    ordered = sorted(cons, key=_rank)
+    perm = sorted(range(len(cons)), key=lambda k: _rank(cons[k]))
+    ordered = [cons[k] for k in perm]
     index = {c.cls: i for i, c in enumerate(ordered)}
     if len(index) != len(ordered):
         raise PostconditionFailed("two down-sets of join-irreducibles have the same join")
     ji_poset = Poset(j, ji_covers, labels=[index[c.cls] for c in ji])
     edge_color = {e: index[theta[color[e]].cls] for e in covers}
-    con = ConLattice(L, ordered, index, ji_poset, edge_color)
+    con = ConLattice(L, ordered, index, ji_poset, [ds[k] for k in perm], edge_color)
     L._con = con
     return con
 

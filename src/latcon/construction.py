@@ -39,6 +39,7 @@ from .congruence import ConLattice, Congruence
 from .errors import (
     ColorMissingOnLowerBoundary,
     LatconError,
+    PostconditionFailed,
     UpperChainConditionFails,
     VerificationFailed,
 )
@@ -196,44 +197,37 @@ def _verified(check, phi, inner, asm, log, f_map, g_map) -> tuple[RectLattice, C
     )
 
 
-def boundary_color_extension(
-    F: RectLattice, *, _order: Sequence[int] | None = None
-) -> tuple[RectLattice, ConstructionReport]:
+def boundary_color_extension(F: RectLattice) -> tuple[RectLattice, ConstructionReport]:
     """Extend ``F`` downward so every color reaches both upper chains.
 
     The result R glues ``F`` on top of a square grid U (one diagonal eye per
     join-irreducible color) with two plain grid flaps; one flap eye per
     color ties the first lower-boundary edge of that color in ``F`` to the
     matching column or row of U.  ``F`` sits in R as the filter above the
-    gluing center; the extension preserves ``F``'s congruence lattice.
-
-    ``_order`` overrides the color processing order (positions into the
-    join-irreducible list); the output is isomorphic for any order.  The
-    result for the default order is computed once per input instance and
-    cached.
+    gluing center; the extension preserves ``F``'s congruence lattice, and
+    both facts are checked: a failure raises :class:`PostconditionFailed`.
+    The result is computed once per input instance and cached.
     """
-    if _order is None and F._bce is not None:
+    if F._bce is not None:
         return F._bce
 
     con = cg.congruence_lattice(F.lattice)
     j = len(con.ji_indices)
-    order = list(range(j)) if _order is None else [int(p) for p in _order]
-    assert sorted(order) == list(range(j)), "order must permute the colors"
 
     # precondition: every color owns a lower-boundary edge; color p sits on
     # edge p of both upper chains of U
     chains = _chain_colors(F, con)
-    ties = [(*_first_lower_edge(chains, p), p, p, p) for p in order]
+    ties = [(*_first_lower_edge(chains, p), p, p, p) for p in range(j)]
     u_rect, _ = rl.grid_with_eyes(j + 1, j + 1, [(p, p) for p in range(j)])
     asm, flap_log = _glue_flaps(F, u_rect, ties)
     R = asm.result
 
-    assert cg.is_cp_extension(R.lattice, asm.t_map)
+    if not cg.is_cp_extension(R.lattice, asm.t_map):
+        raise PostconditionFailed("the extension does not preserve the congruences of F")
     table = _color_table(R)
     # the lower chains are the bottom grid's, one diagonal eye per color
-    assert all(all(row.values()) for row in table.values()), (
-        "every color must appear on all four boundary chains"
-    )
+    if not all(all(row.values()) for row in table.values()):
+        raise PostconditionFailed("every color must appear on all four boundary chains")
 
     report = ConstructionReport(
         embedded_f=asm.t_map,
@@ -242,8 +236,7 @@ def boundary_color_extension(
         color_table=table,
         assembly=asm,
     )
-    if _order is None:
-        F._bce = (R, report)
+    F._bce = (R, report)
     return R, report
 
 

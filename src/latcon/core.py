@@ -451,25 +451,6 @@ def direct_product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
     return make_lattice(n, covers, upper, lower)
 
 
-def glued_sum(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
-    """Stack B on top of A, identifying the top of A with the bottom of B."""
-    na = A.n
-    shift = na - 1
-    n = na + B.n - 1
-    covers = A.covers() + [(a + shift, b + shift) for a, b in B.covers()]
-    upper: dict[int, list[int]] = {}
-    lower: dict[int, list[int]] = {}
-    for x in range(na - 1):
-        upper[x] = list(A.upper_covers(x))
-    for x in range(na):
-        lower[x] = list(A.lower_covers(x))
-    upper[shift] = [y + shift for y in B.upper_covers(0)]
-    for x in range(1, B.n):
-        upper[x + shift] = [y + shift for y in B.upper_covers(x)]
-        lower[x + shift] = [y + shift for y in B.lower_covers(x)]
-    return make_lattice(n, covers, upper, lower)
-
-
 def is_distributive(L: FiniteLattice) -> bool:
     """Exhaustive check of ``x /\\ (y \\/ z) == (x /\\ y) \\/ (x /\\ z)``."""
     meet, join = L._meet, L._join

@@ -219,9 +219,22 @@ def _rect_ideals(R: RectLattice):
         yield elems, sub, subR
 
 
-def _check_meet_extension(lattices) -> CheckResult:
-    """Singleton extension of a meet-congruence of an ideal stays one."""
+def _holds(name: str, cases: Iterable[str | None]) -> CheckResult:
+    """One universally quantified check: count its configurations.
+
+    ``cases`` yields ``None`` for each configuration that holds and a
+    witness text for one that fails; the first witness ends the check.
+    """
     cfg = 0
+    for witness in cases:
+        if witness is not None:
+            return CheckResult(name, False, witness)
+        cfg += 1
+    return CheckResult(name, True, f"{cfg} configurations")
+
+
+def _meet_extension(lattices):
+    """Singleton extension of a meet-congruence of an ideal stays one."""
     for L in lattices:
         for x in range(L.n - 1):
             elems = core.ideal_filter(L, x)[0]
@@ -238,66 +251,39 @@ def _check_meet_extension(lattices) -> CheckResult:
                     ext = cg.singleton_extension(L, elems, blocks)
                 except NotACongruence:
                     continue
-                cfg += 1
-                if not cg.is_meet_congruence(L, ext):
-                    return CheckResult(
-                        "ideal_singleton_meet_extension",
-                        False,
-                        f"ideal {list(elems)} with {blocks} on a"
-                        f" {L.n}-element lattice",
-                    )
-    return CheckResult(
-        "ideal_singleton_meet_extension", True, f"{cfg} configurations"
-    )
+                yield None if cg.is_meet_congruence(L, ext) else (
+                    f"ideal {list(elems)} with {blocks} on a {L.n}-element lattice"
+                )
 
 
-def _check_ideal_corners(rects) -> CheckResult:
+def _ideal_corners(rects):
     """Corners of a rectangular ideal lie on the lower boundary chains."""
-    cfg = 0
     for R in rects:
         low_left = set(R.lower_left)
         low_right = set(R.lower_right)
         for elems, _sub, subR in _rect_ideals(R):
-            cfg += 1
             lc, rc = elems[subR.lc], elems[subR.rc]
-            if not (
-                (lc in low_left and rc in low_right)
-                or (lc in low_right and rc in low_left)
-            ):
-                return CheckResult(
-                    "rect_ideal_corners_on_lower_chains",
-                    False,
-                    f"ideal {list(elems)} of a {R.n}-element lattice has"
-                    f" corners {lc}, {rc} off the lower chains",
-                )
-    return CheckResult(
-        "rect_ideal_corners_on_lower_chains", True, f"{cfg} configurations"
-    )
+            on_lower = (lc in low_left and rc in low_right) or (lc in low_right and rc in low_left)
+            yield None if on_lower else (
+                f"ideal {list(elems)} of a {R.n}-element lattice has"
+                f" corners {lc}, {rc} off the lower chains"
+            )
 
 
-def _check_corner_decomposition(rects) -> CheckResult:
+def _corner_decomposition(rects):
     """Every non-eye element is the join of its meets with the corners."""
-    cfg = 0
     for R in rects:
         L, eyes = R.lattice, set(R.eyes)
         for x in range(R.n):
             if x in eyes:
                 continue
-            cfg += 1
-            if L.join(L.meet(x, R.lc), L.meet(x, R.rc)) != x:
-                return CheckResult(
-                    "non_eye_corner_decomposition",
-                    False,
-                    f"element {x} of a {R.n}-element lattice",
-                )
-    return CheckResult(
-        "non_eye_corner_decomposition", True, f"{cfg} configurations"
-    )
+            yield None if L.join(L.meet(x, R.lc), L.meet(x, R.rc)) == x else (
+                f"element {x} of a {R.n}-element lattice"
+            )
 
 
-def _check_outside_ideal(rects) -> CheckResult:
+def _outside_ideal(rects):
     """Everything outside a rectangular ideal is above one of its corners."""
-    cfg = 0
     for R in rects:
         L = R.lattice
         for elems, _sub, subR in _rect_ideals(R):
@@ -306,23 +292,15 @@ def _check_outside_ideal(rects) -> CheckResult:
             for x in range(R.n):
                 if x in inside:
                     continue
-                cfg += 1
-                if not (L.leq(lc, x) or L.leq(rc, x)):
-                    return CheckResult(
-                        "outside_ideal_above_a_corner",
-                        False,
-                        f"element {x} outside ideal {list(elems)} in a"
-                        f" {R.n}-element lattice",
-                    )
-    return CheckResult(
-        "outside_ideal_above_a_corner", True, f"{cfg} configurations"
-    )
+                yield None if L.leq(lc, x) or L.leq(rc, x) else (
+                    f"element {x} outside ideal {list(elems)} in a"
+                    f" {R.n}-element lattice"
+                )
 
 
-def _check_singleton_full(rects) -> CheckResult:
+def _singleton_full(rects):
     """Congruences of a rectangular ideal leaving its upper chains alone
     extend by singletons to full congruences."""
-    cfg = 0
     for R in rects:
         L = R.lattice
         for elems, sub, subR in _rect_ideals(R):
@@ -334,40 +312,24 @@ def _check_singleton_full(rects) -> CheckResult:
             for beta in cg.congruence_lattice(sub):
                 if any(beta.cls[p] == beta.cls[q] for p, q in upper_edges):
                     continue
-                cfg += 1
                 blocks = [[elems[i] for i in b] for b in beta.blocks]
                 ext = cg.singleton_extension(L, elems, blocks)
-                if not cg.is_congruence(L, ext):
-                    return CheckResult(
-                        "singleton_full_congruence_when_upper_chains_untouched",
-                        False,
-                        f"ideal {list(elems)} with {blocks} in a"
-                        f" {R.n}-element lattice",
-                    )
-    return CheckResult(
-        "singleton_full_congruence_when_upper_chains_untouched",
-        True,
-        f"{cfg} configurations",
-    )
+                yield None if cg.is_congruence(L, ext) else (
+                    f"ideal {list(elems)} with {blocks} in a {R.n}-element lattice"
+                )
 
 
-def _check_flap_unions(assemblies) -> CheckResult:
+def _flap_unions(assemblies):
     """Flap plus the piece across the center is closed under meet and join."""
-    cfg = 0
     for asm in assemblies:
         L = asm.result.lattice
         for part in (
             set(asm.lf_map) | set(asm.t_map),
             set(asm.b_map) | set(asm.rf_map),
         ):
-            cfg += 1
-            if not core.is_sublattice(L, part):
-                return CheckResult(
-                    "flap_union_sublattice",
-                    False,
-                    f"union of size {len(part)} in a {L.n}-element assembly",
-                )
-    return CheckResult("flap_union_sublattice", True, f"{cfg} configurations")
+            yield None if core.is_sublattice(L, part) else (
+                f"union of size {len(part)} in a {L.n}-element assembly"
+            )
 
 
 def _relation(cls: Sequence[int], ids: Sequence[int]) -> set[tuple[int, int]]:
@@ -380,10 +342,19 @@ def _relation(cls: Sequence[int], ids: Sequence[int]) -> set[tuple[int, int]]:
     return rel
 
 
-def _check_two_piece(glued) -> CheckResult:
+def _compose(r: set[tuple[int, int]], s: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The relation ``r`` followed by ``s``: pairs (x, z) with x r y s z."""
+    by_first = defaultdict(list)
+    for y, z in s:
+        by_first[y].append(z)
+    return {(x, z) for x, y in r for z in by_first.get(y, ())}
+
+
+def _two_piece(glued):
     """Compatible piece congruences assemble uniquely, by the relation
-    formula: the union of both parts and their two compositions."""
-    cfg = 0
+    formula: the union of both parts and their two compositions.  Past the
+    pairs, each gluing is one more possible witness: the pairs must build
+    every congruence of the gluing once."""
     for g in glued:
         L = g.lattice
         con_a = cg.congruence_lattice(g.a_lattice)
@@ -395,38 +366,19 @@ def _check_two_piece(glued) -> CheckResult:
                     gamma = rl.glue_congruence_pair(g, alpha_a, alpha_b)
                 except Incompatible:
                     continue
-                cfg += 1
                 rel_a = _relation(alpha_a.cls, g.a_map)
                 rel_b = _relation(alpha_b.cls, g.b_map)
-                by_first = defaultdict(list)
-                for y, z in rel_b:
-                    by_first[y].append(z)
-                comp_ab = {
-                    (x, z) for x, y in rel_a for z in by_first.get(y, ())
-                }
-                by_first_a = defaultdict(list)
-                for y, z in rel_a:
-                    by_first_a[y].append(z)
-                comp_ba = {
-                    (x, z) for x, y in rel_b for z in by_first_a.get(y, ())
-                }
-                formula = rel_a | rel_b | comp_ab | comp_ba
-                if formula != _relation(gamma.cls, range(L.n)):
-                    return CheckResult(
-                        "two_piece_congruence_assembly",
-                        False,
-                        f"relation formula differs on a {L.n}-element gluing",
-                    )
+                formula = rel_a | rel_b | _compose(rel_a, rel_b) | _compose(rel_b, rel_a)
+                yield None if formula == _relation(gamma.cls, range(L.n)) else (
+                    f"relation formula differs on a {L.n}-element gluing"
+                )
                 built_keys.append(gamma.cls)
         want = {gamma.cls for gamma in cg.congruence_lattice(L)}
         if len(built_keys) != len(set(built_keys)) or set(built_keys) != want:
-            return CheckResult(
-                "two_piece_congruence_assembly",
-                False,
+            yield (
                 f"{len(built_keys)} compatible pairs against"
-                f" {len(want)} congruences on a {L.n}-element gluing",
+                f" {len(want)} congruences on a {L.n}-element gluing"
             )
-    return CheckResult("two_piece_congruence_assembly", True, f"{cfg} configurations")
 
 
 def lemma_suite(catalog: Iterable | None = None) -> VerificationReport:
@@ -447,24 +399,18 @@ def lemma_suite(catalog: Iterable | None = None) -> VerificationReport:
             (CheckResult("catalog", True, "empty catalog — vacuously passing"),)
         )
 
-    lattices: list[FiniteLattice] = []
-    rects: list[RectLattice] = []
+    # the first of equal lattices (and rectangular lattices) is kept
+    lattices: dict[tuple, FiniteLattice] = {}
+    rects: dict[tuple, RectLattice] = {}
     glued: list[GluedLattice] = []
     assemblies: list[TripleGluingAssembly] = []
     skipped: list[str] = []
-    seen: set = set()
 
     def add_lattice(L: FiniteLattice) -> None:
-        key = (L.n, tuple(L.covers()))
-        if ("lat", key) not in seen:
-            seen.add(("lat", key))
-            lattices.append(L)
+        lattices.setdefault((L.n, tuple(L.covers())), L)
 
     def add_rect(R: RectLattice) -> None:
-        key = (R.n, tuple(R.lattice.covers()), R.lc, R.rc)
-        if ("rect", key) not in seen:
-            seen.add(("rect", key))
-            rects.append(R)
+        rects.setdefault((R.n, tuple(R.lattice.covers()), R.lc, R.rc), R)
         add_lattice(R.lattice)
 
     for item in items:
@@ -488,13 +434,16 @@ def lemma_suite(catalog: Iterable | None = None) -> VerificationReport:
             raise LatconError(f"unsupported catalog item {item!r}")
 
     checks = [
-        _check_meet_extension(lattices),
-        _check_ideal_corners(rects),
-        _check_corner_decomposition(rects),
-        _check_outside_ideal(rects),
-        _check_singleton_full(rects),
-        _check_flap_unions(assemblies),
-        _check_two_piece(glued),
+        _holds("ideal_singleton_meet_extension", _meet_extension(lattices.values())),
+        _holds("rect_ideal_corners_on_lower_chains", _ideal_corners(rects.values())),
+        _holds("non_eye_corner_decomposition", _corner_decomposition(rects.values())),
+        _holds("outside_ideal_above_a_corner", _outside_ideal(rects.values())),
+        _holds(
+            "singleton_full_congruence_when_upper_chains_untouched",
+            _singleton_full(rects.values()),
+        ),
+        _holds("flap_union_sublattice", _flap_unions(assemblies)),
+        _holds("two_piece_congruence_assembly", _two_piece(glued)),
     ]
     if skipped:
         checks.append(

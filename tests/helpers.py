@@ -102,6 +102,11 @@ def _class_table(n, blocks):
     return cls
 
 
+def refines(a, b):
+    """Is every class of congruence ``a`` inside one class of ``b``?"""
+    return all(b.cls[x] == b.cls[blk[0]] for blk in a.blocks for x in blk)
+
+
 def respects(L, blocks, op):
     """Substitution property of one operation for a partition of L."""
     cls = _class_table(L.n, blocks)
@@ -248,7 +253,7 @@ def reference_congruence_lattice(L):
             ji_keys.add(theta.cls)
             ji_list.append(theta)
     j = len(ji_list)
-    ji_leq = [[ji_list[a].refines(ji_list[b]) for b in range(j)] for a in range(j)]
+    ji_leq = [[refines(ji_list[a], ji_list[b]) for b in range(j)] for a in range(j)]
     base = cg.delta(L)
     all_keys = {base.cls: base}
     for mask in range(1, 1 << j):
@@ -261,10 +266,13 @@ def reference_congruence_lattice(L):
     ordered = sorted(all_keys.values(), key=lambda c: (-c.nblocks, c.blocks))
     index = {c.cls: i for i, c in enumerate(ordered)}
     ji_canon = sorted(index[c.cls] for c in ji_list)
-    ji_covers = brute_covers(j, lambda a, b: ordered[ji_canon[a]].refines(ordered[ji_canon[b]]))
+    ji_covers = brute_covers(j, lambda a, b: refines(ordered[ji_canon[a]], ordered[ji_canon[b]]))
     ji_poset = core.Poset(j, ji_covers, labels=ji_canon)
+    downsets = [
+        sum(1 << x for x, i in enumerate(ji_canon) if refines(ordered[i], c)) for c in ordered
+    ]
     edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
-    return cg.ConLattice(L, ordered, index, ji_poset, edge_color)
+    return cg.ConLattice(L, ordered, index, ji_poset, downsets, edge_color)
 
 
 def condition_oracle(R):

@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, files, determinism."""
 
 import hashlib
+import importlib
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,24 @@ class TestInputResolution:
         assert main([a.format(p=p, o=tmp_path / "out") for a in command]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "no such file" not in err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["check-ideal", "n5"], "n5: lattice is not semimodular"),
+            (["build-filter", "m3", "n5", "--hom-index", "0", "-o", "{o}"],
+             "n5: lattice is not semimodular"),
+            (["embed-simple", "n5", "-o", "{o}"], "n5: lattice is not semimodular"),
+            (["check-ideal", "nope"],
+             "nope: no such file or catalog entry (unknown catalog lattice 'nope')"),
+            (["embed-simple", "nope", "-o", "{o}"],
+             "nope: no such file or catalog entry (unknown catalog lattice 'nope')"),
+        ],
+        ids=["check-ideal", "build-filter", "embed-simple", "unknown", "unknown-embed"],
+    )
+    def test_catalog_entry_not_rectangular_is_not_missing(self, tmp_path, capsys, argv, err):
+        assert main([a.format(o=tmp_path / "out") for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_plain_lattice_accepted_for_rect_argument(self, tmp_path, capsys):
         p = tmp_path / "sq.json"
@@ -346,6 +366,16 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch, argv):
 
 
 class TestConsoleScript:
+    def test_declared_entry_point_is_main(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"latcon": "latcon.cli:main"}
+        module, name = scripts["latcon"].split(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert entry(["check-ideal", "s7"]) == 4
+        assert "fails" in capsys.readouterr().out
+
     @pytest.mark.skipif(shutil.which("latcon") is None, reason="not installed")
     def test_entry_point_runs(self):
         proc = subprocess.run(

@@ -14,7 +14,12 @@ from latcon import congruence as cg
 from latcon import construction as cn
 from latcon import rectangular as rl
 from latcon import verify as vf
-from latcon.errors import LatconError, UpperChainConditionFails, VerificationFailed
+from latcon.errors import (
+    LatconError,
+    PostconditionFailed,
+    UpperChainConditionFails,
+    VerificationFailed,
+)
 
 G22 = catalog.rect_catalog()["grid-2x2"]
 M3 = catalog.rect_catalog()["m3"]
@@ -95,11 +100,20 @@ class TestBoundaryColorExtension:
             assert set(rows) == set(cn.CHAIN_NAMES)
             assert rows["ul"] and rows["ur"]  # the property the build delivers
 
-    def test_scan_order_does_not_change_result_shape(self):
-        R_fwd, _ = cn.boundary_color_extension(S7)
-        j = len(cg.congruence_lattice(S7.lattice).ji_indices)
-        R_rev, _ = cn.boundary_color_extension(S7, _order=tuple(reversed(range(j))))
-        assert core.are_isomorphic(R_fwd.lattice, R_rev.lattice)
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ((cg, "is_cp_extension", lambda L, K: False), "does not preserve"),
+            ((cn, "_color_table", lambda R: {0: dict.fromkeys(cn.CHAIN_NAMES, ())}),
+             "all four boundary chains"),
+        ],
+        ids=["not-cp", "color-missing"],
+    )
+    def test_postcondition_raises(self, monkeypatch, patch, message):
+        monkeypatch.setattr(*patch)
+        # a fresh input: the result of a passing run is cached on its input
+        with pytest.raises(PostconditionFailed, match=message):
+            cn.boundary_color_extension(catalog.s7())
 
     def test_result_cached_per_input(self):
         a = cn.boundary_color_extension(S7)

@@ -130,6 +130,20 @@ class TestGlue:
         assert core.is_ideal(g.lattice, g.a_map)
         assert core.is_filter(g.lattice, g.b_map)
 
+    def test_stacked_m3_planar_orders_frozen(self):
+        # gluing along one element is the glued sum: B's ids follow A's
+        L = catalog.stacked_m3()
+        assert L.covers() == [
+            (0, 2), (0, 3), (0, 1), (1, 4), (2, 4), (3, 4),
+            (4, 6), (4, 7), (4, 5), (5, 8), (6, 8), (7, 8),
+        ]
+        assert [L.upper_covers(x) for x in range(L.n)] == [
+            (2, 3, 1), (4,), (4,), (4,), (6, 7, 5), (8,), (8,), (8,), (),
+        ]
+        assert [L.lower_covers(x) for x in range(L.n)] == [
+            (), (0,), (0,), (0,), (2, 3, 1), (4,), (4,), (4,), (6, 7, 5),
+        ]
+
     def test_catalog_instance_sizes_frozen(self):
         sizes = {k: v.lattice.n for k, v in catalog.glue_instances().items()}
         assert sizes == {

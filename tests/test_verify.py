@@ -4,10 +4,11 @@ import pytest
 
 from latcon import birkhoff as bk
 from latcon import catalog, core
+from latcon import rectangular as rl
 from latcon import congruence as cg
 from latcon import construction as cn
 from latcon import verify as vf
-from latcon.errors import EmbeddingInvalid
+from latcon.errors import EmbeddingInvalid, Incompatible
 
 G22 = catalog.rect_catalog()["grid-2x2"]
 M3 = catalog.rect_catalog()["m3"]
@@ -142,3 +143,94 @@ class TestLemmaSuite:
         names = {c.name for c in rep.checks}
         assert "two_piece_congruence_assembly" not in names or rep.summary
         assert "rect_ideal_corners_on_lower_chains" in names
+
+
+def _rect(R, **changed):
+    """A copy of R with some boundary fields replaced, validated by nothing."""
+    fields = {f: getattr(R, f) for f in (
+        "lattice", "lc", "rc", "lower_left", "upper_left", "lower_right", "upper_right", "eyes"
+    )}
+    return rl.RectLattice(**{**fields, **changed})
+
+
+def _corners_at_top(monkeypatch):
+    real = rl.make_rectangular
+    monkeypatch.setattr(
+        rl, "make_rectangular",
+        lambda L: _rect(real(L), lc=L.top, rc=L.top),
+    )
+    return [rl.grid(3, 3)]
+
+
+def _flap_off_center():
+    asm = catalog.assemblies()["four-grids"]
+    fields = {s: getattr(asm, s) for s in rl.TripleGluingAssembly.__slots__}
+    R = asm.result
+    return [rl.TripleGluingAssembly(**{**fields, "lf_map": (R.lc, R.rc)})]
+
+
+def _total(g, alpha_a, alpha_b):
+    return cg.Congruence(g.lattice, [0] * g.lattice.n)
+
+
+def _never_compatible(g, alpha_a, alpha_b):
+    raise Incompatible("patched")
+
+
+# check name -> (patch returning the items, frozen witness of the first failure);
+# each patch or hand-built item makes the check fail at an early configuration
+FAILURES = {
+    "ideal_singleton_meet_extension": (
+        lambda mp: mp.setattr(cg, "is_meet_congruence", lambda L, b: False) or [S7],
+        "ideal [0] with [[0]] on a 7-element lattice",
+    ),
+    "rect_ideal_corners_on_lower_chains": (
+        lambda mp: [_rect(
+            rl.grid(3, 3),
+            lower_left=rl.grid(3, 3).upper_left,
+            lower_right=rl.grid(3, 3).upper_right,
+        )],
+        "ideal [0, 1, 3, 4] of a 9-element lattice has corners 3, 1 off the lower chains",
+    ),
+    "non_eye_corner_decomposition": (
+        lambda mp: [_rect(M3, eyes=())],
+        "element 3 of a 5-element lattice",
+    ),
+    "outside_ideal_above_a_corner": (
+        _corners_at_top,
+        "element 2 outside ideal [0, 1, 3, 4] in a 9-element lattice",
+    ),
+    "singleton_full_congruence_when_upper_chains_untouched": (
+        lambda mp: mp.setattr(cg, "is_congruence", lambda L, b: False) or [S7],
+        "ideal [0, 1, 2, 4] with [[0], [1], [2], [4]] in a 7-element lattice",
+    ),
+    "flap_union_sublattice": (
+        lambda mp: _flap_off_center(),
+        "union of size 6 in a 9-element assembly",
+    ),
+    "two_piece_congruence_assembly": (
+        lambda mp: mp.setattr(rl, "glue_congruence_pair", _total)
+        or [catalog.glue_instances()["grid-on-grid"]],
+        "relation formula differs on a 7-element gluing",
+    ),
+}
+
+
+class TestLemmaSuiteFailures:
+    """Each check reports its first failing configuration as the witness."""
+
+    @pytest.mark.parametrize("name", sorted(FAILURES))
+    def test_first_failure_is_the_witness(self, name, monkeypatch):
+        setup, witness = FAILURES[name]
+        rep = vf.lemma_suite(setup(monkeypatch))
+        got = next(c for c in rep.checks if c.name == name)
+        assert (got.passed, got.witness) == (False, witness)
+        assert not rep.summary
+
+    def test_missing_congruences_after_the_loop(self, monkeypatch):
+        monkeypatch.setattr(rl, "glue_congruence_pair", _never_compatible)
+        rep = vf.lemma_suite([catalog.glue_instances()["grid-on-grid"]])
+        got = next(c for c in rep.checks if c.name == "two_piece_congruence_assembly")
+        assert (got.passed, got.witness) == (
+            False, "0 compatible pairs against 16 congruences on a 7-element gluing"
+        )
