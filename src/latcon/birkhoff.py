@@ -21,6 +21,7 @@ from .errors import (
     NotDistributive,
     NotHomomorphic,
     NotIsotone,
+    PostconditionFailed,
 )
 
 
@@ -143,10 +144,13 @@ def make_bounded_hom(
     if f[D.top] != E.top:
         raise NotBounded(f"top maps to {f[D.top]}, not {E.top}")
     for x in range(D.n):
+        dmeet, djoin = D._meet[x], D._join[x]
+        emeet, ejoin = E._meet[f[x]], E._join[f[x]]
         for y in range(x + 1, D.n):
-            if f[D.meet(x, y)] != E.meet(f[x], f[y]):
+            fy = f[y]
+            if f[dmeet[y]] != emeet[fy]:
                 raise NotHomomorphic(f"meet not preserved at ({x}, {y})")
-            if f[D.join(x, y)] != E.join(f[x], f[y]):
+            if f[djoin[y]] != ejoin[fy]:
                 raise NotHomomorphic(f"join not preserved at ({x}, {y})")
     return BoundedHom(D, E, f)
 
@@ -164,8 +168,12 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     f = phi.assignment
     out = []
     for x in je.labels:
-        m = D.meet_of([e for e in range(D.n) if E.leq(x, f[e])])
-        assert D.is_join_irreducible(m), "dual image must be join-irreducible"
+        up = E._up[x]
+        m = D.meet_of([e for e in range(D.n) if up >> f[e] & 1])
+        if m not in pos_d:
+            raise PostconditionFailed(
+                f"dual image {m} of join-irreducible {x} is not join-irreducible"
+            )
         out.append(pos_d[m])
     return IsotoneMap(je, jd, out)
 
@@ -181,10 +189,11 @@ def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> Bound
         raise LatconError(
             "map is not between the join-irreducible posets of target and source"
         )
+    images = [jd.labels[q] for q in psi.assignment]
     out = []
     for e in range(D.n):
-        xs = [je.labels[i] for i in range(je.n) if D.leq(jd.labels[psi.assignment[i]], e)]
-        out.append(E.join_of(xs))
+        below = D._down[e]
+        out.append(E.join_of(x for x, m in zip(je.labels, images) if below >> m & 1))
     return make_bounded_hom(D, E, out)
 
 
@@ -235,24 +244,35 @@ def enumerate_isotone_maps(P: Poset, Q: Poset) -> Iterator[tuple[int, ...]]:
 
     Positions are filled in id order; since id order is a linear extension,
     every strictly smaller element of P is already assigned when its
-    successors are tried.
+    successors are tried.  The depth-first search keeps one iterator of
+    candidate images per filled position on an explicit stack, so its depth
+    is bounded by memory, not by the recursion limit.
     """
     if P.n == 0:
         yield ()
         return
-    below = [[y for y in range(P.n) if y != x and P.leq(y, x)] for x in range(P.n)]
+    everything = (1 << Q.n) - 1
     out = [0] * P.n
 
-    def fill(x: int) -> Iterator[tuple[int, ...]]:
-        for q in range(Q.n):
-            if all(Q.leq(out[y], q) for y in below[x]):
-                out[x] = q
-                if x + 1 == P.n:
-                    yield tuple(out)
-                else:
-                    yield from fill(x + 1)
+    def candidates(x: int) -> Iterator[int]:
+        # the images allowed at x: above the image of each lower cover of x
+        allowed = everything
+        for y in P._lower[x]:
+            allowed &= Q._up[out[y]]
+        return iter(core._bits(allowed))
 
-    yield from fill(0)
+    stack = [candidates(0)]
+    while stack:
+        q = next(stack[-1], None)
+        if q is None:
+            stack.pop()
+            continue
+        x = len(stack) - 1
+        out[x] = q
+        if x + 1 == P.n:
+            yield tuple(out)
+        else:
+            stack.append(candidates(x + 1))
 
 
 def enumerate_bounded_homs(D: FiniteLattice, E: FiniteLattice) -> list[BoundedHom]:

@@ -162,8 +162,9 @@ def search_rectangular(
     """Rectangular lattices up to ``max_size`` elements, up to isomorphism.
 
     Families: grids, grids with one or two eyes, diamonds, and the fork
-    lattice with up to one eye.  ``seed`` shuffles the scan order; the
-    contents do not depend on it.
+    lattice with up to one eye.  Each candidate is compared only with the
+    kept lattices that share its :func:`core.invariant`.  ``seed`` shuffles
+    the returned list; which lattices are kept does not depend on it.
     """
     candidates: list[tuple[str, RectLattice]] = []
     for m in range(2, max_size // 2 + 1):
@@ -195,14 +196,14 @@ def search_rectangular(
 
     candidates.sort(key=lambda item: (item[1].n, item[0]))
     out: list[tuple[str, RectLattice]] = []
+    kept: dict[tuple, list[FiniteLattice]] = {}
     for name, R in candidates:
         if R.n > max_size:
             continue
-        if any(
-            S.n == R.n and core.are_isomorphic(S.lattice, R.lattice)
-            for _, S in out
-        ):
+        bucket = kept.setdefault(core.invariant(R.lattice), [])
+        if any(core.are_isomorphic(S, R.lattice) for S in bucket):
             continue
+        bucket.append(R.lattice)
         out.append((name, R))
     if seed is not None:
         random.Random(seed).shuffle(out)

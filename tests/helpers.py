@@ -5,9 +5,11 @@ enumerated as restricted growth strings and filtered by the substitution
 property, homomorphisms by checking every map — so the library's own closure
 algorithms are never in the loop.  The exceptions are
 :func:`reference_congruence_lattice`, the previous subset-scan construction
-of Con L, kept to test the down-set construction against, and
+of Con L, kept to test the down-set construction against,
 :func:`reference_tied_colors`, the previous restriction-based color matching
-of the representation pipelines, kept to test the edge-color lift against.
+of the representation pipelines, kept to test the edge-color lift against,
+and :func:`reference_make_bounded_hom`, the previous per-pair validation of
+bounded homs, kept to test the table-row checks against.
 """
 
 from __future__ import annotations
@@ -15,6 +17,13 @@ from __future__ import annotations
 from itertools import product
 
 from latcon import birkhoff as bk, congruence as cg, construction as cn, core
+from latcon.errors import (
+    ElementOutOfRange,
+    LatconError,
+    NotBounded,
+    NotDistributive,
+    NotHomomorphic,
+)
 
 
 def set_partitions(n):
@@ -144,6 +153,48 @@ def is_hom(D, E, f):
     return True
 
 
+def brute_is_distributive(L):
+    """Exhaustive check of ``x /\\ (y \\/ z) == (x /\\ y) \\/ (x /\\ z)``."""
+    meet, join = L._meet, L._join
+    rng = range(L.n)
+    for x in rng:
+        mx = meet[x]
+        for y in rng:
+            xy = mx[y]
+            jy = join[y]
+            for z in rng:
+                if mx[jy[z]] != join[xy][mx[z]]:
+                    return False
+    return True
+
+
+def reference_make_bounded_hom(D, E, assignment):
+    """Validate a bounded hom D -> E by the public per-pair methods, with
+    distributivity by the exhaustive scan; same checks, order and messages
+    as :func:`latcon.birkhoff.make_bounded_hom`."""
+    if not brute_is_distributive(D):
+        raise NotDistributive("source lattice is not distributive")
+    if not brute_is_distributive(E):
+        raise NotDistributive("target lattice is not distributive")
+    f = tuple(int(v) for v in assignment)
+    if len(f) != D.n:
+        raise LatconError(f"assignment length {len(f)} != source size {D.n}")
+    for v in f:
+        if not 0 <= v < E.n:
+            raise ElementOutOfRange(f"image {v} out of range for size {E.n}")
+    if f[D.bottom] != E.bottom:
+        raise NotBounded(f"bottom maps to {f[D.bottom]}, not {E.bottom}")
+    if f[D.top] != E.top:
+        raise NotBounded(f"top maps to {f[D.top]}, not {E.top}")
+    for x in range(D.n):
+        for y in range(x + 1, D.n):
+            if f[D.meet(x, y)] != E.meet(f[x], f[y]):
+                raise NotHomomorphic(f"meet not preserved at ({x}, {y})")
+            if f[D.join(x, y)] != E.join(f[x], f[y]):
+                raise NotHomomorphic(f"join not preserved at ({x}, {y})")
+    return bk.BoundedHom(D, E, f)
+
+
 def brute_bounded_homs(D, E):
     """All bounded homomorphisms D -> E as assignment tuples, by raw scan.
 
@@ -211,6 +262,19 @@ def brute_downsets(P):
         ),
         key=lambda m: (bin(m).count("1"), m),
     )
+
+
+def random_poset(rng, n, shuffle=True):
+    """A seeded random poset on range(n): each pair is related with
+    probability 0.3 along a random linear order, or along id order when
+    ``shuffle`` is false (then ids are a linear extension)."""
+    perm = rng.sample(range(n), n) if shuffle else list(range(n))
+    up = [1 << x for x in range(n)]
+    for i in reversed(range(n)):
+        for k in range(i + 1, n):
+            if rng.random() < 0.3:
+                up[perm[i]] |= up[perm[k]]
+    return core.Poset(n, core._reduce(range(n), up))
 
 
 def random_closure_lattice(rng):

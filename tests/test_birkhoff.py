@@ -1,16 +1,25 @@
 """Duality between bounded homs and isotone maps of join-irreducible posets."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import helpers
 from latcon import birkhoff as bk
 from latcon import catalog, core
 from latcon import congruence as cg
+from latcon import rectangular as rl
 from latcon.errors import (
+    LatconError,
     NotBounded,
     NotDistributive,
     NotHomomorphic,
     NotIsotone,
+    PostconditionFailed,
 )
 
 C2 = catalog.get("c2")
@@ -43,6 +52,72 @@ class TestMakeBoundedHom:
     def test_rejects_non_distributive_endpoint(self):
         with pytest.raises(NotDistributive):
             bk.make_bounded_hom(catalog.get("m3"), C2, (0, 1, 1, 1, 1))
+
+
+def _outcome(make, D, E, f):
+    try:
+        return make(D, E, f).assignment
+    except LatconError as exc:
+        return type(exc), str(exc)
+
+
+class TestMakeBoundedHomAgainstReference:
+    """Table-row checks against the per-pair method calls they replaced."""
+
+    def test_random_assignments(self):
+        pool = [catalog.get("m3"), catalog.get("n5"), C3SQ, CON_S7]
+        rng = random.Random(3)
+        kinds = set()
+        for D in pool:
+            for E in pool:
+                homs = []
+                if helpers.brute_is_distributive(D) and helpers.brute_is_distributive(E):
+                    homs = [h.assignment for h in bk.enumerate_bounded_homs(D, E)]
+                for _ in range(60):
+                    if homs and rng.random() < 0.5:
+                        f = list(rng.choice(homs))
+                        if rng.random() < 0.8:
+                            f[rng.randrange(D.n)] = rng.randrange(E.n)
+                    else:
+                        f = [rng.randrange(E.n) for _ in range(D.n)]
+                        if rng.random() < 0.7:
+                            f[D.bottom], f[D.top] = E.bottom, E.top
+                        if rng.random() < 0.05:
+                            f[rng.randrange(D.n)] = E.n
+                    got = _outcome(bk.make_bounded_hom, D, E, f)
+                    assert got == _outcome(helpers.reference_make_bounded_hom, D, E, f)
+                    kinds.add(got[0] if isinstance(got[0], type) else "hom")
+        assert {"hom", NotHomomorphic, NotBounded, NotDistributive} <= kinds
+
+
+class TestJiOfHomPostcondition:
+    """An unvalidated non-hom whose dual image is not join-irreducible."""
+
+    def test_raises(self):
+        phi = bk.BoundedHom(rl.grid(2, 2).lattice, C3, (0, 1, 1, 2))
+        with pytest.raises(PostconditionFailed):
+            bk.ji_of_hom(phi)
+
+    def test_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from latcon import birkhoff as bk, catalog, rectangular as rl\n"
+            "from latcon.errors import PostconditionFailed\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "phi = bk.BoundedHom(rl.grid(2, 2).lattice, catalog.get('c3'), (0, 1, 1, 2))\n"
+            "try:\n"
+            "    bk.ji_of_hom(phi)\n"
+            "except PostconditionFailed:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(bk.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
 
 
 class TestEnumeration:
@@ -80,6 +155,21 @@ class TestEnumeration:
     def test_rejects_non_distributive(self):
         with pytest.raises(NotDistributive):
             bk.enumerate_bounded_homs(catalog.get("m3"), C2)
+
+    def test_random_posets_match_raw_scan(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            P = helpers.random_poset(rng, rng.randint(0, 6), shuffle=False)
+            Q = helpers.random_poset(rng, rng.randint(1, 4), shuffle=False)
+            assert list(bk.enumerate_isotone_maps(P, Q)) == helpers.brute_isotone_maps(P, Q)
+
+    def test_long_chain_needs_no_recursion(self):
+        n = 1500
+        P = core.Poset(n, [(i, i + 1) for i in range(n - 1)])
+        assert list(bk.enumerate_isotone_maps(P, core.Poset(1, []))) == [(0,) * n]
+        two = core.Poset(2, [(0, 1)])
+        maps = list(bk.enumerate_isotone_maps(core.Poset(300, P.covers()[:299]), two))
+        assert maps == [(0,) * k + (1,) * (300 - k) for k in range(300, -1, -1)]
 
 
 class TestDuality:

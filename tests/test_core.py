@@ -221,7 +221,49 @@ class TestPredicates:
         assert core.is_filter(L, [4, 6])
 
 
+def _order_dual(L):
+    return core.make_lattice(L.n, [(b, a) for a, b in L.covers()])
+
+
+class TestDistributivity:
+    """The join-irreducible criterion against the exhaustive triple scan."""
+
+    def _agree(self, lattices):
+        verdicts = [core.is_distributive(L) for L in lattices]
+        assert verdicts == [helpers.brute_is_distributive(L) for L in lattices]
+        return verdicts
+
+    def test_catalog(self):
+        verdicts = self._agree([catalog.get(name) for name in catalog.names()])
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_rectangular_search_and_order_duals(self):
+        found = [R.lattice for _, R in catalog.search_rectangular(16)]
+        verdicts = self._agree(found + [_order_dual(L) for L in found])
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_random_closure_lattices(self):
+        rng = random.Random(11)
+        verdicts = self._agree([helpers.random_closure_lattice(rng) for _ in range(200)])
+        assert verdicts.count(False) > 100
+
+    def test_downset_lattices_of_random_posets(self):
+        rng = random.Random(13)
+        lattices = [
+            core.downset_lattice(helpers.random_poset(rng, rng.randint(0, 7)))
+            for _ in range(40)
+        ]
+        assert all(self._agree(lattices))
+
+
 class TestJoinIrreduciblePoset:
+    def test_built_once_per_lattice(self):
+        for name in catalog.names():
+            L = catalog.get(name)
+            P = core.join_irreducibles(L)
+            assert core.join_irreducibles(L) is P
+            assert list(P.labels) == helpers.brute_join_irreducibles(L)
+
     def test_ji_poset_matches_brute_scan(self):
         for L in (
             s7(),
@@ -265,14 +307,7 @@ class TestDownsets:
     def test_random_posets(self):
         rng = random.Random(7)
         for _ in range(40):
-            n = rng.randint(0, 8)
-            perm = rng.sample(range(n), n)
-            up = [1 << x for x in range(n)]
-            for i in reversed(range(n)):
-                for k in range(i + 1, n):
-                    if rng.random() < 0.3:
-                        up[perm[i]] |= up[perm[k]]
-            P = core.Poset(n, core._reduce(range(n), up))
+            P = helpers.random_poset(rng, rng.randint(0, 8))
             ds = core.downsets(P)
             assert ds == helpers.brute_downsets(P)
             assert core.downset_lattice(P).covers() == helpers.brute_covers(
