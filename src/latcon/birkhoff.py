@@ -242,11 +242,11 @@ def brt_report(phi: BoundedHom) -> BrtReport:
 def enumerate_isotone_maps(P: Poset, Q: Poset) -> Iterator[tuple[int, ...]]:
     """All isotone assignments P -> Q, in lexicographic order.
 
-    Positions are filled in id order; since id order is a linear extension,
-    every strictly smaller element of P is already assigned when its
-    successors are tried.  The depth-first search keeps one iterator of
-    candidate images per filled position on an explicit stack, so its depth
-    is bounded by memory, not by the recursion limit.
+    Positions are filled in id order, and each cover of P is checked when
+    the later of its two ends is filled, so P's ids need not be a linear
+    extension.  The depth-first search keeps one iterator of candidate
+    images per filled position on an explicit stack, so its depth is bounded
+    by memory, not by the recursion limit.
     """
     if P.n == 0:
         yield ()
@@ -255,10 +255,15 @@ def enumerate_isotone_maps(P: Poset, Q: Poset) -> Iterator[tuple[int, ...]]:
     out = [0] * P.n
 
     def candidates(x: int) -> Iterator[int]:
-        # the images allowed at x: above the image of each lower cover of x
+        # the images allowed at x: above the image of each filled lower
+        # cover of x, below that of each filled upper cover
         allowed = everything
         for y in P._lower[x]:
-            allowed &= Q._up[out[y]]
+            if y < x:
+                allowed &= Q._up[out[y]]
+        for y in P._upper[x]:
+            if y < x:
+                allowed &= Q._down[out[y]]
         return iter(core._bits(allowed))
 
     stack = [candidates(0)]

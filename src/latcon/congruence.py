@@ -20,11 +20,13 @@ Freese's relation p D q: some x has ``p <= q v x``, ``p !<= q_* v x``
 (Freese, Jezek and Nation, *Free Lattices*, 2.5).  The classes of mutual D*
 are the join-irreducible congruences, and the classes of a congruence are
 the connected components of the covers colored in its down-set of them.
+Con L is distributive, so :class:`ConLattice` keeps only this Birkhoff
+dual and builds the list of all congruences when something reads it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
@@ -233,42 +235,99 @@ def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) ->
     return _join_blocks(L, bl)
 
 
-class ConLattice:
-    """The congruence lattice of a finite lattice.
+class _Partitions(NamedTuple):
+    """The list of all congruences and what is indexed by it."""
 
-    ``congruences`` is the full list in a canonical order (block count
+    congruences: tuple[Congruence, ...]
+    index: dict[tuple[int, ...], int]
+    ji: Poset
+    downsets: tuple[int, ...]
+    edge_color: dict[tuple[int, int], int]
+
+
+class ConLattice:
+    """The congruence lattice of a finite lattice, kept as its Birkhoff dual.
+
+    Con L is distributive, so its join-irreducibles, their order and the
+    edge coloring determine it.  These are computed eagerly: ``theta[p]``
+    is the join-irreducible congruence at position ``p`` (positions follow
+    the canonical order below), ``ji_order`` is their order as an
+    unlabelled poset on positions, and ``colors`` maps every cover edge of
+    the base lattice to the position of its principal congruence.
+    ``len`` counts the down-sets of ``ji_order`` and builds no partition.
+
+    The list of all congruences is built on the first read of any of the
+    following.  ``congruences`` is in a canonical order (block count
     descending, then canonical block key), which is a linear extension of
     the refinement order: index 0 is the equality congruence, the last index
     collapses everything.  ``index`` maps each congruence's ``cls`` to its
-    position.  ``ji`` is the poset of join-irreducible congruences, labeled
-    by their indices; ``downsets[i]`` is the bitmask of the ``ji`` positions
-    below congruence i, so i <= k exactly when ``downsets[i]`` is a subset
-    of ``downsets[k]``; ``edge_color`` maps every cover edge of the base
+    position.  ``ji`` is ``ji_order`` labelled by the indices of its
+    congruences; ``downsets[i]`` is the bitmask of the positions below
+    congruence i, so i <= k exactly when ``downsets[i]`` is a subset of
+    ``downsets[k]``; ``edge_color`` maps every cover edge of the base
     lattice to the index of its principal congruence.
     """
 
-    __slots__ = ("lattice", "congruences", "index", "ji", "downsets", "edge_color",
-                 "_lattice_view")
+    __slots__ = ("lattice", "theta", "ji_order", "colors", "_size", "_full", "_lattice_view")
 
     def __init__(
         self,
         lattice: FiniteLattice,
-        congruences: Sequence[Congruence],
-        index: dict[tuple[int, ...], int],
-        ji: Poset,
-        downsets: Sequence[int],
-        edge_color: dict[tuple[int, int], int],
+        theta: Sequence[Congruence],
+        ji_order: Poset,
+        colors: dict[tuple[int, int], int],
     ):
         self.lattice = lattice
-        self.congruences = tuple(congruences)
-        self.index = index
-        self.ji = ji
-        self.downsets = tuple(downsets)
-        self.edge_color = edge_color
+        self.theta = tuple(theta)
+        self.ji_order = ji_order
+        self.colors = colors
+        self._size: int | None = None
+        self._full: _Partitions | None = None
         self._lattice_view = None
 
+    def _build(self) -> _Partitions:
+        """Every congruence, grown along the down-sets of ``ji_order``.
+
+        The down-set one element short of ``d`` drops the element of ``d``
+        at the highest position, which is maximal in ``d`` and comes
+        earlier; so each congruence unites the covers of one more color in
+        an earlier one.  Run once, on first use.
+        """
+        if self._full is not None:
+            return self._full
+        edges: list[list[tuple[int, int]]] = [[] for _ in self.theta]
+        for e, p in self.colors.items():
+            edges[p].append(e)
+        ds = core.downsets(self.ji_order)
+        at = {d: i for i, d in enumerate(ds)}
+        cons = [delta(self.lattice)]
+        for d in ds[1:]:
+            x = d.bit_length() - 1
+            cons.append(cons[at[d ^ 1 << x]]._joined(edges[x]))
+
+        perm = sorted(range(len(cons)), key=lambda k: _rank(cons[k]))
+        ordered = tuple(cons[k] for k in perm)
+        index = {c.cls: i for i, c in enumerate(ordered)}
+        if len(index) != len(ordered):
+            raise PostconditionFailed("two down-sets of join-irreducibles have the same join")
+        labels = [index[t.cls] for t in self.theta]
+        P = self.ji_order
+        ji = Poset(P.n, P.covers(), labels=labels)
+        edge_color = {e: labels[p] for e, p in self.colors.items()}
+        self._full = _Partitions(ordered, index, ji, tuple(ds[k] for k in perm), edge_color)
+        self._size = len(ordered)
+        return self._full
+
+    congruences = property(lambda self: self._build().congruences)
+    index = property(lambda self: self._build().index)
+    ji = property(lambda self: self._build().ji)
+    downsets = property(lambda self: self._build().downsets)
+    edge_color = property(lambda self: self._build().edge_color)
+
     def __len__(self) -> int:
-        return len(self.congruences)
+        if self._size is None:
+            self._size = len(core.downsets(self.ji_order))
+        return self._size
 
     def __iter__(self):
         return iter(self.congruences)
@@ -305,15 +364,19 @@ def _rank(c: Congruence) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def congruence_lattice(L: FiniteLattice) -> ConLattice:
-    """All congruences of L, its join-irreducible poset, and the edge coloring.
+    """The join-irreducible congruences of L, their order, and the edge coloring.
 
-    Covers are colored by join-irreducibles, colors are ordered by D* (see
-    the module docstring), and the down-sets of D* classes are enumerated
-    with :func:`core.downsets`.  The down-set one element short of ``d``
-    drops the element of ``d`` at the highest position, which is maximal in
-    ``d`` and comes earlier; so each congruence unites the covers of one
-    more color in an earlier one.  Each join-irreducible congruence must
-    equal one principal closure, else :class:`PostconditionFailed`.
+    Covers are colored by join-irreducibles and colors are ordered by D*
+    (see the module docstring); the list of all congruences is left to
+    :class:`ConLattice` to build on demand.  Two postconditions raise
+    :class:`PostconditionFailed`: each join-irreducible congruence
+    ``theta[r]`` must equal the principal closure con(r_*, r), and the
+    colors ``c`` it collapses, read on the edge ``(c_*, c)``, must be
+    exactly r's D* down-set.  Together they imply that distinct down-sets
+    of colors join to distinct congruences: theta[c] <= theta[r] exactly
+    when c D* r, and each theta[c] is generated by a cover, so it is
+    join-irreducible, hence join-prime in the distributive Con L; thus a
+    down-set is the set of colors c with theta[c] below its join.
     Computed once per lattice instance and cached.
     """
     if L._con is not None:
@@ -339,10 +402,9 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
             if below[p] >> q & 1:
                 rep.setdefault(p, q)
 
-    covers = L.covers()
     color = {}
     edges: dict[int, list[tuple[int, int]]] = {r: [] for r in sorted(set(rep.values()))}
-    for a, b in covers:
+    for a, b in L.covers():
         m = down[b] & ~down[a] & jmask
         color[a, b] = rep[(m & -m).bit_length() - 1]
         edges[color[a, b]].append((a, b))
@@ -351,28 +413,15 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     for r, t in theta.items():
         if principal_congruence(L, lower[r][0], r).cls != t.cls:
             raise PostconditionFailed(f"con({lower[r][0]}, {r}) is not the congruence of color {r}")
+        for c in edges:
+            if t.collapses(lower[c][0], c) != bool(below[r] >> c & 1):
+                raise PostconditionFailed(f"colors {c} and {r} are ordered unlike D*")
 
     order = sorted(edges, key=lambda r: _rank(theta[r]))
-    ji = [theta[r] for r in order]
-    j = len(ji)
-    up = [sum(1 << b for b in range(j) if below[order[b]] >> r & 1) for r in order]
-    ji_covers = core._reduce(range(j), up)
-
-    ds = core.downsets(Poset(j, ji_covers))
-    at = {d: i for i, d in enumerate(ds)}
-    cons = [delta(L)]
-    for d in ds[1:]:
-        x = d.bit_length() - 1
-        cons.append(cons[at[d ^ 1 << x]]._joined(edges[order[x]]))
-
-    perm = sorted(range(len(cons)), key=lambda k: _rank(cons[k]))
-    ordered = [cons[k] for k in perm]
-    index = {c.cls: i for i, c in enumerate(ordered)}
-    if len(index) != len(ordered):
-        raise PostconditionFailed("two down-sets of join-irreducibles have the same join")
-    ji_poset = Poset(j, ji_covers, labels=[index[c.cls] for c in ji])
-    edge_color = {e: index[theta[color[e]].cls] for e in covers}
-    con = ConLattice(L, ordered, index, ji_poset, [ds[k] for k in perm], edge_color)
+    pos = {r: i for i, r in enumerate(order)}
+    up = [sum(1 << pos[c] for c in order if below[c] >> r & 1) for r in order]
+    ji_order = Poset(len(order), core._reduce(range(len(order)), up))
+    con = ConLattice(L, [theta[r] for r in order], ji_order, {e: pos[c] for e, c in color.items()})
     L._con = con
     return con
 
@@ -431,4 +480,5 @@ def singleton_extension(
 
 
 def is_simple(L: FiniteLattice) -> bool:
-    return len(congruence_lattice(L)) == 2
+    """Does L have exactly two congruences, that is, one color?"""
+    return congruence_lattice(L).ji_order.n == 1

@@ -18,7 +18,7 @@ boundary color of another.  The pipelines are:
   rectangular lattice.
 
 The pipelines work on colors, positions in the join-irreducible order
-read off the edge coloring in one place (:func:`_edge_colors`), and one
+that :attr:`ConLattice.colors` gives every edge, and one
 routine (:func:`_glue_flaps`) turns ties between colors into flap eyes and
 glues the pieces.  All return ``(RectLattice, ConstructionReport)``.  The
 representation pipelines check their output once through
@@ -104,18 +104,11 @@ class ChainCollapseReport:
     witnesses: tuple[Congruence, ...]
 
 
-def _edge_colors(con: ConLattice) -> dict[tuple[int, int], int]:
-    """Every cover edge's color, as a position in the join-irreducible order."""
-    pos = {idx: p for p, idx in enumerate(con.ji_indices)}
-    return {e: pos[c] for e, c in con.edge_color.items()}
-
-
 def _chain_colors(R: RectLattice, con: ConLattice) -> dict[str, tuple[int, ...]]:
     """The colors of each boundary chain's edges, bottom-up, by chain name."""
-    color = _edge_colors(con)
     chains = (R.lower_left, R.upper_left, R.lower_right, R.upper_right)
     return {
-        nm: tuple(color[e] for e in zip(ch, ch[1:])) for nm, ch in zip(CHAIN_NAMES, chains)
+        nm: tuple(con.colors[e] for e in zip(ch, ch[1:])) for nm, ch in zip(CHAIN_NAMES, chains)
     }
 
 
@@ -125,7 +118,7 @@ def _color_table(R: RectLattice) -> dict[int, dict[str, tuple[int, ...]]]:
     chains = _chain_colors(R, con)
     return {
         p: {nm: tuple(i for i, c in enumerate(chains[nm]) if c == p) for nm in CHAIN_NAMES}
-        for p in range(len(con.ji_indices))
+        for p in range(con.ji_order.n)
     }
 
 
@@ -150,8 +143,8 @@ def _tied_colors(F: RectLattice, phi: BoundedHom) -> tuple[ConstructionReport, l
     R and R preserves F's congruences, so each color of F has one in R.
     """
     R, inner = boundary_color_extension(F)
-    colors_f = _edge_colors(cg.congruence_lattice(F.lattice))
-    colors_r = _edge_colors(cg.congruence_lattice(R.lattice))
+    colors_f = cg.congruence_lattice(F.lattice).colors
+    colors_r = cg.congruence_lattice(R.lattice).colors
     emb = inner.embedded_f
     lift = {p: colors_r[emb[a], emb[b]] for (a, b), p in colors_f.items()}
     return inner, [lift[p] for p in birkhoff.ji_of_hom(phi).assignment]
@@ -212,7 +205,7 @@ def boundary_color_extension(F: RectLattice) -> tuple[RectLattice, ConstructionR
         return F._bce
 
     con = cg.congruence_lattice(F.lattice)
-    j = len(con.ji_indices)
+    j = con.ji_order.n
 
     # precondition: every color owns a lower-boundary edge; color p sits on
     # edge p of both upper chains of U
@@ -272,14 +265,18 @@ def filter_representation(
 def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     """Does every nontrivial congruence collapse an upper-chain edge?
 
-    Checked on the atoms of the congruence lattice: anything nontrivial
-    lies above an atom and collapses whatever the atom collapses.  An atom
-    collapses an edge exactly when the edge has the atom's color.
+    Checked on the atoms of the congruence lattice, the minimal colors:
+    anything nontrivial lies above an atom and collapses whatever the atom
+    collapses.  An atom collapses an edge exactly when the edge has the
+    atom's color.  The witnesses are the atoms' congruences that miss.
     """
     con = cg.congruence_lattice(G.lattice)
     chains = _chain_colors(G, con)
-    upper = {con.ji_indices[p] for p in chains["ul"] + chains["ur"]}
-    atom_misses = tuple(con.congruences[t] for t in con.atoms() if t not in upper)
+    upper = set(chains["ul"] + chains["ur"])
+    P = con.ji_order
+    atom_misses = tuple(
+        con.theta[p] for p in range(P.n) if not P.lower_covers(p) and p not in upper
+    )
     return ChainCollapseReport(not atom_misses, atom_misses)
 
 

@@ -15,7 +15,7 @@ generic transformations so the planar modules can use it.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     Cyclic,
@@ -25,6 +25,7 @@ from .errors import (
     NotALattice,
     NotConvexSublattice,
     NotReduced,
+    PostconditionFailed,
     ZeroSize,
 )
 
@@ -582,7 +583,8 @@ def sublattice(
         to_sub[x]: [to_sub[y] for y in L.lower_covers(x) if y in in_set] for x in elems
     }
     K, renum = make_lattice_with_map(len(elems), covers, upper, lower)
-    assert renum == tuple(range(len(elems))), "sublattice numbering is canonical"
+    if renum != tuple(range(len(elems))):
+        raise PostconditionFailed("sublattice numbering is not the ascending parent ids")
     return K, tuple(elems), to_sub
 
 
@@ -653,7 +655,10 @@ def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
     """A lattice isomorphism A -> B as a list, or None.
 
     Backtracking in id order with degree/height refinement; instances here
-    are small, so no fancier invariants are needed.
+    are small, so no fancier invariants are needed.  The depth-first search
+    keeps one iterator of consistent images per assigned element on an
+    explicit stack, so its depth is bounded by memory, not by the recursion
+    limit.
     """
     if invariant(A) != invariant(B):
         return None
@@ -666,27 +671,29 @@ def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
     fwd: list[int] = [-1] * n
     used = [False] * n
 
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
+    def images(x: int) -> Iterator[int]:
+        # read lazily: ``used`` changes between two draws
         for y in buckets.get(sig_a[x], ()):
-            if used[y]:
-                continue
-            ok = True
-            for z in range(x):
-                fz = fwd[z]
-                if A.leq(z, x) != B.leq(fz, y) or A.leq(x, z) != B.leq(y, fz):
-                    ok = False
-                    break
-            if ok:
-                fwd[x] = y
-                used[y] = True
-                if extend(x + 1):
-                    return True
-                used[y] = False
-        return False
+            if not used[y] and all(
+                A.leq(z, x) == B.leq(fwd[z], y) and A.leq(x, z) == B.leq(y, fwd[z])
+                for z in range(x)
+            ):
+                yield y
 
-    return fwd if extend(0) else None
+    stack = [images(0)]
+    while stack:
+        x = len(stack) - 1
+        if fwd[x] >= 0:
+            used[fwd[x]] = False
+        fwd[x] = next(stack[-1], -1)
+        if fwd[x] < 0:
+            stack.pop()
+        elif x + 1 == n:
+            return fwd
+        else:
+            used[fwd[x]] = True
+            stack.append(images(x + 1))
+    return None
 
 
 def are_isomorphic(A: FiniteLattice, B: FiniteLattice) -> bool:

@@ -3,18 +3,21 @@
 Everything here recomputes results from first principles — partitions are
 enumerated as restricted growth strings and filtered by the substitution
 property, homomorphisms by checking every map — so the library's own closure
-algorithms are never in the loop.  The exceptions are
-:func:`reference_congruence_lattice`, the previous subset-scan construction
-of Con L, kept to test the down-set construction against,
-:func:`reference_tied_colors`, the previous restriction-based color matching
-of the representation pipelines, kept to test the edge-color lift against,
-and :func:`reference_make_bounded_hom`, the previous per-pair validation of
-bounded homs, kept to test the table-row checks against.
+algorithms are never in the loop.  The exceptions are previous versions of
+library code, kept to test the current ones against:
+:func:`reference_congruence_lattice`, the subset-scan construction of Con L;
+:func:`reference_upper_chain_collapse_check`, the collapse check on the full
+list of congruences; :func:`reference_tied_colors`, the restriction-based
+color matching of the representation pipelines;
+:func:`reference_make_bounded_hom`, the per-pair validation of bounded
+homs; and :func:`reference_find_isomorphism`, the recursive isomorphism
+search.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 from latcon import birkhoff as bk, congruence as cg, construction as cn, core
 from latcon.errors import (
@@ -305,7 +308,9 @@ def reference_congruence_lattice(L):
     """Con L by scanning all 2^j subsets of the j edge colors.
 
     Each subset that is a down-set of the colors' refinement order is joined
-    from its members' blocks.  Not cached on ``L``.
+    from its members' blocks.  Returns the fields that ``ConLattice`` builds
+    on demand (``congruences``, ``index``, ``ji``, ``downsets``,
+    ``edge_color``) as attributes.  Not cached on ``L``.
     """
     edge_theta = {}
     ji_list = []
@@ -336,7 +341,53 @@ def reference_congruence_lattice(L):
         sum(1 << x for x, i in enumerate(ji_canon) if refines(ordered[i], c)) for c in ordered
     ]
     edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
-    return cg.ConLattice(L, ordered, index, ji_poset, downsets, edge_color)
+    return SimpleNamespace(
+        congruences=ordered, index=index, ji=ji_poset, downsets=downsets, edge_color=edge_color
+    )
+
+
+def reference_upper_chain_collapse_check(G):
+    """The collapse check read off the full list of congruences: the atoms
+    of Con L, by index, that color no edge of an upper boundary chain."""
+    con = cg.congruence_lattice(G.lattice)
+    upper = {
+        con.edge_color[e] for ch in (G.upper_left, G.upper_right) for e in zip(ch, ch[1:])
+    }
+    atom_misses = tuple(con.congruences[t] for t in con.atoms() if t not in upper)
+    return cn.ChainCollapseReport(not atom_misses, atom_misses)
+
+
+def reference_find_isomorphism(A, B):
+    """A lattice isomorphism A -> B by recursive backtracking in id order,
+    the search :func:`latcon.core.find_isomorphism` makes with a stack."""
+    if core.invariant(A) != core.invariant(B):
+        return None
+    n = A.n
+    sig_a = [core._signature(A, x) for x in range(n)]
+    buckets = {}
+    for y in range(n):
+        buckets.setdefault(core._signature(B, y), []).append(y)
+    fwd = [-1] * n
+    used = [False] * n
+
+    def extend(x):
+        if x == n:
+            return True
+        for y in buckets.get(sig_a[x], ()):
+            if used[y]:
+                continue
+            if all(
+                A.leq(z, x) == B.leq(fwd[z], y) and A.leq(x, z) == B.leq(y, fwd[z])
+                for z in range(x)
+            ):
+                fwd[x] = y
+                used[y] = True
+                if extend(x + 1):
+                    return True
+                used[y] = False
+        return False
+
+    return fwd if extend(0) else None
 
 
 def condition_oracle(R):

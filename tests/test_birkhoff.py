@@ -163,6 +163,15 @@ class TestEnumeration:
             Q = helpers.random_poset(rng, rng.randint(1, 4), shuffle=False)
             assert list(bk.enumerate_isotone_maps(P, Q)) == helpers.brute_isotone_maps(P, Q)
 
+    def test_ids_off_a_linear_extension_match_raw_scan(self):
+        P, Q = core.Poset(2, [(1, 0)]), core.Poset(2, [(0, 1)])
+        assert list(bk.enumerate_isotone_maps(P, Q)) == [(0, 0), (1, 0), (1, 1)]
+        rng = random.Random(23)
+        for _ in range(80):
+            P = helpers.random_poset(rng, rng.randint(0, 6))
+            Q = helpers.random_poset(rng, rng.randint(1, 4))
+            assert list(bk.enumerate_isotone_maps(P, Q)) == helpers.brute_isotone_maps(P, Q)
+
     def test_long_chain_needs_no_recursion(self):
         n = 1500
         P = core.Poset(n, [(i, i + 1) for i in range(n - 1)])

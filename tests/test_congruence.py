@@ -105,6 +105,9 @@ class TestConLattice:
             got = {helpers.blocks_key(c.blocks) for c in con}
             assert got == helpers.brute_congruences(L), name
 
+    def test_catalog_is_small_enough_for_brute_force(self):
+        assert all(L.n <= 10 for L in catalog.congruence_catalog().values())
+
     def test_as_lattice_matches_refinement(self):
         con = cg.congruence_lattice(catalog.get("grid-2x3"))
         lat = con.as_lattice()
@@ -139,14 +142,20 @@ class TestConLattice:
 def _assert_matches_reference(L):
     new = cg.congruence_lattice(L)
     old = helpers.reference_congruence_lattice(L)
-    assert [c.blocks for c in new] == [c.blocks for c in old]
+    cs = old.congruences
+    # the eager dual first: on a fresh lattice, len counts down-sets
+    assert len(new) == len(cs)
+    assert [t.blocks for t in new.theta] == [cs[i].blocks for i in old.ji.labels]
+    assert new.ji_order.covers() == old.ji.covers()
+    assert {e: old.ji.labels[p] for e, p in new.colors.items()} == old.edge_color
+    assert [c.blocks for c in new] == [c.blocks for c in cs]
+    assert new.index == old.index
     assert new.ji.labels == old.ji.labels
     assert new.ji.covers() == old.ji.covers()
-    assert new.downsets == old.downsets
+    assert list(new.downsets) == old.downsets
     assert new.edge_color == old.edge_color
-    cs = old.congruences
     assert new.as_lattice().covers() == helpers.brute_covers(
-        len(old), lambda i, j: helpers.refines(cs[i], cs[j])
+        len(cs), lambda i, j: helpers.refines(cs[i], cs[j])
     )
 
 
@@ -192,6 +201,36 @@ class TestRandomLattices:
             _assert_matches_reference(L)
 
 
+class TestLazyPartitionList:
+    """The dual is built eagerly, the list of congruences on first read."""
+
+    def test_size_and_simplicity_leave_the_list_unbuilt(self):
+        for name in catalog.names():
+            L = catalog.get(name)
+            con = cg.congruence_lattice(L)
+            size, simple = len(con), cg.is_simple(L)
+            assert con._full is None, name
+            assert size == len(con.congruences), name
+            assert simple == (size == 2), name
+
+    def test_theta_are_the_join_irreducible_congruences(self):
+        con = cg.congruence_lattice(catalog.s7().lattice)
+        assert [t.blocks for t in con.theta] == CON_S7_BLOCKS[1:4]
+        assert con.ji_order.covers() == [(0, 1), (0, 2)]
+        assert {e: con.ji_indices[p] for e, p in con.colors.items()} == S7_EDGE_COLOR
+
+    def test_equal_joins_raise_on_first_read(self, monkeypatch):
+        con = cg.congruence_lattice(catalog.s7().lattice)
+        monkeypatch.setattr(cg.Congruence, "_joined", lambda self, blocks: self)
+        assert len(con) == 5
+        with pytest.raises(PostconditionFailed, match="same join"):
+            con.congruences
+
+
+def _nabla(L, *args):
+    return cg.Congruence(L, [0] * L.n)
+
+
 class TestPostcondition:
     """Each join-irreducible congruence is checked against a principal closure."""
 
@@ -225,6 +264,35 @@ class TestPostcondition:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised\n"
+
+    def test_colors_off_the_order_raise(self, monkeypatch):
+        # closure and join agree, but each collapses every color
+        monkeypatch.setattr(cg, "principal_congruence", _nabla)
+        monkeypatch.setattr(cg, "_join_blocks", _nabla)
+        with pytest.raises(PostconditionFailed, match="ordered unlike D"):
+            cg.congruence_lattice(catalog.s7().lattice)
+
+    def test_colors_off_the_order_raise_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from latcon import catalog, congruence as cg\n"
+            "from latcon.errors import PostconditionFailed\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "nabla = lambda L, *args: cg.Congruence(L, [0] * L.n)\n"
+            "cg.principal_congruence = cg._join_blocks = nabla\n"
+            "try:\n"
+            "    cg.congruence_lattice(catalog.s7().lattice)\n"
+            "except PostconditionFailed as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(cg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ordered unlike D*" in proc.stdout
 
 
 class TestPartitionForm:

@@ -244,6 +244,19 @@ class TestUpperChainCollapseCheck:
             assert chk.holds == holds, name
             assert {w.cls for w in chk.witnesses} == {w.cls for w in bad}, name
 
+    def test_matches_full_list_reference_and_builds_no_list(self):
+        scanned = catalog.search_rectangular(24)
+        assert len(scanned) == 564
+        for name, R in scanned:
+            chk = cn.upper_chain_collapse_check(R)
+            con = cg.congruence_lattice(R.lattice)
+            size = len(con)
+            assert con._full is None, name
+            ref = helpers.reference_upper_chain_collapse_check(R)
+            assert chk.holds == ref.holds, name
+            assert [w.blocks for w in chk.witnesses] == [w.blocks for w in ref.witnesses], name
+            assert size == len(con.congruences), name
+
     def test_holds_for_grids_and_m3(self):
         for R in (G22, M3, G33):
             chk = cn.upper_chain_collapse_check(R)

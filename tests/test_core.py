@@ -15,6 +15,7 @@ from latcon.errors import (
     NotALattice,
     NotConvexSublattice,
     NotReduced,
+    PostconditionFailed,
     ZeroSize,
 )
 
@@ -192,6 +193,17 @@ class TestConstructors:
         with pytest.raises(NotConvexSublattice):
             core.sublattice(L, [0, 1, 2, 6])  # closed but not convex
 
+    def test_sublattice_numbering_postcondition(self, monkeypatch):
+        build = core.make_lattice_with_map
+
+        def reversed_numbering(*args):
+            K, renum = build(*args)
+            return K, renum[::-1]
+
+        monkeypatch.setattr(core, "make_lattice_with_map", reversed_numbering)
+        with pytest.raises(PostconditionFailed, match="sublattice numbering"):
+            core.sublattice(s7(), [0, 1, 2, 4])
+
 
 class TestPredicates:
     def test_distributive(self):
@@ -333,3 +345,22 @@ class TestIsomorphism:
         B = core.chain(4)
         assert core.find_isomorphism(A, B) is None
         assert not core.are_isomorphic(A, B)
+
+    def test_long_chain_needs_no_recursion(self):
+        C = core.chain(1500)
+        assert core.find_isomorphism(C, C) == list(range(1500))
+
+    def test_matches_recursive_reference(self):
+        rng = random.Random(11)
+        lattices = [R.lattice for _, R in catalog.search_rectangular(16)]
+        relabelled = []
+        for L in lattices:
+            perm = rng.sample(range(L.n), L.n)
+            relabelled.append(core.make_lattice(L.n, [(perm[a], perm[b]) for a, b in L.covers()]))
+        found = 0
+        for A in lattices:
+            for B in lattices + relabelled:
+                iso = core.find_isomorphism(A, B)
+                assert iso == helpers.reference_find_isomorphism(A, B)
+                found += iso is not None
+        assert found == 2 * len(lattices)
