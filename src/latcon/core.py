@@ -39,6 +39,16 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _listed(elems: Iterable[int], limit: int = 10) -> str:
+    """``elems`` as a list for an error text: the first ``limit`` entries,
+    then the count of the rest, so a message stays short on any input."""
+    elems = list(elems)
+    if len(elems) <= limit:
+        return str(elems)
+    head = ", ".join(map(str, elems[:limit]))
+    return f"[{head}, … ({len(elems) - limit} more)]"
+
+
 def _close(n: int, covers: Iterable[tuple[int, int]]):
     """Validate a cover relation on ``0..n-1`` and close it into bitmasks.
 
@@ -92,7 +102,7 @@ def _close(n: int, covers: Iterable[tuple[int, int]]):
         between = up[a] & down[b] & ~(1 << a) & ~(1 << b)
         if between:
             raise NotReduced(
-                f"cover ({a}, {b}) is implied by transitivity through {list(_bits(between))}"
+                f"cover ({a}, {b}) is implied by transitivity through {_listed(_bits(between))}"
             )
     return order, succ, pred, up, down
 
@@ -284,9 +294,6 @@ class FiniteLattice(_Order):
 
     # -- irreducibility ----------------------------------------------------
 
-    def is_join_irreducible(self, x: int) -> bool:
-        return len(self._lower[x]) == 1
-
     def is_doubly_irreducible(self, x: int) -> bool:
         return len(self._lower[x]) == 1 and len(self._upper[x]) == 1
 
@@ -336,10 +343,10 @@ def make_lattice_with_map(
     tops = [x for x in range(n) if not succ[x]]
     if len(bottoms) != 1:
         raise NotALattice(
-            f"no unique bottom: minimal elements {[old_of[x] for x in bottoms]}"
+            f"no unique bottom: minimal elements {_listed(old_of[x] for x in bottoms)}"
         )
     if len(tops) != 1:
-        raise NotALattice(f"no unique top: maximal elements {[old_of[x] for x in tops]}")
+        raise NotALattice(f"no unique top: maximal elements {_listed(old_of[x] for x in tops)}")
 
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
@@ -482,12 +489,21 @@ def is_distributive(L: FiniteLattice) -> bool:
 
 
 def is_semimodular(L: FiniteLattice) -> bool:
-    """Upper semimodularity: ``a`` covers ``a /\\ b`` implies ``a \\/ b`` covers ``b``."""
-    for a in range(L.n):
-        for b in range(L.n):
-            m = L.meet(a, b)
-            if m != a and L.is_cover(m, a):
-                if not L.is_cover(b, L.join(a, b)):
+    """Upper semimodularity: ``a`` covers ``a /\\ b`` implies ``a \\/ b`` covers ``b``.
+
+    Tested by Birkhoff's condition, which is equivalent in a lattice of
+    finite length (G. Gratzer, *Lattice Theory: Foundation*, the section on
+    semimodular lattices): whenever ``a != b`` both cover ``c``, ``a \\/ b``
+    covers both ``a`` and ``b``.  Costs the sum over ``c`` of the squared
+    number of upper covers of ``c``.
+    """
+    join, covup = L._join, L._covup
+    for ups in L._upper:
+        for i, a in enumerate(ups):
+            ja, ca = join[a], covup[a]
+            for b in ups[i + 1:]:
+                j = ja[b]
+                if not (ca >> j & 1 and covup[b] >> j & 1):
                     return False
     return True
 

@@ -34,6 +34,7 @@ from .errors import (
     NotAnIdeal,
     NotIsomorphic,
     NotSemimodular,
+    PostconditionFailed,
     SizeTooSmall,
 )
 
@@ -235,7 +236,8 @@ def grid_with_eyes(
     lat, renum = core.make_lattice_with_map(nn, covers, upper, lower)
     R = make_rectangular(lat)
     eye_of = {cell: renum[e] for cell, e in temp_eye.items()}
-    assert set(eye_of.values()) == set(R.eyes)
+    if set(eye_of.values()) != set(R.eyes):
+        raise PostconditionFailed("the inserted eyes are not the eyes of the grid")
     return R, eye_of
 
 
@@ -263,7 +265,8 @@ def cells(R: RectLattice) -> list[Cell]:
                 mid_set = set(mids)
                 ordered = [u for u in L.upper_covers(b) if u in mid_set]
                 middles = tuple(ordered[1:-1])
-                assert set(middles) <= eye_set
+                if not set(middles) <= eye_set:
+                    raise PostconditionFailed(f"a middle of the cell ({b}, {t}) is not an eye")
                 out.append(Cell(b, t, ordered[0], ordered[-1], middles))
     out.sort(key=lambda c: (c.bottom, c.top))
     return out
@@ -426,8 +429,8 @@ def glue_congruence_pair(
         for blocks, emap in ((alpha_a.blocks, glued.a_map), (alpha_b.blocks, glued.b_map))
         for blk in blocks
     ))
-    assert cg.is_congruence(glued.lattice, result.blocks), \
-        "joint extension of compatible congruences must be a congruence"
+    if not cg.is_congruence(glued.lattice, result.blocks):
+        raise PostconditionFailed("joint extension of compatible congruences is not a congruence")
     return result
 
 

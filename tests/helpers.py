@@ -10,8 +10,10 @@ library code, kept to test the current ones against:
 list of congruences; :func:`reference_tied_colors`, the restriction-based
 color matching of the representation pipelines;
 :func:`reference_make_bounded_hom`, the per-pair validation of bounded
-homs; and :func:`reference_find_isomorphism`, the recursive isomorphism
-search.
+homs; :func:`reference_find_isomorphism`, the recursive isomorphism
+search; :func:`reference_generated_congruence`, the closure over every
+column of the operation tables; and :func:`brute_is_semimodular`, the
+scan of every pair against the definition.
 """
 
 from __future__ import annotations
@@ -196,6 +198,46 @@ def reference_make_bounded_hom(D, E, assignment):
             if f[D.join(x, y)] != E.join(f[x], f[y]):
                 raise NotHomomorphic(f"join not preserved at ({x}, {y})")
     return bk.BoundedHom(D, E, f)
+
+
+def brute_is_semimodular(L):
+    """Upper semimodularity by its definition, over every pair: ``a``
+    covers ``a /\\ b`` implies ``a \\/ b`` covers ``b``."""
+    for a in range(L.n):
+        for b in range(L.n):
+            m = L.meet(a, b)
+            if m != a and L.is_cover(m, a):
+                if not L.is_cover(b, L.join(a, b)):
+                    return False
+    return True
+
+
+def reference_generated_congruence(L, pairs):
+    """The least congruence collapsing ``pairs``, by a worklist closure
+    that substitutes every element z into each merged pair."""
+    n = L.n
+    meet, join = L._meet, L._join
+    parent = list(range(n))
+    work = []
+
+    def unite(x, y):
+        rx, ry = cg._find(parent, x), cg._find(parent, y)
+        if rx != ry:
+            parent[ry] = rx
+            work.append((x, y))
+
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ElementOutOfRange(f"pair ({a}, {b}) out of range for size {n}")
+        unite(a, b)
+    while work:
+        x, y = work.pop()
+        mx, my = meet[x], meet[y]
+        jx, jy = join[x], join[y]
+        for z in range(n):
+            unite(mx[z], my[z])
+            unite(jx[z], jy[z])
+    return cg._classes(L, parent)
 
 
 def brute_bounded_homs(D, E):

@@ -116,6 +116,32 @@ class TestInputResolution:
         assert "error:" in err and "no such file" not in err
 
     @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"size": 30000, "covers": [[0, 1]]},
+             "no unique bottom: minimal elements [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, … (29989 more)]"),
+            ({"size": 3000, "covers": [[0, x] for x in range(1, 3000)]},
+             "no unique top: maximal elements [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, … (2989 more)]"),
+            ({"size": 3000, "covers": [[x, x + 1] for x in range(2999)] + [[0, 2999]]},
+             "cover (0, 2999) is implied by transitivity through "
+             "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, … (2988 more)]"),
+            ({"size": 3, "covers": [[0, 1]]}, "no unique bottom: minimal elements [0, 2]"),
+            ({"size": 11, "covers": [[0, 1]]},
+             "no unique bottom: minimal elements [0, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+            ({"size": 12, "covers": [[0, 1]]},
+             "no unique bottom: minimal elements [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, … (1 more)]"),
+        ],
+        ids=["bottoms", "tops", "transitivity", "two", "ten", "eleven"],
+    )
+    def test_element_lists_in_errors_are_capped(self, tmp_path, capsys, obj, message):
+        p = tmp_path / "F.json"
+        p.write_text(json.dumps(obj))
+        assert main(["con", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {p}: {message}\n"
+        assert len(err.encode()) < 150 + len(str(p))
+
+    @pytest.mark.parametrize(
         "argv, err",
         [
             (["check-ideal", "n5"], "n5: lattice is not semimodular"),

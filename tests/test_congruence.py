@@ -13,7 +13,12 @@ from latcon import catalog, core
 from latcon import congruence as cg
 from latcon import rectangular as rl
 from latcon.cli import main
-from latcon.errors import NotACongruence, NotAPartition, PostconditionFailed
+from latcon.errors import (
+    ElementOutOfRange,
+    NotACongruence,
+    NotAPartition,
+    PostconditionFailed,
+)
 
 S7 = catalog.get("s7")
 N5 = core.make_lattice(5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
@@ -199,6 +204,50 @@ class TestRandomLattices:
         assert sum(not core.is_distributive(L) for L in lattices) > 100
         for L in lattices:
             _assert_matches_reference(L)
+
+
+class TestGeneratedCongruence:
+    """The closure over J(L) and M(L) against the closure over every element."""
+
+    def _agree(self, L, pairs):
+        got = cg.generated_congruence(L, pairs)
+        assert got.cls == helpers.reference_generated_congruence(L, pairs).cls, pairs
+        return got
+
+    def test_catalog(self):
+        for name in catalog.names():
+            L = catalog.get(name)
+            for a, b in L.covers():
+                self._agree(L, [(a, b)])
+            self._agree(L, [(0, L.n - 1)])
+
+    def test_covers_of_searched_lattices(self):
+        found = [R.lattice for _, R in catalog.search_rectangular(24)]
+        assert len(found) == 564
+        for L in found:
+            for e in L.covers():
+                self._agree(L, [e])
+
+    def test_random_pairs_on_random_closure_lattices(self):
+        rng = random.Random(19)
+        sizes = []
+        for _ in range(250):
+            L = helpers.random_closure_lattice(rng)
+            pairs = [(rng.randrange(L.n), rng.randrange(L.n)) for _ in range(rng.randint(1, 3))]
+            sizes.append(self._agree(L, pairs).nblocks)
+        assert 1 in sizes and max(sizes) > 4
+
+    def test_equal_ends_give_equality(self):
+        for name in ("s7", "n5", "cube"):
+            L = catalog.get(name)
+            assert self._agree(L, [(3, 3)]) == cg.delta(L)
+            assert self._agree(L, []) == cg.delta(L)
+
+    @pytest.mark.parametrize("pair", [(0, 7), (-1, 2), (7, 7)])
+    def test_out_of_range(self, pair):
+        for closure in (cg.generated_congruence, helpers.reference_generated_congruence):
+            with pytest.raises(ElementOutOfRange, match="out of range for size 7"):
+                closure(S7, [(0, 1), pair])
 
 
 class TestLazyPartitionList:

@@ -213,8 +213,10 @@ class TestPredicates:
 
     def test_semimodular(self):
         assert core.is_semimodular(s7())
-        N5 = core.make_lattice(5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
-        assert not core.is_semimodular(N5)
+        # both N5s on atoms 1, 2: 1 v 2 = 4 covers one of them only
+        for long_side in (1, 2):
+            N5 = core.make_lattice(5, [(0, 1), (0, 2), (long_side, 3), (3 - long_side, 4), (3, 4)])
+            assert not core.is_semimodular(N5)
 
     def test_ideal_filter_masks(self):
         L = s7()
@@ -266,6 +268,31 @@ class TestDistributivity:
             for _ in range(40)
         ]
         assert all(self._agree(lattices))
+
+
+class TestSemimodularity:
+    """Birkhoff's local condition against the definition over every pair."""
+
+    def _agree(self, lattices):
+        verdicts = [core.is_semimodular(L) for L in lattices]
+        assert verdicts == [helpers.brute_is_semimodular(L) for L in lattices]
+        return verdicts
+
+    def test_catalog(self):
+        verdicts = self._agree([catalog.get(name) for name in catalog.names()])
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_rectangular_search(self):
+        found = [R.lattice for _, R in catalog.search_rectangular(24)]
+        assert len(found) == 564
+        assert all(self._agree(found))
+
+    def test_random_closure_lattices_and_order_duals(self):
+        rng = random.Random(17)
+        drawn = [helpers.random_closure_lattice(rng) for _ in range(300)]
+        verdicts = self._agree(drawn + [_order_dual(L) for L in drawn])
+        assert verdicts[:300].count(False) > 100
+        assert 0 < verdicts[300:].count(False) < 300
 
 
 class TestJoinIrreduciblePoset:

@@ -1,5 +1,10 @@
 """Rectangular structure recognition, grids, eyes, and gluing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from latcon import catalog, core
@@ -15,6 +20,7 @@ from latcon.errors import (
     NotACell,
     NotAFilter,
     NotSemimodular,
+    PostconditionFailed,
     SizeTooSmall,
 )
 
@@ -248,3 +254,73 @@ class TestTripleGlue:
                         built[key] = ext.cls
         assert len(built) == len(con) == 16
         assert set(built.values()) == {c.cls for c in con}
+
+
+def _without_eyes(R):
+    """R with its list of eyes emptied, as a faulty recognizer returns it."""
+    return rl.RectLattice(R.lattice, R.lc, R.rc, R.lower_left, R.upper_left,
+                          R.lower_right, R.upper_right, ())
+
+
+def _top_alone(L, *args):
+    """Everything but the top in one class: no congruence of a glued grid."""
+    return cg.Congruence(L, [0] * (L.n - 1) + [1])
+
+
+class TestPostconditions:
+    """The eye-layout and glued-extension checks raise, also under ``python -O``."""
+
+    def test_inserted_eyes_are_the_eyes(self, monkeypatch):
+        make = rl.make_rectangular
+        monkeypatch.setattr(rl, "make_rectangular", lambda L: _without_eyes(make(L)))
+        with pytest.raises(PostconditionFailed, match="inserted eyes"):
+            rl.grid_with_eyes(2, 2, [(0, 0)])
+
+    def test_cell_middles_are_eyes(self):
+        with pytest.raises(PostconditionFailed, match="is not an eye"):
+            rl.cells(_without_eyes(catalog.m3()))
+
+    def test_glued_extension_is_a_congruence(self, monkeypatch):
+        g = catalog.glue_instances()["grid-on-grid"]
+        delta_a, delta_b = cg.delta(g.a_lattice), cg.delta(g.b_lattice)
+        monkeypatch.setattr(cg, "_join_blocks", _top_alone)
+        with pytest.raises(PostconditionFailed, match="not a congruence"):
+            rl.glue_congruence_pair(g, delta_a, delta_b)
+
+    UNDER_OPTIMIZE = {
+        "inserted-eyes": (
+            "make = rl.make_rectangular\n"
+            "rl.make_rectangular = lambda L: without_eyes(make(L))\n"
+            "rl.grid_with_eyes(2, 2, [(0, 0)])\n"
+        ),
+        "cell-middles": "rl.cells(without_eyes(catalog.m3()))\n",
+        "glued-extension": (
+            "g = catalog.glue_instances()['grid-on-grid']\n"
+            "delta_a, delta_b = cg.delta(g.a_lattice), cg.delta(g.b_lattice)\n"
+            "cg._join_blocks = lambda L, *args: cg.Congruence(L, [0] * (L.n - 1) + [1])\n"
+            "rl.glue_congruence_pair(g, delta_a, delta_b)\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(UNDER_OPTIMIZE))
+    def test_raises_under_optimize(self, fault):
+        code = (
+            "import sys\n"
+            "from latcon import catalog, congruence as cg, rectangular as rl\n"
+            "from latcon.errors import PostconditionFailed\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "def without_eyes(R):\n"
+            "    return rl.RectLattice(R.lattice, R.lc, R.rc, R.lower_left, R.upper_left,\n"
+            "                          R.lower_right, R.upper_right, ())\n"
+            "try:\n"
+            + "".join("    " + line + "\n" for line in self.UNDER_OPTIMIZE[fault].splitlines())
+            + "except PostconditionFailed:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rl.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
