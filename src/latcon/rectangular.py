@@ -9,12 +9,16 @@ are called eyes.
 The two assembly operations are ``glue`` (identify a filter of one lattice
 with an ideal of another) and ``triple_glue`` (a fixed arrangement of four
 rectangular pieces sharing boundary chains), together with the congruence
-assembly results for both.
+assembly results for both.  Each builds its result in one pass from the
+pieces, with no intermediate lattices: the covers are the union of the
+pieces' covers, and an element takes its lower covers, in planar order,
+from the lowest piece holding it and its upper covers from the highest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 from . import congruence as cg
@@ -332,6 +336,40 @@ class GluedLattice:
                 f"upper={self.b_lattice.n}, shared={len(self.shared)})")
 
 
+def _place(size: int, ties: Mapping[int, int], start: int) -> tuple[tuple[int, ...], int]:
+    """A piece's ids in the result, and the next free id: tied elements take
+    their tie, the others count up from ``start`` in ascending order."""
+    fresh = count(start)
+    return tuple(ties[u] if u in ties else next(fresh) for u in range(size)), next(fresh)
+
+
+def _assemble(n: int, pieces: Sequence[tuple[FiniteLattice, Sequence[int]]]) -> FiniteLattice:
+    """The lattice on ``0..n-1`` covered as the pieces are, under their maps.
+
+    ``pieces`` lists ``(lattice, id_map)`` bottom-up.  An element takes its
+    lower covers, in planar order, from the lowest piece holding it and its
+    upper covers from the highest: two pieces overlap in a filter of the
+    lower and an ideal of the upper, which hold every lower, respectively
+    upper, cover of a shared element.  The maps must number the result along
+    a linear extension, so that the build keeps every id.
+    """
+    covers: dict[tuple[int, int], None] = {}
+    upper: dict[int, list[int]] = {}
+    lower: dict[int, list[int]] = {}
+    for P, emap in pieces:
+        for x in range(P.n):
+            t = emap[x]
+            ups = [emap[y] for y in P.upper_covers(x)]
+            upper[t] = ups
+            if t not in lower:
+                lower[t] = [emap[y] for y in P.lower_covers(x)]
+            covers.update(dict.fromkeys((t, u) for u in ups))
+    lat, renum = core.make_lattice_with_map(n, covers, upper, lower)
+    if renum != tuple(range(n)):
+        raise PostconditionFailed("the pieces' numbering is not a linear extension of the result")
+    return lat
+
+
 def glue(
     A: FiniteLattice,
     B: FiniteLattice,
@@ -339,13 +377,12 @@ def glue(
 ) -> GluedLattice:
     """Glue B on top of A along an isomorphism filter-of-A -> ideal-of-B.
 
-    A keeps its element ids; the rest of B is appended in ascending order.
-    Planar cover lists merge so that shared elements read their lower
-    covers from A and their upper covers from B.
+    ``iso`` maps filter elements to ideal elements, as a mapping or as
+    pairs; ids pass through ``int`` in both forms.  A keeps its element
+    ids; the rest of B is appended in ascending order.  Shared elements
+    read their lower covers from A and their upper covers from B.
     """
-    pairs = sorted(iso.items()) if isinstance(iso, Mapping) else sorted(
-        (int(x), int(y)) for x, y in iso
-    )
+    pairs = sorted((int(x), int(y)) for x, y in (iso.items() if isinstance(iso, Mapping) else iso))
     F = [p[0] for p in pairs]
     I = [p[1] for p in pairs]
     if len(set(F)) != len(F) or len(set(I)) != len(I):
@@ -362,49 +399,23 @@ def glue(
                     f"identification does not preserve order at ({x}, {y})"
                 )
 
-    nA = A.n
-    inv = {b: a for a, b in pairs}
-    b2t = {}
-    nxt = nA
-    for u in range(B.n):
-        if u in inv:
-            b2t[u] = inv[u]
-        else:
-            b2t[u] = nxt
-            nxt += 1
+    a_map = tuple(range(A.n))
+    b_map, n = _place(B.n, {b: a for a, b in pairs}, A.n)
+    lat = _assemble(n, [(A, a_map), (B, b_map)])
+    return GluedLattice(lat, A, B, a_map, b_map, tuple(F), tuple(pairs))
 
-    covers = list(A.covers())
-    seen = set(covers)
-    for u, v in B.covers():
-        e = (b2t[u], b2t[v])
-        if e not in seen:
-            seen.add(e)
-            covers.append(e)
 
-    fset = set(F)
-    upper: dict[int, list[int]] = {}
-    lower: dict[int, list[int]] = {}
-    for x in range(nA):
-        lower[x] = list(A.lower_covers(x))
-        if x in fset:
-            upper[x] = [b2t[u] for u in B.upper_covers(fwd[x])]
-        else:
-            upper[x] = list(A.upper_covers(x))
-    for u in range(B.n):
-        if u not in inv:
-            t = b2t[u]
-            upper[t] = [b2t[v] for v in B.upper_covers(u)]
-            lower[t] = [b2t[v] for v in B.lower_covers(u)]
-
-    lat, renum = core.make_lattice_with_map(nxt, covers, upper, lower)
-    assert renum == tuple(range(nxt)), "glued numbering is already canonical"
-    return GluedLattice(
-        lat, A, B,
-        tuple(range(nA)),
-        tuple(b2t[u] for u in range(B.n)),
-        tuple(sorted(F)),
-        tuple(pairs),
-    )
+def _joint_extension(
+    L: FiniteLattice, parts: Iterable[tuple[cg.Congruence, Sequence[int]]]
+) -> cg.Congruence:
+    """The finest partition of L holding each piece congruence's classes under the
+    piece's map, checked to be a congruence; callers check the overlaps agree."""
+    result = cg._join_blocks(L, (
+        [emap[x] for x in blk] for alpha, emap in parts for blk in alpha.blocks
+    ))
+    if not cg.is_congruence(L, result.blocks):
+        raise PostconditionFailed("joint extension of compatible congruences is not a congruence")
+    return result
 
 
 def glue_congruence_pair(
@@ -423,32 +434,21 @@ def glue_congruence_pair(
     I = [p[1] for p in glued.iso]
     if cg._restricted_key(alpha_a, F) != cg._restricted_key(alpha_b, I):
         raise Incompatible("restrictions to the shared part differ")
-
-    result = cg._join_blocks(glued.lattice, (
-        [emap[x] for x in blk]
-        for blocks, emap in ((alpha_a.blocks, glued.a_map), (alpha_b.blocks, glued.b_map))
-        for blk in blocks
-    ))
-    if not cg.is_congruence(glued.lattice, result.blocks):
-        raise PostconditionFailed("joint extension of compatible congruences is not a congruence")
-    return result
+    return _joint_extension(glued.lattice, ((alpha_a, glued.a_map), (alpha_b, glued.b_map)))
 
 
 class TripleGluingAssembly:
-    """Bookkeeping for a triple gluing: pieces, maps, stages, facing chains.
+    """Bookkeeping for a triple gluing: pieces, maps into the result, facing chains.
 
     ``facing`` lists, per facing boundary, the two piece-local chains in
-    matching bottom-up order; ``stage_x`` (bottom+left), ``stage_w``
-    (right+top) and ``stage_v`` (final) are the pairwise gluings that
-    assemble the result.
+    matching bottom-up order.
     """
 
     __slots__ = ("top", "bottom", "left", "right", "c", "result",
-                 "t_map", "b_map", "lf_map", "rf_map",
-                 "stage_x", "stage_w", "stage_v", "facing")
+                 "t_map", "b_map", "lf_map", "rf_map", "facing")
 
     def __init__(self, top, bottom, left, right, c, result,
-                 t_map, b_map, lf_map, rf_map, stage_x, stage_w, stage_v, facing):
+                 t_map, b_map, lf_map, rf_map, facing):
         self.top = top
         self.bottom = bottom
         self.left = left
@@ -459,9 +459,6 @@ class TripleGluingAssembly:
         self.b_map = b_map
         self.lf_map = lf_map
         self.rf_map = rf_map
-        self.stage_x = stage_x
-        self.stage_w = stage_w
-        self.stage_v = stage_v
         self.facing = facing
 
     def __repr__(self) -> str:
@@ -479,6 +476,10 @@ def triple_glue(
     all four identified chains meet in the single element c = 1 of the
     bottom = 0 of the top.  The bottom is the ideal below c and the top the
     filter above c in the result.
+
+    The result is built in one pass: B keeps its ids, then come the new
+    elements of the left flap, the right flap and the top, each ascending
+    (the numbering of gluing B + Lf and Rf + T, then the second on the first).
     """
     for name, got, want in (
         ("upper-right of left flap vs lower-left of top", Lf.tr, T.bl),
@@ -489,32 +490,23 @@ def triple_glue(
         if got != want:
             raise BoundaryMismatch(f"{name}: chain sizes {got} != {want}")
 
-    stage_x = glue(B.lattice, Lf.lattice, dict(zip(B.upper_left, Lf.lower_right)))
-    stage_w = glue(Rf.lattice, T.lattice, dict(zip(Rf.upper_left, T.lower_right)))
+    b_map = tuple(range(B.n))
+    lf_map, n = _place(Lf.n, dict(zip(Lf.lower_right, B.upper_left)), B.n)
+    rf_map, n = _place(Rf.n, dict(zip(Rf.lower_left, B.upper_right)), n)
+    t_ties = {t: lf_map[u] for t, u in zip(T.lower_left, Lf.upper_right)}
+    t_ties.update((t, rf_map[u]) for t, u in zip(T.lower_right, Rf.upper_left))
+    t_map, n = _place(T.n, t_ties, n)
 
-    x_chain = [stage_x.a_map[u] for u in B.upper_right] + [
-        stage_x.b_map[u] for u in Lf.upper_right[1:]
-    ]
-    w_chain = [stage_w.a_map[u] for u in Rf.lower_left] + [
-        stage_w.b_map[u] for u in T.lower_left[1:]
-    ]
-    stage_v = glue(stage_x.lattice, stage_w.lattice, dict(zip(x_chain, w_chain)))
-
-    b_map = tuple(stage_v.a_map[stage_x.a_map[u]] for u in range(B.n))
-    lf_map = tuple(stage_v.a_map[stage_x.b_map[u]] for u in range(Lf.n))
-    rf_map = tuple(stage_v.b_map[stage_w.a_map[u]] for u in range(Rf.n))
-    t_map = tuple(stage_v.b_map[stage_w.b_map[u]] for u in range(T.n))
-
-    R = make_rectangular(stage_v.lattice)
-    c = t_map[T.lattice.bottom]
-
-    assert R.n == T.n + B.n + Lf.n + Rf.n - T.bl - T.br - B.tl - B.tr + 1
-    assert R.lc == lf_map[Lf.lc] and R.rc == rf_map[Rf.rc]
-    assert b_map[B.lattice.bottom] == R.lattice.bottom
-    assert t_map[T.lattice.top] == R.lattice.top
-    assert c == lf_map[Lf.rc] == rf_map[Rf.lc] == b_map[B.lattice.top]
-    assert core.is_ideal(R.lattice, list(b_map))
-    assert core.is_filter(R.lattice, list(t_map))
+    L = _assemble(n, [(B.lattice, b_map), (Lf.lattice, lf_map),
+                      (Rf.lattice, rf_map), (T.lattice, t_map)])
+    c = b_map[B.lattice.top]
+    if not (core.is_ideal(L, b_map) and core.is_filter(L, t_map)):
+        raise PostconditionFailed(
+            "the bottom is not the ideal below c or the top not the filter above c"
+        )
+    R = make_rectangular(L)
+    if (R.lc, R.rc) != (lf_map[Lf.lc], rf_map[Rf.rc]):
+        raise PostconditionFailed("the corners of the result are not those of the flaps")
 
     facing = {
         "top/left-flap": (tuple(T.lower_left), tuple(Lf.upper_right)),
@@ -522,11 +514,7 @@ def triple_glue(
         "bottom/left-flap": (tuple(B.upper_left), tuple(Lf.lower_right)),
         "bottom/right-flap": (tuple(B.upper_right), tuple(Rf.lower_left)),
     }
-    asm = TripleGluingAssembly(
-        T, B, Lf, Rf, c, R,
-        t_map, b_map, lf_map, rf_map, stage_x, stage_w, stage_v, facing,
-    )
-    return R, asm
+    return R, TripleGluingAssembly(T, B, Lf, Rf, c, R, t_map, b_map, lf_map, rf_map, facing)
 
 
 def triple_glue_congruence(
@@ -540,7 +528,15 @@ def triple_glue_congruence(
 
     The four facing-boundary agreements are checked first (collapse of
     matching cover pairs along the shared chains); the extension is then
-    assembled through the three stage gluings.
+    one union-find over the four pieces' classes, on the result's ids,
+    checked to be a congruence.
+
+    This equals gluing in stages (B + Lf, Rf + T, then the two), each
+    taking the finest partition that holds its inputs' classes: the
+    partition generated by a family of blocks does not depend on how the
+    family is grouped.  Each stage identifies chains, and a restriction to
+    a chain is fixed by which of its covers collapse; so the facing checks
+    hold exactly when the three stage agreements do.
     """
     for alpha, piece, role in (
         (alpha_t, asm.top, "top"),
@@ -564,6 +560,7 @@ def triple_glue_congruence(
         if v1 != v2:
             raise Incompatible(f"facing boundary {name}: restrictions differ")
 
-    alpha_x = glue_congruence_pair(asm.stage_x, alpha_b, alpha_lf)
-    alpha_w = glue_congruence_pair(asm.stage_w, alpha_rf, alpha_t)
-    return glue_congruence_pair(asm.stage_v, alpha_x, alpha_w)
+    return _joint_extension(asm.result.lattice, (
+        (alpha_b, asm.b_map), (alpha_lf, asm.lf_map),
+        (alpha_rf, asm.rf_map), (alpha_t, asm.t_map),
+    ))

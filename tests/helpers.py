@@ -12,8 +12,10 @@ color matching of the representation pipelines;
 :func:`reference_make_bounded_hom`, the per-pair validation of bounded
 homs; :func:`reference_find_isomorphism`, the recursive isomorphism
 search; :func:`reference_generated_congruence`, the closure over every
-column of the operation tables; and :func:`brute_is_semimodular`, the
-scan of every pair against the definition.
+column of the operation tables; :func:`brute_is_semimodular`, the
+scan of every pair against the definition; and
+:func:`reference_triple_glue` with :func:`reference_triple_glue_congruence`,
+the triple gluing built and extended through three pairwise gluings.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from itertools import product
 from types import SimpleNamespace
 
 from latcon import birkhoff as bk, congruence as cg, construction as cn, core
+from latcon import rectangular as rl
 from latcon.errors import (
     ElementOutOfRange,
+    Incompatible,
     LatconError,
     NotBounded,
     NotDistributive,
@@ -463,3 +467,107 @@ def reference_tied_colors(F, G, phi):
     rho = cg.restriction(conR, inner.embedded_f, conF)
     lift = {rho[idx]: q for q, idx in enumerate(conR.ji_indices)}
     return [lift[conF.ji_indices[psi(q)]] for q in range(len(conG.ji_indices))]
+
+
+def _reference_glue(A, B, pairs):
+    """B glued on top of A along the (filter, ideal) ``pairs``: the stage
+    build of the triple gluing, one ``make_lattice_with_map`` per call.
+
+    A keeps its ids, the rest of B follows in ascending order; shared
+    elements read their lower covers from A and their upper covers from B.
+    Returns the lattice and the maps of A and of B.
+    """
+    inv = {b: a for a, b in pairs}
+    fwd = dict(pairs)
+    b2t = {}
+    nxt = A.n
+    for u in range(B.n):
+        if u in inv:
+            b2t[u] = inv[u]
+        else:
+            b2t[u] = nxt
+            nxt += 1
+    covers = list(A.covers())
+    seen = set(covers)
+    for u, v in B.covers():
+        e = (b2t[u], b2t[v])
+        if e not in seen:
+            seen.add(e)
+            covers.append(e)
+    upper, lower = {}, {}
+    for x in range(A.n):
+        lower[x] = list(A.lower_covers(x))
+        if x in fwd:
+            upper[x] = [b2t[u] for u in B.upper_covers(fwd[x])]
+        else:
+            upper[x] = list(A.upper_covers(x))
+    for u in range(B.n):
+        if u not in inv:
+            upper[b2t[u]] = [b2t[v] for v in B.upper_covers(u)]
+            lower[b2t[u]] = [b2t[v] for v in B.lower_covers(u)]
+    lat, renum = core.make_lattice_with_map(nxt, covers, upper, lower)
+    assert renum == tuple(range(nxt)), "glued numbering is already canonical"
+    return lat, tuple(range(A.n)), tuple(b2t[u] for u in range(B.n))
+
+
+def reference_triple_glue(T, Lf, Rf, B):
+    """The triple gluing built in stages: X = B + Lf and W = Rf + T, then
+    W on top of X along ``B.upper_right + Lf.upper_right[1:]``.
+
+    Returns the rectangular result and a namespace with the four maps, the
+    center ``c`` and the stages as ``(lattice, lower map, upper map, pairs)``.
+    """
+    X, xa, xb = _reference_glue(B.lattice, Lf.lattice, list(zip(B.upper_left, Lf.lower_right)))
+    W, wa, wb = _reference_glue(Rf.lattice, T.lattice, list(zip(Rf.upper_left, T.lower_right)))
+    x_chain = [xa[u] for u in B.upper_right] + [xb[u] for u in Lf.upper_right[1:]]
+    w_chain = [wa[u] for u in Rf.lower_left] + [wb[u] for u in T.lower_left[1:]]
+    v_pairs = list(zip(x_chain, w_chain))
+    V, va, vb = _reference_glue(X, W, v_pairs)
+    t_map = tuple(vb[wb[u]] for u in range(T.n))
+    return rl.make_rectangular(V), SimpleNamespace(
+        top=T, left=Lf, right=Rf, bottom=B, c=t_map[T.lattice.bottom],
+        b_map=tuple(va[xa[u]] for u in range(B.n)),
+        lf_map=tuple(va[xb[u]] for u in range(Lf.n)),
+        rf_map=tuple(vb[wa[u]] for u in range(Rf.n)),
+        t_map=t_map,
+        stages=(
+            (X, xa, xb, tuple(zip(B.upper_left, Lf.lower_right))),
+            (W, wa, wb, tuple(zip(Rf.upper_left, T.lower_right))),
+            (V, va, vb, tuple(v_pairs)),
+        ),
+    )
+
+
+def _reference_glue_pair(stage, alpha_a, alpha_b):
+    """The common extension over one stage, or :class:`Incompatible`."""
+    lat, a_map, b_map, pairs = stage
+    if cg._restricted_key(alpha_a, [p[0] for p in pairs]) != cg._restricted_key(
+        alpha_b, [p[1] for p in pairs]
+    ):
+        raise Incompatible("restrictions to the shared part differ")
+    out = cg._join_blocks(lat, (
+        [emap[x] for x in blk]
+        for alpha, emap in ((alpha_a, a_map), (alpha_b, b_map))
+        for blk in alpha.blocks
+    ))
+    assert cg.is_congruence(lat, out.blocks)
+    return out
+
+
+def reference_triple_glue_congruence(ref, alpha_t, alpha_lf, alpha_rf, alpha_b):
+    """The extension of four piece congruences through the three stages of
+    :func:`reference_triple_glue`, after the four facing-boundary checks."""
+    for name, a1, ch1, a2, ch2 in (
+        ("top/left-flap", alpha_t, ref.top.lower_left, alpha_lf, ref.left.upper_right),
+        ("top/right-flap", alpha_t, ref.top.lower_right, alpha_rf, ref.right.upper_left),
+        ("bottom/left-flap", alpha_b, ref.bottom.upper_left, alpha_lf, ref.left.lower_right),
+        ("bottom/right-flap", alpha_b, ref.bottom.upper_right, alpha_rf, ref.right.lower_left),
+    ):
+        if [a1.collapses(x, y) for x, y in zip(ch1, ch1[1:])] != [
+            a2.collapses(x, y) for x, y in zip(ch2, ch2[1:])
+        ]:
+            raise Incompatible(f"facing boundary {name}: restrictions differ")
+    x, w, v = ref.stages
+    return _reference_glue_pair(
+        v, _reference_glue_pair(x, alpha_b, alpha_lf), _reference_glue_pair(w, alpha_rf, alpha_t)
+    )

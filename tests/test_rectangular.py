@@ -3,12 +3,15 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from latcon import catalog, core
+import helpers
+from latcon import birkhoff, catalog, core
 from latcon import congruence as cg
+from latcon import construction as cn
 from latcon import rectangular as rl
 from latcon.errors import (
     AmbiguousCorner,
@@ -164,6 +167,14 @@ class TestGlue:
         with pytest.raises(NotAFilter):
             rl.glue(A, A, {1: 0})
 
+    def test_mapping_and_pairs_coerce_ids_alike(self):
+        A = catalog.get("grid-2x2")
+        want = rl.glue(A, A, {3: 0})
+        for iso in ({3: 0.0}, [(3, 0.0)], {3.0: 0}):
+            g = rl.glue(A, A, iso)
+            assert g.lattice.covers() == want.lattice.covers()
+            assert (g.a_map, g.b_map, g.shared, g.iso) == (want.a_map, want.b_map, (3,), ((3, 0),))
+
     def test_shared_elements_keep_lower_ids(self):
         A = catalog.get("grid-2x3")
         B = catalog.get("grid-2x2")
@@ -256,6 +267,94 @@ class TestTripleGlue:
         assert set(built.values()) == {c.cls for c in con}
 
 
+def _triple_glue_inputs():
+    """The (top, left flap, right flap, bottom) of every triple gluing made by
+    the catalog assemblies, the boundary color extension of each catalog
+    lattice, the A6 filter representations and the filter and ideal
+    representations among grid-2x2, grid-2x3, m3 and m4, without repeats."""
+    seen = {}
+    glue = rl.triple_glue
+
+    def record(*pieces):
+        key = tuple((tuple(P.lattice.covers()), P.lc, P.rc) for P in pieces)
+        seen.setdefault(key, pieces)
+        return glue(*pieces)
+
+    rect = catalog.rect_catalog()
+    small = ("grid-2x2", "grid-2x3", "m3", "m4")
+    jobs = [(cn.filter_representation, f, g) for f in ("grid-2x2", "m3", "s7")
+            for g in ("grid-2x2", "m3", "s7")]
+    jobs += [(rep, f, g) for rep in (cn.filter_representation, cn.ideal_representation)
+             for f in small for g in small]
+    rl.triple_glue = record
+    try:
+        catalog.assemblies()
+        for R in rect.values():
+            cn.boundary_color_extension(R)
+        for rep, f, g in jobs:
+            D = cg.congruence_lattice(rect[f].lattice).as_lattice()
+            E = cg.congruence_lattice(rect[g].lattice).as_lattice()
+            for phi in birkhoff.enumerate_bounded_homs(D, E):
+                rep(rect[f], rect[g], phi)
+    finally:
+        rl.triple_glue = glue
+    return list(seen.values())
+
+
+class TestTripleGlueOracle:
+    """One-pass assembly against the staged build it replaced."""
+
+    def test_matches_staged_build(self):
+        inputs = _triple_glue_inputs()
+        assert len(inputs) == 171
+        for pieces in inputs:
+            R, asm = rl.triple_glue(*pieces)
+            S, ref = helpers.reference_triple_glue(*pieces)
+            L, M = R.lattice, S.lattice
+            assert L.covers() == M.covers()
+            for x in range(L.n):
+                assert (L.upper_covers(x), L.lower_covers(x)) == (
+                    M.upper_covers(x), M.lower_covers(x))
+            assert (R.lc, R.rc, R.eyes) == (S.lc, S.rc, S.eyes)
+            assert (asm.c, asm.b_map, asm.lf_map, asm.rf_map, asm.t_map) == (
+                ref.c, ref.b_map, ref.lf_map, ref.rf_map, ref.t_map)
+
+    def test_congruence_matches_staged_extension(self):
+        checked = 0
+        for name, asm in sorted(catalog.assemblies().items()):
+            if asm.result.n > 30:
+                continue
+            _, ref = helpers.reference_triple_glue(asm.top, asm.left, asm.right, asm.bottom)
+            cons = [cg.congruence_lattice(P.lattice).congruences
+                    for P in (asm.top, asm.left, asm.right, asm.bottom)]
+            for quad in product(*cons):
+                try:
+                    want = helpers.reference_triple_glue_congruence(ref, *quad).cls
+                except Incompatible as exc:
+                    want = str(exc)
+                try:
+                    got = rl.triple_glue_congruence(asm, *quad).cls
+                except Incompatible as exc:
+                    got = str(exc)
+                assert got == want, name
+                checked += 1
+        assert checked > 1000
+
+    def test_one_build_per_triple_gluing(self, monkeypatch):
+        g22 = rl.grid(2, 2)
+        builds = []
+        make = core.make_lattice_with_map
+
+        def counted(*args):
+            builds.append(args[0])
+            return make(*args)
+
+        monkeypatch.setattr(core, "make_lattice_with_map", counted)
+        R, _ = rl.triple_glue(g22, g22, g22, g22)
+        assert builds == [R.n]
+        assert not [s for s in rl.TripleGluingAssembly.__slots__ if s.startswith("stage")]
+
+
 def _without_eyes(R):
     """R with its list of eyes emptied, as a faulty recognizer returns it."""
     return rl.RectLattice(R.lattice, R.lc, R.rc, R.lower_left, R.upper_left,
@@ -267,8 +366,14 @@ def _top_alone(L, *args):
     return cg.Congruence(L, [0] * (L.n - 1) + [1])
 
 
+def _mirrored(R):
+    """R read right to left: the corners and their chains swapped."""
+    return rl.RectLattice(R.lattice, R.rc, R.lc, R.lower_right, R.upper_right,
+                          R.lower_left, R.upper_left, R.eyes)
+
+
 class TestPostconditions:
-    """The eye-layout and glued-extension checks raise, also under ``python -O``."""
+    """The eye-layout, assembly and glued-extension checks raise, also under ``python -O``."""
 
     def test_inserted_eyes_are_the_eyes(self, monkeypatch):
         make = rl.make_rectangular
@@ -287,6 +392,30 @@ class TestPostconditions:
         with pytest.raises(PostconditionFailed, match="not a congruence"):
             rl.glue_congruence_pair(g, delta_a, delta_b)
 
+    def test_assembled_numbering_is_kept(self):
+        with pytest.raises(PostconditionFailed, match="not a linear extension"):
+            rl._assemble(2, [(core.chain(2), (1, 0))])
+
+    def test_bottom_ideal_top_filter(self, monkeypatch):
+        g22 = rl.grid(2, 2)
+        monkeypatch.setattr(rl, "_assemble", lambda n, pieces: core.chain(n))
+        with pytest.raises(PostconditionFailed, match="not the ideal below c"):
+            rl.triple_glue(g22, g22, g22, g22)
+
+    def test_flap_corners_are_the_corners(self, monkeypatch):
+        g22 = rl.grid(2, 2)
+        make = rl.make_rectangular
+        monkeypatch.setattr(rl, "make_rectangular", lambda L: _mirrored(make(L)))
+        with pytest.raises(PostconditionFailed, match="corners of the result"):
+            rl.triple_glue(g22, g22, g22, g22)
+
+    def test_triple_extension_is_a_congruence(self, monkeypatch):
+        asm = catalog.assemblies()["four-grids"]
+        deltas = [cg.delta(P.lattice) for P in (asm.top, asm.left, asm.right, asm.bottom)]
+        monkeypatch.setattr(cg, "_join_blocks", _top_alone)
+        with pytest.raises(PostconditionFailed, match="not a congruence"):
+            rl.triple_glue_congruence(asm, *deltas)
+
     UNDER_OPTIMIZE = {
         "inserted-eyes": (
             "make = rl.make_rectangular\n"
@@ -300,18 +429,39 @@ class TestPostconditions:
             "cg._join_blocks = lambda L, *args: cg.Congruence(L, [0] * (L.n - 1) + [1])\n"
             "rl.glue_congruence_pair(g, delta_a, delta_b)\n"
         ),
+        "assembled-numbering": "rl._assemble(2, [(core.chain(2), (1, 0))])\n",
+        "bottom-ideal-top-filter": (
+            "g22 = rl.grid(2, 2)\n"
+            "rl._assemble = lambda n, pieces: core.chain(n)\n"
+            "rl.triple_glue(g22, g22, g22, g22)\n"
+        ),
+        "flap-corners": (
+            "g22 = rl.grid(2, 2)\n"
+            "make = rl.make_rectangular\n"
+            "rl.make_rectangular = lambda L: mirrored(make(L))\n"
+            "rl.triple_glue(g22, g22, g22, g22)\n"
+        ),
+        "triple-extension": (
+            "asm = catalog.assemblies()['four-grids']\n"
+            "deltas = [cg.delta(P.lattice) for P in (asm.top, asm.left, asm.right, asm.bottom)]\n"
+            "cg._join_blocks = lambda L, *args: cg.Congruence(L, [0] * (L.n - 1) + [1])\n"
+            "rl.triple_glue_congruence(asm, *deltas)\n"
+        ),
     }
 
     @pytest.mark.parametrize("fault", sorted(UNDER_OPTIMIZE))
     def test_raises_under_optimize(self, fault):
         code = (
             "import sys\n"
-            "from latcon import catalog, congruence as cg, rectangular as rl\n"
+            "from latcon import catalog, core, congruence as cg, rectangular as rl\n"
             "from latcon.errors import PostconditionFailed\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "def without_eyes(R):\n"
             "    return rl.RectLattice(R.lattice, R.lc, R.rc, R.lower_left, R.upper_left,\n"
             "                          R.lower_right, R.upper_right, ())\n"
+            "def mirrored(R):\n"
+            "    return rl.RectLattice(R.lattice, R.rc, R.lc, R.lower_right, R.upper_right,\n"
+            "                          R.lower_left, R.upper_left, R.eyes)\n"
             "try:\n"
             + "".join("    " + line + "\n" for line in self.UNDER_OPTIMIZE[fault].splitlines())
             + "except PostconditionFailed:\n"
