@@ -35,7 +35,7 @@ class IsotoneMap:
     __slots__ = ("source", "target", "assignment")
 
     def __init__(self, source: Poset, target: Poset, assignment: Sequence[int]):
-        assignment = tuple(int(v) for v in assignment)
+        assignment = tuple(map(core._element_id, assignment))
         if len(assignment) != source.n:
             raise LatconError(
                 f"assignment length {len(assignment)} != source size {source.n}"
@@ -133,7 +133,7 @@ def make_bounded_hom(
         raise NotDistributive("source lattice is not distributive")
     if not core.is_distributive(E):
         raise NotDistributive("target lattice is not distributive")
-    f = tuple(int(v) for v in assignment)
+    f = tuple(map(core._element_id, assignment))
     if len(f) != D.n:
         raise LatconError(f"assignment length {len(f)} != source size {D.n}")
     for v in f:

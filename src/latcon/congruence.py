@@ -7,11 +7,6 @@ canonical key — two congruences on the same lattice are equal iff their
 ``cls`` tuples are — and ``blocks`` lists the classes in that order, each
 sorted.  Any per-element labelling of the classes gives the same table.
 
-:func:`restriction` is the map Con L -> Con K to a convex sublattice K: the
-restriction of a congruence to K's copy in L, numbered by first occurrence
-along K's elements, is looked up among K's congruences.  Congruence
-preservation (:func:`is_cp_extension`) and verification go through it.
-
 Con L needs no closure per edge.  A cover ``a < b`` gets the color of the
 least join-irreducible ``p`` with ``p <= b``, ``p !<= a``: ``(p_*, p)`` is
 perspective to ``(a, b)``, so con(a, b) = con(p_*, p).  And con(p_*, p) <=
@@ -23,16 +18,23 @@ the connected components of the covers colored in its down-set of them.
 Con L is distributive, so :class:`ConLattice` keeps only this Birkhoff
 dual and builds the list of all congruences when something reads it.
 
+Restriction Con L -> Con K to a convex sublattice K is a {0,1}-homomorphism
+of distributive lattices, so it is read on ``theta`` alone
+(:func:`ji_restriction`): that decides :func:`is_cp_extension` and the
+checks of :mod:`latcon.verify`.  The list of all congruences is an output
+format, read by :mod:`latcon.jsonio`, the CLI, ``as_lattice`` and the
+lemma suite.
+
 Principal closures remain as the postcondition of Con L.  They substitute
-only meet-irreducibles into meets and join-irreducibles into joins: a
-partition compatible with ∨p for every join-irreducible p is compatible
-with every join, each element being a join of join-irreducibles, and
-dually (the proof is at :func:`generated_congruence`).
+only join-irreducibles, into meets and joins alike: a partition compatible
+with ∨p and ∧p for every join-irreducible p is a congruence (the proof is
+at :func:`generated_congruence`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
@@ -51,7 +53,7 @@ def _check_partition(elems: Iterable[int], blocks: Iterable[Iterable[int]]) -> l
     out = []
     seen = set()
     for b in blocks:
-        b = sorted(int(x) for x in b)
+        b = sorted(map(core._element_id, b))
         if not b:
             raise NotAPartition("empty block")
         for x in b:
@@ -201,24 +203,22 @@ def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> 
 
     Worklist closure over a union-find with path halving.  Each union of
     two classes enqueues their roots (x, y); dequeuing them unites
-    (x ∧ z, y ∧ z) for every meet-irreducible z (one upper cover) and
-    (x ∨ z, y ∨ z) for every join-irreducible z (one lower cover).  The
-    pairs of one dequeued pair are gathered into a set first, so a repeated
-    pair costs one hash.
+    (x ∧ p, y ∧ p) and (x ∨ p, y ∨ p) for every join-irreducible p (one
+    lower cover), gathered into a set so a repeated pair costs one hash.
 
-    Why this is still the least congruence (the reduction of Freese, Jezek
-    and Nation, *Free Lattices*, 2.5): every union is forced, and each
-    union joins exactly the classes of an enqueued pair, so the enqueued
-    pairs generate the final partition.  A pair u, v in one class is thus
-    linked by a chain of enqueued pairs, each of which stays in one class
-    under ∨p for every join-irreducible p; so do u ∨ p and v ∨ p.  Every z
-    is the join of the join-irreducibles p1, ..., pk below it (the bottom is
-    the empty join), so u ∨ z = (...(u ∨ p1) ∨ ...) ∨ pk stays in the class
-    of v ∨ z.  Dually, meets with meet-irreducibles give every meet.
+    Why this is the least congruence θ: every union is forced, and the
+    enqueued pairs generate θ, so each u θ v is linked by a chain of pairs
+    that stay in one class under ∨p and ∧p for every join-irreducible p.
+    Joins (Freese, Jezek and Nation, *Free Lattices*, 2.5): each z is the
+    join of the p below it, the bottom the empty join, so u ∨ z θ v ∨ z;
+    thus classes are convex, as a <= b <= c and a θ c give b ∨ a θ b ∨ c.
+    Meets: for x θ y, x <= y, any m and the join-irreducibles p1, ..., pk
+    below y ∧ m, each pi = y ∧ pi θ x ∧ pi, so w = ∨(x ∧ pi) θ ∨pi = y ∧ m;
+    w <= x ∧ m <= y ∧ m and convexity give x ∧ m θ y ∧ m.  Any u θ v
+    reduces to this case, as u θ u ∨ v θ v.
     """
     n = L.n
     meet, join = L._meet, L._join
-    mi = [z for z in range(n) if len(L._upper[z]) == 1]
     ji = [z for z in range(n) if len(L._lower[z]) == 1]
     parent = list(range(n))
     work: list[tuple[int, int]] = []
@@ -244,7 +244,7 @@ def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> 
             return _classes(L, parent)
         x, y = work.pop()
         mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
-        todo = {(mx[z], my[z]) for z in mi}
+        todo = {(mx[z], my[z]) for z in ji}
         todo.update([(jx[z], jy[z]) for z in ji])
 
 
@@ -261,16 +261,6 @@ def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) ->
     return _join_blocks(L, bl)
 
 
-class _Partitions(NamedTuple):
-    """The list of all congruences and what is indexed by it."""
-
-    congruences: tuple[Congruence, ...]
-    index: dict[tuple[int, ...], int]
-    ji: Poset
-    downsets: tuple[int, ...]
-    edge_color: dict[tuple[int, int], int]
-
-
 class ConLattice:
     """The congruence lattice of a finite lattice, kept as its Birkhoff dual.
 
@@ -282,16 +272,12 @@ class ConLattice:
     the base lattice to the position of its principal congruence.
     ``len`` counts the down-sets of ``ji_order`` and builds no partition.
 
-    The list of all congruences is built on the first read of any of the
-    following.  ``congruences`` is in a canonical order (block count
-    descending, then canonical block key), which is a linear extension of
-    the refinement order: index 0 is the equality congruence, the last index
-    collapses everything.  ``index`` maps each congruence's ``cls`` to its
-    position.  ``ji`` is ``ji_order`` labelled by the indices of its
-    congruences; ``downsets[i]`` is the bitmask of the positions below
-    congruence i, so i <= k exactly when ``downsets[i]`` is a subset of
-    ``downsets[k]``; ``edge_color`` maps every cover edge of the base
-    lattice to the index of its principal congruence.
+    The list of all congruences is built on the first read of
+    ``congruences`` or ``index``, or of :meth:`as_lattice`.
+    ``congruences`` is in a canonical order (block count descending, then
+    canonical block key), which is a linear extension of the refinement
+    order: index 0 is the equality congruence, the last index collapses
+    everything.  ``index`` maps each congruence's ``cls`` to its position.
     """
 
     __slots__ = ("lattice", "theta", "ji_order", "colors", "_size", "_full", "_lattice_view")
@@ -308,11 +294,13 @@ class ConLattice:
         self.ji_order = ji_order
         self.colors = colors
         self._size: int | None = None
-        self._full: _Partitions | None = None
+        self._full: tuple | None = None
         self._lattice_view = None
 
-    def _build(self) -> _Partitions:
-        """Every congruence, grown along the down-sets of ``ji_order``.
+    def _build(self) -> tuple:
+        """``(congruences, index, downsets)``: every congruence, grown along
+        the down-sets of ``ji_order``, and ``downsets[i]``, the bitmask of the
+        positions below congruence i.
 
         The down-set one element short of ``d`` drops the element of ``d``
         at the highest position, which is maximal in ``d`` and comes
@@ -336,19 +324,12 @@ class ConLattice:
         index = {c.cls: i for i, c in enumerate(ordered)}
         if len(index) != len(ordered):
             raise PostconditionFailed("two down-sets of join-irreducibles have the same join")
-        labels = [index[t.cls] for t in self.theta]
-        P = self.ji_order
-        ji = Poset(P.n, P.covers(), labels=labels)
-        edge_color = {e: labels[p] for e, p in self.colors.items()}
-        self._full = _Partitions(ordered, index, ji, tuple(ds[k] for k in perm), edge_color)
+        self._full = (ordered, index, tuple(ds[k] for k in perm))
         self._size = len(ordered)
         return self._full
 
-    congruences = property(lambda self: self._build().congruences)
-    index = property(lambda self: self._build().index)
-    ji = property(lambda self: self._build().ji)
-    downsets = property(lambda self: self._build().downsets)
-    edge_color = property(lambda self: self._build().edge_color)
+    congruences = property(lambda self: self._build()[0])
+    index = property(lambda self: self._build()[1])
 
     def __len__(self) -> int:
         if self._size is None:
@@ -358,26 +339,16 @@ class ConLattice:
     def __iter__(self):
         return iter(self.congruences)
 
-    @property
-    def ji_indices(self) -> tuple[int, ...]:
-        return self.ji.labels
-
-    def atoms(self) -> tuple[int, ...]:
-        """Indices of the congruences covering equality: the minimal join-irreducibles."""
-        return tuple(
-            lbl
-            for pos, lbl in enumerate(self.ji.labels)
-            if not self.ji.lower_covers(pos)
-        )
-
     def as_lattice(self) -> FiniteLattice:
         """Con L as a FiniteLattice; element i is ``congruences[i]``.
 
-        The covers are those of the down-set lattice, read off ``downsets``.
+        The covers are those of the lattice of down-sets of ``ji_order``:
+        congruence i is the join of the ``theta`` in its down-set.
         """
         if self._lattice_view is None:
-            ds = self.downsets
-            lat, renum = core.make_lattice_with_map(len(ds), core._downset_covers(self.ji, ds))
+            ds = self._build()[2]
+            covers = core._downset_covers(self.ji_order, ds)
+            lat, renum = core.make_lattice_with_map(len(ds), covers)
             if renum != tuple(range(len(ds))):
                 raise PostconditionFailed("canonical congruence order is not a linear extension")
             self._lattice_view = lat
@@ -458,23 +429,57 @@ def _restricted_key(alpha: Congruence, elems: Sequence[int]) -> tuple[int, ...]:
     return _key([cls[x] for x in elems])
 
 
-def restriction(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> list[int]:
-    """The restriction map Con L -> Con K, by congruence indices.
+def ji_restriction(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> list[int | None]:
+    """Restriction Con L -> Con K on the join-irreducible congruences of L.
 
     ``emb[i]`` is the element of L that plays K's element ``i``, and the
-    copy must be a sublattice of L.  Entry ``a`` is the index in ``con_k``
-    of the restriction of L's ``a``-th congruence to the copy.
+    copy must be a convex sublattice of L.  Entry ``r`` is the position in
+    ``con_k.theta`` of the restriction of ``con_l.theta[r]`` to the copy,
+    or None when that restriction is not join-irreducible.
     """
-    index = con_k.index
-    return [index[_restricted_key(alpha, emb)] for alpha in con_l.congruences]
+    at = {t.cls: p for p, t in enumerate(con_k.theta)}
+    return [at.get(_restricted_key(t, emb)) for t in con_l.theta]
+
+
+def _ji_mismatch(con_l: ConLattice, image: Sequence[int | None], con_k: ConLattice) -> str | None:
+    """Why ``image``, a :func:`ji_restriction`, is no order isomorphism of
+    ``con_l.ji_order`` onto ``con_k.ji_order``, or None.  A map that reflects
+    the order is one-to-one, so it is onto when the sizes agree."""
+    P, Q = con_l.ji_order, con_k.ji_order
+
+    def named(r: int) -> list[list[int]]:
+        return list(map(list, con_l.theta[r].blocks))
+
+    if None in image:
+        r = image.index(None)
+        return f"join-irreducible congruence {named(r)} restricts to no join-irreducible one"
+    for r, s in product(range(P.n), repeat=2):
+        if P.leq(r, s) != Q.leq(image[r], image[s]):
+            return (f"join-irreducible congruences {named(r)} and {named(s)}"
+                    " are ordered unlike their restrictions")
+    if P.n != Q.n:
+        return f"only {P.n} of {Q.n} join-irreducible congruences arise as restrictions"
+    return None
 
 
 def is_cp_extension(L: FiniteLattice, K: Iterable[int]) -> bool:
-    """Is restriction Con L -> Con K a bijection?  K must be a convex sublattice."""
+    """Is restriction Con L -> Con K a bijection?  K must be a convex sublattice.
+
+    Exactly when :func:`ji_restriction` maps J(Con L) onto J(Con K) as an
+    order isomorphism.  Proof: for K convex, restriction rho is a
+    {0,1}-homomorphism of distributive lattices (a <= b in K collapsed by
+    alpha v beta are linked by a chain in [a, b], inside K, of steps
+    collapsed by alpha or beta), and an isomorphism maps J onto J as an
+    order isomorphism.  Conversely, for p in J(Con L), rho(p) <= rho(alpha),
+    the join of the rho(q) with q in J(Con L) below alpha, puts the
+    join-prime rho(p) below one rho(q), so p <= q <= alpha: rho(alpha) fixes
+    the p below alpha.  So rho is one-to-one, and onto, as each gamma in
+    Con K is the join of the rho(p) below it.
+    """
     sub, to_parent, _ = core.sublattice(L, K)
     con_l = congruence_lattice(L)
     con_k = congruence_lattice(sub)
-    return sorted(restriction(con_l, to_parent, con_k)) == list(range(len(con_k)))
+    return _ji_mismatch(con_l, ji_restriction(con_l, to_parent, con_k), con_k) is None
 
 
 def singleton_extension(
@@ -488,7 +493,7 @@ def singleton_extension(
     hypothesis about untouched upper chains holds; callers decide which
     check to run.
     """
-    ideal = sorted(set(int(x) for x in I))
+    ideal = sorted(set(map(core._element_id, I)))
     if not core.is_ideal(L, ideal):
         raise NotAnIdeal(f"{ideal} is not an ideal")
     bl = _check_partition(ideal, alpha_blocks)

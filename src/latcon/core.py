@@ -15,6 +15,7 @@ generic transformations so the planar modules can use it.
 from __future__ import annotations
 
 import heapq
+from operator import index as _index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -49,6 +50,15 @@ def _listed(elems: Iterable[int], limit: int = 10) -> str:
     return f"[{head}, … ({len(elems) - limit} more)]"
 
 
+def _element_id(x) -> int:
+    """``x`` as an element id, if ``operator.index`` takes it; a float or a
+    string raises :class:`ElementOutOfRange` rather than being truncated."""
+    try:
+        return _index(x)
+    except TypeError:
+        raise ElementOutOfRange(f"element id {x!r} is not an integer") from None
+
+
 def _close(n: int, covers: Iterable[tuple[int, int]]):
     """Validate a cover relation on ``0..n-1`` and close it into bitmasks.
 
@@ -60,7 +70,11 @@ def _close(n: int, covers: Iterable[tuple[int, int]]):
     processed, so it is on the heap when its turn comes.  Raises
     :class:`ElementOutOfRange`, :class:`Cyclic` or :class:`NotReduced`.
     """
-    covers = [(int(a), int(b)) for a, b in covers]
+    covers = list(covers)
+    try:
+        covers = [(_index(a), _index(b)) for a, b in covers]
+    except TypeError:  # again, to name the culprit
+        covers = [(_element_id(a), _element_id(b)) for a, b in covers]
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
             raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
@@ -378,7 +392,7 @@ def make_lattice_with_map(
             return [tuple(sorted(s)) for s in computed]
         for key, row in given.items():
             for e in (key, *row):
-                if not 0 <= int(e) < n:
+                if not 0 <= _element_id(e) < n:
                     raise ElementOutOfRange(
                         f"{kind} names element {e}, out of range for size {n}"
                     )
@@ -389,7 +403,7 @@ def make_lattice_with_map(
             if row is None:
                 out.append(tuple(sorted(want)))
                 continue
-            row = tuple(new_id[int(e)] for e in row)
+            row = tuple(new_id[_index(e)] for e in row)
             if sorted(row) != sorted(want):
                 raise InvalidLattice(
                     f"{kind} for element {old_of[x]} is not a permutation of its covers"
@@ -518,7 +532,7 @@ def ideal_filter(L: FiniteLattice, a: int) -> tuple[tuple[int, ...], tuple[int, 
 def _set_mask(S: Iterable[int], n: int) -> int:
     m = 0
     for x in S:
-        x = int(x)
+        x = _element_id(x)
         if not 0 <= x < n:
             raise ElementOutOfRange(f"element {x} out of range for size {n}")
         m |= 1 << x

@@ -168,16 +168,15 @@ def hom_from_obj(obj: Any) -> BoundedHom:
 
 
 def con_lattice_to_obj(con: ConLattice) -> dict:
+    labels = [con.index[t.cls] for t in con.theta]
     return {
         "lattice": lattice_to_obj(con.lattice),
         "congruences": [[list(b) for b in alpha.blocks] for alpha in con],
         "ji": {
-            "indices": list(con.ji_indices),
-            "covers": _as_cover_list(con.ji.covers()),
+            "indices": labels,
+            "covers": _as_cover_list(con.ji_order.covers()),
         },
-        "edge_color": [
-            [a, b, color] for (a, b), color in sorted(con.edge_color.items())
-        ],
+        "edge_color": [[a, b, labels[p]] for (a, b), p in sorted(con.colors.items())],
     }
 
 

@@ -378,11 +378,12 @@ def glue(
     """Glue B on top of A along an isomorphism filter-of-A -> ideal-of-B.
 
     ``iso`` maps filter elements to ideal elements, as a mapping or as
-    pairs; ids pass through ``int`` in both forms.  A keeps its element
-    ids; the rest of B is appended in ascending order.  Shared elements
-    read their lower covers from A and their upper covers from B.
+    pairs; a non-integral id raises :class:`ElementOutOfRange`.  A keeps its
+    element ids; the rest of B is appended in ascending order.  Shared
+    elements read their lower covers from A and their upper covers from B.
     """
-    pairs = sorted((int(x), int(y)) for x, y in (iso.items() if isinstance(iso, Mapping) else iso))
+    eid = core._element_id
+    pairs = sorted((eid(x), eid(y)) for x, y in (iso.items() if isinstance(iso, Mapping) else iso))
     F = [p[0] for p in pairs]
     I = [p[1] for p in pairs]
     if len(set(F)) != len(F) or len(set(I)) != len(I):

@@ -354,9 +354,11 @@ def reference_congruence_lattice(L):
     """Con L by scanning all 2^j subsets of the j edge colors.
 
     Each subset that is a down-set of the colors' refinement order is joined
-    from its members' blocks.  Returns the fields that ``ConLattice`` builds
-    on demand (``congruences``, ``index``, ``ji``, ``downsets``,
-    ``edge_color``) as attributes.  Not cached on ``L``.
+    from its members' blocks.  Returns as attributes the list of all
+    congruences and what is indexed by it: ``congruences``, ``index``,
+    ``ji`` (the join-irreducible congruences' order, labelled by their
+    indices) and ``edge_color`` (each cover's principal congruence, by
+    index).  Not cached on ``L``.
     """
     edge_theta = {}
     ji_list = []
@@ -383,23 +385,23 @@ def reference_congruence_lattice(L):
     ji_canon = sorted(index[c.cls] for c in ji_list)
     ji_covers = brute_covers(j, lambda a, b: refines(ordered[ji_canon[a]], ordered[ji_canon[b]]))
     ji_poset = core.Poset(j, ji_covers, labels=ji_canon)
-    downsets = [
-        sum(1 << x for x, i in enumerate(ji_canon) if refines(ordered[i], c)) for c in ordered
-    ]
     edge_color = {e: index[theta.cls] for e, theta in edge_theta.items()}
     return SimpleNamespace(
-        congruences=ordered, index=index, ji=ji_poset, downsets=downsets, edge_color=edge_color
+        congruences=ordered, index=index, ji=ji_poset, edge_color=edge_color
     )
 
 
 def reference_upper_chain_collapse_check(G):
     """The collapse check read off the full list of congruences: the atoms
-    of Con L, by index, that color no edge of an upper boundary chain."""
+    of Con L, by index, that are the principal congruence of no edge of an
+    upper boundary chain."""
     con = cg.congruence_lattice(G.lattice)
     upper = {
-        con.edge_color[e] for ch in (G.upper_left, G.upper_right) for e in zip(ch, ch[1:])
+        con.index[cg.principal_congruence(G.lattice, *e).cls]
+        for ch in (G.upper_left, G.upper_right)
+        for e in zip(ch, ch[1:])
     }
-    atom_misses = tuple(con.congruences[t] for t in con.atoms() if t not in upper)
+    atom_misses = tuple(con.congruences[t] for t in con.as_lattice().atoms() if t not in upper)
     return cn.ChainCollapseReport(not atom_misses, atom_misses)
 
 
@@ -464,9 +466,9 @@ def reference_tied_colors(F, G, phi):
     conG = cg.congruence_lattice(G.lattice)
     conR = cg.congruence_lattice(R.lattice)
     psi = bk.ji_of_hom(phi)
-    rho = cg.restriction(conR, inner.embedded_f, conF)
-    lift = {rho[idx]: q for q, idx in enumerate(conR.ji_indices)}
-    return [lift[conF.ji_indices[psi(q)]] for q in range(len(conG.ji_indices))]
+    rho = brute_restriction(conR, inner.embedded_f, conF)
+    lift = {rho[conR.index[t.cls]]: q for q, t in enumerate(conR.theta)}
+    return [lift[conF.index[conF.theta[psi(q)].cls]] for q in range(conG.ji_order.n)]
 
 
 def _reference_glue(A, B, pairs):

@@ -40,6 +40,11 @@ CON_SIZES = {
 }
 
 
+def ji_labels(con):
+    """The index in ``congruences`` of each join-irreducible congruence."""
+    return [con.index[t.cls] for t in con.theta]
+
+
 class TestCongruenceObject:
     def test_blocks_are_canonicalized(self):
         a = cg.congruence_from_blocks(S7, [[6, 4], [5, 2], [3, 1], [0]])
@@ -73,8 +78,9 @@ class TestCongruenceObject:
     def test_refines_meet_join(self):
         # the order, meet and join of Con L come from the down-sets
         con = cg.congruence_lattice(S7)
-        cs, ds, lat = con.congruences, con.downsets, con.as_lattice()
-        assert ds == (0b000, 0b001, 0b011, 0b101, 0b111)
+        cs, lat = con.congruences, con.as_lattice()
+        ds = [sum(1 << p for p, t in enumerate(con.theta) if helpers.refines(t, c)) for c in cs]
+        assert ds == [0b000, 0b001, 0b011, 0b101, 0b111]
         assert helpers.refines(cs[0], cs[1]) and helpers.refines(cs[1], cs[4])
         assert not helpers.refines(cs[2], cs[3])
         assert lat.meet(2, 3) == 1 and ds[2] & ds[3] == ds[1]
@@ -91,9 +97,10 @@ class TestConLattice:
     def test_s7_frozen(self):
         con = cg.congruence_lattice(S7)
         assert [c.blocks for c in con] == CON_S7_BLOCKS
-        assert con.ji_indices == (1, 2, 3)
-        assert con.atoms() == (1,)
-        assert dict(sorted(con.edge_color.items())) == S7_EDGE_COLOR
+        labels = ji_labels(con)
+        assert labels == [1, 2, 3]
+        assert [labels[p] for p in range(con.ji_order.n) if not con.ji_order.lower_covers(p)] == [1]
+        assert {e: labels[p] for e, p in sorted(con.colors.items())} == S7_EDGE_COLOR
 
     def test_canonical_order_is_linear_extension(self):
         con = cg.congruence_lattice(S7)
@@ -125,23 +132,44 @@ class TestConLattice:
         for name in ("s7", "grid-2x3", "m3"):
             L = catalog.get(name)
             con = cg.congruence_lattice(L)
-            for (a, b), idx in con.edge_color.items():
-                assert con.congruences[idx].blocks == cg.principal_congruence(L, a, b).blocks
+            for (a, b), p in con.colors.items():
+                assert con.theta[p].blocks == cg.principal_congruence(L, a, b).blocks
 
     def test_ji_poset_labels_are_the_join_irreducible_congruences(self):
         con = cg.congruence_lattice(catalog.get("grid-2x3"))
         lat = con.as_lattice()
-        assert tuple(con.ji_indices) == lat.ji_elements()
+        assert tuple(ji_labels(con)) == lat.ji_elements()
 
     def test_restriction_indices(self):
         con = cg.congruence_lattice(S7)
-        assert cg.restriction(con, range(7), con) == [0, 1, 2, 3, 4]
-        # the ideal below 3 is a 3-element chain: restriction is onto, not one-to-one
+        assert cg.ji_restriction(con, range(7), con) == [0, 1, 2]
+        # the ideal below 3 is a 3-element chain: {0,1,3},{2,4,5,6} restricts to
+        # all of it, and the other two both to {0},{1,3}
         sub, to_parent, _ = core.sublattice(S7, [0, 1, 3])
-        assert cg.restriction(con, to_parent, cg.congruence_lattice(sub)) == [0, 1, 3, 1, 3]
+        con_k = cg.congruence_lattice(sub)
+        assert [t.blocks for t in con_k.theta] == [((0,), (1, 2)), ((0, 1), (2,))]
+        assert cg.ji_restriction(con, to_parent, con_k) == [0, None, 0]
+        assert cg._ji_mismatch(con, [0, None, 0], con_k) == (
+            "join-irreducible congruence [[0, 1, 3], [2, 4, 5, 6]]"
+            " restricts to no join-irreducible one"
+        )
         # on the square below 4, {1,3},{2,5},{4,6} restricts to equality
         sub, to_parent, _ = core.sublattice(S7, [0, 1, 2, 4])
-        assert cg.restriction(con, to_parent, cg.congruence_lattice(sub)) == [0, 0, 1, 2, 3]
+        con_k = cg.congruence_lattice(sub)
+        assert cg.ji_restriction(con, to_parent, con_k) == [None, 0, 1]
+        assert cg._ji_mismatch(con, [1, 2, 0], con) == (
+            "join-irreducible congruences [[0], [1, 3], [2, 5], [4, 6]] and"
+            " [[0, 1, 3], [2, 4, 5, 6]] are ordered unlike their restrictions"
+        )
+        # two restricting to the same are ordered unlike their restrictions
+        assert cg._ji_mismatch(con, [0, 1, 1], con) == (
+            "join-irreducible congruences [[0, 1, 3], [2, 4, 5, 6]] and"
+            " [[0, 2, 5], [1, 3, 4, 6]] are ordered unlike their restrictions"
+        )
+        two = cg.congruence_lattice(core.chain(2))
+        assert cg._ji_mismatch(two, [0], cg.congruence_lattice(core.chain(3))) == (
+            "only 1 of 2 join-irreducible congruences arise as restrictions"
+        )
 
 
 def _assert_matches_reference(L):
@@ -155,10 +183,7 @@ def _assert_matches_reference(L):
     assert {e: old.ji.labels[p] for e, p in new.colors.items()} == old.edge_color
     assert [c.blocks for c in new] == [c.blocks for c in cs]
     assert new.index == old.index
-    assert new.ji.labels == old.ji.labels
-    assert new.ji.covers() == old.ji.covers()
-    assert list(new.downsets) == old.downsets
-    assert new.edge_color == old.edge_color
+    assert ji_labels(new) == list(old.ji.labels)
     assert new.as_lattice().covers() == helpers.brute_covers(
         len(cs), lambda i, j: helpers.refines(cs[i], cs[j])
     )
@@ -266,7 +291,7 @@ class TestLazyPartitionList:
         con = cg.congruence_lattice(catalog.s7().lattice)
         assert [t.blocks for t in con.theta] == CON_S7_BLOCKS[1:4]
         assert con.ji_order.covers() == [(0, 1), (0, 2)]
-        assert {e: con.ji_indices[p] for e, p in con.colors.items()} == S7_EDGE_COLOR
+        assert {e: ji_labels(con)[p] for e, p in con.colors.items()} == S7_EDGE_COLOR
 
     def test_equal_joins_raise_on_first_read(self, monkeypatch):
         con = cg.congruence_lattice(catalog.s7().lattice)
@@ -375,6 +400,9 @@ class TestPartitionForm:
                         assert (got.blocks, got.cls) == helpers.reference_canonical(L.n, want), name
 
     def test_restriction_to_principal_ideals_and_filters(self, searched):
+        # restriction on J(Con L) and the bijection test against the block-set
+        # restriction of every congruence
+        bijective = []
         for L in searched:
             con = cg.congruence_lattice(L)
             for x in range(L.n):
@@ -382,7 +410,14 @@ class TestPartitionForm:
                     sub, to_parent, _ = core.sublattice(L, elems)
                     con_k = cg.congruence_lattice(sub)
                     want = helpers.brute_restriction(con, to_parent, con_k)
-                    assert cg.restriction(con, to_parent, con_k) == want
+                    k_labels = ji_labels(con_k)
+                    assert [
+                        None if p is None else k_labels[p]
+                        for p in cg.ji_restriction(con, to_parent, con_k)
+                    ] == [want[i] if want[i] in k_labels else None for i in ji_labels(con)]
+                    bijective.append(sorted(want) == list(range(len(con_k))))
+                    assert cg.is_cp_extension(L, elems) == bijective[-1]
+        assert (bijective.count(True), bijective.count(False)) == (732, 2250)
 
 
 class TestPredicatesAndRestriction:

@@ -79,23 +79,23 @@ class TestBoundaryColorExtension:
             F = catalog.rect_catalog()[name]
             R, rep = cn.boundary_color_extension(F)
             con = cg.congruence_lattice(R.lattice)
-            ul = {con.edge_color[e] for e in zip(R.upper_left, R.upper_left[1:])}
-            ur = {con.edge_color[e] for e in zip(R.upper_right, R.upper_right[1:])}
-            assert len(ul) == len(con.ji_indices), name
-            assert len(ur) == len(con.ji_indices), name
+            ul = {con.colors[e] for e in zip(R.upper_left, R.upper_left[1:])}
+            ur = {con.colors[e] for e in zip(R.upper_right, R.upper_right[1:])}
+            assert len(ul) == con.ji_order.n, name
+            assert len(ur) == con.ji_order.n, name
 
     def test_lower_variant_reaches_both_lower_chains(self):
         F = catalog.rect_catalog()["m3"]
         R, rep = cn.boundary_color_extension(F)
         con = cg.congruence_lattice(R.lattice)
-        ll = {con.edge_color[e] for e in zip(R.lower_left, R.lower_left[1:])}
-        lr = {con.edge_color[e] for e in zip(R.lower_right, R.lower_right[1:])}
-        assert len(ll) == len(lr) == len(con.ji_indices)
+        ll = {con.colors[e] for e in zip(R.lower_left, R.lower_left[1:])}
+        lr = {con.colors[e] for e in zip(R.lower_right, R.lower_right[1:])}
+        assert len(ll) == len(lr) == con.ji_order.n
 
     def test_color_table_covers_all_join_irreducibles(self):
         R, rep = cn.boundary_color_extension(S7)
         con = cg.congruence_lattice(R.lattice)
-        assert sorted(rep.color_table) == list(range(len(con.ji_indices)))
+        assert sorted(rep.color_table) == list(range(con.ji_order.n))
         for pos, rows in rep.color_table.items():
             assert set(rows) == set(cn.CHAIN_NAMES)
             assert rows["ul"] and rows["ur"]  # the property the build delivers

@@ -1,13 +1,15 @@
 """Lattice construction, canonical numbering, and order arithmetic."""
 
 import random
+import re
 
 import pytest
 
 import helpers
-from latcon import catalog, core
+from latcon import birkhoff, catalog, core, verify
 from latcon import congruence as cg
 from latcon import rectangular as rl
+from latcon.cli import main
 from latcon.errors import (
     Cyclic,
     ElementOutOfRange,
@@ -108,6 +110,54 @@ class TestMakeLattice:
     def test_cover_order_must_be_permutation(self):
         with pytest.raises(InvalidLattice):
             core.make_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)], upper_order={0: [1, 1]})
+
+
+def _verify_with_float_embedding():
+    A = catalog.get("grid-2x2")
+    D = cg.congruence_lattice(A).as_lattice()
+    phi = birkhoff.make_bounded_hom(D, D, range(D.n))
+    verify.verify_filter_representation(A, (0, 1, 2, 3.0), range(4), phi)
+
+
+class TestNonIntegralIds:
+    """Element ids must be what ``operator.index`` accepts; int() would truncate."""
+
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            (lambda: core.make_lattice(2, [(0, 1.7)]), "1.7"),
+            (lambda: core.make_lattice(2, [(0, 1)], upper_order={0: [1.0]}), "1.0"),
+            (lambda: core.make_lattice(2, [(0, 1)], lower_order={"1": [0]}), "'1'"),
+            (lambda: core.is_ideal(core.chain(3), [0, 1.2]), "1.2"),
+            (lambda: core.is_convex_sublattice(core.chain(3), [0.5, 1]), "0.5"),
+            (lambda: cg.singleton_extension(core.chain(3), [0, 1.9], [[0, 1]]), "1.9"),
+            (lambda: cg.singleton_extension(core.chain(3), [0, 1], [[0, 1.0]]), "1.0"),
+            (lambda: cg.congruence_from_blocks(core.chain(3), [[0], [1, "2"]]), "'2'"),
+            (lambda: rl.glue(core.chain(2), core.chain(2), {1: 0.5}), "0.5"),
+            (_verify_with_float_embedding, "3.0"),
+            (lambda: birkhoff.make_bounded_hom(core.chain(2), core.chain(2), [0, 1.6]), "1.6"),
+            (lambda: birkhoff.IsotoneMap(core.Poset(1, []), core.Poset(1, []), [0.0]), "0.0"),
+        ],
+        ids=[
+            "cover", "upper-order", "lower-order-key", "ideal", "convex", "singleton-ideal",
+            "singleton-blocks", "partition", "glue", "verify-embedding", "bounded-hom",
+            "isotone-map",
+        ],
+    )
+    def test_rejected_naming_the_value(self, call, bad):
+        with pytest.raises(ElementOutOfRange, match=f"^element id {re.escape(bad)} is not an integer$"):
+            call()
+
+    def test_integer_types_accepted(self):
+        L = core.make_lattice(3, [(False, True), (True, 2)])
+        assert L.covers() == [(0, 1), (1, 2)]
+        assert core.is_ideal(L, [0, True])
+
+    def test_json_text_unchanged(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"size": 2, "covers": [[0, 1.7]]}')
+        assert main(["con", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: cover entry must be an integer, got 1.7\n"
 
 
 class TestOrderArithmetic:
@@ -317,9 +367,9 @@ class TestJoinIrreduciblePoset:
             j = P.labels
             assert P.covers() == helpers.brute_covers(P.n, lambda a, b: L.leq(j[a], j[b]))
             con = cg.congruence_lattice(L)
-            c = con.ji_indices
-            assert con.ji.covers() == helpers.brute_covers(
-                con.ji.n, lambda a, b: helpers.refines(con.congruences[c[a]], con.congruences[c[b]])
+            t = con.theta
+            assert con.ji_order.covers() == helpers.brute_covers(
+                con.ji_order.n, lambda a, b: helpers.refines(t[a], t[b])
             )
 
     def test_downset_lattice_of_two_antichain(self):

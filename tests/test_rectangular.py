@@ -17,6 +17,7 @@ from latcon.errors import (
     AmbiguousCorner,
     BoundaryMismatch,
     CornersNotComplementary,
+    ElementOutOfRange,
     Incompatible,
     IndexOutOfRange,
     NoCorner,
@@ -131,6 +132,16 @@ class TestGridsAndEyes:
         assert eyed[0].middles == (eye_of[(0, 1)],)
 
 
+class _Id:
+    """An element id of a non-int integer type: it has ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 class TestGlue:
     def test_stacked_grids(self):
         A = catalog.get("grid-2x2")
@@ -168,12 +179,16 @@ class TestGlue:
             rl.glue(A, A, {1: 0})
 
     def test_mapping_and_pairs_coerce_ids_alike(self):
+        # integer types other than int pass in both forms, floats fail in both
         A = catalog.get("grid-2x2")
         want = rl.glue(A, A, {3: 0})
-        for iso in ({3: 0.0}, [(3, 0.0)], {3.0: 0}):
+        for iso in ({3: _Id(0)}, [(3, _Id(0))], {_Id(3): 0}):
             g = rl.glue(A, A, iso)
             assert g.lattice.covers() == want.lattice.covers()
             assert (g.a_map, g.b_map, g.shared, g.iso) == (want.a_map, want.b_map, (3,), ((3, 0),))
+        for iso, bad in (({3: 0.0}, "0.0"), ([(3, 0.5)], "0.5"), ({3.0: 0}, "3.0")):
+            with pytest.raises(ElementOutOfRange, match=f"^element id {bad} is not an integer$"):
+                rl.glue(A, A, iso)
 
     def test_shared_elements_keep_lower_ids(self):
         A = catalog.get("grid-2x3")

@@ -107,7 +107,78 @@ class TestRepresentationVerifier:
         )
         assert not out.summary
         failed = {c.name for c in out.checks if not c.passed}
-        assert "restriction-diagram" in failed
+        assert failed == {"restriction-diagram"}
+        assert out.checks[-1].witness.startswith(
+            "join-irreducible congruence [[0, 1, 4, 7, 8], [2, 9], [3, 10], [5, 11],"
+        )
+        assert out.checks[-1].witness.endswith("of the output restricts off the prescribed map")
+
+    def test_verdicts_for_every_hom_with_the_same_endpoints(self):
+        # frozen from the verifier that restricted every congruence of the
+        # output: over the 238 pairs of an A6 output and a hom between the
+        # same congruence lattices, the output passes for the hom it was
+        # built from and fails only restriction-diagram for any other
+        pool = [G22, M3, S7]
+        pairs = 0
+        for F in pool:
+            for G in pool:
+                homs = bk.enumerate_bounded_homs(
+                    cg.congruence_lattice(F.lattice).as_lattice(),
+                    cg.congruence_lattice(G.lattice).as_lattice(),
+                )
+                for k, phi in enumerate(homs):
+                    L, rep = cn.filter_representation(F, G, phi)
+                    for m, psi in enumerate(homs):
+                        out = vf.verify_filter_representation(
+                            L.lattice, rep.embedded_f, rep.embedded_g, psi
+                        )
+                        verdicts = [c.passed for c in out.checks]
+                        assert verdicts == [True, True, k == m], (k, m)
+                        pairs += 1
+        assert pairs == 238
+
+    def test_output_partition_list_never_built(self):
+        L, rep, phi = _built(S7, S7)
+        assert rep.verification.summary
+        assert cg.congruence_lattice(L.lattice)._full is None
+
+
+class TestRestrictionWitnesses:
+    """grid-2x2 with a 2-element chain glued on top, checked against the copy
+    of grid-2x2 on both sides: the congruence of the chain edge restricts to
+    equality on the copy, so restriction is not one-to-one."""
+
+    A = catalog.get("grid-2x2")
+    G = rl.glue(A, core.chain(2), {A.top: 0})
+    D = cg.congruence_lattice(A).as_lattice()
+    NOT_ONE_TO_ONE = (
+        "join-irreducible congruence [[0], [1], [2], [3, 4]] restricts to no"
+        " join-irreducible one"
+    )
+
+    def _report(self, assignment):
+        phi = bk.make_bounded_hom(self.D, self.D, assignment)
+        return vf.verify_ideal_representation(self.G.lattice, self.G.a_map, self.G.a_map, phi)
+
+    def test_identity_fails_only_bijectivity(self):
+        out = self._report(range(4))
+        assert [(c.name, c.passed, c.witness) for c in out.checks] == [
+            ("target-copy-is-ideal", True, None),
+            ("restriction-bijective", False, self.NOT_ONE_TO_ONE),
+            ("restriction-diagram", True, None),
+        ]
+
+    def test_swapped_atoms_fail_the_diagram_too(self):
+        out = self._report((0, 2, 1, 3))
+        assert [(c.name, c.passed, c.witness) for c in out.checks][1:] == [
+            ("restriction-bijective", False, self.NOT_ONE_TO_ONE),
+            (
+                "restriction-diagram", False,
+                "join-irreducible congruence [[0, 1], [2, 3], [4]] of the output"
+                " restricts off the prescribed map",
+            ),
+        ]
+        assert out.render_text().splitlines()[-1] == "summary: FAIL"
 
 
 class TestLemmaSuite:
