@@ -20,7 +20,7 @@ dual and builds the list of all congruences when something reads it.
 
 Restriction Con L -> Con K to a convex sublattice K is a {0,1}-homomorphism
 of distributive lattices, so it is read on ``theta`` alone
-(:func:`ji_restriction`): that decides :func:`is_cp_extension` and the
+(:func:`restriction_mismatch`): that decides :func:`is_cp_extension` and the
 checks of :mod:`latcon.verify`.  The list of all congruences is an output
 format, read by :mod:`latcon.jsonio`, the CLI, ``as_lattice`` and the
 lemma suite.
@@ -34,7 +34,7 @@ at :func:`generated_congruence`).
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
@@ -261,6 +261,14 @@ def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) ->
     return _join_blocks(L, bl)
 
 
+class _Partitions(NamedTuple):
+    """The list of all congruences and what is indexed by it."""
+
+    congruences: tuple[Congruence, ...]
+    index: dict[tuple[int, ...], int]
+    downsets: tuple[int, ...]
+
+
 class ConLattice:
     """The congruence lattice of a finite lattice, kept as its Birkhoff dual.
 
@@ -294,13 +302,12 @@ class ConLattice:
         self.ji_order = ji_order
         self.colors = colors
         self._size: int | None = None
-        self._full: tuple | None = None
+        self._full: _Partitions | None = None
         self._lattice_view = None
 
-    def _build(self) -> tuple:
-        """``(congruences, index, downsets)``: every congruence, grown along
-        the down-sets of ``ji_order``, and ``downsets[i]``, the bitmask of the
-        positions below congruence i.
+    def _build(self) -> _Partitions:
+        """Every congruence, grown along the down-sets of ``ji_order``, and
+        ``downsets[i]``, the bitmask of the positions below congruence i.
 
         The down-set one element short of ``d`` drops the element of ``d``
         at the highest position, which is maximal in ``d`` and comes
@@ -324,12 +331,12 @@ class ConLattice:
         index = {c.cls: i for i, c in enumerate(ordered)}
         if len(index) != len(ordered):
             raise PostconditionFailed("two down-sets of join-irreducibles have the same join")
-        self._full = (ordered, index, tuple(ds[k] for k in perm))
+        self._full = _Partitions(ordered, index, tuple(ds[k] for k in perm))
         self._size = len(ordered)
         return self._full
 
-    congruences = property(lambda self: self._build()[0])
-    index = property(lambda self: self._build()[1])
+    congruences = property(lambda self: self._build().congruences)
+    index = property(lambda self: self._build().index)
 
     def __len__(self) -> int:
         if self._size is None:
@@ -346,7 +353,7 @@ class ConLattice:
         congruence i is the join of the ``theta`` in its down-set.
         """
         if self._lattice_view is None:
-            ds = self._build()[2]
+            ds = self._build().downsets
             covers = core._downset_covers(self.ji_order, ds)
             lat, renum = core.make_lattice_with_map(len(ds), covers)
             if renum != tuple(range(len(ds))):
@@ -429,22 +436,31 @@ def _restricted_key(alpha: Congruence, elems: Sequence[int]) -> tuple[int, ...]:
     return _key([cls[x] for x in elems])
 
 
-def ji_restriction(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> list[int | None]:
-    """Restriction Con L -> Con K on the join-irreducible congruences of L.
-
-    ``emb[i]`` is the element of L that plays K's element ``i``, and the
-    copy must be a convex sublattice of L.  Entry ``r`` is the position in
-    ``con_k.theta`` of the restriction of ``con_l.theta[r]`` to the copy,
-    or None when that restriction is not join-irreducible.
-    """
+def _ji_restriction(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> list[int | None]:
+    """Entry ``r``: the position in ``con_k.theta`` of ``con_l.theta[r]``
+    restricted to ``emb``, or None when that is not join-irreducible."""
     at = {t.cls: p for p, t in enumerate(con_k.theta)}
     return [at.get(_restricted_key(t, emb)) for t in con_l.theta]
 
 
-def _ji_mismatch(con_l: ConLattice, image: Sequence[int | None], con_k: ConLattice) -> str | None:
-    """Why ``image``, a :func:`ji_restriction`, is no order isomorphism of
-    ``con_l.ji_order`` onto ``con_k.ji_order``, or None.  A map that reflects
-    the order is one-to-one, so it is onto when the sizes agree."""
+def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> str | None:
+    """Why restriction Con L -> Con K is no bijection, or None if it is one.
+
+    ``emb[i]`` is the element of L that plays K's element ``i``, and the
+    copy must be a convex sublattice of L.  Restriction is a bijection
+    exactly when it maps J(Con L) onto J(Con K) as an order isomorphism.
+    Proof: for K convex, restriction rho is a {0,1}-homomorphism of
+    distributive lattices (a <= b in K collapsed by alpha v beta are linked
+    by a chain in [a, b], inside K, of steps collapsed by alpha or beta),
+    and an isomorphism maps J onto J as an order isomorphism.  Conversely,
+    for p in J(Con L), rho(p) <= rho(alpha), the join of the rho(q) with q
+    in J(Con L) below alpha, puts the join-prime rho(p) below one rho(q), so
+    p <= q <= alpha: rho(alpha) fixes the p below alpha.  So rho is
+    one-to-one, and onto, as each gamma in Con K is the join of the rho(p)
+    below it.  A map of J(Con L) that reflects the order is one-to-one, so
+    it is onto when the sizes agree.
+    """
+    image = _ji_restriction(con_l, emb, con_k)
     P, Q = con_l.ji_order, con_k.ji_order
 
     def named(r: int) -> list[list[int]]:
@@ -463,23 +479,10 @@ def _ji_mismatch(con_l: ConLattice, image: Sequence[int | None], con_k: ConLatti
 
 
 def is_cp_extension(L: FiniteLattice, K: Iterable[int]) -> bool:
-    """Is restriction Con L -> Con K a bijection?  K must be a convex sublattice.
-
-    Exactly when :func:`ji_restriction` maps J(Con L) onto J(Con K) as an
-    order isomorphism.  Proof: for K convex, restriction rho is a
-    {0,1}-homomorphism of distributive lattices (a <= b in K collapsed by
-    alpha v beta are linked by a chain in [a, b], inside K, of steps
-    collapsed by alpha or beta), and an isomorphism maps J onto J as an
-    order isomorphism.  Conversely, for p in J(Con L), rho(p) <= rho(alpha),
-    the join of the rho(q) with q in J(Con L) below alpha, puts the
-    join-prime rho(p) below one rho(q), so p <= q <= alpha: rho(alpha) fixes
-    the p below alpha.  So rho is one-to-one, and onto, as each gamma in
-    Con K is the join of the rho(p) below it.
-    """
+    """Is restriction Con L -> Con K a bijection?  K must be a convex
+    sublattice; decided on J(Con L) by :func:`restriction_mismatch`."""
     sub, to_parent, _ = core.sublattice(L, K)
-    con_l = congruence_lattice(L)
-    con_k = congruence_lattice(sub)
-    return _ji_mismatch(con_l, ji_restriction(con_l, to_parent, con_k), con_k) is None
+    return restriction_mismatch(congruence_lattice(L), to_parent, congruence_lattice(sub)) is None
 
 
 def singleton_extension(

@@ -22,10 +22,11 @@ that :attr:`ConLattice.colors` gives every edge, and one
 routine (:func:`_glue_flaps`) turns ties between colors into flap eyes and
 glues the pieces.  All return ``(RectLattice, ConstructionReport)``.  The
 representation pipelines check their output once through
-:mod:`latcon.verify`, which re-checks by partition restriction and shares
-no color matching with them: a failing check raises
-:class:`VerificationFailed`, and a passing report is kept in
-``ConstructionReport.verification``.
+:mod:`latcon.verify`, which restricts the output's join-irreducible
+congruences, as partitions, to both copies, never builds the output's list
+of all congruences, and shares no color matching with the pipelines: a
+failing check raises :class:`VerificationFailed`, and a passing report is
+kept in ``ConstructionReport.verification``.
 """
 
 from __future__ import annotations

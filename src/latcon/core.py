@@ -70,11 +70,7 @@ def _close(n: int, covers: Iterable[tuple[int, int]]):
     processed, so it is on the heap when its turn comes.  Raises
     :class:`ElementOutOfRange`, :class:`Cyclic` or :class:`NotReduced`.
     """
-    covers = list(covers)
-    try:
-        covers = [(_index(a), _index(b)) for a, b in covers]
-    except TypeError:  # again, to name the culprit
-        covers = [(_element_id(a), _element_id(b)) for a, b in covers]
+    covers = [(_element_id(a), _element_id(b)) for a, b in covers]
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
             raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
@@ -390,12 +386,10 @@ def make_lattice_with_map(
     def _ordered(given, computed, kind):
         if given is None:
             return [tuple(sorted(s)) for s in computed]
-        for key, row in given.items():
-            for e in (key, *row):
-                if not 0 <= _element_id(e) < n:
-                    raise ElementOutOfRange(
-                        f"{kind} names element {e}, out of range for size {n}"
-                    )
+        given = {_element_id(k): tuple(map(_element_id, r)) for k, r in given.items()}
+        far = [e for k, r in given.items() for e in (k, *r) if not 0 <= e < n]
+        if far:
+            raise ElementOutOfRange(f"{kind} names element {far[0]}, out of range for size {n}")
         out = []
         for x in range(n):
             want = computed[x]
@@ -403,7 +397,7 @@ def make_lattice_with_map(
             if row is None:
                 out.append(tuple(sorted(want)))
                 continue
-            row = tuple(new_id[_index(e)] for e in row)
+            row = tuple(new_id[e] for e in row)
             if sorted(row) != sorted(want):
                 raise InvalidLattice(
                     f"{kind} for element {old_of[x]} is not a permutation of its covers"

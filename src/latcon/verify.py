@@ -127,16 +127,18 @@ def _verify_representation(
 
     # restriction Con L -> Con F must be a bijection, decided on J(Con L)
     # as in cg.is_cp_extension
-    witness = cg._ji_mismatch(conL, cg.ji_restriction(conL, f_emb, conF), conF)
+    witness = cg.restriction_mismatch(conL, f_emb, conF)
     checks.append(CheckResult("restriction-bijective", witness is None, witness))
 
     # the diagram: restricting to the target copy must act as phi.  Both
     # sides preserve joins and 0, so they agree when they agree on J(Con L)
     key = cg._restricted_key
     bad = [t for t in conL.theta if conG.index[key(t, g_emb)] != phi(conF.index[key(t, f_emb)])]
-    witness = bad and (f"join-irreducible congruence {list(map(list, bad[0].blocks))}"
-                       " of the output restricts off the prescribed map")
-    checks.append(CheckResult("restriction-diagram", not bad, witness or None))
+    witness = None if not bad else (
+        f"join-irreducible congruence {list(map(list, bad[0].blocks))}"
+        " of the output restricts off the prescribed map"
+    )
+    checks.append(CheckResult("restriction-diagram", not bad, witness))
     return VerificationReport(tuple(checks))
 
 

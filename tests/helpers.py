@@ -35,6 +35,17 @@ from latcon.errors import (
 )
 
 
+class IntLike:
+    """An element id of a non-int integer type: it has ``__index__`` but
+    neither subclasses nor hashes equal to ``int``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def set_partitions(n):
     """All partitions of range(n), as tuples of sorted tuples.
 

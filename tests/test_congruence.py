@@ -140,34 +140,47 @@ class TestConLattice:
         lat = con.as_lattice()
         assert tuple(ji_labels(con)) == lat.ji_elements()
 
-    def test_restriction_indices(self):
+    def test_restriction_indices(self, monkeypatch):
         con = cg.congruence_lattice(S7)
-        assert cg.ji_restriction(con, range(7), con) == [0, 1, 2]
+        assert cg._ji_restriction(con, range(7), con) == [0, 1, 2]
+        assert cg.restriction_mismatch(con, range(7), con) is None
         # the ideal below 3 is a 3-element chain: {0,1,3},{2,4,5,6} restricts to
         # all of it, and the other two both to {0},{1,3}
         sub, to_parent, _ = core.sublattice(S7, [0, 1, 3])
         con_k = cg.congruence_lattice(sub)
         assert [t.blocks for t in con_k.theta] == [((0,), (1, 2)), ((0, 1), (2,))]
-        assert cg.ji_restriction(con, to_parent, con_k) == [0, None, 0]
-        assert cg._ji_mismatch(con, [0, None, 0], con_k) == (
+        assert cg._ji_restriction(con, to_parent, con_k) == [0, None, 0]
+        assert cg.restriction_mismatch(con, to_parent, con_k) == (
             "join-irreducible congruence [[0, 1, 3], [2, 4, 5, 6]]"
             " restricts to no join-irreducible one"
         )
         # on the square below 4, {1,3},{2,5},{4,6} restricts to equality
         sub, to_parent, _ = core.sublattice(S7, [0, 1, 2, 4])
         con_k = cg.congruence_lattice(sub)
-        assert cg.ji_restriction(con, to_parent, con_k) == [None, 0, 1]
-        assert cg._ji_mismatch(con, [1, 2, 0], con) == (
+        assert cg._ji_restriction(con, to_parent, con_k) == [None, 0, 1]
+        # N5's interval [2, 3] is a 2-element chain: two ordered join-irreducible
+        # congruences both restrict to all of it
+        N5 = catalog.n5()
+        sub, to_parent, _ = core.sublattice(N5, [2, 3])
+        con_n5 = cg.congruence_lattice(N5)
+        assert cg.restriction_mismatch(con_n5, to_parent, cg.congruence_lattice(sub)) == (
+            "join-irreducible congruences [[0, 1], [2, 3, 4]] and"
+            " [[0], [1], [2, 3], [4]] are ordered unlike their restrictions"
+        )
+        # maps that no restriction gives here reach the other witnesses
+        monkeypatch.setattr(cg, "_ji_restriction", lambda *_: [1, 2, 0])
+        assert cg.restriction_mismatch(con, range(7), con) == (
             "join-irreducible congruences [[0], [1, 3], [2, 5], [4, 6]] and"
             " [[0, 1, 3], [2, 4, 5, 6]] are ordered unlike their restrictions"
         )
-        # two restricting to the same are ordered unlike their restrictions
-        assert cg._ji_mismatch(con, [0, 1, 1], con) == (
+        monkeypatch.setattr(cg, "_ji_restriction", lambda *_: [0, 1, 1])
+        assert cg.restriction_mismatch(con, range(7), con) == (
             "join-irreducible congruences [[0, 1, 3], [2, 4, 5, 6]] and"
             " [[0, 2, 5], [1, 3, 4, 6]] are ordered unlike their restrictions"
         )
+        monkeypatch.setattr(cg, "_ji_restriction", lambda *_: [0])
         two = cg.congruence_lattice(core.chain(2))
-        assert cg._ji_mismatch(two, [0], cg.congruence_lattice(core.chain(3))) == (
+        assert cg.restriction_mismatch(two, range(2), cg.congruence_lattice(core.chain(3))) == (
             "only 1 of 2 join-irreducible congruences arise as restrictions"
         )
 
@@ -413,7 +426,7 @@ class TestPartitionForm:
                     k_labels = ji_labels(con_k)
                     assert [
                         None if p is None else k_labels[p]
-                        for p in cg.ji_restriction(con, to_parent, con_k)
+                        for p in cg._ji_restriction(con, to_parent, con_k)
                     ] == [want[i] if want[i] in k_labels else None for i in ji_labels(con)]
                     bijective.append(sorted(want) == list(range(len(con_k))))
                     assert cg.is_cp_extension(L, elems) == bijective[-1]

@@ -152,6 +152,13 @@ class TestNonIntegralIds:
         L = core.make_lattice(3, [(False, True), (True, 2)])
         assert L.covers() == [(0, 1), (1, 2)]
         assert core.is_ideal(L, [0, True])
+        one = helpers.IntLike(1)
+        V = core.make_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)], upper_order={0: [2, one]})
+        assert V.upper_covers(0) == (2, 1)
+        W = core.make_lattice(
+            4, [(0, 1), (0, 2), (1, 3), (2, 3)], lower_order={helpers.IntLike(3): [2, one]}
+        )
+        assert W.lower_covers(3) == (2, 1)
 
     def test_json_text_unchanged(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

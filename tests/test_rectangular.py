@@ -132,16 +132,6 @@ class TestGridsAndEyes:
         assert eyed[0].middles == (eye_of[(0, 1)],)
 
 
-class _Id:
-    """An element id of a non-int integer type: it has ``__index__``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-
 class TestGlue:
     def test_stacked_grids(self):
         A = catalog.get("grid-2x2")
@@ -182,7 +172,7 @@ class TestGlue:
         # integer types other than int pass in both forms, floats fail in both
         A = catalog.get("grid-2x2")
         want = rl.glue(A, A, {3: 0})
-        for iso in ({3: _Id(0)}, [(3, _Id(0))], {_Id(3): 0}):
+        for iso in ({3: helpers.IntLike(0)}, [(3, helpers.IntLike(0))], {helpers.IntLike(3): 0}):
             g = rl.glue(A, A, iso)
             assert g.lattice.covers() == want.lattice.covers()
             assert (g.a_map, g.b_map, g.shared, g.iso) == (want.a_map, want.b_map, (3,), ((3, 0),))
