@@ -25,10 +25,13 @@ checks of :mod:`latcon.verify`.  The list of all congruences is an output
 format, read by :mod:`latcon.jsonio`, the CLI, ``as_lattice`` and the
 lemma suite.
 
-Principal closures remain as the postcondition of Con L.  They substitute
-only join-irreducibles, into meets and joins alike: a partition compatible
-with ∨p and ∧p for every join-irreducible p is a congruence (the proof is
-at :func:`generated_congruence`).
+Principal closures remain as the postcondition of Con L.  One kernel,
+:func:`_closure`, generates and tests congruences by Grätzer's Technical
+Lemma: its classes are intervals, and merging two of them applies the
+lemma's cover rules to the covers between them (the proof is at
+:func:`generated_congruence`).  :func:`is_congruence` and
+:func:`congruence_from_blocks` close the given blocks and compare class
+counts; only the meet-side checks substitute element by element.
 """
 
 from __future__ import annotations
@@ -108,30 +111,27 @@ def _join_blocks(
 
 
 def _broken_pair(
-    L: FiniteLattice,
-    blocks: Sequence[Sequence[int]],
-    ops: Sequence[list[list[int]]],
-    zs: Sequence[int],
+    L: FiniteLattice, blocks: Sequence[Sequence[int]], zs: Sequence[int]
 ) -> tuple[int, int, int] | None:
-    """First ``(a, y, z)`` that breaks substitution, or None.
+    """First ``(a, y, z)`` that breaks meet substitution, or None.
 
     ``a`` is the first member of a block holding ``y``, ``z`` runs over
-    ``zs`` and the images of ``a`` and ``y`` under ``op(., z)`` lie in
-    different blocks for one of the operation tables ``ops``.  Elements in
-    no block count as singletons.
+    ``zs`` and ``a ∧ z`` and ``y ∧ z`` lie in different blocks.  Elements
+    in no block count as singletons.
     """
+    meet = L._meet
     cls = [-1 - x for x in range(L.n)]
     for i, b in enumerate(blocks):
         for x in b:
             cls[x] = i
     for b in blocks:
         a = b[0]
+        ma = meet[a]
         for y in b[1:]:
-            for op in ops:
-                oa, oy = op[a], op[y]
-                for z in zs:
-                    if cls[oa[z]] != cls[oy[z]]:
-                        return a, y, z
+            my = meet[y]
+            for z in zs:
+                if cls[ma[z]] != cls[my[z]]:
+                    return a, y, z
     return None
 
 
@@ -186,66 +186,112 @@ def delta(L: FiniteLattice) -> Congruence:
     return Congruence(L, range(L.n))
 
 
+def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
+    """Labels of the least congruence collapsing each pair in ``work``
+    (ids in range): ``root[x]`` is the class of x.
+
+    A union-find by small-to-large relabelling: ``root[x]`` names x's
+    class, and each class keeps its members, their bitmask and ``lo``/``hi``,
+    the meet and join of its members.  Merging the smaller class into the
+    larger visits every cover ``a ≺ b`` between the two, which becomes a
+    cover inside the new class, and applies the cover rules to it: for each
+    other upper cover z of a the pair ``(z, b ∨ z)``, for each other lower
+    cover z of b the pair ``(z, a ∧ z)``.  The merge then adds the members
+    of ``[lo, hi]`` it lacks, so every class is an interval.  A pair whose
+    ends already share a class is not queued, as classes only grow.
+    """
+    n = L.n
+    up, down, upper, lower = L._up, L._down, L._upper, L._lower
+    meet, join = L._meet, L._join
+    root = list(range(n))
+    members = [[x] for x in range(n)]
+    mask = [1 << x for x in range(n)]
+    lo = list(range(n))
+    hi = list(range(n))
+    push = work.append
+    while work:
+        u, v = work.pop()
+        u, v = root[u], root[v]
+        if u == v:
+            continue
+        if len(members[u]) < len(members[v]):
+            u, v = v, u
+        big = mask[u]
+        small = members[v]
+        covers = []  # the covers a ≺ b between the two classes
+        for a in small:
+            root[a] = u
+            for b in upper[a]:
+                if big >> b & 1:
+                    covers.append((a, b))
+            for b in lower[a]:
+                if big >> b & 1:
+                    covers.append((b, a))
+        for a, b in covers:
+            jb, ma = join[b], meet[a]
+            for z in upper[a]:
+                if z != b and root[z] != root[jb[z]]:
+                    push((z, jb[z]))
+            for z in lower[b]:
+                if z != a and root[z] != root[ma[z]]:
+                    push((z, ma[z]))
+        members[u] += small
+        m = mask[u] = big | mask[v]
+        x = lo[u] = meet[lo[u]][lo[v]]
+        y = hi[u] = join[hi[u]][hi[v]]
+        gap = up[x] & down[y] & ~m
+        while gap:
+            low = gap & -gap
+            push((u, low.bit_length() - 1))
+            gap ^= low
+    return root
+
+
+def _block_closure(L: FiniteLattice, blocks: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
+    """Labels of the least congruence keeping each of the checked ``blocks``
+    together, and whether the blocks form a congruence: exactly when the
+    closure leaves as many classes."""
+    root = _closure(L, [(b[0], x) for b in blocks for x in b[1:]])
+    return root, len(set(root)) == len(blocks)
+
+
 def is_congruence(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> bool:
-    """Full substitution property: both meet and join sides."""
-    bl = _check_partition(range(L.n), blocks)
-    return _broken_pair(L, bl, (L._meet, L._join), range(L.n)) is None
+    """Full substitution property, both meet and join sides, decided by
+    closing the blocks (:func:`_block_closure`)."""
+    return _block_closure(L, _check_partition(range(L.n), blocks))[1]
 
 
 def is_meet_congruence(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> bool:
     """Meet-side substitution only."""
     bl = _check_partition(range(L.n), blocks)
-    return _broken_pair(L, bl, (L._meet,), range(L.n)) is None
+    return _broken_pair(L, bl, range(L.n)) is None
 
 
 def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Smallest congruence collapsing every given pair.
+    """Smallest congruence collapsing every given pair, by :func:`_closure`.
 
-    Worklist closure over a union-find with path halving.  Each union of
-    two classes enqueues their roots (x, y); dequeuing them unites
-    (x ∧ p, y ∧ p) and (x ∨ p, y ∨ p) for every join-irreducible p (one
-    lower cover), gathered into a set so a repeated pair costs one hash.
-
-    Why this is the least congruence θ: every union is forced, and the
-    enqueued pairs generate θ, so each u θ v is linked by a chain of pairs
-    that stay in one class under ∨p and ∧p for every join-irreducible p.
-    Joins (Freese, Jezek and Nation, *Free Lattices*, 2.5): each z is the
-    join of the p below it, the bottom the empty join, so u ∨ z θ v ∨ z;
-    thus classes are convex, as a <= b <= c and a θ c give b ∨ a θ b ∨ c.
-    Meets: for x θ y, x <= y, any m and the join-irreducibles p1, ..., pk
-    below y ∧ m, each pi = y ∧ pi θ x ∧ pi, so w = ∨(x ∧ pi) θ ∨pi = y ∧ m;
-    w <= x ∧ m <= y ∧ m and convexity give x ∧ m θ y ∧ m.  Any u θ v
-    reduces to this case, as u θ u ∨ v θ v.
+    Why the result is con(pairs): every union is forced.  A congruence
+    class is a convex sublattice, so it holds the meet and the join of two
+    of its members and all between; and if a ≺ b lie in one class, then
+    for another upper cover z of a, z = a ∨ z is congruent to b ∨ z, and
+    dually for another lower cover z of b, z = b ∧ z is congruent to a ∧ z.
+    At the fixpoint every class is an interval, every cover inside a class
+    was visited when its ends were joined, and the pairs its cover rules
+    gave lie in one class.  These are the hypotheses of Grätzer's
+    Technical Lemma for finite lattices: an equivalence whose classes are
+    intervals is a congruence iff, whenever x ≺ y, x ≺ z, y ≠ z and x ≡ y,
+    then z ≡ y ∨ z, and dually (G. Grätzer, *The Congruences of a Finite
+    Lattice*, 2nd ed., 2016).  So the result is a congruence, and the least
+    one collapsing the pairs.
     """
     n = L.n
-    meet, join = L._meet, L._join
-    ji = [z for z in range(n) if len(L._lower[z]) == 1]
-    parent = list(range(n))
-    work: list[tuple[int, int]] = []
-    todo = set()
+    work = []
     for a, b in pairs:
+        a, b = core._element_id(a), core._element_id(b)
         if not (0 <= a < n and 0 <= b < n):
             raise ElementOutOfRange(f"pair ({a}, {b}) out of range for size {n}")
-        todo.add((a, b))
-    while True:
-        for u, v in todo:
-            if u == v:
-                continue
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                parent[v] = u
-                work.append((u, v))
-        if not work:
-            return _classes(L, parent)
-        x, y = work.pop()
-        mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
-        todo = {(mx[z], my[z]) for z in ji}
-        todo.update([(jx[z], jy[z]) for z in ji])
+        work.append((a, b))
+    return Congruence(L, _closure(L, work))
 
 
 def principal_congruence(L: FiniteLattice, a: int, b: int) -> Congruence:
@@ -254,11 +300,10 @@ def principal_congruence(L: FiniteLattice, a: int, b: int) -> Congruence:
 
 
 def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> Congruence:
-    bl = _check_partition(range(L.n), blocks)
-    if _broken_pair(L, bl, (L._meet, L._join), range(L.n)) is not None:
+    root, ok = _block_closure(L, _check_partition(range(L.n), blocks))
+    if not ok:
         raise NotACongruence("partition violates the substitution property")
-    # the finest partition keeping each block together is the partition itself
-    return _join_blocks(L, bl)
+    return Congruence(L, root)
 
 
 class _Partitions(NamedTuple):
@@ -502,7 +547,7 @@ def singleton_extension(
     bl = _check_partition(ideal, alpha_blocks)
     # meet-substitution inside the ideal is the weakest sensible input;
     # callers needing a full congruence check the extension themselves
-    bad = _broken_pair(L, bl, (L._meet,), ideal)
+    bad = _broken_pair(L, bl, ideal)
     if bad is not None:
         a, y, z = bad
         raise NotACongruence(

@@ -518,6 +518,7 @@ def is_semimodular(L: FiniteLattice) -> bool:
 
 def ideal_filter(L: FiniteLattice, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The principal ideal and principal filter of ``a``."""
+    a = _element_id(a)
     if not 0 <= a < L.n:
         raise ElementOutOfRange(f"element {a} out of range for size {L.n}")
     return L.down(a), L.up(a)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from latcon import catalog, core
+from latcon import birkhoff, catalog, construction, core
 from latcon import congruence as cg
 from latcon import rectangular as rl
 from latcon.cli import main
@@ -244,8 +244,23 @@ class TestRandomLattices:
             _assert_matches_reference(L)
 
 
+@pytest.fixture(scope="module")
+def a6_outputs():
+    """The 34 filter representations of the A6 sweep, up to 65 elements."""
+    rect = catalog.rect_catalog()
+    out = []
+    for f in ("grid-2x2", "m3", "s7"):
+        for g in ("grid-2x2", "m3", "s7"):
+            F, G = rect[f], rect[g]
+            D = cg.congruence_lattice(F.lattice).as_lattice()
+            E = cg.congruence_lattice(G.lattice).as_lattice()
+            for phi in birkhoff.enumerate_bounded_homs(D, E):
+                out.append(construction.filter_representation(F, G, phi)[0].lattice)
+    return out
+
+
 class TestGeneratedCongruence:
-    """The closure over J(L) and M(L) against the closure over every element."""
+    """The Technical Lemma closure against the closure over every element."""
 
     def _agree(self, L, pairs):
         got = cg.generated_congruence(L, pairs)
@@ -266,13 +281,25 @@ class TestGeneratedCongruence:
             for e in L.covers():
                 self._agree(L, [e])
 
+    def test_covers_of_a6_outputs(self, a6_outputs):
+        assert len(a6_outputs) == 34 and max(L.n for L in a6_outputs) == 65
+        for L in a6_outputs:
+            for e in L.covers():
+                self._agree(L, [e])
+
     def test_random_pairs_on_random_closure_lattices(self):
+        # 0-3 pairs, every fourth one with equal ends
         rng = random.Random(19)
-        sizes = []
-        for _ in range(250):
+        sizes, counts = [], set()
+        for _ in range(300):
             L = helpers.random_closure_lattice(rng)
-            pairs = [(rng.randrange(L.n), rng.randrange(L.n)) for _ in range(rng.randint(1, 3))]
+            pairs = []
+            for _ in range(rng.randint(0, 3)):
+                a = rng.randrange(L.n)
+                pairs.append((a, a) if rng.random() < 0.25 else (a, rng.randrange(L.n)))
+            counts.add(len(pairs))
             sizes.append(self._agree(L, pairs).nblocks)
+        assert counts == {0, 1, 2, 3}
         assert 1 in sizes and max(sizes) > 4
 
     def test_equal_ends_give_equality(self):
@@ -435,14 +462,24 @@ class TestPartitionForm:
 
 class TestPredicatesAndRestriction:
     def test_is_congruence_vs_brute(self):
-        for name in ("n5", "m3", "grid-2x2"):
-            L = catalog.get(name)
+        # is_congruence and congruence_from_blocks close the blocks and compare
+        # class counts: every partition of each catalog lattice of at most 8
+        # elements (4,140 partitions at 8) against the brute-force filters
+        small = [catalog.get(name) for name in catalog.names() if catalog.get(name).n <= 8]
+        assert len(small) == 17
+        for L in small:
             want = helpers.brute_congruences(L)
             want_meet = helpers.brute_meet_congruences(L)
             for p in helpers.set_partitions(L.n):
                 key = helpers.blocks_key(p)
                 assert cg.is_congruence(L, p) == (key in want)
                 assert cg.is_meet_congruence(L, p) == (key in want_meet)
+                if key in want:
+                    assert cg.congruence_from_blocks(L, p).blocks == p
+                else:
+                    with pytest.raises(NotACongruence) as err:
+                        cg.congruence_from_blocks(L, p)
+                    assert str(err.value) == "partition violates the substitution property"
 
     def test_meet_congruence_strictly_weaker_on_n5(self):
         # collapses the long side only: meet-compatible but join breaks it
@@ -494,3 +531,22 @@ class TestSingletonExtension:
     def test_extension_is_meet_congruence_of_whole(self):
         ext = cg.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2, 4]])
         assert cg.is_meet_congruence(S7, ext)
+
+
+class TestCallContract:
+    """Con L runs exactly one principal closure per join-irreducible congruence;
+    the benchmark's traced ``principal_congruence`` counts rely on it."""
+
+    def test_one_closure_per_color(self, monkeypatch):
+        lattices = [catalog.s7().lattice] + [R.lattice for _, R in catalog.search_rectangular(12)]
+        assert len(lattices) > 1
+        calls = []
+        closure = cg.principal_congruence
+        monkeypatch.setattr(cg, "principal_congruence", lambda *a: calls.append(a) or closure(*a))
+        for L in lattices:
+            fresh = core.make_lattice(L.n, L.covers())
+            del calls[:]
+            con = cg.congruence_lattice(fresh)
+            assert len(calls) == con.ji_order.n
+            cg.congruence_lattice(fresh)
+            assert len(calls) == con.ji_order.n

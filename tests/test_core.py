@@ -137,11 +137,14 @@ class TestNonIntegralIds:
             (_verify_with_float_embedding, "3.0"),
             (lambda: birkhoff.make_bounded_hom(core.chain(2), core.chain(2), [0, 1.6]), "1.6"),
             (lambda: birkhoff.IsotoneMap(core.Poset(1, []), core.Poset(1, []), [0.0]), "0.0"),
+            (lambda: cg.principal_congruence(core.chain(3), 0, 1.5), "1.5"),
+            (lambda: cg.generated_congruence(core.chain(3), [(0, 1), ("2", 1)]), "'2'"),
+            (lambda: core.ideal_filter(core.chain(3), 1.5), "1.5"),
         ],
         ids=[
             "cover", "upper-order", "lower-order-key", "ideal", "convex", "singleton-ideal",
             "singleton-blocks", "partition", "glue", "verify-embedding", "bounded-hom",
-            "isotone-map",
+            "isotone-map", "principal-congruence", "generated-congruence", "ideal-filter",
         ],
     )
     def test_rejected_naming_the_value(self, call, bad):
@@ -159,6 +162,13 @@ class TestNonIntegralIds:
             4, [(0, 1), (0, 2), (1, 3), (2, 3)], lower_order={helpers.IntLike(3): [2, one]}
         )
         assert W.lower_covers(3) == (2, 1)
+        S = s7()
+        four, six = helpers.IntLike(4), helpers.IntLike(6)
+        assert cg.principal_congruence(S, four, six) == cg.principal_congruence(S, 4, 6)
+        assert cg.generated_congruence(S, [(four, six), (True, 0)]) == cg.generated_congruence(
+            S, [(4, 6), (1, 0)]
+        )
+        assert core.ideal_filter(S, four) == core.ideal_filter(S, 4) == ((0, 1, 2, 4), (4, 6))
 
     def test_json_text_unchanged(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
