@@ -25,11 +25,14 @@ checks of :mod:`latcon.verify`.  The list of all congruences is an output
 format, read by :mod:`latcon.jsonio`, the CLI, ``as_lattice`` and the
 lemma suite.
 
-Principal closures remain as the postcondition of Con L.  One kernel,
-:func:`_closure`, generates and tests congruences by Grätzer's Technical
-Lemma: its classes are intervals, and merging two of them applies the
-lemma's cover rules to the covers between them (the proof is at
-:func:`generated_congruence`).  :func:`is_congruence` and
+One kernel, :func:`_closure`, is the module's only union-find.  It
+generates and tests congruences by Grätzer's Technical Lemma: its classes
+are intervals, and merging two of them applies the lemma's cover rules to
+the covers between them (the proof is at :func:`generated_congruence`).
+Each join-irreducible congruence ``theta[r]`` is the principal closure
+con(r_*, r), checked cover by cover against the coloring; every other
+congruence is read off the covers it collapses, as a class is an interval
+and so the component of its collapsed covers.  :func:`is_congruence` and
 :func:`congruence_from_blocks` close the given blocks and compare class
 counts; only the meet-side checks substitute element by element.
 """
@@ -78,38 +81,6 @@ def _key(labels: Iterable) -> tuple[int, ...]:
     return tuple([seen.setdefault(c, len(seen)) for c in labels])
 
 
-def _find(parent: list[int], u: int) -> int:
-    """Root of ``u`` in a union-find forest, halving the path on the way."""
-    while parent[u] != u:
-        parent[u] = parent[parent[u]]
-        u = parent[u]
-    return u
-
-
-def _classes(L: FiniteLattice, parent: list[int]) -> "Congruence":
-    """The partition of L into the trees of a union-find forest."""
-    return Congruence(L, [_find(parent, x) for x in range(L.n)])
-
-
-def _join_blocks(
-    L: FiniteLattice, blocks: Iterable[Sequence[int]], parent: list[int] | None = None
-) -> "Congruence":
-    """The finest partition of L that keeps each given block inside one class.
-
-    ``parent`` seeds the union-find with a forest whose trees must stay
-    together as well; by default every element starts alone.
-    """
-    if parent is None:
-        parent = list(range(L.n))
-    for blk in blocks:
-        r = _find(parent, blk[0])
-        for x in blk[1:]:
-            rx = _find(parent, x)
-            if rx != r:
-                parent[rx] = r
-    return _classes(L, parent)
-
-
 def _broken_pair(
     L: FiniteLattice, blocks: Sequence[Sequence[int]], zs: Sequence[int]
 ) -> tuple[int, int, int] | None:
@@ -140,8 +111,8 @@ class Congruence:
 
     ``labels`` gives each element's class under any labels; the table
     renumbers them by first occurrence.  Instances are produced by the
-    library (principal closure, joins); :func:`congruence_from_blocks` is
-    the validating entry point for external data.
+    library (closures, Con L); :func:`congruence_from_blocks` is the
+    validating entry point for external data.
     """
 
     __slots__ = ("lattice", "blocks", "cls")
@@ -164,11 +135,6 @@ class Congruence:
     def collapses(self, x: int, y: int) -> bool:
         return self.cls[x] == self.cls[y]
 
-    def _joined(self, blocks: Iterable[Sequence[int]]) -> "Congruence":
-        """The finest partition coarser than self keeping each block together."""
-        least = [b[0] for b in self.blocks]
-        return _join_blocks(self.lattice, blocks, [least[c] for c in self.cls])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Congruence):
             return NotImplemented
@@ -180,10 +146,6 @@ class Congruence:
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
         return f"Congruence({inner})"
-
-
-def delta(L: FiniteLattice) -> Congruence:
-    return Congruence(L, range(L.n))
 
 
 def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
@@ -351,25 +313,31 @@ class ConLattice:
         self._lattice_view = None
 
     def _build(self) -> _Partitions:
-        """Every congruence, grown along the down-sets of ``ji_order``, and
+        """Every congruence, one per down-set ``d`` of ``ji_order``, and
         ``downsets[i]``, the bitmask of the positions below congruence i.
 
-        The down-set one element short of ``d`` drops the element of ``d``
-        at the highest position, which is maximal in ``d`` and comes
-        earlier; so each congruence unites the covers of one more color in
-        an earlier one.  Run once, on first use.
+        The congruence of ``d`` collapses a cover exactly when its color is
+        in ``d``, and its classes are the components of those covers.  Each
+        element is labelled in id order: it takes the label of its first
+        lower cover whose color is in ``d``, and otherwise itself.  Every
+        label is the least member of its element's class.  Ids form a
+        linear extension, so a lower cover y of x is labelled first, and a
+        collapsed one lies in x's class.  If x has no collapsed lower cover,
+        x is the least member u of its class: the class is an interval, and
+        otherwise the last step of a maximal chain from u to x is a lower
+        cover of x inside it.  Run once, on first use.
         """
         if self._full is not None:
             return self._full
-        edges: list[list[tuple[int, int]]] = [[] for _ in self.theta]
-        for e, p in self.colors.items():
-            edges[p].append(e)
+        L, colors = self.lattice, self.colors
+        low = [[(y, 1 << colors[y, x]) for y in L._lower[x]] for x in range(L.n)]
         ds = core.downsets(self.ji_order)
-        at = {d: i for i, d in enumerate(ds)}
-        cons = [delta(self.lattice)]
-        for d in ds[1:]:
-            x = d.bit_length() - 1
-            cons.append(cons[at[d ^ 1 << x]]._joined(edges[x]))
+        cons = []
+        for d in ds:
+            label: list[int] = []
+            for ys in low:
+                label.append(next((label[y] for y, bit in ys if d & bit), len(label)))
+            cons.append(Congruence(L, label))
 
         perm = sorted(range(len(cons)), key=lambda k: _rank(cons[k]))
         ordered = tuple(cons[k] for k in perm)
@@ -417,14 +385,16 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
 
     Covers are colored by join-irreducibles and colors are ordered by D*
     (see the module docstring); the list of all congruences is left to
-    :class:`ConLattice` to build on demand.  Two postconditions raise
-    :class:`PostconditionFailed`: each join-irreducible congruence
-    ``theta[r]`` must equal the principal closure con(r_*, r), and the
-    colors ``c`` it collapses, read on the edge ``(c_*, c)``, must be
-    exactly r's D* down-set.  Together they imply that distinct down-sets
-    of colors join to distinct congruences: theta[c] <= theta[r] exactly
-    when c D* r, and each theta[c] is generated by a cover, so it is
-    join-irreducible, hence join-prime in the distributive Con L; thus a
+    :class:`ConLattice` to build on demand.  ``theta[r]`` is the principal
+    closure con(r_*, r), and the postcondition checks it cover by cover:
+    it must collapse a cover of color ``c`` exactly when ``c`` is in r's
+    D* down-set, or :class:`PostconditionFailed` names a missed cover or a
+    color ordered unlike D*.  A congruence's classes are intervals, so they
+    are the components of the covers it collapses: the check fixes every
+    ``theta[r]``.  It also implies that distinct down-sets of colors join
+    to distinct congruences: theta[c] <= theta[r] exactly when c D* r, as
+    theta[c] is generated by the cover (c_*, c) of color c; so theta[c] is
+    join-irreducible, hence join-prime in the distributive Con L, and a
     down-set is the set of colors c with theta[c] below its join.
     Computed once per lattice instance and cached.
     """
@@ -452,21 +422,21 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
                 rep.setdefault(p, q)
 
     color = {}
-    edges: dict[int, list[tuple[int, int]]] = {r: [] for r in sorted(set(rep.values()))}
     for a, b in L.covers():
         m = down[b] & ~down[a] & jmask
         color[a, b] = rep[(m & -m).bit_length() - 1]
-        edges[color[a, b]].append((a, b))
-    theta = {r: _join_blocks(L, [e for c in edges if below[r] >> c & 1 for e in edges[c]])
-             for r in edges}
+    theta = {r: principal_congruence(L, lower[r][0], r) for r in sorted(set(rep.values()))}
     for r, t in theta.items():
-        if principal_congruence(L, lower[r][0], r).cls != t.cls:
-            raise PostconditionFailed(f"con({lower[r][0]}, {r}) is not the congruence of color {r}")
-        for c in edges:
-            if t.collapses(lower[c][0], c) != bool(below[r] >> c & 1):
-                raise PostconditionFailed(f"colors {c} and {r} are ordered unlike D*")
+        cls = t.cls
+        for (a, b), c in color.items():
+            wanted = bool(below[r] >> c & 1)
+            if (cls[a] == cls[b]) != wanted:
+                raise PostconditionFailed(
+                    f"con({lower[r][0]}, {r}) is not the congruence of color {r}" if wanted
+                    else f"colors {c} and {r} are ordered unlike D*"
+                )
 
-    order = sorted(edges, key=lambda r: _rank(theta[r]))
+    order = sorted(theta, key=lambda r: _rank(theta[r]))
     pos = {r: i for i, r in enumerate(order)}
     up = [sum(1 << pos[c] for c in order if below[c] >> r & 1) for r in order]
     ji_order = Poset(len(order), core._reduce(range(len(order)), up))

@@ -652,12 +652,6 @@ def downsets(P: Poset) -> list[int]:
     return out
 
 
-def downset_lattice(P: Poset) -> FiniteLattice:
-    """The distributive lattice of down-sets of P, ordered by inclusion."""
-    ds = downsets(P)
-    return make_lattice(len(ds), _downset_covers(P, ds))
-
-
 def _signature(L: FiniteLattice, x: int) -> tuple[int, int, int, int, int, int]:
     return (
         L._height[x],

@@ -1,11 +1,11 @@
-"""JSON serialization for lattices, congruences, homomorphisms, and reports.
+"""JSON serialization for lattices, congruence lattices, homomorphisms, and reports.
 
 Dump/load pairs keep a stable canonical form: object keys sorted, two-space
 indent, trailing newline — emitting the same value twice gives identical
 bytes.  Loading always revalidates: lattices go through
 :func:`latcon.core.make_lattice` (which renumbers canonically), rectangular
-claims are recomputed and compared, and congruence blocks and hom
-assignments are mapped through the renumbering.
+claims are recomputed and compared, and hom assignments are mapped through
+the renumbering.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from . import birkhoff, congruence as cg, core, rectangular as rl
+from . import birkhoff, core, rectangular as rl
 from .birkhoff import BoundedHom
-from .congruence import ConLattice, Congruence
+from .congruence import ConLattice
 from .construction import ConstructionReport
 from .core import FiniteLattice
 from .errors import ElementOutOfRange, InvalidLattice, LatconError
@@ -128,31 +128,6 @@ def rect_from_obj(obj: Any) -> RectLattice:
                 f" {sorted(R.eyes)}"
             )
     return R
-
-
-def congruence_to_obj(alpha: Congruence) -> dict:
-    return {
-        "lattice": lattice_to_obj(alpha.lattice),
-        "blocks": [list(b) for b in alpha.blocks],
-    }
-
-
-def congruence_from_obj(obj: Any) -> Congruence:
-    lat, renum = lattice_from_obj_with_map(_require(obj, "lattice", dict))
-    blocks = []
-    for b in _require(obj, "blocks", list):
-        if not isinstance(b, list):
-            raise LatconError(f"block {b!r} must be a list")
-        blocks.append([renum[_element(x, lat.n, "block member")] for x in b])
-    return cg.congruence_from_blocks(lat, blocks)
-
-
-def hom_to_obj(phi: BoundedHom) -> dict:
-    return {
-        "source": lattice_to_obj(phi.source),
-        "target": lattice_to_obj(phi.target),
-        "map": list(phi.assignment),
-    }
 
 
 def hom_from_obj(obj: Any) -> BoundedHom:

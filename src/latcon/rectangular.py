@@ -407,14 +407,17 @@ def glue(
 
 
 def _joint_extension(
-    L: FiniteLattice, parts: Iterable[tuple[cg.Congruence, Sequence[int]]]
+    L: FiniteLattice, parts: Sequence[tuple[cg.Congruence, Sequence[int]]]
 ) -> cg.Congruence:
-    """The finest partition of L holding each piece congruence's classes under the
-    piece's map, checked to be a congruence; callers check the overlaps agree."""
-    result = cg._join_blocks(L, (
-        [emap[x] for x in blk] for alpha, emap in parts for blk in alpha.blocks
-    ))
-    if not cg.is_congruence(L, result.blocks):
+    """The congruence of L generated by the pieces' classes under their maps,
+    checked to restrict to each piece's congruence; callers check that the
+    overlaps agree.  Every cover of L is a cover of a piece (:func:`_assemble`)
+    and congruence classes are intervals, hence components of collapsed
+    covers: a closure that passes the check is the join of those classes."""
+    result = cg.generated_congruence(L, [
+        (emap[blk[0]], emap[x]) for alpha, emap in parts for blk in alpha.blocks for x in blk[1:]
+    ])
+    if any(cg._restricted_key(result, emap) != alpha.cls for alpha, emap in parts):
         raise PostconditionFailed("joint extension of compatible congruences is not a congruence")
     return result
 
@@ -425,7 +428,8 @@ def glue_congruence_pair(
     """The unique common extension of congruences of the two glued pieces.
 
     Requires the restrictions to the shared part to agree; the extension is
-    the transitive closure of the union, validated as a congruence.
+    the closure of both pieces' classes, checked to restrict to both; as
+    every cover is a piece's, it is then their join (:func:`_joint_extension`).
     """
     if alpha_a.lattice != glued.a_lattice:
         raise LatconError("first congruence does not live on the lower piece")
@@ -529,15 +533,15 @@ def triple_glue_congruence(
 
     The four facing-boundary agreements are checked first (collapse of
     matching cover pairs along the shared chains); the extension is then
-    one union-find over the four pieces' classes, on the result's ids,
-    checked to be a congruence.
+    the closure of the four pieces' classes on the result's ids, checked
+    by :func:`_joint_extension`.
 
     This equals gluing in stages (B + Lf, Rf + T, then the two), each
-    taking the finest partition that holds its inputs' classes: the
-    partition generated by a family of blocks does not depend on how the
-    family is grouped.  Each stage identifies chains, and a restriction to
-    a chain is fixed by which of its covers collapse; so the facing checks
-    hold exactly when the three stage agreements do.
+    taking the congruence generated by its inputs' classes: the congruence
+    generated by a family of blocks does not depend on how the family is
+    grouped.  Each stage identifies chains, and a restriction to a chain is
+    fixed by which of its covers collapse; so the facing checks hold
+    exactly when the three stage agreements do.
     """
     for alpha, piece, role in (
         (alpha_t, asm.top, "top"),

@@ -24,6 +24,7 @@ from itertools import product
 from types import SimpleNamespace
 
 from latcon import birkhoff as bk, congruence as cg, construction as cn, core
+from latcon import jsonio as jio
 from latcon import rectangular as rl
 from latcon.errors import (
     ElementOutOfRange,
@@ -131,6 +132,36 @@ def _class_table(n, blocks):
     return cls
 
 
+def delta(L):
+    """The equality congruence of L."""
+    return cg.Congruence(L, range(L.n))
+
+
+def _find(parent, u):
+    """Root of ``u`` in a union-find forest, halving the path on the way."""
+    while parent[u] != u:
+        parent[u] = parent[parent[u]]
+        u = parent[u]
+    return u
+
+
+def _forest_classes(L, parent):
+    """The partition of L into the trees of a union-find forest."""
+    return cg.Congruence(L, [_find(parent, x) for x in range(L.n)])
+
+
+def _join_blocks(L, blocks):
+    """The finest partition of L keeping each given block in one class."""
+    parent = list(range(L.n))
+    for blk in blocks:
+        r = _find(parent, blk[0])
+        for x in blk[1:]:
+            rx = _find(parent, x)
+            if rx != r:
+                parent[rx] = r
+    return _forest_classes(L, parent)
+
+
 def refines(a, b):
     """Is every class of congruence ``a`` inside one class of ``b``?"""
     return all(b.cls[x] == b.cls[blk[0]] for blk in a.blocks for x in blk)
@@ -236,7 +267,7 @@ def reference_generated_congruence(L, pairs):
     work = []
 
     def unite(x, y):
-        rx, ry = cg._find(parent, x), cg._find(parent, y)
+        rx, ry = _find(parent, x), _find(parent, y)
         if rx != ry:
             parent[ry] = rx
             work.append((x, y))
@@ -252,7 +283,7 @@ def reference_generated_congruence(L, pairs):
         for z in range(n):
             unite(mx[z], my[z])
             unite(jx[z], jy[z])
-    return cg._classes(L, parent)
+    return _forest_classes(L, parent)
 
 
 def brute_bounded_homs(D, E):
@@ -324,6 +355,21 @@ def brute_downsets(P):
     )
 
 
+def downset_lattice(P):
+    """The distributive lattice of down-sets of P, ordered by inclusion."""
+    ds = core.downsets(P)
+    return core.make_lattice(len(ds), core._downset_covers(P, ds))
+
+
+def hom_to_obj(phi):
+    """A bounded hom as the JSON object :func:`latcon.jsonio.hom_from_obj` reads."""
+    return {
+        "source": jio.lattice_to_obj(phi.source),
+        "target": jio.lattice_to_obj(phi.target),
+        "map": list(phi.assignment),
+    }
+
+
 def random_poset(rng, n, shuffle=True):
     """A seeded random poset on range(n): each pair is related with
     probability 0.3 along a random linear order, or along id order when
@@ -382,13 +428,13 @@ def reference_congruence_lattice(L):
             ji_list.append(theta)
     j = len(ji_list)
     ji_leq = [[refines(ji_list[a], ji_list[b]) for b in range(j)] for a in range(j)]
-    base = cg.delta(L)
+    base = delta(L)
     all_keys = {base.cls: base}
     for mask in range(1, 1 << j):
         members = [a for a in range(j) if mask >> a & 1]
         if not all(mask >> b & 1 for a in members for b in range(j) if ji_leq[b][a]):
             continue
-        c = cg._join_blocks(L, (blk for a in members for blk in ji_list[a].blocks))
+        c = _join_blocks(L, (blk for a in members for blk in ji_list[a].blocks))
         assert c.cls not in all_keys, "distinct down-sets must have distinct joins"
         all_keys[c.cls] = c
     ordered = sorted(all_keys.values(), key=lambda c: (-c.nblocks, c.blocks))
@@ -558,7 +604,7 @@ def _reference_glue_pair(stage, alpha_a, alpha_b):
         alpha_b, [p[1] for p in pairs]
     ):
         raise Incompatible("restrictions to the shared part differ")
-    out = cg._join_blocks(lat, (
+    out = _join_blocks(lat, (
         [emap[x] for x in blk]
         for alpha, emap in ((alpha_a, a_map), (alpha_b, b_map))
         for blk in alpha.blocks

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 import latcon
 from latcon import birkhoff as bk
 from latcon import catalog
@@ -95,7 +96,7 @@ class TestInputResolution:
     def test_malformed_hom_entry_is_input_error(self, tmp_path, capsys, entry):
         D = cg.congruence_lattice(catalog.get("grid-2x2")).as_lattice()
         E = cg.congruence_lattice(catalog.get("m3")).as_lattice()
-        obj = jio.hom_to_obj(bk.enumerate_bounded_homs(D, E)[0])
+        obj = helpers.hom_to_obj(bk.enumerate_bounded_homs(D, E)[0])
         obj["map"][obj["map"].index(1)] = entry
         p = tmp_path / "phi.json"
         p.write_text(json.dumps(obj))
@@ -201,7 +202,7 @@ class TestBuildCommands:
         E = cg.congruence_lattice(catalog.get("m3")).as_lattice()
         phi = bk.enumerate_bounded_homs(D, E)[0]
         p = tmp_path / "phi.json"
-        p.write_text(jio.dumps(jio.hom_to_obj(phi)))
+        p.write_text(jio.dumps(helpers.hom_to_obj(phi)))
         rc = main(["build-filter", "grid-2x2", "m3", str(p), "--out", str(tmp_path)])
         assert rc == 0
 
@@ -209,7 +210,7 @@ class TestBuildCommands:
         D = cg.congruence_lattice(catalog.get("m3")).as_lattice()
         phi = bk.make_bounded_hom(D, D, range(D.n))
         p = tmp_path / "phi.json"
-        p.write_text(jio.dumps(jio.hom_to_obj(phi)))
+        p.write_text(jio.dumps(helpers.hom_to_obj(phi)))
         rc = main(["build-filter", "grid-2x2", "m3", str(p), "--out", str(tmp_path)])
         assert rc == 2
 

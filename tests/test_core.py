@@ -331,7 +331,7 @@ class TestDistributivity:
     def test_downset_lattices_of_random_posets(self):
         rng = random.Random(13)
         lattices = [
-            core.downset_lattice(helpers.random_poset(rng, rng.randint(0, 7)))
+            helpers.downset_lattice(helpers.random_poset(rng, rng.randint(0, 7)))
             for _ in range(40)
         ]
         assert all(self._agree(lattices))
@@ -391,12 +391,12 @@ class TestJoinIrreduciblePoset:
 
     def test_downset_lattice_of_two_antichain(self):
         P = core.join_irreducibles(core.direct_product(core.chain(2), core.chain(2)))
-        D = core.downset_lattice(P)
+        D = helpers.downset_lattice(P)
         assert core.are_isomorphic(D, core.direct_product(core.chain(2), core.chain(2)))
 
     def test_distributive_lattice_rebuilds_from_downsets(self):
         L = core.direct_product(core.chain(3), core.chain(2))
-        D = core.downset_lattice(core.join_irreducibles(L))
+        D = helpers.downset_lattice(core.join_irreducibles(L))
         assert core.are_isomorphic(D, L)
 
 
@@ -416,7 +416,7 @@ class TestDownsets:
             P = helpers.random_poset(rng, rng.randint(0, 8))
             ds = core.downsets(P)
             assert ds == helpers.brute_downsets(P)
-            assert core.downset_lattice(P).covers() == helpers.brute_covers(
+            assert helpers.downset_lattice(P).covers() == helpers.brute_covers(
                 len(ds), lambda a, b: not ds[a] & ~ds[b]
             )
 

@@ -392,8 +392,8 @@ class TestPostconditions:
 
     def test_glued_extension_is_a_congruence(self, monkeypatch):
         g = catalog.glue_instances()["grid-on-grid"]
-        delta_a, delta_b = cg.delta(g.a_lattice), cg.delta(g.b_lattice)
-        monkeypatch.setattr(cg, "_join_blocks", _top_alone)
+        delta_a, delta_b = helpers.delta(g.a_lattice), helpers.delta(g.b_lattice)
+        monkeypatch.setattr(cg, "generated_congruence", _top_alone)
         with pytest.raises(PostconditionFailed, match="not a congruence"):
             rl.glue_congruence_pair(g, delta_a, delta_b)
 
@@ -416,8 +416,8 @@ class TestPostconditions:
 
     def test_triple_extension_is_a_congruence(self, monkeypatch):
         asm = catalog.assemblies()["four-grids"]
-        deltas = [cg.delta(P.lattice) for P in (asm.top, asm.left, asm.right, asm.bottom)]
-        monkeypatch.setattr(cg, "_join_blocks", _top_alone)
+        deltas = [helpers.delta(P.lattice) for P in (asm.top, asm.left, asm.right, asm.bottom)]
+        monkeypatch.setattr(cg, "generated_congruence", _top_alone)
         with pytest.raises(PostconditionFailed, match="not a congruence"):
             rl.triple_glue_congruence(asm, *deltas)
 
@@ -430,8 +430,8 @@ class TestPostconditions:
         "cell-middles": "rl.cells(without_eyes(catalog.m3()))\n",
         "glued-extension": (
             "g = catalog.glue_instances()['grid-on-grid']\n"
-            "delta_a, delta_b = cg.delta(g.a_lattice), cg.delta(g.b_lattice)\n"
-            "cg._join_blocks = lambda L, *args: cg.Congruence(L, [0] * (L.n - 1) + [1])\n"
+            "delta_a, delta_b = delta(g.a_lattice), delta(g.b_lattice)\n"
+            "cg.generated_congruence = lambda L, *args: cg.Congruence(L, [0] * (L.n - 1) + [1])\n"
             "rl.glue_congruence_pair(g, delta_a, delta_b)\n"
         ),
         "assembled-numbering": "rl._assemble(2, [(core.chain(2), (1, 0))])\n",
@@ -448,8 +448,8 @@ class TestPostconditions:
         ),
         "triple-extension": (
             "asm = catalog.assemblies()['four-grids']\n"
-            "deltas = [cg.delta(P.lattice) for P in (asm.top, asm.left, asm.right, asm.bottom)]\n"
-            "cg._join_blocks = lambda L, *args: cg.Congruence(L, [0] * (L.n - 1) + [1])\n"
+            "deltas = [delta(P.lattice) for P in (asm.top, asm.left, asm.right, asm.bottom)]\n"
+            "cg.generated_congruence = lambda L, *args: cg.Congruence(L, [0] * (L.n - 1) + [1])\n"
             "rl.triple_glue_congruence(asm, *deltas)\n"
         ),
     }
@@ -464,6 +464,8 @@ class TestPostconditions:
             "def without_eyes(R):\n"
             "    return rl.RectLattice(R.lattice, R.lc, R.rc, R.lower_left, R.upper_left,\n"
             "                          R.lower_right, R.upper_right, ())\n"
+            "def delta(L):\n"
+            "    return cg.Congruence(L, range(L.n))\n"
             "def mirrored(R):\n"
             "    return rl.RectLattice(R.lattice, R.rc, R.lc, R.lower_right, R.upper_right,\n"
             "                          R.lower_left, R.upper_left, R.eyes)\n"
