@@ -125,10 +125,55 @@ class BoundedHom:
         return f"BoundedHom({self.assignment})"
 
 
+def _pullbacks(f: Sequence[int], E: FiniteLattice) -> list[int]:
+    """For each join-irreducible ``q`` of E, in id order, the mask of the
+    ``x`` with ``q <= f(x)``."""
+    pre: dict[int, int] = {}  # pre[e]: the x with f(x) = e
+    for x, e in enumerate(f):
+        pre[e] = pre.get(e, 0) | 1 << x
+    out = []
+    for q in range(E.n):
+        if len(E._lower[q]) == 1:
+            uq = E._up[q]
+            m = 0
+            for e, xs in pre.items():
+                if uq >> e & 1:
+                    m |= xs
+            out.append(m)
+    return out
+
+
+def _first_broken_pair(D: FiniteLattice, E: FiniteLattice, f: Sequence[int]) -> NotHomomorphic:
+    """The error for the first pair ``x < y`` whose meet or join f does
+    not preserve."""
+    for x in range(D.n):
+        for y in range(x + 1, D.n):
+            if f[D.meet(x, y)] != E.meet(f[x], f[y]):
+                return NotHomomorphic(f"meet not preserved at ({x}, {y})")
+            if f[D.join(x, y)] != E.join(f[x], f[y]):
+                return NotHomomorphic(f"join not preserved at ({x}, {y})")
+    raise PostconditionFailed("a pull-back is no join-irreducible filter, yet f preserves every pair")
+
+
 def make_bounded_hom(
     D: FiniteLattice, E: FiniteLattice, assignment: Sequence[int]
 ) -> BoundedHom:
-    """Validate an element assignment as a bounded homomorphism D -> E."""
+    """Validate an element assignment as a bounded homomorphism D -> E.
+
+    Once both lattices are distributive and f keeps the bounds, f is a
+    homomorphism iff for every join-irreducible q of E the pull-back
+    ``{x : q <= f(x)}`` is ``up(p)`` for a join-irreducible p of D.
+    Proof: in a finite distributive lattice the join-irreducibles are
+    join-prime, and an element is the join of those below it.  So with
+    such pull-backs ``q <= f(x v y)`` iff ``p <= x v y`` iff ``p <= x`` or
+    ``p <= y`` iff ``q <= f(x) v f(y)``, and dually ``q <= f(x ^ y)`` iff
+    ``p <= x`` and ``p <= y`` iff ``q <= f(x) ^ f(y)``.  Conversely the
+    pull-back of the prime filter ``up(q)`` under a {0,1}-homomorphism is a
+    prime filter, nonempty as it holds the top and proper as it misses the
+    bottom, so it is ``up(p)`` with p join-prime, hence join-irreducible.
+    The test costs ``|J(E)|`` mask passes over the image of f; only a
+    failure scans the pairs, to name the first one f breaks.
+    """
     if not core.is_distributive(D):
         raise NotDistributive("source lattice is not distributive")
     if not core.is_distributive(E):
@@ -143,33 +188,30 @@ def make_bounded_hom(
         raise NotBounded(f"bottom maps to {f[D.bottom]}, not {E.bottom}")
     if f[D.top] != E.top:
         raise NotBounded(f"top maps to {f[D.top]}, not {E.top}")
-    for x in range(D.n):
-        dmeet, djoin = D._meet[x], D._join[x]
-        emeet, ejoin = E._meet[f[x]], E._join[f[x]]
-        for y in range(x + 1, D.n):
-            fy = f[y]
-            if f[dmeet[y]] != emeet[fy]:
-                raise NotHomomorphic(f"meet not preserved at ({x}, {y})")
-            if f[djoin[y]] != ejoin[fy]:
-                raise NotHomomorphic(f"join not preserved at ({x}, {y})")
+    for m in _pullbacks(f, E):
+        p = (m & -m).bit_length() - 1
+        if m != D._up[p] or len(D._lower[p]) != 1:
+            raise _first_broken_pair(D, E, f)
     return BoundedHom(D, E, f)
 
 
 def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     """The dual isotone map  Ji(target) -> Ji(source).
 
-    A join-irreducible x of the target is sent to the meet of all source
-    elements whose image lies above x; that meet is itself join-irreducible.
+    A join-irreducible x of the target is sent to the least source element
+    whose image lies above x.  For a homomorphism the pull-back of x is
+    ``up(p)`` with p join-irreducible (see :func:`make_bounded_hom`), and p
+    is its least id; any other pull-back raises :class:`PostconditionFailed`.
     """
     D, E = phi.source, phi.target
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
     pos_d = {lbl: i for i, lbl in enumerate(jd.labels)}
-    f = phi.assignment
     out = []
-    for x in je.labels:
-        up = E._up[x]
-        m = D.meet_of([e for e in range(D.n) if up >> f[e] & 1])
+    for x, s in zip(je.labels, _pullbacks(phi.assignment, E)):
+        m = (s & -s).bit_length() - 1
+        if s != D._up[m]:
+            raise PostconditionFailed(f"pull-back of join-irreducible {x} is no principal filter")
         if m not in pos_d:
             raise PostconditionFailed(
                 f"dual image {m} of join-irreducible {x} is not join-irreducible"

@@ -90,18 +90,19 @@ def _broken_pair(
     ``zs`` and ``a ∧ z`` and ``y ∧ z`` lie in different blocks.  Elements
     in no block count as singletons.
     """
-    meet = L._meet
+    down = L._down
     cls = [-1 - x for x in range(L.n)]
     for i, b in enumerate(blocks):
         for x in b:
             cls[x] = i
     for b in blocks:
         a = b[0]
-        ma = meet[a]
+        da = down[a]
         for y in b[1:]:
-            my = meet[y]
+            dy = down[y]
             for z in zs:
-                if cls[ma[z]] != cls[my[z]]:
+                dz = down[z]
+                if cls[(da & dz).bit_length() - 1] != cls[(dy & dz).bit_length() - 1]:
                     return a, y, z
     return None
 
@@ -164,7 +165,6 @@ def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
     """
     n = L.n
     up, down, upper, lower = L._up, L._down, L._upper, L._lower
-    meet, join = L._meet, L._join
     root = list(range(n))
     members = [[x] for x in range(n)]
     mask = [1 << x for x in range(n)]
@@ -190,17 +190,23 @@ def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
                 if big >> b & 1:
                     covers.append((b, a))
         for a, b in covers:
-            jb, ma = join[b], meet[a]
+            ub, da = up[b], down[a]
             for z in upper[a]:
-                if z != b and root[z] != root[jb[z]]:
-                    push((z, jb[z]))
+                if z != b:
+                    j = ub & up[z]
+                    j = (j & -j).bit_length() - 1
+                    if root[z] != root[j]:
+                        push((z, j))
             for z in lower[b]:
-                if z != a and root[z] != root[ma[z]]:
-                    push((z, ma[z]))
+                if z != a:
+                    m = (da & down[z]).bit_length() - 1
+                    if root[z] != root[m]:
+                        push((z, m))
         members[u] += small
         m = mask[u] = big | mask[v]
-        x = lo[u] = meet[lo[u]][lo[v]]
-        y = hi[u] = join[hi[u]][hi[v]]
+        x = lo[u] = (down[lo[u]] & down[lo[v]]).bit_length() - 1
+        y = up[hi[u]] & up[hi[v]]
+        y = hi[u] = (y & -y).bit_length() - 1
         gap = up[x] & down[y] & ~m
         while gap:
             low = gap & -gap
@@ -359,17 +365,21 @@ class ConLattice:
     def __iter__(self):
         return iter(self.congruences)
 
-    def as_lattice(self) -> FiniteLattice:
-        """Con L as a FiniteLattice; element i is ``congruences[i]``.
+    def covers(self) -> list[tuple[int, int]]:
+        """The sorted covers of Con L; element i is ``congruences[i]``.
 
-        The covers are those of the lattice of down-sets of ``ji_order``:
+        They are those of the lattice of down-sets of ``ji_order``:
         congruence i is the join of the ``theta`` in its down-set.
         """
+        return sorted(core._downset_covers(self.ji_order, self._build().downsets))
+
+    def as_lattice(self) -> FiniteLattice:
+        """Con L as a FiniteLattice with :meth:`covers`; element i is
+        ``congruences[i]``."""
         if self._lattice_view is None:
-            ds = self._build().downsets
-            covers = core._downset_covers(self.ji_order, ds)
-            lat, renum = core.make_lattice_with_map(len(ds), covers)
-            if renum != tuple(range(len(ds))):
+            n = len(self)
+            lat, renum = core.make_lattice_with_map(n, self.covers())
+            if renum != tuple(range(n)):
                 raise PostconditionFailed("canonical congruence order is not a linear extension")
             self._lattice_view = lat
         return self._lattice_view
@@ -384,7 +394,12 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     """The join-irreducible congruences of L, their order, and the edge coloring.
 
     Covers are colored by join-irreducibles and colors are ordered by D*
-    (see the module docstring); the list of all congruences is left to
+    (see the module docstring).  The row of q in D, the p with some x that
+    has ``p <= q v x`` and ``p !<= q_* v x``, is the union of
+    ``down(q v y) - down(y)`` over y in ``up(q_*) - up(q)``, one join per
+    witness: for any x put ``y = q_* v x``; then ``q v y = q v x`` and
+    ``q_* v y = y``, so y witnesses what x does, and a y above q witnesses
+    nothing, as then ``q v y = y``.  The list of all congruences is left to
     :class:`ConLattice` to build on demand.  ``theta[r]`` is the principal
     closure con(r_*, r), and the postcondition checks it cover by cover:
     it must collapse a cover of color ``c`` exactly when ``c`` is in r's
@@ -401,15 +416,21 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     if L._con is not None:
         return L._con
 
-    down, join, lower = L._down, L._join, L._lower
+    up, down, lower = L._up, L._down, L._lower
     J = L.ji_elements()
     jmask = sum(1 << p for p in J)
     # below[q]: the p with p D q, then with p D* q (Warshall)
     below = {}
     for q in J:
+        uq = up[q]
         m = 0
-        for a, b in zip(join[q], join[lower[q][0]]):
-            m |= down[a] & ~down[b]
+        ys = up[lower[q][0]] & ~uq
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
+            j = uq & up[y]
+            m |= down[(j & -j).bit_length() - 1] & ~down[y]
         below[q] = m & jmask
     for k in J:
         for q in J:

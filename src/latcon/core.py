@@ -3,13 +3,15 @@
 Elements are always the integers ``0..n-1``.  :func:`make_lattice` renumbers
 its input so that the identifiers form a linear extension of the order with
 ``0`` the bottom and ``n-1`` the top; every algorithm downstream relies on
-that invariant.  Meet and join are computed once into n-by-n tables at
-validation time, so the rest of the library is table lookups.
+that invariant.
 
 Up-sets and down-sets are stored as int bitmasks; public accessors return
-sorted tuples.  Cover lists carry a left-to-right order (planar order when
-the lattice has one); order-theoretic operations ignore it, but it survives
-generic transformations so the planar modules can use it.
+sorted tuples.  No operation table is kept: along a linear extension the
+join of x and y is the lowest bit of ``up[x] & up[y]`` and their meet the
+highest bit of ``down[x] & down[y]``, and the hot loops read them inline.
+Cover lists carry a left-to-right order (planar order when the lattice has
+one); order-theoretic operations ignore it, but it survives generic
+transformations so the planar modules can use it.
 """
 
 from __future__ import annotations
@@ -59,16 +61,17 @@ def _element_id(x) -> int:
         raise ElementOutOfRange(f"element id {x!r} is not an integer") from None
 
 
-def _close(n: int, covers: Iterable[tuple[int, int]]):
-    """Validate a cover relation on ``0..n-1`` and close it into bitmasks.
+def _sort(n: int, covers: Iterable[tuple[int, int]]):
+    """Validate a cover relation on ``0..n-1`` and sort it topologically.
 
-    Returns ``(order, succ, pred, up, down)`` in the input's ids: ``order``
-    is Kahn's topological order with a min-heap tie-break, ``succ``/``pred``
-    the upper/lower cover lists and ``up``/``down`` the up- and down-set
-    masks.  On input whose numbering is already a linear extension ``order``
-    is ``0..n-1``: the smallest unprocessed id always has all predecessors
-    processed, so it is on the heap when its turn comes.  Raises
-    :class:`ElementOutOfRange`, :class:`Cyclic` or :class:`NotReduced`.
+    Returns ``(covers, order, succ, pred)`` in the input's ids: ``covers``
+    as int pairs, ``order`` Kahn's topological order with a min-heap
+    tie-break and ``succ``/``pred`` the upper/lower cover lists.  On input
+    whose numbering is already a linear extension ``order`` is ``0..n-1``:
+    the smallest unprocessed id always has all predecessors processed, so
+    it is on the heap when its turn comes.  Raises
+    :class:`ElementOutOfRange`, :class:`NotReduced` (duplicates) or
+    :class:`Cyclic`.
     """
     covers = [(_element_id(a), _element_id(b)) for a, b in covers]
     for a, b in covers:
@@ -96,13 +99,21 @@ def _close(n: int, covers: Iterable[tuple[int, int]]):
                 heapq.heappush(heap, y)
     if len(order) < n:
         raise Cyclic("cover relation contains a directed cycle")
-    up = [0] * n
+    return covers, order, succ, pred
+
+
+def _close(covers, order, succ, pred, name: Sequence[int]):
+    """Up- and down-set bitmasks of the order generated by ``covers``, with
+    ``order`` a topological order of the ids and ``succ``/``pred`` the
+    cover lists.  Raises :class:`NotReduced` at the first cover implied by
+    transitivity; the text calls element ``x`` ``name[x]``."""
+    up = [0] * len(order)
     for x in reversed(order):
         m = 1 << x
         for y in succ[x]:
             m |= up[y]
         up[x] = m
-    down = [0] * n
+    down = [0] * len(order)
     for x in order:
         m = 1 << x
         for y in pred[x]:
@@ -112,9 +123,10 @@ def _close(n: int, covers: Iterable[tuple[int, int]]):
         between = up[a] & down[b] & ~(1 << a) & ~(1 << b)
         if between:
             raise NotReduced(
-                f"cover ({a}, {b}) is implied by transitivity through {_listed(_bits(between))}"
+                f"cover ({name[a]}, {name[b]}) is implied by transitivity through"
+                f" {_listed(sorted(name[x] for x in _bits(between)))}"
             )
-    return order, succ, pred, up, down
+    return up, down
 
 
 def _reduce(elems: Sequence[int], up: Sequence[int] | dict[int, int]) -> list[tuple[int, int]]:
@@ -179,7 +191,8 @@ class Poset(_Order):
     ):
         if n < 0:
             raise ZeroSize("poset size must be >= 0")
-        _, succ, pred, up, down = _close(n, covers)
+        covers, order, succ, pred = _sort(n, covers)
+        up, down = _close(covers, order, succ, pred, range(n))
         self.n = n
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
@@ -215,12 +228,11 @@ class FiniteLattice(_Order):
 
     __slots__ = (
         "_covup",
-        "_meet",
-        "_join",
         "_height",
         "_depth",
         "_con",
         "_ji",
+        "_distributive",
     )
 
     def __init__(
@@ -230,8 +242,6 @@ class FiniteLattice(_Order):
         down: list[int],
         upper: list[tuple[int, ...]],
         lower: list[tuple[int, ...]],
-        meet: list[list[int]],
-        join: list[list[int]],
         height: list[int],
         depth: list[int],
     ):
@@ -246,12 +256,11 @@ class FiniteLattice(_Order):
             for y in upper[x]:
                 m |= 1 << y
             self._covup[x] = m
-        self._meet = meet
-        self._join = join
         self._height = height
         self._depth = depth
         self._con = None  # congruence-lattice cache, set lazily
         self._ji = None  # join-irreducible poset, set lazily
+        self._distributive = None  # is_distributive's verdict, set lazily
 
     # -- order -------------------------------------------------------------
 
@@ -282,25 +291,26 @@ class FiniteLattice(_Order):
     # -- algebra -----------------------------------------------------------
 
     def meet(self, x: int, y: int) -> int:
-        return self._meet[x][y]
+        return (self._down[x] & self._down[y]).bit_length() - 1
 
     def join(self, x: int, y: int) -> int:
-        return self._join[x][y]
+        m = self._up[x] & self._up[y]
+        return (m & -m).bit_length() - 1
 
     def meet_of(self, elems: Iterable[int]) -> int:
         """Meet of a set of elements; the empty meet is the top."""
-        out = self.n - 1
-        row = self._meet
+        down = self._down
+        m = down[self.n - 1]
         for x in elems:
-            out = row[out][x]
-        return out
+            m &= down[x]
+        return m.bit_length() - 1
 
     def join_of(self, elems: Iterable[int]) -> int:
-        out = 0
-        row = self._join
+        up = self._up
+        m = up[0]
         for x in elems:
-            out = row[out][x]
-        return out
+            m &= up[x]
+        return (m & -m).bit_length() - 1
 
     # -- irreducibility ----------------------------------------------------
 
@@ -335,72 +345,86 @@ def make_lattice_with_map(
     ``map[old_id] == new_id``.  Constructors that must track element
     identities through canonicalization use this; everyone else calls
     :func:`make_lattice`.
+
+    Input not numbered along a linear extension is renumbered along Kahn's
+    order before the order is closed, so the masks are closed once.  Then
+    only the joins ``x \\/ p`` with ``p`` join-irreducible (one lower
+    cover) and ``x`` incomparable to ``p`` are checked, by the claim: a
+    finite poset with a unique bottom and top, numbered along a linear
+    extension, is a lattice iff ``x \\/ p`` exists for every ``x`` and every
+    such ``p``.  Proof that every ``x \\/ y`` exists, by strong induction on
+    ``y``: ``y`` is the bottom, or join-irreducible, or has lower covers
+    ``a1 != a2``.  In the last case ``a1 \\/ a2`` exists by induction; it lies
+    above ``a1`` and below ``y``, and ``y`` covers ``a1``, so it is ``y``.  So
+    the upper bounds of ``{x, y}`` are those of ``{x, a1, a2}``, and
+    ``x \\/ y = (x \\/ a1) \\/ a2``, both joins existing by induction.  Meets
+    follow: a finite poset with a bottom and all joins is a lattice, the
+    meet being the join of the lower bounds.  A join of comparable elements
+    is the larger one, and ``x \\/ p`` exists iff the lowest bit ``c`` of
+    ``up[x] & up[p]`` has ``up[c] == up[x] & up[p]``.  The cost is one mask
+    test per incomparable pair ``(x, p)``, not a table of n² joins.
     """
     if size < 1:
         raise ZeroSize("a lattice has at least one element")
-    order, succ, pred, up, down = _close(size, covers)
-    new_id = [0] * size
+    covers, order, succ, pred = _sort(size, covers)
+    n = size
+    new_id = [0] * n
     for pos, old in enumerate(order):
         new_id[old] = pos
-    old_of = order
-    n = size
     if order != list(range(n)):
         # renumber along the linear extension; the relation is already valid
-        renumbered = [(new_id[a], new_id[b]) for a in range(n) for b in succ[a]]
-        _, succ, pred, up, down = _close(n, renumbered)
+        covers = [(new_id[a], new_id[b]) for a, b in covers]
+        succ = [[new_id[b] for b in succ[a]] for a in order]
+        pred = [[new_id[b] for b in pred[a]] for a in order]
+    up, down = _close(covers, range(n), succ, pred, order)
 
     bottoms = [x for x in range(n) if not pred[x]]
     tops = [x for x in range(n) if not succ[x]]
     if len(bottoms) != 1:
         raise NotALattice(
-            f"no unique bottom: minimal elements {_listed(old_of[x] for x in bottoms)}"
+            f"no unique bottom: minimal elements {_listed(order[x] for x in bottoms)}"
         )
     if len(tops) != 1:
-        raise NotALattice(f"no unique top: maximal elements {_listed(old_of[x] for x in tops)}")
+        raise NotALattice(f"no unique top: maximal elements {_listed(order[x] for x in tops)}")
 
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for x in range(n):
-        join[x][x] = x
-        meet[x][x] = x
-        ux = up[x]
-        dx = down[x]
-        for y in range(x + 1, n):
-            common = ux & up[y]
-            c = (common & -common).bit_length() - 1
-            if up[c] != common:
+    everything = (1 << n) - 1
+    for p in range(n):
+        if len(pred[p]) != 1:
+            continue
+        up_p = up[p]
+        far = everything & ~(up_p | down[p])
+        while far:
+            low = far & -far
+            far ^= low
+            common = up[low.bit_length() - 1] & up_p
+            if up[(common & -common).bit_length() - 1] != common:
+                x, y = sorted((low.bit_length() - 1, p))
                 raise NotALattice(
-                    f"elements {old_of[x]} and {old_of[y]} have no least upper bound"
+                    f"elements {order[x]} and {order[y]} have no least upper bound"
                 )
-            join[x][y] = c
-            join[y][x] = c
-            common = dx & down[y]
-            c = common.bit_length() - 1
-            if down[c] != common:
-                raise NotALattice(
-                    f"elements {old_of[x]} and {old_of[y]} have no greatest lower bound"
-                )
-            meet[x][y] = c
-            meet[y][x] = c
 
     def _ordered(given, computed, kind):
         if given is None:
             return [tuple(sorted(s)) for s in computed]
-        given = {_element_id(k): tuple(map(_element_id, r)) for k, r in given.items()}
+        try:
+            given = {_index(k): tuple(map(_index, r)) for k, r in given.items()}
+        except TypeError:  # again, to name the value that is no integer
+            given = {_element_id(k): tuple(map(_element_id, r)) for k, r in given.items()}
         far = [e for k, r in given.items() for e in (k, *r) if not 0 <= e < n]
         if far:
             raise ElementOutOfRange(f"{kind} names element {far[0]}, out of range for size {n}")
         out = []
         for x in range(n):
             want = computed[x]
-            row = given.get(old_of[x])
+            row = given.get(order[x])
             if row is None:
                 out.append(tuple(sorted(want)))
                 continue
-            row = tuple(new_id[e] for e in row)
-            if sorted(row) != sorted(want):
+            row = tuple([new_id[e] for e in row])
+            # the covers are distinct, so this is a permutation test
+            if len(row) != len(want) or set(row) != set(want):
                 raise InvalidLattice(
-                    f"{kind} for element {old_of[x]} is not a permutation of its covers"
+                    f"{kind} for element {order[x]} is not a permutation of its covers"
                 )
             out.append(row)
         return out
@@ -417,7 +441,7 @@ def make_lattice_with_map(
         if succ[x]:
             depth[x] = 1 + max(depth[y] for y in succ[x])
 
-    lat = FiniteLattice(n, up, down, upper, lower, meet, join, height, depth)
+    lat = FiniteLattice(n, up, down, upper, lower, height, depth)
     return lat, tuple(new_id)
 
 
@@ -478,20 +502,27 @@ def is_distributive(L: FiniteLattice) -> bool:
     for all ``x`` and ji ``p`` with ``p !<= x`` and ``p_* <= x``, ``p_*`` the lower
     cover of ``p``.  Proof: if onto, ``J(x) + {p}`` is a down-set with join ``x \\/ p``;
     conversely a down-set minus a maximal ``p`` is some ``J(x)``, and ``p_* <= x``.
-    Costs ``O(n |J|)`` table lookups.
+    Costs ``O(n |J|)`` mask operations, once per lattice: the verdict is
+    kept on it.
     """
-    down, join = L._down, L._join
+    if L._distributive is None:
+        L._distributive = _birkhoff_onto(L)
+    return L._distributive
+
+
+def _birkhoff_onto(L: FiniteLattice) -> bool:
+    up, down = L._up, L._down
     ji = [(p, L._lower[p][0]) for p in range(L.n) if len(L._lower[p]) == 1]
     jmask = 0
     for p, _ in ji:
         jmask |= 1 << p
     for x in range(L.n):
-        dx = down[x]
+        dx, ux = down[x], up[x]
         jx = dx & jmask
-        jrow = join[x]
         for p, pstar in ji:
             if not dx >> p & 1 and dx >> pstar & 1:
-                if down[jrow[p]] & jmask != jx | 1 << p:
+                j = ux & up[p]
+                if down[(j & -j).bit_length() - 1] & jmask != jx | 1 << p:
                     return False
     return True
 
@@ -505,13 +536,14 @@ def is_semimodular(L: FiniteLattice) -> bool:
     covers both ``a`` and ``b``.  Costs the sum over ``c`` of the squared
     number of upper covers of ``c``.
     """
-    join, covup = L._join, L._covup
+    up, covup = L._up, L._covup
     for ups in L._upper:
         for i, a in enumerate(ups):
-            ja, ca = join[a], covup[a]
+            ua, ca = up[a], covup[a]
             for b in ups[i + 1:]:
-                j = ja[b]
-                if not (ca >> j & 1 and covup[b] >> j & 1):
+                j = ua & up[b]
+                j &= -j
+                if not (ca & j and covup[b] & j):
                     return False
     return True
 

@@ -87,7 +87,7 @@ def _induced_copy(L: FiniteLattice, emb: Sequence[int]) -> FiniteLattice:
 def _endpoints_match(phi: BoundedHom, conF: cg.ConLattice, conG: cg.ConLattice) -> bool:
     """Are phi's source and target Con F and Con G, cover for cover?"""
     return all(
-        lat.n == len(con) and lat.covers() == con.as_lattice().covers()
+        lat.n == len(con) and lat.covers() == con.covers()
         for lat, con in ((phi.source, conF), (phi.target, conG))
     )
 

@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles — partitions are
 enumerated as restricted growth strings and filtered by the substitution
-property, homomorphisms by checking every map — so the library's own closure
-algorithms are never in the loop.  The exceptions are previous versions of
+property, homomorphisms by checking every map, meets and joins by scanning
+``leq`` (:func:`brute_tables`) — so the library's own closure algorithms
+are never in the loop.  The exceptions are previous versions of
 library code, kept to test the current ones against:
 :func:`reference_congruence_lattice`, the subset-scan construction of Con L;
 :func:`reference_upper_chain_collapse_check`, the collapse check on the full
@@ -12,14 +13,18 @@ color matching of the representation pipelines;
 :func:`reference_make_bounded_hom`, the per-pair validation of bounded
 homs; :func:`reference_find_isomorphism`, the recursive isomorphism
 search; :func:`reference_generated_congruence`, the closure over every
-column of the operation tables; :func:`brute_is_semimodular`, the
-scan of every pair against the definition; and
+column of the operation tables; :func:`reference_make_lattice`, the
+lattice check over every pair that filled n-by-n meet and join tables;
+:func:`brute_is_semimodular`, the scan of every pair against the
+definition; and
 :func:`reference_triple_glue` with :func:`reference_triple_glue_congruence`,
 the triple gluing built and extended through three pairwise gluings.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 from itertools import product
 from types import SimpleNamespace
 
@@ -31,6 +36,7 @@ from latcon.errors import (
     Incompatible,
     LatconError,
     NotBounded,
+    NotALattice,
     NotDistributive,
     NotHomomorphic,
 )
@@ -204,9 +210,105 @@ def is_hom(D, E, f):
     return True
 
 
+def reference_make_lattice(size, covers):
+    """The meet and join tables of a valid cover relation, in its own ids,
+    by the pair loop that :func:`latcon.core.make_lattice_with_map` ran
+    before it checked joins on the join-irreducibles alone.
+
+    Renumbers along Kahn's order with a min-heap tie-break, closes the
+    order into masks, then tests every pair for a least upper and a
+    greatest lower bound, raising :class:`NotALattice` with the texts of
+    that loop.  The covers must be in range, acyclic and reduced.
+    """
+    succ = [[] for _ in range(size)]
+    indeg = [0] * size
+    for a, b in covers:
+        succ[a].append(b)
+        indeg[b] += 1
+    heap = [x for x in range(size) if indeg[x] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        x = heapq.heappop(heap)
+        order.append(x)
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                heapq.heappush(heap, y)
+    n = size
+    new_id = {old: pos for pos, old in enumerate(order)}
+    up = [1 << x for x in range(n)]
+    down = [1 << x for x in range(n)]
+    for x in reversed(range(n)):
+        for b in succ[order[x]]:
+            up[x] |= up[new_id[b]]
+    for x in range(n):
+        for b in succ[order[x]]:
+            down[new_id[b]] |= down[x]
+    bottoms = [order[x] for x in range(n) if down[x] == 1 << x]
+    tops = [order[x] for x in range(n) if up[x] == 1 << x]
+    if len(bottoms) != 1:
+        raise NotALattice(f"no unique bottom: minimal elements {bottoms}")
+    if len(tops) != 1:
+        raise NotALattice(f"no unique top: maximal elements {tops}")
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for x in range(n):
+        join[x][x] = meet[x][x] = x
+        for y in range(x + 1, n):
+            common = up[x] & up[y]
+            c = (common & -common).bit_length() - 1
+            if up[c] != common:
+                raise NotALattice(f"elements {order[x]} and {order[y]} have no least upper bound")
+            join[x][y] = join[y][x] = c
+            common = down[x] & down[y]
+            c = common.bit_length() - 1
+            if down[c] != common:
+                raise NotALattice(
+                    f"elements {order[x]} and {order[y]} have no greatest lower bound"
+                )
+            meet[x][y] = meet[y][x] = c
+    old_meet = [[order[meet[new_id[x]][new_id[y]]] for y in range(n)] for x in range(n)]
+    old_join = [[order[join[new_id[x]][new_id[y]]] for y in range(n)] for x in range(n)]
+    return old_meet, old_join
+
+
+def random_bounded_poset(rng, n):
+    """Covers of a seeded random poset on ``n`` points with a new bottom
+    and top added, under a random numbering of all ``n + 2`` elements;
+    often not a lattice."""
+    P = random_poset(rng, n)
+    perm = rng.sample(range(n + 2), n + 2)
+    bottom, top = perm[n], perm[n + 1]
+    covers = [(perm[a], perm[b]) for a, b in P.covers()]
+    covers += [(bottom, perm[x]) for x in range(n) if not P.lower_covers(x)]
+    covers += [(perm[x], top) for x in range(n) if not P.upper_covers(x)]
+    return n + 2, covers or [(bottom, top)]
+
+
+@functools.lru_cache(maxsize=64)
+def brute_tables(L):
+    """Meet and join tables of L, by scanning ``leq`` for the bounds of
+    each pair: the join is the upper bound below every upper bound, and
+    dually.  Independent of the numbering and of the library's masks.
+    Kept for the last lattices asked, keyed by L, whose equality is that
+    of the cover relation."""
+    rng = range(L.n)
+    above = [{z for z in rng if L.leq(x, z)} for x in rng]
+    below = [{z for z in rng if L.leq(z, x)} for x in rng]
+    meet = [[0] * L.n for _ in rng]
+    join = [[0] * L.n for _ in rng]
+    for x in rng:
+        for y in range(x, L.n):
+            ub, lb = above[x] & above[y], below[x] & below[y]
+            join[x][y] = join[y][x] = next(u for u in ub if ub <= above[u])
+            meet[x][y] = meet[y][x] = next(u for u in lb if lb <= below[u])
+    return meet, join
+
+
 def brute_is_distributive(L):
     """Exhaustive check of ``x /\\ (y \\/ z) == (x /\\ y) \\/ (x /\\ z)``."""
-    meet, join = L._meet, L._join
+    meet, join = brute_tables(L)
     rng = range(L.n)
     for x in rng:
         mx = meet[x]
@@ -220,9 +322,9 @@ def brute_is_distributive(L):
 
 
 def reference_make_bounded_hom(D, E, assignment):
-    """Validate a bounded hom D -> E by the public per-pair methods, with
-    distributivity by the exhaustive scan; same checks, order and messages
-    as :func:`latcon.birkhoff.make_bounded_hom`."""
+    """Validate a bounded hom D -> E pair by pair on :func:`brute_tables`,
+    with distributivity by the exhaustive scan; same checks, order and
+    messages as :func:`latcon.birkhoff.make_bounded_hom`."""
     if not brute_is_distributive(D):
         raise NotDistributive("source lattice is not distributive")
     if not brute_is_distributive(E):
@@ -237,11 +339,13 @@ def reference_make_bounded_hom(D, E, assignment):
         raise NotBounded(f"bottom maps to {f[D.bottom]}, not {E.bottom}")
     if f[D.top] != E.top:
         raise NotBounded(f"top maps to {f[D.top]}, not {E.top}")
+    dmeet, djoin = brute_tables(D)
+    emeet, ejoin = brute_tables(E)
     for x in range(D.n):
         for y in range(x + 1, D.n):
-            if f[D.meet(x, y)] != E.meet(f[x], f[y]):
+            if f[dmeet[x][y]] != emeet[f[x]][f[y]]:
                 raise NotHomomorphic(f"meet not preserved at ({x}, {y})")
-            if f[D.join(x, y)] != E.join(f[x], f[y]):
+            if f[djoin[x][y]] != ejoin[f[x]][f[y]]:
                 raise NotHomomorphic(f"join not preserved at ({x}, {y})")
     return bk.BoundedHom(D, E, f)
 
@@ -262,7 +366,7 @@ def reference_generated_congruence(L, pairs):
     """The least congruence collapsing ``pairs``, by a worklist closure
     that substitutes every element z into each merged pair."""
     n = L.n
-    meet, join = L._meet, L._join
+    meet, join = brute_tables(L)
     parent = list(range(n))
     work = []
 

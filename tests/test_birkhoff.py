@@ -62,7 +62,7 @@ def _outcome(make, D, E, f):
 
 
 class TestMakeBoundedHomAgainstReference:
-    """Table-row checks against the per-pair method calls they replaced."""
+    """Pull-back checks against the per-pair scan on brute-force tables."""
 
     def test_random_assignments(self):
         pool = [catalog.get("m3"), catalog.get("n5"), C3SQ, CON_S7]
@@ -90,12 +90,57 @@ class TestMakeBoundedHomAgainstReference:
         assert {"hom", NotHomomorphic, NotBounded, NotDistributive} <= kinds
 
 
+    def test_random_assignments_over_36_pairs(self):
+        # pull-backs of join-irreducibles against the per-pair scan, on
+        # near-homs: a hom with one or two entries moved
+        pool = [C2, C3, C2SQ, catalog.get("cube"), C3SQ, CON_S7]
+        rng = random.Random(41)
+        kinds = {}
+        for D in pool:
+            for E in pool:
+                homs = [h.assignment for h in bk.enumerate_bounded_homs(D, E)]
+                for _ in range(50):
+                    if homs and rng.random() < 0.8:
+                        f = list(rng.choice(homs))
+                        for _ in range(rng.randint(0, 2)):
+                            f[rng.randrange(D.n)] = rng.randrange(E.n)
+                    else:
+                        f = [rng.randrange(E.n) for _ in range(D.n)]
+                        f[D.bottom], f[D.top] = E.bottom, E.top
+                    got = _outcome(bk.make_bounded_hom, D, E, f)
+                    assert got == _outcome(helpers.reference_make_bounded_hom, D, E, f)
+                    kind = got[0] if isinstance(got[0], type) else "hom"
+                    kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds["hom"] > 300 and kinds[NotHomomorphic] > 300
+
+    def test_dual_map_is_the_meet_of_each_pull_back(self):
+        for D in PAIR_POOL:
+            meet = helpers.brute_tables(D)[0]
+            for E in PAIR_POOL:
+                jd, je = core.join_irreducibles(D), core.join_irreducibles(E)
+                for phi in bk.enumerate_bounded_homs(D, E):
+                    psi = bk.ji_of_hom(phi)
+                    for i, q in enumerate(je.labels):
+                        m = D.top
+                        for x in range(D.n):
+                            if E.leq(q, phi(x)):
+                                m = meet[m][x]
+                        assert jd.labels[psi(i)] == m
+
+
 class TestJiOfHomPostcondition:
     """An unvalidated non-hom whose dual image is not join-irreducible."""
 
     def test_raises(self):
         phi = bk.BoundedHom(rl.grid(2, 2).lattice, C3, (0, 1, 1, 2))
         with pytest.raises(PostconditionFailed):
+            bk.ji_of_hom(phi)
+
+    def test_pull_back_that_is_no_filter_raises(self):
+        # the pull-back of 1 is {1, 2, 3}: its least id 1 is join-irreducible,
+        # but the set is no principal filter
+        phi = bk.BoundedHom(C2SQ, C2, (0, 1, 1, 1))
+        with pytest.raises(PostconditionFailed, match="^pull-back of join-irreducible 1 is no principal filter$"):
             bk.ji_of_hom(phi)
 
     def test_raises_under_optimize(self):

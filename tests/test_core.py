@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -110,6 +111,120 @@ class TestMakeLattice:
     def test_cover_order_must_be_permutation(self):
         with pytest.raises(InvalidLattice):
             core.make_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)], upper_order={0: [1, 1]})
+
+
+def _relabelled(L, rng):
+    """L's covers under a random numbering, so the build renumbers them."""
+    perm = rng.sample(range(L.n), L.n)
+    return L.n, [(perm[a], perm[b]) for a, b in L.covers()]
+
+
+def _lacks_join(size, covers, a, b):
+    """Do ``a`` and ``b`` lack a least upper bound in the order the covers
+    generate?  By reachability, without the library."""
+    succ = {x: [] for x in range(size)}
+    for x, y in covers:
+        succ[x].append(y)
+
+    def above(x):
+        seen, todo = {x}, [x]
+        while todo:
+            for y in succ[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    ub = above(a) & above(b)
+    return not any(ub <= above(u) for u in ub)
+
+
+class TestMakeLatticeAgainstReference:
+    """The join check on J(L) and the meet and join read off the masks,
+    against the pair loop that filled n-by-n tables."""
+
+    def _agree(self, size, covers, rng):
+        try:
+            meet, join = helpers.reference_make_lattice(size, covers)
+        except NotALattice:
+            meet = join = None
+        try:
+            L, renum = core.make_lattice_with_map(size, covers)
+        except NotALattice as exc:
+            assert meet is None, covers
+            # a pair lacking a meet is reported as one lacking a join
+            got = re.fullmatch(r"elements (\d+) and (\d+) have no least upper bound", str(exc))
+            assert got and _lacks_join(size, covers, *map(int, got.groups())), str(exc)
+            return False
+        assert meet is not None, covers
+        for x in range(size):
+            for y in range(size):
+                assert L.meet(renum[x], renum[y]) == renum[meet[x][y]]
+                assert L.join(renum[x], renum[y]) == renum[join[x][y]]
+        for _ in range(3):
+            S = rng.sample(range(size), rng.randint(0, size))
+            m = j = None
+            for x in S:
+                m = x if m is None else meet[m][x]
+                j = x if j is None else join[j][x]
+            assert L.meet_of(renum[x] for x in S) == (L.top if m is None else renum[m])
+            assert L.join_of(renum[x] for x in S) == (L.bottom if j is None else renum[j])
+        return True
+
+    def test_catalog_as_given_and_relabelled(self):
+        rng = random.Random(5)
+        for name in catalog.names():
+            L = catalog.get(name)
+            assert self._agree(L.n, L.covers(), rng), name
+            assert self._agree(*_relabelled(L, rng), rng), name
+
+    def test_rectangular_search(self):
+        rng = random.Random(7)
+        found = [R.lattice for _, R in catalog.search_rectangular(24)]
+        assert len(found) == 564
+        assert all(self._agree(L.n, L.covers(), rng) for L in found)
+
+    def test_random_closure_lattices(self):
+        rng = random.Random(23)
+        drawn = [helpers.random_closure_lattice(rng) for _ in range(300)]
+        assert all(self._agree(*_relabelled(L, rng), rng) for L in drawn)
+
+    def test_random_bounded_posets(self):
+        rng = random.Random(29)
+        verdicts = [
+            self._agree(*helpers.random_bounded_poset(rng, rng.randint(2, 14)), rng)
+            for _ in range(600)
+        ]
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+class TestResourceBounds:
+    """No n-by-n table: memory and time grow with the masks, not with n²."""
+
+    def test_long_chain_memory(self):
+        tracemalloc.start()
+        try:
+            C = core.chain(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C.join(3, 1999) == 1999
+        assert peak < 40 * 2**20, peak
+
+    def test_downset_lattice_of_con_grid_2x12(self):
+        con = cg.congruence_lattice(rl.grid(2, 12).lattice)
+        ds = core.downsets(con.ji_order)
+        covers = core._downset_covers(con.ji_order, ds)
+        assert len(ds) == 4096
+        tracemalloc.start()
+        try:
+            L = core.make_lattice(len(ds), covers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert L.n == 4096
+        # two 4096-by-4096 tables would take over 256 MB; the masks take 9 MB
+        assert peak < 40 * 2**20, peak
 
 
 def _verify_with_float_embedding():

@@ -95,6 +95,12 @@ class TestRepresentationVerifier:
                 L.lattice, rep.embedded_f, rep.embedded_g, other
             )
 
+    def test_same_size_source_with_other_covers_rejected(self):
+        L, rep, phi = _built()
+        fake = bk.BoundedHom(core.chain(phi.source.n), phi.target, phi.assignment)
+        with pytest.raises(EmbeddingInvalid, match="endpoints do not match"):
+            vf.verify_filter_representation(L.lattice, rep.embedded_f, rep.embedded_g, fake)
+
     def test_wrong_hom_fails_diagram_check(self):
         # both endomorphism endpoints fit, but the map is not the one realized
         homs = bk.enumerate_bounded_homs(
