@@ -5,6 +5,12 @@ an isotone map between their join-irreducible posets, in the opposite
 direction.  ``ji_of_hom`` and ``hom_of_isotone`` are the two directions of
 that correspondence; ``brt_report`` evaluates the classical equivalences
 (injective vs. onto, onto vs. order-embedding) on a concrete map.
+
+Every kernel works on the up- and down-set bitmasks along covers: an
+isotone map is checked on the source's covers, a homomorphism by the
+pull-backs of the target's join-irreducibles, found in one top-down sweep,
+and ``hom_of_isotone`` builds each image from that of a lower cover.
+Only a failed check scans every pair, to name the first one broken.
 """
 
 from __future__ import annotations
@@ -28,8 +34,13 @@ from .errors import (
 class IsotoneMap:
     """Order-preserving map between posets.
 
-    ``assignment[i]`` is the target position of source position ``i``;
-    monotonicity is validated against both cover relations at construction.
+    ``assignment[i]`` is the target position of source position ``i``.
+    Monotonicity is checked on the source's covers only: if
+    ``f(x) <= f(y)`` for every cover ``x < y``, then for any ``x <= y`` a
+    chain of covers links them and transitivity in the target gives
+    ``f(x) <= f(y)``, whatever the numbering.  Only a failure scans every
+    pair, so :class:`NotIsotone` names the first pair ``(x, y)`` in
+    lexicographic order that f does not preserve.
     """
 
     __slots__ = ("source", "target", "assignment")
@@ -43,12 +54,12 @@ class IsotoneMap:
         for v in assignment:
             if not 0 <= v < target.n:
                 raise ElementOutOfRange(f"image {v} out of range for size {target.n}")
-        for x in range(source.n):
-            for y in range(source.n):
-                if source.leq(x, y) and not target.leq(assignment[x], assignment[y]):
-                    raise NotIsotone(
-                        f"{x} <= {y} in the source but {assignment[x]} !<= {assignment[y]}"
-                    )
+        up = target._up
+        for x, ys in enumerate(source._upper):
+            ux = up[assignment[x]]
+            for y in ys:
+                if not ux >> assignment[y] & 1:
+                    raise _first_unordered_pair(source, target, assignment)
         self.source = source
         self.target = target
         self.assignment = assignment
@@ -62,11 +73,23 @@ class IsotoneMap:
 
     @property
     def is_order_embedding(self) -> bool:
-        src, tgt, f = self.source, self.target, self.assignment
+        """Whether ``x <= y`` iff ``f(x) <= f(y)``, read off the masks.
+
+        An order embedding is injective, as ``f(x) = f(y)`` gives
+        ``x <= y <= x``.  For injective f, the ``y`` with ``f(y)`` in
+        ``↑f(x)`` correspond one-to-one to ``↑f(x) ∩ f(P)``, and, f being
+        isotone, they include ``↑x``; so they are ``↑x`` iff ``|↑x|`` is
+        ``|↑f(x) ∩ f(P)|``.
+        """
+        f = self.assignment
+        if len(set(f)) != len(f):
+            return False
+        image = 0
+        for e in f:
+            image |= 1 << e
+        up = self.target._up
         return all(
-            src.leq(x, y) == tgt.leq(f[x], f[y])
-            for x in range(src.n)
-            for y in range(src.n)
+            u.bit_count() == (up[e] & image).bit_count() for u, e in zip(self.source._up, f)
         )
 
     def __eq__(self, other: object) -> bool:
@@ -125,22 +148,36 @@ class BoundedHom:
         return f"BoundedHom({self.assignment})"
 
 
+def _first_unordered_pair(source: Poset, target: Poset, f: Sequence[int]) -> NotIsotone:
+    """The error for the first pair ``x <= y`` whose order f does not keep."""
+    for x in range(source.n):
+        for y in range(source.n):
+            if source.leq(x, y) and not target.leq(f[x], f[y]):
+                return NotIsotone(f"{x} <= {y} in the source but {f[x]} !<= {f[y]}")
+    raise PostconditionFailed("a cover is out of order, yet f keeps every pair")
+
+
 def _pullbacks(f: Sequence[int], E: FiniteLattice) -> list[int]:
     """For each join-irreducible ``q`` of E, in id order, the mask of the
-    ``x`` with ``q <= f(x)``."""
-    pre: dict[int, int] = {}  # pre[e]: the x with f(x) = e
+    ``x`` with ``q <= f(x)``.
+
+    One top-down sweep of E: ``above[e]``, the mask of the ``x`` with
+    ``e <= f(x)``, is the ``x`` with ``f(x) = e`` together with
+    ``above[c]`` for each upper cover ``c`` of ``e``, since ``↑e`` is
+    ``e`` and the up-sets of its upper covers.  Ids form a linear
+    extension, so every ``above[c]`` is done before ``e``.  The cost is
+    ``O(|E| + covers)``.
+    """
+    above = [0] * E.n
     for x, e in enumerate(f):
-        pre[e] = pre.get(e, 0) | 1 << x
-    out = []
-    for q in range(E.n):
-        if len(E._lower[q]) == 1:
-            uq = E._up[q]
-            m = 0
-            for e, xs in pre.items():
-                if uq >> e & 1:
-                    m |= xs
-            out.append(m)
-    return out
+        above[e] |= 1 << x
+    upper = E._upper
+    for e in range(E.n - 1, -1, -1):
+        m = above[e]
+        for c in upper[e]:
+            m |= above[c]
+        above[e] = m
+    return [above[q] for q in core.join_irreducibles(E).labels]
 
 
 def _first_broken_pair(D: FiniteLattice, E: FiniteLattice, f: Sequence[int]) -> NotHomomorphic:
@@ -171,7 +208,7 @@ def make_bounded_hom(
     pull-back of the prime filter ``up(q)`` under a {0,1}-homomorphism is a
     prime filter, nonempty as it holds the top and proper as it misses the
     bottom, so it is ``up(p)`` with p join-prime, hence join-irreducible.
-    The test costs ``|J(E)|`` mask passes over the image of f; only a
+    The pull-backs take one sweep of E (:func:`_pullbacks`); only a
     failure scans the pairs, to name the first one f breaks.
     """
     if not core.is_distributive(D):
@@ -207,8 +244,11 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
     pos_d = {lbl: i for i, lbl in enumerate(jd.labels)}
+    f = phi.assignment
+    if f and not (0 <= min(f) and max(f) < E.n):
+        raise PostconditionFailed(f"an image is out of range for size {E.n}")
     out = []
-    for x, s in zip(je.labels, _pullbacks(phi.assignment, E)):
+    for x, s in zip(je.labels, _pullbacks(f, E)):
         m = (s & -s).bit_length() - 1
         if s != D._up[m]:
             raise PostconditionFailed(f"pull-back of join-irreducible {x} is no principal filter")
@@ -224,6 +264,16 @@ def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> Bound
     """The bounded homomorphism D -> E induced by psi: Ji E -> Ji D.
 
     e is sent to the join in E of the join-irreducibles x with psi(x) <= e.
+    Grouping those x by ``p = psi(x)`` gives ``f(e) = ⋁{g[p] : p ∈ J(e)}``
+    with ``g[p] = ⋁{x : psi(x) = p}`` and ``J(e)`` the join-irreducibles
+    of D below e.  For ``e`` above the bottom take its first lower cover
+    ``e_*``; then ``J(e_*) ⊆ J(e)``, so ``J(e) = J(e_*) ∪ (J(e) ∖ J(e_*))``
+    and, by associativity of the join in any lattice,
+    ``f(e) = f(e_*) ∨ ⋁{g[p] : p ∈ J(D) ∩ (↓e ∖ ↓e_*)}``; a ``p`` that
+    no x maps to has ``g[p]`` the bottom and is skipped.  Ids form a
+    linear extension, so walking D in id order finds ``f(e_*)`` done.
+    Joins are kept as up-masks, since ``↑(a ∨ b) = ↑a ∩ ↑b``, and the
+    result goes through :func:`make_bounded_hom`, which checks it.
     """
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
@@ -231,12 +281,25 @@ def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> Bound
         raise LatconError(
             "map is not between the join-irreducible posets of target and source"
         )
-    images = [jd.labels[q] for q in psi.assignment]
-    out = []
-    for e in range(D.n):
-        below = D._down[e]
-        out.append(E.join_of(x for x, m in zip(je.labels, images) if below >> m & 1))
-    return make_bounded_hom(D, E, out)
+    up = E._up
+    g = [up[0]] * D.n  # g[p]: the up-mask of the join of the x with psi(x) = p
+    hit = 0  # the join-irreducibles p of D with some psi(x) = p
+    for x, q in zip(je.labels, psi.assignment):
+        p = jd.labels[q]
+        g[p] &= up[x]
+        hit |= 1 << p
+    down, lower = D._down, D._lower
+    fup = [up[0]] * D.n  # fup[e]: the up-mask of f(e)
+    for e in range(1, D.n):
+        s = lower[e][0]
+        m = fup[s]
+        new = down[e] & ~down[s] & hit
+        while new:
+            low = new & -new
+            m &= g[low.bit_length() - 1]
+            new ^= low
+        fup[e] = m
+    return make_bounded_hom(D, E, [(m & -m).bit_length() - 1 for m in fup])
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,15 @@ library code, kept to test the current ones against:
 list of congruences; :func:`reference_tied_colors`, the restriction-based
 color matching of the representation pipelines;
 :func:`reference_make_bounded_hom`, the per-pair validation of bounded
-homs; :func:`reference_find_isomorphism`, the recursive isomorphism
-search; :func:`reference_generated_congruence`, the closure over every
-column of the operation tables; :func:`reference_make_lattice`, the
-lattice check over every pair that filled n-by-n meet and join tables;
+homs; :func:`reference_isotone_check` and
+:func:`reference_is_order_embedding`, the scans of every pair of an
+isotone map; :func:`reference_hom_of_isotone`, each image as a join over
+the join-irreducibles below it; :func:`brute_pullbacks`, each pull-back
+tested element by element; :func:`reference_find_isomorphism`, the
+recursive isomorphism search; :func:`reference_generated_congruence`, the
+closure over every column of the operation tables;
+:func:`reference_make_lattice`, the lattice check over every pair that
+filled n-by-n meet and join tables;
 :func:`brute_is_semimodular`, the scan of every pair against the
 definition; and
 :func:`reference_triple_glue` with :func:`reference_triple_glue_congruence`,
@@ -39,6 +44,7 @@ from latcon.errors import (
     NotALattice,
     NotDistributive,
     NotHomomorphic,
+    NotIsotone,
 )
 
 
@@ -348,6 +354,62 @@ def reference_make_bounded_hom(D, E, assignment):
             if f[djoin[x][y]] != ejoin[f[x]][f[y]]:
                 raise NotHomomorphic(f"join not preserved at ({x}, {y})")
     return bk.BoundedHom(D, E, f)
+
+
+def reference_isotone_check(source, target, assignment):
+    """Validate an isotone assignment by scanning every pair of the
+    source; same checks, order and messages as
+    :class:`latcon.birkhoff.IsotoneMap`.  Returns the assignment tuple."""
+    f = tuple(int(v) for v in assignment)
+    if len(f) != source.n:
+        raise LatconError(f"assignment length {len(f)} != source size {source.n}")
+    for v in f:
+        if not 0 <= v < target.n:
+            raise ElementOutOfRange(f"image {v} out of range for size {target.n}")
+    for x in range(source.n):
+        for y in range(source.n):
+            if source.leq(x, y) and not target.leq(f[x], f[y]):
+                raise NotIsotone(f"{x} <= {y} in the source but {f[x]} !<= {f[y]}")
+    return f
+
+
+def reference_is_order_embedding(psi):
+    """Whether ``x <= y`` iff ``psi(x) <= psi(y)``, over every pair."""
+    src, tgt, f = psi.source, psi.target, psi.assignment
+    return all(
+        src.leq(x, y) == tgt.leq(f[x], f[y]) for x in range(src.n) for y in range(src.n)
+    )
+
+
+def reference_hom_of_isotone(psi, D, E):
+    """The bounded hom D -> E dual to psi: Ji E -> Ji D, each image the
+    join, on :func:`brute_tables`, of the join-irreducibles x of E with
+    ``psi(x) <= e``, validated by :func:`reference_make_bounded_hom`."""
+    jd = core.join_irreducibles(D)
+    je = core.join_irreducibles(E)
+    if psi.source != je or psi.target != jd:
+        raise LatconError(
+            "map is not between the join-irreducible posets of target and source"
+        )
+    join = brute_tables(E)[1]
+    images = [jd.labels[q] for q in psi.assignment]
+    out = []
+    for e in range(D.n):
+        m = E.bottom
+        for x, p in zip(je.labels, images):
+            if D.leq(p, e):
+                m = join[m][x]
+        out.append(m)
+    return reference_make_bounded_hom(D, E, out)
+
+
+def brute_pullbacks(f, E):
+    """For each join-irreducible q of E, ascending, the mask of the x with
+    ``q <= f(x)``, by testing every x against every q."""
+    return [
+        sum(1 << x for x, e in enumerate(f) if E.leq(q, e))
+        for q in brute_join_irreducibles(E)
+    ]
 
 
 def brute_is_semimodular(L):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from latcon import catalog, core
 from latcon import congruence as cg
 from latcon import rectangular as rl
 from latcon.errors import (
+    ElementOutOfRange,
     LatconError,
     NotBounded,
     NotDistributive,
@@ -280,3 +282,179 @@ class TestIsotoneMap:
         assert ident.is_onto and ident.is_order_embedding
         collapse = bk.IsotoneMap(P, P, (0, 0, 0, 0))
         assert not collapse.is_onto and not collapse.is_order_embedding
+
+
+def _try(fn, *args):
+    try:
+        return fn(*args)
+    except LatconError as exc:
+        return type(exc), str(exc)
+
+
+def _random_isotone(rng, P, Q):
+    """A random assignment P -> Q, isotone unless some element's lower
+    covers have images with no common upper bound: each element, taken by
+    increasing down-set size, goes above the images of its lower covers."""
+    f = [0] * P.n
+    for x in sorted(range(P.n), key=lambda x: P._down[x].bit_count()):
+        allowed = (1 << Q.n) - 1
+        for y in P._lower[x]:
+            allowed &= Q._up[f[y]]
+        f[x] = rng.choice(core._bits(allowed) or range(Q.n))
+    return f
+
+
+class TestCoverKernelsAgainstReference:
+    """The cover-wise kernels against the pair scans and per-element joins
+    they replaced, kept in helpers as oracles."""
+
+    # the brt catalog holds the same five lattices as PAIR_POOL
+    POOL = list(dict.fromkeys([*PAIR_POOL, *catalog.brt_catalog().values()]))
+
+    def test_every_isotone_map_of_the_pools(self):
+        checked = 0
+        for D in self.POOL:
+            jd = core.join_irreducibles(D)
+            for E in self.POOL:
+                je = core.join_irreducibles(E)
+                for a in bk.enumerate_isotone_maps(je, jd):
+                    assert helpers.reference_isotone_check(je, jd, a) == a
+                    psi = bk.IsotoneMap(je, jd, a)
+                    assert psi.is_order_embedding == helpers.reference_is_order_embedding(psi)
+                    phi = bk.hom_of_isotone(psi, D, E)
+                    assert phi == helpers.reference_hom_of_isotone(psi, D, E)
+                    assert bk._pullbacks(phi.assignment, E) == helpers.brute_pullbacks(
+                        phi.assignment, E
+                    )
+                    checked += 1
+        assert checked == TOTAL_HOMS
+
+    def test_every_assignment_of_the_pools(self):
+        # every assignment Ji E -> Ji D, isotone or not
+        kinds = {"map": 0, NotIsotone: 0}
+        for D in self.POOL:
+            jd = core.join_irreducibles(D)
+            for E in self.POOL:
+                je = core.join_irreducibles(E)
+                for a in product(range(jd.n), repeat=je.n):
+                    got = _try(bk.IsotoneMap, je, jd, a)
+                    want = _try(helpers.reference_isotone_check, je, jd, a)
+                    if isinstance(got, bk.IsotoneMap):
+                        assert got.assignment == want
+                        kinds["map"] += 1
+                    else:
+                        assert got == want
+                        kinds[got[0]] += 1
+        assert kinds == {"map": TOTAL_HOMS, NotIsotone: 391}
+
+    def test_random_assignments_over_shuffled_posets(self):
+        # ids off a linear extension; isotone draws, and draws with one
+        # entry moved or out of range
+        rng = random.Random(29)
+        kinds = {}
+        for _ in range(1_500):
+            P = helpers.random_poset(rng, rng.randint(0, 8), shuffle=True)
+            Q = helpers.random_poset(rng, rng.randint(1, 6), shuffle=True)
+            f = _random_isotone(rng, P, Q)
+            if P.n and rng.random() < 0.5:
+                f[rng.randrange(P.n)] = rng.randrange(Q.n + (rng.random() < 0.05))
+            got = _try(bk.IsotoneMap, P, Q, f)
+            want = _try(helpers.reference_isotone_check, P, Q, f)
+            if isinstance(got, bk.IsotoneMap):
+                assert got.assignment == want
+                assert got.is_order_embedding == helpers.reference_is_order_embedding(got)
+                kind = ("map", got.is_order_embedding)
+            else:
+                assert got == want
+                kind = got[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds[NotIsotone] > 300 and kinds[ElementOutOfRange] > 5
+        assert kinds["map", True] > 100 and kinds["map", False] > 300
+
+    def test_pullbacks_of_random_assignments(self):
+        rng = random.Random(31)
+        for D in self.POOL:
+            for E in self.POOL:
+                for _ in range(20):
+                    f = [rng.randrange(E.n) for _ in range(D.n)]
+                    assert bk._pullbacks(f, E) == helpers.brute_pullbacks(f, E)
+
+    def test_non_distributive_endpoints_against_reference(self):
+        pool = [catalog.get("m3"), catalog.get("n5"), C2, C3, C2SQ]
+        kinds = set()
+        for D in pool:
+            jd = core.join_irreducibles(D)
+            for E in pool:
+                je = core.join_irreducibles(E)
+                for a in bk.enumerate_isotone_maps(je, jd):
+                    psi = bk.IsotoneMap(je, jd, a)
+                    got = _try(bk.hom_of_isotone, psi, D, E)
+                    assert got == _try(helpers.reference_hom_of_isotone, psi, D, E)
+                    kinds.add(got if isinstance(got, tuple) else "hom")
+        assert kinds >= {
+            "hom",
+            (NotDistributive, "source lattice is not distributive"),
+            (NotDistributive, "target lattice is not distributive"),
+        }
+
+
+class TestErrorPaths:
+    def test_non_distributive_source(self):
+        M3 = catalog.get("m3")
+        psi = bk.IsotoneMap(core.join_irreducibles(C2), core.join_irreducibles(M3), (0,))
+        with pytest.raises(NotDistributive, match="^source lattice is not distributive$"):
+            bk.hom_of_isotone(psi, M3, C2)
+
+    @pytest.mark.parametrize(
+        "f, text",
+        [
+            ((1, 0, 2), "0 <= 1 in the source but 1 !<= 0"),
+            ((2, 0, 1), "2 <= 0 in the source but 1 !<= 2"),
+            ((0, 0, 1), "2 <= 0 in the source but 1 !<= 0"),
+        ],
+    )
+    def test_first_unordered_pair_named(self, f, text):
+        P = core.Poset(3, [(2, 0), (0, 1)])
+        with pytest.raises(NotIsotone, match=f"^{text}$"):
+            bk.IsotoneMap(P, P, f)
+
+    def test_map_between_the_wrong_posets(self):
+        je, jd = core.join_irreducibles(C3SQ), core.join_irreducibles(C3SQ)
+        psi = bk.IsotoneMap(je, jd, range(je.n))
+        with pytest.raises(LatconError, match="^map is not between the join-irreducible posets"):
+            bk.hom_of_isotone(psi, C3SQ, C2SQ)
+        with pytest.raises(LatconError, match="^map is not between the join-irreducible posets"):
+            bk.hom_of_isotone(psi, C2SQ, C3SQ)
+
+    @pytest.mark.parametrize("f", [(0, 1, 2, 1), (0, -1, 1, 1)])
+    def test_dual_of_an_image_out_of_range(self, f):
+        with pytest.raises(PostconditionFailed, match="^an image is out of range for size 2$"):
+            bk.ji_of_hom(bk.BoundedHom(C2SQ, C2, f))
+
+
+class TestFastPath:
+    """Valid input never reaches the pair scans or the generator joins."""
+
+    @pytest.fixture
+    def no_scans(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("pair scan reached on a valid input")
+
+        monkeypatch.setattr(core._Order, "leq", forbidden)
+        monkeypatch.setattr(core.FiniteLattice, "join_of", forbidden)
+
+    def test_con_s7_to_c4xc4(self, no_scans):
+        D, E = CON_S7, rl.grid(4, 4).lattice
+        jd, je = core.join_irreducibles(D), core.join_irreducibles(E)
+        homs = bk.enumerate_bounded_homs(D, E)
+        assert len(homs) > 10
+        for phi in homs:
+            psi = bk.IsotoneMap(je, jd, bk.ji_of_hom(phi).assignment)
+            assert bk.hom_of_isotone(psi, D, E) == phi
+            assert bk.brt_report(phi).ok
+
+    def test_identity_on_a_long_chain(self, no_scans):
+        n = 3_000
+        P = core.Poset(n, [(i, i + 1) for i in range(n - 1)])
+        psi = bk.IsotoneMap(P, P, range(n))
+        assert psi.is_onto and psi.is_order_embedding
