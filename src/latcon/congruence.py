@@ -16,10 +16,13 @@ Freese's relation p D q: some x has ``p <= q v x``, ``p !<= q_* v x``
 are the join-irreducible congruences, and the classes of a congruence are
 the connected components of the covers colored in its down-set of them.
 Con L is distributive, so :class:`ConLattice` keeps only this Birkhoff
-dual and builds the list of all congruences when something reads it.
+dual and builds the list of all congruences when something reads it.  It
+keeps the join-irreducible congruences as class tables, ``theta_cls``;
+``theta`` builds :class:`Congruence` objects from them on each read, for a
+text or a report that needs blocks.
 
 Restriction Con L -> Con K to a convex sublattice K is a {0,1}-homomorphism
-of distributive lattices, so it is read on ``theta`` alone
+of distributive lattices, so it is read on ``theta_cls`` alone
 (:func:`restriction_mismatch`): that decides :func:`is_cp_extension` and the
 checks of :mod:`latcon.verify`.  The list of all congruences is an output
 format, read by :mod:`latcon.jsonio`, the CLI, ``as_lattice`` and the
@@ -286,11 +289,13 @@ class ConLattice:
     """The congruence lattice of a finite lattice, kept as its Birkhoff dual.
 
     Con L is distributive, so its join-irreducibles, their order and the
-    edge coloring determine it.  These are computed eagerly: ``theta[p]``
-    is the join-irreducible congruence at position ``p`` (positions follow
-    the canonical order below), ``ji_order`` is their order as an
-    unlabelled poset on positions, and ``colors`` maps every cover edge of
-    the base lattice to the position of its principal congruence.
+    edge coloring determine it.  These are computed eagerly:
+    ``theta_cls[p]`` is the class table of the join-irreducible congruence
+    at position ``p`` (positions follow the canonical order below),
+    ``ji_order`` is their order as an unlabelled poset on positions, and
+    ``colors`` maps every cover edge of the base lattice to the position of
+    its principal congruence.  ``theta`` builds the :class:`Congruence`
+    objects of ``theta_cls`` on every read and keeps none of them.
     ``len`` counts the down-sets of ``ji_order`` and builds no partition.
 
     The list of all congruences is built on the first read of
@@ -301,17 +306,17 @@ class ConLattice:
     everything.  ``index`` maps each congruence's ``cls`` to its position.
     """
 
-    __slots__ = ("lattice", "theta", "ji_order", "colors", "_size", "_full", "_lattice_view")
+    __slots__ = ("lattice", "theta_cls", "ji_order", "colors", "_size", "_full", "_lattice_view")
 
     def __init__(
         self,
         lattice: FiniteLattice,
-        theta: Sequence[Congruence],
+        theta_cls: Sequence[tuple[int, ...]],
         ji_order: Poset,
         colors: dict[tuple[int, int], int],
     ):
         self.lattice = lattice
-        self.theta = tuple(theta)
+        self.theta_cls = tuple(theta_cls)
         self.ji_order = ji_order
         self.colors = colors
         self._size: int | None = None
@@ -356,6 +361,11 @@ class ConLattice:
 
     congruences = property(lambda self: self._build().congruences)
     index = property(lambda self: self._build().index)
+
+    @property
+    def theta(self) -> tuple[Congruence, ...]:
+        """The join-irreducible congruences, built anew from ``theta_cls``."""
+        return tuple(Congruence(self.lattice, c) for c in self.theta_cls)
 
     def __len__(self) -> int:
         if self._size is None:
@@ -461,22 +471,23 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     pos = {r: i for i, r in enumerate(order)}
     up = [sum(1 << pos[c] for c in order if below[c] >> r & 1) for r in order]
     ji_order = Poset(len(order), core._reduce(range(len(order)), up))
-    con = ConLattice(L, [theta[r] for r in order], ji_order, {e: pos[c] for e, c in color.items()})
+    colors = {e: pos[c] for e, c in color.items()}
+    con = ConLattice(L, [theta[r].cls for r in order], ji_order, colors)
     L._con = con
     return con
 
 
-def _restricted_key(alpha: Congruence, elems: Sequence[int]) -> tuple[int, ...]:
-    """Restriction of alpha to ``elems`` as a class table of positions in ``elems``."""
-    cls = alpha.cls
+def _restricted_key(cls: Sequence[int], elems: Sequence[int]) -> tuple[int, ...]:
+    """Restriction of the class table ``cls`` to ``elems`` as a class table
+    of positions in ``elems``."""
     return _key([cls[x] for x in elems])
 
 
 def _ji_restriction(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> list[int | None]:
-    """Entry ``r``: the position in ``con_k.theta`` of ``con_l.theta[r]``
+    """Entry ``r``: the position in ``con_k.theta_cls`` of ``con_l.theta_cls[r]``
     restricted to ``emb``, or None when that is not join-irreducible."""
-    at = {t.cls: p for p, t in enumerate(con_k.theta)}
-    return [at.get(_restricted_key(t, emb)) for t in con_l.theta]
+    at = {c: p for p, c in enumerate(con_k.theta_cls)}
+    return [at.get(_restricted_key(c, emb)) for c in con_l.theta_cls]
 
 
 def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> str | None:
@@ -500,7 +511,7 @@ def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattic
     P, Q = con_l.ji_order, con_k.ji_order
 
     def named(r: int) -> list[list[int]]:
-        return list(map(list, con_l.theta[r].blocks))
+        return list(map(list, Congruence(con_l.lattice, con_l.theta_cls[r]).blocks))
 
     if None in image:
         r = image.index(None)

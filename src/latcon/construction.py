@@ -276,7 +276,8 @@ def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     upper = set(chains["ul"] + chains["ur"])
     P = con.ji_order
     atom_misses = tuple(
-        con.theta[p] for p in range(P.n) if not P.lower_covers(p) and p not in upper
+        cg.Congruence(G.lattice, con.theta_cls[p])
+        for p in range(P.n) if not P.lower_covers(p) and p not in upper
     )
     return ChainCollapseReport(not atom_misses, atom_misses)
 

@@ -143,7 +143,7 @@ def hom_from_obj(obj: Any) -> BoundedHom:
 
 
 def con_lattice_to_obj(con: ConLattice) -> dict:
-    labels = [con.index[t.cls] for t in con.theta]
+    labels = [con.index[c] for c in con.theta_cls]
     return {
         "lattice": lattice_to_obj(con.lattice),
         "congruences": [[list(b) for b in alpha.blocks] for alpha in con],

@@ -417,7 +417,7 @@ def _joint_extension(
     result = cg.generated_congruence(L, [
         (emap[blk[0]], emap[x]) for alpha, emap in parts for blk in alpha.blocks for x in blk[1:]
     ])
-    if any(cg._restricted_key(result, emap) != alpha.cls for alpha, emap in parts):
+    if any(cg._restricted_key(result.cls, emap) != alpha.cls for alpha, emap in parts):
         raise PostconditionFailed("joint extension of compatible congruences is not a congruence")
     return result
 
@@ -437,7 +437,7 @@ def glue_congruence_pair(
         raise LatconError("second congruence does not live on the upper piece")
     F = [p[0] for p in glued.iso]
     I = [p[1] for p in glued.iso]
-    if cg._restricted_key(alpha_a, F) != cg._restricted_key(alpha_b, I):
+    if cg._restricted_key(alpha_a.cls, F) != cg._restricted_key(alpha_b.cls, I):
         raise Incompatible("restrictions to the shared part differ")
     return _joint_extension(glued.lattice, ((alpha_a, glued.a_map), (alpha_b, glued.b_map)))
 

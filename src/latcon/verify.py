@@ -133,9 +133,10 @@ def _verify_representation(
     # the diagram: restricting to the target copy must act as phi.  Both
     # sides preserve joins and 0, so they agree when they agree on J(Con L)
     key = cg._restricted_key
-    bad = [t for t in conL.theta if conG.index[key(t, g_emb)] != phi(conF.index[key(t, f_emb)])]
+    bad = [c for c in conL.theta_cls
+           if conG.index[key(c, g_emb)] != phi(conF.index[key(c, f_emb)])]
     witness = None if not bad else (
-        f"join-irreducible congruence {list(map(list, bad[0].blocks))}"
+        f"join-irreducible congruence {list(map(list, cg.Congruence(L, bad[0]).blocks))}"
         " of the output restricts off the prescribed map"
     )
     checks.append(CheckResult("restriction-diagram", not bad, witness))

@@ -8,7 +8,9 @@ are never in the loop.  The exceptions are previous versions of
 library code, kept to test the current ones against:
 :func:`reference_congruence_lattice`, the subset-scan construction of Con L;
 :func:`reference_upper_chain_collapse_check`, the collapse check on the full
-list of congruences; :func:`reference_tied_colors`, the restriction-based
+list of congruences; :func:`reference_theta_check`, the postcondition of
+Con L scanned cover by cover for every join-irreducible congruence;
+:func:`reference_tied_colors`, the restriction-based
 color matching of the representation pipelines;
 :func:`reference_make_bounded_hom`, the per-pair validation of bounded
 homs; :func:`reference_isotone_check` and
@@ -614,6 +616,37 @@ def reference_congruence_lattice(L):
     )
 
 
+def reference_theta_check(L, closure):
+    """The text of the :class:`PostconditionFailed` that Con L raises when
+    ``closure(L, a, b)`` stands in for ``principal_congruence``, or None.
+
+    For each color r in id order, every cover in ``L.covers()`` order, with
+    colors and the D* order read off brute-force closures.  A cover a < b has the
+    color of the least join-irreducible p with ``p <= b``, ``p !<= a``,
+    represented by the least join-irreducible of equal principal
+    congruence con(p_*, p); c D* r iff con(c_*, c) <= con(r_*, r).
+    """
+    J = brute_join_irreducibles(L)
+    low = {}
+    for p in J:
+        below = [y for y in range(L.n) if y != p and L.leq(y, p)]
+        low[p] = next(y for y in below if all(L.leq(z, y) for z in below))
+    con = {p: reference_generated_congruence(L, [(low[p], p)]) for p in J}
+    rep = {p: min(q for q in J if con[q].cls == con[p].cls) for p in J}
+    color = {
+        (a, b): rep[min(p for p in J if L.leq(p, b) and not L.leq(p, a))] for a, b in L.covers()
+    }
+    for r in sorted(set(rep.values())):
+        cls = closure(L, low[r], r).cls
+        for (a, b), c in color.items():
+            wanted = refines(con[c], con[r])
+            if (cls[a] == cls[b]) != wanted:
+                if wanted:
+                    return f"con({low[r]}, {r}) is not the congruence of color {r}"
+                return f"colors {c} and {r} are ordered unlike D*"
+    return None
+
+
 def reference_upper_chain_collapse_check(G):
     """The collapse check read off the full list of congruences: the atoms
     of Con L, by index, that are the principal congruence of no edge of an
@@ -691,7 +724,8 @@ def reference_tied_colors(F, G, phi):
     psi = bk.ji_of_hom(phi)
     rho = brute_restriction(conR, inner.embedded_f, conF)
     lift = {rho[conR.index[t.cls]]: q for q, t in enumerate(conR.theta)}
-    return [lift[conF.index[conF.theta[psi(q)].cls]] for q in range(conG.ji_order.n)]
+    thetaF = conF.theta
+    return [lift[conF.index[thetaF[psi(q)].cls]] for q in range(conG.ji_order.n)]
 
 
 def _reference_glue(A, B, pairs):
@@ -766,8 +800,8 @@ def reference_triple_glue(T, Lf, Rf, B):
 def _reference_glue_pair(stage, alpha_a, alpha_b):
     """The common extension over one stage, or :class:`Incompatible`."""
     lat, a_map, b_map, pairs = stage
-    if cg._restricted_key(alpha_a, [p[0] for p in pairs]) != cg._restricted_key(
-        alpha_b, [p[1] for p in pairs]
+    if cg._restricted_key(alpha_a.cls, [p[0] for p in pairs]) != cg._restricted_key(
+        alpha_b.cls, [p[1] for p in pairs]
     ):
         raise Incompatible("restrictions to the shared part differ")
     out = _join_blocks(lat, (

@@ -368,6 +368,43 @@ class TestFrozenOutputBytes:
         assert got == want
 
 
+class TestFrozenConBytes:
+    # sha256 of `latcon con NAME` stdout, written while Con L still kept
+    # its join-irreducible congruences as Congruence objects
+    DIGESTS = {
+        "c2": "dc793e8d84c1a971444d4bbb7e4b1fa77ba0e18da28c3c97e77596a580e16392",
+        "c2xc2": "f734744b2cc0ed8175114cd392c744f6d95e8bb88efa972a02ec0533464bbadc",
+        "c3": "111b6a52fbe71ecfaf28193549a35be9579f9d69c9f6c0015d37c99748cdec50",
+        "c3xc3": "fd554f517f936f4308fe73d8bace052885f03e8d39dad94589b43bb9dcb692a5",
+        "chain-2": "dc793e8d84c1a971444d4bbb7e4b1fa77ba0e18da28c3c97e77596a580e16392",
+        "chain-3": "111b6a52fbe71ecfaf28193549a35be9579f9d69c9f6c0015d37c99748cdec50",
+        "chain-4": "71e144d4ee115014aaf5a4132ab651723cb741581e195b7846eaf6d2c37c47f4",
+        "con-s7": "27bfec0fbfb300a848a07298f518567a33674ee9a750446f0b9c70e8cdc3e492",
+        "cube": "0dd4d2ea1b0ed0ef6a49f6c8764619380cad82efe28de7e1bbb2ddcabe196fbe",
+        "grid-2x2": "f734744b2cc0ed8175114cd392c744f6d95e8bb88efa972a02ec0533464bbadc",
+        "grid-2x3": "2a9acc15180af014c683bd1560354e178f48e5838ef3df05eb106b6abb857261",
+        "grid-2x4": "fb61ae00aa8fb9c3a863dc3db2706f80df31f9a093898867eaa0a5dc250c59b2",
+        "grid-2x5": "4e49d4c5ffe1eaa5e47822751ed25c3ffa034905fba3533c041fa3d6a8b9e7d7",
+        "grid-3x3": "fd554f517f936f4308fe73d8bace052885f03e8d39dad94589b43bb9dcb692a5",
+        "m3": "18dfe315a549bde6d0a5c27b1d7ebcf36106b1ba11db2adad3120b6e01171c27",
+        "m4": "ed1d9e0ce5e8255480d0f7687a2d458a59d9189ad77054abbdf74b1c68c5aac0",
+        "m5": "f977ac110f45e6bbffeb198e89030296083f3682f0c89ee84bee1a75ca49f330",
+        "n5": "6d5938eaa36c3ef46981faf3b0c6ee8e01e4bad54ad7ae6f2ff38b45e0e4d79e",
+        "s7": "e2103efd8e3e1570b39a650c7c645e578de625f53b2904a368b6f9edc60e929f",
+        "s7-eye": "fdea83bc9e7511965f45949fec51e870cea74de54d1195c341e5f75fa978c0ff",
+        "stacked-m3": "8a0c947fe654f602e9024fc34cda65295dc874c76b86b3e7cb9d1381701f584b",
+    }
+
+    def test_every_catalog_name_is_frozen(self):
+        assert sorted(self.DIGESTS) == sorted(catalog.names())
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, capsys, name):
+        assert main(["con", name]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

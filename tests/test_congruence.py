@@ -1,9 +1,12 @@
 """Congruences, their lattice, edge coloring, and extensions."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -78,8 +81,8 @@ class TestCongruenceObject:
     def test_refines_meet_join(self):
         # the order, meet and join of Con L come from the down-sets
         con = cg.congruence_lattice(S7)
-        cs, lat = con.congruences, con.as_lattice()
-        ds = [sum(1 << p for p, t in enumerate(con.theta) if helpers.refines(t, c)) for c in cs]
+        cs, lat, theta = con.congruences, con.as_lattice(), con.theta
+        ds = [sum(1 << p for p, t in enumerate(theta) if helpers.refines(t, c)) for c in cs]
         assert ds == [0b000, 0b001, 0b011, 0b101, 0b111]
         assert helpers.refines(cs[0], cs[1]) and helpers.refines(cs[1], cs[4])
         assert not helpers.refines(cs[2], cs[3])
@@ -132,8 +135,9 @@ class TestConLattice:
         for name in ("s7", "grid-2x3", "m3"):
             L = catalog.get(name)
             con = cg.congruence_lattice(L)
+            theta = con.theta
             for (a, b), p in con.colors.items():
-                assert con.theta[p].blocks == cg.principal_congruence(L, a, b).blocks
+                assert theta[p].blocks == cg.principal_congruence(L, a, b).blocks
 
     def test_ji_poset_labels_are_the_join_irreducible_congruences(self):
         con = cg.congruence_lattice(catalog.get("grid-2x3"))
@@ -339,6 +343,109 @@ class TestLazyPartitionList:
         assert len(con) == 5
         with pytest.raises(PostconditionFailed, match="same join"):
             con.congruences
+
+
+def _fresh_lattices():
+    """The catalog and the rectangular lattices of up to 12 elements, each
+    rebuilt from its covers, so none has a Con L yet."""
+    named = [catalog.get(name) for name in catalog.names()]
+    named += [R.lattice for _, R in catalog.search_rectangular(12)]
+    return [core.make_lattice(L.n, L.covers()) for L in named]
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` by ``gc.get_referents``, without
+    going into types, modules or functions, which every object reaches."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(
+                ref, (type, types.ModuleType, types.FunctionType)
+            ):
+                seen[id(ref)] = ref
+                stack.append(ref)
+    return list(seen.values())
+
+
+class TestThetaAsClassTables:
+    """Con L keeps the join-irreducible congruences as class tables; a
+    :class:`Congruence` exists only while a caller holds one read off
+    ``theta``."""
+
+    def test_no_congruence_object_is_reachable_from_the_lattice(self):
+        rects = list(catalog.rect_catalog().values())
+        rects += [R for _, R in catalog.search_rectangular(12)]
+        for R in rects:
+            L = R.lattice
+            con = cg.congruence_lattice(L)
+            assert len(con) > 1
+            assert con.theta == con.theta
+            assert cg.is_cp_extension(L, core.ideal_filter(L, L.n // 2)[0]) in (True, False)
+            construction.upper_chain_collapse_check(R)
+            reached = _reachable(L)
+            assert any(o is con for o in reached) and any(o is con.theta_cls for o in reached)
+            assert [o for o in reached if isinstance(o, cg.Congruence)] == []
+            assert con._full is None
+
+    def test_con_l_retains_under_6000_bytes_per_lattice(self):
+        # 10,475 B when theta held Congruence objects, 4,665 B as class tables
+        lattices = [core.make_lattice(R.n, R.lattice.covers())
+                    for _, R in catalog.search_rectangular(24)]
+        assert len(lattices) == 564
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cons = [cg.congruence_lattice(L) for L in lattices]
+            gc.collect()  # also empties the free lists that the temporaries left
+            kept = (tracemalloc.get_traced_memory()[0] - before) / len(cons)
+        finally:
+            tracemalloc.stop()
+        assert kept < 6000, kept
+
+    def test_theta_against_principal_closures(self):
+        for L in _fresh_lattices():
+            con = cg.congruence_lattice(L)
+            theta = con.theta
+            assert theta == con.theta and theta is not con.theta
+            assert [t.cls for t in theta] == list(con.theta_cls)
+            assert all(t.lattice is L for t in theta)
+            for j in L.ji_elements():
+                a = L.lower_covers(j)[0]
+                p = con.colors[a, j]
+                assert theta[p].cls == con.theta_cls[p] == cg.principal_congruence(L, a, j).cls
+                assert con.theta_cls[p] == helpers.reference_generated_congruence(L, [(a, j)]).cls
+
+    def test_faulty_closures_raise_the_reference_text(self, monkeypatch):
+        rng = random.Random(18)
+        closure = cg.principal_congruence
+
+        def merging(target, extra):
+            """con(a, b) that also merges the ends of ``extra`` when b is ``target``."""
+            def faulty(L, a, b):
+                return cg.generated_congruence(L, [(a, b), extra]) if b == target else closure(L, a, b)
+            return faulty
+
+        seen = {"none": 0, "missed": 0, "unordered": 0}
+        for L in _fresh_lattices():
+            J, covers = L.ji_elements(), L.covers()
+            faults = [closure, lambda L, a, b: helpers.delta(L), _nabla]
+            faults += [merging(rng.choice(J), rng.choice(covers)) for _ in range(4)]
+            for fault in faults:
+                want = helpers.reference_theta_check(L, fault)
+                fresh = core.make_lattice(L.n, covers)
+                monkeypatch.setattr(cg, "principal_congruence", fault)
+                if want is None:
+                    seen["none"] += 1
+                    cg.congruence_lattice(fresh)
+                else:
+                    seen["unordered" if "unlike D*" in want else "missed"] += 1
+                    with pytest.raises(PostconditionFailed) as info:
+                        cg.congruence_lattice(fresh)
+                    assert str(info.value) == want
+                monkeypatch.setattr(cg, "principal_congruence", closure)
+        assert min(seen.values()) >= 20, seen
 
 
 def _nabla(L, *args):

@@ -160,7 +160,7 @@ class TestFilterRepresentation:
         phi = hom(S7, S7, 0)
         L, rep = cn.filter_representation(S7, S7, phi)
         conL = cg.congruence_lattice(L.lattice)
-        keys_f = {cg._restricted_key(a, rep.embedded_f) for a in conL}
+        keys_f = {cg._restricted_key(a.cls, rep.embedded_f) for a in conL}
         assert len(keys_f) == len(cg.congruence_lattice(S7.lattice))
 
     def test_report_pieces_and_inner(self):

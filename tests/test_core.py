@@ -252,6 +252,10 @@ class TestNonIntegralIds:
             (_verify_with_float_embedding, "3.0"),
             (lambda: birkhoff.make_bounded_hom(core.chain(2), core.chain(2), [0, 1.6]), "1.6"),
             (lambda: birkhoff.IsotoneMap(core.Poset(1, []), core.Poset(1, []), [0.0]), "0.0"),
+            (lambda: birkhoff.make_bounded_hom(core.chain(3), core.chain(3), [0, "1", 2.5]), "'1'"),
+            (lambda: birkhoff.IsotoneMap(core.Poset(2, []), core.Poset(2, []), [0, "1"]), "'1'"),
+            (lambda: birkhoff.make_bounded_hom(
+                core.chain(3), core.chain(3), (x for x in [0, 1, 2.0])), "2.0"),
             (lambda: cg.principal_congruence(core.chain(3), 0, 1.5), "1.5"),
             (lambda: cg.generated_congruence(core.chain(3), [(0, 1), ("2", 1)]), "'2'"),
             (lambda: core.ideal_filter(core.chain(3), 1.5), "1.5"),
@@ -259,7 +263,8 @@ class TestNonIntegralIds:
         ids=[
             "cover", "upper-order", "lower-order-key", "ideal", "convex", "singleton-ideal",
             "singleton-blocks", "partition", "glue", "verify-embedding", "bounded-hom",
-            "isotone-map", "principal-congruence", "generated-congruence", "ideal-filter",
+            "isotone-map", "bounded-hom-text", "isotone-map-text", "bounded-hom-generator",
+            "principal-congruence", "generated-congruence", "ideal-filter",
         ],
     )
     def test_rejected_naming_the_value(self, call, bad):
@@ -284,6 +289,10 @@ class TestNonIntegralIds:
             S, [(4, 6), (1, 0)]
         )
         assert core.ideal_filter(S, four) == core.ideal_filter(S, 4) == ((0, 1, 2, 4), (4, 6))
+        C = core.chain(3)
+        ints = [0, True, helpers.IntLike(2)]
+        assert birkhoff.make_bounded_hom(C, C, ints).assignment == (0, 1, 2)
+        assert birkhoff.IsotoneMap(C, C, iter(ints)).assignment == (0, 1, 2)
 
     def test_json_text_unchanged(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
