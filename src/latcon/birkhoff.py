@@ -8,8 +8,9 @@ that correspondence; ``brt_report`` evaluates the classical equivalences
 
 Every kernel works on the up- and down-set bitmasks along covers: an
 isotone map is checked on the source's covers, a homomorphism by the
-pull-backs of the target's join-irreducibles, found in one top-down sweep,
-and ``hom_of_isotone`` builds each image from that of a lower cover.
+pull-backs of the target's join-irreducibles, found in one top-down sweep
+per hom and kept on it for ``ji_of_hom`` and ``brt_report``, and
+``hom_of_isotone`` builds each image from that of a lower cover.
 Only a failed check scans every pair, to name the first one broken.
 """
 
@@ -31,7 +32,33 @@ from .errors import (
 )
 
 
-class IsotoneMap:
+class _Map:
+    """An assignment between finite orders: ``assignment[i]`` is the image
+    of ``i``.  Two maps are equal when source, target and assignment are."""
+
+    __slots__ = ("source", "target", "assignment")
+
+    def __call__(self, x: int) -> int:
+        return self.assignment[x]
+
+    @property
+    def is_onto(self) -> bool:
+        return len(set(self.assignment)) == self.target.n
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and self.assignment == other.assignment
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.assignment})"
+
+
+class IsotoneMap(_Map):
     """Order-preserving map between posets.
 
     ``assignment[i]`` is the target position of source position ``i``.
@@ -43,17 +70,10 @@ class IsotoneMap:
     lexicographic order that f does not preserve.
     """
 
-    __slots__ = ("source", "target", "assignment")
+    __slots__ = ()
 
     def __init__(self, source: Poset, target: Poset, assignment: Sequence[int]):
-        assignment = tuple(map(core._element_id, assignment))
-        if len(assignment) != source.n:
-            raise LatconError(
-                f"assignment length {len(assignment)} != source size {source.n}"
-            )
-        for v in assignment:
-            if not 0 <= v < target.n:
-                raise ElementOutOfRange(f"image {v} out of range for size {target.n}")
+        assignment = _assignment(assignment, source.n, target.n)
         up = target._up
         for x, ys in enumerate(source._upper):
             ux = up[assignment[x]]
@@ -63,13 +83,6 @@ class IsotoneMap:
         self.source = source
         self.target = target
         self.assignment = assignment
-
-    def __call__(self, x: int) -> int:
-        return self.assignment[x]
-
-    @property
-    def is_onto(self) -> bool:
-        return len(set(self.assignment)) == self.target.n
 
     @property
     def is_order_embedding(self) -> bool:
@@ -92,60 +105,42 @@ class IsotoneMap:
             u.bit_count() == (up[e] & image).bit_count() for u, e in zip(self.source._up, f)
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IsotoneMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.assignment == other.assignment
-        )
-
     def __hash__(self) -> int:
         return hash((self.source, self.target, self.assignment))
 
-    def __repr__(self) -> str:
-        return f"IsotoneMap({self.assignment})"
 
-
-class BoundedHom:
+class BoundedHom(_Map):
     """A {0,1}-homomorphism between finite distributive lattices.
 
     Use :func:`make_bounded_hom`; the constructor itself does not validate.
+    Immutable after construction: a validated hom carries the pull-backs
+    of its assignment, and one built directly sweeps them when read.
     """
 
-    __slots__ = ("source", "target", "assignment")
+    __slots__ = ("_pulled",)
 
     def __init__(self, source: FiniteLattice, target: FiniteLattice, assignment: tuple[int, ...]):
         self.source = source
         self.target = target
         self.assignment = assignment
 
-    def __call__(self, x: int) -> int:
-        return self.assignment[x]
-
     @property
     def is_injective(self) -> bool:
         return len(set(self.assignment)) == self.source.n
 
-    @property
-    def is_onto(self) -> bool:
-        return len(set(self.assignment)) == self.target.n
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BoundedHom):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.assignment == other.assignment
-        )
-
     def __hash__(self) -> int:
         return hash((self.source.n, self.target.n, self.assignment))
 
-    def __repr__(self) -> str:
-        return f"BoundedHom({self.assignment})"
+
+def _assignment(xs: Sequence[int], m: int, n: int) -> tuple[int, ...]:
+    """``xs`` as ``m`` element ids below ``n``, naming the first entry that is not."""
+    f = core._element_ids(xs)
+    if len(f) != m:
+        raise LatconError(f"assignment length {len(f)} != source size {m}")
+    if f and not (0 <= min(f) and max(f) < n):
+        v = next(v for v in f if not 0 <= v < n)
+        raise ElementOutOfRange(f"image {v} out of range for size {n}")
+    return f
 
 
 def _first_unordered_pair(source: Poset, target: Poset, f: Sequence[int]) -> NotIsotone:
@@ -215,21 +210,18 @@ def make_bounded_hom(
         raise NotDistributive("source lattice is not distributive")
     if not core.is_distributive(E):
         raise NotDistributive("target lattice is not distributive")
-    f = tuple(map(core._element_id, assignment))
-    if len(f) != D.n:
-        raise LatconError(f"assignment length {len(f)} != source size {D.n}")
-    for v in f:
-        if not 0 <= v < E.n:
-            raise ElementOutOfRange(f"image {v} out of range for size {E.n}")
+    f = _assignment(assignment, D.n, E.n)
     if f[D.bottom] != E.bottom:
         raise NotBounded(f"bottom maps to {f[D.bottom]}, not {E.bottom}")
     if f[D.top] != E.top:
         raise NotBounded(f"top maps to {f[D.top]}, not {E.top}")
-    for m in _pullbacks(f, E):
+    for m in (pulled := tuple(_pullbacks(f, E))):
         p = (m & -m).bit_length() - 1
         if m != D._up[p] or len(D._lower[p]) != 1:
             raise _first_broken_pair(D, E, f)
-    return BoundedHom(D, E, f)
+    phi = BoundedHom(D, E, f)
+    phi._pulled = pulled
+    return phi
 
 
 def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
@@ -239,6 +231,7 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     whose image lies above x.  For a homomorphism the pull-back of x is
     ``up(p)`` with p join-irreducible (see :func:`make_bounded_hom`), and p
     is its least id; any other pull-back raises :class:`PostconditionFailed`.
+    The pull-backs are those ``phi`` carries, swept only if it has none.
     """
     D, E = phi.source, phi.target
     jd = core.join_irreducibles(D)
@@ -248,7 +241,7 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     if f and not (0 <= min(f) and max(f) < E.n):
         raise PostconditionFailed(f"an image is out of range for size {E.n}")
     out = []
-    for x, s in zip(je.labels, _pullbacks(f, E)):
+    for x, s in zip(je.labels, getattr(phi, "_pulled", None) or _pullbacks(f, E)):
         m = (s & -s).bit_length() - 1
         if s != D._up[m]:
             raise PostconditionFailed(f"pull-back of join-irreducible {x} is no principal filter")
@@ -260,8 +253,8 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     return IsotoneMap(je, jd, out)
 
 
-def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> BoundedHom:
-    """The bounded homomorphism D -> E induced by psi: Ji E -> Ji D.
+def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> tuple[int, ...]:
+    """The assignment D -> E induced by psi: Ji E -> Ji D, unvalidated.
 
     e is sent to the join in E of the join-irreducibles x with psi(x) <= e.
     Grouping those x by ``p = psi(x)`` gives ``f(e) = ⋁{g[p] : p ∈ J(e)}``
@@ -272,8 +265,7 @@ def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> Bound
     ``f(e) = f(e_*) ∨ ⋁{g[p] : p ∈ J(D) ∩ (↓e ∖ ↓e_*)}``; a ``p`` that
     no x maps to has ``g[p]`` the bottom and is skipped.  Ids form a
     linear extension, so walking D in id order finds ``f(e_*)`` done.
-    Joins are kept as up-masks, since ``↑(a ∨ b) = ↑a ∩ ↑b``, and the
-    result goes through :func:`make_bounded_hom`, which checks it.
+    Joins are kept as up-masks, since ``↑(a ∨ b) = ↑a ∩ ↑b``.
     """
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
@@ -299,7 +291,13 @@ def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> Bound
             m &= g[low.bit_length() - 1]
             new ^= low
         fup[e] = m
-    return make_bounded_hom(D, E, [(m & -m).bit_length() - 1 for m in fup])
+    return tuple([(m & -m).bit_length() - 1 for m in fup])
+
+
+def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> BoundedHom:
+    """The bounded homomorphism D -> E induced by psi: Ji E -> Ji D, built
+    by :func:`_isotone_assignment` and checked by :func:`make_bounded_hom`."""
+    return make_bounded_hom(D, E, _isotone_assignment(psi, D, E))
 
 
 @dataclass(frozen=True)
@@ -327,8 +325,29 @@ class BrtReport:
 
 
 def brt_report(phi: BoundedHom) -> BrtReport:
+    """The duality statements on ``phi``; a validated ``phi`` takes no
+    pull-back sweep.
+
+    The round trip is ``make_bounded_hom(D, E, f)`` for the assignment
+    ``f`` that :func:`_isotone_assignment` builds from ``ji_of_hom(phi)``.
+    When ``f`` equals ``phi.assignment`` and both lattices are distributive
+    (verdicts kept on the lattices), that call would return a hom equal to
+    ``phi``, so ``phi`` stands in for it.  Proof, check by check: ``f`` is
+    ``D.n`` ids of E, being built so.  :func:`ji_of_hom` has just checked
+    that the pull-back of every join-irreducible q of E under f is ``↑p``
+    with p join-irreducible, which is the criterion of
+    :func:`make_bounded_hom`.  The bounds follow: ``↑p`` holds the top of
+    D, so every q lies below ``f(top)``, which is then the top of E, the
+    join of all q; ``↑p`` misses the bottom, p being join-irreducible, so
+    no q lies below ``f(bottom)``, which is then the bottom of E.  Homs
+    with equal source, target and assignment are equal.  Any other ``f``
+    goes through :func:`make_bounded_hom`, which raises on a non-hom.
+    """
+    D, E = phi.source, phi.target
     psi = ji_of_hom(phi)
-    back = hom_of_isotone(psi, phi.source, phi.target)
+    f = _isotone_assignment(psi, D, E)
+    same = f == phi.assignment and core.is_distributive(D) and core.is_distributive(E)
+    back = phi if same else make_bounded_hom(D, E, f)
     round_trip_ok = back == phi
     injective = phi.is_injective
     ji_onto = psi.is_onto

@@ -23,7 +23,8 @@ closure over every column of the operation tables;
 :func:`reference_make_lattice`, the lattice check over every pair that
 filled n-by-n meet and join tables;
 :func:`brute_is_semimodular`, the scan of every pair against the
-definition; and
+definition; :func:`reference_is_convex_sublattice`, closure under meet,
+join and intervals tested pair by pair; and
 :func:`reference_triple_glue` with :func:`reference_triple_glue_congruence`,
 the triple gluing built and extended through three pairwise gluings.
 """
@@ -40,6 +41,7 @@ from latcon import jsonio as jio
 from latcon import rectangular as rl
 from latcon.errors import (
     ElementOutOfRange,
+    EmptySet,
     Incompatible,
     LatconError,
     NotBounded,
@@ -423,6 +425,27 @@ def brute_is_semimodular(L):
             if m != a and L.is_cover(m, a):
                 if not L.is_cover(b, L.join(a, b)):
                     return False
+    return True
+
+
+def reference_is_convex_sublattice(L, S):
+    """Whether S is closed under meet and join and holds every interval
+    between two of its members, pair by pair; same errors as
+    :func:`latcon.core.is_convex_sublattice`."""
+    elems = sorted(set(S))
+    if not elems:
+        raise EmptySet("empty set is not a sublattice")
+    for x in elems:
+        if not 0 <= x < L.n:
+            raise ElementOutOfRange(f"element {x} out of range for size {L.n}")
+    members = set(elems)
+    for x in elems:
+        for y in elems:
+            if L.meet(x, y) not in members or L.join(x, y) not in members:
+                return False
+            if L.leq(x, y) and any(L.leq(x, z) and L.leq(z, y) and z not in members
+                                   for z in range(L.n)):
+                return False
     return True
 
 

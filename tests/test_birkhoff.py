@@ -1,5 +1,6 @@
 """Duality between bounded homs and isotone maps of join-irreducible posets."""
 
+import functools
 import os
 import random
 import subprocess
@@ -165,6 +166,129 @@ class TestJiOfHomPostcondition:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised\n"
+
+
+@functools.lru_cache(maxsize=1)
+def _duality_pairs():
+    """The 49 ordered pairs among ``brt_catalog``, Con(grid-3x3) and c4xc4,
+    with their 2,909 bounded homs."""
+    lats = list(catalog.brt_catalog().values())
+    lats += [cg.congruence_lattice(rl.grid(3, 3).lattice).as_lattice(), rl.grid(4, 4).lattice]
+    return [(D, E, bk.enumerate_bounded_homs(D, E)) for D in lats for E in lats]
+
+
+def _old_brt_report(phi):
+    """``brt_report`` with a second sweep: ``ji_of_hom``, then
+    ``hom_of_isotone``, then ``==``."""
+    psi = bk.ji_of_hom(phi)
+    back = bk.hom_of_isotone(psi, phi.source, phi.target)
+    round_trip_ok = back == phi
+    injective, ji_onto = phi.is_injective, psi.is_onto
+    onto, ji_embedding = phi.is_onto, psi.is_order_embedding
+    witness = None
+    if not round_trip_ok:
+        witness = f"round trip produced {back.assignment}, expected {phi.assignment}"
+    elif injective != ji_onto:
+        witness = f"injective={injective} but dual map onto={ji_onto}"
+    elif onto != ji_embedding:
+        witness = f"onto={onto} but dual map order-embedding={ji_embedding}"
+    return bk.BrtReport(round_trip_ok, injective, ji_onto, onto, ji_embedding, witness)
+
+
+class TestOneSweepPerHom:
+    """A validated hom carries its pull-backs; ``brt_report`` sweeps none."""
+
+    def test_against_the_unvalidated_path_and_the_old_report(self):
+        total = 0
+        for D, E, homs in _duality_pairs():
+            for phi in homs:
+                bare = bk.BoundedHom(D, E, phi.assignment)
+                assert bk.ji_of_hom(phi) == bk.ji_of_hom(bare)
+                assert bk.brt_report(phi) == _old_brt_report(phi)
+                total += 1
+        assert len(_duality_pairs()) == 49 and total == 2_909
+
+    def test_sweep_counts(self, monkeypatch):
+        sweeps = []
+        sweep = bk._pullbacks
+        monkeypatch.setattr(bk, "_pullbacks", lambda f, E: sweeps.append(f) or sweep(f, E))
+        for D, E, _ in _duality_pairs():
+            del sweeps[:]
+            homs = bk.enumerate_bounded_homs(D, E)
+            assert [phi.assignment for phi in homs] == sorted(sweeps)
+            del sweeps[:]
+            for phi in homs:
+                assert bk.brt_report(phi).ok
+            assert sweeps == []
+            for phi in homs[:3]:
+                assert bk.brt_report(bk.BoundedHom(D, E, phi.assignment)).ok
+                assert sweeps.pop() == phi.assignment and sweeps == []
+
+
+class TestRoundTripStillChecked:
+    """With the assignment kernel made wrong, ``brt_report`` still sees it."""
+
+    def test_one_image_shifted(self, monkeypatch):
+        homs = [phi for D in PAIR_POOL for E in PAIR_POOL for phi in bk.enumerate_bounded_homs(D, E)]
+        seen = {}
+        for phi in homs:
+            D, E, f = phi.source, phi.target, phi.assignment
+            for i in range(D.n):
+                g = f[:i] + ((f[i] + 1) % E.n,) + f[i + 1:]
+                monkeypatch.setattr(bk, "_isotone_assignment", lambda psi, D, E, g=g: g)
+                want = _try(helpers.reference_make_bounded_hom, D, E, g)
+                if isinstance(want, bk.BoundedHom):
+                    rep = bk.brt_report(phi)
+                    assert not rep.round_trip_ok and not rep.ok
+                    assert rep.witness == f"round trip produced {g}, expected {f}"
+                    seen["hom"] = seen.get("hom", 0) + 1
+                else:
+                    assert _try(bk.brt_report, phi) == want
+                    seen[want[0]] = seen.get(want[0], 0) + 1
+        assert seen.keys() == {"hom", NotBounded, NotHomomorphic}
+        assert min(seen.values()) > 20
+
+    @pytest.mark.parametrize(
+        "D, E, f, text",
+        [
+            ("m3", "c2", (0, 1, 0, 0, 1), "source lattice is not distributive"),
+            ("c2", "m3", (0, 4), "target lattice is not distributive"),
+        ],
+    )
+    def test_non_distributive_ends(self, D, E, f, text):
+        # the round trip returns f, yet the hom is rejected as before
+        phi = bk.BoundedHom(catalog.get(D), catalog.get(E), f)
+        psi = bk.ji_of_hom(phi)
+        assert bk._isotone_assignment(psi, phi.source, phi.target) == f
+        with pytest.raises(NotDistributive, match=f"^{text}$"):
+            bk.brt_report(phi)
+
+    def test_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from latcon import birkhoff as bk, catalog\n"
+            "from latcon.errors import NotHomomorphic\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "C3, SQ = catalog.get('c3'), catalog.get('c2xc2')\n"
+            "bk._isotone_assignment = lambda psi, D, E: (0, 2, 2)\n"
+            "print(bk.brt_report(bk.make_bounded_hom(C3, C3, (0, 1, 2))).witness)\n"
+            "bk._isotone_assignment = lambda psi, D, E: (0, 2, 2, 3)\n"
+            "try:\n"
+            "    bk.brt_report(bk.make_bounded_hom(SQ, SQ, (0, 1, 2, 3)))\n"
+            "except NotHomomorphic as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(bk.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "round trip produced (0, 2, 2), expected (0, 1, 2)\n"
+            "meet not preserved at (1, 2)\n"
+        )
 
 
 class TestEnumeration:

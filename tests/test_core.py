@@ -15,6 +15,7 @@ from latcon.errors import (
     Cyclic,
     ElementOutOfRange,
     InvalidLattice,
+    LatconError,
     NotALattice,
     NotConvexSublattice,
     NotReduced,
@@ -294,6 +295,32 @@ class TestNonIntegralIds:
         assert birkhoff.make_bounded_hom(C, C, ints).assignment == (0, 1, 2)
         assert birkhoff.IsotoneMap(C, C, iter(ints)).assignment == (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda: birkhoff.make_bounded_hom(core.chain(3), core.chain(3), [0, 7, -1]),
+             "image 7 out of range for size 3"),
+            (lambda: birkhoff.make_bounded_hom(core.chain(3), core.chain(3), [0, -1, 7]),
+             "image -1 out of range for size 3"),
+            (lambda: birkhoff.IsotoneMap(core.Poset(3, []), core.Poset(3, []), [0, 3, -2]),
+             "image 3 out of range for size 3"),
+        ],
+        ids=["bounded-hom", "bounded-hom-negative", "isotone-map"],
+    )
+    def test_first_image_out_of_range_named(self, call, text):
+        """The range is checked by ``min``/``max``; the text still names the
+        first image out of range (texts frozen on the per-entry loop)."""
+        with pytest.raises(ElementOutOfRange, match=f"^{re.escape(text)}$"):
+            call()
+
+    def test_bulk_conversion(self):
+        one = helpers.IntLike(1)
+        assert core._element_ids(x for x in [0, one, True]) == (0, 1, 1)
+        assert core._element_ids(range(3)) == (0, 1, 2)
+        assert core._element_ids([4, 5]) == (4, 5)
+        with pytest.raises(ElementOutOfRange, match=r"^element id 2\.5 is not an integer$"):
+            core._element_ids(iter([0, one, 2.5]))
+
     def test_json_text_unchanged(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"size": 2, "covers": [[0, 1.7]]}')
@@ -424,6 +451,39 @@ class TestPredicates:
         assert core.is_ideal(L, [0, 1, 2, 4])
         assert not core.is_ideal(L, [1, 3])
         assert core.is_filter(L, [4, 6])
+
+
+class TestConvexSublatticeAgainstReference:
+    """The interval test against the pairwise definition in ``helpers``."""
+
+    def test_seeded_subsets(self):
+        lattices = [catalog.get(name) for name in catalog.names()]
+        lattices += [R.lattice for _, R in catalog.search_rectangular(14)]
+        rng = random.Random(19)
+        verdicts = []
+        for L in lattices:
+            for _ in range(60):
+                a, b = sorted(rng.sample(range(L.n), 2)) if L.n > 1 else (0, 0)
+                if rng.random() < 0.5 and L.leq(a, b):
+                    S = set(L.up(a)) & set(L.down(b))
+                    S ^= {rng.randrange(L.n)} if rng.random() < 0.5 else set()
+                else:
+                    S = set(rng.sample(range(L.n), rng.randint(1, L.n)))
+                if not S:
+                    continue
+                got = core.is_convex_sublattice(L, S)
+                assert got == helpers.reference_is_convex_sublattice(L, S), (L, S)
+                verdicts.append(got)
+        assert len(lattices) > 40
+        assert 2_000 < len(verdicts) and verdicts.count(True) > 800 and verdicts.count(False) > 800
+
+    @pytest.mark.parametrize("S", [[], [0, 7], [-1], [2, 1, 9]])
+    def test_errors_as_the_reference(self, S):
+        L = s7()
+        with pytest.raises(LatconError) as want:
+            helpers.reference_is_convex_sublattice(L, S)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            core.is_convex_sublattice(L, S)
 
 
 def _order_dual(L):
