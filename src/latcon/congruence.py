@@ -19,7 +19,8 @@ Con L is distributive, so :class:`ConLattice` keeps only this Birkhoff
 dual and builds the list of all congruences when something reads it.  It
 keeps the join-irreducible congruences as class tables, ``theta_cls``;
 ``theta`` builds :class:`Congruence` objects from them on each read, for a
-text or a report that needs blocks.
+text or a report that needs blocks.  The coloring is one flat tuple of
+positions in ``L.covers()`` order, read as a mapping from covers.
 
 Restriction Con L -> Con K to a convex sublattice K is a {0,1}-homomorphism
 of distributive lattices, so it is read on ``theta_cls`` alone
@@ -42,7 +43,9 @@ counts; only the meet-side checks substitute element by element.
 
 from __future__ import annotations
 
-from itertools import product
+from collections.abc import ItemsView, Mapping
+from itertools import accumulate, chain, product, repeat
+from operator import index as _index
 from typing import Iterable, NamedTuple, Sequence
 
 from . import core
@@ -285,6 +288,53 @@ class _Partitions(NamedTuple):
     downsets: tuple[int, ...]
 
 
+class _Colors(Mapping):
+    """The edge coloring as a read-only mapping ``(a, b) -> position``
+    over one flat tuple of positions in the order of ``L.covers()``.
+
+    ``start[a]`` is the offset of a's upper covers in the flat tuple, so
+    the color of ``a ≺ b`` is ``flat[start[a] + upper[a].index(b)]``.  Ids
+    go through ``operator.index``; a pair that is no cover raises
+    :class:`KeyError`, as does a negative or non-integral id or any other
+    key.  It shares L's ``_upper`` rows and keeps no reference to L itself.
+    """
+
+    __slots__ = ("_flat", "_start", "_upper")
+
+    def __init__(self, upper: Sequence[tuple[int, ...]], flat: Iterable[int]):
+        self._upper = upper
+        self._start = tuple(accumulate(map(len, upper), initial=0))
+        self._flat = tuple(flat)
+
+    def __getitem__(self, key):
+        try:
+            a, b = map(_index, key)
+            if 0 <= a < len(self._upper):
+                return self._flat[self._start[a] + self._upper[a].index(b)]
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return len(self._flat)
+
+    def __iter__(self):
+        # the covers (a, b) in L.covers() order, as zip(repeat(a), upper[a])
+        return chain.from_iterable(map(zip, map(repeat, range(len(self._upper))), self._upper))
+
+    def items(self) -> ItemsView:
+        return _ColorItems(self)
+
+
+class _ColorItems(ItemsView):
+    """The ``(cover, position)`` pairs, read along the flat tuple."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._flat)
+
+
 class ConLattice:
     """The congruence lattice of a finite lattice, kept as its Birkhoff dual.
 
@@ -294,8 +344,10 @@ class ConLattice:
     at position ``p`` (positions follow the canonical order below),
     ``ji_order`` is their order as an unlabelled poset on positions, and
     ``colors`` maps every cover edge of the base lattice to the position of
-    its principal congruence.  ``theta`` builds the :class:`Congruence`
-    objects of ``theta_cls`` on every read and keeps none of them.
+    its principal congruence: a read-only mapping over one flat tuple of
+    positions in ``lattice.covers()`` order.  ``theta`` builds the
+    :class:`Congruence` objects of ``theta_cls`` on every read and keeps
+    none of them.
     ``len`` counts the down-sets of ``ji_order`` and builds no partition.
 
     The list of all congruences is built on the first read of
@@ -313,7 +365,7 @@ class ConLattice:
         lattice: FiniteLattice,
         theta_cls: Sequence[tuple[int, ...]],
         ji_order: Poset,
-        colors: dict[tuple[int, int], int],
+        colors: Mapping[tuple[int, int], int],
     ):
         self.lattice = lattice
         self.theta_cls = tuple(theta_cls)
@@ -329,19 +381,23 @@ class ConLattice:
 
         The congruence of ``d`` collapses a cover exactly when its color is
         in ``d``, and its classes are the components of those covers.  Each
-        element is labelled in id order: it takes the label of its first
-        lower cover whose color is in ``d``, and otherwise itself.  Every
-        label is the least member of its element's class.  Ids form a
-        linear extension, so a lower cover y of x is labelled first, and a
-        collapsed one lies in x's class.  If x has no collapsed lower cover,
-        x is the least member u of its class: the class is an interval, and
-        otherwise the last step of a maximal chain from u to x is a lower
-        cover of x inside it.  Run once, on first use.
+        element is labelled in id order: it takes the label of any lower
+        cover whose color is in ``d``, and otherwise itself.  Every label is
+        the least member of its element's class.  Ids form a linear
+        extension, so a lower cover y of x is labelled first, and every
+        collapsed one lies in x's class, whose least member is its label.
+        If x has no collapsed lower cover, x is the least member u of its
+        class: the class is an interval, and otherwise the last step of a
+        maximal chain from u to x is a lower cover of x inside it.  The
+        lower covers and their colors come from one pass over
+        ``colors.items()``.  Run once, on first use.
         """
         if self._full is not None:
             return self._full
-        L, colors = self.lattice, self.colors
-        low = [[(y, 1 << colors[y, x]) for y in L._lower[x]] for x in range(L.n)]
+        L = self.lattice
+        low: list[list[tuple[int, int]]] = [[] for _ in range(L.n)]
+        for (y, x), c in self.colors.items():
+            low[x].append((y, 1 << c))
         ds = core.downsets(self.ji_order)
         cons = []
         for d in ds:
@@ -452,14 +508,15 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
             if below[p] >> q & 1:
                 rep.setdefault(p, q)
 
-    color = {}
-    for a, b in L.covers():
+    covers = L.covers()
+    color = []  # color[i]: the color of covers[i]
+    for a, b in covers:
         m = down[b] & ~down[a] & jmask
-        color[a, b] = rep[(m & -m).bit_length() - 1]
+        color.append(rep[(m & -m).bit_length() - 1])
     theta = {r: principal_congruence(L, lower[r][0], r) for r in sorted(set(rep.values()))}
     for r, t in theta.items():
         cls = t.cls
-        for (a, b), c in color.items():
+        for (a, b), c in zip(covers, color):
             wanted = bool(below[r] >> c & 1)
             if (cls[a] == cls[b]) != wanted:
                 raise PostconditionFailed(
@@ -471,7 +528,7 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     pos = {r: i for i, r in enumerate(order)}
     up = [sum(1 << pos[c] for c in order if below[c] >> r & 1) for r in order]
     ji_order = Poset(len(order), core._reduce(range(len(order)), up))
-    colors = {e: pos[c] for e, c in color.items()}
+    colors = _Colors(L._upper, map(pos.__getitem__, color))
     con = ConLattice(L, [theta[r].cls for r in order], ji_order, colors)
     L._con = con
     return con

@@ -416,6 +416,7 @@ def make_lattice_with_map(
     def _ordered(given, computed, kind):
         if given is None:
             return [tuple(sorted(s)) for s in computed]
+        given = {k: tuple(r) for k, r in given.items()}  # a row may be read once only
         try:
             given = {_index(k): tuple(map(_index, r)) for k, r in given.items()}
         except TypeError:  # again, to name the value that is no integer

@@ -11,7 +11,8 @@ library code, kept to test the current ones against:
 list of congruences; :func:`reference_theta_check`, the postcondition of
 Con L scanned cover by cover for every join-irreducible congruence;
 :func:`reference_tied_colors`, the restriction-based
-color matching of the representation pipelines;
+color matching of the representation pipelines; :func:`reference_colors`,
+each cover's color by its principal closure;
 :func:`reference_make_bounded_hom`, the per-pair validation of bounded
 homs; :func:`reference_isotone_check` and
 :func:`reference_is_order_embedding`, the scans of every pair of an
@@ -734,6 +735,15 @@ def condition_oracle(R):
         if not any(alpha.collapses(a, b) for a, b in ul + ur):
             bad.append(alpha)
     return not bad, bad
+
+
+def reference_colors(L, con):
+    """Each cover's color in ``con``: the position in ``con.theta_cls`` of
+    the principal congruence of the cover, by :func:`reference_generated_congruence`."""
+    return {
+        (a, b): con.theta_cls.index(reference_generated_congruence(L, [(a, b)]).cls)
+        for a, b in L.covers()
+    }
 
 
 def reference_tied_colors(F, G, phi):

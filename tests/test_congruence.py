@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from collections.abc import ItemsView, Mapping
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -404,6 +406,22 @@ class TestThetaAsClassTables:
             tracemalloc.stop()
         assert kept < 6000, kept
 
+    def test_con_l_retains_under_3000_bytes_per_lattice(self):
+        # 4,665 B with colors as a dict keyed by cover, 2,481 B as a flat tuple
+        lattices = [core.make_lattice(R.n, R.lattice.covers())
+                    for _, R in catalog.search_rectangular(24)]
+        assert len(lattices) == 564
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cons = [cg.congruence_lattice(L) for L in lattices]
+            gc.collect()
+            kept = (tracemalloc.get_traced_memory()[0] - before) / len(cons)
+        finally:
+            tracemalloc.stop()
+        assert kept < 3000, kept
+
     def test_theta_against_principal_closures(self):
         for L in _fresh_lattices():
             con = cg.congruence_lattice(L)
@@ -446,6 +464,89 @@ class TestThetaAsClassTables:
                     assert str(info.value) == want
                 monkeypatch.setattr(cg, "principal_congruence", closure)
         assert min(seen.values()) >= 20, seen
+
+
+def _filter_output():
+    """A filter representation built with its own cover orders: s7 into m3."""
+    rect = catalog.rect_catalog()
+    F, G = rect["s7"], rect["m3"]
+    D = cg.congruence_lattice(F.lattice).as_lattice()
+    E = cg.congruence_lattice(G.lattice).as_lattice()
+    phi = birkhoff.enumerate_bounded_homs(D, E)[-1]
+    return construction.filter_representation(F, G, phi)[0].lattice
+
+
+class TestColorsMapping:
+    """``colors`` is a read-only mapping over one flat tuple in cover order,
+    with the lookups of the dict keyed by cover it replaced."""
+
+    def test_colors_against_principal_closures(self):
+        for L in _fresh_lattices() + [_filter_output()]:
+            con = cg.congruence_lattice(L)
+            colors = con.colors
+            assert isinstance(colors, Mapping) and not isinstance(colors, dict)
+            assert dict(colors) == helpers.reference_colors(L, con)
+            assert list(colors) == list(colors.keys()) == L.covers()
+            assert list(colors.items()) == [(e, colors[e]) for e in L.covers()]
+            assert list(colors.values()) == [colors[e] for e in L.covers()]
+            assert len(colors) == len(colors.items()) == len(L.covers())
+            assert isinstance(colors.items(), ItemsView)
+            assert all((e, p) in colors.items() for e, p in colors.items())
+            assert colors == dict(colors)
+
+    def test_non_covers_raise_key_error(self):
+        for L in _fresh_lattices():
+            colors, n = cg.congruence_lattice(L).colors, L.n
+            covers = set(L.covers())
+            keys = [(a, b) for a in range(-n, 2 * n) for b in range(-n, 2 * n)]
+            for key in keys:
+                if key in covers:
+                    continue
+                with pytest.raises(KeyError):
+                    colors[key]
+                assert key not in colors and colors.get(key) is None
+
+    def test_negative_ids_are_no_index_from_the_end(self):
+        colors = cg.congruence_lattice(S7).colors
+        assert colors[4, 6] == dict(colors)[4, 6]  # 4 is -3 from the end, which is no id
+        for key in [(-3, 6), (4, -1), (-3, -1), (7, 8), (0, 7)]:
+            with pytest.raises(KeyError):
+                colors[key]
+
+    def test_bool_keys_behave_as_with_the_dict(self):
+        for L in _fresh_lattices():
+            colors = cg.congruence_lattice(L).colors
+            plain = dict(colors)
+            for key in product([False, True, 0, 1, 2], repeat=2):
+                assert (key in colors) == (key in plain), key
+                assert colors.get(key) == plain.get(key), key
+
+    @pytest.mark.parametrize(
+        "key", [(0.0, 1), (0, 1.0), (0.5, 1), ("0", 1), 0, (0,), (0, 1, 2), None]
+    )
+    def test_non_integral_keys_raise_key_error(self, key):
+        # the dict keyed by cover gave (0.0, 1) and (0, 1.0) the color of (0, 1)
+        colors = cg.congruence_lattice(S7).colors
+        with pytest.raises(KeyError):
+            colors[key]
+        assert key not in colors
+
+    def test_integer_types_are_ids(self):
+        colors = cg.congruence_lattice(S7).colors
+        assert colors[helpers.IntLike(4), helpers.IntLike(6)] == colors[4, 6]
+
+    def test_colors_keep_no_reference_to_the_lattice(self):
+        for L in _fresh_lattices() + [_filter_output()]:
+            con = cg.congruence_lattice(L)
+            reached = _reachable(con.colors) + _reachable(con.colors.items())
+            assert not any(isinstance(o, (core.FiniteLattice, cg.ConLattice)) for o in reached)
+
+    def test_read_only(self):
+        colors = cg.congruence_lattice(S7).colors
+        with pytest.raises(TypeError):
+            colors[0, 1] = 0
+        with pytest.raises(AttributeError):
+            colors.extra = 0
 
 
 def _nabla(L, *args):

@@ -313,6 +313,31 @@ class TestNonIntegralIds:
         with pytest.raises(ElementOutOfRange, match=f"^{re.escape(text)}$"):
             call()
 
+    @pytest.mark.parametrize("kind", ["upper_order", "lower_order"])
+    @pytest.mark.parametrize(
+        "row", [[1.5], ["1"], [5], [-1], [2, 2], [2], [helpers.IntLike(2), 1.0]],
+        ids=["float", "str", "too-large", "negative", "repeated", "short", "float-late"],
+    )
+    def test_iterator_rows_fail_as_list_rows(self, kind, row):
+        """A cover-order row is read once, so an iterator gives the list's text."""
+        key = 0 if kind == "upper_order" else 3
+
+        def build(r):
+            with pytest.raises(LatconError) as info:
+                core.make_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)], **{kind: {key: r}})
+            return type(info.value), str(info.value)
+
+        assert build(iter(row)) == build(row)
+
+    @pytest.mark.parametrize("kind", ["upper_order", "lower_order"])
+    def test_iterator_rows_build_as_list_rows(self, kind):
+        covers = [(0, 1), (0, 2), (1, 3), (2, 3)]
+        rows = {0: [2, helpers.IntLike(1)], True: [3]} if kind == "upper_order" else \
+            {3: [2, 1], 1: [0], 0: []}
+        want = core.make_lattice(4, covers, **{kind: rows})
+        got = core.make_lattice(4, covers, **{kind: {k: iter(r) for k, r in rows.items()}})
+        assert got == want != core.make_lattice(4, covers)  # equality compares cover orders
+
     def test_bulk_conversion(self):
         one = helpers.IntLike(1)
         assert core._element_ids(x for x in [0, one, True]) == (0, 1, 1)
