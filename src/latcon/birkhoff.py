@@ -10,7 +10,11 @@ Every kernel works on the up- and down-set bitmasks along covers: an
 isotone map is checked on the source's covers, a homomorphism by the
 pull-backs of the target's join-irreducibles, found in one top-down sweep
 per hom and kept on it for ``ji_of_hom`` and ``brt_report``, and
-``hom_of_isotone`` builds each image from that of a lower cover.
+``hom_of_isotone`` builds each image from that of a lower cover.  The
+walk it follows is the source's spine (:func:`_spine`): for each element
+its first lower cover and the join-irreducibles the cover adds, which in
+a distributive lattice is always exactly one.  The spine depends on the
+lattice alone, so it is built once and kept on it.
 Only a failed check scans every pair, to name the first one broken.
 """
 
@@ -34,28 +38,48 @@ from .errors import (
 
 class _Map:
     """An assignment between finite orders: ``assignment[i]`` is the image
-    of ``i``.  Two maps are equal when source, target and assignment are."""
+    of ``i``.  Two maps are equal when source, target and assignment are.
 
-    __slots__ = ("source", "target", "assignment")
+    ``source``, ``target`` and ``assignment`` are read-only: each is set
+    once, by the constructor, into a private slot, and assigning or
+    deleting one raises :class:`AttributeError`.  Code in this module
+    reads the slots directly.
+    """
+
+    __slots__ = ("_source", "_target", "_assignment")
+
+    @property
+    def source(self):
+        return self._source
+
+    @property
+    def target(self):
+        return self._target
+
+    @property
+    def assignment(self) -> tuple[int, ...]:
+        return self._assignment
 
     def __call__(self, x: int) -> int:
-        return self.assignment[x]
+        return self._assignment[x]
 
     @property
     def is_onto(self) -> bool:
-        return len(set(self.assignment)) == self.target.n
+        return len(set(self._assignment)) == self._target.n
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, type(self)):
             return NotImplemented
         return (
-            self.source == other.source
-            and self.target == other.target
-            and self.assignment == other.assignment
+            self._source == other._source
+            and self._target == other._target
+            and self._assignment == other._assignment
         )
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.assignment})"
+        return f"{type(self).__name__}({self._assignment})"
 
 
 class IsotoneMap(_Map):
@@ -80,9 +104,9 @@ class IsotoneMap(_Map):
             for y in ys:
                 if not ux >> assignment[y] & 1:
                     raise _first_unordered_pair(source, target, assignment)
-        self.source = source
-        self.target = target
-        self.assignment = assignment
+        self._source = source
+        self._target = target
+        self._assignment = assignment
 
     @property
     def is_order_embedding(self) -> bool:
@@ -94,42 +118,43 @@ class IsotoneMap(_Map):
         isotone, they include ``↑x``; so they are ``↑x`` iff ``|↑x|`` is
         ``|↑f(x) ∩ f(P)|``.
         """
-        f = self.assignment
+        f = self._assignment
         if len(set(f)) != len(f):
             return False
         image = 0
         for e in f:
             image |= 1 << e
-        up = self.target._up
+        up = self._target._up
         return all(
-            u.bit_count() == (up[e] & image).bit_count() for u, e in zip(self.source._up, f)
+            u.bit_count() == (up[e] & image).bit_count() for u, e in zip(self._source._up, f)
         )
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.assignment))
+        return hash((self._source, self._target, self._assignment))
 
 
 class BoundedHom(_Map):
     """A {0,1}-homomorphism between finite distributive lattices.
 
     Use :func:`make_bounded_hom`; the constructor itself does not validate.
-    Immutable after construction: a validated hom carries the pull-backs
-    of its assignment, and one built directly sweeps them when read.
+    Read-only after construction, so a validated hom's pull-backs, which
+    :func:`make_bounded_hom` keeps in ``_pulled``, stay those of its
+    assignment; one built directly sweeps them when read.
     """
 
     __slots__ = ("_pulled",)
 
     def __init__(self, source: FiniteLattice, target: FiniteLattice, assignment: tuple[int, ...]):
-        self.source = source
-        self.target = target
-        self.assignment = assignment
+        self._source = source
+        self._target = target
+        self._assignment = assignment
 
     @property
     def is_injective(self) -> bool:
-        return len(set(self.assignment)) == self.source.n
+        return len(set(self._assignment)) == self._source.n
 
     def __hash__(self) -> int:
-        return hash((self.source.n, self.target.n, self.assignment))
+        return hash((self._source.n, self._target.n, self._assignment))
 
 
 def _assignment(xs: Sequence[int], m: int, n: int) -> tuple[int, ...]:
@@ -231,13 +256,14 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     whose image lies above x.  For a homomorphism the pull-back of x is
     ``up(p)`` with p join-irreducible (see :func:`make_bounded_hom`), and p
     is its least id; any other pull-back raises :class:`PostconditionFailed`.
-    The pull-backs are those ``phi`` carries, swept only if it has none.
+    The pull-backs are those ``phi`` carries, swept only if it has none;
+    the position of p in ``J(D)`` is read off the source's spine.
     """
-    D, E = phi.source, phi.target
+    D, E = phi._source, phi._target
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
-    pos_d = {lbl: i for i, lbl in enumerate(jd.labels)}
-    f = phi.assignment
+    pos = _spine(D, jd)[1]
+    f = phi._assignment
     if f and not (0 <= min(f) and max(f) < E.n):
         raise PostconditionFailed(f"an image is out of range for size {E.n}")
     out = []
@@ -245,52 +271,87 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
         m = (s & -s).bit_length() - 1
         if s != D._up[m]:
             raise PostconditionFailed(f"pull-back of join-irreducible {x} is no principal filter")
-        if m not in pos_d:
+        if pos[m] is None:
             raise PostconditionFailed(
                 f"dual image {m} of join-irreducible {x} is not join-irreducible"
             )
-        out.append(pos_d[m])
+        out.append(pos[m])
     return IsotoneMap(je, jd, out)
+
+
+def _spine(D: FiniteLattice, jd: Poset) -> tuple[tuple, tuple]:
+    """D's spine and the positions of its join-irreducibles, built on
+    first use and kept on D; ``jd`` is ``core.join_irreducibles(D)``.
+
+    The spine has one step per element ``e >= 1``, in id order:
+    ``(e_*, qs)``, with ``e_*`` the first lower cover of ``e`` and ``qs``
+    the positions in ``jd.labels`` of ``J(e) ∖ J(e_*)``, where ``J(e)`` is
+    the set of join-irreducibles below ``e``.  The positions are a tuple
+    over D's elements, ``None`` off ``J(D)``.  Both hold ints only, so the
+    spine reaches no lattice.
+    """
+    if D._spine is None:
+        pos = [None] * D.n
+        jmask = 0
+        for i, p in enumerate(jd.labels):
+            pos[p] = i
+            jmask |= 1 << p
+        down, lower = D._down, D._lower
+        steps = []
+        for e in range(1, D.n):
+            s = lower[e][0]
+            steps.append((s, tuple([pos[p] for p in core._bits(down[e] & ~down[s] & jmask)])))
+        D._spine = (tuple(steps), tuple(pos))
+    return D._spine
 
 
 def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> tuple[int, ...]:
     """The assignment D -> E induced by psi: Ji E -> Ji D, unvalidated.
 
-    e is sent to the join in E of the join-irreducibles x with psi(x) <= e.
-    Grouping those x by ``p = psi(x)`` gives ``f(e) = ⋁{g[p] : p ∈ J(e)}``
-    with ``g[p] = ⋁{x : psi(x) = p}`` and ``J(e)`` the join-irreducibles
-    of D below e.  For ``e`` above the bottom take its first lower cover
-    ``e_*``; then ``J(e_*) ⊆ J(e)``, so ``J(e) = J(e_*) ∪ (J(e) ∖ J(e_*))``
-    and, by associativity of the join in any lattice,
-    ``f(e) = f(e_*) ∨ ⋁{g[p] : p ∈ J(D) ∩ (↓e ∖ ↓e_*)}``; a ``p`` that
-    no x maps to has ``g[p]`` the bottom and is skipped.  Ids form a
-    linear extension, so walking D in id order finds ``f(e_*)`` done.
-    Joins are kept as up-masks, since ``↑(a ∨ b) = ↑a ∩ ↑b``.
+    e is sent to ``f(e) = ⋁{x ∈ J(E) : psi(x) <= e}``.  Grouping the x by
+    their image, a position q in ``J(D)``, gives
+    ``f(e) = ⋁{g[q] : q ∈ J(e)}`` with ``g[q] = ⋁{x : psi(x) = q}`` and
+    ``J(e)`` the join-irreducibles of D below e.
+
+    The images are built along D's spine (:func:`_spine`).  Proof, in any
+    lattice D: for ``e`` above the bottom, with first lower cover ``e_*``,
+    ``J(e_*) ⊆ J(e)``, so ``J(e) = J(e_*) ∪ (J(e) ∖ J(e_*))`` and, by
+    associativity of the join, ``f(e) = f(e_*) ∨ ⋁{g[q] : q ∈ J(e) ∖
+    J(e_*)}``.  Ids form a linear extension, so walking D in id order finds
+    ``f(e_*)`` done.  When D is distributive each difference is a single
+    join-irreducible, so each image costs one join: by Birkhoff,
+    ``e -> J(e)`` is an order isomorphism of D onto the down-sets of
+    ``J(D)`` (see :func:`core.is_distributive`), so the cover ``e_* < e``
+    goes to a cover ``J(e_*) ⊂ J(e)`` of down-sets; and down-sets
+    ``A ⊂ B`` form a cover only if ``B = A ∪ {x}``, since for ``x``
+    minimal in ``B ∖ A`` the down-set ``A ∪ {x}`` lies between them.  A
+    non-distributive D may add several at a step, with the same result.
+
+    Joins are kept as up-masks, since ``↑(a ∨ b) = ↑a ∩ ↑b``.  A ``q`` that
+    no x maps to has ``g[q]`` the bottom, whose up-mask is all of E, so
+    the AND with it changes nothing.
     """
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
-    if psi.source != je or psi.target != jd:
+    src, tgt = psi._source, psi._target
+    # identity first: psi is nearly always over the posets kept on E and
+    # D, and the test then makes no Python-level __eq__ call
+    if (src is not je and src != je) or (tgt is not jd and tgt != jd):
         raise LatconError(
             "map is not between the join-irreducible posets of target and source"
         )
     up = E._up
-    g = [up[0]] * D.n  # g[p]: the up-mask of the join of the x with psi(x) = p
-    hit = 0  # the join-irreducibles p of D with some psi(x) = p
-    for x, q in zip(je.labels, psi.assignment):
-        p = jd.labels[q]
-        g[p] &= up[x]
-        hit |= 1 << p
-    down, lower = D._down, D._lower
-    fup = [up[0]] * D.n  # fup[e]: the up-mask of f(e)
-    for e in range(1, D.n):
-        s = lower[e][0]
+    bottom = up[0]
+    g = [bottom] * jd.n  # g[q]: the up-mask of the join of the x with psi(x) = q
+    for x, q in zip(je.labels, psi._assignment):
+        g[q] &= up[x]
+    fup = [bottom]  # fup[e]: the up-mask of f(e), appended in id order
+    append = fup.append
+    for s, qs in _spine(D, jd)[0]:
         m = fup[s]
-        new = down[e] & ~down[s] & hit
-        while new:
-            low = new & -new
-            m &= g[low.bit_length() - 1]
-            new ^= low
-        fup[e] = m
+        for q in qs:
+            m &= g[q]
+        append(m)
     return tuple([(m & -m).bit_length() - 1 for m in fup])
 
 
@@ -343,10 +404,10 @@ def brt_report(phi: BoundedHom) -> BrtReport:
     with equal source, target and assignment are equal.  Any other ``f``
     goes through :func:`make_bounded_hom`, which raises on a non-hom.
     """
-    D, E = phi.source, phi.target
+    D, E = phi._source, phi._target
     psi = ji_of_hom(phi)
     f = _isotone_assignment(psi, D, E)
-    same = f == phi.assignment and core.is_distributive(D) and core.is_distributive(E)
+    same = f == phi._assignment and core.is_distributive(D) and core.is_distributive(E)
     back = phi if same else make_bounded_hom(D, E, f)
     round_trip_ok = back == phi
     injective = phi.is_injective
@@ -355,7 +416,7 @@ def brt_report(phi: BoundedHom) -> BrtReport:
     ji_embedding = psi.is_order_embedding
     witness = None
     if not round_trip_ok:
-        witness = f"round trip produced {back.assignment}, expected {phi.assignment}"
+        witness = f"round trip produced {back._assignment}, expected {phi._assignment}"
     elif injective != ji_onto:
         witness = f"injective={injective} but dual map onto={ji_onto}"
     elif onto != ji_embedding:
@@ -419,5 +480,5 @@ def enumerate_bounded_homs(D: FiniteLattice, E: FiniteLattice) -> list[BoundedHo
         hom_of_isotone(IsotoneMap(je, jd, a), D, E)
         for a in enumerate_isotone_maps(je, jd)
     ]
-    homs.sort(key=lambda h: h.assignment)
+    homs.sort(key=lambda h: h._assignment)
     return homs

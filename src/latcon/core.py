@@ -213,6 +213,8 @@ class Poset(_Order):
         self._lower = [tuple(sorted(p)) for p in pred]
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Poset):
             return NotImplemented
         return (
@@ -234,6 +236,12 @@ class FiniteLattice(_Order):
     Instances are immutable after construction and safe to share.  Element
     ids form a linear extension: ``x <= y`` implies ``x``'s id is not larger,
     ``0`` is the bottom and ``n-1`` the top.
+
+    Four slots are derived data, each set lazily on first use and then
+    kept: ``_con``, the congruence lattice; ``_ji``, the join-irreducible
+    poset; ``_distributive``, the verdict of :func:`is_distributive`; and
+    ``_spine``, the walk along first lower covers that ``birkhoff`` builds
+    homomorphisms on (see ``birkhoff._spine``).
     """
 
     __slots__ = (
@@ -243,6 +251,7 @@ class FiniteLattice(_Order):
         "_con",
         "_ji",
         "_distributive",
+        "_spine",
     )
 
     def __init__(
@@ -271,6 +280,7 @@ class FiniteLattice(_Order):
         self._con = None  # congruence-lattice cache, set lazily
         self._ji = None  # join-irreducible poset, set lazily
         self._distributive = None  # is_distributive's verdict, set lazily
+        self._spine = None  # birkhoff's walk along first lower covers, set lazily
 
     # -- order -------------------------------------------------------------
 

@@ -386,10 +386,10 @@ def reference_is_order_embedding(psi):
     )
 
 
-def reference_hom_of_isotone(psi, D, E):
-    """The bounded hom D -> E dual to psi: Ji E -> Ji D, each image the
-    join, on :func:`brute_tables`, of the join-irreducibles x of E with
-    ``psi(x) <= e``, validated by :func:`reference_make_bounded_hom`."""
+def reference_isotone_assignment(psi, D, E):
+    """The assignment D -> E induced by psi: Ji E -> Ji D, by the join
+    formula ``f(e) = ⋁{x : psi(x) <= e}`` on :func:`brute_tables`, one
+    element at a time; any lattices D and E."""
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
     if psi.source != je or psi.target != jd:
@@ -405,7 +405,14 @@ def reference_hom_of_isotone(psi, D, E):
             if D.leq(p, e):
                 m = join[m][x]
         out.append(m)
-    return reference_make_bounded_hom(D, E, out)
+    return tuple(out)
+
+
+def reference_hom_of_isotone(psi, D, E):
+    """The bounded hom D -> E dual to psi: Ji E -> Ji D, its assignment
+    from :func:`reference_isotone_assignment`, validated by
+    :func:`reference_make_bounded_hom`."""
+    return reference_make_bounded_hom(D, E, reference_isotone_assignment(psi, D, E))
 
 
 def brute_pullbacks(f, E):

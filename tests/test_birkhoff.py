@@ -1,6 +1,7 @@
 """Duality between bounded homs and isotone maps of join-irreducible posets."""
 
 import functools
+import gc
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import helpers
 from latcon import birkhoff as bk
-from latcon import catalog, core
+from latcon import catalog, construction, core
 from latcon import congruence as cg
 from latcon import rectangular as rl
 from latcon.errors import (
@@ -582,3 +583,180 @@ class TestFastPath:
         P = core.Poset(n, [(i, i + 1) for i in range(n - 1)])
         psi = bk.IsotoneMap(P, P, range(n))
         assert psi.is_onto and psi.is_order_embedding
+
+
+def _fresh_lattices():
+    """Lattices built here, so that no earlier test has walked them."""
+    return [
+        rl.grid(3, 3).lattice,
+        rl.grid(4, 4).lattice,
+        cg.congruence_lattice(catalog.s7().lattice).as_lattice(),
+        cg.congruence_lattice(rl.grid(2, 3).lattice).as_lattice(),
+        catalog.m3().lattice,
+    ]
+
+
+class TestSpine:
+    """``_isotone_assignment`` along the per-lattice spine, against the
+    join formula ``f(e) = ⋁{x : psi(x) <= e}`` of ``helpers``."""
+
+    # sources whose covers may add several join-irreducibles at once
+    NON_DISTRIBUTIVE = [catalog.get("m3"), catalog.get("n5"), catalog.get("s7")] + [
+        R.lattice for _, R in catalog.search_rectangular(10)
+    ]
+    TARGETS = [catalog.get(name) for name in ("c2", "c3", "c2xc2", "cube", "m3")]
+
+    def _check_every_isotone_map(self, sources, targets):
+        checked = 0
+        for D in sources:
+            jd = core.join_irreducibles(D)
+            for E in targets:
+                je = core.join_irreducibles(E)
+                for a in bk.enumerate_isotone_maps(je, jd):
+                    psi = bk.IsotoneMap(je, jd, a)
+                    want = helpers.reference_isotone_assignment(psi, D, E)
+                    assert bk._isotone_assignment(psi, D, E) == want
+                    checked += 1
+        return checked
+
+    def test_non_distributive_sources_against_the_join_formula(self):
+        names = [name for name, _ in catalog.search_rectangular(10)]
+        assert {"fork", "fork-eye-0", "fork-eye-1"} <= set(names)
+        several = [
+            D for D in self.NON_DISTRIBUTIVE
+            if any(len(qs) > 1 for _, qs in bk._spine(D, core.join_irreducibles(D))[0])
+        ]
+        assert catalog.get("m3") in several and len(several) >= 20
+        assert self._check_every_isotone_map(self.NON_DISTRIBUTIVE, self.TARGETS) > 5_000
+
+    def test_distributive_sources_against_the_join_formula(self):
+        pool = list(catalog.brt_catalog().values())
+        assert self._check_every_isotone_map(pool, pool) == TOTAL_HOMS
+
+    def test_m3_top_adds_two_positions(self):
+        # the top of m3 adds two join-irreducibles to its first lower
+        # cover; the first of them alone would give (0, 0, 0, 1, 0)
+        M3 = catalog.get("m3")
+        jd, je = core.join_irreducibles(M3), core.join_irreducibles(C2)
+        assert bk._spine(M3, jd)[0][-1] == (2, (0, 2))
+        psi = bk.IsotoneMap(je, jd, (2,))
+        assert bk._isotone_assignment(psi, M3, C2) == (0, 0, 0, 1, 1)
+
+    def test_steps_against_their_definition(self):
+        for D in [*self.NON_DISTRIBUTIVE, *self.TARGETS, *PAIR_POOL]:
+            jd = core.join_irreducibles(D)
+            ji = helpers.brute_join_irreducibles(D)
+            steps, pos = bk._spine(D, jd)
+            assert pos == tuple(ji.index(x) if x in ji else None for x in range(D.n))
+            want = []
+            for e in range(1, D.n):
+                s = D.lower_covers(e)[0]
+                adds = [x for x in ji if D.leq(x, e) and not D.leq(x, s)]
+                want.append((s, tuple(ji.index(x) for x in adds)))
+            assert steps == tuple(want)
+
+    def test_one_position_per_step_when_distributive(self):
+        pool = [
+            *catalog.brt_catalog().values(),
+            *(catalog.get(n) for n in catalog.names()),
+            *(R.lattice for _, R in catalog.search_rectangular(10)),
+            *(cg.congruence_lattice(R.lattice).as_lattice() for R in catalog.rect_catalog().values()),
+            core.chain(40),
+            core.direct_product(rl.grid(3, 3).lattice, C3),
+        ]
+        distributive = 0
+        for D in pool:
+            if helpers.brute_is_distributive(D):
+                steps = bk._spine(D, core.join_irreducibles(D))[0]
+                assert all(len(qs) == 1 for _, qs in steps)
+                distributive += 1
+        assert len(pool) == 62 and distributive == 34
+
+    def test_equal_posets_that_are_not_the_cached_ones(self):
+        D, E = CON_S7, C3SQ
+        jd, je = core.join_irreducibles(D), core.join_irreducibles(E)
+        copy_e = core.Poset(je.n, je.covers(), je.labels)
+        copy_d = core.Poset(jd.n, jd.covers(), jd.labels)
+        assert copy_e == je and copy_e is not je
+        for a in bk.enumerate_isotone_maps(je, jd):
+            want = bk._isotone_assignment(bk.IsotoneMap(je, jd, a), D, E)
+            assert bk._isotone_assignment(bk.IsotoneMap(copy_e, copy_d, a), D, E) == want
+
+    def test_built_once_per_lattice(self, monkeypatch):
+        built = []
+        spine = bk._spine
+
+        def counted(D, jd):
+            if D._spine is None:
+                built.append(D)
+            return spine(D, jd)
+
+        monkeypatch.setattr(bk, "_spine", counted)
+        lats = [D for D in _fresh_lattices() if core.is_distributive(D)]
+        assert len(lats) == 4 and all(D._spine is None for D in lats)
+        for D in lats:
+            for E in lats:
+                for phi in bk.enumerate_bounded_homs(D, E):
+                    assert bk.brt_report(phi).ok
+                    bk.ji_of_hom(bk.BoundedHom(D, E, phi.assignment))
+        assert sorted(map(id, built)) == sorted(map(id, lats))
+        kept = [D._spine for D in lats]
+        for D in lats:
+            bk.enumerate_bounded_homs(D, D)
+        assert all(D._spine is k for D, k in zip(lats, kept))
+
+    def test_reaches_no_lattice(self):
+        for D in [CON_S7, C3SQ, catalog.get("m3")]:
+            bk._spine(D, core.join_irreducibles(D))
+            seen, stack = set(), [D._spine]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                assert not isinstance(obj, (core.FiniteLattice, core.Poset))
+                stack.extend(gc.get_referents(obj))
+            assert len(seen) > D.n
+
+    def test_congruence_work_builds_none(self, monkeypatch):
+        def forbidden(D, jd):
+            raise AssertionError("a spine was built")
+
+        monkeypatch.setattr(bk, "_spine", forbidden)
+        lats = _fresh_lattices()
+        for L in lats:
+            cg.congruence_lattice(L).as_lattice()
+        kept = catalog.search_rectangular(16, seed=3)
+        for _, R in kept:
+            construction.upper_chain_collapse_check(R)
+        assert len(kept) > 50
+        assert all(L._spine is None for L in lats)
+        assert all(R.lattice._spine is None for _, R in kept)
+
+
+class TestReadOnlyMaps:
+    """A map's fields are set once, so a validated hom's pull-backs stay
+    those of its assignment."""
+
+    def test_reassigned_assignment_raises_and_nothing_goes_stale(self):
+        G = rl.grid(3, 3).lattice
+        a, b = bk.enumerate_bounded_homs(G, G)[:2]
+        with pytest.raises(AttributeError):
+            a.assignment = b.assignment
+        assert a.assignment != b.assignment
+        assert bk.ji_of_hom(a).assignment == (3, 3, 3, 3)
+        assert bk.ji_of_hom(b).assignment == (2, 3, 3, 3)
+        assert bk.brt_report(a).ok and bk.brt_report(b).ok
+
+    @pytest.mark.parametrize("field", ["source", "target", "assignment"])
+    def test_every_field_of_both_kinds(self, field):
+        phi = bk.make_bounded_hom(C3SQ, C3SQ, range(9))
+        psi = bk.ji_of_hom(phi)
+        for m, other in ((phi, bk.make_bounded_hom(C2, C2, (0, 1))), (psi, bk.ji_of_hom(phi))):
+            before = getattr(m, field)
+            with pytest.raises(AttributeError):
+                setattr(m, field, getattr(other, field))
+            with pytest.raises(AttributeError):
+                delattr(m, field)
+            assert getattr(m, field) is before
+        assert bk.brt_report(phi).ok
