@@ -25,14 +25,11 @@ from .birkhoff import (
 from .congruence import (
     ConLattice,
     Congruence,
-    congruence_from_blocks,
     congruence_lattice,
     generated_congruence,
-    is_congruence,
     is_cp_extension,
     is_simple,
     principal_congruence,
-    singleton_extension,
 )
 from .construction import (
     ChainCollapseReport,
@@ -63,7 +60,6 @@ from .errors import (
     EmbeddingInvalid,
     InvalidLattice,
     LatconError,
-    NotACongruence,
     NotDistributive,
     NotSemimodular,
     PostconditionFailed,
@@ -76,7 +72,6 @@ from .rectangular import (
     RectLattice,
     TripleGluingAssembly,
     cells,
-    dual,
     glue,
     grid,
     grid_with_eyes,
@@ -87,7 +82,6 @@ from .rectangular import (
 from .verify import (
     CheckResult,
     VerificationReport,
-    lemma_suite,
     verify_filter_representation,
     verify_ideal_representation,
 )
@@ -111,7 +105,6 @@ __all__ = [
     "InvalidLattice",
     "IsotoneMap",
     "LatconError",
-    "NotACongruence",
     "NotDistributive",
     "NotSemimodular",
     "Poset",
@@ -126,10 +119,8 @@ __all__ = [
     "brt_report",
     "cells",
     "chain",
-    "congruence_from_blocks",
     "congruence_lattice",
     "direct_product",
-    "dual",
     "enumerate_bounded_homs",
     "find_isomorphism",
     "enumerate_isotone_maps",
@@ -141,21 +132,18 @@ __all__ = [
     "hom_of_isotone",
     "ideal_representation",
     "insert_eye",
-    "is_congruence",
     "is_cp_extension",
     "is_distributive",
     "is_semimodular",
     "is_simple",
     "ji_of_hom",
     "join_irreducibles",
-    "lemma_suite",
     "make_bounded_hom",
     "make_lattice",
     "make_lattice_with_map",
     "make_rectangular",
     "principal_congruence",
     "simple_ideal_embedding",
-    "singleton_extension",
     "sublattice",
     "triple_glue",
     "upper_chain_collapse_check",

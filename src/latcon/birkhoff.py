@@ -212,6 +212,13 @@ def _first_broken_pair(D: FiniteLattice, E: FiniteLattice, f: Sequence[int]) -> 
     raise PostconditionFailed("a pull-back is no join-irreducible filter, yet f preserves every pair")
 
 
+def _require_distributive(D: FiniteLattice, E: FiniteLattice) -> None:
+    if not core.is_distributive(D):
+        raise NotDistributive("source lattice is not distributive")
+    if not core.is_distributive(E):
+        raise NotDistributive("target lattice is not distributive")
+
+
 def make_bounded_hom(
     D: FiniteLattice, E: FiniteLattice, assignment: Sequence[int]
 ) -> BoundedHom:
@@ -231,10 +238,7 @@ def make_bounded_hom(
     The pull-backs take one sweep of E (:func:`_pullbacks`); only a
     failure scans the pairs, to name the first one f breaks.
     """
-    if not core.is_distributive(D):
-        raise NotDistributive("source lattice is not distributive")
-    if not core.is_distributive(E):
-        raise NotDistributive("target lattice is not distributive")
+    _require_distributive(D, E)
     f = _assignment(assignment, D.n, E.n)
     if f[D.bottom] != E.bottom:
         raise NotBounded(f"bottom maps to {f[D.bottom]}, not {E.bottom}")
@@ -469,11 +473,11 @@ def enumerate_bounded_homs(D: FiniteLattice, E: FiniteLattice) -> list[BoundedHo
     """All bounded homomorphisms D -> E, sorted by assignment tuple.
 
     Enumerated through the duality (isotone maps Ji E -> Ji D) rather than
-    by filtering all element functions.
+    by filtering all element functions; both lattices are checked to be
+    distributive first.  A one-element D has no join-irreducibles, so it
+    gets no map unless E has none either.
     """
-    if D.n == 1 and E.n > 1:
-        # the single source element cannot hit both bounds of the target
-        return []
+    _require_distributive(D, E)
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
     homs = [

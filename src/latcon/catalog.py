@@ -1,4 +1,4 @@
-"""Named example lattices, gluings, and assemblies used across the suite.
+"""Named example lattices and the bounded search over rectangular ones.
 
 Everything here is deterministic: the same name always builds the same
 object, element numbering included.  ``congruence_catalog`` is the slice
@@ -15,7 +15,7 @@ import random
 from . import congruence as cg, core, rectangular as rl
 from .core import FiniteLattice
 from .errors import LatconError
-from .rectangular import GluedLattice, RectLattice, TripleGluingAssembly
+from .rectangular import RectLattice
 
 S7_COVERS = (
     (0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (4, 6), (5, 6),
@@ -112,49 +112,6 @@ def brt_catalog() -> dict[str, FiniteLattice]:
     }
 
 
-def glue_instances() -> dict[str, GluedLattice]:
-    """Two-piece gluings over shared chains of length one and two."""
-    g22 = rl.grid(2, 2).lattice
-    g23 = rl.grid(2, 3).lattice
-    a = m3().lattice
-    return {
-        "grid-on-grid": rl.glue(g22, g22, {3: 0}),
-        "grid-chain2-overlap": rl.glue(g22, g22, {1: 0, 3: 2}),
-        "m3-on-m3": rl.glue(a, a, {4: 0}),
-        "grid-on-wide": rl.glue(g23, g22, {5: 0}),
-    }
-
-
-def assemblies() -> dict[str, TripleGluingAssembly]:
-    """Triple-gluing assemblies of small rectangular pieces."""
-    g22 = rl.grid(2, 2)
-    a = m3()
-    f = s7()
-
-    def build(top: RectLattice, bottom: RectLattice) -> TripleGluingAssembly:
-        left = rl.grid(top.bl, bottom.tl)
-        right = rl.grid(bottom.tr, top.br)
-        return rl.triple_glue(top, left, right, bottom)[1]
-
-    return {
-        "four-grids": build(g22, g22),
-        "fork-top": build(f, g22),
-        "fork-bottom": build(g22, f),
-        "fork-both": build(f, f),
-        "diamond-both": build(a, a),
-    }
-
-
-def lemma_suite_items() -> tuple:
-    """Default quantification domain for :func:`latcon.verify.lemma_suite`."""
-    return (
-        tuple(congruence_catalog().values())
-        + tuple(rect_catalog().values())
-        + tuple(glue_instances().values())
-        + tuple(assemblies().values())
-    )
-
-
 def search_rectangular(
     max_size: int = 12, seed: int | None = None
 ) -> list[tuple[str, RectLattice]]:
@@ -218,7 +175,3 @@ def get(name: str) -> FiniteLattice:
     if name in extra:
         return extra[name]
     raise LatconError(f"unknown catalog lattice {name!r}")
-
-
-def names() -> tuple[str, ...]:
-    return tuple(sorted(set(congruence_catalog()) | set(brt_catalog())))

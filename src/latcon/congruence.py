@@ -26,19 +26,16 @@ Restriction Con L -> Con K to a convex sublattice K is a {0,1}-homomorphism
 of distributive lattices, so it is read on ``theta_cls`` alone
 (:func:`restriction_mismatch`): that decides :func:`is_cp_extension` and the
 checks of :mod:`latcon.verify`.  The list of all congruences is an output
-format, read by :mod:`latcon.jsonio`, the CLI, ``as_lattice`` and the
-lemma suite.
+format, read by :mod:`latcon.jsonio`, the CLI and ``as_lattice``.
 
 One kernel, :func:`_closure`, is the module's only union-find.  It
-generates and tests congruences by Grätzer's Technical Lemma: its classes
+generates congruences by Grätzer's Technical Lemma: its classes
 are intervals, and merging two of them applies the lemma's cover rules to
 the covers between them (the proof is at :func:`generated_congruence`).
 Each join-irreducible congruence ``theta[r]`` is the principal closure
 con(r_*, r), checked cover by cover against the coloring; every other
 congruence is read off the covers it collapses, as a class is an interval
-and so the component of its collapsed covers.  :func:`is_congruence` and
-:func:`congruence_from_blocks` close the given blocks and compare class
-counts; only the meet-side checks substitute element by element.
+and so the component of its collapsed covers.
 """
 
 from __future__ import annotations
@@ -50,35 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
-from .errors import (
-    ElementOutOfRange,
-    NotACongruence,
-    NotAnIdeal,
-    NotAPartition,
-    PostconditionFailed,
-)
-
-
-def _check_partition(elems: Iterable[int], blocks: Iterable[Iterable[int]]) -> list[list[int]]:
-    """``blocks`` as sorted lists, checked to be a partition of ``elems``."""
-    inside = set(elems)
-    out = []
-    seen = set()
-    for b in blocks:
-        b = sorted(map(core._element_id, b))
-        if not b:
-            raise NotAPartition("empty block")
-        for x in b:
-            if x not in inside:
-                raise NotAPartition(f"element {x} is not among the partitioned elements")
-            if x in seen:
-                raise NotAPartition(f"element {x} appears in two blocks")
-            seen.add(x)
-        out.append(b)
-    if len(seen) != len(inside):
-        missing = sorted(inside - seen)
-        raise NotAPartition(f"elements {missing} missing from the partition")
-    return out
+from .errors import ElementOutOfRange, PostconditionFailed
 
 
 def _key(labels: Iterable) -> tuple[int, ...]:
@@ -87,39 +56,13 @@ def _key(labels: Iterable) -> tuple[int, ...]:
     return tuple([seen.setdefault(c, len(seen)) for c in labels])
 
 
-def _broken_pair(
-    L: FiniteLattice, blocks: Sequence[Sequence[int]], zs: Sequence[int]
-) -> tuple[int, int, int] | None:
-    """First ``(a, y, z)`` that breaks meet substitution, or None.
-
-    ``a`` is the first member of a block holding ``y``, ``z`` runs over
-    ``zs`` and ``a ∧ z`` and ``y ∧ z`` lie in different blocks.  Elements
-    in no block count as singletons.
-    """
-    down = L._down
-    cls = [-1 - x for x in range(L.n)]
-    for i, b in enumerate(blocks):
-        for x in b:
-            cls[x] = i
-    for b in blocks:
-        a = b[0]
-        da = down[a]
-        for y in b[1:]:
-            dy = down[y]
-            for z in zs:
-                dz = down[z]
-                if cls[(da & dz).bit_length() - 1] != cls[(dy & dz).bit_length() - 1]:
-                    return a, y, z
-    return None
-
-
 class Congruence:
     """A congruence of a finite lattice, as its class table and blocks.
 
     ``labels`` gives each element's class under any labels; the table
     renumbers them by first occurrence.  Instances are produced by the
-    library (closures, Con L); :func:`congruence_from_blocks` is the
-    validating entry point for external data.
+    library (closures, Con L); the labelling is not checked to be a
+    congruence.
     """
 
     __slots__ = ("lattice", "blocks", "cls")
@@ -221,26 +164,6 @@ def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
     return root
 
 
-def _block_closure(L: FiniteLattice, blocks: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
-    """Labels of the least congruence keeping each of the checked ``blocks``
-    together, and whether the blocks form a congruence: exactly when the
-    closure leaves as many classes."""
-    root = _closure(L, [(b[0], x) for b in blocks for x in b[1:]])
-    return root, len(set(root)) == len(blocks)
-
-
-def is_congruence(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> bool:
-    """Full substitution property, both meet and join sides, decided by
-    closing the blocks (:func:`_block_closure`)."""
-    return _block_closure(L, _check_partition(range(L.n), blocks))[1]
-
-
-def is_meet_congruence(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> bool:
-    """Meet-side substitution only."""
-    bl = _check_partition(range(L.n), blocks)
-    return _broken_pair(L, bl, range(L.n)) is None
-
-
 def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence collapsing every given pair, by :func:`_closure`.
 
@@ -271,13 +194,6 @@ def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> 
 def principal_congruence(L: FiniteLattice, a: int, b: int) -> Congruence:
     """con(a, b): the smallest congruence collapsing {a, b}."""
     return generated_congruence(L, [(a, b)])
-
-
-def congruence_from_blocks(L: FiniteLattice, blocks: Iterable[Iterable[int]]) -> Congruence:
-    root, ok = _block_closure(L, _check_partition(range(L.n), blocks))
-    if not ok:
-        raise NotACongruence("partition violates the substitution property")
-    return Congruence(L, root)
 
 
 class _Partitions(NamedTuple):
@@ -587,34 +503,6 @@ def is_cp_extension(L: FiniteLattice, K: Iterable[int]) -> bool:
     sublattice; decided on J(Con L) by :func:`restriction_mismatch`."""
     sub, to_parent, _ = core.sublattice(L, K)
     return restriction_mismatch(congruence_lattice(L), to_parent, congruence_lattice(sub)) is None
-
-
-def singleton_extension(
-    L: FiniteLattice, I: Iterable[int], alpha_blocks: Iterable[Iterable[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Extend a congruence of an ideal by singleton classes outside it.
-
-    ``alpha_blocks`` partitions the ideal in L's ids and must be at least a
-    meet-congruence of the ideal.  The result is a plain partition of L —
-    always a meet-congruence, and a full congruence exactly when the
-    hypothesis about untouched upper chains holds; callers decide which
-    check to run.
-    """
-    ideal = sorted(set(map(core._element_id, I)))
-    if not core.is_ideal(L, ideal):
-        raise NotAnIdeal(f"{ideal} is not an ideal")
-    bl = _check_partition(ideal, alpha_blocks)
-    # meet-substitution inside the ideal is the weakest sensible input;
-    # callers needing a full congruence check the extension themselves
-    bad = _broken_pair(L, bl, ideal)
-    if bad is not None:
-        a, y, z = bad
-        raise NotACongruence(
-            f"blocks are not a meet-congruence of the ideal: ({a},{y}) with z={z}"
-        )
-    iset = set(ideal)
-    out = [tuple(b) for b in bl] + [(x,) for x in range(L.n) if x not in iset]
-    return tuple(sorted(out, key=lambda b: b[0]))
 
 
 def is_simple(L: FiniteLattice) -> bool:

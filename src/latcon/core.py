@@ -569,14 +569,6 @@ def is_semimodular(L: FiniteLattice) -> bool:
     return True
 
 
-def ideal_filter(L: FiniteLattice, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The principal ideal and principal filter of ``a``."""
-    a = _element_id(a)
-    if not 0 <= a < L.n:
-        raise ElementOutOfRange(f"element {a} out of range for size {L.n}")
-    return L.down(a), L.up(a)
-
-
 def _set_mask(S: Iterable[int], n: int) -> int:
     m = 0
     for x in S:
@@ -585,18 +577,6 @@ def _set_mask(S: Iterable[int], n: int) -> int:
             raise ElementOutOfRange(f"element {x} out of range for size {n}")
         m |= 1 << x
     return m
-
-
-def is_sublattice(L: FiniteLattice, S: Iterable[int]) -> bool:
-    elems = sorted(set(S))
-    if not elems:
-        raise EmptySet("empty set is not a sublattice")
-    mask = _set_mask(elems, L.n)
-    for i, x in enumerate(elems):
-        for y in elems[i + 1 :]:
-            if not mask >> L.meet(x, y) & 1 or not mask >> L.join(x, y) & 1:
-                return False
-    return True
 
 
 def is_convex_sublattice(L: FiniteLattice, S: Iterable[int]) -> bool:

@@ -68,14 +68,6 @@ class PostconditionFailed(LatconError):
 # congruences and homomorphisms
 
 
-class NotAPartition(LatconError):
-    pass
-
-
-class NotACongruence(LatconError):
-    pass
-
-
 class NotBounded(LatconError):
     """A map meant to preserve 0 and 1 does not."""
 
@@ -130,10 +122,6 @@ class IndexOutOfRange(LatconError):
 
 class BoundaryMismatch(LatconError):
     """Gluing boundaries have different lengths or are not chains."""
-
-
-class Incompatible(LatconError):
-    """Piece congruences disagree on a shared boundary."""
 
 
 # ---------------------------------------------------------------------------

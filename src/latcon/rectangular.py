@@ -8,11 +8,11 @@ are called eyes.
 
 The two assembly operations are ``glue`` (identify a filter of one lattice
 with an ideal of another) and ``triple_glue`` (a fixed arrangement of four
-rectangular pieces sharing boundary chains), together with the congruence
-assembly results for both.  Each builds its result in one pass from the
-pieces, with no intermediate lattices: the covers are the union of the
-pieces' covers, and an element takes its lower covers, in planar order,
-from the lowest piece holding it and its upper covers from the highest.
+rectangular pieces sharing boundary chains).  Each builds its result in
+one pass from the pieces, with no intermediate lattices: the covers are
+the union of the pieces' covers, and an element takes its lower covers,
+in planar order, from the lowest piece holding it and its upper covers
+from the highest.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Mapping, Sequence
 
-from . import congruence as cg
 from . import core
 from .core import FiniteLattice
 from .errors import (
@@ -29,7 +28,6 @@ from .errors import (
     BoundaryMismatch,
     BoundaryNotChain,
     CornersNotComplementary,
-    Incompatible,
     IndexOutOfRange,
     LatconError,
     NoCorner,
@@ -300,17 +298,6 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
     return make_rectangular(lat)
 
 
-def dual(R: RectLattice) -> RectLattice:
-    """The order dual, planar layout rotated half a turn."""
-    L = R.lattice
-    n = L.n
-    covers = [(v, u) for (u, v) in L.covers()]
-    upper = {x: list(reversed(L.lower_covers(x))) for x in range(n)}
-    lower = {x: list(reversed(L.upper_covers(x))) for x in range(n)}
-    lat, _ = core.make_lattice_with_map(n, covers, upper, lower)
-    return make_rectangular(lat)
-
-
 class GluedLattice:
     """Result of identifying a filter of one lattice with an ideal of another.
 
@@ -406,54 +393,15 @@ def glue(
     return GluedLattice(lat, A, B, a_map, b_map, tuple(F), tuple(pairs))
 
 
-def _joint_extension(
-    L: FiniteLattice, parts: Sequence[tuple[cg.Congruence, Sequence[int]]]
-) -> cg.Congruence:
-    """The congruence of L generated by the pieces' classes under their maps,
-    checked to restrict to each piece's congruence; callers check that the
-    overlaps agree.  Every cover of L is a cover of a piece (:func:`_assemble`)
-    and congruence classes are intervals, hence components of collapsed
-    covers: a closure that passes the check is the join of those classes."""
-    result = cg.generated_congruence(L, [
-        (emap[blk[0]], emap[x]) for alpha, emap in parts for blk in alpha.blocks for x in blk[1:]
-    ])
-    if any(cg._restricted_key(result.cls, emap) != alpha.cls for alpha, emap in parts):
-        raise PostconditionFailed("joint extension of compatible congruences is not a congruence")
-    return result
-
-
-def glue_congruence_pair(
-    glued: GluedLattice, alpha_a: cg.Congruence, alpha_b: cg.Congruence
-) -> cg.Congruence:
-    """The unique common extension of congruences of the two glued pieces.
-
-    Requires the restrictions to the shared part to agree; the extension is
-    the closure of both pieces' classes, checked to restrict to both; as
-    every cover is a piece's, it is then their join (:func:`_joint_extension`).
-    """
-    if alpha_a.lattice != glued.a_lattice:
-        raise LatconError("first congruence does not live on the lower piece")
-    if alpha_b.lattice != glued.b_lattice:
-        raise LatconError("second congruence does not live on the upper piece")
-    F = [p[0] for p in glued.iso]
-    I = [p[1] for p in glued.iso]
-    if cg._restricted_key(alpha_a.cls, F) != cg._restricted_key(alpha_b.cls, I):
-        raise Incompatible("restrictions to the shared part differ")
-    return _joint_extension(glued.lattice, ((alpha_a, glued.a_map), (alpha_b, glued.b_map)))
-
-
 class TripleGluingAssembly:
-    """Bookkeeping for a triple gluing: pieces, maps into the result, facing chains.
-
-    ``facing`` lists, per facing boundary, the two piece-local chains in
-    matching bottom-up order.
-    """
+    """Bookkeeping for a triple gluing: the pieces, the center ``c`` and
+    the maps of the pieces into the result."""
 
     __slots__ = ("top", "bottom", "left", "right", "c", "result",
-                 "t_map", "b_map", "lf_map", "rf_map", "facing")
+                 "t_map", "b_map", "lf_map", "rf_map")
 
     def __init__(self, top, bottom, left, right, c, result,
-                 t_map, b_map, lf_map, rf_map, facing):
+                 t_map, b_map, lf_map, rf_map):
         self.top = top
         self.bottom = bottom
         self.left = left
@@ -464,7 +412,6 @@ class TripleGluingAssembly:
         self.b_map = b_map
         self.lf_map = lf_map
         self.rf_map = rf_map
-        self.facing = facing
 
     def __repr__(self) -> str:
         return (f"TripleGluingAssembly(n={self.result.n}, c={self.c}, "
@@ -513,59 +460,4 @@ def triple_glue(
     if (R.lc, R.rc) != (lf_map[Lf.lc], rf_map[Rf.rc]):
         raise PostconditionFailed("the corners of the result are not those of the flaps")
 
-    facing = {
-        "top/left-flap": (tuple(T.lower_left), tuple(Lf.upper_right)),
-        "top/right-flap": (tuple(T.lower_right), tuple(Rf.upper_left)),
-        "bottom/left-flap": (tuple(B.upper_left), tuple(Lf.lower_right)),
-        "bottom/right-flap": (tuple(B.upper_right), tuple(Rf.lower_left)),
-    }
-    return R, TripleGluingAssembly(T, B, Lf, Rf, c, R, t_map, b_map, lf_map, rf_map, facing)
-
-
-def triple_glue_congruence(
-    asm: TripleGluingAssembly,
-    alpha_t: cg.Congruence,
-    alpha_lf: cg.Congruence,
-    alpha_rf: cg.Congruence,
-    alpha_b: cg.Congruence,
-) -> cg.Congruence:
-    """The unique congruence of a triple gluing with the given restrictions.
-
-    The four facing-boundary agreements are checked first (collapse of
-    matching cover pairs along the shared chains); the extension is then
-    the closure of the four pieces' classes on the result's ids, checked
-    by :func:`_joint_extension`.
-
-    This equals gluing in stages (B + Lf, Rf + T, then the two), each
-    taking the congruence generated by its inputs' classes: the congruence
-    generated by a family of blocks does not depend on how the family is
-    grouped.  Each stage identifies chains, and a restriction to a chain is
-    fixed by which of its covers collapse; so the facing checks hold
-    exactly when the three stage agreements do.
-    """
-    for alpha, piece, role in (
-        (alpha_t, asm.top, "top"),
-        (alpha_lf, asm.left, "left flap"),
-        (alpha_rf, asm.right, "right flap"),
-        (alpha_b, asm.bottom, "bottom"),
-    ):
-        if alpha.lattice != piece.lattice:
-            raise LatconError(f"congruence does not live on the {role} piece")
-
-    checks = (
-        ("top/left-flap", alpha_t, alpha_lf),
-        ("top/right-flap", alpha_t, alpha_rf),
-        ("bottom/left-flap", alpha_b, alpha_lf),
-        ("bottom/right-flap", alpha_b, alpha_rf),
-    )
-    for name, a1, a2 in checks:
-        ch1, ch2 = asm.facing[name]
-        v1 = [a1.collapses(ch1[i], ch1[i + 1]) for i in range(len(ch1) - 1)]
-        v2 = [a2.collapses(ch2[i], ch2[i + 1]) for i in range(len(ch2) - 1)]
-        if v1 != v2:
-            raise Incompatible(f"facing boundary {name}: restrictions differ")
-
-    return _joint_extension(asm.result.lattice, (
-        (alpha_b, asm.b_map), (alpha_lf, asm.lf_map),
-        (alpha_rf, asm.rf_map), (alpha_t, asm.t_map),
-    ))
+    return R, TripleGluingAssembly(T, B, Lf, Rf, c, R, t_map, b_map, lf_map, rf_map)

@@ -27,7 +27,8 @@ filled n-by-n meet and join tables;
 definition; :func:`reference_is_convex_sublattice`, closure under meet,
 join and intervals tested pair by pair; and
 :func:`reference_triple_glue` with :func:`reference_triple_glue_congruence`,
-the triple gluing built and extended through three pairwise gluings.
+the triple gluing built and extended through three pairwise gluings
+(:func:`reference_glue_pair`, each checked by :func:`respects`).
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from latcon import rectangular as rl
 from latcon.errors import (
     ElementOutOfRange,
     EmptySet,
-    Incompatible,
     LatconError,
     NotBounded,
     NotALattice,
     NotDistributive,
     NotHomomorphic,
     NotIsotone,
+    PostconditionFailed,
 )
 
 
@@ -768,6 +769,10 @@ def reference_tied_colors(F, G, phi):
     return [lift[conF.index[thetaF[psi(q)].cls]] for q in range(conG.ji_order.n)]
 
 
+class Incompatible(LatconError):
+    """Piece congruences disagree on a shared boundary."""
+
+
 def _reference_glue(A, B, pairs):
     """B glued on top of A along the (filter, ideal) ``pairs``: the stage
     build of the triple gluing, one ``make_lattice_with_map`` per call.
@@ -837,8 +842,15 @@ def reference_triple_glue(T, Lf, Rf, B):
     )
 
 
-def _reference_glue_pair(stage, alpha_a, alpha_b):
-    """The common extension over one stage, or :class:`Incompatible`."""
+def reference_glue_pair(stage, alpha_a, alpha_b):
+    """The common extension over one stage, or :class:`Incompatible`.
+
+    ``stage`` is ``(lattice, lower map, upper map, pairs)``, as in
+    :func:`reference_triple_glue`; a :class:`~latcon.rectangular.GluedLattice`
+    ``g`` gives ``(g.lattice, g.a_map, g.b_map, g.iso)``.  The joined blocks
+    are checked against the definition by :func:`respects` and raise
+    :class:`PostconditionFailed` unless they form a congruence.
+    """
     lat, a_map, b_map, pairs = stage
     if cg._restricted_key(alpha_a.cls, [p[0] for p in pairs]) != cg._restricted_key(
         alpha_b.cls, [p[1] for p in pairs]
@@ -849,7 +861,8 @@ def _reference_glue_pair(stage, alpha_a, alpha_b):
         for alpha, emap in ((alpha_a, a_map), (alpha_b, b_map))
         for blk in alpha.blocks
     ))
-    assert cg.is_congruence(lat, out.blocks)
+    if not (respects(lat, out.blocks, lat.meet) and respects(lat, out.blocks, lat.join)):
+        raise PostconditionFailed("joined blocks of compatible congruences are not a congruence")
     return out
 
 
@@ -867,6 +880,6 @@ def reference_triple_glue_congruence(ref, alpha_t, alpha_lf, alpha_rf, alpha_b):
         ]:
             raise Incompatible(f"facing boundary {name}: restrictions differ")
     x, w, v = ref.stages
-    return _reference_glue_pair(
-        v, _reference_glue_pair(x, alpha_b, alpha_lf), _reference_glue_pair(w, alpha_rf, alpha_t)
+    return reference_glue_pair(
+        v, reference_glue_pair(x, alpha_b, alpha_lf), reference_glue_pair(w, alpha_rf, alpha_t)
     )

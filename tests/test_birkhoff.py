@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+import lemmas
 from latcon import birkhoff as bk
 from latcon import catalog, construction, core
 from latcon import congruence as cg
@@ -327,6 +328,14 @@ class TestEnumeration:
     def test_rejects_non_distributive(self):
         with pytest.raises(NotDistributive):
             bk.enumerate_bounded_homs(catalog.get("m3"), C2)
+
+    def test_one_element_source_checks_distributivity(self):
+        one = core.chain(1)
+        for D, E, side in ((one, catalog.get("n5"), "target"), (catalog.get("n5"), one, "source")):
+            with pytest.raises(NotDistributive, match=f"^{side} lattice is not distributive$"):
+                bk.enumerate_bounded_homs(D, E)
+        assert [h.assignment for h in bk.enumerate_bounded_homs(one, one)] == [(0,)]
+        assert bk.enumerate_bounded_homs(one, core.chain(2)) == []
 
     def test_random_posets_match_raw_scan(self):
         rng = random.Random(17)
@@ -658,7 +667,7 @@ class TestSpine:
     def test_one_position_per_step_when_distributive(self):
         pool = [
             *catalog.brt_catalog().values(),
-            *(catalog.get(n) for n in catalog.names()),
+            *(catalog.get(n) for n in lemmas.names()),
             *(R.lattice for _, R in catalog.search_rectangular(10)),
             *(cg.congruence_lattice(R.lattice).as_lattice() for R in catalog.rect_catalog().values()),
             core.chain(40),

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, determinism."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import helpers
 import latcon
+import lemmas
 from latcon import birkhoff as bk
 from latcon import catalog
 from latcon import congruence as cg
@@ -307,6 +309,12 @@ class TestRenderAndBrt:
     def test_brt_non_distributive_is_exit_2(self, capsys):
         assert main(["brt", "m3", "c2"]) == 2
 
+    def test_brt_one_element_source_non_distributive_target(self, tmp_path, capsys):
+        one = tmp_path / "one.json"
+        one.write_text('{"size":1,"covers":[]}')
+        assert main(["brt", str(one), "n5"]) == 2
+        assert capsys.readouterr().err == "error: target lattice is not distributive\n"
+
 
 class TestDemo:
     def test_demo_end_to_end_and_byte_identical(self, tmp_path, capsys):
@@ -396,7 +404,7 @@ class TestFrozenConBytes:
     }
 
     def test_every_catalog_name_is_frozen(self):
-        assert sorted(self.DIGESTS) == sorted(catalog.names())
+        assert sorted(self.DIGESTS) == sorted(lemmas.names())
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_digest(self, capsys, name):
@@ -452,3 +460,24 @@ class TestConsoleScript:
 def test_every_export_resolves():
     missing = [name for name in latcon.__all__ if not hasattr(latcon, name)]
     assert missing == []
+
+
+def test_every_public_definition_has_a_caller():
+    # a module-level function or class without a leading underscore must be
+    # named, as an AST Name or Attribute, somewhere in the package outside
+    # its own body; re-exports in __init__ are imports and do not count
+    defs, refs = [], []
+    for path in sorted(Path(latcon.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if owner and not owner.startswith("_"):
+                defs.append((path.stem, owner))
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    refs.append((path.stem, owner, name))
+    uncalled = [
+        f"{module}.{name}" for module, name in defs
+        if not any(n == name and (m, o) != (module, name) for m, o, n in refs)
+    ]
+    assert uncalled == []

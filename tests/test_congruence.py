@@ -14,16 +14,12 @@ from pathlib import Path
 import pytest
 
 import helpers
+import lemmas
 from latcon import birkhoff, catalog, construction, core
 from latcon import congruence as cg
 from latcon import rectangular as rl
 from latcon.cli import main
-from latcon.errors import (
-    ElementOutOfRange,
-    NotACongruence,
-    NotAPartition,
-    PostconditionFailed,
-)
+from latcon.errors import ElementOutOfRange, PostconditionFailed
 
 S7 = catalog.get("s7")
 N5 = core.make_lattice(5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
@@ -52,33 +48,21 @@ def ji_labels(con):
 
 class TestCongruenceObject:
     def test_blocks_are_canonicalized(self):
-        a = cg.congruence_from_blocks(S7, [[6, 4], [5, 2], [3, 1], [0]])
+        # the labels of the blocks [[6, 4], [5, 2], [3, 1], [0]], by position
+        a = cg.Congruence(S7, [3, 2, 1, 2, 0, 1, 0])
         assert a.blocks == ((0,), (1, 3), (2, 5), (4, 6))
+        assert a.cls == (0, 1, 2, 1, 3, 2, 3)
         assert a.collapses(4, 6) and not a.collapses(0, 1)
 
-    def test_rejects_non_partition(self):
-        with pytest.raises(NotAPartition):
-            cg.congruence_from_blocks(S7, [[0, 1], [1, 2], [3, 4, 5, 6]])
-
     @pytest.mark.parametrize(
-        "whole, ideal_part",
-        [
-            ([[0, 1, 2, 3, 4, 5, 6], []], [[0, 1], [2, 4], []]),
-            ([[0, 1, 2, 3, 4, 5, 6], [7]], [[0, 1], [2, 4, 5]]),
-            ([[0, 1, 2, 3], [3, 4, 5, 6]], [[0, 1], [1, 2, 4]]),
-            ([[0, 1, 2, 3, 4, 5]], [[0, 1], [2]]),
-        ],
+        "ideal_part",
+        [[[0, 1], [2, 4], []], [[0, 1], [2, 4, 5]], [[0, 1], [1, 2, 4]], [[0, 1], [2]]],
         ids=["empty-block", "outside", "twice", "missing"],
     )
-    def test_one_validator_for_both_entry_points(self, whole, ideal_part):
-        with pytest.raises(NotAPartition):
-            cg.congruence_from_blocks(S7, whole)
-        with pytest.raises(NotAPartition):
-            cg.singleton_extension(S7, [0, 1, 2, 4], ideal_part)
-
-    def test_rejects_non_congruence(self):
-        with pytest.raises(NotACongruence):
-            cg.congruence_from_blocks(S7, [[0, 1], [2], [3], [4], [5], [6]])
+    def test_one_validator_for_both_entry_points(self, ideal_part):
+        # each fault of a partition of the ideal raises NotAPartition
+        with pytest.raises(lemmas.NotAPartition):
+            lemmas.singleton_extension(S7, [0, 1, 2, 4], ideal_part)
 
     def test_refines_meet_join(self):
         # the order, meet and join of Con L come from the down-sets
@@ -274,7 +258,7 @@ class TestGeneratedCongruence:
         return got
 
     def test_catalog(self):
-        for name in catalog.names():
+        for name in lemmas.names():
             L = catalog.get(name)
             for a, b in L.covers():
                 self._agree(L, [(a, b)])
@@ -325,7 +309,7 @@ class TestLazyPartitionList:
     """The dual is built eagerly, the list of congruences on first read."""
 
     def test_size_and_simplicity_leave_the_list_unbuilt(self):
-        for name in catalog.names():
+        for name in lemmas.names():
             L = catalog.get(name)
             con = cg.congruence_lattice(L)
             size, simple = len(con), cg.is_simple(L)
@@ -350,7 +334,7 @@ class TestLazyPartitionList:
 def _fresh_lattices():
     """The catalog and the rectangular lattices of up to 12 elements, each
     rebuilt from its covers, so none has a Con L yet."""
-    named = [catalog.get(name) for name in catalog.names()]
+    named = [catalog.get(name) for name in lemmas.names()]
     named += [R.lattice for _, R in catalog.search_rectangular(12)]
     return [core.make_lattice(L.n, L.covers()) for L in named]
 
@@ -383,7 +367,7 @@ class TestThetaAsClassTables:
             con = cg.congruence_lattice(L)
             assert len(con) > 1
             assert con.theta == con.theta
-            assert cg.is_cp_extension(L, core.ideal_filter(L, L.n // 2)[0]) in (True, False)
+            assert cg.is_cp_extension(L, L.down(L.n // 2)) in (True, False)
             construction.upper_chain_collapse_check(R)
             reached = _reachable(L)
             assert any(o is con for o in reached) and any(o is con.theta_cls for o in reached)
@@ -653,7 +637,7 @@ class TestPartitionForm:
         for L in searched:
             con = cg.congruence_lattice(L)
             for x in range(L.n):
-                for elems in core.ideal_filter(L, x):
+                for elems in (L.down(x), L.up(x)):
                     sub, to_parent, _ = core.sublattice(L, elems)
                     con_k = cg.congruence_lattice(sub)
                     want = helpers.brute_restriction(con, to_parent, con_k)
@@ -669,30 +653,27 @@ class TestPartitionForm:
 
 class TestPredicatesAndRestriction:
     def test_is_congruence_vs_brute(self):
-        # is_congruence and congruence_from_blocks close the blocks and compare
-        # class counts: every partition of each catalog lattice of at most 8
-        # elements (4,140 partitions at 8) against the brute-force filters
-        small = [catalog.get(name) for name in catalog.names() if catalog.get(name).n <= 8]
+        # the closure of many pairs: each partition's block pairs, for every
+        # partition of each catalog lattice of at most 8 elements (4,140 at
+        # 8), against the reference closure; the closure keeps the block
+        # count exactly when the brute-force filter accepts the partition
+        small = [catalog.get(name) for name in lemmas.names() if catalog.get(name).n <= 8]
         assert len(small) == 17
         for L in small:
             want = helpers.brute_congruences(L)
-            want_meet = helpers.brute_meet_congruences(L)
             for p in helpers.set_partitions(L.n):
-                key = helpers.blocks_key(p)
-                assert cg.is_congruence(L, p) == (key in want)
-                assert cg.is_meet_congruence(L, p) == (key in want_meet)
-                if key in want:
-                    assert cg.congruence_from_blocks(L, p).blocks == p
-                else:
-                    with pytest.raises(NotACongruence) as err:
-                        cg.congruence_from_blocks(L, p)
-                    assert str(err.value) == "partition violates the substitution property"
+                pairs = [(b[0], x) for b in p for x in b[1:]]
+                got = cg.generated_congruence(L, pairs)
+                assert got == helpers.reference_generated_congruence(L, pairs)
+                assert (got.nblocks == len(p)) == (helpers.blocks_key(p) in want)
+                if got.nblocks == len(p):
+                    assert got.blocks == p
 
     def test_meet_congruence_strictly_weaker_on_n5(self):
         # collapses the long side only: meet-compatible but join breaks it
         blocks = [[0, 2], [1], [3], [4]]
-        assert cg.is_meet_congruence(N5, blocks)
-        assert not cg.is_congruence(N5, blocks)
+        assert helpers.respects(N5, blocks, N5.meet)
+        assert not helpers.respects(N5, blocks, N5.join)
 
     def test_is_simple(self):
         assert cg.is_simple(catalog.get("m3"))
@@ -710,34 +691,34 @@ class TestPredicatesAndRestriction:
 class TestSingletonExtension:
     def test_congruence_input_extends(self):
         # principal ideal {0,1,2,4} of S7, congruence ((0,1),(2,4)) of it
-        ext = cg.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2, 4]])
+        ext = lemmas.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2, 4]])
         assert ext == ((0, 1), (2, 4), (3,), (5,), (6,))
 
     def test_meet_only_input_is_accepted(self):
         # ((0,1),(2),(4)) breaks join-substitution on the diamond ideal
         # (0 v 2 = 2 but 1 v 2 = 4) yet satisfies meet-substitution
-        ext = cg.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2], [4]])
+        ext = lemmas.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2], [4]])
         assert ext == ((0, 1), (2,), (3,), (4,), (5,), (6,))
-        assert not cg.is_congruence(S7, ext)
+        assert not helpers.respects(S7, ext, S7.join)
 
     def test_rejects_non_meet_congruence(self):
         # 0 and 4 meet 1 to different classes
-        with pytest.raises(NotACongruence):
-            cg.singleton_extension(S7, [0, 1, 2, 4], [[0, 4], [1], [2]])
+        with pytest.raises(lemmas.NotACongruence):
+            lemmas.singleton_extension(S7, [0, 1, 2, 4], [[0, 4], [1], [2]])
 
     def test_rejects_empty_block(self):
-        with pytest.raises(NotAPartition):
-            cg.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2, 4], []])
+        with pytest.raises(lemmas.NotAPartition):
+            lemmas.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2, 4], []])
 
     def test_rejects_non_ideal(self):
         from latcon.errors import NotAnIdeal
 
         with pytest.raises(NotAnIdeal):
-            cg.singleton_extension(S7, [0, 1, 3, 4], [[0, 1], [3], [4]])
+            lemmas.singleton_extension(S7, [0, 1, 3, 4], [[0, 1], [3], [4]])
 
     def test_extension_is_meet_congruence_of_whole(self):
-        ext = cg.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2, 4]])
-        assert cg.is_meet_congruence(S7, ext)
+        ext = lemmas.singleton_extension(S7, [0, 1, 2, 4], [[0, 1], [2, 4]])
+        assert helpers.respects(S7, ext, S7.meet)
 
 
 class TestCallContract:

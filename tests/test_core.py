@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import helpers
+import lemmas
 from latcon import birkhoff, catalog, core, verify
 from latcon import congruence as cg
 from latcon import rectangular as rl
@@ -174,7 +175,7 @@ class TestMakeLatticeAgainstReference:
 
     def test_catalog_as_given_and_relabelled(self):
         rng = random.Random(5)
-        for name in catalog.names():
+        for name in lemmas.names():
             L = catalog.get(name)
             assert self._agree(L.n, L.covers(), rng), name
             assert self._agree(*_relabelled(L, rng), rng), name
@@ -246,9 +247,8 @@ class TestNonIntegralIds:
             (lambda: core.make_lattice(2, [(0, 1)], lower_order={"1": [0]}), "'1'"),
             (lambda: core.is_ideal(core.chain(3), [0, 1.2]), "1.2"),
             (lambda: core.is_convex_sublattice(core.chain(3), [0.5, 1]), "0.5"),
-            (lambda: cg.singleton_extension(core.chain(3), [0, 1.9], [[0, 1]]), "1.9"),
-            (lambda: cg.singleton_extension(core.chain(3), [0, 1], [[0, 1.0]]), "1.0"),
-            (lambda: cg.congruence_from_blocks(core.chain(3), [[0], [1, "2"]]), "'2'"),
+            (lambda: lemmas.singleton_extension(core.chain(3), [0, 1.9], [[0, 1]]), "1.9"),
+            (lambda: lemmas.singleton_extension(core.chain(3), [0, 1], [[0, 1.0]]), "1.0"),
             (lambda: rl.glue(core.chain(2), core.chain(2), {1: 0.5}), "0.5"),
             (_verify_with_float_embedding, "3.0"),
             (lambda: birkhoff.make_bounded_hom(core.chain(2), core.chain(2), [0, 1.6]), "1.6"),
@@ -259,13 +259,12 @@ class TestNonIntegralIds:
                 core.chain(3), core.chain(3), (x for x in [0, 1, 2.0])), "2.0"),
             (lambda: cg.principal_congruence(core.chain(3), 0, 1.5), "1.5"),
             (lambda: cg.generated_congruence(core.chain(3), [(0, 1), ("2", 1)]), "'2'"),
-            (lambda: core.ideal_filter(core.chain(3), 1.5), "1.5"),
         ],
         ids=[
             "cover", "upper-order", "lower-order-key", "ideal", "convex", "singleton-ideal",
-            "singleton-blocks", "partition", "glue", "verify-embedding", "bounded-hom",
+            "singleton-blocks", "glue", "verify-embedding", "bounded-hom",
             "isotone-map", "bounded-hom-text", "isotone-map-text", "bounded-hom-generator",
-            "principal-congruence", "generated-congruence", "ideal-filter",
+            "principal-congruence", "generated-congruence",
         ],
     )
     def test_rejected_naming_the_value(self, call, bad):
@@ -289,7 +288,6 @@ class TestNonIntegralIds:
         assert cg.generated_congruence(S, [(four, six), (True, 0)]) == cg.generated_congruence(
             S, [(4, 6), (1, 0)]
         )
-        assert core.ideal_filter(S, four) == core.ideal_filter(S, 4) == ((0, 1, 2, 4), (4, 6))
         C = core.chain(3)
         ints = [0, True, helpers.IntLike(2)]
         assert birkhoff.make_bounded_hom(C, C, ints).assignment == (0, 1, 2)
@@ -463,14 +461,14 @@ class TestPredicates:
 
     def test_ideal_filter_masks(self):
         L = s7()
-        ideal, filt = core.ideal_filter(L, 4)
+        ideal, filt = L.down(4), L.up(4)
         assert ideal == (0, 1, 2, 4)
         assert filt == (4, 6)
 
     def test_convexity_and_subuniverse(self):
         L = s7()
-        assert core.is_sublattice(L, [0, 1, 2, 4])
-        assert not core.is_sublattice(L, [1, 2])
+        assert lemmas.is_sublattice(L, [0, 1, 2, 4])
+        assert not lemmas.is_sublattice(L, [1, 2])
         assert core.is_convex_sublattice(L, [1, 3, 4, 6])
         assert not core.is_convex_sublattice(L, [0, 6])
         assert core.is_ideal(L, [0, 1, 2, 4])
@@ -482,7 +480,7 @@ class TestConvexSublatticeAgainstReference:
     """The interval test against the pairwise definition in ``helpers``."""
 
     def test_seeded_subsets(self):
-        lattices = [catalog.get(name) for name in catalog.names()]
+        lattices = [catalog.get(name) for name in lemmas.names()]
         lattices += [R.lattice for _, R in catalog.search_rectangular(14)]
         rng = random.Random(19)
         verdicts = []
@@ -524,7 +522,7 @@ class TestDistributivity:
         return verdicts
 
     def test_catalog(self):
-        verdicts = self._agree([catalog.get(name) for name in catalog.names()])
+        verdicts = self._agree([catalog.get(name) for name in lemmas.names()])
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_rectangular_search_and_order_duals(self):
@@ -555,7 +553,7 @@ class TestSemimodularity:
         return verdicts
 
     def test_catalog(self):
-        verdicts = self._agree([catalog.get(name) for name in catalog.names()])
+        verdicts = self._agree([catalog.get(name) for name in lemmas.names()])
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_rectangular_search(self):
@@ -573,7 +571,7 @@ class TestSemimodularity:
 
 class TestJoinIrreduciblePoset:
     def test_built_once_per_lattice(self):
-        for name in catalog.names():
+        for name in lemmas.names():
             L = catalog.get(name)
             P = core.join_irreducibles(L)
             assert core.join_irreducibles(L) is P

@@ -1,5 +1,6 @@
 """Diagram layout and the SVG/DOT emitters."""
 
+import lemmas
 from latcon import catalog, core
 from latcon import render as rd
 from latcon import rectangular as rl
@@ -18,7 +19,7 @@ class TestSteepEdges:
         assert rd.steep_edges(catalog.get("m3")) == frozenset({(0, 3), (3, 4)})
 
     def test_double_fork_has_two(self):
-        asm = catalog.assemblies()["fork-both"]
+        asm = lemmas.assemblies()["fork-both"]
         L = asm.result.lattice
         steep = rd.steep_edges(L)
         assert len(steep) == 2

@@ -2,13 +2,14 @@
 
 import pytest
 
+import lemmas
 from latcon import birkhoff as bk
 from latcon import catalog, core
 from latcon import rectangular as rl
 from latcon import congruence as cg
 from latcon import construction as cn
 from latcon import verify as vf
-from latcon.errors import EmbeddingInvalid, Incompatible
+from latcon.errors import EmbeddingInvalid
 
 G22 = catalog.rect_catalog()["grid-2x2"]
 M3 = catalog.rect_catalog()["m3"]
@@ -189,7 +190,7 @@ class TestRestrictionWitnesses:
 
 class TestLemmaSuite:
     def test_default_catalog_counts_frozen(self):
-        rep = vf.lemma_suite()
+        rep = lemmas.lemma_suite()
         assert rep.summary
         got = {c.name: c.witness for c in rep.checks if c.name != "inapplicable-items"}
         assert got == {
@@ -203,19 +204,19 @@ class TestLemmaSuite:
         }
 
     def test_skip_notes_mention_non_rectangular_items(self):
-        rep = vf.lemma_suite()
+        rep = lemmas.lemma_suite()
         note = next(c for c in rep.checks if c.name == "inapplicable-items")
         assert note.passed
         assert "not rectangular" in note.witness
 
     def test_empty_catalog_is_vacuous_pass(self):
-        rep = vf.lemma_suite([])
+        rep = lemmas.lemma_suite([])
         assert rep.summary
         assert rep.checks[0].name == "catalog"
         assert "vacuous" in rep.checks[0].witness
 
     def test_explicit_items_run(self):
-        rep = vf.lemma_suite([catalog.s7(), catalog.get("grid-2x2")])
+        rep = lemmas.lemma_suite([catalog.s7(), catalog.get("grid-2x2")])
         assert rep.summary
         names = {c.name for c in rep.checks}
         assert "two_piece_congruence_assembly" not in names or rep.summary
@@ -240,25 +241,26 @@ def _corners_at_top(monkeypatch):
 
 
 def _flap_off_center():
-    asm = catalog.assemblies()["four-grids"]
+    asm = lemmas.assemblies()["four-grids"]
     fields = {s: getattr(asm, s) for s in rl.TripleGluingAssembly.__slots__}
     R = asm.result
     return [rl.TripleGluingAssembly(**{**fields, "lf_map": (R.lc, R.rc)})]
 
 
-def _total(g, alpha_a, alpha_b):
-    return cg.Congruence(g.lattice, [0] * g.lattice.n)
+def _total(stage, alpha_a, alpha_b):
+    L = stage[0]
+    return cg.Congruence(L, [0] * L.n)
 
 
-def _never_compatible(g, alpha_a, alpha_b):
-    raise Incompatible("patched")
+def _never_compatible(stage, alpha_a, alpha_b):
+    raise lemmas.Incompatible("patched")
 
 
 # check name -> (patch returning the items, frozen witness of the first failure);
 # each patch or hand-built item makes the check fail at an early configuration
 FAILURES = {
     "ideal_singleton_meet_extension": (
-        lambda mp: mp.setattr(cg, "is_meet_congruence", lambda L, b: False) or [S7],
+        lambda mp: mp.setattr(lemmas, "respects", lambda L, b, op: False) or [S7],
         "ideal [0] with [[0]] on a 7-element lattice",
     ),
     "rect_ideal_corners_on_lower_chains": (
@@ -278,7 +280,7 @@ FAILURES = {
         "element 2 outside ideal [0, 1, 3, 4] in a 9-element lattice",
     ),
     "singleton_full_congruence_when_upper_chains_untouched": (
-        lambda mp: mp.setattr(cg, "is_congruence", lambda L, b: False) or [S7],
+        lambda mp: mp.setattr(lemmas, "respects", lambda L, b, op: False) or [S7],
         "ideal [0, 1, 2, 4] with [[0], [1], [2], [4]] in a 7-element lattice",
     ),
     "flap_union_sublattice": (
@@ -286,8 +288,8 @@ FAILURES = {
         "union of size 6 in a 9-element assembly",
     ),
     "two_piece_congruence_assembly": (
-        lambda mp: mp.setattr(rl, "glue_congruence_pair", _total)
-        or [catalog.glue_instances()["grid-on-grid"]],
+        lambda mp: mp.setattr(lemmas, "reference_glue_pair", _total)
+        or [lemmas.glue_instances()["grid-on-grid"]],
         "relation formula differs on a 7-element gluing",
     ),
 }
@@ -299,14 +301,14 @@ class TestLemmaSuiteFailures:
     @pytest.mark.parametrize("name", sorted(FAILURES))
     def test_first_failure_is_the_witness(self, name, monkeypatch):
         setup, witness = FAILURES[name]
-        rep = vf.lemma_suite(setup(monkeypatch))
+        rep = lemmas.lemma_suite(setup(monkeypatch))
         got = next(c for c in rep.checks if c.name == name)
         assert (got.passed, got.witness) == (False, witness)
         assert not rep.summary
 
     def test_missing_congruences_after_the_loop(self, monkeypatch):
-        monkeypatch.setattr(rl, "glue_congruence_pair", _never_compatible)
-        rep = vf.lemma_suite([catalog.glue_instances()["grid-on-grid"]])
+        monkeypatch.setattr(lemmas, "reference_glue_pair", _never_compatible)
+        rep = lemmas.lemma_suite([lemmas.glue_instances()["grid-on-grid"]])
         got = next(c for c in rep.checks if c.name == "two_piece_congruence_assembly")
         assert (got.passed, got.witness) == (
             False, "0 compatible pairs against 16 congruences on a 7-element gluing"
