@@ -8,14 +8,15 @@ that correspondence; ``brt_report`` evaluates the classical equivalences
 
 Every kernel works on the up- and down-set bitmasks along covers: an
 isotone map is checked on the source's covers, a homomorphism by the
-pull-backs of the target's join-irreducibles, found in one top-down sweep
-per hom and kept on it for ``ji_of_hom`` and ``brt_report``, and
-``hom_of_isotone`` builds each image from that of a lower cover.  The
-walk it follows is the source's spine (:func:`_spine`): for each element
-its first lower cover and the join-irreducibles the cover adds, which in
-a distributive lattice is always exactly one.  The spine depends on the
-lattice alone, so it is built once and kept on it.
-Only a failed check scans every pair, to name the first one broken.
+pull-backs of the target's join-irreducibles, found in one top-down
+sweep by ``make_bounded_hom``, the only builder of a hom, and kept on
+the hom for ``ji_of_hom`` and ``brt_report``; ``hom_of_isotone`` builds
+each image from that of a lower cover.  The walk it follows is the
+source's spine (:func:`_spine`): for each element its first lower cover
+and the join-irreducibles the cover adds, which in a distributive
+lattice is always exactly one.  The spine depends on the lattice alone,
+so it is built once and kept on it.  Only a failed check scans every
+pair, to name the first one broken.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ class _Map:
     of ``i``.  Two maps are equal when source, target and assignment are.
 
     ``source``, ``target`` and ``assignment`` are read-only: each is set
-    once, by the constructor, into a private slot, and assigning or
-    deleting one raises :class:`AttributeError`.  Code in this module
-    reads the slots directly.
+    once, by :class:`IsotoneMap` or :func:`make_bounded_hom`, into a
+    private slot, and assigning or deleting one raises
+    :class:`AttributeError`.  Only this module reads the slots directly.
     """
 
     __slots__ = ("_source", "_target", "_assignment")
@@ -136,18 +137,12 @@ class IsotoneMap(_Map):
 class BoundedHom(_Map):
     """A {0,1}-homomorphism between finite distributive lattices.
 
-    Use :func:`make_bounded_hom`; the constructor itself does not validate.
-    Read-only after construction, so a validated hom's pull-backs, which
-    :func:`make_bounded_hom` keeps in ``_pulled``, stay those of its
-    assignment; one built directly sweeps them when read.
+    Built only by :func:`make_bounded_hom`, which keeps the pull-backs
+    that validated it in ``_pulled``; the class has no constructor, so
+    ``BoundedHom(D, E, f)`` raises :class:`TypeError`.
     """
 
     __slots__ = ("_pulled",)
-
-    def __init__(self, source: FiniteLattice, target: FiniteLattice, assignment: tuple[int, ...]):
-        self._source = source
-        self._target = target
-        self._assignment = assignment
 
     @property
     def is_injective(self) -> bool:
@@ -248,8 +243,8 @@ def make_bounded_hom(
         p = (m & -m).bit_length() - 1
         if m != D._up[p] or len(D._lower[p]) != 1:
             raise _first_broken_pair(D, E, f)
-    phi = BoundedHom(D, E, f)
-    phi._pulled = pulled
+    phi = object.__new__(BoundedHom)
+    phi._source, phi._target, phi._assignment, phi._pulled = D, E, f, pulled
     return phi
 
 
@@ -257,30 +252,16 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     """The dual isotone map  Ji(target) -> Ji(source).
 
     A join-irreducible x of the target is sent to the least source element
-    whose image lies above x.  For a homomorphism the pull-back of x is
-    ``up(p)`` with p join-irreducible (see :func:`make_bounded_hom`), and p
-    is its least id; any other pull-back raises :class:`PostconditionFailed`.
-    The pull-backs are those ``phi`` carries, swept only if it has none;
-    the position of p in ``J(D)`` is read off the source's spine.
+    whose image lies above x.  The pull-back of x is ``up(p)`` with p
+    join-irreducible, which :func:`make_bounded_hom` checked when it built
+    ``phi`` and kept in ``phi._pulled``; p is its least id, and its
+    position in ``J(D)`` is read off the source's spine.
     """
-    D, E = phi._source, phi._target
+    D = phi._source
     jd = core.join_irreducibles(D)
-    je = core.join_irreducibles(E)
     pos = _spine(D, jd)[1]
-    f = phi._assignment
-    if f and not (0 <= min(f) and max(f) < E.n):
-        raise PostconditionFailed(f"an image is out of range for size {E.n}")
-    out = []
-    for x, s in zip(je.labels, getattr(phi, "_pulled", None) or _pullbacks(f, E)):
-        m = (s & -s).bit_length() - 1
-        if s != D._up[m]:
-            raise PostconditionFailed(f"pull-back of join-irreducible {x} is no principal filter")
-        if pos[m] is None:
-            raise PostconditionFailed(
-                f"dual image {m} of join-irreducible {x} is not join-irreducible"
-            )
-        out.append(pos[m])
-    return IsotoneMap(je, jd, out)
+    out = [pos[(s & -s).bit_length() - 1] for s in phi._pulled]
+    return IsotoneMap(core.join_irreducibles(phi._target), jd, out)
 
 
 def _spine(D: FiniteLattice, jd: Poset) -> tuple[tuple, tuple]:
@@ -390,37 +371,26 @@ class BrtReport:
 
 
 def brt_report(phi: BoundedHom) -> BrtReport:
-    """The duality statements on ``phi``; a validated ``phi`` takes no
-    pull-back sweep.
+    """The duality statements on ``phi``, with no pull-back sweep.
 
-    The round trip is ``make_bounded_hom(D, E, f)`` for the assignment
-    ``f`` that :func:`_isotone_assignment` builds from ``ji_of_hom(phi)``.
-    When ``f`` equals ``phi.assignment`` and both lattices are distributive
-    (verdicts kept on the lattices), that call would return a hom equal to
-    ``phi``, so ``phi`` stands in for it.  Proof, check by check: ``f`` is
-    ``D.n`` ids of E, being built so.  :func:`ji_of_hom` has just checked
-    that the pull-back of every join-irreducible q of E under f is ``↑p``
-    with p join-irreducible, which is the criterion of
-    :func:`make_bounded_hom`.  The bounds follow: ``↑p`` holds the top of
-    D, so every q lies below ``f(top)``, which is then the top of E, the
-    join of all q; ``↑p`` misses the bottom, p being join-irreducible, so
-    no q lies below ``f(bottom)``, which is then the bottom of E.  Homs
-    with equal source, target and assignment are equal.  Any other ``f``
-    goes through :func:`make_bounded_hom`, which raises on a non-hom.
+    The round trip holds when the assignment ``f`` that
+    :func:`_isotone_assignment` builds from ``ji_of_hom(phi)`` is
+    ``phi.assignment``, since homs with ``phi``'s source and target are
+    equal exactly when their assignments are.  Any other ``f`` goes
+    through :func:`make_bounded_hom`, which raises on a non-hom.
     """
     D, E = phi._source, phi._target
     psi = ji_of_hom(phi)
     f = _isotone_assignment(psi, D, E)
-    same = f == phi._assignment and core.is_distributive(D) and core.is_distributive(E)
-    back = phi if same else make_bounded_hom(D, E, f)
-    round_trip_ok = back == phi
+    round_trip_ok = f == phi._assignment
     injective = phi.is_injective
     ji_onto = psi.is_onto
     onto = phi.is_onto
     ji_embedding = psi.is_order_embedding
     witness = None
     if not round_trip_ok:
-        witness = f"round trip produced {back._assignment}, expected {phi._assignment}"
+        make_bounded_hom(D, E, f)  # raises on a non-hom
+        witness = f"round trip produced {f}, expected {phi._assignment}"
     elif injective != ji_onto:
         witness = f"injective={injective} but dual map onto={ji_onto}"
     elif onto != ji_embedding:

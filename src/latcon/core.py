@@ -61,6 +61,14 @@ def _element_id(x) -> int:
         raise ElementOutOfRange(f"element id {x!r} is not an integer") from None
 
 
+def _checked_id(x, n: int) -> int:
+    """:func:`_element_id` of ``x``, which must lie in ``0..n-1``."""
+    x = _element_id(x)
+    if not 0 <= x < n:
+        raise ElementOutOfRange(f"element {x} out of range for size {n}")
+    return x
+
+
 def _element_ids(xs: Iterable) -> tuple[int, ...]:
     """:func:`_element_id` of each entry, by one ``map`` of ``operator.index``
     unless it fails; ``xs`` is read once."""
@@ -168,10 +176,10 @@ class _Order:
         return bool(self._up[x] >> y & 1)
 
     def up(self, x: int) -> tuple[int, ...]:
-        return _bits(self._up[x])
+        return _bits(self._up[_checked_id(x, self.n)])
 
     def down(self, x: int) -> tuple[int, ...]:
-        return _bits(self._down[x])
+        return _bits(self._down[_checked_id(x, self.n)])
 
     def upper_covers(self, x: int) -> tuple[int, ...]:
         return self._upper[x]
@@ -572,10 +580,7 @@ def is_semimodular(L: FiniteLattice) -> bool:
 def _set_mask(S: Iterable[int], n: int) -> int:
     m = 0
     for x in S:
-        x = _element_id(x)
-        if not 0 <= x < n:
-            raise ElementOutOfRange(f"element {x} out of range for size {n}")
-        m |= 1 << x
+        m |= 1 << _checked_id(x, n)
     return m
 
 
@@ -589,7 +594,7 @@ def is_convex_sublattice(L: FiniteLattice, S: Iterable[int]) -> bool:
     ``a <= x ∧ y <= x ∨ y <= b`` for ``x, y`` in it, and every element
     between two of its members.  The cost is ``O(|S|)`` mask operations.
     """
-    elems = sorted(set(S))
+    elems = sorted(set(_element_ids(S)))
     if not elems:
         raise EmptySet("empty set is not a sublattice")
     mask = _set_mask(elems, L.n)
@@ -624,7 +629,7 @@ def sublattice(
     K's element ``i``.  Elements are numbered by ascending parent id, which
     inherits the linear-extension property.
     """
-    elems = sorted(set(S))
+    elems = sorted(set(_element_ids(S)))
     if not elems:
         raise EmptySet("empty set is not a sublattice")
     if not is_convex_sublattice(L, elems):

@@ -336,7 +336,8 @@ def brute_is_distributive(L):
 def reference_make_bounded_hom(D, E, assignment):
     """Validate a bounded hom D -> E pair by pair on :func:`brute_tables`,
     with distributivity by the exhaustive scan; same checks, order and
-    messages as :func:`latcon.birkhoff.make_bounded_hom`."""
+    messages as :func:`latcon.birkhoff.make_bounded_hom`.  Returns the
+    validated assignment tuple, to compare with ``phi.assignment``."""
     if not brute_is_distributive(D):
         raise NotDistributive("source lattice is not distributive")
     if not brute_is_distributive(E):
@@ -359,7 +360,7 @@ def reference_make_bounded_hom(D, E, assignment):
                 raise NotHomomorphic(f"meet not preserved at ({x}, {y})")
             if f[djoin[x][y]] != ejoin[f[x]][f[y]]:
                 raise NotHomomorphic(f"join not preserved at ({x}, {y})")
-    return bk.BoundedHom(D, E, f)
+    return f
 
 
 def reference_isotone_check(source, target, assignment):
@@ -410,7 +411,7 @@ def reference_isotone_assignment(psi, D, E):
 
 
 def reference_hom_of_isotone(psi, D, E):
-    """The bounded hom D -> E dual to psi: Ji E -> Ji D, its assignment
+    """The assignment of the bounded hom D -> E dual to psi: Ji E -> Ji D,
     from :func:`reference_isotone_assignment`, validated by
     :func:`reference_make_bounded_hom`."""
     return reference_make_bounded_hom(D, E, reference_isotone_assignment(psi, D, E))

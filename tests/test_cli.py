@@ -481,3 +481,24 @@ def test_every_public_definition_has_a_caller():
         if not any(n == name and (m, o) != (module, name) for m, o, n in refs)
     ]
     assert uncalled == []
+
+
+def test_hom_slots_stay_in_birkhoff():
+    # how a hom stores its validation is birkhoff's decision alone: no
+    # other package module reads or writes the slots of a hom or map, as
+    # an attribute or as a string such as getattr's
+    slots = {"_pulled", "_source", "_target", "_assignment"}
+    found = []
+    for path in sorted(Path(latcon.__file__).resolve().parent.glob("*.py")):
+        if path.stem == "birkhoff":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name in slots:
+                found.append(f"{path.stem}:{node.lineno}: {name}")
+    assert found == []

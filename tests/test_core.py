@@ -378,6 +378,28 @@ class TestOrderArithmetic:
         assert L.up(4) == (4, 6)
         assert L.down(4) == (0, 1, 2, 4)
 
+    @pytest.mark.parametrize(
+        "order", [core.chain(3), core.join_irreducibles(rl.grid(2, 2).lattice)],
+        ids=["lattice", "poset"],
+    )
+    @pytest.mark.parametrize("side", ["up", "down"])
+    def test_updown_reject_bad_ids(self, order, side):
+        # the id is range-checked, not used as a list index: -1 is no
+        # alias for the top
+        query = getattr(order, side)
+        for x in (-1, order.n, order.n + 3):
+            with pytest.raises(
+                ElementOutOfRange, match=f"^element {x} out of range for size {order.n}$"
+            ):
+                query(x)
+        for x, shown in ((1.5, "1.5"), ("0", "'0'"), (None, "None")):
+            with pytest.raises(ElementOutOfRange, match=f"^element id {re.escape(shown)} is not an integer$"):
+                query(x)
+        masks = order._up if side == "up" else order._down
+        for x in range(order.n):
+            want = core._bits(masks[x])
+            assert query(x) == query(helpers.IntLike(x)) == want
+
     def test_height_depth(self):
         L = s7()
         assert [L.height(x) for x in range(7)] == [0, 1, 1, 2, 2, 2, 3]
@@ -444,6 +466,26 @@ class TestConstructors:
         monkeypatch.setattr(core, "make_lattice_with_map", reversed_numbering)
         with pytest.raises(PostconditionFailed, match="sublattice numbering"):
             core.sublattice(s7(), [0, 1, 2, 4])
+
+    @pytest.mark.parametrize(
+        "check", [core.is_convex_sublattice, core.sublattice, cg.is_cp_extension],
+        ids=["convex", "sublattice", "cp-extension"],
+    )
+    @pytest.mark.parametrize("bad, shown", [("a", "'a'"), (None, "None")], ids=["str", "none"])
+    def test_set_ids_checked_before_sorting(self, check, bad, shown):
+        # a mixed set that cannot be sorted names its first bad id, as
+        # is_ideal always did, instead of failing inside sorted()
+        L = rl.grid(2, 2).lattice
+        with pytest.raises(ElementOutOfRange, match=f"^element id {re.escape(shown)} is not an integer$"):
+            check(L, [0, bad])
+
+    def test_set_ids_of_integer_types(self):
+        L = rl.grid(2, 2).lattice
+        ids = [True, helpers.IntLike(0), 2, helpers.IntLike(3)]
+        assert core.is_convex_sublattice(L, ids)
+        K, to_parent, to_sub = core.sublattice(L, ids)
+        assert K == L and to_parent == (0, 1, 2, 3) and to_sub == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert cg.is_cp_extension(L, ids)
 
 
 class TestPredicates:

@@ -98,7 +98,8 @@ class TestRepresentationVerifier:
 
     def test_same_size_source_with_other_covers_rejected(self):
         L, rep, phi = _built()
-        fake = bk.BoundedHom(core.chain(phi.source.n), phi.target, phi.assignment)
+        n = phi.source.n
+        fake = bk.make_bounded_hom(core.chain(n), phi.target, (0,) * (n - 1) + (phi.target.top,))
         with pytest.raises(EmbeddingInvalid, match="endpoints do not match"):
             vf.verify_filter_representation(L.lattice, rep.embedded_f, rep.embedded_g, fake)
 
