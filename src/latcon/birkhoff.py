@@ -138,11 +138,14 @@ class BoundedHom(_Map):
     """A {0,1}-homomorphism between finite distributive lattices.
 
     Built only by :func:`make_bounded_hom`, which keeps the pull-backs
-    that validated it in ``_pulled``; the class has no constructor, so
-    ``BoundedHom(D, E, f)`` raises :class:`TypeError`.
+    that validated it in ``_pulled``; calling the class, with or without
+    arguments, raises :class:`TypeError`.
     """
 
     __slots__ = ("_pulled",)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a BoundedHom is built by make_bounded_hom")
 
     @property
     def is_injective(self) -> bool:

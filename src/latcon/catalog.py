@@ -154,8 +154,6 @@ def search_rectangular(
     out: list[tuple[str, RectLattice]] = []
     kept: dict[tuple, list[FiniteLattice]] = {}
     for name, R in candidates:
-        if R.n > max_size:
-            continue
         bucket = kept.setdefault(core.invariant(R.lattice), [])
         if any(core.are_isomorphic(S, R.lattice) for S in bucket):
             continue

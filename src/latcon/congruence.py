@@ -18,9 +18,9 @@ the connected components of the covers colored in its down-set of them.
 Con L is distributive, so :class:`ConLattice` keeps only this Birkhoff
 dual and builds the list of all congruences when something reads it.  It
 keeps the join-irreducible congruences as class tables, ``theta_cls``;
-``theta`` builds :class:`Congruence` objects from them on each read, for a
-text or a report that needs blocks.  The coloring is one flat tuple of
-positions in ``L.covers()`` order, read as a mapping from covers.
+a text or a report that needs blocks builds a :class:`Congruence` from
+one.  The coloring is one flat tuple of positions in ``L.covers()``
+order, read as a mapping from covers.
 
 Restriction Con L -> Con K to a convex sublattice K is a {0,1}-homomorphism
 of distributive lattices, so it is read on ``theta_cls`` alone
@@ -261,9 +261,7 @@ class ConLattice:
     ``ji_order`` is their order as an unlabelled poset on positions, and
     ``colors`` maps every cover edge of the base lattice to the position of
     its principal congruence: a read-only mapping over one flat tuple of
-    positions in ``lattice.covers()`` order.  ``theta`` builds the
-    :class:`Congruence` objects of ``theta_cls`` on every read and keeps
-    none of them.
+    positions in ``lattice.covers()`` order.
     ``len`` counts the down-sets of ``ji_order`` and builds no partition.
 
     The list of all congruences is built on the first read of
@@ -334,11 +332,6 @@ class ConLattice:
     congruences = property(lambda self: self._build().congruences)
     index = property(lambda self: self._build().index)
 
-    @property
-    def theta(self) -> tuple[Congruence, ...]:
-        """The join-irreducible congruences, built anew from ``theta_cls``."""
-        return tuple(Congruence(self.lattice, c) for c in self.theta_cls)
-
     def __len__(self) -> int:
         if self._size is None:
             self._size = len(core.downsets(self.ji_order))
@@ -351,7 +344,7 @@ class ConLattice:
         """The sorted covers of Con L; element i is ``congruences[i]``.
 
         They are those of the lattice of down-sets of ``ji_order``:
-        congruence i is the join of the ``theta`` in its down-set.
+        congruence i is the join of the ``theta_cls`` in its down-set.
         """
         return sorted(core._downset_covers(self.ji_order, self._build().downsets))
 

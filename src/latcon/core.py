@@ -28,7 +28,6 @@ from .errors import (
     NotALattice,
     NotConvexSublattice,
     NotReduced,
-    PostconditionFailed,
     ZeroSize,
 )
 
@@ -77,6 +76,20 @@ def _element_ids(xs: Iterable) -> tuple[int, ...]:
         return tuple(map(_index, xs))
     except TypeError:
         return tuple(map(_element_id, xs))
+
+
+def _size(n, least: int, error: type[Exception], what: str) -> int:
+    """``n`` as a size of at least ``least``: what ``operator.index`` takes,
+    except a ``bool``.  Otherwise raises ``error``, naming the value."""
+    if not isinstance(n, bool):
+        try:
+            n = _index(n)
+        except TypeError:
+            pass
+        else:
+            if n >= least:
+                return n
+    raise error(f"{what} must be an integer >= {least}, got {n!r}")
 
 
 def _sort(n: int, covers: Iterable[tuple[int, int]]):
@@ -207,8 +220,7 @@ class Poset(_Order):
         covers: Iterable[tuple[int, int]],
         labels: Sequence[object] | None = None,
     ):
-        if n < 0:
-            raise ZeroSize("poset size must be >= 0")
+        n = _size(n, 0, ZeroSize, "poset size")
         covers, order, succ, pred = _sort(n, covers)
         up, down = _close(covers, order, succ, pred, range(n))
         self.n = n
@@ -392,10 +404,8 @@ def make_lattice_with_map(
     ``up[x] & up[p]`` has ``up[c] == up[x] & up[p]``.  The cost is one mask
     test per incomparable pair ``(x, p)``, not a table of n² joins.
     """
-    if size < 1:
-        raise ZeroSize("a lattice has at least one element")
-    covers, order, succ, pred = _sort(size, covers)
-    n = size
+    n = _size(size, 1, ZeroSize, "lattice size")
+    covers, order, succ, pred = _sort(n, covers)
     new_id = [0] * n
     for pos, old in enumerate(order):
         new_id[old] = pos
@@ -493,8 +503,7 @@ def make_lattice(
 
 def chain(n: int) -> FiniteLattice:
     """The n-element chain."""
-    if n < 1:
-        raise ZeroSize("a chain has at least one element")
+    n = _size(n, 1, ZeroSize, "chain size")
     return make_lattice(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -623,32 +632,29 @@ def is_filter(L: FiniteLattice, S: Iterable[int]) -> bool:
 def sublattice(
     L: FiniteLattice, S: Iterable[int]
 ) -> tuple[FiniteLattice, tuple[int, ...], dict[int, int]]:
-    """Extract the convex sublattice on ``S``.
+    """Extract the convex sublattice on ``S``, keeping L's planar cover order.
 
     Returns ``(K, to_parent, to_sub)`` where ``to_parent[i]`` is the L-id of
-    K's element ``i``.  Elements are numbered by ascending parent id, which
-    inherits the linear-extension property.
+    K's element ``i`` and ``to_sub`` is its inverse.  K is numbered as
+    :func:`make_lattice_with_map` numbers the elements in the order ``S``
+    lists them, a repeat counting at its first place: an order that is a
+    linear extension, such as ascending L-ids, is kept, and any other is
+    renumbered along Kahn's order.
     """
-    elems = sorted(set(_element_ids(S)))
+    elems = list(dict.fromkeys(_element_ids(S)))
     if not elems:
         raise EmptySet("empty set is not a sublattice")
     if not is_convex_sublattice(L, elems):
-        raise NotConvexSublattice(f"{elems} is not a convex sublattice")
-    to_sub = {x: i for i, x in enumerate(elems)}
-    in_set = set(elems)
-    covers = [
-        (to_sub[a], to_sub[b]) for a, b in L.covers() if a in in_set and b in in_set
-    ]
-    upper = {
-        to_sub[x]: [to_sub[y] for y in L.upper_covers(x) if y in in_set] for x in elems
-    }
-    lower = {
-        to_sub[x]: [to_sub[y] for y in L.lower_covers(x) if y in in_set] for x in elems
-    }
+        raise NotConvexSublattice(f"{sorted(elems)} is not a convex sublattice")
+    pos = {x: i for i, x in enumerate(elems)}
+    covers = [(pos[a], pos[b]) for a, b in L.covers() if a in pos and b in pos]
+    upper = {pos[x]: [pos[y] for y in L.upper_covers(x) if y in pos] for x in elems}
+    lower = {pos[x]: [pos[y] for y in L.lower_covers(x) if y in pos] for x in elems}
     K, renum = make_lattice_with_map(len(elems), covers, upper, lower)
-    if renum != tuple(range(len(elems))):
-        raise PostconditionFailed("sublattice numbering is not the ascending parent ids")
-    return K, tuple(elems), to_sub
+    to_parent = [0] * len(elems)
+    for x, i in zip(elems, renum):
+        to_parent[i] = x
+    return K, tuple(to_parent), {x: i for i, x in enumerate(to_parent)}
 
 
 def join_irreducibles(L: FiniteLattice) -> Poset:

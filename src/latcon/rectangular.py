@@ -190,8 +190,8 @@ def grid_with_eyes(
     point (i, k); eyes are placed between the cell's left and right sides
     in planar order.
     """
-    if m < 2 or n < 2:
-        raise SizeTooSmall(f"grid needs both sides >= 2, got {m}x{n}")
+    m = core._size(m, 2, SizeTooSmall, "grid side")
+    n = core._size(n, 2, SizeTooSmall, "grid side")
 
     def gid(a: int, b: int) -> int:
         return a * n + b

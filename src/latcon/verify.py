@@ -2,9 +2,10 @@
 
 The checks here trust nothing from :mod:`latcon.construction`: embeddings
 come in as plain ordered id tuples, the embedded copies are rebuilt from
-the ambient lattice's own cover relation, and the congruence bookkeeping is
-recomputed from scratch.  A :class:`VerificationReport` lists every check
-with a witness for any failure.
+the ambient lattice's own cover relation by :func:`core.sublattice`, which
+must number each copy as its embedding lists it, and the congruence
+bookkeeping is recomputed from scratch.  A :class:`VerificationReport`
+lists every check with a witness for any failure.
 """
 
 from __future__ import annotations
@@ -44,38 +45,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _induced_copy(L: FiniteLattice, emb: Sequence[int]) -> FiniteLattice:
-    """Rebuild the lattice an ordered embedding claims to carry.
-
-    ``emb[i]`` is the ambient id of the copy's element ``i``.  The copy must
-    be a convex sublattice (so its covers are the ambient covers inside it)
-    and the embedding order must be the copy's own canonical numbering.
-    """
-    if not emb:
-        raise EmbeddingInvalid("empty embedding")
-    if len(set(emb)) != len(emb):
-        raise EmbeddingInvalid("repeated element in embedding")
-    for x in emb:
-        if not 0 <= x < L.n:
-            raise EmbeddingInvalid(f"element {x} out of range for size {L.n}")
-    if not core.is_convex_sublattice(L, emb):
-        raise EmbeddingInvalid(f"{sorted(emb)} is not a convex sublattice")
-    pos = {x: i for i, x in enumerate(emb)}
-    inside = set(emb)
-    covers = [
-        (pos[a], pos[b])
-        for a, b in L.covers()
-        if a in inside and b in inside
-    ]
+def _copy(L: FiniteLattice, emb: Sequence[int]) -> tuple[tuple[int, ...], FiniteLattice]:
+    """The embedding as ids, and the copy it carries, rebuilt by
+    :func:`core.sublattice`.  ``emb[i]`` must be the ambient id of the copy's
+    element ``i``, so ``emb`` must list a convex sublattice in its numbering."""
+    emb = core._element_ids(emb)
     try:
-        sub, renum = core.make_lattice_with_map(len(emb), covers)
+        sub, to_parent, _ = core.sublattice(L, emb)
     except LatconError as exc:
-        raise EmbeddingInvalid(f"induced covers are not a lattice: {exc}") from exc
-    if renum != tuple(range(len(emb))):
+        raise EmbeddingInvalid(str(exc)) from exc
+    if to_parent != emb:
         raise EmbeddingInvalid(
             "embedding order is not the canonical numbering of the copy"
         )
-    return sub
+    return emb, sub
 
 
 def _endpoints_match(phi: BoundedHom, conF: cg.ConLattice, conG: cg.ConLattice) -> bool:
@@ -93,10 +76,8 @@ def _verify_representation(
     phi: BoundedHom,
     mode: str,
 ) -> VerificationReport:
-    f_emb = tuple(map(core._element_id, f_emb))
-    g_emb = tuple(map(core._element_id, g_emb))
-    fsub = _induced_copy(L, f_emb)
-    gsub = _induced_copy(L, g_emb)
+    f_emb, fsub = _copy(L, f_emb)
+    g_emb, gsub = _copy(L, g_emb)
     conL = cg.congruence_lattice(L)
     conF = cg.congruence_lattice(fsub)
     conG = cg.congruence_lattice(gsub)

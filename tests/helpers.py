@@ -23,6 +23,8 @@ recursive isomorphism search; :func:`reference_generated_congruence`, the
 closure over every column of the operation tables;
 :func:`reference_make_lattice`, the lattice check over every pair that
 filled n-by-n meet and join tables;
+:func:`reference_induced_copy`, the verifier's own rebuild of an embedded
+copy from the ambient covers;
 :func:`brute_is_semimodular`, the scan of every pair against the
 definition; :func:`reference_is_convex_sublattice`, closure under meet,
 join and intervals tested pair by pair; and
@@ -43,6 +45,7 @@ from latcon import jsonio as jio
 from latcon import rectangular as rl
 from latcon.errors import (
     ElementOutOfRange,
+    EmbeddingInvalid,
     EmptySet,
     LatconError,
     NotBounded,
@@ -746,6 +749,47 @@ def condition_oracle(R):
     return not bad, bad
 
 
+def ji_congruences(con):
+    """The join-irreducible congruences of ``con`` as :class:`cg.Congruence`
+    objects, built anew from ``con.theta_cls``."""
+    return tuple(cg.Congruence(con.lattice, c) for c in con.theta_cls)
+
+
+def reference_induced_copy(L, emb):
+    """Rebuild the lattice an ordered embedding claims to carry, as the
+    verifier did before it called ``core.sublattice``.
+
+    ``emb[i]`` is the ambient id of the copy's element ``i``.  The copy must
+    be a convex sublattice (so its covers are the ambient covers inside it)
+    and the embedding order must be the copy's own canonical numbering.
+    """
+    if not emb:
+        raise EmbeddingInvalid("empty embedding")
+    if len(set(emb)) != len(emb):
+        raise EmbeddingInvalid("repeated element in embedding")
+    for x in emb:
+        if not 0 <= x < L.n:
+            raise EmbeddingInvalid(f"element {x} out of range for size {L.n}")
+    if not core.is_convex_sublattice(L, emb):
+        raise EmbeddingInvalid(f"{sorted(emb)} is not a convex sublattice")
+    pos = {x: i for i, x in enumerate(emb)}
+    inside = set(emb)
+    covers = [
+        (pos[a], pos[b])
+        for a, b in L.covers()
+        if a in inside and b in inside
+    ]
+    try:
+        sub, renum = core.make_lattice_with_map(len(emb), covers)
+    except LatconError as exc:
+        raise EmbeddingInvalid(f"induced covers are not a lattice: {exc}") from exc
+    if renum != tuple(range(len(emb))):
+        raise EmbeddingInvalid(
+            "embedding order is not the canonical numbering of the copy"
+        )
+    return sub
+
+
 def reference_colors(L, con):
     """Each cover's color in ``con``: the position in ``con.theta_cls`` of
     the principal congruence of the cover, by :func:`reference_generated_congruence`."""
@@ -765,8 +809,8 @@ def reference_tied_colors(F, G, phi):
     conR = cg.congruence_lattice(R.lattice)
     psi = bk.ji_of_hom(phi)
     rho = brute_restriction(conR, inner.embedded_f, conF)
-    lift = {rho[conR.index[t.cls]]: q for q, t in enumerate(conR.theta)}
-    thetaF = conF.theta
+    lift = {rho[conR.index[t.cls]]: q for q, t in enumerate(ji_congruences(conR))}
+    thetaF = ji_congruences(conF)
     return [lift[conF.index[thetaF[psi(q)].cls]] for q in range(conG.ji_order.n)]
 
 

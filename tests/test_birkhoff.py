@@ -80,6 +80,13 @@ class TestOnlyValidatedHoms:
         with pytest.raises(TypeError):
             bk.BoundedHom(source=D, target=E, assignment=f)
 
+    def test_call_without_arguments_raises(self):
+        # an instance with no slot set would fail on its first read
+        C = catalog.get("c2")
+        for call in (lambda: bk.BoundedHom(), lambda: bk.BoundedHom(C, C, (0, 1))):
+            with pytest.raises(TypeError, match="^a BoundedHom is built by make_bounded_hom$"):
+                call()
+
     def test_every_builder_keeps_the_pullbacks(self):
         def carried(phi):
             return phi._pulled == tuple(bk._pullbacks(phi.assignment, phi.target))

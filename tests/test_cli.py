@@ -483,6 +483,22 @@ def test_every_public_definition_has_a_caller():
     assert uncalled == []
 
 
+def test_lattices_built_only_through_their_builders():
+    # verify rebuilds its copies only through core.sublattice, and
+    # construction builds lattices only through rectangular: neither
+    # module names a lattice constructor of core
+    builders = {"make_lattice", "make_lattice_with_map"}
+    found = []
+    for stem in ("verify", "construction"):
+        path = Path(latcon.__file__).resolve().parent / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an attribute, a plain name, or an imported or defined one
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name in builders:
+                found.append(f"{stem}:{node.lineno}: {name}")
+    assert found == []
+
+
 def test_hom_slots_stay_in_birkhoff():
     # how a hom stores its validation is birkhoff's decision alone: no
     # other package module reads or writes the slots of a hom or map, as

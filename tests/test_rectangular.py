@@ -90,6 +90,13 @@ class TestGridsAndEyes:
         with pytest.raises(IndexOutOfRange):
             rl.grid_with_eyes(2, 2, [(1, 0)])
 
+    def test_search_keeps_nothing_above_its_bound(self):
+        # each family's loop bounds keep its candidates within max_size
+        for max_size in range(17):
+            kept = catalog.search_rectangular(max_size)
+            assert all(R.n <= max_size for _, R in kept), max_size
+            assert bool(kept) == (max_size >= 4)
+
     def test_m3_from_eyed_square(self):
         R, eye_of = rl.grid_with_eyes(2, 2, [(0, 0)])
         assert R.n == 5

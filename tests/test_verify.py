@@ -2,6 +2,7 @@
 
 import pytest
 
+import helpers
 import lemmas
 from latcon import birkhoff as bk
 from latcon import catalog, core
@@ -187,6 +188,90 @@ class TestRestrictionWitnesses:
             ),
         ]
         assert out.render_text().splitlines()[-1] == "summary: FAIL"
+
+
+def _outputs():
+    """``(verify, L, rep, phi)`` for every output of the A6 filter sweep and
+    every ideal representation of a hom from Con of grid-2x2 or m3 to Con
+    of grid-2x3 or m4."""
+    rect = catalog.rect_catalog()
+    sweep = [rect[name] for name in ("grid-2x2", "m3", "s7")]
+    runs = [(F, G, cn.filter_representation, vf.verify_filter_representation)
+            for F in sweep for G in sweep]
+    runs += [(rect[f], rect[g], cn.ideal_representation, vf.verify_ideal_representation)
+             for f in ("grid-2x2", "m3") for g in ("grid-2x3", "m4")]
+    for F, G, build, check in runs:
+        for phi in bk.enumerate_bounded_homs(
+            cg.congruence_lattice(F.lattice).as_lattice(),
+            cg.congruence_lattice(G.lattice).as_lattice(),
+        ):
+            L, rep = build(F, G, phi)
+            yield check, L.lattice, rep, phi
+
+
+class TestCopiesBySublattice:
+    """The verifier rebuilds each embedded copy with ``core.sublattice``;
+    ``helpers.reference_induced_copy`` is the rebuild it made before."""
+
+    def test_copies_and_reports_match_the_reference_rebuild(self, monkeypatch):
+        outputs = list(_outputs())
+        assert [check for check, *_ in outputs].count(vf.verify_filter_representation) == 34
+        for _, L, rep, _ in outputs:
+            for emb in (rep.embedded_f, rep.embedded_g):
+                K, to_parent, _ = core.sublattice(L, emb)
+                old = helpers.reference_induced_copy(L, emb)
+                assert to_parent == tuple(emb)
+                assert sorted(K.covers()) == old.covers()
+                con, old_con = cg.congruence_lattice(K), cg.congruence_lattice(old)
+                assert con.covers() == old_con.covers()
+                assert con.theta_cls == old_con.theta_cls
+        texts = [check(L, rep.embedded_f, rep.embedded_g, phi).render_text()
+                 for check, L, rep, phi in outputs]
+        monkeypatch.setattr(vf, "_copy", lambda L, emb: (
+            core._element_ids(emb), helpers.reference_induced_copy(L, core._element_ids(emb))
+        ))
+        assert texts == [check(L, rep.embedded_f, rep.embedded_g, phi).render_text()
+                         for check, L, rep, phi in outputs]
+        assert all(text.endswith("summary: PASS") for text in texts)
+
+    def test_numbering_follows_the_listed_order(self):
+        L = S7.lattice
+        assert core.sublattice(L, [0, 2, 1, 4])[1:] == ((0, 2, 1, 4), {0: 0, 2: 1, 1: 2, 4: 3})
+        assert core.sublattice(L, [1, 0, 2, 4])[1] == (0, 1, 2, 4)
+        assert core.sublattice(L, [4, 1, 0, 1, 2, 0])[1] == (0, 1, 2, 4)
+        phi = _hom(S7, S7)
+        with pytest.raises(EmbeddingInvalid, match="^embedding order is not the canonical"):
+            vf.verify_filter_representation(L, [1, 0, 2, 4], range(L.n), phi)
+
+    def test_ascending_intervals_keep_their_numbering(self):
+        checked = 0
+        for _, R in catalog.search_rectangular(12):
+            L = R.lattice
+            for a in range(L.n):
+                for b in L.up(a):
+                    elems = tuple(x for x in L.up(a) if L.leq(x, b))
+                    K, to_parent, to_sub = core.sublattice(L, elems)
+                    assert to_parent == elems and to_sub == {x: i for i, x in enumerate(elems)}
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize(
+        "fault, text",
+        [
+            (lambda emb, L: (), "^empty set is not a sublattice$"),
+            (lambda emb, L: emb + emb[-1:], "^embedding order is not the canonical"),
+            (lambda emb, L: emb[:-1] + (L.n,), "^element {n} out of range for size {n}$"),
+            (lambda emb, L: (0, L.top), r"^\[0, {top}\] is not a convex sublattice$"),
+            (lambda emb, L: emb[::-1], "^embedding order is not the canonical"),
+        ],
+        ids=["empty", "repeated", "out-of-range", "non-convex", "scrambled"],
+    )
+    def test_faulty_embeddings_rejected(self, fault, text):
+        L, rep, phi = _built()
+        L = L.lattice
+        bad = fault(tuple(rep.embedded_g), L)
+        with pytest.raises(EmbeddingInvalid, match=text.format(n=L.n, top=L.top)):
+            vf.verify_filter_representation(L, rep.embedded_f, bad, phi)
 
 
 class TestLemmaSuite:
