@@ -17,12 +17,16 @@ and the join-irreducibles the cover adds, which in a distributive
 lattice is always exactly one.  The spine depends on the lattice alone,
 so it is built once and kept on it.  Only a failed check scans every
 pair, to name the first one broken.
+
+A report costs little beyond its checks: :class:`BrtReport` is a named
+tuple, and a map's injectivity and onto-ness are read off one set of its
+images, once for the hom and once for its dual map.  Calling a map, ``phi(x)``, range-checks ``x`` as ``L.up(x)``
+does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
@@ -45,6 +49,8 @@ class _Map:
     once, by :class:`IsotoneMap` or :func:`make_bounded_hom`, into a
     private slot, and assigning or deleting one raises
     :class:`AttributeError`.  Only this module reads the slots directly.
+    Calling the map checks its argument: an id outside the source, or one
+    that is no integer, raises :class:`ElementOutOfRange`.
     """
 
     __slots__ = ("_source", "_target", "_assignment")
@@ -62,11 +68,17 @@ class _Map:
         return self._assignment
 
     def __call__(self, x: int) -> int:
-        return self._assignment[x]
+        return self._assignment[core._checked_id(x, self._source.n)]
+
+    def _injective_onto(self) -> tuple[bool, bool]:
+        """Whether the map is injective and whether it is onto, both read
+        off one set of its images."""
+        k = len(set(self._assignment))
+        return k == self._source.n, k == self._target.n
 
     @property
     def is_onto(self) -> bool:
-        return len(set(self._assignment)) == self._target.n
+        return self._injective_onto()[1]
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -111,17 +123,20 @@ class IsotoneMap(_Map):
 
     @property
     def is_order_embedding(self) -> bool:
-        """Whether ``x <= y`` iff ``f(x) <= f(y)``, read off the masks.
+        """Whether ``x <= y`` iff ``f(x) <= f(y)``.
 
         An order embedding is injective, as ``f(x) = f(y)`` gives
-        ``x <= y <= x``.  For injective f, the ``y`` with ``f(y)`` in
-        ``↑f(x)`` correspond one-to-one to ``↑f(x) ∩ f(P)``, and, f being
-        isotone, they include ``↑x``; so they are ``↑x`` iff ``|↑x|`` is
-        ``|↑f(x) ∩ f(P)|``.
+        ``x <= y <= x``; an injective f is one iff :meth:`_keeps_up_sizes`.
+        """
+        return self._injective_onto()[0] and self._keeps_up_sizes()
+
+    def _keeps_up_sizes(self) -> bool:
+        """For injective f, whether it is an order embedding, read off the
+        masks.  The ``y`` with ``f(y)`` in ``↑f(x)`` correspond one-to-one
+        to ``↑f(x) ∩ f(P)``, and, f being isotone, they include ``↑x``; so
+        they are ``↑x`` iff ``|↑x|`` is ``|↑f(x) ∩ f(P)|``.
         """
         f = self._assignment
-        if len(set(f)) != len(f):
-            return False
         image = 0
         for e in f:
             image |= 1 << e
@@ -149,7 +164,7 @@ class BoundedHom(_Map):
 
     @property
     def is_injective(self) -> bool:
-        return len(set(self._assignment)) == self._source.n
+        return self._injective_onto()[0]
 
     def __hash__(self) -> int:
         return hash((self._source.n, self._target.n, self._assignment))
@@ -349,9 +364,13 @@ def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> Bound
     return make_bounded_hom(D, E, _isotone_assignment(psi, D, E))
 
 
-@dataclass(frozen=True)
-class BrtReport:
-    """Concrete evaluation of the duality statements on one homomorphism."""
+class BrtReport(NamedTuple):
+    """Concrete evaluation of the duality statements on one homomorphism.
+
+    A named tuple, so immutable: assigning a field raises
+    :class:`AttributeError`.  Like any tuple it equals a plain tuple of the
+    same six values, and it can be indexed and unpacked.
+    """
 
     round_trip_ok: bool
     injective: bool
@@ -386,10 +405,9 @@ def brt_report(phi: BoundedHom) -> BrtReport:
     psi = ji_of_hom(phi)
     f = _isotone_assignment(psi, D, E)
     round_trip_ok = f == phi._assignment
-    injective = phi.is_injective
-    ji_onto = psi.is_onto
-    onto = phi.is_onto
-    ji_embedding = psi.is_order_embedding
+    injective, onto = phi._injective_onto()
+    ji_injective, ji_onto = psi._injective_onto()
+    ji_embedding = ji_injective and psi._keeps_up_sizes()
     witness = None
     if not round_trip_ok:
         make_bounded_hom(D, E, f)  # raises on a non-hom

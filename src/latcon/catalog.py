@@ -14,7 +14,7 @@ import random
 
 from . import congruence as cg, core, rectangular as rl
 from .core import FiniteLattice
-from .errors import LatconError
+from .errors import LatconError, SizeTooSmall
 from .rectangular import RectLattice
 
 S7_COVERS = (
@@ -121,7 +121,9 @@ def search_rectangular(
     lattice with up to one eye.  Each candidate is compared only with the
     kept lattices that share its :func:`core.invariant`.  ``seed`` shuffles
     the returned list; which lattices are kept does not depend on it.
+    A ``max_size`` that is no integer ``>= 0`` raises :class:`SizeTooSmall`.
     """
+    max_size = core._size(max_size, 0, SizeTooSmall, "max_size")
     candidates: list[tuple[str, RectLattice]] = []
     for m in range(2, max_size // 2 + 1):
         for n in range(m, max_size // m + 1):

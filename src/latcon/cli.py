@@ -24,7 +24,7 @@ from . import catalog, congruence as cg, construction as cn, core
 from . import jsonio as jio
 from . import render as rd
 from . import rectangular as rl
-from .errors import LatconError, UpperChainConditionFails, VerificationFailed
+from .errors import LatconError, SizeTooSmall, UpperChainConditionFails, VerificationFailed
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -181,8 +181,12 @@ def cmd_embed_simple(args) -> int:
 
 def cmd_check_ideal(args) -> int:
     if args.search:
+        try:
+            kept = catalog.search_rectangular(args.max_size, args.seed)
+        except SizeTooSmall as exc:
+            raise _InputError(str(exc)) from exc
         witnesses = []
-        for name, R in catalog.search_rectangular(args.max_size, args.seed):
+        for name, R in kept:
             chk = cn.upper_chain_collapse_check(R)
             verdict = "holds" if chk.holds else "fails"
             line = f"{name} (n={R.n}): {verdict}"

@@ -188,7 +188,8 @@ def grid_with_eyes(
     Returns the rectangular lattice and the map from cell coordinates
     (row, column) to the eye's element id.  Cell (i, k) sits above grid
     point (i, k); eyes are placed between the cell's left and right sides
-    in planar order.
+    in planar order.  A cell that is not a pair raises :class:`LatconError`,
+    a coordinate that is no integer :class:`ElementOutOfRange`.
     """
     m = core._size(m, 2, SizeTooSmall, "grid side")
     n = core._size(n, 2, SizeTooSmall, "grid side")
@@ -218,7 +219,12 @@ def grid_with_eyes(
 
     nn = m * n
     temp_eye: dict[tuple[int, int], int] = {}
-    for i, k in eye_cells:
+    for cell in eye_cells:
+        try:
+            i, k = cell
+        except (TypeError, ValueError):
+            raise LatconError(f"eye cell {cell!r} is not a (row, column) pair") from None
+        i, k = core._element_id(i), core._element_id(k)
         if not (0 <= i <= m - 2 and 0 <= k <= n - 2):
             raise IndexOutOfRange(f"cell ({i}, {k}) outside the {m}x{n} grid")
         if (i, k) in temp_eye:

@@ -58,6 +58,20 @@ class TestMakeBoundedHom:
         with pytest.raises(NotDistributive):
             bk.make_bounded_hom(catalog.get("m3"), C2, (0, 1, 1, 1, 1))
 
+    def test_rejects_fresh_non_distributive_lattice(self):
+        # a fresh m3 keeps no verdict yet, and C2 keeps True: the check
+        # must still run on whichever end has none
+        for fresh_source in (True, False):
+            M3 = catalog.m3().lattice
+            assert M3._distributive is None and core.is_distributive(C2)
+            if fresh_source:
+                with pytest.raises(NotDistributive, match="^source lattice is not distributive$"):
+                    bk.make_bounded_hom(M3, C2, (0, 1, 1, 1, 1))
+            else:
+                with pytest.raises(NotDistributive, match="^target lattice is not distributive$"):
+                    bk.make_bounded_hom(C2, M3, (0, 4))
+            assert M3._distributive is False
+
 
 class TestOnlyValidatedHoms:
     """``make_bounded_hom`` is the one way to build a hom, and every hom
@@ -239,6 +253,53 @@ class TestOneSweepPerHom:
             for phi in homs:
                 assert bk.brt_report(phi).ok
             assert sweeps == []
+
+
+class TestBrtReport:
+    """A report is an immutable record of six fields and three derived
+    verdicts."""
+
+    def test_immutable_with_six_fields(self):
+        rep = bk.brt_report(bk.make_bounded_hom(C2SQ, C2, (0, 1, 0, 1)))
+        assert bk.BrtReport._fields == (
+            "round_trip_ok", "injective", "ji_onto", "onto", "ji_embedding", "witness",
+        )
+        for field in bk.BrtReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(rep, field, None)
+        assert repr(rep) == (
+            "BrtReport(round_trip_ok=True, injective=False, ji_onto=False, onto=True, "
+            "ji_embedding=True, witness=None)"
+        )
+        assert bk.BrtReport(True, True, True, True, True).witness is None
+
+    def test_is_a_tuple(self):
+        rep = bk.brt_report(bk.make_bounded_hom(C2SQ, C2, (0, 1, 0, 1)))
+        assert rep == (True, False, False, True, True, None)
+        assert rep[3] is True and len(rep) == 6
+        round_trip_ok, *_, witness = rep
+        assert round_trip_ok is True and witness is None
+
+    def test_properties_on_every_hom(self):
+        total = 0
+        for _, _, homs in _duality_pairs():
+            for phi in homs:
+                rep = bk.brt_report(phi)
+                psi = bk.ji_of_hom(phi)
+                assert (rep.injective, rep.onto) == (phi.is_injective, phi.is_onto)
+                assert (rep.ji_onto, rep.ji_embedding) == (psi.is_onto, psi.is_order_embedding)
+                assert rep.injective_iff_onto is (rep.injective == rep.ji_onto) is True
+                assert rep.onto_iff_embedding is (rep.onto == rep.ji_embedding) is True
+                assert rep.ok is True and rep.round_trip_ok is True and rep.witness is None
+                total += 1
+        assert total == 2_909
+
+    def test_properties_see_each_broken_statement(self):
+        assert not bk.BrtReport(False, True, True, True, True).ok
+        rep = bk.BrtReport(True, True, False, True, True)
+        assert not rep.injective_iff_onto and rep.onto_iff_embedding and not rep.ok
+        rep = bk.BrtReport(True, True, True, False, True)
+        assert rep.injective_iff_onto and not rep.onto_iff_embedding and not rep.ok
 
 
 class TestRoundTripStillChecked:
