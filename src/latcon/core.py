@@ -257,22 +257,17 @@ class FiniteLattice(_Order):
     ids form a linear extension: ``x <= y`` implies ``x``'s id is not larger,
     ``0`` is the bottom and ``n-1`` the top.
 
-    Four slots are derived data, each set lazily on first use and then
-    kept: ``_con``, the congruence lattice; ``_ji``, the join-irreducible
-    poset; ``_distributive``, the verdict of :func:`is_distributive`; and
-    ``_spine``, the walk along first lower covers that ``birkhoff`` builds
-    homomorphisms on (see ``birkhoff._spine``).
+    A lattice stores only its order: the up- and down-set masks and the
+    ordered cover rows.  Heights, depths and cover masks are derived per
+    call by the few readers that need them.  Four slots are derived data,
+    each set lazily on first use and then kept: ``_con``, the congruence
+    lattice; ``_ji``, the join-irreducible poset; ``_distributive``, the
+    verdict of :func:`is_distributive`; and ``_spine``, the walk along
+    first lower covers that ``birkhoff`` builds homomorphisms on (see
+    ``birkhoff._spine``).
     """
 
-    __slots__ = (
-        "_covup",
-        "_height",
-        "_depth",
-        "_con",
-        "_ji",
-        "_distributive",
-        "_spine",
-    )
+    __slots__ = ("_con", "_ji", "_distributive", "_spine")
 
     def __init__(
         self,
@@ -281,22 +276,12 @@ class FiniteLattice(_Order):
         down: list[int],
         upper: list[tuple[int, ...]],
         lower: list[tuple[int, ...]],
-        height: list[int],
-        depth: list[int],
     ):
         self.n = n
         self._up = up
         self._down = down
         self._upper = upper
         self._lower = lower
-        self._covup = [0] * n
-        for x in range(n):
-            m = 0
-            for y in upper[x]:
-                m |= 1 << y
-            self._covup[x] = m
-        self._height = height
-        self._depth = depth
         self._con = None  # congruence-lattice cache, set lazily
         self._ji = None  # join-irreducible poset, set lazily
         self._distributive = None  # is_distributive's verdict, set lazily
@@ -313,7 +298,8 @@ class FiniteLattice(_Order):
         return self.n - 1
 
     def is_cover(self, x: int, y: int) -> bool:
-        return bool(self._covup[x] >> y & 1)
+        x = _checked_id(x, self.n)
+        return _checked_id(y, self.n) in self._upper[x]
 
     def up_mask(self, x: int) -> int:
         return self._up[x]
@@ -325,8 +311,10 @@ class FiniteLattice(_Order):
         return self._upper[0]
 
     def height(self, x: int) -> int:
-        """Length of a longest chain from the bottom to ``x``."""
-        return self._height[x]
+        """Length of a longest chain from the bottom to ``x``.  Nothing is
+        kept, so each call costs O(n + covers)."""
+        x = _checked_id(x, self.n)
+        return _heights(self)[0][x]
 
     # -- algebra -----------------------------------------------------------
 
@@ -471,16 +459,7 @@ def make_lattice_with_map(
     upper = _ordered(upper_order, succ, "upper_order")
     lower = _ordered(lower_order, pred, "lower_order")
 
-    height = [0] * n
-    for x in range(n):
-        if pred[x]:
-            height[x] = 1 + max(height[y] for y in pred[x])
-    depth = [0] * n
-    for x in range(n - 1, -1, -1):
-        if succ[x]:
-            depth[x] = 1 + max(depth[y] for y in succ[x])
-
-    lat = FiniteLattice(n, up, down, upper, lower, height, depth)
+    lat = FiniteLattice(n, up, down, upper, lower)
     return lat, tuple(new_id)
 
 
@@ -571,10 +550,12 @@ def is_semimodular(L: FiniteLattice) -> bool:
     Tested by Birkhoff's condition, which is equivalent in a lattice of
     finite length (G. Gratzer, *Lattice Theory: Foundation*, the section on
     semimodular lattices): whenever ``a != b`` both cover ``c``, ``a \\/ b``
-    covers both ``a`` and ``b``.  Costs the sum over ``c`` of the squared
-    number of upper covers of ``c``.
+    covers both ``a`` and ``b``.  Costs one upper-cover mask per element,
+    built here since the lattice keeps none, plus the sum over ``c`` of the
+    squared number of upper covers of ``c``.
     """
-    up, covup = L._up, L._covup
+    up = L._up
+    covup = [sum(1 << y for y in ups) for ups in L._upper]
     for ups in L._upper:
         for i, a in enumerate(ups):
             ua, ca = up[a], covup[a]
@@ -696,22 +677,38 @@ def downsets(P: Poset) -> list[int]:
     return out
 
 
-def _signature(L: FiniteLattice, x: int) -> tuple[int, int, int, int, int, int]:
-    return (
-        L._height[x],
-        L._depth[x],
-        len(L._upper[x]),
-        len(L._lower[x]),
-        bin(L._up[x]).count("1"),
-        bin(L._down[x]).count("1"),
-    )
+def _heights(L: FiniteLattice) -> tuple[list[int], list[int]]:
+    """Each element's height and depth, the lengths of longest chains from
+    the bottom to it and from it to the top.  Ids form a linear extension
+    with ``0`` the only bottom and ``n-1`` the only top, so one pass over
+    the lower covers in id order and one over the upper covers in reverse
+    give both, in O(n + covers)."""
+    n, lower, upper = L.n, L._lower, L._upper
+    height, depth = [0] * n, [0] * n
+    get = height.__getitem__
+    for x in range(1, n):
+        height[x] = 1 + max(map(get, lower[x]))
+    get = depth.__getitem__
+    for x in range(n - 2, -1, -1):
+        depth[x] = 1 + max(map(get, upper[x]))
+    return height, depth
+
+
+def _signatures(L: FiniteLattice) -> list[tuple[int, int, int, int, int, int]]:
+    """Per element: height, depth, cover counts, up- and down-set sizes."""
+    height, depth = _heights(L)
+    return [
+        (h, d, len(u), len(lo), m.bit_count(), w.bit_count())
+        for h, d, u, lo, m, w in zip(height, depth, L._upper, L._lower, L._up, L._down)
+    ]
 
 
 def invariant(L: FiniteLattice) -> tuple:
     """The sorted multiset of element signatures (heights, degrees, up- and
     down-set sizes).  Isomorphic lattices share it, and
-    :func:`find_isomorphism` rejects every pair whose invariants differ."""
-    return tuple(sorted(_signature(L, x) for x in range(L.n)))
+    :func:`find_isomorphism` rejects every pair whose invariants differ.
+    Computed per call, in O(n + covers)."""
+    return tuple(sorted(_signatures(L)))
 
 
 def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
@@ -723,13 +720,13 @@ def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
     explicit stack, so its depth is bounded by memory, not by the recursion
     limit.
     """
-    if invariant(A) != invariant(B):
+    sig_a, sig_b = _signatures(A), _signatures(B)
+    if sorted(sig_a) != sorted(sig_b):
         return None
     n = A.n
-    sig_a = [_signature(A, x) for x in range(n)]
     buckets: dict[tuple, list[int]] = {}
-    for y in range(n):
-        buckets.setdefault(_signature(B, y), []).append(y)
+    for y, s in enumerate(sig_b):
+        buckets.setdefault(s, []).append(y)
 
     fwd: list[int] = [-1] * n
     used = [False] * n

@@ -257,21 +257,23 @@ def grid(m: int, n: int) -> RectLattice:
 def cells(R: RectLattice) -> list[Cell]:
     """All cells of R, ordered by (bottom, top)."""
     L = R.lattice
+    up, down, upper = L._up, L._down, L._upper
     eye_set = set(R.eyes)
     out = []
     for b in range(L.n):
-        if len(L.upper_covers(b)) < 2:
+        ups = upper[b]
+        if len(ups) < 2:
             continue
-        for t in L.up(b):
-            if t == b or L.is_cover(b, t):
+        for t in core._bits(up[b]):
+            if t == b or t in ups:
                 continue
-            inter = L.up_mask(b) & L.down_mask(t) & ~(1 << b) & ~(1 << t)
+            inter = up[b] & down[t] & ~(1 << b) & ~(1 << t)
             if inter.bit_count() < 2:
                 continue
             mids = core._bits(inter)
-            if all(L.is_cover(b, x) and L.is_cover(x, t) for x in mids):
+            if all(x in ups and t in upper[x] for x in mids):
                 mid_set = set(mids)
-                ordered = [u for u in L.upper_covers(b) if u in mid_set]
+                ordered = [u for u in ups if u in mid_set]
                 middles = tuple(ordered[1:-1])
                 if not set(middles) <= eye_set:
                     raise PostconditionFailed(f"a middle of the cell ({b}, {t}) is not an eye")

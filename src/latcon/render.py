@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteLattice
+from .core import FiniteLattice, _heights
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ def steep_edges(L: FiniteLattice) -> frozenset:
 
 def render_spec(L: FiniteLattice) -> RenderSpec:
     levels: dict[int, list[int]] = {}
-    for x in range(L.n):
-        levels.setdefault(L.height(x), []).append(x)
+    for x, h in enumerate(_heights(L)[0]):
+        levels.setdefault(h, []).append(x)
     coords: dict[int, tuple[float, float]] = {}
     for lvl in sorted(levels):
         members = levels[lvl]

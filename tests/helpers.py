@@ -26,7 +26,9 @@ filled n-by-n meet and join tables;
 :func:`reference_induced_copy`, the verifier's own rebuild of an embedded
 copy from the ambient covers;
 :func:`brute_is_semimodular`, the scan of every pair against the
-definition; :func:`reference_is_convex_sublattice`, closure under meet,
+definition; :func:`brute_heights`, longest chains relaxed over every
+strict pair of the masks; :func:`reference_cells`, the cell scan through
+the checked ``is_cover``; :func:`reference_is_convex_sublattice`, closure under meet,
 join and intervals tested pair by pair; and
 :func:`reference_triple_glue` with :func:`reference_triple_glue_congruence`,
 the triple gluing built and extended through three pairwise gluings
@@ -441,6 +443,44 @@ def brute_is_semimodular(L):
     return True
 
 
+def brute_heights(L):
+    """Heights and depths, the lengths of longest chains from the bottom to
+    each element and from each element to the top, relaxed over every
+    strict pair of the up-set masks until nothing changes; neither the id
+    order nor the cover rows are used."""
+    n = L.n
+    height, depth = [0] * n, [0] * n
+    above = [(x, y) for x in range(n) for y in range(n) if x != y and L.up_mask(x) >> y & 1]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in above:
+            if height[y] <= height[x]:
+                height[y] = height[x] + 1
+                changed = True
+            if depth[x] <= depth[y]:
+                depth[x] = depth[y] + 1
+                changed = True
+    return height, depth
+
+
+def reference_cells(R):
+    """All cells of R, ordered by (bottom, top): intervals ``[b, t]`` of
+    length 2 whose inner elements all cover ``b`` and are covered by
+    ``t``, scanned through the public, checked ``is_cover``."""
+    L = R.lattice
+    out = []
+    for b in range(L.n):
+        for t in L.up(b):
+            mids = [x for x in L.up(b) if x not in (b, t) and L.leq(x, t)]
+            if len(mids) < 2 or L.is_cover(b, t):
+                continue
+            if all(L.is_cover(b, x) and L.is_cover(x, t) for x in mids):
+                ordered = [u for u in L.upper_covers(b) if u in mids]
+                out.append(rl.Cell(b, t, ordered[0], ordered[-1], tuple(ordered[1:-1])))
+    return sorted(out, key=lambda c: (c.bottom, c.top))
+
+
 def reference_is_convex_sublattice(L, S):
     """Whether S is closed under meet and join and holds every interval
     between two of its members, pair by pair; same errors as
@@ -703,10 +743,10 @@ def reference_find_isomorphism(A, B):
     if core.invariant(A) != core.invariant(B):
         return None
     n = A.n
-    sig_a = [core._signature(A, x) for x in range(n)]
+    sig_a = core._signatures(A)
     buckets = {}
-    for y in range(n):
-        buckets.setdefault(core._signature(B, y), []).append(y)
+    for y, s in enumerate(core._signatures(B)):
+        buckets.setdefault(s, []).append(y)
     fwd = [-1] * n
     used = [False] * n
 

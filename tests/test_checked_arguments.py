@@ -1,8 +1,13 @@
-"""Bad arguments to a map call, to ``grid_with_eyes`` and to
-``search_rectangular`` fail as named ``LatconError``s, never as a silent
-wrong answer or a bare ``IndexError``/``TypeError``."""
+"""Bad arguments to a map call, to ``FiniteLattice.is_cover`` and
+``height``, to ``grid_with_eyes`` and to ``search_rectangular`` fail as
+named ``LatconError``s, never as a silent wrong answer or a bare
+``IndexError``/``TypeError``/``ValueError``."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,7 @@ from latcon.cli import main
 from latcon.errors import ElementOutOfRange, IndexOutOfRange, LatconError, SizeTooSmall
 
 C3SQ = catalog.get("c3xc3")
+G33 = rl.grid(3, 3).lattice
 
 
 def _phi():
@@ -25,7 +31,27 @@ def _psi():
     return bk.ji_of_hom(_phi())
 
 
-ROWS = [
+# each used to return a wrong answer or raise a bare error on grid-3x3
+ID_ROWS = [
+    ("is_cover(7, -1)", lambda: G33.is_cover(7, -1), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("is_cover(0, 99)", lambda: G33.is_cover(0, 99), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("is_cover(-1, 8)", lambda: G33.is_cover(-1, 8), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("is_cover(99, 0)", lambda: G33.is_cover(99, 0), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("is_cover(0, 1.5)", lambda: G33.is_cover(0, 1.5), ElementOutOfRange,
+     "element id 1.5 is not an integer"),
+    ("height(-1)", lambda: G33.height(-1), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("height(99)", lambda: G33.height(99), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("height(1.5)", lambda: G33.height(1.5), ElementOutOfRange,
+     "element id 1.5 is not an integer"),
+]
+
+ROWS = ID_ROWS + [
     # a negative id used to wrap round to the last element's image
     ("phi(-1)", lambda: _phi()(-1), ElementOutOfRange, "element -1 out of range for size 9"),
     ("psi(-1)", lambda: _psi()(-1), ElementOutOfRange, "element -1 out of range for size 4"),
@@ -53,7 +79,28 @@ def test_bad_argument_is_named(call, error, text):
         call()
 
 
+def test_id_checks_run_under_optimize():
+    # a check written as ``assert`` would vanish under ``python -O``
+    code = (
+        "import test_checked_arguments as t\n"
+        "for _, call, error, _ in t.ID_ROWS:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error as e:\n"
+        "        print(e)\n"
+    )
+    src = Path(rl.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [row[3] for row in ID_ROWS]
+
+
 def test_good_arguments_unchanged():
+    assert [G33.height(x) for x in range(9)] == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+    assert G33.is_cover(0, 1) and not G33.is_cover(1, 0) and not G33.is_cover(0, 8)
     phi, psi = _phi(), _psi()
     assert [phi(x) for x in range(C3SQ.n)] == list(phi.assignment)
     assert [psi(x) for x in range(psi.source.n)] == list(psi.assignment)

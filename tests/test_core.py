@@ -1,5 +1,6 @@
 """Lattice construction, canonical numbering, and order arithmetic."""
 
+import functools
 import random
 import re
 import tracemalloc
@@ -653,6 +654,64 @@ class TestSemimodularity:
         verdicts = self._agree(drawn + [_order_dual(L) for L in drawn])
         assert verdicts[:300].count(False) > 100
         assert 0 < verdicts[300:].count(False) < 300
+
+
+    def test_catalog_verdicts_frozen(self):
+        # n5 is the only catalog lattice that is not semimodular
+        names = lemmas.names()
+        assert [n for n in names if not core.is_semimodular(catalog.get(n))] == ["n5"]
+        assert core.is_semimodular(catalog.stacked_m3())
+
+
+@functools.cache
+def _catalog_and_search16():
+    return [catalog.get(name) for name in lemmas.names()] + [
+        R.lattice for _, R in catalog.search_rectangular(16)
+    ]
+
+
+class TestDerivedPerCall:
+    """A lattice stores only its order; heights, depths, the invariant and
+    cover tests are derived per call and checked against oracles."""
+
+    def test_storage_is_the_order_and_four_lazy_caches(self):
+        # an eager per-element table would add a slot here
+        L = s7()
+        slots = {s for cls in type(L).__mro__ for s in getattr(cls, "__slots__", ())}
+        assert slots == {
+            "n", "_up", "_down", "_upper", "_lower",
+            "_con", "_ji", "_distributive", "_spine",
+        }
+        assert not hasattr(L, "__dict__")
+
+    def test_heights_match_longest_chains(self):
+        for L in _catalog_and_search16():
+            height, depth = helpers.brute_heights(L)
+            assert core._heights(L) == (height, depth)
+            assert [L.height(x) for x in range(L.n)] == height
+
+    def test_invariant_matches_longest_chain_oracle(self):
+        for L in _catalog_and_search16():
+            height, depth = helpers.brute_heights(L)
+            want = tuple(sorted(
+                (
+                    height[x],
+                    depth[x],
+                    len(L.upper_covers(x)),
+                    len(L.lower_covers(x)),
+                    bin(L.up_mask(x)).count("1"),
+                    bin(L.down_mask(x)).count("1"),
+                )
+                for x in range(L.n)
+            ))
+            assert core.invariant(L) == want
+
+    def test_is_cover_matches_cover_list(self):
+        for L in _catalog_and_search16():
+            covers = set(L.covers())
+            assert {
+                (x, y) for x in range(L.n) for y in range(L.n) if L.is_cover(x, y)
+            } == covers
 
 
 class TestJoinIrreduciblePoset:

@@ -122,6 +122,12 @@ class TestGridsAndEyes:
         with pytest.raises(NotACell):
             rl.insert_eye(rl.grid(2, 2), rl.cells(rl.grid(3, 3))[1])
 
+    def test_cells_match_checked_cover_scan(self):
+        found = catalog.search_rectangular(16)
+        assert sum(len(rl.cells(R)) for _, R in found) > len(found)
+        for _, R in found:
+            assert rl.cells(R) == helpers.reference_cells(R)
+
     def test_eye_middles_listed_in_cells(self):
         R, eye_of = rl.grid_with_eyes(2, 3, [(0, 1)])
         eyed = [c for c in rl.cells(R) if c.middles]
