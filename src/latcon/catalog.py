@@ -31,10 +31,10 @@ def diamond(k: int) -> RectLattice:
     """Bottom, ``k`` atoms, top; the two outer atoms are the corners."""
     if k < 3:
         raise LatconError("a diamond needs at least three atoms")
-    covers = [(0, a) for a in range(1, k + 1)] + [(a, k + 1) for a in range(1, k + 1)]
-    upper = {0: list(range(1, k + 1))}
-    lower = {k + 1: list(range(1, k + 1))}
-    return rl.make_rectangular(core.make_lattice(k + 2, covers, upper, lower))
+    atoms = list(range(1, k + 1))
+    upper = [atoms] + [[k + 1]] * k + [[]]
+    lower = [[]] + [[0]] * k + [atoms]
+    return rl.make_rectangular(core.make_lattice(k + 2, None, upper, lower))
 
 
 def m4() -> RectLattice:

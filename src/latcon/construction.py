@@ -277,7 +277,7 @@ def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     P = con.ji_order
     atom_misses = tuple(
         cg.Congruence(G.lattice, con.theta_cls[p])
-        for p in range(P.n) if not P.lower_covers(p) and p not in upper
+        for p in range(P.n) if not P._lower[p] and p not in upper
     )
     return ChainCollapseReport(not atom_misses, atom_misses)
 

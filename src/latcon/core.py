@@ -17,7 +17,9 @@ transformations so the planar modules can use it.
 from __future__ import annotations
 
 import heapq
-from operator import index as _index
+from collections.abc import Mapping
+from itertools import chain as _chain, starmap
+from operator import contains, eq, index as _index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -92,34 +94,68 @@ def _size(n, least: int, error: type[Exception], what: str) -> int:
     raise error(f"{what} must be an integer >= {least}, got {n!r}")
 
 
-def _sort(n: int, covers: Iterable[tuple[int, int]]):
-    """Validate a cover relation on ``0..n-1`` and sort it topologically.
+def _id_rows(rows: Sequence[Sequence]) -> Sequence[Sequence[int]]:
+    """``rows`` with every entry an ``int``: the rows themselves when each
+    entry already is one, else each row converted by one ``map`` of
+    ``operator.index``; on failure the rows are read again with
+    :func:`_element_id`, which names the first entry that is no integer."""
+    if not set(map(type, rows)) <= {tuple, list}:
+        rows = list(map(tuple, rows))  # a row of another kind may be read once only
+    if set(map(type, _chain.from_iterable(rows))) <= {int}:
+        return rows
+    try:
+        return [tuple(map(_index, r)) for r in rows]
+    except TypeError:
+        return [tuple(map(_element_id, r)) for r in rows]
 
-    Returns ``(covers, order, succ, pred)`` in the input's ids: ``covers``
-    as int pairs, ``order`` Kahn's topological order with a min-heap
-    tie-break and ``succ``/``pred`` the upper/lower cover lists.  On input
-    whose numbering is already a linear extension ``order`` is ``0..n-1``:
-    the smallest unprocessed id always has all predecessors processed, so
-    it is on the heap when its turn comes.  Raises
-    :class:`ElementOutOfRange`, :class:`NotReduced` (duplicates) or
-    :class:`Cyclic`.
-    """
-    covers = [(_element_id(a), _element_id(b)) for a, b in covers]
-    for a, b in covers:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
-        if a == b:
-            raise Cyclic(f"self-loop at element {a}")
-    if len(set(covers)) != len(covers):
+
+def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
+    """Upper cover rows on ``0..n-1`` with int entries, from the pairs
+    ``covers`` or, when it is ``None``, from ``rows``; and the pairs in
+    their order, to be read once.  Bulk checks find a bad cover; only then
+    are the pairs read one by one, to raise :class:`ElementOutOfRange` or
+    :class:`Cyclic` (a self-loop) at the first."""
+    if covers is None:
+        if rows is None or isinstance(rows, Mapping) or len(rows) != n:
+            raise InvalidLattice(f"without covers, upper_order must be {n} rows, one per element")
+        succ = _id_rows(rows)
+        pairs = ((a, b) for a, row in enumerate(succ) for b in row)
+        ids = list(_chain.from_iterable(succ))
+        loops = any(map(contains, succ, range(n)))
+    else:
+        ids = _element_ids(_chain.from_iterable([(a, b) for a, b in covers]))
+        pairs = list(zip(ids[0::2], ids[1::2]))
+        loops = any(starmap(eq, pairs))
+    if ids and (min(ids) < 0 or max(ids) >= n) or loops:
+        for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
+            if a == b:
+                raise Cyclic(f"self-loop at element {a}")
+    if covers is not None:
+        succ = [[] for _ in range(n)]
+        for a, b in pairs:
+            succ[a].append(b)
+    return succ, pairs
+
+
+def _sort(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int] | None]:
+    """The lower cover rows of the upper cover rows ``succ``, ascending, and
+    Kahn's topological order with a min-heap tie-break, or ``None`` when
+    every cover goes up in id.  Kahn's order is then ``0..n-1``: the
+    smallest unprocessed id always has all predecessors processed, so it is
+    on the heap when its turn comes.  Raises :class:`NotReduced` if a cover
+    is given twice, then :class:`Cyclic`."""
+    if sum(map(len, map(set, succ))) != sum(map(len, succ)):
         raise NotReduced("duplicate cover pair")
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for a, b in covers:
-        succ[a].append(b)
-        pred[b].append(a)
-    indeg = [len(p) for p in pred]
-    heap = [x for x in range(n) if indeg[x] == 0]
-    heapq.heapify(heap)
+    pred: list[list[int]] = [[] for _ in succ]
+    for a, row in enumerate(succ):
+        for b in row:
+            pred[b].append(a)
+    if all(r[-1] < b for b, r in enumerate(pred) if r):
+        return pred, None
+    indeg = list(map(len, pred))
+    heap = [x for x, d in enumerate(indeg) if not d]  # ascending, so a heap
     order = []
     while heap:
         x = heapq.heappop(heap)
@@ -128,34 +164,44 @@ def _sort(n: int, covers: Iterable[tuple[int, int]]):
             indeg[y] -= 1
             if indeg[y] == 0:
                 heapq.heappush(heap, y)
-    if len(order) < n:
+    if len(order) < len(succ):
         raise Cyclic("cover relation contains a directed cycle")
-    return covers, order, succ, pred
+    return pred, order
 
 
-def _close(covers, order, succ, pred, name: Sequence[int]):
-    """Up- and down-set bitmasks of the order generated by ``covers``, with
-    ``order`` a topological order of the ids and ``succ``/``pred`` the
-    cover lists.  Raises :class:`NotReduced` at the first cover implied by
-    transitivity; the text calls element ``x`` ``name[x]``."""
+def _close(order, succ, pred, pairs, new_id: Sequence[int], name: Sequence[int]):
+    """Up- and down-set bitmasks of the order the cover rows ``succ`` and
+    ``pred`` generate, ``order`` a topological order of their ids.
+
+    Raises :class:`NotReduced` at the first of ``pairs`` implied by
+    transitivity; a pair's ids ``a`` are ``new_id[a]`` in the rows, and the
+    text calls a row id ``i`` ``name[i]``.  A cover ``(x, y)`` is implied
+    exactly when ``y`` lies strictly above another upper cover of ``x``, so
+    one mask test per row finds whether any is, and only then are the
+    pairs read."""
     up = [0] * len(order)
+    implied = 0
     for x in reversed(order):
-        m = 1 << x
+        row = far = 0
         for y in succ[x]:
-            m |= up[y]
-        up[x] = m
+            b = 1 << y
+            row |= b
+            far |= up[y] ^ b  # strictly above y
+        implied |= row & far
+        up[x] = row | far | 1 << x
     down = [0] * len(order)
     for x in order:
         m = 1 << x
         for y in pred[x]:
             m |= down[y]
         down[x] = m
-    for a, b in covers:
-        between = up[a] & down[b] & ~(1 << a) & ~(1 << b)
+    for a, b in pairs if implied else ():
+        x, y = new_id[a], new_id[b]
+        between = up[x] & down[y] & ~(1 << x) & ~(1 << y)
         if between:
             raise NotReduced(
-                f"cover ({name[a]}, {name[b]}) is implied by transitivity through"
-                f" {_listed(sorted(name[x] for x in _bits(between)))}"
+                f"cover ({a}, {b}) is implied by transitivity through"
+                f" {_listed(sorted(name[i] for i in _bits(between)))}"
             )
     return up, down
 
@@ -195,10 +241,10 @@ class _Order:
         return _bits(self._down[_checked_id(x, self.n)])
 
     def upper_covers(self, x: int) -> tuple[int, ...]:
-        return self._upper[x]
+        return self._upper[_checked_id(x, self.n)]
 
     def lower_covers(self, x: int) -> tuple[int, ...]:
-        return self._lower[x]
+        return self._lower[_checked_id(x, self.n)]
 
     def covers(self) -> list[tuple[int, int]]:
         return [(x, y) for x in range(self.n) for y in self._upper[x]]
@@ -221,8 +267,9 @@ class Poset(_Order):
         labels: Sequence[object] | None = None,
     ):
         n = _size(n, 0, ZeroSize, "poset size")
-        covers, order, succ, pred = _sort(n, covers)
-        up, down = _close(covers, order, succ, pred, range(n))
+        succ, pairs = _cover_rows(n, covers, None)
+        pred, order = _sort(succ)
+        up, down = _close(order or range(n), succ, pred, pairs, range(n), range(n))
         self.n = n
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
@@ -230,7 +277,7 @@ class Poset(_Order):
         self._up = up
         self._down = down
         self._upper = [tuple(sorted(s)) for s in succ]
-        self._lower = [tuple(sorted(p)) for p in pred]
+        self._lower = list(map(tuple, pred))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -343,7 +390,7 @@ class FiniteLattice(_Order):
     # -- irreducibility ----------------------------------------------------
 
     def is_doubly_irreducible(self, x: int) -> bool:
-        return len(self._lower[x]) == 1 and len(self._upper[x]) == 1
+        return len(self.lower_covers(x)) == 1 == len(self.upper_covers(x))
 
     def ji_elements(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.n) if len(self._lower[x]) == 1)
@@ -364,9 +411,9 @@ class FiniteLattice(_Order):
 
 def make_lattice_with_map(
     size: int,
-    covers: Iterable[tuple[int, int]],
-    upper_order: dict[int, Sequence[int]] | None = None,
-    lower_order: dict[int, Sequence[int]] | None = None,
+    covers: Iterable[tuple[int, int]] | None,
+    upper_order: Mapping[int, Sequence[int]] | Sequence[Sequence[int]] | None = None,
+    lower_order: Mapping[int, Sequence[int]] | Sequence[Sequence[int]] | None = None,
 ) -> tuple[FiniteLattice, tuple[int, ...]]:
     """Validate and build a lattice, returning it with the renumbering map.
 
@@ -374,9 +421,42 @@ def make_lattice_with_map(
     identities through canonicalization use this; everyone else calls
     :func:`make_lattice`.
 
-    Input not numbered along a linear extension is renumbered along Kahn's
-    order before the order is closed, so the masks are closed once.  Then
-    only the joins ``x \\/ p`` with ``p`` join-irreducible (one lower
+    The order comes in one of two forms.  In the cover-pair form ``covers``
+    lists the cover pairs, and ``upper_order``/``lower_order`` may fix the
+    left-to-right order of some elements' covers, as a mapping from an
+    element to its row or as a sequence of rows, read as the mapping from
+    each position to its row; a row left open is sorted ascending in the
+    final ids.  In the row form ``covers``
+    is ``None`` and ``upper_order`` is a sequence of one row of upper covers
+    per element, in planar order: the covers are the pairs the rows give.
+    The planar constructors hold their rows anyway and use the row form.
+    The cover pairs become rows at once, and both forms run the same
+    checks, in this order:
+
+    - the ids: one pass of ``type`` over all entries, and only if some
+      entry is no ``int`` one ``map`` of ``operator.index`` per row; the
+      range by ``min``/``max``; self-loops by one ``map`` of ``contains``.
+      Only a failure reads the covers one by one, to name the first bad
+      one (:class:`ElementOutOfRange`, :class:`Cyclic`);
+    - a repeated cover, as a row longer than its set (:class:`NotReduced`);
+    - the lower cover rows, derived from the upper ones in one pass over
+      the covers; if every cover goes up in id the order is ``0..n-1``,
+      else Kahn's with a min-heap tie-break (:class:`Cyclic`);
+    - ``upper_order`` and ``lower_order``: their ids, as above, and that
+      each row is a permutation of its element's covers, by one
+      ``map(sorted)`` and one comparison with the sorted computed rows.  A
+      fault is held and raised after the lattice checks, as it always
+      was; valid rows stand in for the computed ones from here on;
+    - each row is renumbered once, the masks are closed once, and one mask
+      test per row finds a cover implied by transitivity
+      (:class:`NotReduced`, naming the first such cover in input order);
+    - a unique bottom and top, and the joins below (:class:`NotALattice`).
+
+    Only deriving the lower rows, Kahn's order (when it runs), the closure
+    and the join test loop over covers in Python; the other checks are
+    C-level passes over the rows.
+
+    Only the joins ``x \\/ p`` with ``p`` join-irreducible (one lower
     cover) and ``x`` incomparable to ``p`` are checked, by the claim: a
     finite poset with a unique bottom and top, numbered along a linear
     extension, is a lattice iff ``x \\/ p`` exists for every ``x`` and every
@@ -393,29 +473,58 @@ def make_lattice_with_map(
     test per incomparable pair ``(x, p)``, not a table of n² joins.
     """
     n = _size(size, 1, ZeroSize, "lattice size")
-    covers, order, succ, pred = _sort(n, covers)
-    new_id = [0] * n
-    for pos, old in enumerate(order):
-        new_id[old] = pos
-    if order != list(range(n)):
-        # renumber along the linear extension; the relation is already valid
-        covers = [(new_id[a], new_id[b]) for a, b in covers]
-        succ = [[new_id[b] for b in succ[a]] for a in order]
-        pred = [[new_id[b] for b in pred[a]] for a in order]
-    up, down = _close(covers, range(n), succ, pred, order)
+    succ, pairs = _cover_rows(n, covers, upper_order)
+    pred, kahn = _sort(succ)
+    order = kahn or range(n)
+    new_id = sorted(range(n), key=order.__getitem__)
 
-    bottoms = [x for x in range(n) if not pred[x]]
-    tops = [x for x in range(n) if not succ[x]]
-    if len(bottoms) != 1:
-        raise NotALattice(
-            f"no unique bottom: minimal elements {_listed(order[x] for x in bottoms)}"
-        )
-    if len(tops) != 1:
-        raise NotALattice(f"no unique top: maximal elements {_listed(order[x] for x in tops)}")
+    def fixed(spec, kind: str, computed):
+        """The rows of one side in the input's ids: ``spec``'s where it fixes
+        them, else ``computed``'s, sorted as the final ids will be; and the
+        fault of ``spec``, held to be raised after the lattice checks."""
+        if spec is not None:
+            want = pred if computed is pred else list(map(sorted, computed))
+            plain = not isinstance(spec, Mapping) and set(map(type, spec)) <= {tuple, list}
+            if (plain and len(spec) == n and set(map(type, _chain.from_iterable(spec))) <= {int}
+                    and list(map(sorted, spec)) == want):
+                return spec, None  # the rows the planar constructors hand over
+        rows = [sorted(r, key=new_id.__getitem__) for r in computed]
+        if spec is None:
+            return rows, None
+        try:  # a sequence of rows is read as the mapping from each position to its row
+            items = spec.items() if isinstance(spec, Mapping) else enumerate(spec)
+            given = {r[0]: r[1:] for r in _id_rows([(k, *r) for k, r in items])}  # read once
+            ids = [e for k, r in given.items() for e in (k, *r)]
+            if ids and (min(ids) < 0 or max(ids) >= n):
+                far = next(e for e in ids if not 0 <= e < n)
+                raise ElementOutOfRange(f"{kind} names element {far}, out of range for size {n}")
+            for k, r in given.items():
+                rows[k] = r
+            if list(map(sorted, rows)) != want:
+                x = next(x for x in order if sorted(rows[x]) != want[x])
+                raise InvalidLattice(f"{kind} for element {x} is not a permutation of its covers")
+        except (ElementOutOfRange, InvalidLattice) as e:
+            return computed, e
+        return rows, None
+
+    upper, up_fault = (succ, None) if covers is None else fixed(upper_order, "upper_order", succ)
+    lower, low_fault = fixed(lower_order, "lower_order", pred)
+    if kahn is None:
+        upper, lower = list(map(tuple, upper)), list(map(tuple, lower))
+    else:
+        get = new_id.__getitem__
+        upper = [tuple(map(get, upper[old])) for old in order]
+        lower = [tuple(map(get, lower[old])) for old in order]
+    up, down = _close(range(n), upper, lower, pairs, new_id, order)
+
+    for rows, kind in ((lower, "bottom: minimal"), (upper, "top: maximal")):
+        if rows.count(()) != 1:
+            ends = (order[x] for x in range(n) if not rows[x])
+            raise NotALattice(f"no unique {kind} elements {_listed(ends)}")
 
     everything = (1 << n) - 1
     for p in range(n):
-        if len(pred[p]) != 1:
+        if len(lower[p]) != 1:
             continue
         up_p = up[p]
         far = everything & ~(up_p | down[p])
@@ -428,36 +537,8 @@ def make_lattice_with_map(
                 raise NotALattice(
                     f"elements {order[x]} and {order[y]} have no least upper bound"
                 )
-
-    def _ordered(given, computed, kind):
-        if given is None:
-            return [tuple(sorted(s)) for s in computed]
-        given = {k: tuple(r) for k, r in given.items()}  # a row may be read once only
-        try:
-            given = {_index(k): tuple(map(_index, r)) for k, r in given.items()}
-        except TypeError:  # again, to name the value that is no integer
-            given = {_element_id(k): tuple(map(_element_id, r)) for k, r in given.items()}
-        far = [e for k, r in given.items() for e in (k, *r) if not 0 <= e < n]
-        if far:
-            raise ElementOutOfRange(f"{kind} names element {far[0]}, out of range for size {n}")
-        out = []
-        for x in range(n):
-            want = computed[x]
-            row = given.get(order[x])
-            if row is None:
-                out.append(tuple(sorted(want)))
-                continue
-            row = tuple([new_id[e] for e in row])
-            # the covers are distinct, so this is a permutation test
-            if len(row) != len(want) or set(row) != set(want):
-                raise InvalidLattice(
-                    f"{kind} for element {order[x]} is not a permutation of its covers"
-                )
-            out.append(row)
-        return out
-
-    upper = _ordered(upper_order, succ, "upper_order")
-    lower = _ordered(lower_order, pred, "lower_order")
+    if up_fault or low_fault:
+        raise up_fault or low_fault
 
     lat = FiniteLattice(n, up, down, upper, lower)
     return lat, tuple(new_id)
@@ -465,17 +546,19 @@ def make_lattice_with_map(
 
 def make_lattice(
     size: int,
-    covers: Iterable[tuple[int, int]],
-    upper_order: dict[int, Sequence[int]] | None = None,
-    lower_order: dict[int, Sequence[int]] | None = None,
+    covers: Iterable[tuple[int, int]] | None,
+    upper_order: Mapping[int, Sequence[int]] | Sequence[Sequence[int]] | None = None,
+    lower_order: Mapping[int, Sequence[int]] | Sequence[Sequence[int]] | None = None,
 ) -> FiniteLattice:
-    """Build a validated :class:`FiniteLattice` from a cover list.
+    """Build a validated :class:`FiniteLattice` from a cover list or rows.
 
     Rejects cyclic input (:class:`Cyclic`), redundant or duplicated covers
     (:class:`NotReduced`), and cover relations where some pair of elements
     lacks a unique least upper or greatest lower bound (:class:`NotALattice`).
     ``upper_order``/``lower_order`` optionally fix the left-to-right order of
-    each element's covers, keyed by the caller's element ids.
+    each element's covers, keyed by the caller's element ids; with
+    ``covers=None`` the ``upper_order`` rows are the covers (see
+    :func:`make_lattice_with_map`).
     """
     return make_lattice_with_map(size, covers, upper_order, lower_order)[0]
 
@@ -492,22 +575,13 @@ def direct_product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
     The first factor runs to the upper left: each element's upper covers list
     the A-step first, matching the planar grid convention.
     """
-    na, nb = A.n, B.n
-    n = na * nb
-    covers: list[tuple[int, int]] = []
-    upper: dict[int, list[int]] = {}
-    lower: dict[int, list[int]] = {}
-    for a in range(na):
-        for b in range(nb):
-            x = a * nb + b
-            ups = [a2 * nb + b for a2 in A.upper_covers(a)]
-            ups += [a * nb + b2 for b2 in B.upper_covers(b)]
-            lows = [a * nb + b2 for b2 in B.lower_covers(b)]
-            lows += [a2 * nb + b for a2 in A.lower_covers(a)]
-            upper[x] = ups
-            lower[x] = lows
-            covers.extend((x, y) for y in ups)
-    return make_lattice(n, covers, upper, lower)
+    nb = B.n
+    cells = [(a, b) for a in range(A.n) for b in range(nb)]
+    upper = [[a2 * nb + b for a2 in A._upper[a]] + [a * nb + b2 for b2 in B._upper[b]]
+             for a, b in cells]
+    lower = [[a * nb + b2 for b2 in B._lower[b]] + [a2 * nb + b for a2 in A._lower[a]]
+             for a, b in cells]
+    return make_lattice(len(cells), None, upper, lower)
 
 
 def is_distributive(L: FiniteLattice) -> bool:
@@ -628,10 +702,9 @@ def sublattice(
     if not is_convex_sublattice(L, elems):
         raise NotConvexSublattice(f"{sorted(elems)} is not a convex sublattice")
     pos = {x: i for i, x in enumerate(elems)}
-    covers = [(pos[a], pos[b]) for a, b in L.covers() if a in pos and b in pos]
-    upper = {pos[x]: [pos[y] for y in L.upper_covers(x) if y in pos] for x in elems}
-    lower = {pos[x]: [pos[y] for y in L.lower_covers(x) if y in pos] for x in elems}
-    K, renum = make_lattice_with_map(len(elems), covers, upper, lower)
+    upper = [[pos[y] for y in L._upper[x] if y in pos] for x in elems]
+    lower = [[pos[y] for y in L._lower[x] if y in pos] for x in elems]
+    K, renum = make_lattice_with_map(len(elems), None, upper, lower)
     to_parent = [0] * len(elems)
     for x, i in zip(elems, renum):
         to_parent[i] = x

@@ -9,10 +9,12 @@ are called eyes.
 The two assembly operations are ``glue`` (identify a filter of one lattice
 with an ideal of another) and ``triple_glue`` (a fixed arrangement of four
 rectangular pieces sharing boundary chains).  Each builds its result in
-one pass from the pieces, with no intermediate lattices: the covers are
-the union of the pieces' covers, and an element takes its lower covers,
-in planar order, from the lowest piece holding it and its upper covers
-from the highest.
+one pass from the pieces' cover rows, with no intermediate lattices: an
+element takes its row of lower covers, in planar order, from the lowest
+piece holding it and its row of upper covers from the highest.  Like every
+planar constructor here, they hand these rows to one call of
+``core.make_lattice_with_map`` in its row form, where the covers are the
+pairs the rows give; no cover list or order mapping is built.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _boundary_walk(L: FiniteLattice, last: bool) -> list[int]:
     x = L.bottom
     out = [x]
     while x != L.top:
-        ups = L.upper_covers(x)
+        ups = L._upper[x]
         x = ups[-1] if last else ups[0]
         out.append(x)
     return out
@@ -136,11 +138,12 @@ def make_rectangular(L: FiniteLattice) -> RectLattice:
     if not core.is_semimodular(L):
         raise NotSemimodular("lattice is not semimodular")
 
+    doubly = [x for x in range(L.n) if len(L._lower[x]) == 1 == len(L._upper[x])]
     corners = []
     walks = []
     for side, last in (("left", False), ("right", True)):
         walk = _boundary_walk(L, last)
-        cand = [x for x in walk[1:-1] if L.is_doubly_irreducible(x)]
+        cand = [x for x in walk[1:-1] if x in doubly]
         if not cand:
             raise NoCorner(f"no doubly irreducible element on the {side} boundary walk")
         if len(cand) > 1:
@@ -173,10 +176,7 @@ def make_rectangular(L: FiniteLattice) -> RectLattice:
     (ll, ul), (lr, ur) = chains
 
     on_boundary = set(walks[0]) | set(walks[1])
-    eyes = tuple(
-        x for x in range(L.n)
-        if x not in on_boundary and L.is_doubly_irreducible(x)
-    )
+    eyes = tuple(x for x in doubly if x not in on_boundary)
     return RectLattice(L, lc, rc, ll, ul, lr, ur, eyes)
 
 
@@ -194,28 +194,13 @@ def grid_with_eyes(
     m = core._size(m, 2, SizeTooSmall, "grid side")
     n = core._size(n, 2, SizeTooSmall, "grid side")
 
-    def gid(a: int, b: int) -> int:
-        return a * n + b
-
-    covers = []
-    upper: dict[int, list[int]] = {}
-    lower: dict[int, list[int]] = {}
+    upper: list[list[int]] = []  # cover rows in planar order
+    lower: list[list[int]] = []
     for a in range(m):
         for b in range(n):
-            x = gid(a, b)
-            ups = []
-            if a + 1 < m:
-                ups.append(gid(a + 1, b))
-            if b + 1 < n:
-                ups.append(gid(a, b + 1))
-            lows = []
-            if b - 1 >= 0:
-                lows.append(gid(a, b - 1))
-            if a - 1 >= 0:
-                lows.append(gid(a - 1, b))
-            upper[x] = ups
-            lower[x] = lows
-            covers.extend((x, u) for u in ups)
+            x = a * n + b
+            upper.append(([x + n] if a + 1 < m else []) + ([x + 1] if b + 1 < n else []))
+            lower.append(([x - 1] if b else []) + ([x - n] if a else []))
 
     nn = m * n
     temp_eye: dict[tuple[int, int], int] = {}
@@ -231,17 +216,14 @@ def grid_with_eyes(
             raise LatconError(f"cell ({i}, {k}) listed twice")
         e = nn
         nn += 1
-        bot, top = gid(i, k), gid(i + 1, k + 1)
-        left, right = gid(i + 1, k), gid(i, k + 1)
-        for lst in (upper[bot], lower[top]):
-            lst.insert(lst.index(left) + 1, e)
-        covers.append((bot, e))
-        covers.append((e, top))
-        upper[e] = [top]
-        lower[e] = [bot]
+        bot, left, top = i * n + k, (i + 1) * n + k, (i + 1) * n + k + 1
+        for row in (upper[bot], lower[top]):
+            row.insert(row.index(left) + 1, e)
+        upper.append([top])
+        lower.append([bot])
         temp_eye[(i, k)] = e
 
-    lat, renum = core.make_lattice_with_map(nn, covers, upper, lower)
+    lat, renum = core.make_lattice_with_map(nn, None, upper, lower)
     R = make_rectangular(lat)
     eye_of = {cell: renum[e] for cell, e in temp_eye.items()}
     if set(eye_of.values()) != set(R.eyes):
@@ -292,17 +274,14 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
     if cell not in cells(R):
         raise NotACell(f"{cell} is not a cell of this lattice")
     L = R.lattice
-    n = L.n
-    e = n
-    covers = list(L.covers()) + [(cell.bottom, e), (e, cell.top)]
-    upper = {x: list(L.upper_covers(x)) for x in range(n)}
-    lower = {x: list(L.lower_covers(x)) for x in range(n)}
+    e = L.n
+    upper = L._upper + [(cell.top,)]
+    lower = L._lower + [(cell.bottom,)]
     anchor = cell.middles[0] if cell.middles else cell.left
-    upper[cell.bottom].insert(upper[cell.bottom].index(anchor) + 1, e)
-    lower[cell.top].insert(lower[cell.top].index(anchor) + 1, e)
-    upper[e] = [cell.top]
-    lower[e] = [cell.bottom]
-    lat, _ = core.make_lattice_with_map(n + 1, covers, upper, lower)
+    for rows, x in ((upper, cell.bottom), (lower, cell.top)):
+        i = rows[x].index(anchor) + 1
+        rows[x] = rows[x][:i] + (e,) + rows[x][i:]
+    lat, _ = core.make_lattice_with_map(e + 1, None, upper, lower)
     return make_rectangular(lat)
 
 
@@ -342,24 +321,22 @@ def _assemble(n: int, pieces: Sequence[tuple[FiniteLattice, Sequence[int]]]) -> 
     """The lattice on ``0..n-1`` covered as the pieces are, under their maps.
 
     ``pieces`` lists ``(lattice, id_map)`` bottom-up.  An element takes its
-    lower covers, in planar order, from the lowest piece holding it and its
-    upper covers from the highest: two pieces overlap in a filter of the
-    lower and an ideal of the upper, which hold every lower, respectively
-    upper, cover of a shared element.  The maps must number the result along
-    a linear extension, so that the build keeps every id.
+    row of lower covers, in planar order, from the lowest piece holding it
+    and its row of upper covers from the highest: two pieces overlap in a
+    filter of the lower and an ideal of the upper, which hold every lower,
+    respectively upper, cover of a shared element, so the rows give every
+    cover of the result.  The maps must number the result along a linear
+    extension, so that the build keeps every id.
     """
-    covers: dict[tuple[int, int], None] = {}
-    upper: dict[int, list[int]] = {}
-    lower: dict[int, list[int]] = {}
+    upper: list[tuple[int, ...] | None] = [None] * n
+    lower: list[tuple[int, ...] | None] = [None] * n
     for P, emap in pieces:
-        for x in range(P.n):
-            t = emap[x]
-            ups = [emap[y] for y in P.upper_covers(x)]
-            upper[t] = ups
-            if t not in lower:
-                lower[t] = [emap[y] for y in P.lower_covers(x)]
-            covers.update(dict.fromkeys((t, u) for u in ups))
-    lat, renum = core.make_lattice_with_map(n, covers, upper, lower)
+        get = emap.__getitem__
+        for x, t in enumerate(emap):
+            upper[t] = tuple(map(get, P._upper[x]))
+            if lower[t] is None:
+                lower[t] = tuple(map(get, P._lower[x]))
+    lat, renum = core.make_lattice_with_map(n, None, upper, lower)
     if renum != tuple(range(n)):
         raise PostconditionFailed("the pieces' numbering is not a linear extension of the result")
     return lat

@@ -1,6 +1,7 @@
-"""Bad arguments to a map call, to ``FiniteLattice.is_cover`` and
-``height``, to ``grid_with_eyes`` and to ``search_rectangular`` fail as
-named ``LatconError``s, never as a silent wrong answer or a bare
+"""Bad arguments to a map call, to ``FiniteLattice.is_cover``, ``height``,
+``upper_covers``, ``lower_covers`` and ``is_doubly_irreducible``, to
+``grid_with_eyes`` and to ``search_rectangular`` fail as named
+``LatconError``s, never as a silent wrong answer or a bare
 ``IndexError``/``TypeError``/``ValueError``."""
 
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from latcon import birkhoff as bk
 from latcon import catalog
 from latcon import rectangular as rl
@@ -48,6 +50,19 @@ ID_ROWS = [
     ("height(99)", lambda: G33.height(99), ElementOutOfRange,
      "element 99 out of range for size 9"),
     ("height(1.5)", lambda: G33.height(1.5), ElementOutOfRange,
+     "element id 1.5 is not an integer"),
+    # a negative id used to read the top's row
+    ("lower_covers(-1)", lambda: G33.lower_covers(-1), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("upper_covers(-1)", lambda: G33.upper_covers(-1), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("is_doubly_irreducible(-1)", lambda: G33.is_doubly_irreducible(-1), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("upper_covers(99)", lambda: G33.upper_covers(99), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("is_doubly_irreducible(99)", lambda: G33.is_doubly_irreducible(99), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("lower_covers(1.5)", lambda: G33.lower_covers(1.5), ElementOutOfRange,
      "element id 1.5 is not an integer"),
 ]
 
@@ -101,6 +116,12 @@ def test_id_checks_run_under_optimize():
 def test_good_arguments_unchanged():
     assert [G33.height(x) for x in range(9)] == [0, 1, 2, 1, 2, 3, 2, 3, 4]
     assert G33.is_cover(0, 1) and not G33.is_cover(1, 0) and not G33.is_cover(0, 8)
+    assert [G33.upper_covers(x) for x in range(9)] == [
+        (3, 1), (4, 2), (5,), (6, 4), (7, 5), (8,), (7,), (8,), ()]
+    assert [G33.lower_covers(x) for x in range(9)] == [
+        (), (0,), (1,), (0,), (3, 1), (4, 2), (3,), (6, 4), (7, 5)]
+    assert G33.upper_covers(True) == (4, 2) and G33.lower_covers(helpers.IntLike(8)) == (7, 5)
+    assert [x for x in range(9) if G33.is_doubly_irreducible(x)] == [2, 6]  # the corners
     phi, psi = _phi(), _psi()
     assert [phi(x) for x in range(C3SQ.n)] == list(phi.assignment)
     assert [psi(x) for x in range(psi.source.n)] == list(psi.assignment)

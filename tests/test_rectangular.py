@@ -367,6 +367,34 @@ class TestTripleGlueOracle:
         assert not [s for s in rl.TripleGluingAssembly.__slots__ if s.startswith("stage")]
 
 
+G33 = rl.grid(3, 3)
+FORK = catalog.s7()
+C2 = core.chain(2)
+
+ONE_BUILD = [
+    ("grid_with_eyes", lambda: rl.grid_with_eyes(3, 3, [(0, 0), (1, 1)]), 11),
+    ("sublattice", lambda: core.sublattice(G33.lattice, [4, 3, 1, 0]), 4),
+    ("insert_eye", lambda: rl.insert_eye(FORK, rl.cells(FORK)[1]), 8),
+    ("direct_product", lambda: core.direct_product(FORK.lattice, C2), 14),
+]
+
+
+@pytest.mark.parametrize("build, size", [b[1:] for b in ONE_BUILD], ids=[b[0] for b in ONE_BUILD])
+def test_one_build_per_planar_constructor(monkeypatch, build, size):
+    """Each planar constructor builds its lattice once, through the module
+    attribute and with positional arguments only."""
+    builds = []
+    make = core.make_lattice_with_map
+
+    def counted(*args):
+        builds.append(args[0])
+        return make(*args)
+
+    monkeypatch.setattr(core, "make_lattice_with_map", counted)
+    build()
+    assert builds == [size]
+
+
 def _without_eyes(R):
     """R with its list of eyes emptied, as a faulty recognizer returns it."""
     return rl.RectLattice(R.lattice, R.lc, R.rc, R.lower_left, R.upper_left,
