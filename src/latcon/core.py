@@ -476,7 +476,7 @@ def make_lattice_with_map(
     succ, pairs = _cover_rows(n, covers, upper_order)
     pred, kahn = _sort(succ)
     order = kahn or range(n)
-    new_id = sorted(range(n), key=order.__getitem__)
+    new_id = sorted(range(n), key=order.__getitem__)  # the inverse of order
 
     def fixed(spec, kind: str, computed):
         """The rows of one side in the input's ids: ``spec``'s where it fixes
