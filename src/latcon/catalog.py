@@ -11,6 +11,7 @@ isomorphism.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from . import congruence as cg, core, rectangular as rl
 from .core import FiniteLattice
@@ -28,9 +29,9 @@ def m3() -> RectLattice:
 
 
 def diamond(k: int) -> RectLattice:
-    """Bottom, ``k`` atoms, top; the two outer atoms are the corners."""
-    if k < 3:
-        raise LatconError("a diamond needs at least three atoms")
+    """Bottom, ``k`` atoms, top; the two outer atoms are the corners.  A
+    ``k`` that is no integer ``>= 3`` raises :class:`SizeTooSmall`."""
+    k = core._size(k, 3, SizeTooSmall, "diamond atoms")
     atoms = list(range(1, k + 1))
     upper = [atoms] + [[k + 1]] * k + [[]]
     lower = [[]] + [[0]] * k + [atoms]
@@ -127,23 +128,12 @@ def search_rectangular(
     candidates: list[tuple[str, RectLattice]] = []
     for m in range(2, max_size // 2 + 1):
         for n in range(m, max_size // m + 1):
-            candidates.append((f"grid-{m}x{n}", rl.grid(m, n)))
             cells = [(i, k) for i in range(m - 1) for k in range(n - 1)]
-            if m * n + 1 <= max_size:
-                for i, k in cells:
-                    candidates.append(
-                        (f"grid-{m}x{n}-eye-{i}.{k}", rl.grid_with_eyes(m, n, [(i, k)])[0])
-                    )
-            if m * n + 2 <= max_size:
-                for a in range(len(cells)):
-                    for b in range(a + 1, len(cells)):
-                        candidates.append(
-                            (
-                                f"grid-{m}x{n}-eyes-{cells[a][0]}.{cells[a][1]}"
-                                f"-{cells[b][0]}.{cells[b][1]}",
-                                rl.grid_with_eyes(m, n, [cells[a], cells[b]])[0],
-                            )
-                        )
+            for r in range(min(2, max_size - m * n) + 1):
+                for eyes in combinations(cells, r):
+                    tag = "".join(f"-{i}.{k}" for i, k in eyes)
+                    name = f"grid-{m}x{n}" + ("", "-eye", "-eyes")[r] + tag
+                    candidates.append((name, rl.grid_with_eyes(m, n, eyes)[0]))
     for k in range(3, max_size - 1):
         candidates.append((f"diamond-{k}", diamond(k)))
     if max_size >= 7:

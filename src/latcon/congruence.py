@@ -41,7 +41,7 @@ and so the component of its collapsed covers.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, repeat
 from operator import index as _index
 from typing import Iterable, NamedTuple, Sequence
 
@@ -473,7 +473,8 @@ def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattic
     below it.  A map of J(Con L) that reflects the order is one-to-one, so
     it is onto when the sizes agree.
     """
-    image = _ji_restriction(con_l, emb, con_k)
+    n = con_l.lattice.n
+    image = _ji_restriction(con_l, [core._checked_id(x, n) for x in emb], con_k)
     P, Q = con_l.ji_order, con_k.ji_order
 
     def named(r: int) -> list[list[int]]:
@@ -482,8 +483,16 @@ def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattic
     if None in image:
         r = image.index(None)
         return f"join-irreducible congruence {named(r)} restricts to no join-irreducible one"
-    for r, s in product(range(P.n), repeat=2):
-        if P.leq(r, s) != Q.leq(image[r], image[s]):
+    preimage = [0] * Q.n
+    for r, q in enumerate(image):
+        preimage[q] |= 1 << r
+    for r, q in enumerate(image):
+        above = 0  # the s with image[s] above image[r]
+        for t in core._bits(Q._up[q]):
+            above |= preimage[t]
+        wrong = P._up[r] ^ above
+        if wrong:
+            s = (wrong & -wrong).bit_length() - 1
             return (f"join-irreducible congruences {named(r)} and {named(s)}"
                     " are ordered unlike their restrictions")
     if P.n != Q.n:

@@ -232,7 +232,7 @@ class _Order:
     __slots__ = ("n", "_up", "_down", "_upper", "_lower")
 
     def leq(self, x: int, y: int) -> bool:
-        return bool(self._up[x] >> y & 1)
+        return bool(self._up[_checked_id(x, self.n)] >> _checked_id(y, self.n) & 1)
 
     def up(self, x: int) -> tuple[int, ...]:
         return _bits(self._up[_checked_id(x, self.n)])
@@ -349,10 +349,10 @@ class FiniteLattice(_Order):
         return _checked_id(y, self.n) in self._upper[x]
 
     def up_mask(self, x: int) -> int:
-        return self._up[x]
+        return self._up[_checked_id(x, self.n)]
 
     def down_mask(self, x: int) -> int:
-        return self._down[x]
+        return self._down[_checked_id(x, self.n)]
 
     def atoms(self) -> tuple[int, ...]:
         return self._upper[0]
@@ -366,25 +366,27 @@ class FiniteLattice(_Order):
     # -- algebra -----------------------------------------------------------
 
     def meet(self, x: int, y: int) -> int:
-        return (self._down[x] & self._down[y]).bit_length() - 1
+        n = self.n
+        return (self._down[_checked_id(x, n)] & self._down[_checked_id(y, n)]).bit_length() - 1
 
     def join(self, x: int, y: int) -> int:
-        m = self._up[x] & self._up[y]
+        n = self.n
+        m = self._up[_checked_id(x, n)] & self._up[_checked_id(y, n)]
         return (m & -m).bit_length() - 1
 
     def meet_of(self, elems: Iterable[int]) -> int:
         """Meet of a set of elements; the empty meet is the top."""
-        down = self._down
-        m = down[self.n - 1]
+        down, n = self._down, self.n
+        m = down[n - 1]
         for x in elems:
-            m &= down[x]
+            m &= down[_checked_id(x, n)]
         return m.bit_length() - 1
 
     def join_of(self, elems: Iterable[int]) -> int:
-        up = self._up
+        up, n = self._up, self.n
         m = up[0]
         for x in elems:
-            m &= up[x]
+            m &= up[_checked_id(x, n)]
         return (m & -m).bit_length() - 1
 
     # -- irreducibility ----------------------------------------------------
@@ -788,10 +790,15 @@ def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
     """A lattice isomorphism A -> B as a list, or None.
 
     Backtracking in id order with degree/height refinement; instances here
-    are small, so no fancier invariants are needed.  The depth-first search
-    keeps one iterator of consistent images per assigned element on an
-    explicit stack, so its depth is bounded by memory, not by the recursion
-    limit.
+    are small, so no fancier invariants are needed.  An image ``y`` for
+    ``x`` is consistent with the images ``placed`` of ``0..x-1`` when the
+    placed elements below ``y`` are the images of the elements below ``x``
+    and none lies above ``y``: ids form linear extensions, so every element
+    below ``x`` is placed and none above it.  Both are one mask test, and
+    the images below ``x`` are those below and at its lower covers.  The
+    depth-first search keeps one iterator of consistent images per
+    assigned element on an explicit stack, so its depth is bounded by
+    memory, not by the recursion limit.
     """
     sig_a, sig_b = _signatures(A), _signatures(B)
     if sorted(sig_a) != sorted(sig_b):
@@ -802,29 +809,28 @@ def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
         buckets.setdefault(s, []).append(y)
 
     fwd: list[int] = [-1] * n
-    used = [False] * n
+    placed = [0] * n  # placed[x]: the mask of the images of 0..x-1
+    below = [0] * n  # below[x]: the mask of the images of the elements below x
 
     def images(x: int) -> Iterator[int]:
-        # read lazily: ``used`` changes between two draws
+        done, m = placed[x], 0
+        for c in A._lower[x]:
+            m |= below[c] | 1 << fwd[c]
+        below[x] = m
         for y in buckets.get(sig_a[x], ()):
-            if not used[y] and all(
-                A.leq(z, x) == B.leq(fwd[z], y) and A.leq(x, z) == B.leq(y, fwd[z])
-                for z in range(x)
-            ):
+            if B._down[y] & done == m and not B._up[y] & done:
                 yield y
 
     stack = [images(0)]
     while stack:
         x = len(stack) - 1
-        if fwd[x] >= 0:
-            used[fwd[x]] = False
         fwd[x] = next(stack[-1], -1)
         if fwd[x] < 0:
             stack.pop()
         elif x + 1 == n:
             return fwd
         else:
-            used[fwd[x]] = True
+            placed[x + 1] = placed[x] | 1 << fwd[x]
             stack.append(images(x + 1))
     return None
 

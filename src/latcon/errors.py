@@ -93,7 +93,8 @@ class NotSemimodular(LatconError):
 
 
 class SizeTooSmall(LatconError):
-    """A grid needs at least two elements along each side."""
+    """A size is no integer or below its least value: a grid side below 2, a
+    diamond with fewer than 3 atoms, a negative search bound."""
 
 
 class BoundaryNotChain(LatconError):

@@ -20,7 +20,7 @@ pairs the rows give; no cover list or order mapping is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import combinations, count
 from typing import Iterable, Mapping, Sequence
 
 from . import core
@@ -194,15 +194,14 @@ def grid_with_eyes(
     m = core._size(m, 2, SizeTooSmall, "grid side")
     n = core._size(n, 2, SizeTooSmall, "grid side")
 
-    upper: list[list[int]] = []  # cover rows in planar order
-    lower: list[list[int]] = []
+    upper: list[Sequence[int]] = []  # cover rows in planar order
+    lower: list[Sequence[int]] = []
     for a in range(m):
         for b in range(n):
             x = a * n + b
             upper.append(([x + n] if a + 1 < m else []) + ([x + 1] if b + 1 < n else []))
             lower.append(([x - 1] if b else []) + ([x - n] if a else []))
 
-    nn = m * n
     temp_eye: dict[tuple[int, int], int] = {}
     for cell in eye_cells:
         try:
@@ -214,16 +213,10 @@ def grid_with_eyes(
             raise IndexOutOfRange(f"cell ({i}, {k}) outside the {m}x{n} grid")
         if (i, k) in temp_eye:
             raise LatconError(f"cell ({i}, {k}) listed twice")
-        e = nn
-        nn += 1
-        bot, left, top = i * n + k, (i + 1) * n + k, (i + 1) * n + k + 1
-        for row in (upper[bot], lower[top]):
-            row.insert(row.index(left) + 1, e)
-        upper.append([top])
-        lower.append([bot])
-        temp_eye[(i, k)] = e
+        bot = i * n + k  # the cell's left side is bot + n, its top bot + n + 1
+        temp_eye[(i, k)] = _add_eye(upper, lower, bot, bot + n + 1, bot + n)
 
-    lat, renum = core.make_lattice_with_map(nn, None, upper, lower)
+    lat, renum = core.make_lattice_with_map(len(upper), None, upper, lower)
     R = make_rectangular(lat)
     eye_of = {cell: renum[e] for cell, e in temp_eye.items()}
     if set(eye_of.values()) != set(R.eyes):
@@ -237,31 +230,43 @@ def grid(m: int, n: int) -> RectLattice:
 
 
 def cells(R: RectLattice) -> list[Cell]:
-    """All cells of R, ordered by (bottom, top)."""
+    """All cells of R, ordered by (bottom, top).
+
+    The cells above ``b`` are the intervals ``[b, u \\/ v]`` for distinct
+    upper covers ``u``, ``v`` of ``b``, and a cell's inner elements are the
+    upper covers of ``b`` below its top.  Proof: R is semimodular, so
+    ``u \\/ v`` covers ``u`` and ``v``, and by Jordan-Dedekind every maximal
+    chain of ``[b, u \\/ v]`` has length 2: each inner element covers ``b``.
+    Conversely a cell's top covers any two of its inner elements, so it is
+    their join.
+    """
     L = R.lattice
-    up, down, upper = L._up, L._down, L._upper
+    up, down = L._up, L._down
     eye_set = set(R.eyes)
     out = []
-    for b in range(L.n):
-        ups = upper[b]
-        if len(ups) < 2:
-            continue
-        for t in core._bits(up[b]):
-            if t == b or t in ups:
-                continue
-            inter = up[b] & down[t] & ~(1 << b) & ~(1 << t)
-            if inter.bit_count() < 2:
-                continue
-            mids = core._bits(inter)
-            if all(x in ups and t in upper[x] for x in mids):
-                mid_set = set(mids)
-                ordered = [u for u in ups if u in mid_set]
-                middles = tuple(ordered[1:-1])
-                if not set(middles) <= eye_set:
-                    raise PostconditionFailed(f"a middle of the cell ({b}, {t}) is not an eye")
-                out.append(Cell(b, t, ordered[0], ordered[-1], middles))
-    out.sort(key=lambda c: (c.bottom, c.top))
+    for b, ups in enumerate(L._upper):
+        joins = {up[u] & up[v] for u, v in combinations(ups, 2)}
+        for t in sorted((j & -j).bit_length() - 1 for j in joins):
+            ordered = [u for u in ups if down[t] >> u & 1]
+            middles = tuple(ordered[1:-1])
+            if not eye_set.issuperset(middles):
+                raise PostconditionFailed(f"a middle of the cell ({b}, {t}) is not an eye")
+            out.append(Cell(b, t, ordered[0], ordered[-1], middles))
     return out
+
+
+def _add_eye(upper: list, lower: list, bottom: int, top: int, anchor: int) -> int:
+    """Append an eye to the cover rows ``upper`` and ``lower`` as the next
+    id, and return it: it covers ``bottom``, is covered by ``top``, and sits
+    right after ``anchor`` in both their rows."""
+    e = len(upper)
+    for rows, x in ((upper, bottom), (lower, top)):
+        row = rows[x]
+        i = row.index(anchor) + 1
+        rows[x] = (*row[:i], e, *row[i:])
+    upper.append((top,))
+    lower.append((bottom,))
+    return e
 
 
 def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
@@ -273,15 +278,9 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
     """
     if cell not in cells(R):
         raise NotACell(f"{cell} is not a cell of this lattice")
-    L = R.lattice
-    e = L.n
-    upper = L._upper + [(cell.top,)]
-    lower = L._lower + [(cell.bottom,)]
-    anchor = cell.middles[0] if cell.middles else cell.left
-    for rows, x in ((upper, cell.bottom), (lower, cell.top)):
-        i = rows[x].index(anchor) + 1
-        rows[x] = rows[x][:i] + (e,) + rows[x][i:]
-    lat, _ = core.make_lattice_with_map(e + 1, None, upper, lower)
+    upper, lower = list(R.lattice._upper), list(R.lattice._lower)
+    _add_eye(upper, lower, cell.bottom, cell.top, cell.middles[0] if cell.middles else cell.left)
+    lat, _ = core.make_lattice_with_map(len(upper), None, upper, lower)
     return make_rectangular(lat)
 
 
@@ -364,16 +363,19 @@ def glue(
         raise NotAFilter(f"{F} is not a filter of the lower lattice")
     if not core.is_ideal(B, I):
         raise NotAnIdeal(f"{I} is not an ideal of the upper lattice")
-    fwd = dict(pairs)
-    for x in F:
-        for y in F:
-            if A.leq(x, y) != B.leq(fwd[x], fwd[y]):
-                raise NotIsomorphic(
-                    f"identification does not preserve order at ({x}, {y})"
-                )
+    back = {b: a for a, b in pairs}
+    i_mask = sum(1 << y for y in I)
+    for x, y in pairs:
+        above = 0  # the members of F whose images lie above y; F is a filter
+        for z in core._bits(B._up[y] & i_mask):
+            above |= 1 << back[z]
+        wrong = A._up[x] ^ above
+        if wrong:
+            z = (wrong & -wrong).bit_length() - 1
+            raise NotIsomorphic(f"identification does not preserve order at ({x}, {z})")
 
     a_map = tuple(range(A.n))
-    b_map, n = _place(B.n, {b: a for a, b in pairs}, A.n)
+    b_map, n = _place(B.n, back, A.n)
     lat = _assemble(n, [(A, a_map), (B, b_map)])
     return GluedLattice(lat, A, B, a_map, b_map, tuple(F), tuple(pairs))
 

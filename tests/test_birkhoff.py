@@ -617,6 +617,13 @@ class TestErrorPaths:
         with pytest.raises(NotIsotone, match=f"^{text}$"):
             bk.IsotoneMap(P, P, f)
 
+    def test_short_assignment_named(self):
+        P = core.Poset(2, [(0, 1)])
+        with pytest.raises(LatconError, match="^assignment length 1 != source size 2$"):
+            bk.IsotoneMap(P, P, [0])
+        with pytest.raises(LatconError, match="^assignment length 1 != source size 2$"):
+            bk.make_bounded_hom(C2, C2, [0])
+
     def test_map_between_the_wrong_posets(self):
         je, jd = core.join_irreducibles(C3SQ), core.join_irreducibles(C3SQ)
         psi = bk.IsotoneMap(je, jd, range(je.n))

@@ -1,6 +1,8 @@
-"""Bad arguments to a map call, to ``FiniteLattice.is_cover``, ``height``,
-``upper_covers``, ``lower_covers`` and ``is_doubly_irreducible``, to
-``grid_with_eyes`` and to ``search_rectangular`` fail as named
+"""Bad arguments to a map call, to the order queries of ``FiniteLattice``
+(``is_cover``, ``height``, ``upper_covers``, ``lower_covers``,
+``is_doubly_irreducible``, ``leq``, ``join``, ``meet``, ``join_of``,
+``meet_of``, ``up_mask`` and ``down_mask``), to ``restriction_mismatch``,
+``grid_with_eyes``, ``diamond`` and ``search_rectangular`` fail as named
 ``LatconError``s, never as a silent wrong answer or a bare
 ``IndexError``/``TypeError``/``ValueError``."""
 
@@ -15,6 +17,8 @@ import pytest
 import helpers
 from latcon import birkhoff as bk
 from latcon import catalog
+from latcon import congruence as cg
+from latcon import core
 from latcon import rectangular as rl
 from latcon.cli import main
 from latcon.errors import ElementOutOfRange, IndexOutOfRange, LatconError, SizeTooSmall
@@ -31,6 +35,12 @@ def _phi():
 def _psi():
     """The dual map of :func:`_phi`, on a 4-element poset."""
     return bk.ji_of_hom(_phi())
+
+
+def _restriction_mismatch(emb):
+    """``restriction_mismatch`` from Con grid-3x3 to Con of the 3-chain."""
+    return cg.restriction_mismatch(
+        cg.congruence_lattice(G33), emb, cg.congruence_lattice(core.chain(3)))
 
 
 # each used to return a wrong answer or raise a bare error on grid-3x3
@@ -64,6 +74,33 @@ ID_ROWS = [
      "element 99 out of range for size 9"),
     ("lower_covers(1.5)", lambda: G33.lower_covers(1.5), ElementOutOfRange,
      "element id 1.5 is not an integer"),
+    # a negative id used to read the top's masks
+    ("join(-1, 0)", lambda: G33.join(-1, 0), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("down_mask(-1)", lambda: G33.down_mask(-1), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("meet_of([-1])", lambda: G33.meet_of([-1]), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("meet(0, 99)", lambda: G33.meet(0, 99), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("join_of([99])", lambda: G33.join_of([99]), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("up_mask(99)", lambda: G33.up_mask(99), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("leq(0, 'a')", lambda: G33.leq(0, "a"), ElementOutOfRange,
+     "element id 'a' is not an integer"),
+    ("restriction-emb-99", lambda: _restriction_mismatch([0, 1, 99]), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("diamond(2)", lambda: catalog.diamond(2), SizeTooSmall,
+     "diamond atoms must be an integer >= 3, got 2"),
+    ("diamond(3.5)", lambda: catalog.diamond(3.5), SizeTooSmall,
+     "diamond atoms must be an integer >= 3, got 3.5"),
+    ("diamond('4')", lambda: catalog.diamond("4"), SizeTooSmall,
+     "diamond atoms must be an integer >= 3, got '4'"),
+    ("diamond(None)", lambda: catalog.diamond(None), SizeTooSmall,
+     "diamond atoms must be an integer >= 3, got None"),
+    ("diamond(True)", lambda: catalog.diamond(True), SizeTooSmall,
+     "diamond atoms must be an integer >= 3, got True"),
 ]
 
 ROWS = ID_ROWS + [
@@ -122,6 +159,12 @@ def test_good_arguments_unchanged():
         (), (0,), (1,), (0,), (3, 1), (4, 2), (3,), (6, 4), (7, 5)]
     assert G33.upper_covers(True) == (4, 2) and G33.lower_covers(helpers.IntLike(8)) == (7, 5)
     assert [x for x in range(9) if G33.is_doubly_irreducible(x)] == [2, 6]  # the corners
+    assert G33.join(2, 6) == 8 and G33.meet(2, 6) == 0 and G33.leq(True, helpers.IntLike(4))
+    assert G33.join_of([1, 3]) == 4 and G33.meet_of([]) == 8 and G33.join_of([]) == 0
+    assert G33.up_mask(4) == 0b110110000 and G33.down_mask(4) == 0b000011011
+    con = cg.congruence_lattice(G33)
+    assert cg.restriction_mismatch(con, range(9), con) is None
+    assert catalog.diamond(helpers.IntLike(3)).n == 5
     phi, psi = _phi(), _psi()
     assert [phi(x) for x in range(C3SQ.n)] == list(phi.assignment)
     assert [psi(x) for x in range(psi.source.n)] == list(psi.assignment)

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -226,6 +227,33 @@ class TestBuildCommands:
     def test_missing_hom_is_exit_2(self, tmp_path, capsys):
         assert main(["build-filter", "grid-2x2", "m3", "--out", str(tmp_path)]) == 2
 
+    def test_hom_file_and_index_is_exit_2(self, tmp_path, capsys):
+        D = cg.congruence_lattice(catalog.get("grid-2x2")).as_lattice()
+        E = cg.congruence_lattice(catalog.get("m3")).as_lattice()
+        p = tmp_path / "phi.json"
+        p.write_text(jio.dumps(helpers.hom_to_obj(bk.enumerate_bounded_homs(D, E)[0])))
+        rc = main(["build-filter", "grid-2x2", "m3", str(p), "--hom-index", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: give either a hom file or --hom-index, not both\n"
+
+    def test_hom_path_naming_no_file_is_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "absent.json"
+        assert main(["build-filter", "grid-2x2", "m3", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: no such file\n"
+
+    def test_unreadable_lattice_file_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the root user reads every file, so the refusal is simulated
+        p = tmp_path / "L.json"
+        p.write_text(jio.dumps(jio.lattice_to_obj(catalog.get("chain-3"))))
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["con", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: Permission denied\n"
+
     def test_failing_verification_is_exit_1_without_files(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -447,6 +475,17 @@ class TestConsoleScript:
         entry = getattr(importlib.import_module(module), name)
         assert entry(["check-ideal", "s7"]) == 4
         assert "fails" in capsys.readouterr().out
+
+    def test_module_entry_point_runs(self):
+        # ``python -m latcon.cli`` runs the module's ``__main__`` guard, installed or not
+        src = Path(latcon.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "latcon.cli", "check-ideal", "s7"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 4
+        assert "fails" in proc.stdout
 
     @pytest.mark.skipif(shutil.which("latcon") is None, reason="not installed")
     def test_entry_point_runs(self):

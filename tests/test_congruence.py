@@ -174,6 +174,24 @@ class TestConLattice:
             "only 1 of 2 join-irreducible congruences arise as restrictions"
         )
 
+    def test_order_witness_is_the_first_pair_of_a_scan(self, monkeypatch):
+        # every map of J(Con L) into itself, on lattices with 3 and 4
+        # join-irreducible congruences, against the pair scan through ``leq``
+        for L in (S7, rl.grid(3, 3).lattice):
+            con = cg.congruence_lattice(L)
+            P = con.ji_order
+            for image in product(range(P.n), repeat=P.n):
+                monkeypatch.setattr(cg, "_ji_restriction", lambda *_: list(image))
+                bad = next(((r, s) for r in range(P.n) for s in range(P.n)
+                            if P.leq(r, s) != P.leq(image[r], image[s])), None)
+                got = cg.restriction_mismatch(con, range(L.n), con)
+                if bad is None:
+                    assert got is None, image
+                else:
+                    r, s = (list(map(list, cg.Congruence(L, con.theta_cls[i]).blocks)) for i in bad)
+                    assert got == (f"join-irreducible congruences {r} and {s}"
+                                   " are ordered unlike their restrictions"), image
+
 
 def _assert_matches_reference(L):
     new = cg.congruence_lattice(L)

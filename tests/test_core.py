@@ -561,6 +561,11 @@ class TestPredicates:
         assert core.is_ideal(L, [0, 1, 2, 4])
         assert not core.is_ideal(L, [1, 3])
         assert core.is_filter(L, [4, 6])
+        assert not core.is_ideal(L, []) and not core.is_filter(L, [])
+
+    def test_poset_labels_must_match_its_size(self):
+        with pytest.raises(InvalidLattice, match="^labels length does not match poset size$"):
+            core.Poset(2, [(0, 1)], labels=[7])
 
 
 class TestConvexSublatticeAgainstReference:
@@ -810,3 +815,19 @@ class TestIsomorphism:
                 assert iso == helpers.reference_find_isomorphism(A, B)
                 found += iso is not None
         assert found == 2 * len(lattices)
+
+    def test_search_alone_without_signatures(self, monkeypatch):
+        # with every signature alike only the backtracking tells lattices apart
+        monkeypatch.setattr(core, "_signatures", lambda L: [()] * L.n)
+        assert core.find_isomorphism(catalog.n5(), catalog.m3().lattice) is None
+        rng = random.Random(12)
+        lattices = [catalog.n5(), s7()] + [R.lattice for R in catalog.rect_catalog().values()]
+        found = 0
+        for A in lattices:
+            perm = rng.sample(range(A.n), A.n)
+            B = core.make_lattice(A.n, [(perm[a], perm[b]) for a, b in A.covers()])
+            for C in lattices + [B]:
+                iso = core.find_isomorphism(A, C)
+                assert iso == helpers.reference_find_isomorphism(A, C)
+                found += iso is not None
+        assert found > len(lattices)

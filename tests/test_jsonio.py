@@ -11,6 +11,7 @@ from latcon import congruence as cg
 from latcon import construction as cn
 from latcon import jsonio as jio
 from latcon import verify as vf
+from latcon.cli import main
 from latcon.errors import InvalidLattice, LatconError
 
 
@@ -50,6 +51,15 @@ class TestLattice:
         with pytest.raises(LatconError):
             jio.lattice_from_obj({"covers": []})
 
+    def test_order_entry_must_be_a_list(self, tmp_path, capsys):
+        obj = {"size": 2, "covers": [[0, 1]], "upper_order": {"0": 1}}
+        with pytest.raises(LatconError, match="^upper_order entry '0' must be a list$"):
+            jio.lattice_from_obj(obj)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(obj))
+        assert main(["con", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: upper_order entry '0' must be a list\n"
+
 
 class TestRect:
     def test_round_trip(self):
@@ -86,6 +96,13 @@ class TestCongruenceAndHom:
         obj = helpers.hom_to_obj(phi)
         obj["map"][0] = obj["map"][3]  # bottom no longer maps to bottom
         with pytest.raises(LatconError):
+            jio.hom_from_obj(obj)
+
+    def test_hom_map_shorter_than_source(self):
+        C2 = catalog.get("chain-2")
+        obj = helpers.hom_to_obj(bk.make_bounded_hom(C2, C2, range(2)))
+        obj["map"] = obj["map"][:1]
+        with pytest.raises(LatconError, match="^map length 1 != source size 2$"):
             jio.hom_from_obj(obj)
 
 

@@ -1,9 +1,10 @@
 """Rectangular structure recognition, grids, eyes, and gluing."""
 
 import os
+import re
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,15 @@ from latcon import rectangular as rl
 from latcon.errors import (
     AmbiguousCorner,
     BoundaryMismatch,
+    BoundaryNotChain,
     CornersNotComplementary,
     ElementOutOfRange,
     IndexOutOfRange,
     NoCorner,
     NotACell,
     NotAFilter,
+    NotAnIdeal,
+    NotIsomorphic,
     NotSemimodular,
     PostconditionFailed,
     SizeTooSmall,
@@ -80,6 +84,21 @@ class TestMakeRectangular:
         with pytest.raises(NotSemimodular):
             rl.make_rectangular(catalog.get("n5"))
 
+    @pytest.mark.parametrize("rows, side", [
+        ([[2, 1], [5, 4, 3], [5], [8, 7, 6], [7, 9], [8, 9], [11, 10], [12, 10], [11, 12], [12],
+          [13, 14], [13], [13], [15], [15], []], "above"),
+        ([[1, 2], [3, 5, 4], [5], [6, 9, 7], [6, 8], [8, 7], [11, 10], [12, 10], [10], [11, 12],
+          [13], [14, 13], [13], [15], [15], []], "below"),
+    ], ids=["above", "below"])
+    def test_rejects_corner_off_its_chain(self, rows, side):
+        # 16-element distributive lattices whose left corner's up- or down-set
+        # is larger than its walk segment
+        L = core.make_lattice(16, None, rows)
+        assert core.is_distributive(L)
+        with pytest.raises(BoundaryNotChain,
+                           match=f"^elements {side} the left corner do not form its walk segment$"):
+            rl.make_rectangular(L)
+
 
 class TestGridsAndEyes:
     def test_grid_too_small(self):
@@ -123,7 +142,7 @@ class TestGridsAndEyes:
             rl.insert_eye(rl.grid(2, 2), rl.cells(rl.grid(3, 3))[1])
 
     def test_cells_match_checked_cover_scan(self):
-        found = catalog.search_rectangular(16)
+        found = catalog.search_rectangular(24) + list(catalog.rect_catalog().items())
         assert sum(len(rl.cells(R)) for _, R in found) > len(found)
         for _, R in found:
             assert rl.cells(R) == helpers.reference_cells(R)
@@ -175,6 +194,40 @@ class TestGlue:
         A = catalog.get("grid-2x2")
         with pytest.raises(NotAFilter):
             rl.glue(A, A, {1: 0})
+
+    @pytest.mark.parametrize("lower, iso, error, text", [
+        (core.chain(3), [(2, 0), (2, 1)], NotIsomorphic, "identification is not a bijection"),
+        (catalog.m3().lattice, {4: 1}, NotAnIdeal, "[1] is not an ideal of the upper lattice"),
+        (core.chain(3), {1: 1, 2: 0}, NotIsomorphic,
+         "identification does not preserve order at (1, 2)"),
+    ], ids=["not-a-bijection", "not-an-ideal", "order-not-preserved"])
+    def test_rejects_bad_identification(self, lower, iso, error, text):
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            rl.glue(lower, core.chain(3), iso)
+
+    def test_order_check_names_the_first_pair_of_a_scan(self):
+        # every bijection of each principal filter of A onto an equal-sized
+        # principal ideal of B, against the pair-by-pair scan through ``leq``
+        small = [core.chain(3), catalog.get("grid-2x2"), catalog.get("m3"), catalog.get("s7")]
+        checked = failed = 0
+        for A, B in product(small, repeat=2):
+            for a, b in product(range(A.n), range(B.n)):
+                F, I = A.up(a), B.down(b)
+                if len(F) != len(I) or len(F) > 5:
+                    continue
+                for J in permutations(I):
+                    fwd = dict(zip(F, J))
+                    bad = next(((x, y) for x in F for y in F
+                                if A.leq(x, y) != B.leq(fwd[x], fwd[y])), None)
+                    checked += 1
+                    if bad is None:
+                        rl.glue(A, B, fwd)
+                        continue
+                    failed += 1
+                    text = re.escape(f"identification does not preserve order at {bad}")
+                    with pytest.raises(NotIsomorphic, match=f"^{text}$"):
+                        rl.glue(A, B, fwd)
+        assert failed > 100 and checked - failed > 20
 
     def test_mapping_and_pairs_coerce_ids_alike(self):
         # integer types other than int pass in both forms, floats fail in both
