@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import congruence as cg, core, rectangular as rl
 from .core import FiniteLattice
-from .errors import LatconError, SizeTooSmall
+from .errors import ElementOutOfRange, IndexOutOfRange, LatconError, SizeTooSmall
 from .rectangular import RectLattice
 
 S7_COVERS = (
@@ -48,9 +48,15 @@ def s7() -> RectLattice:
 
 
 def s7_eye(cell_index: int = 0) -> RectLattice:
-    """The fork lattice with an eye in one of its three cells."""
+    """The fork lattice with an eye in one of its three cells, numbered 0,
+    1 and 2 as :func:`rectangular.cells` lists them; any other
+    ``cell_index`` raises :class:`IndexOutOfRange`."""
+    try:
+        i = core._checked_id(cell_index, 3)
+    except ElementOutOfRange:
+        raise IndexOutOfRange(f"fork cell {cell_index!r} is not 0, 1 or 2") from None
     base = s7()
-    return rl.insert_eye(base, rl.cells(base)[cell_index])
+    return rl.insert_eye(base, rl.cells(base)[i])
 
 
 def n5() -> FiniteLattice:

@@ -67,7 +67,10 @@ def _catalog_rect(name: str) -> rl.RectLattice:
 
 
 def _load(arg: str, from_obj, from_catalog):
-    """A lattice from a JSON file (see :func:`_find_json`), else from the catalog."""
+    """``from_obj`` of the JSON file ``arg`` names (see :func:`_find_json`),
+    else ``from_catalog(arg)``: the only reader of an input file.  A
+    :class:`LatconError` of either becomes an :class:`_InputError` naming
+    ``arg``; an :class:`_InputError` passes through as it is."""
     path = _find_json(arg)
     if path is not None:
         obj = _read_json(path)
@@ -89,22 +92,23 @@ def _load_lattice(arg: str) -> core.FiniteLattice:
     return _load(arg, jio.lattice_from_obj, catalog.get)
 
 
+def _no_file(arg: str):
+    raise _InputError(f"{arg}: no such file")
+
+
 def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
     conF = cg.congruence_lattice(F.lattice)
     conG = cg.congruence_lattice(G.lattice)
     if args.phi is not None and args.hom_index is not None:
         raise _InputError("give either a hom file or --hom-index, not both")
     if args.phi is not None:
-        path = _find_json(args.phi)
-        if path is None:
-            raise _InputError(f"{args.phi}: no such file")
-        obj = _read_json(path)
-        try:
+
+        def from_obj(obj) -> bk.BoundedHom:
             phi = jio.hom_from_obj(obj)
             cn._check_hom_endpoints(phi, conF, conG)
-        except LatconError as exc:
-            raise _InputError(f"{args.phi}: {exc}") from exc
-        return phi
+            return phi
+
+        return _load(args.phi, from_obj, _no_file)
     if args.hom_index is not None:
         homs = bk.enumerate_bounded_homs(conF.as_lattice(), conG.as_lattice())
         if not 0 <= args.hom_index < len(homs):
@@ -137,6 +141,15 @@ def _write(path: Path, text: str) -> None:
         raise _os_error(exc, path) from exc
 
 
+def _emit(text: str, out: str | None) -> int:
+    """Send a command's text to the file ``out``, or to stdout without one."""
+    if out:
+        _write(Path(out), text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def _emit_build(out: Path, crep) -> None:
     _write(out / "result.json", jio.dumps(jio.rect_to_obj(crep.output)))
     _write(
@@ -151,23 +164,15 @@ def _emit_build(out: Path, crep) -> None:
     print(crep.verification.render_text())
 
 
-def _cmd_build(args, ideal: bool) -> int:
+def _cmd_build(args) -> int:
     F = _load_rect(args.f)
     G = _load_rect(args.g)
     phi = _load_phi(args, F, G)
     out = _out_dir(args.out)
-    build = cn.ideal_representation if ideal else cn.filter_representation
+    build = cn.ideal_representation if args.ideal else cn.filter_representation
     _, crep = build(F, G, phi)
     _emit_build(out, crep)
     return EXIT_OK
-
-
-def cmd_build_filter(args) -> int:
-    return _cmd_build(args, ideal=False)
-
-
-def cmd_build_ideal(args) -> int:
-    return _cmd_build(args, ideal=True)
 
 
 def cmd_embed_simple(args) -> int:
@@ -217,12 +222,7 @@ def cmd_check_ideal(args) -> int:
 
 def cmd_con(args) -> int:
     L = _load_lattice(args.lattice)
-    text = jio.dumps(jio.con_lattice_to_obj(cg.congruence_lattice(L)))
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(jio.dumps(jio.con_lattice_to_obj(cg.congruence_lattice(L))), args.out)
 
 
 def cmd_brt(args) -> int:
@@ -245,12 +245,7 @@ def cmd_brt(args) -> int:
 
 def cmd_render(args) -> int:
     L = _load_lattice(args.lattice)
-    text = rd.to_svg(L) if args.format == "svg" else rd.to_dot(L)
-    if args.out:
-        _write(Path(args.out), text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(rd.to_svg(L) if args.format == "svg" else rd.to_dot(L), args.out)
 
 
 def cmd_demo(args) -> int:
@@ -262,21 +257,19 @@ def cmd_demo(args) -> int:
     phi = bk.make_bounded_hom(conS, conS, tuple(range(conS.n)))
     L, crep = cn.filter_representation(F, F, phi)
     brep, vrep = crep.inner, crep.verification
-    _write(out / "input.json", jio.dumps(jio.rect_to_obj(F)))
-    _write(out / "extension.json", jio.dumps(jio.rect_to_obj(brep.output)))
-    _write(
-        out / "extension-report.json",
-        jio.dumps(jio.construction_report_to_obj(brep)),
-    )
-    _write(out / "result.json", jio.dumps(jio.rect_to_obj(L)))
-    _write(
-        out / "construction-report.json",
-        jio.dumps(jio.construction_report_to_obj(crep)),
-    )
-    _write(out / "verification.json", jio.dumps(jio.verification_report_to_obj(vrep)))
-    _write(out / "verification.txt", vrep.render_text() + "\n")
-    _write(out / "input.svg", rd.to_svg(F.lattice))
-    _write(out / "result.svg", rd.to_svg(L.lattice))
+    files = {
+        "input.json": jio.dumps(jio.rect_to_obj(F)),
+        "extension.json": jio.dumps(jio.rect_to_obj(brep.output)),
+        "extension-report.json": jio.dumps(jio.construction_report_to_obj(brep)),
+        "result.json": jio.dumps(jio.rect_to_obj(L)),
+        "construction-report.json": jio.dumps(jio.construction_report_to_obj(crep)),
+        "verification.json": jio.dumps(jio.verification_report_to_obj(vrep)),
+        "verification.txt": vrep.render_text() + "\n",
+        "input.svg": rd.to_svg(F.lattice),
+        "result.svg": rd.to_svg(L.lattice),
+    }
+    for name, text in files.items():
+        _write(out / name, text)
     print(f"wrote {out}/: input, extension, result, reports, diagrams")
     print(vrep.render_text())
     return EXIT_OK
@@ -289,23 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_build(name: str, func, blurb: str):
+    def add_build(name: str, ideal: bool, blurb: str):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("f", metavar="F", help="rectangular lattice (file or name)")
         p.add_argument("g", metavar="G", help="rectangular lattice (file or name)")
         p.add_argument("phi", metavar="PHI", nargs="?", help="bounded hom JSON")
         p.add_argument("--hom-index", type=int, help="pick the k-th enumerated hom")
         p.add_argument("--out", "-o", default=".", help="output directory")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_build, ideal=ideal)
 
-    add_build(
-        "build-filter", cmd_build_filter,
-        "realize a hom between congruence lattices with G as a filter",
-    )
-    add_build(
-        "build-ideal", cmd_build_ideal,
-        "realize a hom between congruence lattices with G as an ideal",
-    )
+    add_build("build-filter", False,
+              "realize a hom between congruence lattices with G as a filter")
+    add_build("build-ideal", True,
+              "realize a hom between congruence lattices with G as an ideal")
 
     p = sub.add_parser("embed-simple", help="embed G as an ideal of a simple lattice")
     p.add_argument("g", metavar="G")

@@ -83,7 +83,8 @@ class Congruence:
         return len(self.blocks)
 
     def collapses(self, x: int, y: int) -> bool:
-        return self.cls[x] == self.cls[y]
+        n = len(self.cls)
+        return self.cls[core._checked_id(x, n)] == self.cls[core._checked_id(y, n)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Congruence):

@@ -643,11 +643,20 @@ def is_semimodular(L: FiniteLattice) -> bool:
     return True
 
 
-def _set_mask(S: Iterable[int], n: int) -> int:
-    m = 0
+def _hull(L: FiniteLattice, S: Iterable[int]) -> tuple[int, int, int]:
+    """The mask of the element set ``S``, the up-set of its meet and the
+    down-set of its join.  This is the only reader of an element-set
+    argument: ``S`` is read once, and each id is converted and
+    range-checked as it is read.  An empty ``S`` has mask 0, its meet is
+    the top and its join the bottom."""
+    n, up, down = L.n, L._up, L._down
+    mask, above, below = 0, up[0], down[n - 1]  # common upper and lower bounds
     for x in S:
-        m |= 1 << _checked_id(x, n)
-    return m
+        x = _checked_id(x, n)
+        mask |= 1 << x
+        above &= up[x]
+        below &= down[x]
+    return mask, up[below.bit_length() - 1], down[(above & -above).bit_length() - 1]
 
 
 def is_convex_sublattice(L: FiniteLattice, S: Iterable[int]) -> bool:
@@ -660,30 +669,23 @@ def is_convex_sublattice(L: FiniteLattice, S: Iterable[int]) -> bool:
     ``a <= x ∧ y <= x ∨ y <= b`` for ``x, y`` in it, and every element
     between two of its members.  The cost is ``O(|S|)`` mask operations.
     """
-    elems = sorted(set(_element_ids(S)))
-    if not elems:
+    mask, above_meet, below_join = _hull(L, S)
+    if not mask:
         raise EmptySet("empty set is not a sublattice")
-    mask = _set_mask(elems, L.n)
-    return mask == L._up[L.meet_of(elems)] & L._down[L.join_of(elems)]
+    return mask == above_meet & below_join
 
 
 def is_ideal(L: FiniteLattice, S: Iterable[int]) -> bool:
-    """A nonempty down-set closed under join (hence a principal ideal)."""
-    elems = set(S)
-    if not elems:
-        return False
-    mask = _set_mask(elems, L.n)
-    top = L.join_of(elems)
-    return bool(mask >> top & 1) and L._down[top] == mask
+    """A nonempty down-set closed under join (hence a principal ideal):
+    exactly the down-set of its join, which holds the join."""
+    mask, _, below_join = _hull(L, S)
+    return below_join == mask
 
 
 def is_filter(L: FiniteLattice, S: Iterable[int]) -> bool:
-    elems = set(S)
-    if not elems:
-        return False
-    mask = _set_mask(elems, L.n)
-    bot = L.meet_of(elems)
-    return bool(mask >> bot & 1) and L._up[bot] == mask
+    """A nonempty up-set closed under meet: exactly the up-set of its meet."""
+    mask, above_meet, _ = _hull(L, S)
+    return above_meet == mask
 
 
 def sublattice(

@@ -11,6 +11,7 @@ the renumbering.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from . import birkhoff, core, rectangular as rl
@@ -51,15 +52,19 @@ def _require(obj: Any, key: str, kind: type) -> Any:
 
 
 def _integer(value: Any, what: str) -> int:
-    """An element id: a JSON integer, or the decimal string of an object key."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
+    """An element id: a JSON integer, which a bool or a string is not."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise LatconError(f"{what} must be an integer, got {value!r}")
+
+
+def _key_integer(key: str, what: str) -> int:
+    """An element id as an object key: an ASCII decimal numeral, with an
+    optional leading ``-``; ``int`` alone would also read ``"1_0"``,
+    ``" 3 "`` and non-ASCII digits."""
+    if re.fullmatch(r"-?[0-9]+", key):
+        return int(key)
+    raise LatconError(f"{what} must be an integer, got {key!r}")
 
 
 def _element(value: Any, n: int, what: str) -> int:
@@ -79,7 +84,7 @@ def _order_maps(obj: dict) -> tuple[dict | None, dict | None]:
             for k, vs in raw.items():
                 if not isinstance(vs, list):
                     raise LatconError(f"{key} entry {k!r} must be a list")
-                rows[_integer(k, f"{key} key")] = [_integer(v, f"{key} entry") for v in vs]
+                rows[_key_integer(k, f"{key} key")] = [_integer(v, f"{key} entry") for v in vs]
             out.append(rows)
         else:
             out.append(None)

@@ -170,7 +170,7 @@ def is_sublattice(L: FiniteLattice, S: Iterable[int]) -> bool:
     elems = sorted(set(S))
     if not elems:
         raise EmptySet("empty set is not a sublattice")
-    mask = core._set_mask(elems, L.n)
+    mask = core._hull(L, elems)[0]
     for i, x in enumerate(elems):
         for y in elems[i + 1 :]:
             if not mask >> L.meet(x, y) & 1 or not mask >> L.join(x, y) & 1:

@@ -1,11 +1,31 @@
-"""Bad arguments to a map call, to the order queries of ``FiniteLattice``
-(``is_cover``, ``height``, ``upper_covers``, ``lower_covers``,
-``is_doubly_irreducible``, ``leq``, ``join``, ``meet``, ``join_of``,
-``meet_of``, ``up_mask`` and ``down_mask``), to ``restriction_mismatch``,
-``grid_with_eyes``, ``diamond`` and ``search_rectangular`` fail as named
-``LatconError``s, never as a silent wrong answer or a bare
-``IndexError``/``TypeError``/``ValueError``."""
+"""The checked public surface: a bad element id or size fails as a named
+``LatconError``, never as a silent wrong answer or a bare
+``IndexError``/``TypeError``/``ValueError``.
 
+``ID_ROWS`` and ``ROWS`` pin the exact error and text of cases that once
+went wrong.  ``CONTRACT`` is the contract itself: one row per argument
+that takes an element id, a collection of ids or a size, for every public
+function of ``core``, ``congruence``, ``birkhoff``, ``rectangular``,
+``catalog``, ``construction`` and ``verify`` and every public method of
+``FiniteLattice``, ``Poset``, ``BoundedHom``, ``IsotoneMap``,
+``ConLattice``, ``Congruence`` and ``RectLattice``.  An id is tried as
+``-1``, the size ``n`` of what it indexes, ``1.5``, ``"a"`` and ``None``;
+a collection holds one of these or ``[0]``; a size is tried as ``-1``,
+``1.5``, ``"a"``, ``None`` and ``True``.  ``NO_ID`` lists the public
+callables that take no id or size, and a guard fails on any callable in
+neither.
+
+The contract covers ids and sizes only.  Out of its scope:
+
+- an argument of the wrong object type, such as ``cells(L)`` on a
+  ``FiniteLattice`` or ``congruence_lattice("a")``, which raises a bare
+  error: that is a caller bug, not outside input;
+- the ``KeyError`` of the ``ConLattice.colors`` mapping on a pair that is
+  no cover, which is its documented ``Mapping`` protocol.
+"""
+
+import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -18,13 +38,16 @@ import helpers
 from latcon import birkhoff as bk
 from latcon import catalog
 from latcon import congruence as cg
+from latcon import construction as cn
 from latcon import core
 from latcon import rectangular as rl
+from latcon import verify as vf
 from latcon.cli import main
 from latcon.errors import ElementOutOfRange, IndexOutOfRange, LatconError, SizeTooSmall
 
 C3SQ = catalog.get("c3xc3")
 G33 = rl.grid(3, 3).lattice
+THETA = cg.principal_congruence(G33, 0, 1)  # a congruence of grid-3x3
 
 
 def _phi():
@@ -101,6 +124,25 @@ ID_ROWS = [
      "diamond atoms must be an integer >= 3, got None"),
     ("diamond(True)", lambda: catalog.diamond(True), SizeTooSmall,
      "diamond atoms must be an integer >= 3, got True"),
+    # a negative id used to read the top's class
+    ("collapses(-1, 0)", lambda: THETA.collapses(-1, 0), ElementOutOfRange,
+     "element -1 out of range for size 9"),
+    ("collapses(0, 99)", lambda: THETA.collapses(0, 99), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("collapses(0, 1.5)", lambda: THETA.collapses(0, 1.5), ElementOutOfRange,
+     "element id 1.5 is not an integer"),
+    # a negative index used to pick the eye in cell 2
+    ("s7_eye(-1)", lambda: catalog.s7_eye(-1), IndexOutOfRange, "fork cell -1 is not 0, 1 or 2"),
+    ("s7_eye(5)", lambda: catalog.s7_eye(5), IndexOutOfRange, "fork cell 5 is not 0, 1 or 2"),
+    ("s7_eye(1.5)", lambda: catalog.s7_eye(1.5), IndexOutOfRange,
+     "fork cell 1.5 is not 0, 1 or 2"),
+    ("s7_eye('a')", lambda: catalog.s7_eye("a"), IndexOutOfRange,
+     "fork cell 'a' is not 0, 1 or 2"),
+    # an unhashable id used to raise a bare TypeError from set()
+    ("is_ideal([[0], 1])", lambda: core.is_ideal(G33, [[0], 1]), ElementOutOfRange,
+     "element id [0] is not an integer"),
+    ("is_filter([[0], 1])", lambda: core.is_filter(G33, [[0], 1]), ElementOutOfRange,
+     "element id [0] is not an integer"),
 ]
 
 ROWS = ID_ROWS + [
@@ -165,6 +207,12 @@ def test_good_arguments_unchanged():
     con = cg.congruence_lattice(G33)
     assert cg.restriction_mismatch(con, range(9), con) is None
     assert catalog.diamond(helpers.IntLike(3)).n == 5
+    assert [THETA.collapses(x, y) for x, y in ((0, 1), (6, 7), (0, 3))] == [True, True, False]
+    assert catalog.s7_eye(helpers.IntLike(2)) == catalog.s7_eye(2) != catalog.s7_eye()
+    assert core.is_ideal(G33, iter([0, 1, 3, 4])) and core.is_filter(G33, iter([4, 5, 7, 8]))
+    assert not core.is_ideal(G33, [0, 4]) and not core.is_filter(G33, [8, 4])
+    assert core.is_convex_sublattice(G33, iter([4, 1, 5, 2]))
+    assert not core.is_convex_sublattice(G33, [0, 8])
     phi, psi = _phi(), _psi()
     assert [phi(x) for x in range(C3SQ.n)] == list(phi.assignment)
     assert [psi(x) for x in range(psi.source.n)] == list(psi.assignment)
@@ -181,3 +229,162 @@ def test_negative_max_size_is_bad_input(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: max_size must be an integer >= 0, got -3\n"
+
+
+# -- the contract table ------------------------------------------------------
+
+S7 = catalog.s7()
+CHAIN3 = core.chain(3)
+P4 = core.join_irreducibles(C3SQ)  # four join-irreducibles
+
+
+def _cell(bottom):
+    """The first cell of the fork lattice with its bottom replaced."""
+    return dataclasses.replace(rl.cells(S7)[0], bottom=bottom)
+
+
+# (callable, argument, kind, n, call with a bad value in that argument);
+# kind "id" takes one id below n, "ids" a collection of them, "size" a size
+CONTRACT = [
+    ("core.make_lattice", "size", "size", None, lambda v: core.make_lattice(v, [])),
+    ("core.make_lattice", "covers", "ids", 3,
+     lambda v: core.make_lattice(3, [(0, 1), (1, v)])),
+    ("core.make_lattice", "upper_order", "ids", 3,
+     lambda v: core.make_lattice(3, None, [[1], [v], []])),
+    ("core.make_lattice", "lower_order", "ids", 3,
+     lambda v: core.make_lattice(3, [(0, 1), (1, 2)], None, [[], [v], [1]])),
+    ("core.make_lattice_with_map", "size", "size", None,
+     lambda v: core.make_lattice_with_map(v, [])),
+    ("core.make_lattice_with_map", "covers", "ids", 3,
+     lambda v: core.make_lattice_with_map(3, [(v, 1), (1, 2)])),
+    ("core.make_lattice_with_map", "upper_order", "ids", 3,
+     lambda v: core.make_lattice_with_map(3, [(0, 1), (1, 2)], {0: [v]})),
+    ("core.make_lattice_with_map", "lower_order", "ids", 3,
+     lambda v: core.make_lattice_with_map(3, None, [[1], [2], []], [[], [0], [v]])),
+    ("core.chain", "n", "size", None, core.chain),
+    ("core.is_convex_sublattice", "S", "ids", 9, lambda v: core.is_convex_sublattice(G33, [0, v])),
+    ("core.is_ideal", "S", "ids", 9, lambda v: core.is_ideal(G33, [0, v])),
+    ("core.is_filter", "S", "ids", 9, lambda v: core.is_filter(G33, [8, v])),
+    ("core.sublattice", "S", "ids", 9, lambda v: core.sublattice(G33, [0, v])),
+    ("FiniteLattice.leq", "y", "id", 9, lambda v: G33.leq(0, v)),
+    ("FiniteLattice.up", "x", "id", 9, G33.up),
+    ("FiniteLattice.down", "x", "id", 9, G33.down),
+    ("FiniteLattice.upper_covers", "x", "id", 9, G33.upper_covers),
+    ("FiniteLattice.lower_covers", "x", "id", 9, G33.lower_covers),
+    ("FiniteLattice.is_cover", "x", "id", 9, lambda v: G33.is_cover(v, 8)),
+    ("FiniteLattice.up_mask", "x", "id", 9, G33.up_mask),
+    ("FiniteLattice.down_mask", "x", "id", 9, G33.down_mask),
+    ("FiniteLattice.height", "x", "id", 9, G33.height),
+    ("FiniteLattice.meet", "y", "id", 9, lambda v: G33.meet(8, v)),
+    ("FiniteLattice.join", "x", "id", 9, lambda v: G33.join(v, 0)),
+    ("FiniteLattice.meet_of", "elems", "ids", 9, lambda v: G33.meet_of([8, v])),
+    ("FiniteLattice.join_of", "elems", "ids", 9, lambda v: G33.join_of([0, v])),
+    ("FiniteLattice.is_doubly_irreducible", "x", "id", 9, G33.is_doubly_irreducible),
+    ("Poset.leq", "x", "id", 4, lambda v: P4.leq(v, 0)),
+    ("Poset.up", "x", "id", 4, P4.up),
+    ("Poset.down", "x", "id", 4, P4.down),
+    ("Poset.upper_covers", "x", "id", 4, P4.upper_covers),
+    ("Poset.lower_covers", "x", "id", 4, P4.lower_covers),
+    ("BoundedHom.__call__", "x", "id", 9, lambda v: _phi()(v)),
+    ("IsotoneMap.__call__", "x", "id", 4, lambda v: _psi()(v)),
+    ("Congruence.collapses", "x", "id", 9, lambda v: THETA.collapses(v, 0)),
+    ("Congruence.collapses", "y", "id", 9, lambda v: THETA.collapses(0, v)),
+    ("congruence.generated_congruence", "pairs", "ids", 9,
+     lambda v: cg.generated_congruence(G33, [(0, 1), (2, v)])),
+    ("congruence.principal_congruence", "b", "id", 9,
+     lambda v: cg.principal_congruence(G33, 0, v)),
+    ("congruence.principal_congruence", "a", "id", 9,
+     lambda v: cg.principal_congruence(G33, v, 0)),
+    ("congruence.restriction_mismatch", "emb", "ids", 9,
+     lambda v: _restriction_mismatch([0, 1, v])),
+    ("congruence.is_cp_extension", "K", "ids", 9, lambda v: cg.is_cp_extension(G33, [0, v])),
+    ("birkhoff.make_bounded_hom", "assignment", "ids", 9,
+     lambda v: bk.make_bounded_hom(C3SQ, C3SQ, [*range(8), v])),
+    ("rectangular.grid_with_eyes", "m", "size", None, lambda v: rl.grid_with_eyes(v, 3, [])),
+    ("rectangular.grid_with_eyes", "n", "size", None, lambda v: rl.grid_with_eyes(3, v, [])),
+    ("rectangular.grid_with_eyes", "eye_cells", "ids", 2,
+     lambda v: rl.grid_with_eyes(3, 3, [(0, 0), (1, v)])),
+    ("rectangular.grid", "m", "size", None, lambda v: rl.grid(v, 2)),
+    ("rectangular.grid", "n", "size", None, lambda v: rl.grid(2, v)),
+    ("rectangular.insert_eye", "cell", "ids", 7, lambda v: rl.insert_eye(S7, _cell(v))),
+    ("rectangular.glue", "iso", "ids", 3, lambda v: rl.glue(CHAIN3, CHAIN3, [(2, v)])),
+    ("rectangular.glue", "iso", "ids", 3, lambda v: rl.glue(CHAIN3, CHAIN3, [(v, 0)])),
+    ("catalog.diamond", "k", "size", None, catalog.diamond),
+    ("catalog.s7_eye", "cell_index", "id", 3, catalog.s7_eye),
+    ("catalog.search_rectangular", "max_size", "size", None, catalog.search_rectangular),
+    ("verify.verify_filter_representation", "f_emb", "ids", 9,
+     lambda v: vf.verify_filter_representation(G33, [0, v], range(9), _phi())),
+    ("verify.verify_filter_representation", "g_emb", "ids", 9,
+     lambda v: vf.verify_filter_representation(G33, range(9), [8, v], _phi())),
+    ("verify.verify_ideal_representation", "f_emb", "ids", 9,
+     lambda v: vf.verify_ideal_representation(G33, [0, v], range(9), _phi())),
+    ("verify.verify_ideal_representation", "g_emb", "ids", 9,
+     lambda v: vf.verify_ideal_representation(G33, range(9), [0, v], _phi())),
+]
+
+# public callables that take no element id and no size
+NO_ID = {
+    "core.direct_product", "core.is_distributive", "core.is_semimodular",
+    "core.join_irreducibles", "core.downsets", "core.invariant", "core.find_isomorphism",
+    "core.are_isomorphic",
+    "FiniteLattice.atoms", "FiniteLattice.covers", "FiniteLattice.ji_elements", "Poset.covers",
+    "congruence.congruence_lattice", "congruence.is_simple",
+    "ConLattice.as_lattice", "ConLattice.covers",
+    "birkhoff.ji_of_hom", "birkhoff.hom_of_isotone", "birkhoff.brt_report",
+    "birkhoff.enumerate_isotone_maps", "birkhoff.enumerate_bounded_homs",
+    "rectangular.make_rectangular", "rectangular.cells", "rectangular.triple_glue",
+    "catalog.m3", "catalog.m4", "catalog.s7", "catalog.n5", "catalog.cube",
+    "catalog.stacked_m3", "catalog.rect_catalog", "catalog.congruence_catalog",
+    "catalog.brt_catalog", "catalog.get",
+    "construction.boundary_color_extension", "construction.filter_representation",
+    "construction.upper_chain_collapse_check", "construction.ideal_representation",
+    "construction.simple_ideal_embedding",
+}
+
+CONTRACT_MODULES = (core, cg, bk, rl, catalog, cn, vf)
+CONTRACT_CLASSES = (core.FiniteLattice, core.Poset, bk.BoundedHom, bk.IsotoneMap,
+                    cg.ConLattice, cg.Congruence, rl.RectLattice)
+
+
+def _bad_values(kind, n):
+    if kind == "size":
+        return [-1, 1.5, "a", None, True]
+    ids = [-1, n, 1.5, "a", None]
+    return ids + [[0]] if kind == "ids" else ids
+
+
+CASES = [
+    pytest.param(call, value, id=f"{name}:{arg}={value!r}")
+    for name, arg, kind, n, call in CONTRACT
+    for value in _bad_values(kind, n)
+]
+
+
+@pytest.mark.parametrize("call, value", CASES)
+def test_contract_bad_id_or_size_is_a_latcon_error(call, value):
+    with pytest.raises(LatconError):
+        call(value)
+
+
+def _public_callables():
+    """``module.function`` for each public function defined in a contract
+    module, and ``Class.method`` for each public method, ``__call__``
+    included, of a contract class; properties are no callables."""
+    names = set()
+    for module in CONTRACT_MODULES:
+        stem = module.__name__.rpartition(".")[2]
+        names |= {f"{stem}.{name}" for name, obj in vars(module).items()
+                  if inspect.isfunction(obj) and obj.__module__ == module.__name__
+                  and not name.startswith("_")}
+    for cls in CONTRACT_CLASSES:
+        names |= {f"{cls.__name__}.{name}" for name in dir(cls)
+                  if (name == "__call__" or not name.startswith("_"))
+                  and inspect.isfunction(inspect.getattr_static(cls, name))}
+    return names
+
+
+def test_every_public_callable_has_a_contract_row():
+    rows = {name for name, *_ in CONTRACT}
+    assert rows.isdisjoint(NO_ID)
+    assert sorted(_public_callables() - rows - NO_ID) == []
+    assert sorted((rows | NO_ID) - _public_callables()) == []  # no stale name

@@ -66,11 +66,19 @@ class TestInputResolution:
             '{"size": 3, "covers": [[0, 1], [1, 2]], "upper_order": {"7": [1]}}',
             "\xff\xfe\x00",
             "[" * 100000 + "]" * 100000,
+            '{"size": 3, "covers": [["0", 1], [1, 2]]}',
+            '{"size": 3, "covers": [[0, "\\u0661"], [1, 2]]}',
+            '{"size": 3, "covers": [[0, 1], [1, 2]], "upper_order": {"0": ["1"]}}',
+            '{"size": 11, "covers": %s, "upper_order": {"1_0": []}}'
+            % [[x, x + 1] for x in range(10)],
+            '{"size": 4, "covers": [[0, 1], [1, 2], [2, 3]], "upper_order": {" 3 ": []}}',
         ],
         ids=[
             "non-integer-cover", "cover-not-a-pair", "bool-size",
             "non-integer-order-key", "order-entry-too-large", "order-entry-negative",
             "order-key-names-no-element", "not-utf-8", "nesting-too-deep",
+            "string-cover-entry", "arabic-indic-cover-entry", "string-order-entry",
+            "underscore-order-key", "spaced-order-key",
         ],
     )
     def test_malformed_lattice_is_input_error(self, tmp_path, capsys, text):
@@ -80,22 +88,44 @@ class TestInputResolution:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "claims",
+        "text, message",
         [
-            '"lc": 9, "rc": 2, "eyes": []',
-            '"lc": 1, "rc": -2, "eyes": []',
-            '"lc": 1, "rc": 2, "eyes": [9]',
+            ('{"size": 3, "covers": [["0", 1], [1, 2]]}',
+             "cover entry must be an integer, got '0'"),
+            ('{"size": 3, "covers": [[0, 1], [1, 2]], "upper_order": {"1_0": [0]}}',
+             "upper_order key must be an integer, got '1_0'"),
+            ('{"size": 3, "covers": [[0, 1], [1, 2]], "upper_order": {"-1": [0]}}',
+             "upper_order names element -1, out of range for size 3"),
         ],
-        ids=["corner-out-of-range", "corner-negative", "eye-out-of-range"],
+        ids=["string-value", "underscore-key", "negative-key"],
     )
-    def test_malformed_rect_claim_is_input_error(self, tmp_path, capsys, claims):
+    def test_ids_are_json_integers_and_keys_numerals(self, tmp_path, capsys, text, message):
         p = tmp_path / "bad.json"
-        square = '"size": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]'
-        p.write_text("{%s, %s}" % (square, claims))
+        p.write_text(text)
+        assert main(["con", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+    SQUARE = '"size": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]'
+    M3 = '"size": 5, "covers": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]'  # eye 2
+
+    @pytest.mark.parametrize(
+        "body, claims",
+        [
+            (SQUARE, '"lc": 9, "rc": 2, "eyes": []'),
+            (SQUARE, '"lc": 1, "rc": -2, "eyes": []'),
+            (SQUARE, '"lc": 1, "rc": 2, "eyes": [9]'),
+            (M3, '"lc": 1, "rc": 3, "eyes": ["2"]'),
+        ],
+        ids=["corner-out-of-range", "corner-negative", "eye-out-of-range", "string-eye"],
+    )
+    def test_malformed_rect_claim_is_input_error(self, tmp_path, capsys, body, claims):
+        p = tmp_path / "bad.json"
+        p.write_text("{%s, %s}" % (body, claims))
         assert main(["check-ideal", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", ["x", True, 1.5], ids=["string", "bool", "float"])
+    @pytest.mark.parametrize(
+        "entry", ["x", True, 1.5, "1"], ids=["string", "bool", "float", "numeral-string"])
     def test_malformed_hom_entry_is_input_error(self, tmp_path, capsys, entry):
         D = cg.congruence_lattice(catalog.get("grid-2x2")).as_lattice()
         E = cg.congruence_lattice(catalog.get("m3")).as_lattice()
@@ -494,6 +524,18 @@ class TestConsoleScript:
         )
         assert proc.returncode == 4
         assert "fails" in proc.stdout
+
+
+def test_line_counter_runs():
+    # tests/count_lines.py prints each module's lines and code lines, then the totals
+    script = Path(__file__).resolve().parent / "count_lines.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    totals = [line.split() for line in proc.stdout.splitlines() if line.startswith("total")]
+    assert len(totals) == 1
+    _, lines, code = totals[0]
+    assert int(lines) > int(code) > 0
 
 
 def test_every_export_resolves():
