@@ -273,7 +273,9 @@ class ConLattice:
     everything.  ``index`` maps each congruence's ``cls`` to its position.
     """
 
-    __slots__ = ("lattice", "theta_cls", "ji_order", "colors", "_size", "_full", "_lattice_view")
+    __slots__ = (
+        "lattice", "theta_cls", "ji_order", "colors", "_size", "_full", "_covers", "_lattice_view"
+    )
 
     def __init__(
         self,
@@ -288,6 +290,7 @@ class ConLattice:
         self.colors = colors
         self._size: int | None = None
         self._full: _Partitions | None = None
+        self._covers: tuple[tuple[int, int], ...] | None = None
         self._lattice_view = None
 
     def _build(self) -> _Partitions:
@@ -346,8 +349,12 @@ class ConLattice:
 
         They are those of the lattice of down-sets of ``ji_order``:
         congruence i is the join of the ``theta_cls`` in its down-set.
+        Sorted once, on first use; each call returns a new list.
         """
-        return sorted(core._downset_covers(self.ji_order, self._build().downsets))
+        if self._covers is None:
+            covers = core._downset_covers(self.ji_order, self._build().downsets)
+            self._covers = tuple(sorted(covers))
+        return list(self._covers)
 
     def as_lattice(self) -> FiniteLattice:
         """Con L as a FiniteLattice with :meth:`covers`; element i is

@@ -26,7 +26,11 @@ representation pipelines check their output once through
 congruences, as partitions, to both copies, never builds the output's list
 of all congruences, and shares no color matching with the pipelines: a
 failing check raises :class:`VerificationFailed`, and a passing report is
-kept in ``ConstructionReport.verification``.
+kept in ``ConstructionReport.verification``.  The verifier rebuilds both
+copies from the output and is handed ``F`` and ``G`` as ``inputs``: a copy
+equal to its input field for field is read through it, so Con F and Con G,
+computed once by the pipeline's entry check, are not computed again per
+output.  A copy that differs is verified as rebuilt.
 """
 
 from __future__ import annotations
@@ -173,11 +177,13 @@ def _glue_flaps(
     return asm, tuple(log)
 
 
-def _verified(check, phi, inner, asm, log, f_map, g_map) -> tuple[RectLattice, ConstructionReport]:
+def _verified(
+    check, F, G, phi, inner, asm, log, f_map, g_map
+) -> tuple[RectLattice, ConstructionReport]:
     """Output and report, once ``check`` passes; ``f_map``/``g_map`` place F's extension and G."""
     L = asm.result
     embedded_f = tuple(f_map[x] for x in inner.embedded_f)
-    vrep = check(L.lattice, embedded_f, g_map, phi)
+    vrep = check(L.lattice, embedded_f, g_map, phi, inputs=(F.lattice, G.lattice))
     if not vrep.summary:
         raise VerificationFailed(vrep)
     return L, ConstructionReport(
@@ -260,7 +266,7 @@ def filter_representation(
         ties.append((flap, a, inner.color_table[lifted][facing][0], q, lifted))
     asm, log = _glue_flaps(G, inner.output, ties)
     check = verify.verify_filter_representation
-    return _verified(check, phi, inner, asm, log, asm.b_map, asm.t_map)
+    return _verified(check, F, G, phi, inner, asm, log, asm.b_map, asm.t_map)
 
 
 def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
@@ -313,7 +319,7 @@ def ideal_representation(
     ]
     asm, log = _glue_flaps(inner.output, G, ties)
     check = verify.verify_ideal_representation
-    return _verified(check, phi, inner, asm, log, asm.t_map, asm.b_map)
+    return _verified(check, F, G, phi, inner, asm, log, asm.t_map, asm.b_map)
 
 
 def simple_ideal_embedding(G: RectLattice) -> tuple[RectLattice, ConstructionReport]:

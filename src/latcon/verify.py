@@ -3,9 +3,17 @@
 The checks here trust nothing from :mod:`latcon.construction`: embeddings
 come in as plain ordered id tuples, the embedded copies are rebuilt from
 the ambient lattice's own cover relation by :func:`core.sublattice`, which
-must number each copy as its embedding lists it, and the congruence
-bookkeeping is recomputed from scratch.  A :class:`VerificationReport`
-lists every check with a witness for any failure.
+must number each copy as its embedding lists it, and the output's
+congruence lattice is computed here.  A :class:`VerificationReport` lists
+every check with a witness for any failure.
+
+A caller may pass ``inputs``, the lattices it expects the two copies to
+equal.  A rebuilt copy that equals its input in every stored field (``n``,
+``_up``, ``_down``, ``_upper``, ``_lower``) is replaced by that input, so
+its congruence lattice is read from the input's cache instead of being
+computed again.  The report is the same value either way: a lattice is
+immutable and its congruence lattice is a function of those fields alone.
+A copy that differs in any field is used as rebuilt.
 """
 
 from __future__ import annotations
@@ -61,6 +69,15 @@ def _copy(L: FiniteLattice, emb: Sequence[int]) -> tuple[tuple[int, ...], Finite
     return emb, sub
 
 
+_FIELDS = ("n", "_up", "_down", "_upper", "_lower")
+
+
+def _as_input(copy: FiniteLattice, given: FiniteLattice) -> FiniteLattice:
+    """``given`` if it equals the rebuilt ``copy`` in every stored field, else ``copy``."""
+    same = all(getattr(copy, f) == getattr(given, f) for f in _FIELDS)
+    return given if same else copy
+
+
 def _endpoints_match(phi: BoundedHom, conF: cg.ConLattice, conG: cg.ConLattice) -> bool:
     """Are phi's source and target Con F and Con G, cover for cover?"""
     return all(
@@ -75,9 +92,12 @@ def _verify_representation(
     g_emb: Sequence[int],
     phi: BoundedHom,
     mode: str,
+    inputs: tuple[FiniteLattice, FiniteLattice] | None,
 ) -> VerificationReport:
     f_emb, fsub = _copy(L, f_emb)
     g_emb, gsub = _copy(L, g_emb)
+    if inputs is not None:
+        fsub, gsub = map(_as_input, (fsub, gsub), inputs)
     conL = cg.congruence_lattice(L)
     conF = cg.congruence_lattice(fsub)
     conG = cg.congruence_lattice(gsub)
@@ -119,7 +139,12 @@ def _verify_representation(
 
 
 def verify_filter_representation(
-    L: FiniteLattice, f_emb: Sequence[int], g_emb: Sequence[int], phi: BoundedHom
+    L: FiniteLattice,
+    f_emb: Sequence[int],
+    g_emb: Sequence[int],
+    phi: BoundedHom,
+    *,
+    inputs: tuple[FiniteLattice, FiniteLattice] | None = None,
 ) -> VerificationReport:
     """Check a claimed filter representation of ``phi`` inside ``L``.
 
@@ -128,12 +153,23 @@ def verify_filter_representation(
     is a congruence-lattice bijection, and restriction to the target copy
     acts as ``phi`` on every congruence of ``L``; both cut down only the
     join-irreducible congruences of ``L``, as partitions.
+
+    ``inputs``, when given, is the pair of lattices the two rebuilt copies
+    are expected to equal.  A copy equal to its input in every stored field
+    is replaced by it, so the input's cached congruence lattice is read;
+    the report is the same with or without ``inputs`` (see the module
+    docstring).
     """
-    return _verify_representation(L, f_emb, g_emb, phi, "filter")
+    return _verify_representation(L, f_emb, g_emb, phi, "filter", inputs)
 
 
 def verify_ideal_representation(
-    L: FiniteLattice, f_emb: Sequence[int], g_emb: Sequence[int], phi: BoundedHom
+    L: FiniteLattice,
+    f_emb: Sequence[int],
+    g_emb: Sequence[int],
+    phi: BoundedHom,
+    *,
+    inputs: tuple[FiniteLattice, FiniteLattice] | None = None,
 ) -> VerificationReport:
     """Check a claimed ideal representation; see the filter variant."""
-    return _verify_representation(L, f_emb, g_emb, phi, "ideal")
+    return _verify_representation(L, f_emb, g_emb, phi, "ideal", inputs)

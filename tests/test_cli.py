@@ -288,7 +288,7 @@ class TestBuildCommands:
         self, tmp_path, capsys, monkeypatch
     ):
         bad = vf.VerificationReport((vf.CheckResult("injected", False, "fault"),))
-        monkeypatch.setattr(vf, "verify_filter_representation", lambda *args: bad)
+        monkeypatch.setattr(vf, "verify_filter_representation", lambda *args, **kw: bad)
         rc = main(
             ["build-filter", "s7", "m3", "--hom-index", "0", "--out", str(tmp_path)]
         )
@@ -300,9 +300,9 @@ class TestBuildCommands:
         calls = []
         check = vf.verify_filter_representation
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return check(*args)
+            return check(*args, **kwargs)
 
         monkeypatch.setattr(vf, "verify_filter_representation", counted)
         rc = main(

@@ -36,7 +36,7 @@ def hom(F, G, k=0):
     return bk.enumerate_bounded_homs(con_lat(F), con_lat(G))[k]
 
 
-def failing_report(*args):
+def failing_report(*args, **kwargs):
     return vf.VerificationReport((vf.CheckResult("injected", False, "fault"),))
 
 
@@ -197,7 +197,7 @@ class TestVerification:
             "from latcon.errors import VerificationFailed\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "bad = vf.VerificationReport((vf.CheckResult('injected', False),))\n"
-            "vf.verify_filter_representation = lambda *args: bad\n"
+            "vf.verify_filter_representation = lambda *args, **kw: bad\n"
             "F = G = catalog.rect_catalog()['m3']\n"
             "D = cg.congruence_lattice(F.lattice).as_lattice()\n"
             "phi = bk.make_bounded_hom(D, D, range(D.n))\n"

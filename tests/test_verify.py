@@ -1,5 +1,7 @@
 """The independent verification harness and the universal property suite."""
 
+import random
+
 import pytest
 
 import helpers
@@ -272,6 +274,144 @@ class TestCopiesBySublattice:
         bad = fault(tuple(rep.embedded_g), L)
         with pytest.raises(EmbeddingInvalid, match=text.format(n=L.n, top=L.top)):
             vf.verify_filter_representation(L, rep.embedded_f, bad, phi)
+
+
+FIELDS = ("n", "_up", "_down", "_upper", "_lower")
+
+
+def _same_fields(A, B):
+    return all(getattr(A, f) == getattr(B, f) for f in FIELDS)
+
+
+def _sweep_runs():
+    """``(verify, F, G, L, rep, phi)`` for the 34 items of the A6 filter sweep
+    and a seeded 48 of the 438 ideal representations among grid-2x3,
+    grid-3x3 and m4."""
+    rect = catalog.rect_catalog()
+
+    def homs(f, g):
+        F, G = rect[f], rect[g]
+        D = cg.congruence_lattice(F.lattice).as_lattice()
+        E = cg.congruence_lattice(G.lattice).as_lattice()
+        return [(F, G, phi) for phi in bk.enumerate_bounded_homs(D, E)]
+
+    sweep = ("grid-2x2", "m3", "s7")
+    filters = [job for f in sweep for g in sweep for job in homs(f, g)]
+    ideal = ("grid-2x3", "grid-3x3", "m4")
+    ideals = [job for f in ideal for g in ideal for job in homs(f, g)]
+    assert (len(filters), len(ideals)) == (34, 438)
+    runs = [(cn.filter_representation, vf.verify_filter_representation, *job)
+            for job in filters]
+    runs += [(cn.ideal_representation, vf.verify_ideal_representation, *job)
+             for job in random.Random(32).sample(ideals, 48)]
+    for build, check, F, G, phi in runs:
+        L, rep = build(F, G, phi)
+        yield check, F, G, L.lattice, rep, phi
+
+
+def _fresh_con_calls(monkeypatch):
+    """Wrap ``cg.congruence_lattice``; the returned list collects each
+    argument whose congruence lattice is not cached yet."""
+    fresh = []
+    real = cg.congruence_lattice
+
+    def counted(L):
+        if L._con is None:
+            fresh.append(L)
+        return real(L)
+
+    monkeypatch.setattr(cg, "congruence_lattice", counted)
+    return fresh
+
+
+class TestCopiesReadThroughInputs:
+    """``inputs`` lets the verifier read an embedded copy through the input
+    lattice it equals; the report is the same text with or without it."""
+
+    def test_reports_equal_with_and_without_inputs(self):
+        runs = 0
+        for check, F, G, L, rep, phi in _sweep_runs():
+            args = (L, rep.embedded_f, rep.embedded_g, phi)
+            plain = check(*args).render_text()
+            given = check(*args, inputs=(F.lattice, G.lattice)).render_text()
+            assert given == plain == rep.verification.render_text()
+            assert plain.endswith("summary: PASS")
+            runs += 1
+        assert runs == 34 + 48
+
+    def test_every_copy_equals_its_input(self):
+        # the substitution pays off only while the pipelines embed F and G
+        # field for field; a construction change that breaks this fails here
+        for _, F, G, L, rep, _ in _sweep_runs():
+            assert _same_fields(core.sublattice(L, rep.embedded_f)[0], F.lattice)
+            assert _same_fields(core.sublattice(L, rep.embedded_g)[0], G.lattice)
+
+    def test_warmed_pipeline_computes_con_of_the_output_only(self, monkeypatch):
+        for F, G in ((G22, M3), (S7, S7), (M3, S7)):
+            homs = [_hom(F, G, k) for k in (0, -1)]
+            cn.filter_representation(F, G, homs[0])  # warms Con F, Con G and F's extension
+            fresh = _fresh_con_calls(monkeypatch)
+            L, rep = cn.filter_representation(F, G, homs[1])
+            assert rep.verification.summary
+            assert len(fresh) == 1 and fresh[0] is L.lattice
+            monkeypatch.undo()
+
+    def test_without_inputs_both_copies_are_computed(self, monkeypatch):
+        L, rep, phi = _built(S7, S7)
+        fresh = _fresh_con_calls(monkeypatch)
+        vf.verify_filter_representation(L.lattice, rep.embedded_f, rep.embedded_g, phi)
+        assert len(fresh) == 2
+        assert not [K for K in fresh if K is S7.lattice or K is L.lattice]
+
+    def test_differing_input_is_not_read(self, monkeypatch):
+        # G's covers in another planar order: equal as an order, not field
+        # for field, so the rebuilt copy is verified as it is
+        L, rep, phi = _built()
+        G = M3.lattice
+        other = core.make_lattice(G.n, None, [row[::-1] for row in G._upper])
+        assert other._up == G._up and other._upper != G._upper
+        args = (L.lattice, rep.embedded_f, rep.embedded_g, phi)
+        plain = vf.verify_filter_representation(*args).render_text()
+        fresh = _fresh_con_calls(monkeypatch)
+        text = vf.verify_filter_representation(*args, inputs=(G22.lattice, other)).render_text()
+        assert text == plain
+        assert other._con is None
+        assert len(fresh) == 1 and _same_fields(fresh[0], G)
+
+    def test_swapped_inputs_fall_back(self, monkeypatch):
+        L, rep, phi = _built()
+        args = (L.lattice, rep.embedded_f, rep.embedded_g, phi)
+        plain = vf.verify_filter_representation(*args).render_text()
+        fresh = _fresh_con_calls(monkeypatch)
+        text = vf.verify_filter_representation(*args, inputs=(M3.lattice, G22.lattice))
+        assert text.render_text() == plain
+        assert len(fresh) == 2
+
+    def test_failing_report_unchanged_by_inputs(self):
+        homs = bk.enumerate_bounded_homs(
+            cg.congruence_lattice(S7.lattice).as_lattice(),
+            cg.congruence_lattice(S7.lattice).as_lattice(),
+        )
+        L, rep = cn.filter_representation(S7, S7, homs[0])
+        args = (L.lattice, rep.embedded_f, rep.embedded_g, homs[3])
+        plain = vf.verify_filter_representation(*args)
+        given = vf.verify_filter_representation(*args, inputs=(S7.lattice, S7.lattice))
+        assert given == plain and not given.summary
+
+    def test_endpoint_mismatch_still_raised(self):
+        L, rep, phi = _built(G22, M3)
+        with pytest.raises(EmbeddingInvalid, match="endpoints do not match"):
+            vf.verify_filter_representation(
+                L.lattice, rep.embedded_f, rep.embedded_g, _hom(M3, G22),
+                inputs=(G22.lattice, M3.lattice),
+            )
+
+    def test_inputs_is_keyword_only(self):
+        L, rep, phi = _built()
+        with pytest.raises(TypeError):
+            vf.verify_filter_representation(
+                L.lattice, rep.embedded_f, rep.embedded_g, phi, (G22.lattice, M3.lattice)
+            )
 
 
 class TestLemmaSuite:
