@@ -373,16 +373,49 @@ def _rank(c: Congruence) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return -c.nblocks, c.blocks
 
 
+def _d_rows(L: FiniteLattice) -> dict[int, int]:
+    """Row q of D for each join-irreducible q, in id order: the mask of the
+    join-irreducible p with some x that has ``p <= q v x`` and
+    ``p !<= q_* v x``.
+
+    The row is the union of ``down(q v y) - down(y)`` over the y in
+    ``up(q_*) - up(q)`` with one upper cover, one join per witness.  Any
+    y in ``up(q_*)`` would do: for any x put ``y = q_* v x``; then
+    ``q v y = q v x`` and ``q_* v y = y``, so y witnesses what x does, and
+    a y above q witnesses nothing, as then ``q v y = y``.  The
+    meet-irreducible y suffice: if y witnesses p, let m be maximal with
+    ``m >= y`` and ``m !>= p``.  Every upper cover of m lies above p, so two
+    of them would have meet m above p: m has one upper cover.  And
+    ``m !>= q``, or else ``m >= q v y >= p``, while ``q v m >= q v y >= p``,
+    so m witnesses p too.  The cost is one join per join-irreducible q and
+    per meet-irreducible y, ``O(|J| |M|)`` mask operations, not
+    ``O(|J| n)``.
+    """
+    up, down, lower = L._up, L._down, L._lower
+    J = L.ji_elements()
+    jmask = sum(1 << p for p in J)
+    mmask = sum(1 << m for m, ups in enumerate(L._upper) if len(ups) == 1)
+    rows = {}
+    for q in J:
+        uq = up[q]
+        m = 0
+        ys = up[lower[q][0]] & ~uq & mmask
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
+            j = uq & up[y]
+            m |= down[(j & -j).bit_length() - 1] & ~down[y]
+        rows[q] = m & jmask
+    return rows
+
+
 def congruence_lattice(L: FiniteLattice) -> ConLattice:
     """The join-irreducible congruences of L, their order, and the edge coloring.
 
     Covers are colored by join-irreducibles and colors are ordered by D*
-    (see the module docstring).  The row of q in D, the p with some x that
-    has ``p <= q v x`` and ``p !<= q_* v x``, is the union of
-    ``down(q v y) - down(y)`` over y in ``up(q_*) - up(q)``, one join per
-    witness: for any x put ``y = q_* v x``; then ``q v y = q v x`` and
-    ``q_* v y = y``, so y witnesses what x does, and a y above q witnesses
-    nothing, as then ``q v y = y``.  The list of all congruences is left to
+    (see the module docstring), D's rows read off meet-irreducible
+    witnesses by :func:`_d_rows`.  The list of all congruences is left to
     :class:`ConLattice` to build on demand.  ``theta[r]`` is the principal
     closure con(r_*, r), and the postcondition checks it cover by cover:
     it must collapse a cover of color ``c`` exactly when ``c`` is in r's
@@ -399,22 +432,10 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     if L._con is not None:
         return L._con
 
-    up, down, lower = L._up, L._down, L._lower
-    J = L.ji_elements()
+    down, lower = L._down, L._lower
+    below = _d_rows(L)  # below[q]: the p with p D q, then with p D* q (Warshall)
+    J = tuple(below)
     jmask = sum(1 << p for p in J)
-    # below[q]: the p with p D q, then with p D* q (Warshall)
-    below = {}
-    for q in J:
-        uq = up[q]
-        m = 0
-        ys = up[lower[q][0]] & ~uq
-        while ys:
-            low = ys & -ys
-            ys ^= low
-            y = low.bit_length() - 1
-            j = uq & up[y]
-            m |= down[(j & -j).bit_length() - 1] & ~down[y]
-        below[q] = m & jmask
     for k in J:
         for q in J:
             if below[q] >> k & 1:
@@ -482,7 +503,12 @@ def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattic
     it is onto when the sizes agree.
     """
     n = con_l.lattice.n
-    image = _ji_restriction(con_l, [core._checked_id(x, n) for x in emb], con_k)
+    return _restriction_mismatch(con_l, [core._checked_id(x, n) for x in emb], con_k)
+
+
+def _restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> str | None:
+    """:func:`restriction_mismatch` of ``emb``, ids already checked to lie in L."""
+    image = _ji_restriction(con_l, emb, con_k)
     P, Q = con_l.ji_order, con_k.ji_order
 
     def named(r: int) -> list[list[int]]:

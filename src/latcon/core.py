@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping
-from itertools import chain as _chain, starmap
-from operator import contains, eq, index as _index
+from itertools import chain as _chain, combinations, starmap
+from operator import contains, eq, index as _index, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
     NotALattice,
     NotConvexSublattice,
     NotReduced,
+    PostconditionFailed,
     ZeroSize,
 )
 
@@ -458,21 +459,29 @@ def make_lattice_with_map(
     and the join test loop over covers in Python; the other checks are
     C-level passes over the rows.
 
-    Only the joins ``x \\/ p`` with ``p`` join-irreducible (one lower
-    cover) and ``x`` incomparable to ``p`` are checked, by the claim: a
-    finite poset with a unique bottom and top, numbered along a linear
-    extension, is a lattice iff ``x \\/ p`` exists for every ``x`` and every
-    such ``p``.  Proof that every ``x \\/ y`` exists, by strong induction on
-    ``y``: ``y`` is the bottom, or join-irreducible, or has lower covers
-    ``a1 != a2``.  In the last case ``a1 \\/ a2`` exists by induction; it lies
-    above ``a1`` and below ``y``, and ``y`` covers ``a1``, so it is ``y``.  So
-    the upper bounds of ``{x, y}`` are those of ``{x, a1, a2}``, and
-    ``x \\/ y = (x \\/ a1) \\/ a2``, both joins existing by induction.  Meets
-    follow: a finite poset with a bottom and all joins is a lattice, the
-    meet being the join of the lower bounds.  A join of comparable elements
-    is the larger one, and ``x \\/ p`` exists iff the lowest bit ``c`` of
-    ``up[x] & up[p]`` has ``up[c] == up[x] & up[p]``.  The cost is one mask
-    test per incomparable pair ``(x, p)``, not a table of n² joins.
+    Only the joins of two upper covers of a common element are checked, by
+    the claim: a finite poset with a least element is a lattice iff any
+    two elements covering a common element have a join.  Proof that every
+    ``x, y >= w`` have a join, by downward induction on ``w``: if ``x`` or
+    ``y`` is ``w`` the join is the other; else take ``w < x1 <= x`` and
+    ``w < y1 <= y`` with ``x1`` and ``y1`` covering ``w``.  If ``x1 == y1``
+    the induction at ``x1`` gives the join.  Otherwise ``j = x1 \\/ y1``
+    exists, then ``x' = x \\/ j`` (induction at ``x1``), then
+    ``t = y \\/ x'`` (induction at ``y1``).  Every upper bound of
+    ``{x, y}`` lies above ``x1`` and ``y1``, hence above ``j``, ``x'`` and
+    ``t``, and ``t`` is one: ``t = x \\/ y``.  At ``w`` the bottom, checked
+    unique just before, every join exists.  Meets follow: a finite poset
+    with a bottom and all joins is a lattice, the meet being the join of
+    the lower bounds.  ``a \\/ b`` exists iff the lowest bit ``c`` of
+    ``up[a] & up[b]`` has ``up[c] == up[a] & up[b]``.  The cost is one mask
+    test per pair of upper covers of each element, the sum over ``c`` of
+    the squared number of upper covers of ``c``; a planar lattice pays
+    about one per element.  The joins ``x \\/ p`` with ``p``
+    join-irreducible and ``x`` incomparable to it also decide, by the claim
+    at :func:`_unjoined`, and their scan names the pair of
+    :class:`NotALattice`.  It runs alone when the pairs of covers
+    outnumber ``|J(L)| n``, as in a large Boolean lattice, where it does
+    fewer tests; otherwise only once a pair of covers has no join.
     """
     n = _size(size, 1, ZeroSize, "lattice size")
     succ, pairs = _cover_rows(n, covers, upper_order)
@@ -524,9 +533,45 @@ def make_lattice_with_map(
             ends = (order[x] for x in range(n) if not rows[x])
             raise NotALattice(f"no unique {kind} elements {_listed(ends)}")
 
-    everything = (1 << n) - 1
-    for p in range(n):
-        if len(lower[p]) != 1:
+    degrees = list(map(len, upper))  # twice the pairs of covers against 2 |J(L)| n
+    if sum(map(mul, degrees, degrees)) - sum(degrees) <= 2 * n * list(map(len, lower)).count(1):
+        for ups in upper:
+            if len(ups) > 1:
+                for a, b in combinations(ups, 2):
+                    common = up[a] & up[b]
+                    if up[(common & -common).bit_length() - 1] != common:
+                        raise _unjoined(up, down, lower, order) or PostconditionFailed(
+                            "two upper covers have no join, yet every join with a"
+                            " join-irreducible exists"
+                        )
+    elif unjoined := _unjoined(up, down, lower, order):
+        raise unjoined
+    if up_fault or low_fault:
+        raise up_fault or low_fault
+
+    lat = FiniteLattice(n, up, down, upper, lower)
+    return lat, tuple(new_id)
+
+
+def _unjoined(up, down, lower, order) -> NotALattice | None:
+    """The error naming the first pair without a join in a scan over each
+    join-irreducible ``p`` in id order and each ``x`` incomparable to it in
+    id order, or None; ``order[i]`` is the input id of row ``i``.
+
+    None means a lattice, by the claim: a finite poset with a unique bottom
+    and top, numbered along a linear extension, is a lattice iff
+    ``x \\/ p`` exists for every ``x`` and every join-irreducible ``p``.
+    Proof that every ``x \\/ y`` exists, by strong induction on ``y``: ``y``
+    is the bottom, or join-irreducible, or has lower covers ``a1 != a2``.
+    In the last case ``a1 \\/ a2`` exists by induction; it lies above ``a1``
+    and below ``y``, and ``y`` covers ``a1``, so it is ``y``.  So the upper
+    bounds of ``{x, y}`` are those of ``{x, a1, a2}``, and
+    ``x \\/ y = (x \\/ a1) \\/ a2``, both joins existing by induction.  The
+    cost is one mask test per pair ``(x, p)``.
+    """
+    everything = (1 << len(up)) - 1
+    for p, low_p in enumerate(lower):
+        if len(low_p) != 1:
             continue
         up_p = up[p]
         far = everything & ~(up_p | down[p])
@@ -536,14 +581,8 @@ def make_lattice_with_map(
             common = up[low.bit_length() - 1] & up_p
             if up[(common & -common).bit_length() - 1] != common:
                 x, y = sorted((low.bit_length() - 1, p))
-                raise NotALattice(
-                    f"elements {order[x]} and {order[y]} have no least upper bound"
-                )
-    if up_fault or low_fault:
-        raise up_fault or low_fault
-
-    lat = FiniteLattice(n, up, down, upper, lower)
-    return lat, tuple(new_id)
+                return NotALattice(f"elements {order[x]} and {order[y]} have no least upper bound")
+    return None
 
 
 def make_lattice(
@@ -626,19 +665,18 @@ def is_semimodular(L: FiniteLattice) -> bool:
     Tested by Birkhoff's condition, which is equivalent in a lattice of
     finite length (G. Gratzer, *Lattice Theory: Foundation*, the section on
     semimodular lattices): whenever ``a != b`` both cover ``c``, ``a \\/ b``
-    covers both ``a`` and ``b``.  Costs one upper-cover mask per element,
-    built here since the lattice keeps none, plus the sum over ``c`` of the
-    squared number of upper covers of ``c``.
+    covers both ``a`` and ``b``.  Costs one join and two look-ups in the
+    cover rows of ``a`` and ``b`` per pair of upper covers of each ``c``,
+    the sum over ``c`` of the squared number of its upper covers; no
+    cover mask is built.
     """
-    up = L._up
-    covup = [sum(1 << y for y in ups) for ups in L._upper]
-    for ups in L._upper:
-        for i, a in enumerate(ups):
-            ua, ca = up[a], covup[a]
-            for b in ups[i + 1:]:
-                j = ua & up[b]
-                j &= -j
-                if not (ca & j and covup[b] & j):
+    up, upper = L._up, L._upper
+    for ups in upper:
+        if len(ups) > 1:
+            for a, b in combinations(ups, 2):
+                j = up[a] & up[b]
+                j = (j & -j).bit_length() - 1
+                if j not in upper[a] or j not in upper[b]:
                     return False
     return True
 
@@ -649,10 +687,15 @@ def _hull(L: FiniteLattice, S: Iterable[int]) -> tuple[int, int, int]:
     argument: ``S`` is read once, and each id is converted and
     range-checked as it is read.  An empty ``S`` has mask 0, its meet is
     the top and its join the bottom."""
-    n, up, down = L.n, L._up, L._down
-    mask, above, below = 0, up[0], down[n - 1]  # common upper and lower bounds
-    for x in S:
-        x = _checked_id(x, n)
+    n = L.n
+    return _span(L, [_checked_id(x, n) for x in S])
+
+
+def _span(L: FiniteLattice, ids: Iterable[int]) -> tuple[int, int, int]:
+    """:func:`_hull` of ``ids``, ints already checked to lie in ``0..n-1``."""
+    up, down = L._up, L._down
+    mask, above, below = 0, up[0], down[-1]  # common upper and lower bounds
+    for x in ids:
         mask |= 1 << x
         above &= up[x]
         below &= down[x]
@@ -700,7 +743,16 @@ def sublattice(
     linear extension, such as ascending L-ids, is kept, and any other is
     renumbered along Kahn's order.
     """
-    elems = list(dict.fromkeys(_element_ids(S)))
+    return _sublattice(L, _element_ids(S))
+
+
+def _sublattice(
+    L: FiniteLattice, ids: Sequence[int]
+) -> tuple[FiniteLattice, tuple[int, ...], dict[int, int]]:
+    """:func:`sublattice` on ``ids``, already converted by
+    :func:`_element_ids`: :func:`is_convex_sublattice` range-checks them
+    as it reads them, and nothing converts them again."""
+    elems = list(dict.fromkeys(ids))
     if not elems:
         raise EmptySet("empty set is not a sublattice")
     if not is_convex_sublattice(L, elems):

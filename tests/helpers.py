@@ -22,9 +22,14 @@ tested element by element; :func:`reference_find_isomorphism`, the
 recursive isomorphism search; :func:`reference_generated_congruence`, the
 closure over every column of the operation tables;
 :func:`reference_make_lattice`, the lattice check over every pair that
-filled n-by-n meet and join tables;
+filled n-by-n meet and join tables; :func:`reference_join_scan`, the join
+test over each join-irreducible and each element incomparable to it, run
+on every bounded poset of :func:`bounded_posets`;
+:func:`reference_d_rows`, Freese's D rows from every witness;
+:func:`reference_is_semimodular`, Birkhoff's condition on cover masks;
 :func:`reference_induced_copy`, the verifier's own rebuild of an embedded
-copy from the ambient covers;
+copy from the ambient covers; :func:`reference_copy`, the verifier's
+reading of an embedding through the public ``sublattice``;
 :func:`brute_is_semimodular`, the scan of every pair against the
 definition; :func:`brute_heights`, longest chains relaxed over every
 strict pair of the masks; :func:`reference_cells`, the cell scan through
@@ -42,7 +47,7 @@ import heapq
 from itertools import product
 from types import SimpleNamespace
 
-from latcon import birkhoff as bk, congruence as cg, construction as cn, core
+from latcon import birkhoff as bk, catalog, congruence as cg, construction as cn, core
 from latcon import jsonio as jio
 from latcon import rectangular as rl
 from latcon.errors import (
@@ -227,21 +232,17 @@ def is_hom(D, E, f):
     return True
 
 
-def reference_make_lattice(size, covers):
-    """The meet and join tables of a valid cover relation, in its own ids,
-    by the pair loop that :func:`latcon.core.make_lattice_with_map` ran
-    before it checked joins on the join-irreducibles alone.
-
-    Renumbers along Kahn's order with a min-heap tie-break, closes the
-    order into masks, then tests every pair for a least upper and a
-    greatest lower bound, raising :class:`NotALattice` with the texts of
-    that loop.  The covers must be in range, acyclic and reduced.
-    """
+def _reference_order(size, covers):
+    """Kahn's order of a valid cover relation with a min-heap tie-break,
+    its inverse, the up- and down-set masks in that order's ids, and the
+    number of lower covers of each; raises :class:`NotALattice` with the
+    library's texts unless the bottom and the top are unique."""
     succ = [[] for _ in range(size)]
     indeg = [0] * size
     for a, b in covers:
         succ[a].append(b)
         indeg[b] += 1
+    nlower = indeg[:]
     heap = [x for x in range(size) if indeg[x] == 0]
     heapq.heapify(heap)
     order = []
@@ -268,6 +269,21 @@ def reference_make_lattice(size, covers):
         raise NotALattice(f"no unique bottom: minimal elements {bottoms}")
     if len(tops) != 1:
         raise NotALattice(f"no unique top: maximal elements {tops}")
+    return order, new_id, up, down, [nlower[old] for old in order]
+
+
+def reference_make_lattice(size, covers):
+    """The meet and join tables of a valid cover relation, in its own ids,
+    by the pair loop that :func:`latcon.core.make_lattice_with_map` ran
+    before it checked joins on the join-irreducibles alone.
+
+    Renumbers along Kahn's order with a min-heap tie-break, closes the
+    order into masks, then tests every pair for a least upper and a
+    greatest lower bound, raising :class:`NotALattice` with the texts of
+    that loop.  The covers must be in range, acyclic and reduced.
+    """
+    order, new_id, up, down, _ = _reference_order(size, covers)
+    n = size
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for x in range(n):
@@ -288,6 +304,140 @@ def reference_make_lattice(size, covers):
     old_meet = [[order[meet[new_id[x]][new_id[y]]] for y in range(n)] for x in range(n)]
     old_join = [[order[join[new_id[x]][new_id[y]]] for y in range(n)] for x in range(n)]
     return old_meet, old_join
+
+
+def reference_join_scan(size, covers):
+    """The join test that :func:`latcon.core.make_lattice_with_map` ran
+    before it tested only pairs of upper covers: for each join-irreducible
+    ``p`` in id order and each ``x`` incomparable to it in id order, the
+    lowest bit ``c`` of ``up[x] & up[p]`` must have that up-set.  Raises
+    :class:`NotALattice` with that loop's text at the first pair that fails,
+    after the bottom and top checks of :func:`_reference_order`.  The covers
+    must be in range, acyclic and reduced."""
+    order, _, up, down, nlower = _reference_order(size, covers)
+    everything = (1 << size) - 1
+    for p in range(size):
+        if nlower[p] != 1:
+            continue
+        far = everything & ~(up[p] | down[p])
+        for x in range(size):
+            if far >> x & 1:
+                common = up[x] & up[p]
+                if up[(common & -common).bit_length() - 1] != common:
+                    x, y = sorted((x, p))
+                    raise NotALattice(
+                        f"elements {order[x]} and {order[y]} have no least upper bound"
+                    )
+
+
+def bounded_posets(max_size):
+    """``(size, covers)`` for every bounded poset on 3 to ``max_size``
+    elements, once per natural labelling: ids ascend along the order, 0 is
+    the bottom and ``size - 1`` the top.
+
+    The inner points ``1..k`` are grown one at a time, each new point
+    placed above a down-set of the points before it, so each naturally
+    labelled poset on k points arises once: 1, 2, 7, 40, 357 and 4,824 of
+    them for k = 1 to 6 (OEIS A006455), 5,231 bounded posets on at most 8
+    elements.
+    """
+    def grow(below):  # below[i]: the mask of the inner points under point i
+        if below:
+            yield below
+        if len(below) + 2 < max_size:
+            k = len(below)
+            for d in range(1 << k):
+                if all(not below[x] & ~d for x in range(k) if d >> x & 1):
+                    yield from grow(below + [d])
+
+    for below in grow([]):
+        k = len(below)
+        under = [0] * k  # under[y]: the points below some point below y
+        for y in range(k):
+            for x in range(k):
+                if below[y] >> x & 1:
+                    under[y] |= below[x]
+        covers = [(x + 1, y + 1) for y in range(k) for x in range(k)
+                  if (below[y] & ~under[y]) >> x & 1]
+        has_upper = {x for x, _ in covers}
+        covers += [(0, y + 1) for y in range(k) if not below[y]]
+        covers += [(x, k + 1) for x in range(1, k + 1) if x not in has_upper]
+        yield k + 2, covers
+
+
+def reference_d_rows(L):
+    """Row q of Freese's D for each join-irreducible q, as
+    :func:`latcon.congruence._d_rows` returns them, with a witness y taken
+    from every element of ``up(q_*) - up(q)``, not only the
+    meet-irreducible ones."""
+    J = L.ji_elements()
+    jmask = sum(1 << p for p in J)
+    rows = {}
+    for q in J:
+        qstar = L.lower_covers(q)[0]
+        m = 0
+        for y in range(L.n):
+            if L.leq(qstar, y) and not L.leq(q, y):
+                m |= L.down_mask(L.join(q, y)) & ~L.down_mask(y)
+        rows[q] = m & jmask
+    return rows
+
+
+def reference_is_semimodular(L):
+    """Birkhoff's condition as :func:`latcon.core.is_semimodular` tested it
+    before it looked ``a \\/ b`` up in the cover rows: one upper-cover mask
+    per element, and the join's bit tested in the masks of both covers."""
+    up = L._up
+    covup = [sum(1 << y for y in ups) for ups in L._upper]
+    for ups in L._upper:
+        for i, a in enumerate(ups):
+            ua, ca = up[a], covup[a]
+            for b in ups[i + 1:]:
+                j = ua & up[b]
+                j &= -j
+                if not (ca & j and covup[b] & j):
+                    return False
+    return True
+
+
+@functools.cache
+def a6_outputs():
+    """The output lattices of the 34 filter representations of the A6
+    sweep, every bounded hom among Con of grid-2x2, m3 and s7; up to 65
+    elements."""
+    rect = catalog.rect_catalog()
+    out = []
+    for f in ("grid-2x2", "m3", "s7"):
+        for g in ("grid-2x2", "m3", "s7"):
+            F, G = rect[f], rect[g]
+            D = cg.congruence_lattice(F.lattice).as_lattice()
+            E = cg.congruence_lattice(G.lattice).as_lattice()
+            for phi in bk.enumerate_bounded_homs(D, E):
+                out.append(cn.filter_representation(F, G, phi)[0].lattice)
+    return tuple(out)
+
+
+@functools.cache
+def small_lattices():
+    """The lattices among :func:`bounded_posets` on at most 8 elements:
+    4,006 of the 5,231, each built in its natural labelling."""
+    out = []
+    for size, covers in bounded_posets(8):
+        try:
+            out.append(core.make_lattice(size, covers))
+        except NotALattice:
+            pass
+    return tuple(out)
+
+
+def non_semimodular_lattices():
+    """Lattices with two covers ``a, b`` of one element whose join covers
+    neither: the hexagon, the 2-and-3 chain ring, the hexagon times a
+    2-chain and a 3-chain times the ring."""
+    hexagon = core.make_lattice(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)])
+    ring = core.make_lattice(7, [(0, 1), (1, 2), (2, 6), (0, 3), (3, 4), (4, 5), (5, 6)])
+    return [hexagon, ring, core.direct_product(hexagon, core.chain(2)),
+            core.direct_product(core.chain(3), ring)]
 
 
 def random_bounded_poset(rng, n):
@@ -828,6 +978,21 @@ def reference_induced_copy(L, emb):
             "embedding order is not the canonical numbering of the copy"
         )
     return sub
+
+
+def reference_copy(L, emb):
+    """``verify._copy`` as it was before it read each embedding once: the
+    ids converted, then converted again and range-checked by the public
+    :func:`latcon.core.sublattice`, each fault raised with the same class
+    and text."""
+    emb = core._element_ids(emb)
+    try:
+        sub, to_parent, _ = core.sublattice(L, emb)
+    except LatconError as exc:
+        raise EmbeddingInvalid(str(exc)) from exc
+    if to_parent != emb:
+        raise EmbeddingInvalid("embedding order is not the canonical numbering of the copy")
+    return emb, sub
 
 
 def reference_colors(L, con):

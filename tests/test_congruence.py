@@ -255,16 +255,34 @@ class TestRandomLattices:
 @pytest.fixture(scope="module")
 def a6_outputs():
     """The 34 filter representations of the A6 sweep, up to 65 elements."""
-    rect = catalog.rect_catalog()
-    out = []
-    for f in ("grid-2x2", "m3", "s7"):
-        for g in ("grid-2x2", "m3", "s7"):
-            F, G = rect[f], rect[g]
-            D = cg.congruence_lattice(F.lattice).as_lattice()
-            E = cg.congruence_lattice(G.lattice).as_lattice()
-            for phi in birkhoff.enumerate_bounded_homs(D, E):
-                out.append(construction.filter_representation(F, G, phi)[0].lattice)
-    return out
+    return helpers.a6_outputs()
+
+
+class TestDRowsFromMeetIrreducibles:
+    """Freese's D rows read off meet-irreducible witnesses against the rows
+    from every witness."""
+
+    def _agree(self, lattices):
+        for L in lattices:
+            assert cg._d_rows(L) == helpers.reference_d_rows(L), L
+
+    def test_catalog_and_search(self, searched):
+        self._agree([catalog.get(name) for name in lemmas.names()] + searched)
+
+    def test_a6_outputs(self, a6_outputs):
+        self._agree(a6_outputs)
+
+    def test_non_semimodular_lattices(self):
+        self._agree(helpers.non_semimodular_lattices())
+
+    def test_every_lattice_up_to_eight_elements(self):
+        lattices = helpers.small_lattices()
+        assert len(lattices) == 4006
+        self._agree(lattices)
+
+    def test_random_closure_lattices(self):
+        rng = random.Random(33)
+        self._agree([helpers.random_closure_lattice(rng) for _ in range(200)])
 
 
 class TestGeneratedCongruence:

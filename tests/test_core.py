@@ -1,6 +1,7 @@
 """Lattice construction, canonical numbering, and order arithmetic."""
 
 import functools
+import itertools
 import random
 import re
 import tracemalloc
@@ -21,6 +22,7 @@ from latcon.errors import (
     NotALattice,
     NotConvexSublattice,
     NotReduced,
+    PostconditionFailed,
     SizeTooSmall,
     ZeroSize,
 )
@@ -143,8 +145,8 @@ def _lacks_join(size, covers, a, b):
 
 
 class TestMakeLatticeAgainstReference:
-    """The join check on J(L) and the meet and join read off the masks,
-    against the pair loop that filled n-by-n tables."""
+    """The join check on pairs of upper covers and the meet and join read
+    off the masks, against the pair loop that filled n-by-n tables."""
 
     def _agree(self, size, covers, rng):
         try:
@@ -199,6 +201,80 @@ class TestMakeLatticeAgainstReference:
             for _ in range(600)
         ]
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+class TestJoinTestOnEveryBoundedPoset:
+    """The join test on pairs of upper covers against the scan of every
+    join-irreducible ``p`` and every ``x`` incomparable to it, on every
+    bounded poset on at most 8 elements."""
+
+    def test_same_verdict_and_text(self):
+        rng = random.Random(33)
+        verdicts = []
+        for size, covers in helpers.bounded_posets(8):
+            perm = rng.sample(range(size), size)
+            covers = [(perm[a], perm[b]) for a, b in covers]
+            rng.shuffle(covers)
+            try:
+                helpers.reference_join_scan(size, covers)
+                want = None
+            except NotALattice as exc:
+                want = str(exc)
+            try:
+                core.make_lattice_with_map(size, covers)
+                got = None
+            except NotALattice as exc:
+                got = str(exc)
+            assert got == want, (size, covers)
+            verdicts.append(got is None)
+        assert len(verdicts) == 5231
+        assert (verdicts.count(True), verdicts.count(False)) == (4006, 1225)
+
+    def test_scan_finds_no_pair_in_a_lattice(self):
+        for name in ("s7", "n5", "m3", "grid-2x3"):
+            L = catalog.get(name)
+            assert core._unjoined(L._up, L._down, L._lower, range(L.n)) is None
+
+    def test_failed_pair_that_the_scan_misses_is_a_postcondition(self, monkeypatch):
+        # 1 and 2 cover 0 and have the two minimal upper bounds 3 and 4
+        covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+        with pytest.raises(NotALattice, match="^elements 1 and 2 have no least upper bound$"):
+            core.make_lattice(6, covers)
+        monkeypatch.setattr(core, "_unjoined", lambda *args: None)
+        with pytest.raises(PostconditionFailed, match="yet every join with a join-irreducible"):
+            core.make_lattice(6, covers)
+
+    def test_large_boolean_lattices_take_the_scan(self, monkeypatch):
+        # 2^10 has more pairs of covers than |J| n: the scan alone decides
+        B = core.chain(2)
+        for _ in range(9):
+            B = core.direct_product(B, core.chain(2))
+        x = 300
+        doubled = B.covers() + [(y, B.n) for y in B.lower_covers(x)]
+        doubled += [(B.n, z) for z in B.upper_covers(x)]
+        rng = random.Random(10)
+        cases = [_relabelled(B, rng), (B.n + 1, doubled)]
+        scans = []
+        real = core._unjoined
+        monkeypatch.setattr(core, "_unjoined", lambda *args: scans.append(1) or real(*args))
+        texts = []
+        for size, covers in cases:
+            try:
+                helpers.reference_join_scan(size, covers)
+                want = None
+            except NotALattice as exc:
+                want = str(exc)
+            try:
+                core.make_lattice_with_map(size, covers)
+                got = None
+            except NotALattice as exc:
+                got = str(exc)
+            assert got == want
+            texts.append(got)
+        assert texts[0] is None and texts[1].endswith("have no least upper bound")
+        assert len(scans) == 2
+        core.make_lattice(*_relabelled(rl.grid(8, 8).lattice, rng))
+        assert len(scans) == 2  # a planar lattice is decided by its pairs of covers
 
 
 class TestResourceBounds:
@@ -660,6 +736,26 @@ class TestSemimodularity:
         assert verdicts[:300].count(False) > 100
         assert 0 < verdicts[300:].count(False) < 300
 
+
+    def test_cover_rows_against_cover_masks(self):
+        lattices = (
+            [catalog.get(name) for name in lemmas.names()]
+            + [R.lattice for _, R in catalog.search_rectangular(16)]
+            + list(helpers.a6_outputs()) + list(helpers.small_lattices())
+        )
+        verdicts = [core.is_semimodular(L) for L in lattices]
+        assert verdicts == [helpers.reference_is_semimodular(L) for L in lattices]
+        assert 0 < verdicts.count(False) < len(verdicts)
+
+    def test_joins_covering_neither_cover(self):
+        for L in helpers.non_semimodular_lattices():
+            assert any(
+                not L.is_cover(a, L.join(a, b)) and not L.is_cover(b, L.join(a, b))
+                for c in range(L.n) for a, b in itertools.combinations(L.upper_covers(c), 2)
+            )
+            assert not core.is_semimodular(L)
+            assert not helpers.reference_is_semimodular(L)
+            assert not helpers.brute_is_semimodular(L)
 
     def test_catalog_verdicts_frozen(self):
         # n5 is the only catalog lattice that is not semimodular
