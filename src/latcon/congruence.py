@@ -503,12 +503,7 @@ def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattic
     it is onto when the sizes agree.
     """
     n = con_l.lattice.n
-    return _restriction_mismatch(con_l, [core._checked_id(x, n) for x in emb], con_k)
-
-
-def _restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> str | None:
-    """:func:`restriction_mismatch` of ``emb``, ids already checked to lie in L."""
-    image = _ji_restriction(con_l, emb, con_k)
+    image = _ji_restriction(con_l, [core._checked_id(x, n) for x in emb], con_k)
     P, Q = con_l.ji_order, con_k.ji_order
 
     def named(r: int) -> list[list[int]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping
 from itertools import chain as _chain, combinations, starmap
-from operator import contains, eq, index as _index, mul
+from operator import contains, eq, index as _index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -476,12 +476,8 @@ def make_lattice_with_map(
     ``up[a] & up[b]`` has ``up[c] == up[a] & up[b]``.  The cost is one mask
     test per pair of upper covers of each element, the sum over ``c`` of
     the squared number of upper covers of ``c``; a planar lattice pays
-    about one per element.  The joins ``x \\/ p`` with ``p``
-    join-irreducible and ``x`` incomparable to it also decide, by the claim
-    at :func:`_unjoined`, and their scan names the pair of
-    :class:`NotALattice`.  It runs alone when the pairs of covers
-    outnumber ``|J(L)| n``, as in a large Boolean lattice, where it does
-    fewer tests; otherwise only once a pair of covers has no join.
+    about one per element.  Only once a pair of covers has no join does the
+    scan of :func:`_unjoined` run, to name the pair of :class:`NotALattice`.
     """
     n = _size(size, 1, ZeroSize, "lattice size")
     succ, pairs = _cover_rows(n, covers, upper_order)
@@ -533,19 +529,15 @@ def make_lattice_with_map(
             ends = (order[x] for x in range(n) if not rows[x])
             raise NotALattice(f"no unique {kind} elements {_listed(ends)}")
 
-    degrees = list(map(len, upper))  # twice the pairs of covers against 2 |J(L)| n
-    if sum(map(mul, degrees, degrees)) - sum(degrees) <= 2 * n * list(map(len, lower)).count(1):
-        for ups in upper:
-            if len(ups) > 1:
-                for a, b in combinations(ups, 2):
-                    common = up[a] & up[b]
-                    if up[(common & -common).bit_length() - 1] != common:
-                        raise _unjoined(up, down, lower, order) or PostconditionFailed(
-                            "two upper covers have no join, yet every join with a"
-                            " join-irreducible exists"
-                        )
-    elif unjoined := _unjoined(up, down, lower, order):
-        raise unjoined
+    for ups in upper:
+        if len(ups) > 1:
+            for a, b in combinations(ups, 2):
+                common = up[a] & up[b]
+                if up[(common & -common).bit_length() - 1] != common:
+                    raise _unjoined(up, down, lower, order) or PostconditionFailed(
+                        "two upper covers have no join, yet every join with a"
+                        " join-irreducible exists"
+                    )
     if up_fault or low_fault:
         raise up_fault or low_fault
 
@@ -687,15 +679,10 @@ def _hull(L: FiniteLattice, S: Iterable[int]) -> tuple[int, int, int]:
     argument: ``S`` is read once, and each id is converted and
     range-checked as it is read.  An empty ``S`` has mask 0, its meet is
     the top and its join the bottom."""
-    n = L.n
-    return _span(L, [_checked_id(x, n) for x in S])
-
-
-def _span(L: FiniteLattice, ids: Iterable[int]) -> tuple[int, int, int]:
-    """:func:`_hull` of ``ids``, ints already checked to lie in ``0..n-1``."""
-    up, down = L._up, L._down
-    mask, above, below = 0, up[0], down[-1]  # common upper and lower bounds
-    for x in ids:
+    n, up, down = L.n, L._up, L._down
+    mask, above, below = 0, up[0], down[n - 1]  # common upper and lower bounds
+    for x in S:
+        x = _checked_id(x, n)
         mask |= 1 << x
         above &= up[x]
         below &= down[x]
@@ -743,16 +730,7 @@ def sublattice(
     linear extension, such as ascending L-ids, is kept, and any other is
     renumbered along Kahn's order.
     """
-    return _sublattice(L, _element_ids(S))
-
-
-def _sublattice(
-    L: FiniteLattice, ids: Sequence[int]
-) -> tuple[FiniteLattice, tuple[int, ...], dict[int, int]]:
-    """:func:`sublattice` on ``ids``, already converted by
-    :func:`_element_ids`: :func:`is_convex_sublattice` range-checks them
-    as it reads them, and nothing converts them again."""
-    elems = list(dict.fromkeys(ids))
+    elems = list(dict.fromkeys(_element_ids(S)))
     if not elems:
         raise EmptySet("empty set is not a sublattice")
     if not is_convex_sublattice(L, elems):

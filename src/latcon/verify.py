@@ -56,12 +56,10 @@ class VerificationReport:
 def _copy(L: FiniteLattice, emb: Sequence[int]) -> tuple[tuple[int, ...], FiniteLattice]:
     """The embedding as ids, and the copy it carries, rebuilt by
     :func:`core.sublattice`.  ``emb[i]`` must be the ambient id of the copy's
-    element ``i``, so ``emb`` must list a convex sublattice in its numbering.
-    Its ids are converted here and range-checked once, in the rebuild; the
-    checks below take them as they are."""
+    element ``i``, so ``emb`` must list a convex sublattice in its numbering."""
     emb = core._element_ids(emb)
     try:
-        sub, to_parent, _ = core._sublattice(L, emb)
+        sub, to_parent, _ = core.sublattice(L, emb)
     except LatconError as exc:
         raise EmbeddingInvalid(str(exc)) from exc
     if to_parent != emb:
@@ -111,10 +109,9 @@ def _verify_representation(
 
     checks = []
 
-    # is_filter or is_ideal, on the ids _copy has checked
-    mask, above_meet, below_join = core._span(L, g_emb)
+    side = core.is_filter if mode == "filter" else core.is_ideal
     article = "a filter" if mode == "filter" else "an ideal"
-    ok = mask == (above_meet if mode == "filter" else below_join)
+    ok = side(L, g_emb)
     checks.append(
         CheckResult(
             f"target-copy-is-{mode}",
@@ -125,7 +122,7 @@ def _verify_representation(
 
     # restriction Con L -> Con F must be a bijection, decided on J(Con L)
     # as in cg.is_cp_extension
-    witness = cg._restriction_mismatch(conL, f_emb, conF)
+    witness = cg.restriction_mismatch(conL, f_emb, conF)
     checks.append(CheckResult("restriction-bijective", witness is None, witness))
 
     # the diagram: restricting to the target copy must act as phi.  Both

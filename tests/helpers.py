@@ -28,8 +28,7 @@ on every bounded poset of :func:`bounded_posets`;
 :func:`reference_d_rows`, Freese's D rows from every witness;
 :func:`reference_is_semimodular`, Birkhoff's condition on cover masks;
 :func:`reference_induced_copy`, the verifier's own rebuild of an embedded
-copy from the ambient covers; :func:`reference_copy`, the verifier's
-reading of an embedding through the public ``sublattice``;
+copy from the ambient covers;
 :func:`brute_is_semimodular`, the scan of every pair against the
 definition; :func:`brute_heights`, longest chains relaxed over every
 strict pair of the masks; :func:`reference_cells`, the cell scan through
@@ -978,21 +977,6 @@ def reference_induced_copy(L, emb):
             "embedding order is not the canonical numbering of the copy"
         )
     return sub
-
-
-def reference_copy(L, emb):
-    """``verify._copy`` as it was before it read each embedding once: the
-    ids converted, then converted again and range-checked by the public
-    :func:`latcon.core.sublattice`, each fault raised with the same class
-    and text."""
-    emb = core._element_ids(emb)
-    try:
-        sub, to_parent, _ = core.sublattice(L, emb)
-    except LatconError as exc:
-        raise EmbeddingInvalid(str(exc)) from exc
-    if to_parent != emb:
-        raise EmbeddingInvalid("embedding order is not the canonical numbering of the copy")
-    return emb, sub
 
 
 def reference_colors(L, con):

@@ -276,78 +276,6 @@ class TestCopiesBySublattice:
             vf.verify_filter_representation(L, rep.embedded_f, bad, phi)
 
 
-def _outcome(read, L, emb):
-    """The ids and the copy's cover rows that ``read(L, emb)`` returns, or
-    the class and text of what it raises."""
-    try:
-        ids, copy = read(L, emb)
-    except Exception as exc:  # the class is compared
-        return type(exc), str(exc)
-    return ids, copy._upper, copy._lower
-
-
-def _faulty(rng, emb, n):
-    """A seeded variant of the embedding ``emb`` of a lattice on ``n``
-    elements: a fault of an id, of the order, of the set, or none."""
-    emb = list(emb)
-    kind = rng.randrange(8)
-    if kind == 0 and emb:
-        emb[rng.randrange(len(emb))] = rng.choice([n, -1, 1.5, "a", None, n + 7])
-    elif kind == 1 and emb:
-        i = rng.randrange(len(emb))
-        emb[i] = helpers.IntLike(emb[i])
-    elif kind == 2 and len(emb) > 1:
-        i, k = rng.sample(range(len(emb)), 2)
-        emb[i], emb[k] = emb[k], emb[i]
-    elif kind == 3 and emb:
-        emb.insert(rng.randrange(len(emb) + 1), rng.choice(emb))
-    elif kind == 4 and emb:
-        del emb[rng.randrange(len(emb))]
-    elif kind == 5:
-        emb.append(rng.randrange(n))
-    elif kind == 6:
-        a = rng.randrange(n)
-        emb = [x for x in range(a, n) if rng.random() < 0.9 or x == a]
-    return emb
-
-
-class TestEmbeddingsReadOnce:
-    """``verify._copy`` converts each embedding once and range-checks it
-    once; its results and faults are those of the old reading through the
-    public ``sublattice``."""
-
-    def test_faulty_embeddings_against_the_public_rebuild(self):
-        rng = random.Random(33)
-        seen = set()
-        for F, G in ((G22, M3), (S7, S7), (M3, G22)):
-            L, rep, _ = _built(F, G)
-            L = L.lattice
-            for emb in (rep.embedded_f, rep.embedded_g):
-                for _ in range(150):
-                    bad = _faulty(rng, emb, L.n)
-                    got = _outcome(vf._copy, L, bad)
-                    assert got == _outcome(helpers.reference_copy, L, bad), bad
-                    seen.add(got[0] if isinstance(got[0], type) else "copy")
-        assert seen == {"copy", core.ElementOutOfRange, EmbeddingInvalid}
-
-    def test_each_embedding_converted_once_and_checked_once(self, monkeypatch):
-        L, rep, phi = _built(S7, S7)
-        inputs = (S7.lattice, S7.lattice)  # their Con is cached: no Poset is built
-        calls = {"_element_ids": 0, "_hull": 0}
-        for name in calls:
-            real = getattr(core, name)
-
-            def counted(*args, real=real, name=name):
-                calls[name] += 1
-                return real(*args)
-            monkeypatch.setattr(core, name, counted)
-        report = vf.verify_filter_representation(
-            L.lattice, rep.embedded_f, rep.embedded_g, phi, inputs=inputs
-        )
-        assert report.summary
-        assert calls == {"_element_ids": 2, "_hull": 2}
-
-
 FIELDS = ("n", "_up", "_down", "_upper", "_lower")
 
 
