@@ -26,11 +26,12 @@ representation pipelines check their output once through
 congruences, as partitions, to both copies, never builds the output's list
 of all congruences, and shares no color matching with the pipelines: a
 failing check raises :class:`VerificationFailed`, and a passing report is
-kept in ``ConstructionReport.verification``.  The verifier rebuilds both
-copies from the output and is handed ``F`` and ``G`` as ``inputs``: a copy
-equal to its input field for field is read through it, so Con F and Con G,
-computed once by the pipeline's entry check, are not computed again per
-output.  A copy that differs is verified as rebuilt.
+kept in ``ConstructionReport.verification``.  The verifier is handed ``F``
+and ``G`` as ``inputs``: an embedding that carries its input, a convex
+sublattice of the output whose cover rows are the input's, is read through
+it with no copy built, so Con F and Con G, computed once by the pipeline's
+entry check, are not computed again per output.  Any other embedding is
+rebuilt from the output and verified as rebuilt.
 """
 
 from __future__ import annotations

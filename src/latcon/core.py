@@ -375,21 +375,6 @@ class FiniteLattice(_Order):
         m = self._up[_checked_id(x, n)] & self._up[_checked_id(y, n)]
         return (m & -m).bit_length() - 1
 
-    def meet_of(self, elems: Iterable[int]) -> int:
-        """Meet of a set of elements; the empty meet is the top."""
-        down, n = self._down, self.n
-        m = down[n - 1]
-        for x in elems:
-            m &= down[_checked_id(x, n)]
-        return m.bit_length() - 1
-
-    def join_of(self, elems: Iterable[int]) -> int:
-        up, n = self._up, self.n
-        m = up[0]
-        for x in elems:
-            m &= up[_checked_id(x, n)]
-        return (m & -m).bit_length() - 1
-
     # -- irreducibility ----------------------------------------------------
 
     def is_doubly_irreducible(self, x: int) -> bool:
@@ -724,25 +709,56 @@ def sublattice(
     """Extract the convex sublattice on ``S``, keeping L's planar cover order.
 
     Returns ``(K, to_parent, to_sub)`` where ``to_parent[i]`` is the L-id of
-    K's element ``i`` and ``to_sub`` is its inverse.  K is numbered as
-    :func:`make_lattice_with_map` numbers the elements in the order ``S``
-    lists them, a repeat counting at its first place: an order that is a
+    K's element ``i`` and ``to_sub`` is its inverse.  K's cover rows are
+    :func:`_kept_rows` of the elements in the order ``S`` lists them, a
+    repeat counting at its first place, and K is numbered as
+    :func:`make_lattice_with_map` numbers those rows: an order that is a
     linear extension, such as ascending L-ids, is kept, and any other is
-    renumbered along Kahn's order.
+    renumbered along Kahn's order.  :func:`_carries` tells, without a
+    build, whether the result would be a given lattice in the listed order.
     """
     elems = list(dict.fromkeys(_element_ids(S)))
     if not elems:
         raise EmptySet("empty set is not a sublattice")
     if not is_convex_sublattice(L, elems):
         raise NotConvexSublattice(f"{sorted(elems)} is not a convex sublattice")
-    pos = {x: i for i, x in enumerate(elems)}
-    upper = [[pos[y] for y in L._upper[x] if y in pos] for x in elems]
-    lower = [[pos[y] for y in L._lower[x] if y in pos] for x in elems]
-    K, renum = make_lattice_with_map(len(elems), None, upper, lower)
+    K, renum = make_lattice_with_map(len(elems), None, *_kept_rows(L, elems))
     to_parent = [0] * len(elems)
     for x, i in zip(elems, renum):
         to_parent[i] = x
     return K, tuple(to_parent), {x: i for i, x in enumerate(to_parent)}
+
+
+def _kept_rows(L: FiniteLattice, elems: Sequence[int]) -> tuple[list[tuple[int, ...]], ...]:
+    """L's upper and lower cover rows of the distinct ids ``elems``, each
+    kept to ``elems`` and read as positions in it, in L's planar order."""
+    pos = {x: i for i, x in enumerate(elems)}
+    return tuple([tuple([pos[y] for y in rows[x] if y in pos]) for x in elems]
+                 for rows in (L._upper, L._lower))
+
+
+def _carries(L: FiniteLattice, S: Sequence[int], K: FiniteLattice) -> bool:
+    """Does the id list ``S``, ints as :func:`_element_ids` gives them,
+    carry ``K``: are its ids distinct and in range, ``len(S) == K.n``, ``S``
+    a convex sublattice of L, and :func:`_kept_rows` of ``S`` K's rows?
+    Never raises; a bad id gives ``False``.
+
+    This holds exactly when :func:`sublattice` of ``(L, S)`` would return
+    ``to_parent == S`` and a lattice equal to K in every stored field.
+    Proof: if it holds, ``sublattice`` accepts ``S`` and hands
+    :func:`make_lattice_with_map` K's own rows.  K's ids form a linear
+    extension, so every cover in them goes up in position: the
+    renumbering is the identity and the listed order is kept.  The rows
+    passed every check when K was built, so they pass again and are stored
+    as given, and the masks, the closure of the rows, are K's.  Conversely,
+    ``to_parent == S`` makes ``S`` its own deduplication, so its ids are
+    distinct, in range and convex, the renumbering is the identity, and
+    the stored rows, K's, are ``_kept_rows`` of ``S``, with ``K.n ==
+    len(S)``.
+    """
+    if len(S) != K.n or len(set(S)) != len(S) or min(S) < 0 or max(S) >= L.n:
+        return False
+    return is_convex_sublattice(L, S) and _kept_rows(L, S) == (K._upper, K._lower)
 
 
 def join_irreducibles(L: FiniteLattice) -> Poset:

@@ -91,12 +91,24 @@ def _order_maps(obj: dict) -> tuple[dict | None, dict | None]:
     return out[0], out[1]
 
 
+# The largest lattice size a file may claim, checked before any allocation
+# of that size.  A lattice keeps an up- and a down-set bitmask per element,
+# about 3n^2/16 bytes for a chain: loading a 32,768-element chain peaks at
+# 248 MB RSS, and {"size": 32768, "covers": [[0, 1]]} at 162 MB (CPython
+# 3.11, x86-64 Linux), so twice the size would need about 1 GB.  It admits
+# 4,096-element hom endpoints such as Con of grid(7,7).  Later stages are
+# not bounded by it: Con L of an accepted lattice may still be too large.
+_MAX_SIZE = 1 << 15
+
+
 def lattice_from_obj(obj: Any) -> FiniteLattice:
     return lattice_from_obj_with_map(obj)[0]
 
 
 def lattice_from_obj_with_map(obj: Any) -> tuple[FiniteLattice, tuple[int, ...]]:
     size = _require(obj, "size", int)
+    if size > _MAX_SIZE:
+        raise LatconError(f"size {size} exceeds the limit of {_MAX_SIZE} elements")
     covers = []
     for pair in _require(obj, "covers", list):
         if not isinstance(pair, list) or len(pair) != 2:

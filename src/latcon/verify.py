@@ -1,19 +1,21 @@
 """Independent verification harness for the representation pipelines.
 
 The checks here trust nothing from :mod:`latcon.construction`: embeddings
-come in as plain ordered id tuples, the embedded copies are rebuilt from
-the ambient lattice's own cover relation by :func:`core.sublattice`, which
-must number each copy as its embedding lists it, and the output's
-congruence lattice is computed here.  A :class:`VerificationReport` lists
-every check with a witness for any failure.
+come in as plain ordered id tuples, each embedded copy is read from the
+ambient lattice's own cover relation, numbered as its embedding lists it,
+and the output's congruence lattice is computed here.  A
+:class:`VerificationReport` lists every check with a witness for any
+failure.
 
 A caller may pass ``inputs``, the lattices it expects the two copies to
-equal.  A rebuilt copy that equals its input in every stored field (``n``,
-``_up``, ``_down``, ``_upper``, ``_lower``) is replaced by that input, so
-its congruence lattice is read from the input's cache instead of being
-computed again.  The report is the same value either way: a lattice is
-immutable and its congruence lattice is a function of those fields alone.
-A copy that differs in any field is used as rebuilt.
+be.  An embedding that carries its input (:func:`core._carries`: its ids
+list a convex sublattice whose cover rows, kept to it, are the input's) is
+read through that input, and no copy is built, so its congruence lattice
+is read from the input's cache.  Any other embedding is rebuilt by
+:func:`core.sublattice`, which must number the copy as the embedding lists
+it.  The report is the same value either way: the carried input is the
+lattice ``sublattice`` would build, field for field, and a lattice is
+immutable.
 """
 
 from __future__ import annotations
@@ -54,10 +56,10 @@ class VerificationReport:
 
 
 def _copy(L: FiniteLattice, emb: Sequence[int]) -> tuple[tuple[int, ...], FiniteLattice]:
-    """The embedding as ids, and the copy it carries, rebuilt by
-    :func:`core.sublattice`.  ``emb[i]`` must be the ambient id of the copy's
-    element ``i``, so ``emb`` must list a convex sublattice in its numbering."""
-    emb = core._element_ids(emb)
+    """The embedding, ids as :func:`core._element_ids` gives them, and the
+    copy it carries, rebuilt by :func:`core.sublattice`.  ``emb[i]`` must be
+    the ambient id of the copy's element ``i``, so ``emb`` must list a
+    convex sublattice in its numbering."""
     try:
         sub, to_parent, _ = core.sublattice(L, emb)
     except LatconError as exc:
@@ -69,13 +71,13 @@ def _copy(L: FiniteLattice, emb: Sequence[int]) -> tuple[tuple[int, ...], Finite
     return emb, sub
 
 
-_FIELDS = ("n", "_up", "_down", "_upper", "_lower")
-
-
-def _as_input(copy: FiniteLattice, given: FiniteLattice) -> FiniteLattice:
-    """``given`` if it equals the rebuilt ``copy`` in every stored field, else ``copy``."""
-    same = all(getattr(copy, f) == getattr(given, f) for f in _FIELDS)
-    return given if same else copy
+def _embedded(L: FiniteLattice, emb: Sequence[int], given: FiniteLattice | None):
+    """The embedding as ids, and ``given`` if the embedding carries it, else
+    the copy :func:`_copy` rebuilds."""
+    emb = core._element_ids(emb)
+    if given is not None and core._carries(L, emb, given):
+        return emb, given
+    return _copy(L, emb)
 
 
 def _endpoints_match(phi: BoundedHom, conF: cg.ConLattice, conG: cg.ConLattice) -> bool:
@@ -94,10 +96,9 @@ def _verify_representation(
     mode: str,
     inputs: tuple[FiniteLattice, FiniteLattice] | None,
 ) -> VerificationReport:
-    f_emb, fsub = _copy(L, f_emb)
-    g_emb, gsub = _copy(L, g_emb)
-    if inputs is not None:
-        fsub, gsub = map(_as_input, (fsub, gsub), inputs)
+    given = inputs or (None, None)
+    f_emb, fsub = _embedded(L, f_emb, given[0])
+    g_emb, gsub = _embedded(L, g_emb, given[1])
     conL = cg.congruence_lattice(L)
     conF = cg.congruence_lattice(fsub)
     conG = cg.congruence_lattice(gsub)
@@ -154,10 +155,10 @@ def verify_filter_representation(
     acts as ``phi`` on every congruence of ``L``; both cut down only the
     join-irreducible congruences of ``L``, as partitions.
 
-    ``inputs``, when given, is the pair of lattices the two rebuilt copies
-    are expected to equal.  A copy equal to its input in every stored field
-    is replaced by it, so the input's cached congruence lattice is read;
-    the report is the same with or without ``inputs`` (see the module
+    ``inputs``, when given, is the pair of lattices the two embeddings are
+    expected to carry.  An embedding that carries its input is read through
+    it, with no copy built, so the input's cached congruence lattice is
+    read; the report is the same with or without ``inputs`` (see the module
     docstring).
     """
     return _verify_representation(L, f_emb, g_emb, phi, "filter", inputs)

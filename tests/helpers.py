@@ -28,7 +28,9 @@ on every bounded poset of :func:`bounded_posets`;
 :func:`reference_d_rows`, Freese's D rows from every witness;
 :func:`reference_is_semimodular`, Birkhoff's condition on cover masks;
 :func:`reference_induced_copy`, the verifier's own rebuild of an embedded
-copy from the ambient covers;
+copy from the ambient covers; :func:`reference_carries`, whether an
+embedding carries a lattice, by building the copy with ``core.sublattice``
+and comparing its stored fields;
 :func:`brute_is_semimodular`, the scan of every pair against the
 definition; :func:`brute_heights`, longest chains relaxed over every
 strict pair of the masks; :func:`reference_cells`, the cell scan through
@@ -977,6 +979,25 @@ def reference_induced_copy(L, emb):
             "embedding order is not the canonical numbering of the copy"
         )
     return sub
+
+
+FIELDS = ("n", "_up", "_down", "_upper", "_lower")
+
+
+def same_fields(A, B):
+    """Are the lattices A and B equal in every stored field?"""
+    return all(getattr(A, f) == getattr(B, f) for f in FIELDS)
+
+
+def reference_carries(L, S, K):
+    """Does the id list ``S`` carry ``K``, decided as the verifier did
+    before ``core._carries``: ``core.sublattice`` builds the copy, which must
+    be numbered as ``S`` lists it and equal ``K`` in every stored field."""
+    try:
+        sub, to_parent, _ = core.sublattice(L, S)
+    except LatconError:
+        return False
+    return to_parent == tuple(S) and same_fields(sub, K)
 
 
 def reference_colors(L, con):

@@ -634,7 +634,7 @@ class TestErrorPaths:
 
 
 class TestFastPath:
-    """Valid input never reaches the pair scans or the generator joins."""
+    """Valid input never reaches the pair scans."""
 
     @pytest.fixture
     def no_scans(self, monkeypatch):
@@ -642,7 +642,6 @@ class TestFastPath:
             raise AssertionError("pair scan reached on a valid input")
 
         monkeypatch.setattr(core._Order, "leq", forbidden)
-        monkeypatch.setattr(core.FiniteLattice, "join_of", forbidden)
 
     def test_con_s7_to_c4xc4(self, no_scans):
         D, E = CON_S7, rl.grid(4, 4).lattice

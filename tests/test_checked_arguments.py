@@ -110,11 +110,7 @@ ID_ROWS = [
      "element -1 out of range for size 9"),
     ("down_mask(-1)", lambda: G33.down_mask(-1), ElementOutOfRange,
      "element -1 out of range for size 9"),
-    ("meet_of([-1])", lambda: G33.meet_of([-1]), ElementOutOfRange,
-     "element -1 out of range for size 9"),
     ("meet(0, 99)", lambda: G33.meet(0, 99), ElementOutOfRange,
-     "element 99 out of range for size 9"),
-    ("join_of([99])", lambda: G33.join_of([99]), ElementOutOfRange,
      "element 99 out of range for size 9"),
     ("up_mask(99)", lambda: G33.up_mask(99), ElementOutOfRange,
      "element 99 out of range for size 9"),
@@ -210,7 +206,6 @@ def test_good_arguments_unchanged():
     assert G33.upper_covers(True) == (4, 2) and G33.lower_covers(helpers.IntLike(8)) == (7, 5)
     assert [x for x in range(9) if G33.is_doubly_irreducible(x)] == [2, 6]  # the corners
     assert G33.join(2, 6) == 8 and G33.meet(2, 6) == 0 and G33.leq(True, helpers.IntLike(4))
-    assert G33.join_of([1, 3]) == 4 and G33.meet_of([]) == 8 and G33.join_of([]) == 0
     assert G33.up_mask(4) == 0b110110000 and G33.down_mask(4) == 0b000011011
     con = cg.congruence_lattice(G33)
     assert cg.restriction_mismatch(con, range(9), con) is None
@@ -285,8 +280,6 @@ CONTRACT = [
     ("FiniteLattice.height", "x", "id", 9, G33.height),
     ("FiniteLattice.meet", "y", "id", 9, lambda v: G33.meet(8, v)),
     ("FiniteLattice.join", "x", "id", 9, lambda v: G33.join(v, 0)),
-    ("FiniteLattice.meet_of", "elems", "ids", 9, lambda v: G33.meet_of([8, v])),
-    ("FiniteLattice.join_of", "elems", "ids", 9, lambda v: G33.join_of([0, v])),
     ("FiniteLattice.is_doubly_irreducible", "x", "id", 9, G33.is_doubly_irreducible),
     ("core.Poset", "n", "size", None, lambda v: core.Poset(v, [])),
     ("core.Poset", "covers", "ids", 3, lambda v: core.Poset(3, [(0, 1), (1, v)])),

@@ -22,6 +22,7 @@ from latcon import construction as cn
 from latcon import jsonio as jio
 from latcon import verify as vf
 from latcon.cli import main
+from latcon.errors import LatconError
 
 
 def read_json(path):
@@ -197,6 +198,50 @@ class TestInputResolution:
         p = tmp_path / "sq.json"
         p.write_text(jio.dumps(jio.lattice_to_obj(catalog.get("grid-2x2"))))
         assert main(["check-ideal", str(p)]) == 0
+
+
+class TestSizeLimit:
+    """A file's claimed size is checked before anything of that size is
+    allocated; each command runs with a 1 GiB address-space limit set on
+    its own process only, so a missed check cannot exhaust the host."""
+
+    BIG = '{"size": 1000000, "covers": [[0, 1]]}\n'
+
+    def _run(self, *argv):
+        resource = pytest.importorskip("resource")
+        src = Path(latcon.__file__).resolve().parent.parent
+        cap = 1 << 30
+        return subprocess.run(
+            [sys.executable, "-m", "latcon.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+
+    def test_oversized_lattice_is_input_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(self.BIG)
+        assert len(self.BIG) == 38
+        proc = self._run("con", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {path}: size 1000000 exceeds the limit of 32768 elements\n"
+
+    def test_oversized_hom_endpoint_is_input_error(self, tmp_path):
+        path = tmp_path / "hom.json"
+        path.write_text(json.dumps({"source": json.loads(self.BIG), "target": json.loads(self.BIG),
+                                    "map": [0]}))
+        proc = self._run("build-filter", "grid-2x2", "m3", str(path), "--out", str(tmp_path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {path}: size 1000000 exceeds the limit of 32768 elements\n"
+
+    def test_limit_is_the_largest_accepted_size(self, monkeypatch):
+        # the builder is stubbed, so neither size allocates anything
+        assert jio._MAX_SIZE == 32768 >= 4096
+        sizes = []
+        monkeypatch.setattr(jio.core, "make_lattice_with_map", lambda n, *rows: sizes.append(n))
+        jio.lattice_from_obj_with_map({"size": jio._MAX_SIZE, "covers": []})
+        with pytest.raises(LatconError, match="^size 32769 exceeds the limit of 32768 elements$"):
+            jio.lattice_from_obj_with_map({"size": jio._MAX_SIZE + 1, "covers": []})
+        assert sizes == [jio._MAX_SIZE]
 
 
 class TestBuildCommands:

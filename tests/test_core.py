@@ -172,8 +172,10 @@ class TestMakeLatticeAgainstReference:
             for x in S:
                 m = x if m is None else meet[m][x]
                 j = x if j is None else join[j][x]
-            assert L.meet_of(renum[x] for x in S) == (L.top if m is None else renum[m])
-            assert L.join_of(renum[x] for x in S) == (L.bottom if j is None else renum[j])
+            assert functools.reduce(L.meet, (renum[x] for x in S), L.top) == (
+                L.top if m is None else renum[m])
+            assert functools.reduce(L.join, (renum[x] for x in S), L.bottom) == (
+                L.bottom if j is None else renum[j])
         return True
 
     def test_catalog_as_given_and_relabelled(self):
@@ -529,13 +531,6 @@ class TestOrderArithmetic:
     def test_height_depth(self):
         L = s7()
         assert [L.height(x) for x in range(7)] == [0, 1, 1, 2, 2, 2, 3]
-
-    def test_meet_join_of_sets(self):
-        L = s7()
-        assert L.join_of([1, 2]) == 4
-        assert L.meet_of([3, 5]) == 0
-        assert L.join_of([]) == L.bottom
-        assert L.meet_of([]) == L.top
 
     def test_irreducibles(self):
         L = s7()

@@ -12,7 +12,7 @@ from latcon import rectangular as rl
 from latcon import congruence as cg
 from latcon import construction as cn
 from latcon import verify as vf
-from latcon.errors import EmbeddingInvalid
+from latcon.errors import EmbeddingInvalid, LatconError
 
 G22 = catalog.rect_catalog()["grid-2x2"]
 M3 = catalog.rect_catalog()["m3"]
@@ -269,18 +269,17 @@ class TestCopiesBySublattice:
         ids=["empty", "repeated", "out-of-range", "non-convex", "scrambled"],
     )
     def test_faulty_embeddings_rejected(self, fault, text):
+        # alike with inputs: a bad id must not escape the carried test as
+        # another error
         L, rep, phi = _built()
         L = L.lattice
         bad = fault(tuple(rep.embedded_g), L)
-        with pytest.raises(EmbeddingInvalid, match=text.format(n=L.n, top=L.top)):
-            vf.verify_filter_representation(L, rep.embedded_f, bad, phi)
-
-
-FIELDS = ("n", "_up", "_down", "_upper", "_lower")
-
-
-def _same_fields(A, B):
-    return all(getattr(A, f) == getattr(B, f) for f in FIELDS)
+        raised = []
+        for inputs in (None, (G22.lattice, M3.lattice)):
+            with pytest.raises(EmbeddingInvalid, match=text.format(n=L.n, top=L.top)) as info:
+                vf.verify_filter_representation(L, rep.embedded_f, bad, phi, inputs=inputs)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
 
 
 def _sweep_runs():
@@ -340,11 +339,32 @@ class TestCopiesReadThroughInputs:
         assert runs == 34 + 48
 
     def test_every_copy_equals_its_input(self):
-        # the substitution pays off only while the pipelines embed F and G
+        # the carried path pays off only while the pipelines embed F and G
         # field for field; a construction change that breaks this fails here
         for _, F, G, L, rep, _ in _sweep_runs():
-            assert _same_fields(core.sublattice(L, rep.embedded_f)[0], F.lattice)
-            assert _same_fields(core.sublattice(L, rep.embedded_g)[0], G.lattice)
+            for emb, K in ((rep.embedded_f, F.lattice), (rep.embedded_g, G.lattice)):
+                assert core._carries(L, emb, K)
+                copy, to_parent, _ = core.sublattice(L, emb)
+                assert to_parent == tuple(emb) and copy == K
+                assert helpers.same_fields(copy, K)
+
+    def test_warm_item_builds_three_lattices(self, monkeypatch):
+        # three builds, the output last; verifying the output through its
+        # inputs builds no copy
+        F, G = G22, S7
+        homs = [_hom(F, G, k) for k in (0, -1)]
+        cn.filter_representation(F, G, homs[0])
+        sizes = []
+        real = core.make_lattice_with_map
+        monkeypatch.setattr(core, "make_lattice_with_map",
+                            lambda *args: sizes.append(args[0]) or real(*args))
+        L, rep = cn.filter_representation(F, G, homs[1])
+        assert len(sizes) == 3 and sizes[-1] == L.lattice.n
+        sizes.clear()
+        out = vf.verify_filter_representation(
+            L.lattice, rep.embedded_f, rep.embedded_g, homs[1], inputs=(F.lattice, G.lattice)
+        )
+        assert out.summary and sizes == []
 
     def test_warmed_pipeline_computes_con_of_the_output_only(self, monkeypatch):
         for F, G in ((G22, M3), (S7, S7), (M3, S7)):
@@ -376,7 +396,7 @@ class TestCopiesReadThroughInputs:
         text = vf.verify_filter_representation(*args, inputs=(G22.lattice, other)).render_text()
         assert text == plain
         assert other._con is None
-        assert len(fresh) == 1 and _same_fields(fresh[0], G)
+        assert len(fresh) == 1 and helpers.same_fields(fresh[0], G)
 
     def test_swapped_inputs_fall_back(self, monkeypatch):
         L, rep, phi = _built()
@@ -412,6 +432,57 @@ class TestCopiesReadThroughInputs:
             vf.verify_filter_representation(
                 L.lattice, rep.embedded_f, rep.embedded_g, phi, (G22.lattice, M3.lattice)
             )
+
+
+def _id_lists(L, interval, height, rng):
+    """Seeded id lists around an interval of L: the interval, a shuffle, a
+    linear extension, a repeated id, a dropped id, ids out of range and a
+    non-convex pair."""
+    I = list(interval)
+    out = [I, rng.sample(I, len(I)), sorted(I, key=lambda x: (height[x], rng.random()))]
+    k = rng.randrange(len(I))
+    out += [I[:k] + I[k + 1:], I[:-1] + [L.n], [-1] + I[1:], [0, L.top]]
+    if len(I) > 1:
+        out.append(I[:k] + [I[k - 1]] + I[k + 1:])
+    return out
+
+
+class TestCarries:
+    """``core._carries`` says, without a build, what
+    ``helpers.reference_carries`` finds by building the copy with
+    ``core.sublattice`` and comparing its stored fields."""
+
+    def test_agrees_with_the_rebuild_on_seeded_id_lists(self):
+        # each list against its own copy (the interval's when it has none),
+        # that copy with its upper or its lower rows reversed, and up to
+        # three interval copies of the list's size seen so far
+        rng = random.Random(34)
+        lattices = [catalog.get(name) for name in lemmas.names()]
+        lattices += [R.lattice for _, R in catalog.search_rectangular(12)]
+        seen, verdicts = {}, {True: 0, False: 0}
+        for L in lattices:
+            height = core._heights(L)[0]
+            intervals = [tuple(x for x in L.up(a) if L.leq(x, b))
+                         for a in range(L.n) for b in L.up(a)]
+            for interval in rng.sample(intervals, min(len(intervals), 12)):
+                K = core.sublattice(L, interval)[0]
+                same = seen.setdefault(K.n, [])
+                if K not in same and len(same) < 3:
+                    same.append(K)
+                for S in _id_lists(L, interval, height, rng):
+                    try:
+                        copy = core.sublattice(L, S)[0]
+                    except LatconError:
+                        copy = K
+                    flipped = [core.make_lattice(copy.n, None, *rows) for rows in (
+                        [[row[::-1] for row in copy._upper]],
+                        [copy._upper, [row[::-1] for row in copy._lower]],
+                    )]
+                    for M in (copy, *flipped, *seen.get(len(S), ())):
+                        got = core._carries(L, tuple(S), M)
+                        assert got == helpers.reference_carries(L, S, M), (S, M)
+                        verdicts[got] += 1
+        assert verdicts[True] > 5000 and verdicts[False] > 10000, verdicts
 
 
 class TestLemmaSuite:
