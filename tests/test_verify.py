@@ -211,6 +211,16 @@ def _outputs():
             yield check, L.lattice, rep, phi
 
 
+_FAULTS = [
+    (lambda emb, L: (), "^empty set is not a sublattice$"),
+    (lambda emb, L: emb + emb[-1:], "^embedding order is not the canonical"),
+    (lambda emb, L: emb[:-1] + (L.n,), "^element {n} out of range for size {n}$"),
+    (lambda emb, L: (0, L.top), r"^\[0, {top}\] is not a convex sublattice$"),
+    (lambda emb, L: emb[::-1], "^embedding order is not the canonical"),
+]
+_FAULT_IDS = ["empty", "repeated", "out-of-range", "non-convex", "scrambled"]
+
+
 class TestCopiesBySublattice:
     """The verifier rebuilds each embedded copy with ``core.sublattice``;
     ``helpers.reference_induced_copy`` is the rebuild it made before."""
@@ -257,20 +267,17 @@ class TestCopiesBySublattice:
                     checked += 1
         assert checked > 1000
 
-    @pytest.mark.parametrize(
-        "fault, text",
-        [
-            (lambda emb, L: (), "^empty set is not a sublattice$"),
-            (lambda emb, L: emb + emb[-1:], "^embedding order is not the canonical"),
-            (lambda emb, L: emb[:-1] + (L.n,), "^element {n} out of range for size {n}$"),
-            (lambda emb, L: (0, L.top), r"^\[0, {top}\] is not a convex sublattice$"),
-            (lambda emb, L: emb[::-1], "^embedding order is not the canonical"),
-        ],
-        ids=["empty", "repeated", "out-of-range", "non-convex", "scrambled"],
-    )
+    @pytest.mark.parametrize("fault, text", _FAULTS, ids=_FAULT_IDS)
     def test_faulty_embeddings_rejected(self, fault, text):
-        # alike with inputs: a bad id must not escape the carried test as
-        # another error
+        L, rep, phi = _built()
+        L = L.lattice
+        bad = fault(tuple(rep.embedded_g), L)
+        with pytest.raises(EmbeddingInvalid, match=text.format(n=L.n, top=L.top)):
+            vf.verify_filter_representation(L, rep.embedded_f, bad, phi)
+
+    @pytest.mark.parametrize("fault, text", _FAULTS, ids=_FAULT_IDS)
+    def test_faulty_embeddings_rejected_alike_with_inputs(self, fault, text):
+        # a bad id must not escape the carried test as another error
         L, rep, phi = _built()
         L = L.lattice
         bad = fault(tuple(rep.embedded_g), L)
@@ -483,6 +490,29 @@ class TestCarries:
                         assert got == helpers.reference_carries(L, S, M), (S, M)
                         verdicts[got] += 1
         assert verdicts[True] > 5000 and verdicts[False] > 10000, verdicts
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda emb, L: emb[:-1] + (L.n,),
+            lambda emb, L: (-1,) + emb[1:],
+            lambda emb, L: emb[:-1] + emb[:1],
+            lambda emb, L: emb[:-1],
+            lambda emb, L: emb + (0,),
+            lambda emb, L: (),
+            lambda emb, L: emb[::-1],
+        ],
+        ids=["out-of-range", "negative", "repeated", "dropped", "extra", "empty", "scrambled"],
+    )
+    def test_bad_ids_are_not_carried(self, fault):
+        # one change away from an embedding that carries its input; the
+        # predicate answers False, never raises, where the rebuild fails
+        L, rep, _ = _built()
+        L, G = L.lattice, M3.lattice
+        assert core._carries(L, rep.embedded_g, G)
+        bad = fault(tuple(rep.embedded_g), L)
+        assert core._carries(L, bad, G) is False
+        assert helpers.reference_carries(L, bad, G) is False
 
 
 class TestLemmaSuite:
