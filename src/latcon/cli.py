@@ -220,9 +220,23 @@ def cmd_check_ideal(args) -> int:
     return EXIT_CONDITION
 
 
+# The most congruences times elements that ``latcon con`` lists: its output
+# names every element once per congruence, and a run peaks at up to 300
+# bytes per entry.  The 1,024-element Boolean lattice (1,048,576 entries,
+# the most admitted) peaks at 170 MB RSS and a 16-element chain (524,288)
+# at 157 MB; without the budget a 17-element chain (1,114,112) peaked at
+# 312 MB (CPython 3.11, x86-64 Linux).  The count stops at the budget.
+_CON_BUDGET = 1 << 20
+
+
 def cmd_con(args) -> int:
     L = _load_lattice(args.lattice)
-    return _emit(jio.dumps(jio.con_lattice_to_obj(cg.congruence_lattice(L))), args.out)
+    con = cg.congruence_lattice(L)
+    most = _CON_BUDGET // L.n
+    if len(core._downsets_upto(con.ji_order, most + 1)) > most:
+        raise _InputError(f"{args.lattice}: more than {most} congruences of {L.n} elements"
+                          f" exceed the budget of {_CON_BUDGET} congruences times elements")
+    return _emit(jio.dumps(jio.con_lattice_to_obj(con)), args.out)
 
 
 def cmd_brt(args) -> int:

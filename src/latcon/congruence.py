@@ -26,7 +26,8 @@ Restriction Con L -> Con K to a convex sublattice K is a {0,1}-homomorphism
 of distributive lattices, so it is read on ``theta_cls`` alone
 (:func:`restriction_mismatch`): that decides :func:`is_cp_extension` and the
 checks of :mod:`latcon.verify`.  The list of all congruences is an output
-format, read by :mod:`latcon.jsonio`, the CLI and ``as_lattice``.
+format, read by :mod:`latcon.jsonio`, the CLI and ``as_lattice``, and by
+the test that a hom's endpoint is Con L as numbered there.
 
 One kernel, :func:`_closure`, is the module's only union-find.  It
 generates congruences by Grätzer's Technical Lemma: its classes
@@ -198,11 +199,12 @@ def principal_congruence(L: FiniteLattice, a: int, b: int) -> Congruence:
 
 
 class _Partitions(NamedTuple):
-    """The list of all congruences and what is indexed by it."""
+    """The list of all congruences, what is indexed by it, and Con L's
+    upper cover rows in its numbering."""
 
     congruences: tuple[Congruence, ...]
     index: dict[tuple[int, ...], int]
-    downsets: tuple[int, ...]
+    rows: tuple[list[int], ...]
 
 
 class _Colors(Mapping):
@@ -265,17 +267,17 @@ class ConLattice:
     positions in ``lattice.covers()`` order.
     ``len`` counts the down-sets of ``ji_order`` and builds no partition.
 
-    The list of all congruences is built on the first read of
-    ``congruences`` or ``index``, or of :meth:`as_lattice`.
-    ``congruences`` is in a canonical order (block count descending, then
-    canonical block key), which is a linear extension of the refinement
-    order: index 0 is the equality congruence, the last index collapses
-    everything.  ``index`` maps each congruence's ``cls`` to its position.
+    The numbered Con L is built once, on the first read of ``congruences``
+    or ``index``, of :meth:`covers` or :meth:`as_lattice`, or of an endpoint
+    test: the list of all congruences, ``index``, and one ascending row of
+    upper covers per congruence.  ``congruences`` is in a canonical order
+    (block count descending, then canonical block key), which is a linear
+    extension of the refinement order: index 0 is the equality congruence,
+    the last index collapses everything.  ``index`` maps each congruence's
+    ``cls`` to its position.
     """
 
-    __slots__ = (
-        "lattice", "theta_cls", "ji_order", "colors", "_size", "_full", "_covers", "_lattice_view"
-    )
+    __slots__ = ("lattice", "theta_cls", "ji_order", "colors", "_size", "_full", "_lattice_view")
 
     def __init__(
         self,
@@ -290,12 +292,11 @@ class ConLattice:
         self.colors = colors
         self._size: int | None = None
         self._full: _Partitions | None = None
-        self._covers: tuple[tuple[int, int], ...] | None = None
         self._lattice_view = None
 
     def _build(self) -> _Partitions:
-        """Every congruence, one per down-set ``d`` of ``ji_order``, and
-        ``downsets[i]``, the bitmask of the positions below congruence i.
+        """Every congruence, one per down-set ``d`` of ``ji_order``, and the
+        upper cover rows of Con L in the canonical numbering.
 
         The congruence of ``d`` collapses a cover exactly when its color is
         in ``d``, and its classes are the components of those covers.  Each
@@ -308,7 +309,9 @@ class ConLattice:
         class: the class is an interval, and otherwise the last step of a
         maximal chain from u to x is a lower cover of x inside it.  The
         lower covers and their colors come from one pass over
-        ``colors.items()``.  Run once, on first use.
+        ``colors.items()``.  Distinct down-sets join to distinct
+        congruences, so the rows are those of the down-sets under inclusion
+        (:func:`core._downset_rows`).  Run once, on first use.
         """
         if self._full is not None:
             return self._full
@@ -329,7 +332,8 @@ class ConLattice:
         index = {c.cls: i for i, c in enumerate(ordered)}
         if len(index) != len(ordered):
             raise PostconditionFailed("two down-sets of join-irreducibles have the same join")
-        self._full = _Partitions(ordered, index, tuple(ds[k] for k in perm))
+        rows = core._downset_rows(self.ji_order, [ds[k] for k in perm])
+        self._full = _Partitions(ordered, index, rows)
         self._size = len(ordered)
         return self._full
 
@@ -338,7 +342,7 @@ class ConLattice:
 
     def __len__(self) -> int:
         if self._size is None:
-            self._size = len(core.downsets(self.ji_order))
+            self._size = len(core._downsets_upto(self.ji_order))
         return self._size
 
     def __iter__(self):
@@ -347,25 +351,37 @@ class ConLattice:
     def covers(self) -> list[tuple[int, int]]:
         """The sorted covers of Con L; element i is ``congruences[i]``.
 
-        They are those of the lattice of down-sets of ``ji_order``:
-        congruence i is the join of the ``theta_cls`` in its down-set.
-        Sorted once, on first use; each call returns a new list.
+        They are read off the rows the list build keeps, each ascending,
+        those of the lattice of down-sets of ``ji_order``: congruence i is
+        the join of the ``theta_cls`` in its down-set.  Each call returns a
+        new list.
         """
-        if self._covers is None:
-            covers = core._downset_covers(self.ji_order, self._build().downsets)
-            self._covers = tuple(sorted(covers))
-        return list(self._covers)
+        return [(i, j) for i, row in enumerate(self._build().rows) for j in row]
 
     def as_lattice(self) -> FiniteLattice:
         """Con L as a FiniteLattice with :meth:`covers`; element i is
-        ``congruences[i]``."""
+        ``congruences[i]``.  The list build's rows go to
+        :func:`core.make_lattice_with_map` in its row form, as they are, and
+        the build must keep the numbering."""
         if self._lattice_view is None:
-            n = len(self)
-            lat, renum = core.make_lattice_with_map(n, self.covers())
-            if renum != tuple(range(n)):
+            rows = self._build().rows
+            lat, renum = core.make_lattice_with_map(len(rows), None, rows)
+            if renum != tuple(range(len(rows))):
                 raise PostconditionFailed("canonical congruence order is not a linear extension")
             self._lattice_view = lat
         return self._lattice_view
+
+    def _numbers(self, lat: FiniteLattice) -> bool:
+        """Is ``lat`` Con L as :attr:`congruences` numbers it: ``len(self)``
+        elements, each with the same set of upper covers as in :meth:`covers`?
+
+        The planar order of ``lat``'s rows is not compared.  A numbered
+        order is fixed by its covers, and Con L has no planar order, so a
+        lattice that differs from :meth:`as_lattice` in the order within
+        some rows only is the same numbered lattice.  The rows are compared
+        one by one, each of ``lat``'s sorted.
+        """
+        return lat.n == len(self) and list(map(sorted, lat._upper)) == list(self._build().rows)
 
 
 def _rank(c: Congruence) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -778,26 +778,37 @@ def _addable(P: Poset, d: int) -> list[int]:
     return [x for x in range(P.n) if not d >> x & 1 and not P._down[x] & ~(d | 1 << x)]
 
 
-def _downset_covers(P: Poset, ds: Sequence[int]) -> list[tuple[int, int]]:
-    """Cover pairs, as positions in ``ds``, of the inclusion order on ``ds``,
-    a list of all down-sets of P."""
+def _downset_rows(P: Poset, ds: Sequence[int]) -> tuple[list[int], ...]:
+    """Upper cover rows, as positions in ``ds`` and each ascending, of the
+    inclusion order on ``ds``, a list of all down-sets of P."""
     index = {m: i for i, m in enumerate(ds)}
-    return [(i, index[d | 1 << x]) for i, d in enumerate(ds) for x in _addable(P, d)]
+    return tuple(sorted([index[d | 1 << x] for x in _addable(P, d)]) for d in ds)
+
+
+def _downsets_upto(P: Poset, stop: int | None = None) -> list[int]:
+    """The down-sets of P as bitmasks, each once and by size, or only the
+    first ``stop`` of them when ``stop`` is given: a count up to a bound
+    never lists more.
+
+    Grown breadth first from the empty one: a down-set of size ``s + 1``
+    is one of size ``s`` with one addable element added, so the work is
+    linear in the number of down-sets times ``P.n``.
+    """
+    found, seen = [0], {0}
+    for d in found:
+        for x in _addable(P, d):
+            e = d | 1 << x
+            if e not in seen:
+                if len(found) == stop:
+                    return found
+                seen.add(e)
+                found.append(e)
+    return found
 
 
 def downsets(P: Poset) -> list[int]:
-    """All down-sets of P as bitmasks, sorted by (size, mask value).
-
-    Grown one size at a time: the down-sets of size ``s + 1`` are those of
-    size ``s`` with one addable element added, so the work is linear in
-    the number of down-sets times ``P.n``.
-    """
-    out: list[int] = []
-    level = [0]
-    while level:
-        out.extend(level)
-        level = sorted({d | 1 << x for d in level for x in _addable(P, d)})
-    return out
+    """All down-sets of P as bitmasks, sorted by (size, mask value)."""
+    return sorted(sorted(_downsets_upto(P)), key=int.bit_count)
 
 
 def _heights(L: FiniteLattice) -> tuple[list[int], list[int]]:

@@ -97,7 +97,8 @@ def _order_maps(obj: dict) -> tuple[dict | None, dict | None]:
 # 248 MB RSS, and {"size": 32768, "covers": [[0, 1]]} at 162 MB (CPython
 # 3.11, x86-64 Linux), so twice the size would need about 1 GB.  It admits
 # 4,096-element hom endpoints such as Con of grid(7,7).  Later stages are
-# not bounded by it: Con L of an accepted lattice may still be too large.
+# not bounded by it: Con L of an accepted lattice may still be too large,
+# and ``latcon con`` has its own budget.
 _MAX_SIZE = 1 << 15
 
 

@@ -80,14 +80,6 @@ def _embedded(L: FiniteLattice, emb: Sequence[int], given: FiniteLattice | None)
     return _copy(L, emb)
 
 
-def _endpoints_match(phi: BoundedHom, conF: cg.ConLattice, conG: cg.ConLattice) -> bool:
-    """Are phi's source and target Con F and Con G, cover for cover?"""
-    return all(
-        lat.n == len(con) and lat.covers() == con.covers()
-        for lat, con in ((phi.source, conF), (phi.target, conG))
-    )
-
-
 def _verify_representation(
     L: FiniteLattice,
     f_emb: Sequence[int],
@@ -102,7 +94,7 @@ def _verify_representation(
     conL = cg.congruence_lattice(L)
     conF = cg.congruence_lattice(fsub)
     conG = cg.congruence_lattice(gsub)
-    if not _endpoints_match(phi, conF, conG):
+    if not (conF._numbers(phi.source) and conG._numbers(phi.target)):
         raise EmbeddingInvalid(
             "homomorphism endpoints do not match the embedded copies'"
             " congruence lattices"

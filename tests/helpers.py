@@ -753,7 +753,7 @@ def brute_downsets(P):
 def downset_lattice(P):
     """The distributive lattice of down-sets of P, ordered by inclusion."""
     ds = core.downsets(P)
-    return core.make_lattice(len(ds), core._downset_covers(P, ds))
+    return core.make_lattice(len(ds), None, core._downset_rows(P, ds))
 
 
 def hom_to_obj(phi):
@@ -998,6 +998,41 @@ def reference_carries(L, S, K):
     except LatconError:
         return False
     return to_parent == tuple(S) and same_fields(sub, K)
+
+
+def reference_endpoints_match(phi, conF, conG):
+    """Are ``phi``'s source and target Con F and Con G, decided as the
+    pipelines did before ``ConLattice._numbers``: same size, and the
+    endpoint's covers, in the planar order of its rows, equal to the sorted
+    ``ConLattice.covers()``.  Unlike ``_numbers`` it rejects an endpoint
+    whose rows list the same covers in another order."""
+    return all(
+        lat.n == len(con) and lat.covers() == con.covers()
+        for lat, con in ((phi.source, conF), (phi.target, conG))
+    )
+
+
+def reversed_rows(L):
+    """L rebuilt with every row of two or more upper covers reversed: the
+    same numbered lattice in another planar order."""
+    rows = [L.upper_covers(x)[::-1] for x in range(L.n)]
+    return core.make_lattice(L.n, L.covers(), upper_order=rows)
+
+
+def renumbered_source(phi):
+    """``phi`` with two adjacent incomparable ids of its source swapped, and
+    the swap: the same order numbered along another linear extension, with
+    other cover pairs; None if every such swap is an automorphism."""
+    L = phi.source
+    for i in range(L.n - 1):
+        if not L.leq(i, i + 1):
+            swap = list(range(L.n))
+            swap[i], swap[i + 1] = i + 1, i
+            covers = [(swap[a], swap[b]) for a, b in L.covers()]
+            if sorted(covers) != sorted(L.covers()):
+                moved = [phi.assignment[x] for x in swap]  # the swap is its own inverse
+                return bk.make_bounded_hom(core.make_lattice(L.n, covers), phi.target, moved), swap
+    return None
 
 
 def reference_colors(L, con):

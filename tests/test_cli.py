@@ -16,7 +16,7 @@ import helpers
 import latcon
 import lemmas
 from latcon import birkhoff as bk
-from latcon import catalog
+from latcon import catalog, cli, core
 from latcon import congruence as cg
 from latcon import construction as cn
 from latcon import jsonio as jio
@@ -233,6 +233,28 @@ class TestSizeLimit:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: {path}: size 1000000 exceeds the limit of 32768 elements\n"
 
+    def test_con_beyond_the_budget_is_input_error(self, tmp_path):
+        # a 64-element chain has 2^63 congruences: the count stops at the budget
+        path = tmp_path / "chain.json"
+        path.write_text(jio.dumps(jio.lattice_to_obj(core.chain(64))))
+        proc = self._run("con", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: {path}: more than 16384 congruences of 64 elements exceed the budget"
+            " of 1048576 congruences times elements\n")
+
+    def test_con_budget_is_the_most_entries_listed(self, capsys, monkeypatch):
+        # Con of grid-3x3 has 16 congruences of 9 elements
+        assert cli._CON_BUDGET == 1 << 20
+        monkeypatch.setattr(cli, "_CON_BUDGET", 16 * 9)
+        assert main(["con", "grid-3x3"]) == 0
+        assert capsys.readouterr().out.startswith("{")
+        monkeypatch.setattr(cli, "_CON_BUDGET", 16 * 9 - 1)
+        assert main(["con", "grid-3x3"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: grid-3x3: more than 15 congruences of 9 elements exceed the budget"
+            " of 143 congruences times elements\n"))
+
     def test_limit_is_the_largest_accepted_size(self, monkeypatch):
         # the builder is stubbed, so neither size allocates anything
         assert jio._MAX_SIZE == 32768 >= 4096
@@ -291,6 +313,34 @@ class TestBuildCommands:
         p.write_text(jio.dumps(helpers.hom_to_obj(phi)))
         rc = main(["build-filter", "grid-2x2", "m3", str(p), "--out", str(tmp_path)])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {p}: homomorphism endpoints do not match the congruence lattices"
+            " of the inputs\n")
+
+    def test_reordered_endpoint_rows_are_accepted(self, tmp_path):
+        # the identity on Con(s7) as written, and with each endpoint's row
+        # of two upper covers reversed: the same numbered lattice
+        D = cg.congruence_lattice(catalog.s7().lattice).as_lattice()
+        obj = helpers.hom_to_obj(bk.make_bounded_hom(D, D, range(D.n)))
+        src = Path(latcon.__file__).resolve().parent.parent
+        outs = []
+        for turn in (False, True):
+            if turn:
+                for side in ("source", "target"):
+                    rows = obj[side]["upper_order"]
+                    assert rows["1"] == [2, 3]
+                    obj[side]["upper_order"] = {k: v[::-1] for k, v in rows.items()}
+            path = tmp_path / f"phi-{turn}.json"
+            path.write_text(jio.dumps(obj))
+            out = tmp_path / f"out-{turn}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "latcon.cli", "build-filter", "s7", "s7", str(path),
+                 "--out", str(out)], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            outs.append([proc.stdout] + [(out / f).read_bytes() for f in ("result.json", "report.json")])
+        assert outs[0] == outs[1]
 
     def test_hom_index_out_of_range_is_exit_2(self, tmp_path, capsys):
         rc = main(

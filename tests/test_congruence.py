@@ -341,6 +341,23 @@ class TestGeneratedCongruence:
                 closure(S7, [(0, 1), pair])
 
 
+class TestNumberedJoinIrreducibles:
+    """``construction._tied_colors`` reads ``ji_of_hom(phi).assignment`` as
+    positions in ``conF.ji_order``.  That is right because the
+    join-irreducibles of the numbered Con L, in id order, are the
+    ``theta_cls`` positions, in the same order."""
+
+    def test_ji_of_the_numbered_con_are_the_theta_positions(self, a6_outputs):
+        lattices = [catalog.get(name) for name in lemmas.names()]
+        lattices += [R.lattice for _, R in catalog.search_rectangular(12)] + list(a6_outputs)
+        for L in lattices:
+            con = cg.congruence_lattice(L)
+            J = core.join_irreducibles(con.as_lattice())
+            assert list(J.labels) == [con.index[c] for c in con.theta_cls]
+            assert list(J._up) == list(con.ji_order._up)
+        assert len(lattices) == 21 + 44 + 34
+
+
 class TestLazyPartitionList:
     """The dual is built eagerly, the list of congruences on first read."""
 

@@ -12,6 +12,7 @@ from latcon import birkhoff as bk
 from latcon import catalog, core
 from latcon import congruence as cg
 from latcon import construction as cn
+from latcon import jsonio as jio
 from latcon import rectangular as rl
 from latcon import verify as vf
 from latcon.errors import (
@@ -171,8 +172,58 @@ class TestFilterRepresentation:
         assert rep.inner.output.n == 20
 
     def test_rejects_wrong_endpoints(self):
-        with pytest.raises(LatconError):
+        with pytest.raises(LatconError, match=f"^{ENDPOINTS}$"):
             cn.filter_representation(G22, M3, hom(M3, G22))
+
+
+ENDPOINTS = "homomorphism endpoints do not match the congruence lattices of the inputs"
+
+
+def _a6_homs():
+    """``(F, G, phi)`` for the 34 bounded homs of the A6 sweep."""
+    sweep = (G22, M3, S7)
+    return [(F, G, phi) for F in sweep for G in sweep
+            for phi in bk.enumerate_bounded_homs(con_lat(F), con_lat(G))]
+
+
+def _output_bytes(L, rep):
+    return (rep.verification.render_text(), jio.dumps(jio.rect_to_obj(L)),
+            jio.dumps(jio.construction_report_to_obj(rep)))
+
+
+class TestEndpointsBlindToPlanarOrder:
+    """The pipelines' entry check compares each endpoint's sets of upper
+    covers with Con F's or Con G's: it ignores the planar order of the
+    rows, but not the numbering."""
+
+    def test_reordered_rows_give_the_same_output(self):
+        reversed_rows = 0
+        for F, G, phi in _a6_homs():
+            D, E = helpers.reversed_rows(phi.source), helpers.reversed_rows(phi.target)
+            turned = bk.make_bounded_hom(D, E, phi.assignment)
+            rows = sum(len(r) > 1 for r in phi.source._upper + phi.target._upper)
+            reversed_rows += rows
+            conF, conG = cg.congruence_lattice(F.lattice), cg.congruence_lattice(G.lattice)
+            # the old cover-list comparison refused every such hom
+            assert helpers.reference_endpoints_match(turned, conF, conG) == (rows == 0)
+            assert _output_bytes(*cn.filter_representation(F, G, turned)) == _output_bytes(
+                *cn.filter_representation(F, G, phi))
+        assert reversed_rows == 59
+
+    def test_other_ids_for_the_same_order_are_rejected(self):
+        F = catalog.rect_catalog()["grid-2x3"]
+        phi = hom(F, M3)
+        other, swap = helpers.renumbered_source(phi)
+        D = other.source
+        assert all(D.leq(swap[x], swap[y]) == phi.source.leq(x, y)
+                   for x in range(D.n) for y in range(D.n))
+        assert all(other(swap[x]) == phi(x) for x in range(D.n))
+        conF, conG = cg.congruence_lattice(F.lattice), cg.congruence_lattice(M3.lattice)
+        assert not helpers.reference_endpoints_match(other, conF, conG)
+        with pytest.raises(LatconError, match=f"^{ENDPOINTS}$"):
+            cn.filter_representation(F, M3, other)
+        with pytest.raises(LatconError, match=f"^{ENDPOINTS}$"):
+            cn.ideal_representation(F, M3, other)
 
 
 class TestVerification:

@@ -289,7 +289,8 @@ class TestResourceBounds:
     def test_downset_lattice_of_con_grid_2x12(self):
         con = cg.congruence_lattice(rl.grid(2, 12).lattice)
         ds = core.downsets(con.ji_order)
-        covers = core._downset_covers(con.ji_order, ds)
+        rows = core._downset_rows(con.ji_order, ds)
+        covers = [(i, j) for i, row in enumerate(rows) for j in row]
         assert len(ds) == 4096
         tracemalloc.start()
         try:
@@ -861,6 +862,19 @@ class TestDownsets:
             assert helpers.downset_lattice(P).covers() == helpers.brute_covers(
                 len(ds), lambda a, b: not ds[a] & ~ds[b]
             )
+
+    def test_bounded_count_stops_at_its_bound(self):
+        # the first ``stop`` down-sets, by size, and never more
+        rng = random.Random(35)
+        for _ in range(40):
+            P = helpers.random_poset(rng, rng.randint(0, 8))
+            found = core._downsets_upto(P)
+            assert sorted(found) == sorted(core.downsets(P))
+            assert list(map(int.bit_count, found)) == sorted(map(int.bit_count, found))
+            for stop in range(1, len(found) + 2):
+                assert core._downsets_upto(P, stop) == found[:stop]
+        wide = core.Poset(63, [])  # 2^63 down-sets
+        assert len(core._downsets_upto(wide, 16385)) == 16385
 
 
 class TestIsomorphism:

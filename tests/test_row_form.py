@@ -4,8 +4,9 @@ The cover-pair form, ``covers`` with full ``upper_order`` and
 ``lower_order`` mappings, is the oracle.  For the same rows both forms must
 build an equal lattice, with the same masks and the same renumbering map,
 and must fail with the same error class and text.  The rows are those the
-planar constructors hand over, as they hand them over and under seeded
-random relabellings, so that the renumbering runs."""
+planar constructors hand over, and the upper rows alone that
+``ConLattice.as_lattice`` hands over, as they hand them over and under
+seeded random relabellings, so that the renumbering runs."""
 
 import random
 import re
@@ -32,36 +33,42 @@ def _row_form(n, upper, lower):
 
 def _pair_form(n, upper, lower):
     covers = [(x, y) for x, row in enumerate(upper) for y in row]
-    return core.make_lattice_with_map(n, covers, dict(enumerate(upper)), dict(enumerate(lower)))
+    lower = None if lower is None else dict(enumerate(lower))
+    return core.make_lattice_with_map(n, covers, dict(enumerate(upper)), lower)
 
 
 def _relabelled(n, upper, lower, perm):
-    """The rows with element ``x`` called ``perm[x]``."""
-    new_up, new_low = [()] * n, [()] * n
-    for x in range(n):
-        new_up[perm[x]] = tuple(perm[y] for y in upper[x])
-        new_low[perm[x]] = tuple(perm[y] for y in lower[x])
-    return n, new_up, new_low
+    """The rows with element ``x`` called ``perm[x]``; absent lower rows stay absent."""
+    def moved(rows):
+        new = [()] * n
+        for x in range(n):
+            new[perm[x]] = tuple(perm[y] for y in rows[x])
+        return new
+
+    return n, moved(upper), None if lower is None else moved(lower)
 
 
 @pytest.fixture(scope="module")
 def planar_rows():
     """Every row-form build, as ``(n, upper, lower)``, made by
     ``search_rectangular(16)``, the catalogs, the A6 filter representations
-    with their triple gluings and verification, sublattice copies taken in
-    and against a linear extension, and direct products."""
+    with their triple gluings and verification, the numbered Con L of the
+    searched lattices, sublattice copies taken in and against a linear
+    extension, and direct products.  ``lower`` is None where no lower rows
+    were given."""
     calls = []
     make = core.make_lattice_with_map
 
-    def record(*args):
-        if args[1] is None:
-            n, _, upper, lower = args
-            calls.append((n, [tuple(r) for r in upper], [tuple(r) for r in lower]))
-        return make(*args)
+    def record(n, covers, upper=None, lower=None):
+        if covers is None:
+            low = None if lower is None else [tuple(r) for r in lower]
+            calls.append((n, [tuple(r) for r in upper], low))
+        return make(n, covers, upper, lower)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "make_lattice_with_map", record)
-        catalog.search_rectangular(16)
+        for _, R in catalog.search_rectangular(16):
+            cg.congruence_lattice(R.lattice).as_lattice()
         catalog.congruence_catalog()
         rect = catalog.rect_catalog()
         for f in ("grid-2x2", "m3", "s7"):
@@ -97,6 +104,7 @@ def test_recorded_builds_cover_the_constructors(planar_rows):
     assert len(planar_rows) > 300
     renumbered = [r for r in planar_rows if _row_form(*r)[1] != tuple(range(r[0]))]
     assert renumbered  # grid_with_eyes appends its eyes out of order
+    assert sum(lower is None for _, _, lower in planar_rows) >= 117  # Con L, upper rows only
 
 
 def test_row_form_matches_pair_form(planar_rows):

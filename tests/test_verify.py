@@ -94,7 +94,7 @@ class TestRepresentationVerifier:
     def test_wrong_hom_endpoints_rejected(self):
         L, rep, phi = _built(G22, M3)
         other = _hom(M3, G22)
-        with pytest.raises(EmbeddingInvalid):
+        with pytest.raises(EmbeddingInvalid, match=f"^{VERIFY_ENDPOINTS}$"):
             vf.verify_filter_representation(
                 L.lattice, rep.embedded_f, rep.embedded_g, other
             )
@@ -103,7 +103,7 @@ class TestRepresentationVerifier:
         L, rep, phi = _built()
         n = phi.source.n
         fake = bk.make_bounded_hom(core.chain(n), phi.target, (0,) * (n - 1) + (phi.target.top,))
-        with pytest.raises(EmbeddingInvalid, match="endpoints do not match"):
+        with pytest.raises(EmbeddingInvalid, match=f"^{VERIFY_ENDPOINTS}$"):
             vf.verify_filter_representation(L.lattice, rep.embedded_f, rep.embedded_g, fake)
 
     def test_wrong_hom_fails_diagram_check(self):
@@ -289,8 +289,8 @@ class TestCopiesBySublattice:
         assert raised[0] == raised[1]
 
 
-def _sweep_runs():
-    """``(verify, F, G, L, rep, phi)`` for the 34 items of the A6 filter sweep
+def _sweep_jobs():
+    """``(build, verify, F, G, phi)`` for the 34 items of the A6 filter sweep
     and a seeded 48 of the 438 ideal representations among grid-2x3,
     grid-3x3 and m4."""
     rect = catalog.rect_catalog()
@@ -310,9 +310,52 @@ def _sweep_runs():
             for job in filters]
     runs += [(cn.ideal_representation, vf.verify_ideal_representation, *job)
              for job in random.Random(32).sample(ideals, 48)]
-    for build, check, F, G, phi in runs:
+    return runs
+
+
+def _sweep_runs():
+    """``(verify, F, G, L, rep, phi)`` for each of :func:`_sweep_jobs`, built."""
+    for build, check, F, G, phi in _sweep_jobs():
         L, rep = build(F, G, phi)
         yield check, F, G, L.lattice, rep, phi
+
+
+VERIFY_ENDPOINTS = "homomorphism endpoints do not match the embedded copies' congruence lattices"
+
+
+class TestEndpointTest:
+    """``ConLattice._numbers``, the one test that a hom's endpoints are Con F
+    and Con G, against the cover-list comparison it replaced."""
+
+    def test_agrees_with_the_cover_list_oracle(self):
+        cons = [cg.congruence_lattice(catalog.get(name)) for name in lemmas.names()]
+        verdicts = []
+        for _, _, F, G, phi in _sweep_jobs():
+            conF, conG = cg.congruence_lattice(F.lattice), cg.congruence_lattice(G.lattice)
+            pairs = [(conF, conG), (conG, conF)]  # the hom, then its endpoints swapped
+            pairs += [(conK, conG) for conK in cons] + [(conF, conK) for conK in cons]
+            for a, b in pairs:
+                ok = a._numbers(phi.source) and b._numbers(phi.target)
+                assert ok == helpers.reference_endpoints_match(phi, a, b), (a, b, phi.assignment)
+                verdicts.append(ok)
+        assert (len(verdicts), sum(verdicts)) == (82 * (2 + 2 * 21), 524)
+
+    def test_other_ids_for_the_same_order_are_rejected(self):
+        F = catalog.rect_catalog()["grid-2x3"]
+        phi = _hom(F, M3)
+        L, rep = cn.filter_representation(F, M3, phi)
+        other, _ = helpers.renumbered_source(phi)
+        for inputs in (None, (F.lattice, M3.lattice)):
+            with pytest.raises(EmbeddingInvalid, match=f"^{VERIFY_ENDPOINTS}$"):
+                vf.verify_filter_representation(
+                    L.lattice, rep.embedded_f, rep.embedded_g, other, inputs=inputs)
+
+    def test_reordered_rows_verify_alike(self):
+        for check, F, G, L, rep, phi in _sweep_runs():
+            turned = bk.make_bounded_hom(
+                helpers.reversed_rows(phi.source), helpers.reversed_rows(phi.target), phi.assignment)
+            args = (L, rep.embedded_f, rep.embedded_g)
+            assert check(*args, turned).render_text() == rep.verification.render_text()
 
 
 def _fresh_con_calls(monkeypatch):
@@ -427,7 +470,7 @@ class TestCopiesReadThroughInputs:
 
     def test_endpoint_mismatch_still_raised(self):
         L, rep, phi = _built(G22, M3)
-        with pytest.raises(EmbeddingInvalid, match="endpoints do not match"):
+        with pytest.raises(EmbeddingInvalid, match=f"^{VERIFY_ENDPOINTS}$"):
             vf.verify_filter_representation(
                 L.lattice, rep.embedded_f, rep.embedded_g, _hom(M3, G22),
                 inputs=(G22.lattice, M3.lattice),
