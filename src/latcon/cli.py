@@ -84,8 +84,30 @@ def _load(arg: str, from_obj, from_catalog):
         raise _InputError(f"{arg}: no such file or catalog entry ({exc})") from exc
 
 
+# The most elements times join-irreducibles of a loaded lattice whose
+# congruence lattice is computed.  ``congruence_lattice`` keeps one n-long
+# class table per join-irreducible congruence while it runs, and its peak
+# grows by about 120 bytes per entry: a 1,448-element chain (2,095,256
+# entries, the most admitted) peaks at 251 MB RSS and grid(90, 90)
+# (1,441,800) at 210 MB, while a 2,048-element chain (4,192,256) peaks at
+# 500 MB and one of 4,096 elements runs out of a 1 GiB address space
+# (CPython 3.11, x86-64 Linux).  |J(L)| is known once the lattice is built.
+_CON_COST = 1 << 21
+
+
+def _con_affordable(arg: str, L: core.FiniteLattice) -> None:
+    """Raise an :class:`_InputError` unless n·|J(L)| is within
+    :data:`_CON_COST`, before Con L of the lattice ``arg`` names is computed."""
+    j = len(L.ji_elements())
+    if L.n * j > _CON_COST:
+        raise _InputError(f"{arg}: {L.n} elements times {j} join-irreducibles exceed the"
+                          f" budget of {_CON_COST} for the congruence lattice")
+
+
 def _load_rect(arg: str) -> rl.RectLattice:
-    return _load(arg, jio.rect_from_obj, _catalog_rect)
+    R = _load(arg, jio.rect_from_obj, _catalog_rect)
+    _con_affordable(arg, R.lattice)
+    return R
 
 
 def _load_lattice(arg: str) -> core.FiniteLattice:
@@ -231,6 +253,7 @@ _CON_BUDGET = 1 << 20
 
 def cmd_con(args) -> int:
     L = _load_lattice(args.lattice)
+    _con_affordable(args.lattice, L)
     con = cg.congruence_lattice(L)
     most = _CON_BUDGET // L.n
     if len(core._downsets_upto(con.ji_order, most + 1)) > most:

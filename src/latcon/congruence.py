@@ -16,18 +16,21 @@ Freese's relation p D q: some x has ``p <= q v x``, ``p !<= q_* v x``
 are the join-irreducible congruences, and the classes of a congruence are
 the connected components of the covers colored in its down-set of them.
 Con L is distributive, so :class:`ConLattice` keeps only this Birkhoff
-dual and builds the list of all congruences when something reads it.  It
-keeps the join-irreducible congruences as class tables, ``theta_cls``;
-a text or a report that needs blocks builds a :class:`Congruence` from
-one.  The coloring is one flat tuple of positions in ``L.covers()``
-order, read as a mapping from covers.
+dual, the order of the colors and the coloring, one flat tuple of
+positions in ``L.covers()`` order read as a mapping from covers.  Every
+congruence is read off the coloring, and a text or a report that needs
+blocks builds its :class:`Congruence` there (``ConLattice._congruences``).
 
 Restriction Con L -> Con K to a convex sublattice K is a {0,1}-homomorphism
-of distributive lattices, so it is read on ``theta_cls`` alone
-(:func:`restriction_mismatch`): that decides :func:`is_cp_extension` and the
-checks of :mod:`latcon.verify`.  The list of all congruences is an output
-format, read by :mod:`latcon.jsonio`, the CLI and ``as_lattice``, and by
-the test that a hom's endpoint is Con L as numbered there.
+of distributive lattices, so it is fixed by where it sends J(Con L), and
+the coloring holds that: K's covers are covers of L, and theta_r restricted
+to K collapses the K-covers whose L-color is in r's down-set.  One lookup
+per color of K gives each restriction as a mask of K's colors
+(:func:`_restricted`); that decides :func:`restriction_mismatch`, so
+:func:`is_cp_extension`, and the checks of :mod:`latcon.verify`.  The list
+of all congruences is an output format, read by :mod:`latcon.jsonio`, the
+CLI and ``as_lattice``, and by the test that a hom's endpoint is Con L as
+numbered there.
 
 One kernel, :func:`_closure`, is the module's only union-find.  It
 generates congruences by Grätzer's Technical Lemma: its classes
@@ -44,11 +47,11 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping
 from itertools import accumulate, chain, repeat
 from operator import index as _index
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
-from .errors import ElementOutOfRange, PostconditionFailed
+from .errors import ElementOutOfRange, EmbeddingInvalid, PostconditionFailed
 
 
 def _key(labels: Iterable) -> tuple[int, ...]:
@@ -258,14 +261,17 @@ class ConLattice:
     """The congruence lattice of a finite lattice, kept as its Birkhoff dual.
 
     Con L is distributive, so its join-irreducibles, their order and the
-    edge coloring determine it.  These are computed eagerly:
-    ``theta_cls[p]`` is the class table of the join-irreducible congruence
-    at position ``p`` (positions follow the canonical order below),
-    ``ji_order`` is their order as an unlabelled poset on positions, and
+    edge coloring determine it.  These are computed eagerly: ``ji_order``
+    is the order of the join-irreducible congruences as an unlabelled poset
+    on positions (positions follow the canonical order below), and
     ``colors`` maps every cover edge of the base lattice to the position of
     its principal congruence: a read-only mapping over one flat tuple of
-    positions in ``lattice.covers()`` order.
-    ``len`` counts the down-sets of ``ji_order`` and builds no partition.
+    positions in ``lattice.covers()`` order.  No class table is kept: the
+    congruence of a down-set of ``ji_order`` is read off the coloring
+    (:meth:`_congruences`), and ``theta_cls[p]``, the class table of the
+    join-irreducible congruence at position ``p``, is computed on each
+    read.  ``len`` counts the down-sets of ``ji_order`` and builds no
+    partition.
 
     The numbered Con L is built once, on the first read of ``congruences``
     or ``index``, of :meth:`covers` or :meth:`as_lattice`, or of an endpoint
@@ -277,56 +283,54 @@ class ConLattice:
     ``cls`` to its position.
     """
 
-    __slots__ = ("lattice", "theta_cls", "ji_order", "colors", "_size", "_full", "_lattice_view")
+    __slots__ = ("lattice", "ji_order", "colors", "_size", "_full", "_lattice_view")
 
-    def __init__(
-        self,
-        lattice: FiniteLattice,
-        theta_cls: Sequence[tuple[int, ...]],
-        ji_order: Poset,
-        colors: Mapping[tuple[int, int], int],
-    ):
+    def __init__(self, lattice: FiniteLattice, ji_order: Poset,
+                 colors: Mapping[tuple[int, int], int]):
         self.lattice = lattice
-        self.theta_cls = tuple(theta_cls)
         self.ji_order = ji_order
         self.colors = colors
         self._size: int | None = None
         self._full: _Partitions | None = None
         self._lattice_view = None
 
-    def _build(self) -> _Partitions:
-        """Every congruence, one per down-set ``d`` of ``ji_order``, and the
-        upper cover rows of Con L in the canonical numbering.
+    def _congruences(self, downsets: Iterable[int]) -> Iterator[Congruence]:
+        """The congruence of each down-set of ``ji_order``, given as a mask.
 
-        The congruence of ``d`` collapses a cover exactly when its color is
-        in ``d``, and its classes are the components of those covers.  Each
+        It collapses a cover exactly when the cover's color is in the
+        down-set, and its classes are the components of those covers.  Each
         element is labelled in id order: it takes the label of any lower
-        cover whose color is in ``d``, and otherwise itself.  Every label is
-        the least member of its element's class.  Ids form a linear
-        extension, so a lower cover y of x is labelled first, and every
-        collapsed one lies in x's class, whose least member is its label.
-        If x has no collapsed lower cover, x is the least member u of its
-        class: the class is an interval, and otherwise the last step of a
-        maximal chain from u to x is a lower cover of x inside it.  The
+        cover whose color is in the down-set, and otherwise itself.  Every
+        label is the least member of its element's class.  Ids form a
+        linear extension, so a lower cover y of x is labelled first, and
+        every collapsed one lies in x's class, whose least member is its
+        label.  If x has no collapsed lower cover, x is the least member u
+        of its class: the class is an interval, and otherwise the last step
+        of a maximal chain from u to x is a lower cover of x inside it.  The
         lower covers and their colors come from one pass over
-        ``colors.items()``.  Distinct down-sets join to distinct
+        ``colors.items()``.
+        """
+        L = self.lattice
+        low: list[list[tuple[int, int]]] = [[] for _ in range(L.n)]
+        for (y, x), c in self.colors.items():
+            low[x].append((y, 1 << c))
+        for d in downsets:
+            label: list[int] = []
+            for ys in low:
+                label.append(next((label[y] for y, bit in ys if d & bit), len(label)))
+            yield Congruence(L, label)
+
+    def _build(self) -> _Partitions:
+        """Every congruence, one per down-set of ``ji_order``
+        (:meth:`_congruences`), and the upper cover rows of Con L in the
+        canonical numbering.  Distinct down-sets join to distinct
         congruences, so the rows are those of the down-sets under inclusion
         (:func:`core._downset_rows`).  Run once, on first use.
         """
         if self._full is not None:
             return self._full
-        L = self.lattice
-        low: list[list[tuple[int, int]]] = [[] for _ in range(L.n)]
-        for (y, x), c in self.colors.items():
-            low[x].append((y, 1 << c))
         ds = core.downsets(self.ji_order)
-        cons = []
-        for d in ds:
-            label: list[int] = []
-            for ys in low:
-                label.append(next((label[y] for y, bit in ys if d & bit), len(label)))
-            cons.append(Congruence(L, label))
-
+        cons = list(self._congruences(ds))
         perm = sorted(range(len(cons)), key=lambda k: _rank(cons[k]))
         ordered = tuple(cons[k] for k in perm)
         index = {c.cls: i for i, c in enumerate(ordered)}
@@ -337,6 +341,7 @@ class ConLattice:
         self._size = len(ordered)
         return self._full
 
+    theta_cls = property(lambda self: tuple(c.cls for c in self._congruences(self.ji_order._down)))
     congruences = property(lambda self: self._build().congruences)
     index = property(lambda self: self._build().index)
 
@@ -353,8 +358,8 @@ class ConLattice:
 
         They are read off the rows the list build keeps, each ascending,
         those of the lattice of down-sets of ``ji_order``: congruence i is
-        the join of the ``theta_cls`` in its down-set.  Each call returns a
-        new list.
+        the join of the join-irreducible congruences in its down-set.  Each
+        call returns a new list.
         """
         return [(i, j) for i, row in enumerate(self._build().rows) for j in row]
 
@@ -483,63 +488,81 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     up = [sum(1 << pos[c] for c in order if below[c] >> r & 1) for r in order]
     ji_order = Poset(len(order), core._reduce(range(len(order)), up))
     colors = _Colors(L._upper, map(pos.__getitem__, color))
-    con = ConLattice(L, [theta[r].cls for r in order], ji_order, colors)
+    con = ConLattice(L, ji_order, colors)
     L._con = con
     return con
 
 
-def _restricted_key(cls: Sequence[int], elems: Sequence[int]) -> tuple[int, ...]:
-    """Restriction of the class table ``cls`` to ``elems`` as a class table
-    of positions in ``elems``."""
-    return _key([cls[x] for x in elems])
+def _restricted(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> list[int]:
+    """Entry ``r``: the colors of K, as a mask of positions in
+    ``con_k.ji_order``, that the join-irreducible congruence theta_r of L
+    collapses, restricted to the copy ``emb``, which must carry K.
+
+    K is convex, so its covers are covers of L, and theta_r restricted to K
+    collapses exactly the K-covers whose L-color is in r's down-set.  All
+    K-covers of one K-color have one L-color: every congruence of K, each
+    restriction among them, collapses both or neither, and the principal
+    down-sets of ``con_l.ji_order`` tell its elements apart.  So one cover
+    per K-color is looked up in ``con_l.colors``.
+    """
+    cover = {q: e for e, q in con_k.colors.items()}  # one K-cover per K-color
+    color = [con_l.colors[emb[a], emb[b]] for _, (a, b) in sorted(cover.items())]
+    return [sum(1 << q for q, c in enumerate(color) if d >> c & 1) for d in con_l.ji_order._down]
 
 
-def _ji_restriction(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> list[int | None]:
-    """Entry ``r``: the position in ``con_k.theta_cls`` of ``con_l.theta_cls[r]``
-    restricted to ``emb``, or None when that is not join-irreducible."""
-    at = {c: p for p, c in enumerate(con_k.theta_cls)}
-    return [at.get(_restricted_key(c, emb)) for c in con_l.theta_cls]
+def _theta_blocks(con: ConLattice, r: int) -> list[list[int]]:
+    """The blocks of the join-irreducible congruence at position ``r``, as lists."""
+    return list(map(list, next(con._congruences([con.ji_order._down[r]])).blocks))
 
 
 def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattice) -> str | None:
     """Why restriction Con L -> Con K is no bijection, or None if it is one.
 
     ``emb[i]`` is the element of L that plays K's element ``i``, and the
-    copy must be a convex sublattice of L.  Restriction is a bijection
-    exactly when it maps J(Con L) onto J(Con K) as an order isomorphism.
-    Proof: for K convex, restriction rho is a {0,1}-homomorphism of
-    distributive lattices (a <= b in K collapsed by alpha v beta are linked
-    by a chain in [a, b], inside K, of steps collapsed by alpha or beta),
-    and an isomorphism maps J onto J as an order isomorphism.  Conversely,
-    for p in J(Con L), rho(p) <= rho(alpha), the join of the rho(q) with q
-    in J(Con L) below alpha, puts the join-prime rho(p) below one rho(q), so
-    p <= q <= alpha: rho(alpha) fixes the p below alpha.  So rho is
-    one-to-one, and onto, as each gamma in Con K is the join of the rho(p)
-    below it.  A map of J(Con L) that reflects the order is one-to-one, so
-    it is onto when the sizes agree.
+    copy must be a convex sublattice of L whose cover rows, kept to it, are
+    K's (:func:`core._carries`); otherwise :class:`EmbeddingInvalid` is
+    raised.  Decided on the masks of :func:`_restricted` by
+    :func:`_mismatch`.
     """
-    n = con_l.lattice.n
-    image = _ji_restriction(con_l, [core._checked_id(x, n) for x in emb], con_k)
+    L = con_l.lattice
+    emb = [core._checked_id(x, L.n) for x in emb]
+    if not core._carries(L, emb, con_k.lattice):
+        raise EmbeddingInvalid(f"{core._listed(emb)} does not list K as a convex sublattice of L")
+    return _mismatch(con_l, _restricted(con_l, emb, con_k), con_k)
+
+
+def _mismatch(con_l: ConLattice, masks: Sequence[int], con_k: ConLattice) -> str | None:
+    """:func:`restriction_mismatch` on the masks :func:`_restricted` gives.
+
+    Restriction is a bijection exactly when it maps J(Con L) onto J(Con K)
+    as an order isomorphism.  Proof: for K convex, restriction rho is a
+    {0,1}-homomorphism of distributive lattices (a <= b in K collapsed by
+    alpha v beta are linked by a chain in [a, b], inside K, of steps
+    collapsed by alpha or beta), and an isomorphism maps J onto J as an
+    order isomorphism.  Conversely, for p in J(Con L), rho(p) <= rho(alpha),
+    the join of the rho(q) with q in J(Con L) below alpha, puts the
+    join-prime rho(p) below one rho(q), so p <= q <= alpha: rho(alpha)
+    fixes the p below alpha.  So rho is one-to-one, and onto, as each gamma
+    in Con K is the join of the rho(p) below it.  A map of J(Con L) that
+    reflects the order is one-to-one, so it is onto when the sizes agree.
+
+    A congruence of K is fixed by the down-set of K's colors it collapses,
+    so rho(theta_r) is join-irreducible exactly when its mask is a
+    principal down-set, one of ``Q._down``, and rho(theta_s) lies above it
+    exactly when its mask holds that one.
+    """
     P, Q = con_l.ji_order, con_k.ji_order
-
-    def named(r: int) -> list[list[int]]:
-        return list(map(list, Congruence(con_l.lattice, con_l.theta_cls[r]).blocks))
-
-    if None in image:
-        r = image.index(None)
-        return f"join-irreducible congruence {named(r)} restricts to no join-irreducible one"
-    preimage = [0] * Q.n
-    for r, q in enumerate(image):
-        preimage[q] |= 1 << r
-    for r, q in enumerate(image):
-        above = 0  # the s with image[s] above image[r]
-        for t in core._bits(Q._up[q]):
-            above |= preimage[t]
+    for r, m in enumerate(masks):
+        if m not in Q._down:
+            return (f"join-irreducible congruence {_theta_blocks(con_l, r)}"
+                    " restricts to no join-irreducible one")
+    for r, m in enumerate(masks):
+        above = sum(1 << s for s, t in enumerate(masks) if t & m == m)
         wrong = P._up[r] ^ above
         if wrong:
             s = (wrong & -wrong).bit_length() - 1
-            return (f"join-irreducible congruences {named(r)} and {named(s)}"
-                    " are ordered unlike their restrictions")
+            return (f"join-irreducible congruences {_theta_blocks(con_l, r)} and"
+                    f" {_theta_blocks(con_l, s)} are ordered unlike their restrictions")
     if P.n != Q.n:
         return f"only {P.n} of {Q.n} join-irreducible congruences arise as restrictions"
     return None

@@ -23,8 +23,9 @@ routine (:func:`_glue_flaps`) turns ties between colors into flap eyes and
 glues the pieces.  All return ``(RectLattice, ConstructionReport)``.  The
 representation pipelines check their output once through
 :mod:`latcon.verify`, which restricts the output's join-irreducible
-congruences, as partitions, to both copies, never builds the output's list
-of all congruences, and shares no color matching with the pipelines: a
+congruences to both copies on the colorings, never builds the output's list
+of all congruences, and shares no color matching with the pipelines: it
+reads the hom as an element map, where the pipelines read its dual map.  A
 failing check raises :class:`VerificationFailed`, and a passing report is
 kept in ``ConstructionReport.verification``.  The verifier is handed ``F``
 and ``G`` as ``inputs``: an embedding that carries its input, a convex
@@ -276,17 +277,15 @@ def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     Checked on the atoms of the congruence lattice, the minimal colors:
     anything nontrivial lies above an atom and collapses whatever the atom
     collapses.  An atom collapses an edge exactly when the edge has the
-    atom's color.  The witnesses are the atoms' congruences that miss.
+    atom's color.  The witnesses are the atoms' congruences that miss, read
+    off the coloring.
     """
     con = cg.congruence_lattice(G.lattice)
     chains = _chain_colors(G, con)
     upper = set(chains["ul"] + chains["ur"])
     P = con.ji_order
-    atom_misses = tuple(
-        cg.Congruence(G.lattice, con.theta_cls[p])
-        for p in range(P.n) if not P._lower[p] and p not in upper
-    )
-    return ChainCollapseReport(not atom_misses, atom_misses)
+    misses = [P._down[p] for p in range(P.n) if not P._lower[p] and p not in upper]
+    return ChainCollapseReport(not misses, tuple(con._congruences(misses)) if misses else ())
 
 
 def ideal_representation(

@@ -3,9 +3,12 @@
 The checks here trust nothing from :mod:`latcon.construction`: embeddings
 come in as plain ordered id tuples, each embedded copy is read from the
 ambient lattice's own cover relation, numbered as its embedding lists it,
-and the output's congruence lattice is computed here.  A
-:class:`VerificationReport` lists every check with a witness for any
-failure.
+and the output's congruence lattice is computed here.  Each join-irreducible
+congruence of the output is restricted to a copy as the set of the copy's
+colors it collapses, read off the two colorings; the hom is read as an
+element map on join-irreducibles, not through its dual map, and no list of
+all congruences of the output is built.  A :class:`VerificationReport`
+lists every check with a witness for any failure.
 
 A caller may pass ``inputs``, the lattices it expects the two copies to
 be.  An embedding that carries its input (:func:`core._carries`: its ids
@@ -88,6 +91,29 @@ def _verify_representation(
     mode: str,
     inputs: tuple[FiniteLattice, FiniteLattice] | None,
 ) -> VerificationReport:
+    """The report of :func:`verify_filter_representation` or of
+    :func:`verify_ideal_representation`, by ``mode``.
+
+    Restriction to each copy is read off the colorings: entry r of
+    ``cg._restricted`` is the down-set of the copy's colors that theta_r,
+    the join-irreducible congruence of L at position r, collapses there,
+    and it fixes the restricted congruence.  Both sides of the diagram
+    preserve joins and 0, so they agree once they agree on J(Con L).
+
+    The hom is read as an element map on join-irreducibles.  Why the
+    positions line up: the endpoint test passed, so element i of
+    ``phi.source`` is the i-th of Con F's ``congruences``, which are listed
+    in ``congruence._rank`` order, and Con F's color positions follow the
+    same order.  So the j-th join-irreducible of ``phi.source`` in id order
+    is the congruence of F's color j, and so for ``phi.target`` and G
+    (``TestNumberedJoinIrreducibles`` checks it).  Row g of ``pulled`` is
+    the set of F's colors j whose join-irreducible phi maps above G's
+    join-irreducible g.  The restriction of theta_r to F is the join of the
+    join-irreducibles of its colors, and phi maps it to the join of their
+    images; g lies below that join exactly when it lies below one image,
+    as g is join-prime in the distributive ``phi.target``.  So the image
+    collapses G's color g exactly when row g meets F's mask of theta_r.
+    """
     given = inputs or (None, None)
     f_emb, fsub = _embedded(L, f_emb, given[0])
     g_emb, gsub = _embedded(L, g_emb, given[1])
@@ -114,17 +140,20 @@ def _verify_representation(
     )
 
     # restriction Con L -> Con F must be a bijection, decided on J(Con L)
-    # as in cg.is_cp_extension
-    witness = cg.restriction_mismatch(conL, f_emb, conF)
+    # as in cg.is_cp_extension; each copy carries its lattice, as _embedded
+    # made sure, so the masks are read without restriction_mismatch's check
+    f_masks = cg._restricted(conL, f_emb, conF)
+    witness = cg._mismatch(conL, f_masks, conF)
     checks.append(CheckResult("restriction-bijective", witness is None, witness))
 
-    # the diagram: restricting to the target copy must act as phi.  Both
-    # sides preserve joins and 0, so they agree when they agree on J(Con L)
-    key = cg._restricted_key
-    bad = [c for c in conL.theta_cls
-           if conG.index[key(c, g_emb)] != phi(conF.index[key(c, f_emb)])]
+    # the diagram: restricting to the target copy must act as phi
+    D, E = phi.source, phi.target
+    pulled = [sum(1 << j for j, x in enumerate(D.ji_elements()) if E.leq(y, phi(x)))
+              for y in E.ji_elements()]
+    bad = [r for r, (f, g) in enumerate(zip(f_masks, cg._restricted(conL, g_emb, conG)))
+           if g != sum(1 << q for q, m in enumerate(pulled) if m & f)]
     witness = None if not bad else (
-        f"join-irreducible congruence {list(map(list, cg.Congruence(L, bad[0]).blocks))}"
+        f"join-irreducible congruence {cg._theta_blocks(conL, bad[0])}"
         " of the output restricts off the prescribed map"
     )
     checks.append(CheckResult("restriction-diagram", not bad, witness))
@@ -144,8 +173,9 @@ def verify_filter_representation(
     ``f_emb``/``g_emb`` are ordered embeddings of the two inputs; the
     checks are: the target copy is a filter, restriction to the source copy
     is a congruence-lattice bijection, and restriction to the target copy
-    acts as ``phi`` on every congruence of ``L``; both cut down only the
-    join-irreducible congruences of ``L``, as partitions.
+    acts as ``phi`` on every congruence of ``L``; both are decided on the
+    join-irreducible congruences of ``L``, each restricted to a copy as the
+    set of the copy's colors it collapses.
 
     ``inputs``, when given, is the pair of lattices the two embeddings are
     expected to carry.  An embedding that carries its input is read through

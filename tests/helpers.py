@@ -11,8 +11,12 @@ library code, kept to test the current ones against:
 list of congruences; :func:`reference_theta_check`, the postcondition of
 Con L scanned cover by cover for every join-irreducible congruence;
 :func:`reference_tied_colors`, the restriction-based
-color matching of the representation pipelines; :func:`reference_colors`,
-each cover's color by its principal closure;
+color matching of the representation pipelines;
+:func:`reference_ji_restriction` with
+:func:`reference_restriction_mismatch`, restriction Con L -> Con K read
+off class tables; :func:`reference_diagram_witness`, the verifier's
+diagram check through the ``index`` of each copy's congruences;
+:func:`reference_colors`, each cover's color by its principal closure;
 :func:`reference_make_bounded_hom`, the per-pair validation of bounded
 homs; :func:`reference_isotone_check` and
 :func:`reference_is_order_embedding`, the scans of every pair of an
@@ -151,6 +155,66 @@ def brute_restriction(con_l, emb, con_k):
         cut = ([pos[x] for x in b if x in pos] for b in alpha.blocks)
         out.append(keys.index(blocks_key(c for c in cut if c)))
     return out
+
+
+def restricted_key(cls, elems):
+    """Restriction of the class table ``cls`` to ``elems`` as a class table
+    of positions in ``elems``."""
+    return cg._key([cls[x] for x in elems])
+
+
+def reference_ji_restriction(con_l, emb, con_k):
+    """Entry ``r``: the position in ``con_k.theta_cls`` of ``con_l.theta_cls[r]``
+    restricted to ``emb``, or None when that is not join-irreducible."""
+    at = {c: p for p, c in enumerate(con_k.theta_cls)}
+    return [at.get(restricted_key(c, emb)) for c in con_l.theta_cls]
+
+
+def reference_restriction_mismatch(con_l, emb, con_k):
+    """The text of ``restriction_mismatch`` read off class tables: each
+    join-irreducible congruence of L restricted to ``emb`` by
+    :func:`reference_ji_restriction`, then the preimage of each
+    join-irreducible of K compared with the order of J(Con L)."""
+    image = reference_ji_restriction(con_l, [core._checked_id(x, con_l.lattice.n) for x in emb],
+                                     con_k)
+    P, Q = con_l.ji_order, con_k.ji_order
+
+    def named(r):
+        return list(map(list, cg.Congruence(con_l.lattice, con_l.theta_cls[r]).blocks))
+
+    if None in image:
+        r = image.index(None)
+        return f"join-irreducible congruence {named(r)} restricts to no join-irreducible one"
+    preimage = [0] * Q.n
+    for r, q in enumerate(image):
+        preimage[q] |= 1 << r
+    for r, q in enumerate(image):
+        above = 0  # the s with image[s] above image[r]
+        for t in core._bits(Q._up[q]):
+            above |= preimage[t]
+        wrong = P._up[r] ^ above
+        if wrong:
+            s = (wrong & -wrong).bit_length() - 1
+            return (f"join-irreducible congruences {named(r)} and {named(s)}"
+                    " are ordered unlike their restrictions")
+    if P.n != Q.n:
+        return f"only {P.n} of {Q.n} join-irreducible congruences arise as restrictions"
+    return None
+
+
+def reference_diagram_witness(L, f_emb, g_emb, phi):
+    """The restriction-diagram witness, or None, as the verifier decided
+    it through the lists of all congruences: each class table of J(Con L)
+    restricted to both copies, rebuilt by ``core.sublattice``, looked up in
+    each copy's ``index`` and compared through ``phi``."""
+    conL = cg.congruence_lattice(L)
+    conF, conG = (cg.congruence_lattice(core.sublattice(L, emb)[0]) for emb in (f_emb, g_emb))
+    bad = [c for c in conL.theta_cls
+           if conG.index[restricted_key(c, g_emb)] != phi(conF.index[restricted_key(c, f_emb)])]
+    if not bad:
+        return None
+    return (f"join-irreducible congruence {list(map(list, cg.Congruence(L, bad[0]).blocks))}"
+            " of the output restricts off the prescribed map")
 
 
 def _class_table(n, blocks):
@@ -1142,7 +1206,7 @@ def reference_glue_pair(stage, alpha_a, alpha_b):
     :class:`PostconditionFailed` unless they form a congruence.
     """
     lat, a_map, b_map, pairs = stage
-    if cg._restricted_key(alpha_a.cls, [p[0] for p in pairs]) != cg._restricted_key(
+    if restricted_key(alpha_a.cls, [p[0] for p in pairs]) != restricted_key(
         alpha_b.cls, [p[1] for p in pairs]
     ):
         raise Incompatible("restrictions to the shared part differ")

@@ -255,6 +255,37 @@ class TestSizeLimit:
             "error: grid-3x3: more than 15 congruences of 9 elements exceed the budget"
             " of 143 congruences times elements\n"))
 
+    def test_con_of_a_long_chain_is_input_error(self, tmp_path):
+        # a 4,096-element chain is under the size limit, but its Con L ran
+        # out of the 1 GiB address space: n·|J(L)| is bounded first
+        path = tmp_path / "chain.json"
+        path.write_text(jio.dumps(jio.lattice_to_obj(core.chain(4096))))
+        proc = self._run("con", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: {path}: 4096 elements times 4095 join-irreducibles exceed the budget"
+            " of 2097152 for the congruence lattice\n")
+
+    def test_con_cost_is_the_most_entries_computed(self, capsys, monkeypatch):
+        # grid-3x3 has 9 elements and 4 join-irreducibles; a rectangular
+        # argument is bounded alike, before any pipeline computes its Con L
+        assert cli._CON_COST == 1 << 21
+        monkeypatch.setattr(cli, "_CON_COST", 9 * 4)
+        assert main(["con", "grid-3x3"]) == 0
+        assert capsys.readouterr().out.startswith("{")
+        assert main(["check-ideal", "grid-3x3"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_CON_COST", 9 * 4 - 1)
+        computed = []
+        monkeypatch.setattr(cli.cg, "congruence_lattice", computed.append)
+        for argv in (["con", "grid-3x3"], ["check-ideal", "grid-3x3"],
+                     ["build-filter", "grid-2x2", "grid-3x3", "--hom-index", "0"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", (
+                "error: grid-3x3: 9 elements times 4 join-irreducibles exceed the budget"
+                " of 35 for the congruence lattice\n"))
+        assert computed == []
+
     def test_limit_is_the_largest_accepted_size(self, monkeypatch):
         # the builder is stubbed, so neither size allocates anything
         assert jio._MAX_SIZE == 32768 >= 4096

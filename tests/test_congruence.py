@@ -19,7 +19,7 @@ from latcon import birkhoff, catalog, construction, core
 from latcon import congruence as cg
 from latcon import rectangular as rl
 from latcon.cli import main
-from latcon.errors import ElementOutOfRange, PostconditionFailed
+from latcon.errors import ElementOutOfRange, EmbeddingInvalid, PostconditionFailed
 
 S7 = catalog.get("s7")
 N5 = core.make_lattice(5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
@@ -132,14 +132,17 @@ class TestConLattice:
 
     def test_restriction_indices(self, monkeypatch):
         con = cg.congruence_lattice(S7)
-        assert cg._ji_restriction(con, range(7), con) == [0, 1, 2]
+        down = con.ji_order._down
+        assert helpers.reference_ji_restriction(con, range(7), con) == [0, 1, 2]
+        assert cg._restricted(con, range(7), con) == down
         assert cg.restriction_mismatch(con, range(7), con) is None
         # the ideal below 3 is a 3-element chain: {0,1,3},{2,4,5,6} restricts to
         # all of it, and the other two both to {0},{1,3}
         sub, to_parent, _ = core.sublattice(S7, [0, 1, 3])
         con_k = cg.congruence_lattice(sub)
         assert [t.blocks for t in helpers.ji_congruences(con_k)] == [((0,), (1, 2)), ((0, 1), (2,))]
-        assert cg._ji_restriction(con, to_parent, con_k) == [0, None, 0]
+        assert helpers.reference_ji_restriction(con, to_parent, con_k) == [0, None, 0]
+        assert cg._restricted(con, to_parent, con_k) == [0b01, 0b11, 0b01]
         assert cg.restriction_mismatch(con, to_parent, con_k) == (
             "join-irreducible congruence [[0, 1, 3], [2, 4, 5, 6]]"
             " restricts to no join-irreducible one"
@@ -147,7 +150,8 @@ class TestConLattice:
         # on the square below 4, {1,3},{2,5},{4,6} restricts to equality
         sub, to_parent, _ = core.sublattice(S7, [0, 1, 2, 4])
         con_k = cg.congruence_lattice(sub)
-        assert cg._ji_restriction(con, to_parent, con_k) == [None, 0, 1]
+        assert helpers.reference_ji_restriction(con, to_parent, con_k) == [None, 0, 1]
+        assert cg._restricted(con, to_parent, con_k) == [0b00, 0b01, 0b10]
         # N5's interval [2, 3] is a 2-element chain: two ordered join-irreducible
         # congruences both restrict to all of it
         N5 = catalog.n5()
@@ -158,19 +162,24 @@ class TestConLattice:
             " [[0], [1], [2, 3], [4]] are ordered unlike their restrictions"
         )
         # maps that no restriction gives here reach the other witnesses
-        monkeypatch.setattr(cg, "_ji_restriction", lambda *_: [1, 2, 0])
+        monkeypatch.setattr(cg, "_restricted", lambda *_: [down[1], down[2], down[0]])
         assert cg.restriction_mismatch(con, range(7), con) == (
             "join-irreducible congruences [[0], [1, 3], [2, 5], [4, 6]] and"
             " [[0, 1, 3], [2, 4, 5, 6]] are ordered unlike their restrictions"
         )
-        monkeypatch.setattr(cg, "_ji_restriction", lambda *_: [0, 1, 1])
+        monkeypatch.setattr(cg, "_restricted", lambda *_: [down[0], down[1], down[1]])
         assert cg.restriction_mismatch(con, range(7), con) == (
             "join-irreducible congruences [[0, 1, 3], [2, 4, 5, 6]] and"
             " [[0, 2, 5], [1, 3, 4, 6]] are ordered unlike their restrictions"
         )
-        monkeypatch.setattr(cg, "_ji_restriction", lambda *_: [0])
-        two = cg.congruence_lattice(core.chain(2))
-        assert cg.restriction_mismatch(two, range(2), cg.congruence_lattice(core.chain(3))) == (
+        # a simple lattice whose interval [0, 2] is a 3-element chain, so
+        # restriction must hit one of two join-irreducibles
+        simple = rl.grid_with_eyes(3, 3, [(0, 0), (0, 1), (1, 0)])[0].lattice
+        sub, to_parent, _ = core.sublattice(simple, [0, 1, 2])
+        con_s, con_k = cg.congruence_lattice(simple), cg.congruence_lattice(sub)
+        assert (con_s.ji_order.n, con_k.ji_order.n) == (1, 2)
+        monkeypatch.setattr(cg, "_restricted", lambda *_: [con_k.ji_order._down[0]])
+        assert cg.restriction_mismatch(con_s, to_parent, con_k) == (
             "only 1 of 2 join-irreducible congruences arise as restrictions"
         )
 
@@ -181,7 +190,7 @@ class TestConLattice:
             con = cg.congruence_lattice(L)
             P = con.ji_order
             for image in product(range(P.n), repeat=P.n):
-                monkeypatch.setattr(cg, "_ji_restriction", lambda *_: list(image))
+                monkeypatch.setattr(cg, "_restricted", lambda *_: [P._down[q] for q in image])
                 bad = next(((r, s) for r in range(P.n) for s in range(P.n)
                             if P.leq(r, s) != P.leq(image[r], image[s])), None)
                 got = cg.restriction_mismatch(con, range(L.n), con)
@@ -191,6 +200,18 @@ class TestConLattice:
                     r, s = (list(map(list, cg.Congruence(L, con.theta_cls[i]).blocks)) for i in bad)
                     assert got == (f"join-irreducible congruences {r} and {s}"
                                    " are ordered unlike their restrictions"), image
+
+    # from s7 to the 3-chain: no convex copy of the chain, numbered as it
+    # is; each returned a witness text before the embedding was checked
+    NOT_CARRIED = [[0, 3, 6], [6, 4, 0], [0, 1], [0, 1, 3, 4]]
+
+    @pytest.mark.parametrize("emb", NOT_CARRIED, ids=map(str, NOT_CARRIED))
+    def test_embedding_that_carries_no_copy_is_rejected(self, emb):
+        con, con_k = cg.congruence_lattice(S7), cg.congruence_lattice(core.chain(3))
+        with pytest.raises(EmbeddingInvalid, match=(
+            rf"^\[{', '.join(map(str, emb))}\] does not list K as a convex sublattice of L$"
+        )):
+            cg.restriction_mismatch(con, emb, con_k)
 
 
 def _assert_matches_reference(L):
@@ -343,9 +364,10 @@ class TestGeneratedCongruence:
 
 class TestNumberedJoinIrreducibles:
     """``construction._tied_colors`` reads ``ji_of_hom(phi).assignment`` as
-    positions in ``conF.ji_order``.  That is right because the
-    join-irreducibles of the numbered Con L, in id order, are the
-    ``theta_cls`` positions, in the same order."""
+    positions in ``conF.ji_order``, and ``verify`` reads the j-th
+    join-irreducible of a hom's endpoint as the congruence of color j.
+    Both are right because the join-irreducibles of the numbered Con L, in
+    id order, are the ``theta_cls`` positions, in the same order."""
 
     def test_ji_of_the_numbered_con_are_the_theta_positions(self, a6_outputs):
         lattices = [catalog.get(name) for name in lemmas.names()]
@@ -408,9 +430,9 @@ def _reachable(root):
 
 
 class TestThetaAsClassTables:
-    """Con L keeps the join-irreducible congruences as class tables; a
-    :class:`Congruence` exists only while a caller holds one built from
-    ``theta_cls``."""
+    """Con L keeps no class table: ``theta_cls`` is read off the coloring
+    on each read, and a :class:`Congruence` exists only while a caller
+    holds one."""
 
     def test_no_congruence_object_is_reachable_from_the_lattice(self):
         rects = list(catalog.rect_catalog().values())
@@ -423,7 +445,9 @@ class TestThetaAsClassTables:
             assert cg.is_cp_extension(L, L.down(L.n // 2)) in (True, False)
             construction.upper_chain_collapse_check(R)
             reached = _reachable(L)
-            assert any(o is con for o in reached) and any(o is con.theta_cls for o in reached)
+            assert any(o is con for o in reached)
+            tables = con.theta_cls
+            assert [o for o in reached if type(o) is tuple and any(o == t for t in tables)] == []
             assert [o for o in reached if isinstance(o, cg.Congruence)] == []
             assert con._full is None
 
@@ -459,8 +483,8 @@ class TestThetaAsClassTables:
             tracemalloc.stop()
         assert kept < 3000, kept
 
-    def test_theta_against_principal_closures(self):
-        for L in _fresh_lattices():
+    def test_theta_against_principal_closures(self, a6_outputs):
+        for L in _fresh_lattices() + list(a6_outputs):
             con = cg.congruence_lattice(L)
             theta = helpers.ji_congruences(con)
             assert [t.cls for t in theta] == list(con.theta_cls)
@@ -696,7 +720,7 @@ class TestPartitionForm:
                     k_labels = ji_labels(con_k)
                     assert [
                         None if p is None else k_labels[p]
-                        for p in cg._ji_restriction(con, to_parent, con_k)
+                        for p in helpers.reference_ji_restriction(con, to_parent, con_k)
                     ] == [want[i] if want[i] in k_labels else None for i in ji_labels(con)]
                     bijective.append(sorted(want) == list(range(len(con_k))))
                     assert cg.is_cp_extension(L, elems) == bijective[-1]
@@ -738,6 +762,48 @@ class TestPredicatesAndRestriction:
         G = rl.glue(A, core.chain(2), {A.top: 0}).lattice
         assert cg.is_cp_extension(G, range(A.n)) is False  # chain edge adds a congruence
         assert cg.is_cp_extension(A, range(A.n))
+
+
+def _restriction_agrees(L, K):
+    """``restriction_mismatch`` of L to the copy of K that
+    ``core.sublattice`` builds, which must equal the text read off class
+    tables, and agree with ``is_cp_extension``; returns the text."""
+    sub, to_parent, _ = core.sublattice(L, K)
+    con_l, con_k = cg.congruence_lattice(L), cg.congruence_lattice(sub)
+    got = cg.restriction_mismatch(con_l, to_parent, con_k)
+    assert got == helpers.reference_restriction_mismatch(con_l, to_parent, con_k)
+    assert cg.is_cp_extension(L, K) == (got is None)
+    return got
+
+
+class TestRestrictionOffTheColoring:
+    """``restriction_mismatch`` on the masks read off the colorings against
+    the class-table restriction it replaced."""
+
+    def test_every_interval_of_the_rectangular_lattices(self):
+        rects = list(catalog.rect_catalog().values())
+        rects += [R for _, R in catalog.search_rectangular(12)]
+        texts = []
+        for R in rects:
+            L = R.lattice
+            for a in range(L.n):
+                for b in L.up(a):
+                    texts.append(_restriction_agrees(L, [x for x in L.up(a) if L.leq(x, b)]))
+        # 318 bijections, 1,499 restrictions that are not one-to-one and 21
+        # that reorder J(Con L)
+        assert (len(rects), len(texts), texts.count(None)) == (52, 1838, 318)
+        assert sum("ordered unlike" in t for t in texts if t) == 21
+
+    def test_the_extensions_and_assemblies_of_a4_and_a5(self):
+        # A5 tests each boundary color extension on F's copy; A4's
+        # assemblies are restricted to each of their four pieces
+        for name in ("grid-2x2", "m3", "s7", "s7-eye"):
+            R, rep = construction.boundary_color_extension(catalog.rect_catalog()[name])
+            assert _restriction_agrees(R.lattice, rep.embedded_f) is None
+        texts = [_restriction_agrees(asm.result.lattice, m)
+                 for asm in lemmas.assemblies().values()
+                 for m in (asm.t_map, asm.lf_map, asm.rf_map, asm.b_map)]
+        assert len(texts) == 20
 
 
 class TestSingletonExtension:

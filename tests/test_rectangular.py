@@ -401,7 +401,7 @@ class TestTripleGlueOracle:
                 except helpers.Incompatible:
                     continue
                 assert ext.cls in index, name
-                assert [cg._restricted_key(ext.cls, m) for m in maps] == [a.cls for a in quad], name
+                assert [helpers.restricted_key(ext.cls, m) for m in maps] == [a.cls for a in quad], name
                 checked += 1
         assert checked == 4 + 25 + 20 + 20 + 16
 

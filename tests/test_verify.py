@@ -171,8 +171,18 @@ class TestRestrictionWitnesses:
         phi = bk.make_bounded_hom(self.D, self.D, assignment)
         return vf.verify_ideal_representation(self.G.lattice, self.G.a_map, self.G.a_map, phi)
 
+    def _against_the_oracles(self, out, assignment):
+        phi = bk.make_bounded_hom(self.D, self.D, assignment)
+        L, emb = self.G.lattice, self.G.a_map
+        con_l, con_k = cg.congruence_lattice(L), cg.congruence_lattice(self.A)
+        assert [c.witness for c in out.checks[1:]] == [
+            helpers.reference_restriction_mismatch(con_l, emb, con_k),
+            helpers.reference_diagram_witness(L, emb, emb, phi),
+        ]
+
     def test_identity_fails_only_bijectivity(self):
         out = self._report(range(4))
+        self._against_the_oracles(out, range(4))
         assert [(c.name, c.passed, c.witness) for c in out.checks] == [
             ("target-copy-is-ideal", True, None),
             ("restriction-bijective", False, self.NOT_ONE_TO_ONE),
@@ -181,6 +191,7 @@ class TestRestrictionWitnesses:
 
     def test_swapped_atoms_fail_the_diagram_too(self):
         out = self._report((0, 2, 1, 3))
+        self._against_the_oracles(out, (0, 2, 1, 3))
         assert [(c.name, c.passed, c.witness) for c in out.checks][1:] == [
             ("restriction-bijective", False, self.NOT_ONE_TO_ONE),
             (
@@ -318,6 +329,43 @@ def _sweep_runs():
     for build, check, F, G, phi in _sweep_jobs():
         L, rep = build(F, G, phi)
         yield check, F, G, L.lattice, rep, phi
+
+
+class TestRestrictionAgainstClassTables:
+    """Both restriction checks of the verifier against the class-table
+    oracles in ``helpers``: ``restriction_mismatch`` as it read class
+    tables, and the diagram check through each copy's ``index``."""
+
+    def test_both_copies_of_the_sweep_runs(self):
+        # the 34 A6 outputs and the seeded 48 ideal runs
+        copies = []
+        for _, F, G, L, rep, _ in _sweep_runs():
+            con_l = cg.congruence_lattice(L)
+            for emb, K in ((rep.embedded_f, F), (rep.embedded_g, G)):
+                con_k = cg.congruence_lattice(K.lattice)
+                got = cg.restriction_mismatch(con_l, emb, con_k)
+                assert got == helpers.reference_restriction_mismatch(con_l, emb, con_k)
+                copies.append(got)
+        # restriction to F's copy is a bijection, to G's as a rule not
+        assert len(copies) == 2 * (34 + 48)
+        assert copies[::2] == [None] * (34 + 48)
+        assert copies[1::2].count(None) == 8
+
+    def test_diagram_for_every_hom_with_the_same_endpoints(self):
+        # the 238 pairs of a filter output and a hom between the same
+        # congruence lattices, and the ideal outputs alike
+        verdicts = []
+        for check, L, rep, phi in _outputs():
+            for psi in bk.enumerate_bounded_homs(phi.source, phi.target):
+                diagram = check(L, rep.embedded_f, rep.embedded_g, psi).checks[-1]
+                want = helpers.reference_diagram_witness(L, rep.embedded_f, rep.embedded_g, psi)
+                assert diagram.name == "restriction-diagram"
+                assert (diagram.passed, diagram.witness) == (want is None, want)
+                verdicts.append((check, diagram.passed))
+        filters = [ok for check, ok in verdicts if check is vf.verify_filter_representation]
+        ideals = [ok for check, ok in verdicts if check is vf.verify_ideal_representation]
+        assert (len(filters), filters.count(True)) == (238, 34)
+        assert (len(ideals), ideals.count(True)) == (70, 12)
 
 
 VERIFY_ENDPOINTS = "homomorphism endpoints do not match the embedded copies' congruence lattices"
