@@ -76,10 +76,6 @@ class _Map:
         k = len(set(self._assignment))
         return k == self._source.n, k == self._target.n
 
-    @property
-    def is_onto(self) -> bool:
-        return self._injective_onto()[1]
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -121,19 +117,12 @@ class IsotoneMap(_Map):
         self._target = target
         self._assignment = assignment
 
-    @property
-    def is_order_embedding(self) -> bool:
-        """Whether ``x <= y`` iff ``f(x) <= f(y)``.
-
-        An order embedding is injective, as ``f(x) = f(y)`` gives
-        ``x <= y <= x``; an injective f is one iff :meth:`_keeps_up_sizes`.
-        """
-        return self._injective_onto()[0] and self._keeps_up_sizes()
-
     def _keeps_up_sizes(self) -> bool:
-        """For injective f, whether it is an order embedding, read off the
-        masks.  The ``y`` with ``f(y)`` in ``↑f(x)`` correspond one-to-one
-        to ``↑f(x) ∩ f(P)``, and, f being isotone, they include ``↑x``; so
+        """For injective f, whether it is an order embedding (``x <= y`` iff
+        ``f(x) <= f(y)``), read off the masks.  An order embedding is
+        injective, as ``f(x) = f(y)`` gives ``x <= y <= x``.  For injective
+        f the ``y`` with ``f(y)`` in ``↑f(x)`` correspond one-to-one to
+        ``↑f(x) ∩ f(P)``, and, f being isotone, they include ``↑x``; so
         they are ``↑x`` iff ``|↑x|`` is ``|↑f(x) ∩ f(P)|``.
         """
         f = self._assignment
@@ -161,10 +150,6 @@ class BoundedHom(_Map):
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a BoundedHom is built by make_bounded_hom")
-
-    @property
-    def is_injective(self) -> bool:
-        return self._injective_onto()[0]
 
     def __hash__(self) -> int:
         return hash((self._source.n, self._target.n, self._assignment))

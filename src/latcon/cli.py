@@ -254,12 +254,17 @@ _CON_BUDGET = 1 << 20
 def cmd_con(args) -> int:
     L = _load_lattice(args.lattice)
     _con_affordable(args.lattice, L)
-    con = cg.congruence_lattice(L)
+    # the congruences are the down-sets of the colors under D*, counted
+    # before any closure runs; with ``below`` read as up-sets the colors
+    # take the reverse order, which has as many down-sets
+    below, rep = cg._d_star(L)
+    colors = sorted(set(rep.values()))
+    reverse = core.Poset(len(colors), core._reduce(colors, below))
     most = _CON_BUDGET // L.n
-    if len(core._downsets_upto(con.ji_order, most + 1)) > most:
+    if len(core._downsets_upto(reverse, most + 1)) > most:
         raise _InputError(f"{args.lattice}: more than {most} congruences of {L.n} elements"
                           f" exceed the budget of {_CON_BUDGET} congruences times elements")
-    return _emit(jio.dumps(jio.con_lattice_to_obj(con)), args.out)
+    return _emit(jio.dumps(jio.con_lattice_to_obj(cg.congruence_lattice(L))), args.out)
 
 
 def cmd_brt(args) -> int:

@@ -30,7 +30,8 @@ per color of K gives each restriction as a mask of K's colors
 :func:`is_cp_extension`, and the checks of :mod:`latcon.verify`.  The list
 of all congruences is an output format, read by :mod:`latcon.jsonio`, the
 CLI and ``as_lattice``, and by the test that a hom's endpoint is Con L as
-numbered there.
+numbered there.  Its join-irreducibles, read off its covers, come in the
+order of the positions of the dual (see :class:`ConLattice`).
 
 One kernel, :func:`_closure`, is the module's only union-find.  It
 generates congruences by Grätzer's Technical Lemma: its classes
@@ -202,11 +203,10 @@ def principal_congruence(L: FiniteLattice, a: int, b: int) -> Congruence:
 
 
 class _Partitions(NamedTuple):
-    """The list of all congruences, what is indexed by it, and Con L's
-    upper cover rows in its numbering."""
+    """The list of all congruences and Con L's upper cover rows in its
+    numbering."""
 
     congruences: tuple[Congruence, ...]
-    index: dict[tuple[int, ...], int]
     rows: tuple[list[int], ...]
 
 
@@ -268,19 +268,20 @@ class ConLattice:
     its principal congruence: a read-only mapping over one flat tuple of
     positions in ``lattice.covers()`` order.  No class table is kept: the
     congruence of a down-set of ``ji_order`` is read off the coloring
-    (:meth:`_congruences`), and ``theta_cls[p]``, the class table of the
-    join-irreducible congruence at position ``p``, is computed on each
-    read.  ``len`` counts the down-sets of ``ji_order`` and builds no
-    partition.
+    (:meth:`_congruences`).  ``len`` counts the down-sets of ``ji_order``
+    and builds no partition.
 
-    The numbered Con L is built once, on the first read of ``congruences``
-    or ``index``, of :meth:`covers` or :meth:`as_lattice`, or of an endpoint
-    test: the list of all congruences, ``index``, and one ascending row of
-    upper covers per congruence.  ``congruences`` is in a canonical order
-    (block count descending, then canonical block key), which is a linear
-    extension of the refinement order: index 0 is the equality congruence,
-    the last index collapses everything.  ``index`` maps each congruence's
-    ``cls`` to its position.
+    The numbered Con L is built once, on the first read of ``congruences``,
+    of :meth:`covers` or :meth:`as_lattice`, or of an endpoint test: the
+    list of all congruences and one ascending row of upper covers per
+    congruence.  ``congruences`` is in a canonical order (block count
+    descending, then canonical block key), which is a linear extension of
+    the refinement order: index 0 is the equality congruence, the last
+    index collapses everything.  Its join-irreducibles, the congruences
+    with one lower cover, are in id order the positions of ``ji_order``:
+    both are the join-irreducible congruences sorted by that one key.
+    So Con L has two forms, the dual and the numbered list, and a reader
+    of either needs no class table.
     """
 
     __slots__ = ("lattice", "ji_order", "colors", "_size", "_full", "_lattice_view")
@@ -333,17 +334,14 @@ class ConLattice:
         cons = list(self._congruences(ds))
         perm = sorted(range(len(cons)), key=lambda k: _rank(cons[k]))
         ordered = tuple(cons[k] for k in perm)
-        index = {c.cls: i for i, c in enumerate(ordered)}
-        if len(index) != len(ordered):
+        if len({c.cls for c in ordered}) != len(ordered):
             raise PostconditionFailed("two down-sets of join-irreducibles have the same join")
         rows = core._downset_rows(self.ji_order, [ds[k] for k in perm])
-        self._full = _Partitions(ordered, index, rows)
+        self._full = _Partitions(ordered, rows)
         self._size = len(ordered)
         return self._full
 
-    theta_cls = property(lambda self: tuple(c.cls for c in self._congruences(self.ji_order._down)))
     congruences = property(lambda self: self._build().congruences)
-    index = property(lambda self: self._build().index)
 
     def __len__(self) -> int:
         if self._size is None:
@@ -431,17 +429,41 @@ def _d_rows(L: FiniteLattice) -> dict[int, int]:
     return rows
 
 
+def _d_star(L: FiniteLattice) -> tuple[dict[int, int], dict[int, int]]:
+    """D* and its classes, with no closure: ``below[q]``, for each
+    join-irreducible q in id order, is the mask of the p with p D* q, and
+    ``rep[p]`` is the least member of p's class of mutual D*, a color.
+
+    D's rows come from :func:`_d_rows`, and one Warshall pass closes them.
+    The CLI reads the order of the colors here to count the congruences
+    before it pays for :func:`congruence_lattice`.
+    """
+    below = _d_rows(L)
+    J = tuple(below)
+    for k in J:
+        for q in J:
+            if below[q] >> k & 1:
+                below[q] |= below[k]
+    rep: dict[int, int] = {}
+    for q in J:
+        for p in core._bits(below[q]):
+            if below[p] >> q & 1:
+                rep.setdefault(p, q)
+    return below, rep
+
+
 def congruence_lattice(L: FiniteLattice) -> ConLattice:
     """The join-irreducible congruences of L, their order, and the edge coloring.
 
     Covers are colored by join-irreducibles and colors are ordered by D*
     (see the module docstring), D's rows read off meet-irreducible
-    witnesses by :func:`_d_rows`.  The list of all congruences is left to
-    :class:`ConLattice` to build on demand.  ``theta[r]`` is the principal
-    closure con(r_*, r), and the postcondition checks it cover by cover:
-    it must collapse a cover of color ``c`` exactly when ``c`` is in r's
-    D* down-set, or :class:`PostconditionFailed` names a missed cover or a
-    color ordered unlike D*.  A congruence's classes are intervals, so they
+    witnesses by :func:`_d_rows` and closed by :func:`_d_star`.  The list
+    of all congruences is left to :class:`ConLattice` to build on demand.
+    ``theta[r]`` is the principal closure con(r_*, r), and the
+    postcondition checks it cover by cover: it must collapse a cover of
+    color ``c`` exactly when ``c`` is in r's D* down-set, or
+    :class:`PostconditionFailed` names a missed cover or a color ordered
+    unlike D*.  A congruence's classes are intervals, so they
     are the components of the covers it collapses: the check fixes every
     ``theta[r]``.  It also implies that distinct down-sets of colors join
     to distinct congruences: theta[c] <= theta[r] exactly when c D* r, as
@@ -454,18 +476,8 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
         return L._con
 
     down, lower = L._down, L._lower
-    below = _d_rows(L)  # below[q]: the p with p D q, then with p D* q (Warshall)
-    J = tuple(below)
-    jmask = sum(1 << p for p in J)
-    for k in J:
-        for q in J:
-            if below[q] >> k & 1:
-                below[q] |= below[k]
-    rep: dict[int, int] = {}  # rep[p]: the least member of p's class of mutual D*
-    for q in J:
-        for p in core._bits(below[q]):
-            if below[p] >> q & 1:
-                rep.setdefault(p, q)
+    below, rep = _d_star(L)
+    jmask = sum(1 << p for p in below)
 
     covers = L.covers()
     color = []  # color[i]: the color of covers[i]

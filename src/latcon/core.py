@@ -345,10 +345,6 @@ class FiniteLattice(_Order):
     def top(self) -> int:
         return self.n - 1
 
-    def is_cover(self, x: int, y: int) -> bool:
-        x = _checked_id(x, self.n)
-        return _checked_id(y, self.n) in self._upper[x]
-
     def up_mask(self, x: int) -> int:
         return self._up[_checked_id(x, self.n)]
 
@@ -376,9 +372,6 @@ class FiniteLattice(_Order):
         return (m & -m).bit_length() - 1
 
     # -- irreducibility ----------------------------------------------------
-
-    def is_doubly_irreducible(self, x: int) -> bool:
-        return len(self.lower_covers(x)) == 1 == len(self.upper_covers(x))
 
     def ji_elements(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.n) if len(self._lower[x]) == 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from typing import Any
 
 from . import birkhoff, core, rectangular as rl
@@ -161,7 +162,12 @@ def hom_from_obj(obj: Any) -> BoundedHom:
 
 
 def con_lattice_to_obj(con: ConLattice) -> dict:
-    labels = [con.index[c] for c in con.theta_cls]
+    """Con L as the list of all congruences, its join-irreducibles and its
+    coloring.  The join-irreducibles are the congruences with one lower
+    cover, ascending: in that order they are the positions of
+    ``con.ji_order`` (see :class:`~latcon.congruence.ConLattice`)."""
+    lower = Counter(j for _, j in con.covers())
+    labels = sorted(j for j, k in lower.items() if k == 1)
     return {
         "lattice": lattice_to_obj(con.lattice),
         "congruences": [[list(b) for b in alpha.blocks] for alpha in con],

@@ -15,7 +15,9 @@ color matching of the representation pipelines;
 :func:`reference_ji_restriction` with
 :func:`reference_restriction_mismatch`, restriction Con L -> Con K read
 off class tables; :func:`reference_diagram_witness`, the verifier's
-diagram check through the ``index`` of each copy's congruences;
+diagram check through a dict from each copy's class tables to positions
+(:func:`cls_index`); :func:`reference_con_lattice_obj`, the Con L file with
+each join-irreducible congruence looked up there by its class table;
 :func:`reference_colors`, each cover's color by its principal closure;
 :func:`reference_make_bounded_hom`, the per-pair validation of bounded
 homs; :func:`reference_isotone_check` and
@@ -38,7 +40,7 @@ and comparing its stored fields;
 :func:`brute_is_semimodular`, the scan of every pair against the
 definition; :func:`brute_heights`, longest chains relaxed over every
 strict pair of the masks; :func:`reference_cells`, the cell scan through
-the checked ``is_cover``; :func:`reference_is_convex_sublattice`, closure under meet,
+the checked ``upper_covers``; :func:`reference_is_convex_sublattice`, closure under meet,
 join and intervals tested pair by pair; and
 :func:`reference_triple_glue` with :func:`reference_triple_glue_congruence`,
 the triple gluing built and extended through three pairwise gluings
@@ -164,10 +166,11 @@ def restricted_key(cls, elems):
 
 
 def reference_ji_restriction(con_l, emb, con_k):
-    """Entry ``r``: the position in ``con_k.theta_cls`` of ``con_l.theta_cls[r]``
-    restricted to ``emb``, or None when that is not join-irreducible."""
-    at = {c: p for p, c in enumerate(con_k.theta_cls)}
-    return [at.get(restricted_key(c, emb)) for c in con_l.theta_cls]
+    """Entry ``r``: the position in ``theta_tables(con_k)`` of
+    ``theta_tables(con_l)[r]`` restricted to ``emb``, or None when that is
+    not join-irreducible."""
+    at = {c: p for p, c in enumerate(theta_tables(con_k))}
+    return [at.get(restricted_key(c, emb)) for c in theta_tables(con_l)]
 
 
 def reference_restriction_mismatch(con_l, emb, con_k):
@@ -180,7 +183,7 @@ def reference_restriction_mismatch(con_l, emb, con_k):
     P, Q = con_l.ji_order, con_k.ji_order
 
     def named(r):
-        return list(map(list, cg.Congruence(con_l.lattice, con_l.theta_cls[r]).blocks))
+        return list(map(list, ji_congruences(con_l)[r].blocks))
 
     if None in image:
         r = image.index(None)
@@ -206,11 +209,12 @@ def reference_diagram_witness(L, f_emb, g_emb, phi):
     """The restriction-diagram witness, or None, as the verifier decided
     it through the lists of all congruences: each class table of J(Con L)
     restricted to both copies, rebuilt by ``core.sublattice``, looked up in
-    each copy's ``index`` and compared through ``phi``."""
+    each copy's :func:`cls_index` and compared through ``phi``."""
     conL = cg.congruence_lattice(L)
-    conF, conG = (cg.congruence_lattice(core.sublattice(L, emb)[0]) for emb in (f_emb, g_emb))
-    bad = [c for c in conL.theta_cls
-           if conG.index[restricted_key(c, g_emb)] != phi(conF.index[restricted_key(c, f_emb)])]
+    indexF, indexG = (cls_index(cg.congruence_lattice(core.sublattice(L, emb)[0]))
+                      for emb in (f_emb, g_emb))
+    bad = [c for c in theta_tables(conL)
+           if indexG[restricted_key(c, g_emb)] != phi(indexF[restricted_key(c, f_emb)])]
     if not bad:
         return None
     return (f"join-irreducible congruence {list(map(list, cg.Congruence(L, bad[0]).blocks))}"
@@ -652,8 +656,8 @@ def brute_is_semimodular(L):
     for a in range(L.n):
         for b in range(L.n):
             m = L.meet(a, b)
-            if m != a and L.is_cover(m, a):
-                if not L.is_cover(b, L.join(a, b)):
+            if m != a and a in L.upper_covers(m):
+                if L.join(a, b) not in L.upper_covers(b):
                     return False
     return True
 
@@ -682,15 +686,15 @@ def brute_heights(L):
 def reference_cells(R):
     """All cells of R, ordered by (bottom, top): intervals ``[b, t]`` of
     length 2 whose inner elements all cover ``b`` and are covered by
-    ``t``, scanned through the public, checked ``is_cover``."""
+    ``t``, scanned through the public, checked ``upper_covers``."""
     L = R.lattice
     out = []
     for b in range(L.n):
         for t in L.up(b):
             mids = [x for x in L.up(b) if x not in (b, t) and L.leq(x, t)]
-            if len(mids) < 2 or L.is_cover(b, t):
+            if len(mids) < 2 or t in L.upper_covers(b):
                 continue
-            if all(L.is_cover(b, x) and L.is_cover(x, t) for x in mids):
+            if all(x in L.upper_covers(b) and t in L.upper_covers(x) for x in mids):
                 ordered = [u for u in L.upper_covers(b) if u in mids]
                 out.append(rl.Cell(b, t, ordered[0], ordered[-1], tuple(ordered[1:-1])))
     return sorted(out, key=lambda c: (c.bottom, c.top))
@@ -943,8 +947,9 @@ def reference_upper_chain_collapse_check(G):
     of Con L, by index, that are the principal congruence of no edge of an
     upper boundary chain."""
     con = cg.congruence_lattice(G.lattice)
+    index = cls_index(con)
     upper = {
-        con.index[cg.principal_congruence(G.lattice, *e).cls]
+        index[cg.principal_congruence(G.lattice, *e).cls]
         for ch in (G.upper_left, G.upper_right)
         for e in zip(ch, ch[1:])
     }
@@ -1006,8 +1011,37 @@ def condition_oracle(R):
 
 def ji_congruences(con):
     """The join-irreducible congruences of ``con`` as :class:`cg.Congruence`
-    objects, built anew from ``con.theta_cls``."""
-    return tuple(cg.Congruence(con.lattice, c) for c in con.theta_cls)
+    objects, by position, built anew off the coloring."""
+    return tuple(con._congruences(con.ji_order._down))
+
+
+def theta_tables(con):
+    """The class tables of :func:`ji_congruences`, by position."""
+    return tuple(t.cls for t in ji_congruences(con))
+
+
+def cls_index(con):
+    """Each congruence's position in ``con.congruences``, keyed by its class
+    table: the dict ``ConLattice`` kept as ``index`` before Con L's
+    join-irreducibles were read off its covers."""
+    return {c.cls: i for i, c in enumerate(con.congruences)}
+
+
+def reference_con_lattice_obj(con):
+    """``jsonio.con_lattice_to_obj`` as it numbered the join-irreducible
+    congruences before it read them off the covers: each one's class
+    table, by position, looked up in :func:`cls_index`."""
+    index = cls_index(con)
+    labels = [index[c] for c in theta_tables(con)]
+    return {
+        "lattice": jio.lattice_to_obj(con.lattice),
+        "congruences": [[list(b) for b in alpha.blocks] for alpha in con],
+        "ji": {
+            "indices": labels,
+            "covers": [[a, b] for a, b in sorted(con.ji_order.covers())],
+        },
+        "edge_color": [[a, b, labels[p]] for (a, b), p in sorted(con.colors.items())],
+    }
 
 
 def reference_induced_copy(L, emb):
@@ -1100,10 +1134,11 @@ def renumbered_source(phi):
 
 
 def reference_colors(L, con):
-    """Each cover's color in ``con``: the position in ``con.theta_cls`` of
+    """Each cover's color in ``con``: the position in :func:`theta_tables` of
     the principal congruence of the cover, by :func:`reference_generated_congruence`."""
+    tables = theta_tables(con)
     return {
-        (a, b): con.theta_cls.index(reference_generated_congruence(L, [(a, b)]).cls)
+        (a, b): tables.index(reference_generated_congruence(L, [(a, b)]).cls)
         for a, b in L.covers()
     }
 
@@ -1118,9 +1153,10 @@ def reference_tied_colors(F, G, phi):
     conR = cg.congruence_lattice(R.lattice)
     psi = bk.ji_of_hom(phi)
     rho = brute_restriction(conR, inner.embedded_f, conF)
-    lift = {rho[conR.index[t.cls]]: q for q, t in enumerate(ji_congruences(conR))}
-    thetaF = ji_congruences(conF)
-    return [lift[conF.index[thetaF[psi(q)].cls]] for q in range(conG.ji_order.n)]
+    indexR, indexF = cls_index(conR), cls_index(conF)
+    lift = {rho[indexR[c]]: q for q, c in enumerate(theta_tables(conR))}
+    tablesF = theta_tables(conF)
+    return [lift[indexF[tablesF[psi(q)]]] for q in range(conG.ji_order.n)]
 
 
 class Incompatible(LatconError):

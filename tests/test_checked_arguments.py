@@ -76,16 +76,6 @@ def _restriction_mismatch(emb):
 
 # each used to return a wrong answer or raise a bare error on grid-3x3
 ID_ROWS = [
-    ("is_cover(7, -1)", lambda: G33.is_cover(7, -1), ElementOutOfRange,
-     "element -1 out of range for size 9"),
-    ("is_cover(0, 99)", lambda: G33.is_cover(0, 99), ElementOutOfRange,
-     "element 99 out of range for size 9"),
-    ("is_cover(-1, 8)", lambda: G33.is_cover(-1, 8), ElementOutOfRange,
-     "element -1 out of range for size 9"),
-    ("is_cover(99, 0)", lambda: G33.is_cover(99, 0), ElementOutOfRange,
-     "element 99 out of range for size 9"),
-    ("is_cover(0, 1.5)", lambda: G33.is_cover(0, 1.5), ElementOutOfRange,
-     "element id 1.5 is not an integer"),
     ("height(-1)", lambda: G33.height(-1), ElementOutOfRange,
      "element -1 out of range for size 9"),
     ("height(99)", lambda: G33.height(99), ElementOutOfRange,
@@ -97,11 +87,7 @@ ID_ROWS = [
      "element -1 out of range for size 9"),
     ("upper_covers(-1)", lambda: G33.upper_covers(-1), ElementOutOfRange,
      "element -1 out of range for size 9"),
-    ("is_doubly_irreducible(-1)", lambda: G33.is_doubly_irreducible(-1), ElementOutOfRange,
-     "element -1 out of range for size 9"),
     ("upper_covers(99)", lambda: G33.upper_covers(99), ElementOutOfRange,
-     "element 99 out of range for size 9"),
-    ("is_doubly_irreducible(99)", lambda: G33.is_doubly_irreducible(99), ElementOutOfRange,
      "element 99 out of range for size 9"),
     ("lower_covers(1.5)", lambda: G33.lower_covers(1.5), ElementOutOfRange,
      "element id 1.5 is not an integer"),
@@ -198,13 +184,13 @@ def test_id_checks_run_under_optimize():
 
 def test_good_arguments_unchanged():
     assert [G33.height(x) for x in range(9)] == [0, 1, 2, 1, 2, 3, 2, 3, 4]
-    assert G33.is_cover(0, 1) and not G33.is_cover(1, 0) and not G33.is_cover(0, 8)
     assert [G33.upper_covers(x) for x in range(9)] == [
         (3, 1), (4, 2), (5,), (6, 4), (7, 5), (8,), (7,), (8,), ()]
     assert [G33.lower_covers(x) for x in range(9)] == [
         (), (0,), (1,), (0,), (3, 1), (4, 2), (3,), (6, 4), (7, 5)]
     assert G33.upper_covers(True) == (4, 2) and G33.lower_covers(helpers.IntLike(8)) == (7, 5)
-    assert [x for x in range(9) if G33.is_doubly_irreducible(x)] == [2, 6]  # the corners
+    # the corners are the doubly irreducible elements
+    assert [x for x in range(9) if len(G33.lower_covers(x)) == 1 == len(G33.upper_covers(x))] == [2, 6]
     assert G33.join(2, 6) == 8 and G33.meet(2, 6) == 0 and G33.leq(True, helpers.IntLike(4))
     assert G33.up_mask(4) == 0b110110000 and G33.down_mask(4) == 0b000011011
     con = cg.congruence_lattice(G33)
@@ -274,13 +260,11 @@ CONTRACT = [
     ("FiniteLattice.down", "x", "id", 9, G33.down),
     ("FiniteLattice.upper_covers", "x", "id", 9, G33.upper_covers),
     ("FiniteLattice.lower_covers", "x", "id", 9, G33.lower_covers),
-    ("FiniteLattice.is_cover", "x", "id", 9, lambda v: G33.is_cover(v, 8)),
     ("FiniteLattice.up_mask", "x", "id", 9, G33.up_mask),
     ("FiniteLattice.down_mask", "x", "id", 9, G33.down_mask),
     ("FiniteLattice.height", "x", "id", 9, G33.height),
     ("FiniteLattice.meet", "y", "id", 9, lambda v: G33.meet(8, v)),
     ("FiniteLattice.join", "x", "id", 9, lambda v: G33.join(v, 0)),
-    ("FiniteLattice.is_doubly_irreducible", "x", "id", 9, G33.is_doubly_irreducible),
     ("core.Poset", "n", "size", None, lambda v: core.Poset(v, [])),
     ("core.Poset", "covers", "ids", 3, lambda v: core.Poset(3, [(0, 1), (1, v)])),
     ("Poset.leq", "x", "id", 4, lambda v: P4.leq(v, 0)),

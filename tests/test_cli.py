@@ -243,6 +243,23 @@ class TestSizeLimit:
             f"error: {path}: more than 16384 congruences of 64 elements exceed the budget"
             " of 1048576 congruences times elements\n")
 
+    def test_con_budget_is_checked_before_any_closure(self, tmp_path, capsys, monkeypatch):
+        # the congruences are counted off D* alone: a refused lattice runs
+        # no principal closure, while an admitted one runs one per color
+        path = tmp_path / "chain.json"
+        path.write_text(jio.dumps(jio.lattice_to_obj(core.chain(64))))
+        closures = []
+        closure = cg.principal_congruence
+        monkeypatch.setattr(cg, "principal_congruence",
+                            lambda L, a, b: closures.append((a, b)) or closure(L, a, b))
+        assert main(["con", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {path}: more than 16384 congruences of 64 elements exceed the budget"
+            " of 1048576 congruences times elements\n"))
+        assert closures == []
+        assert main(["con", "grid-3x3"]) == 0
+        assert len(closures) == 4
+
     def test_con_budget_is_the_most_entries_listed(self, capsys, monkeypatch):
         # Con of grid-3x3 has 16 congruences of 9 elements
         assert cli._CON_BUDGET == 1 << 20

@@ -15,7 +15,7 @@ import pytest
 
 import helpers
 import lemmas
-from latcon import birkhoff, catalog, construction, core
+from latcon import birkhoff, catalog, construction, core, jsonio
 from latcon import congruence as cg
 from latcon import rectangular as rl
 from latcon.cli import main
@@ -43,7 +43,8 @@ CON_SIZES = {
 
 def ji_labels(con):
     """The index in ``congruences`` of each join-irreducible congruence."""
-    return [con.index[t.cls] for t in helpers.ji_congruences(con)]
+    index = helpers.cls_index(con)
+    return [index[c] for c in helpers.theta_tables(con)]
 
 
 class TestCongruenceObject:
@@ -197,7 +198,7 @@ class TestConLattice:
                 if bad is None:
                     assert got is None, image
                 else:
-                    r, s = (list(map(list, cg.Congruence(L, con.theta_cls[i]).blocks)) for i in bad)
+                    r, s = (list(map(list, helpers.ji_congruences(con)[i].blocks)) for i in bad)
                     assert got == (f"join-irreducible congruences {r} and {s}"
                                    " are ordered unlike their restrictions"), image
 
@@ -224,7 +225,7 @@ def _assert_matches_reference(L):
     assert new.ji_order.covers() == old.ji.covers()
     assert {e: old.ji.labels[p] for e, p in new.colors.items()} == old.edge_color
     assert [c.blocks for c in new] == [c.blocks for c in cs]
-    assert new.index == old.index
+    assert helpers.cls_index(new) == old.index
     assert ji_labels(new) == list(old.ji.labels)
     assert new.as_lattice().covers() == helpers.brute_covers(
         len(cs), lambda i, j: helpers.refines(cs[i], cs[j])
@@ -362,22 +363,35 @@ class TestGeneratedCongruence:
                 closure(S7, [(0, 1), pair])
 
 
+def _numbered_lattices(a6_outputs):
+    """The catalog, ``search_rectangular(12)`` and the A6 outputs."""
+    lattices = [catalog.get(name) for name in lemmas.names()]
+    lattices += [R.lattice for _, R in catalog.search_rectangular(12)] + list(a6_outputs)
+    assert len(lattices) == 21 + 44 + 34
+    return lattices
+
+
 class TestNumberedJoinIrreducibles:
     """``construction._tied_colors`` reads ``ji_of_hom(phi).assignment`` as
-    positions in ``conF.ji_order``, and ``verify`` reads the j-th
-    join-irreducible of a hom's endpoint as the congruence of color j.
-    Both are right because the join-irreducibles of the numbered Con L, in
-    id order, are the ``theta_cls`` positions, in the same order."""
+    positions in ``conF.ji_order``, ``verify`` reads the j-th
+    join-irreducible of a hom's endpoint as the congruence of color j, and
+    ``jsonio`` writes the elements of the numbered Con L with one lower
+    cover as the join-irreducibles by position.  All are right because the
+    join-irreducibles of the numbered Con L, in id order, are the
+    congruences at the positions of ``ji_order``, in the same order."""
 
     def test_ji_of_the_numbered_con_are_the_theta_positions(self, a6_outputs):
-        lattices = [catalog.get(name) for name in lemmas.names()]
-        lattices += [R.lattice for _, R in catalog.search_rectangular(12)] + list(a6_outputs)
-        for L in lattices:
+        for L in _numbered_lattices(a6_outputs):
             con = cg.congruence_lattice(L)
             J = core.join_irreducibles(con.as_lattice())
-            assert list(J.labels) == [con.index[c] for c in con.theta_cls]
+            assert [con.congruences[i] for i in J.labels] == list(helpers.ji_congruences(con))
             assert list(J._up) == list(con.ji_order._up)
-        assert len(lattices) == 21 + 44 + 34
+
+    def test_con_file_against_class_table_lookup(self, a6_outputs):
+        for L in _numbered_lattices(a6_outputs):
+            con = cg.congruence_lattice(L)
+            obj = jsonio.con_lattice_to_obj(con)
+            assert obj == helpers.reference_con_lattice_obj(con)
 
 
 class TestLazyPartitionList:
@@ -430,9 +444,9 @@ def _reachable(root):
 
 
 class TestThetaAsClassTables:
-    """Con L keeps no class table: ``theta_cls`` is read off the coloring
-    on each read, and a :class:`Congruence` exists only while a caller
-    holds one."""
+    """Con L keeps no class table: a join-irreducible congruence is read
+    off the coloring when a caller asks for it, and a :class:`Congruence`
+    exists only while a caller holds one."""
 
     def test_no_congruence_object_is_reachable_from_the_lattice(self):
         rects = list(catalog.rect_catalog().values())
@@ -446,7 +460,7 @@ class TestThetaAsClassTables:
             construction.upper_chain_collapse_check(R)
             reached = _reachable(L)
             assert any(o is con for o in reached)
-            tables = con.theta_cls
+            tables = helpers.theta_tables(con)
             assert [o for o in reached if type(o) is tuple and any(o == t for t in tables)] == []
             assert [o for o in reached if isinstance(o, cg.Congruence)] == []
             assert con._full is None
@@ -487,13 +501,12 @@ class TestThetaAsClassTables:
         for L in _fresh_lattices() + list(a6_outputs):
             con = cg.congruence_lattice(L)
             theta = helpers.ji_congruences(con)
-            assert [t.cls for t in theta] == list(con.theta_cls)
             assert all(t.lattice is L for t in theta)
             for j in L.ji_elements():
                 a = L.lower_covers(j)[0]
                 p = con.colors[a, j]
-                assert theta[p].cls == con.theta_cls[p] == cg.principal_congruence(L, a, j).cls
-                assert con.theta_cls[p] == helpers.reference_generated_congruence(L, [(a, j)]).cls
+                assert theta[p].cls == cg.principal_congruence(L, a, j).cls
+                assert theta[p].cls == helpers.reference_generated_congruence(L, [(a, j)]).cls
 
     def test_faulty_closures_raise_the_reference_text(self, monkeypatch):
         rng = random.Random(18)

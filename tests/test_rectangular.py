@@ -59,8 +59,8 @@ class TestMakeRectangular:
     def test_corners_doubly_irreducible_and_complementary(self):
         for name, R in catalog.rect_catalog().items():
             L = R.lattice
-            assert L.is_doubly_irreducible(R.lc), name
-            assert L.is_doubly_irreducible(R.rc), name
+            for corner in (R.lc, R.rc):
+                assert len(L.lower_covers(corner)) == 1 == len(L.upper_covers(corner)), name
             assert L.meet(R.lc, R.rc) == L.bottom, name
             assert L.join(R.lc, R.rc) == L.top, name
 
@@ -393,7 +393,7 @@ class TestTripleGlueOracle:
             pieces = (asm.top, asm.left, asm.right, asm.bottom)
             maps = (asm.t_map, asm.lf_map, asm.rf_map, asm.b_map)
             _, ref = helpers.reference_triple_glue(*pieces)
-            index = cg.congruence_lattice(asm.result.lattice).index
+            index = helpers.cls_index(cg.congruence_lattice(asm.result.lattice))
             cons = [cg.congruence_lattice(P.lattice).congruences for P in pieces]
             for quad in product(*cons):
                 try:

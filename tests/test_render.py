@@ -24,7 +24,7 @@ class TestSteepEdges:
         steep = rd.steep_edges(L)
         assert len(steep) == 2
         for u, v in steep:
-            assert L.is_cover(u, v)
+            assert v in L.upper_covers(u)
 
 
 class TestLayout:
