@@ -91,6 +91,11 @@ ID_ROWS = [
      "element 99 out of range for size 9"),
     ("lower_covers(1.5)", lambda: G33.lower_covers(1.5), ElementOutOfRange,
      "element id 1.5 is not an integer"),
+    # the cover rows, which callers read for a cover test, take each bad id
+    ("lower_covers(99)", lambda: G33.lower_covers(99), ElementOutOfRange,
+     "element 99 out of range for size 9"),
+    ("upper_covers(1.5)", lambda: G33.upper_covers(1.5), ElementOutOfRange,
+     "element id 1.5 is not an integer"),
     # a negative id used to read the top's masks
     ("join(-1, 0)", lambda: G33.join(-1, 0), ElementOutOfRange,
      "element -1 out of range for size 9"),
@@ -392,3 +397,23 @@ def test_every_public_callable_has_a_contract_row():
     listed = rows | NO_ID | BUILT_BY_LIBRARY
     assert sorted(_public_callables() - listed) == []
     assert sorted(listed - _public_callables()) == []  # no stale name
+
+
+# members that no module read, deleted for the cover rows,
+# ``_injective_onto`` and ``_keeps_up_sizes``
+DELETED = [
+    (core.FiniteLattice, "is_cover"),
+    (core.FiniteLattice, "is_doubly_irreducible"),
+    (bk._Map, "is_onto"),
+    (bk.BoundedHom, "is_injective"),
+    (bk.IsotoneMap, "is_order_embedding"),
+]
+
+
+@pytest.mark.parametrize("cls, name", DELETED, ids=[f"{c.__name__}.{n}" for c, n in DELETED])
+def test_deleted_member_stays_deleted(cls, name):
+    assert not hasattr(cls, name)
+    package = Path(core.__file__).resolve().parent
+    readers = [path.stem for path in sorted(package.glob("*.py"))
+               if re.search(rf"\.{name}\b", path.read_text())]
+    assert readers == []

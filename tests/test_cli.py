@@ -243,21 +243,36 @@ class TestSizeLimit:
             f"error: {path}: more than 16384 congruences of 64 elements exceed the budget"
             " of 1048576 congruences times elements\n")
 
-    def test_con_budget_is_checked_before_any_closure(self, tmp_path, capsys, monkeypatch):
-        # the congruences are counted off D* alone: a refused lattice runs
-        # no principal closure, while an admitted one runs one per color
-        path = tmp_path / "chain.json"
-        path.write_text(jio.dumps(jio.lattice_to_obj(core.chain(64))))
+    @staticmethod
+    def _count_closures(monkeypatch):
+        """A list that records each principal closure run from now on."""
         closures = []
         closure = cg.principal_congruence
         monkeypatch.setattr(cg, "principal_congruence",
                             lambda L, a, b: closures.append((a, b)) or closure(L, a, b))
+        return closures
+
+    @pytest.mark.parametrize("lattice, most", [
+        (core.chain(64), 16384),
+        (core.direct_product(core.chain(11), core.chain(11)), 8665),
+    ], ids=["chain-64", "grid-11x11"])
+    def test_con_budget_is_checked_before_any_closure(self, lattice, most, tmp_path, capsys,
+                                                      monkeypatch):
+        # the congruences are counted off D* alone: a refused lattice runs
+        # no principal closure (2^63 and 2^20 congruences here)
+        path = tmp_path / "lattice.json"
+        path.write_text(jio.dumps(jio.lattice_to_obj(lattice)))
+        closures = self._count_closures(monkeypatch)
         assert main(["con", str(path)]) == 2
         assert capsys.readouterr() == ("", (
-            f"error: {path}: more than 16384 congruences of 64 elements exceed the budget"
-            " of 1048576 congruences times elements\n"))
+            f"error: {path}: more than {most} congruences of {lattice.n} elements exceed"
+            " the budget of 1048576 congruences times elements\n"))
         assert closures == []
+
+    def test_con_admitted_runs_one_closure_per_color(self, capsys, monkeypatch):
+        closures = self._count_closures(monkeypatch)
         assert main(["con", "grid-3x3"]) == 0
+        assert capsys.readouterr().out.startswith("{")
         assert len(closures) == 4
 
     def test_con_budget_is_the_most_entries_listed(self, capsys, monkeypatch):
@@ -271,6 +286,19 @@ class TestSizeLimit:
         assert capsys.readouterr() == ("", (
             "error: grid-3x3: more than 15 congruences of 9 elements exceed the budget"
             " of 143 congruences times elements\n"))
+
+    def test_con_budget_counts_an_ordered_dual(self, capsys, monkeypatch):
+        # Con of n5 has 5 congruences of 5 elements, over a dual with two
+        # covers, which the count reads in reverse
+        assert cg.congruence_lattice(catalog.get("n5")).ji_order.covers() == [(0, 1), (0, 2)]
+        monkeypatch.setattr(cli, "_CON_BUDGET", 5 * 5)
+        assert main(["con", "n5"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["congruences"]) == 5
+        monkeypatch.setattr(cli, "_CON_BUDGET", 5 * 5 - 1)
+        assert main(["con", "n5"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: n5: more than 4 congruences of 5 elements exceed the budget"
+            " of 24 congruences times elements\n"))
 
     def test_con_of_a_long_chain_is_input_error(self, tmp_path):
         # a 4,096-element chain is under the size limit, but its Con L ran

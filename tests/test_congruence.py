@@ -363,14 +363,20 @@ class TestGeneratedCongruence:
                 closure(S7, [(0, 1), pair])
 
 
-def _numbered_lattices(a6_outputs):
-    """The catalog, ``search_rectangular(12)`` and the A6 outputs."""
-    lattices = [catalog.get(name) for name in lemmas.names()]
-    lattices += [R.lattice for _, R in catalog.search_rectangular(12)] + list(a6_outputs)
-    assert len(lattices) == 21 + 44 + 34
+def _numbered_lattices(source, a6_outputs):
+    """The catalog, the lattices of ``search_rectangular(12)`` or the A6
+    outputs."""
+    if source == "catalog":
+        lattices = [catalog.get(name) for name in lemmas.names()]
+    elif source == "rect12":
+        lattices = [R.lattice for _, R in catalog.search_rectangular(12)]
+    else:
+        lattices = list(a6_outputs)
+    assert len(lattices) == {"catalog": 21, "rect12": 44, "a6": 34}[source]
     return lattices
 
 
+@pytest.mark.parametrize("source", ["catalog", "rect12", "a6"])
 class TestNumberedJoinIrreducibles:
     """``construction._tied_colors`` reads ``ji_of_hom(phi).assignment`` as
     positions in ``conF.ji_order``, ``verify`` reads the j-th
@@ -380,15 +386,15 @@ class TestNumberedJoinIrreducibles:
     join-irreducibles of the numbered Con L, in id order, are the
     congruences at the positions of ``ji_order``, in the same order."""
 
-    def test_ji_of_the_numbered_con_are_the_theta_positions(self, a6_outputs):
-        for L in _numbered_lattices(a6_outputs):
+    def test_ji_of_the_numbered_con_are_the_theta_positions(self, source, a6_outputs):
+        for L in _numbered_lattices(source, a6_outputs):
             con = cg.congruence_lattice(L)
             J = core.join_irreducibles(con.as_lattice())
             assert [con.congruences[i] for i in J.labels] == list(helpers.ji_congruences(con))
             assert list(J._up) == list(con.ji_order._up)
 
-    def test_con_file_against_class_table_lookup(self, a6_outputs):
-        for L in _numbered_lattices(a6_outputs):
+    def test_con_file_against_class_table_lookup(self, source, a6_outputs):
+        for L in _numbered_lattices(source, a6_outputs):
             con = cg.congruence_lattice(L)
             obj = jsonio.con_lattice_to_obj(con)
             assert obj == helpers.reference_con_lattice_obj(con)
