@@ -259,12 +259,21 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     join-irreducible, which :func:`make_bounded_hom` checked when it built
     ``phi`` and kept in ``phi._pulled``; p is its least id, and its
     position in ``J(D)`` is read off the source's spine.
+
+    The map is built as :func:`make_bounded_hom` builds a hom, with no
+    re-check: every position is one of ``J(D)``, one per join-irreducible
+    of the target, and the map is isotone, as the pull-backs of
+    ``q <= q'`` are nested.  Every x with ``q' <= phi(x)`` has
+    ``q <= phi(x)``, so ``up(p') ⊆ up(p)`` for their least elements p and
+    p', and ``p <= p'``.
     """
     D = phi._source
     jd = core.join_irreducibles(D)
     pos = _spine(D, jd)[1]
-    out = [pos[(s & -s).bit_length() - 1] for s in phi._pulled]
-    return IsotoneMap(core.join_irreducibles(phi._target), jd, out)
+    psi = object.__new__(IsotoneMap)
+    psi._source, psi._target = core.join_irreducibles(phi._target), jd
+    psi._assignment = tuple([pos[(s & -s).bit_length() - 1] for s in phi._pulled])
+    return psi
 
 
 def _spine(D: FiniteLattice, jd: Poset) -> tuple[tuple, tuple]:

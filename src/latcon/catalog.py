@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 from . import congruence as cg, core, rectangular as rl
 from .core import FiniteLattice
@@ -117,6 +118,22 @@ def brt_catalog() -> dict[str, FiniteLattice]:
         "c3xc3": rl.grid(3, 3).lattice,
         "con-s7": cg.congruence_lattice(s7().lattice).as_lattice(),
     }
+
+
+def _candidate_count(max_size: int, stop: int | None = None) -> int:
+    """How many candidates :func:`search_rectangular` builds for
+    ``max_size``, counted with no build: for each grid m x n, one per set
+    of at most ``min(2, max_size - m*n)`` of its (m-1)(n-1) cells, then the
+    diamonds, the fork and its three eyed variants.  The count stops once
+    it passes ``stop``, so a bound is checked in time linear in it."""
+    count = max(0, max_size - 4) + (max_size >= 7) + 3 * (max_size >= 8)
+    for m in range(2, max_size // 2 + 1):
+        for n in range(m, max_size // m + 1):
+            cells = (m - 1) * (n - 1)
+            count += sum(comb(cells, r) for r in range(min(2, max_size - m * n) + 1))
+            if stop is not None and count > stop:
+                return count
+    return count
 
 
 def search_rectangular(

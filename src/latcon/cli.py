@@ -206,8 +206,19 @@ def cmd_embed_simple(args) -> int:
     return EXIT_OK
 
 
+# The most candidates ``check-ideal --search`` builds.  The search holds
+# every candidate and the Con L of every kept lattice, and a run peaks at
+# about 15 KB per candidate: --max-size 47 (8,180 candidates, the most
+# admitted) peaks at 121 MB RSS in 6.8 s and --max-size 64 (23,917) at
+# 430 MB in 27 s (CPython 3.11, x86-64 Linux).  The count takes no build.
+_SEARCH_BUDGET = 1 << 13
+
+
 def cmd_check_ideal(args) -> int:
     if args.search:
+        if catalog._candidate_count(args.max_size, _SEARCH_BUDGET) > _SEARCH_BUDGET:
+            raise _InputError(f"--max-size {args.max_size}: more than {_SEARCH_BUDGET}"
+                              " rectangular candidates exceed the search budget")
         try:
             kept = catalog.search_rectangular(args.max_size, args.seed)
         except SizeTooSmall as exc:

@@ -434,21 +434,41 @@ def _d_star(L: FiniteLattice) -> tuple[dict[int, int], dict[int, int]]:
     join-irreducible q in id order, is the mask of the p with p D* q, and
     ``rep[p]`` is the least member of p's class of mutual D*, a color.
 
-    D's rows come from :func:`_d_rows`, and one Warshall pass closes them.
+    D's rows come from :func:`_d_rows`.  Row q of D* is the set of the p
+    that reach q along D, found by one search from q over the rows of D
+    that stops at every row already closed: a closed row holds all that
+    reaches its own element, so its bits are taken whole and need no
+    search.  Every q lies in its own row (q D q, by a maximal element above
+    q_* and not above q).  The least q of a class, reached first in id
+    order, is its color, and the class is the p of its row whose row holds
+    q; so ``rep`` is read once per class, not once per row.
     The CLI reads the order of the colors here to count the congruences
     before it pays for :func:`congruence_lattice`.
     """
-    below = _d_rows(L)
-    J = tuple(below)
-    for k in J:
-        for q in J:
-            if below[q] >> k & 1:
-                below[q] |= below[k]
+    d = _d_rows(L)
+    below: dict[int, int] = {}
+    for q, row in d.items():
+        seen = todo = row | 1 << q  # todo: the bits of seen not yet searched
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            p = low.bit_length() - 1
+            if p in below:
+                seen |= below[p]
+            else:
+                new = d[p] & ~seen
+                seen |= new
+                todo |= new
+        below[q] = seen
     rep: dict[int, int] = {}
-    for q in J:
-        for p in core._bits(below[q]):
-            if below[p] >> q & 1:
-                rep.setdefault(p, q)
+    for q, row in below.items():
+        if q not in rep:
+            while row:
+                low = row & -row
+                row ^= low
+                p = low.bit_length() - 1
+                if below[p] >> q & 1:
+                    rep[p] = q
     return below, rep
 
 
@@ -470,6 +490,9 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     theta[c] is generated by the cover (c_*, c) of color c; so theta[c] is
     join-irreducible, hence join-prime in the distributive Con L, and a
     down-set is the set of colors c with theta[c] below its join.
+    ``ji_order`` is read off the D* rows with no re-validation
+    (:func:`core._poset_of_up_sets`): the masks are closed, and ordered
+    along a linear extension, as the canonical order is one.
     Computed once per lattice instance and cached.
     """
     if L._con is not None:
@@ -498,7 +521,7 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     order = sorted(theta, key=lambda r: _rank(theta[r]))
     pos = {r: i for i, r in enumerate(order)}
     up = [sum(1 << pos[c] for c in order if below[c] >> r & 1) for r in order]
-    ji_order = Poset(len(order), core._reduce(range(len(order)), up))
+    ji_order = core._poset_of_up_sets(up)
     colors = _Colors(L._upper, map(pos.__getitem__, color))
     con = ConLattice(L, ji_order, colors)
     L._con = con

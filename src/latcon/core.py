@@ -140,34 +140,74 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
     return succ, pairs
 
 
-def _sort(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int] | None]:
-    """The lower cover rows of the upper cover rows ``succ``, ascending, and
-    Kahn's topological order with a min-heap tie-break, or ``None`` when
-    every cover goes up in id.  Kahn's order is then ``0..n-1``: the
-    smallest unprocessed id always has all predecessors processed, so it is
-    on the heap when its turn comes.  Raises :class:`NotReduced` if a cover
-    is given twice, then :class:`Cyclic`."""
+def _sort(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The lower cover rows of the upper cover rows ``succ``, ascending.
+    Raises :class:`NotReduced` if a cover is given twice."""
     if sum(map(len, map(set, succ))) != sum(map(len, succ)):
         raise NotReduced("duplicate cover pair")
     pred: list[list[int]] = [[] for _ in succ]
     for a, row in enumerate(succ):
         for b in row:
             pred[b].append(a)
-    if all(r[-1] < b for b, r in enumerate(pred) if r):
-        return pred, None
+    return pred
+
+
+def _kahn(succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]]):
+    """Kahn's topological order of the cover rows ``succ`` and ``pred``
+    with a min-heap tie-break, and its inverse ``new_id``; the order is
+    ``None`` and ``new_id`` is ``0..n-1`` when every cover goes up in id.
+    Kahn's order is then ``0..n-1``: the smallest unprocessed id always has
+    all predecessors processed, so it is on the heap when its turn comes.
+    Raises :class:`Cyclic`."""
+    n = len(succ)
+    if all(max(r) < b for b, r in enumerate(pred) if r):
+        return None, range(n)
     indeg = list(map(len, pred))
     heap = [x for x, d in enumerate(indeg) if not d]  # ascending, so a heap
     order = []
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        x = heapq.heappop(heap)
+        x = pop(heap)
         order.append(x)
         for y in succ[x]:
             indeg[y] -= 1
-            if indeg[y] == 0:
-                heapq.heappush(heap, y)
-    if len(order) < len(succ):
+            if not indeg[y]:
+                push(heap, y)
+    if len(order) < n:
         raise Cyclic("cover relation contains a directed cycle")
-    return pred, order
+    return order, sorted(range(n), key=order.__getitem__)
+
+
+def _numbered(upper, lower, order: list[int] | None, new_id: Sequence[int], pairs=()) -> FiniteLattice:
+    """The :class:`FiniteLattice` of the cover rows ``upper`` and ``lower``,
+    each in planar order, renumbered along ``order`` and ``new_id`` as
+    :func:`_kahn` gives them, with their masks closed by :func:`_close`.
+    Raises :class:`NotReduced` at the first of ``pairs`` implied by
+    transitivity; nothing else is checked."""
+    n = len(upper)
+    if order is None:
+        upper, lower = list(map(tuple, upper)), list(map(tuple, lower))
+    else:
+        get = new_id.__getitem__
+        upper = [tuple(map(get, upper[old])) for old in order]
+        lower = [tuple(map(get, lower[old])) for old in order]
+    up, down = _close(range(n), upper, lower, pairs, new_id, order or range(n))
+    return FiniteLattice(n, up, down, upper, lower)
+
+
+def _trusted_lattice(upper, lower) -> tuple[FiniteLattice, tuple[int, ...]]:
+    """The lattice of cover rows that a planar constructor knows to be a
+    lattice's, with the renumbering map, as :func:`make_lattice_with_map`
+    builds it from the same rows in its row form, with none of its checks.
+
+    ``upper`` and ``lower`` are the upper and lower cover rows of each
+    element, in planar order, with int entries, each row of one the
+    permutation of what the other gives, no cover repeated or implied by
+    transitivity, and the order they generate a lattice.  Only
+    :mod:`latcon.rectangular` calls this, on the rows of an eyed grid, of
+    an eye put into a cell, and of a gluing, each a lattice by theorem."""
+    order, new_id = _kahn(upper, lower)
+    return _numbered(upper, lower, order, new_id), tuple(new_id)
 
 
 def _close(order, succ, pred, pairs, new_id: Sequence[int], name: Sequence[int]):
@@ -269,8 +309,8 @@ class Poset(_Order):
     ):
         n = _size(n, 0, ZeroSize, "poset size")
         succ, pairs = _cover_rows(n, covers, None)
-        pred, order = _sort(succ)
-        up, down = _close(order or range(n), succ, pred, pairs, range(n), range(n))
+        pred = _sort(succ)
+        up, down = _close(_kahn(succ, pred)[0] or range(n), succ, pred, pairs, range(n), range(n))
         self.n = n
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
@@ -296,6 +336,29 @@ class Poset(_Order):
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={self.covers()!r})"
+
+
+def _poset_of_up_sets(up: Sequence[int]) -> Poset:
+    """The poset on ``0..n-1`` whose up-sets are the masks ``up``, with
+    none of :class:`Poset`'s checks: the masks must be reflexive and
+    transitive and ``up[x]`` hold no id below ``x``.  The covers are one
+    :func:`_reduce`, the down-sets the transposed masks; every field equals
+    that of ``Poset(n, _reduce(range(n), up))``, whose cover rows come out
+    ascending as :func:`_reduce` lists them."""
+    n = len(up)
+    upper: list[list[int]] = [[] for _ in range(n)]
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for a, b in _reduce(range(n), up):
+        upper[a].append(b)
+        lower[b].append(a)
+    down = [0] * n
+    for x, m in enumerate(up):
+        for y in _bits(m):
+            down[y] |= 1 << x
+    P = object.__new__(Poset)
+    P.n, P.labels, P._up, P._down = n, tuple(range(n)), list(up), down
+    P._upper, P._lower = list(map(tuple, upper)), list(map(tuple, lower))
+    return P
 
 
 class FiniteLattice(_Order):
@@ -410,7 +473,11 @@ def make_lattice_with_map(
     final ids.  In the row form ``covers``
     is ``None`` and ``upper_order`` is a sequence of one row of upper covers
     per element, in planar order: the covers are the pairs the rows give.
-    The planar constructors hold their rows anyway and use the row form.
+    ``sublattice``, ``direct_product`` and ``ConLattice.as_lattice`` hold
+    their rows anyway and use the row form.  The planar constructors, whose
+    rows are a lattice's by theorem, hand them to :func:`_trusted_lattice`
+    instead: the same numbering and closure (:func:`_kahn`,
+    :func:`_numbered`) with none of the checks.
     The cover pairs become rows at once, and both forms run the same
     checks, in this order:
 
@@ -459,9 +526,9 @@ def make_lattice_with_map(
     """
     n = _size(size, 1, ZeroSize, "lattice size")
     succ, pairs = _cover_rows(n, covers, upper_order)
-    pred, kahn = _sort(succ)
+    pred = _sort(succ)
+    kahn, new_id = _kahn(succ, pred)
     order = kahn or range(n)
-    new_id = sorted(range(n), key=order.__getitem__)  # the inverse of order
 
     def fixed(spec, kind: str, computed):
         """The rows of one side in the input's ids: ``spec``'s where it fixes
@@ -472,7 +539,7 @@ def make_lattice_with_map(
             plain = not isinstance(spec, Mapping) and set(map(type, spec)) <= {tuple, list}
             if (plain and len(spec) == n and set(map(type, _chain.from_iterable(spec))) <= {int}
                     and list(map(sorted, spec)) == want):
-                return spec, None  # the rows the planar constructors hand over
+                return spec, None  # rows handed over in planar order
         rows = [sorted(r, key=new_id.__getitem__) for r in computed]
         if spec is None:
             return rows, None
@@ -494,13 +561,8 @@ def make_lattice_with_map(
 
     upper, up_fault = (succ, None) if covers is None else fixed(upper_order, "upper_order", succ)
     lower, low_fault = fixed(lower_order, "lower_order", pred)
-    if kahn is None:
-        upper, lower = list(map(tuple, upper)), list(map(tuple, lower))
-    else:
-        get = new_id.__getitem__
-        upper = [tuple(map(get, upper[old])) for old in order]
-        lower = [tuple(map(get, lower[old])) for old in order]
-    up, down = _close(range(n), upper, lower, pairs, new_id, order)
+    lat = _numbered(upper, lower, kahn, new_id, pairs)
+    up, down, upper, lower = lat._up, lat._down, lat._upper, lat._lower
 
     for rows, kind in ((lower, "bottom: minimal"), (upper, "top: maximal")):
         if rows.count(()) != 1:
@@ -518,8 +580,6 @@ def make_lattice_with_map(
                     )
     if up_fault or low_fault:
         raise up_fault or low_fault
-
-    lat = FiniteLattice(n, up, down, upper, lower)
     return lat, tuple(new_id)
 
 

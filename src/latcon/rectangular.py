@@ -11,10 +11,18 @@ with an ideal of another) and ``triple_glue`` (a fixed arrangement of four
 rectangular pieces sharing boundary chains).  Each builds its result in
 one pass from the pieces' cover rows, with no intermediate lattices: an
 element takes its row of lower covers, in planar order, from the lowest
-piece holding it and its row of upper covers from the highest.  Like every
-planar constructor here, they hand these rows to one call of
-``core.make_lattice_with_map`` in its row form, where the covers are the
-pairs the rows give; no cover list or order mapping is built.
+piece holding it and its row of upper covers from the highest.
+
+The constructors build what is a lattice by theorem: a grid, a grid with
+eyes in its 4-cells, an eye put into a cell, and a Hall–Dilworth gluing of
+a filter to an isomorphic ideal (G. Grätzer and E. Knapp, Acta Sci. Math.
+(Szeged) 75, 2009; G. Czédli, Algebra Universalis 67, 2012).  So each
+hands its rows to one call of ``core._trusted_lattice``, which numbers and
+closes them as ``core.make_lattice_with_map`` does in its row form, with
+none of the checks meant for outside input; no cover list or order
+mapping is built.  ``grid_with_eyes`` reads its corners, chains and eyes
+off the grid coordinates; ``insert_eye`` and ``triple_glue`` still pass
+their outputs through :func:`make_rectangular`.
 """
 
 from __future__ import annotations
@@ -190,6 +198,20 @@ def grid_with_eyes(
     point (i, k); eyes are placed between the cell's left and right sides
     in planar order.  A cell that is not a pair raises :class:`LatconError`,
     a coordinate that is no integer :class:`ElementOutOfRange`.
+
+    Grid point (a, b) has temporary id ``a*n + b`` and the eyes follow.
+    The result is rectangular with the corners and chains of the grid, read
+    off the coordinates with no :func:`make_rectangular`: ``lc`` is
+    (m-1, 0) and ``rc`` is (0, n-1), the only grid points with one lower
+    and one upper cover, and the four boundary chains are the grid's.  An
+    eye covers the bottom of its cell and is covered by its top, which
+    keeps the order a lattice (a new element ``e`` of a height-2 interval
+    ``[b, t]`` joins to ``e`` what lies below ``b`` and to ``t \\/ x`` any
+    other ``x``, and dually), keeps it semimodular (``e`` and another upper
+    cover of ``b`` join to ``t``, which covers both), and changes no
+    boundary walk, as it sits strictly between the cell's sides in planar
+    order, and no corner, which is no cell's bottom or top.  So the eyes
+    are the doubly irreducible elements off the boundary.
     """
     m = core._size(m, 2, SizeTooSmall, "grid side")
     n = core._size(n, 2, SizeTooSmall, "grid side")
@@ -216,11 +238,13 @@ def grid_with_eyes(
         bot = i * n + k  # the cell's left side is bot + n, its top bot + n + 1
         temp_eye[(i, k)] = _add_eye(upper, lower, bot, bot + n + 1, bot + n)
 
-    lat, renum = core.make_lattice_with_map(len(upper), None, upper, lower)
-    R = make_rectangular(lat)
+    lat, renum = core._trusted_lattice(upper, lower)
     eye_of = {cell: renum[e] for cell, e in temp_eye.items()}
-    if set(eye_of.values()) != set(R.eyes):
-        raise PostconditionFailed("the inserted eyes are not the eyes of the grid")
+    lc, rc = (m - 1) * n, n - 1
+    R = RectLattice(lat, renum[lc], renum[rc],
+                    tuple(renum[a * n] for a in range(m)), tuple(renum[lc + b] for b in range(n)),
+                    tuple(renum[:n]), tuple(renum[rc + a * n] for a in range(m)),
+                    tuple(sorted(eye_of.values())))
     return R, eye_of
 
 
@@ -280,7 +304,7 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
         raise NotACell(f"{cell} is not a cell of this lattice")
     upper, lower = list(R.lattice._upper), list(R.lattice._lower)
     _add_eye(upper, lower, cell.bottom, cell.top, cell.middles[0] if cell.middles else cell.left)
-    lat, _ = core.make_lattice_with_map(len(upper), None, upper, lower)
+    lat, _ = core._trusted_lattice(upper, lower)
     return make_rectangular(lat)
 
 
@@ -326,6 +350,16 @@ def _assemble(n: int, pieces: Sequence[tuple[FiniteLattice, Sequence[int]]]) -> 
     respectively upper, cover of a shared element, so the rows give every
     cover of the result.  The maps must number the result along a linear
     extension, so that the build keeps every id.
+
+    The result is a lattice by Hall and Dilworth's gluing: ``glue`` checks
+    that it identifies a filter of the lower piece with an isomorphic
+    ideal of the upper one.  ``triple_glue`` checks the chain lengths of
+    three such gluings: B + Lf along the filter ``B.upper_left`` and the
+    ideal ``Lf.lower_right``, Rf + T along ``Rf.upper_left`` and
+    ``T.lower_right``, and then the first on the second along
+    ``↑B.rc``, the chain ``B.upper_right`` + ``Lf.upper_right``, and
+    ``↓T.lc``, the chain ``Rf.lower_left`` + ``T.lower_left``.  So the rows
+    go to ``core._trusted_lattice``.
     """
     upper: list[tuple[int, ...] | None] = [None] * n
     lower: list[tuple[int, ...] | None] = [None] * n
@@ -335,7 +369,7 @@ def _assemble(n: int, pieces: Sequence[tuple[FiniteLattice, Sequence[int]]]) -> 
             upper[t] = tuple(map(get, P._upper[x]))
             if lower[t] is None:
                 lower[t] = tuple(map(get, P._lower[x]))
-    lat, renum = core.make_lattice_with_map(n, None, upper, lower)
+    lat, renum = core._trusted_lattice(upper, lower)
     if renum != tuple(range(n)):
         raise PostconditionFailed("the pieces' numbering is not a linear extension of the result")
     return lat

@@ -32,6 +32,10 @@ filled n-by-n meet and join tables; :func:`reference_join_scan`, the join
 test over each join-irreducible and each element incomparable to it, run
 on every bounded poset of :func:`bounded_posets`;
 :func:`reference_d_rows`, Freese's D rows from every witness;
+:func:`reference_d_star`, D closed by Warshall's pass;
+:func:`reference_ji_order`, the order of the colors as a checked ``Poset``;
+:func:`check_grid`, an eyed grid's corners, chains and eyes against
+``make_rectangular``;
 :func:`reference_is_semimodular`, Birkhoff's condition on cover masks;
 :func:`reference_induced_copy`, the verifier's own rebuild of an embedded
 copy from the ambient covers; :func:`reference_carries`, whether an
@@ -450,6 +454,46 @@ def reference_d_rows(L):
                 m |= L.down_mask(L.join(q, y)) & ~L.down_mask(y)
         rows[q] = m & jmask
     return rows
+
+
+def reference_d_star(L):
+    """``below`` and ``rep`` as :func:`latcon.congruence._d_star` returns
+    them, with D's rows closed by Warshall's pass over every pair of
+    join-irreducibles and ``rep`` read off every member of every row."""
+    below = cg._d_rows(L)
+    J = tuple(below)
+    for k in J:
+        for q in J:
+            if below[q] >> k & 1:
+                below[q] |= below[k]
+    rep = {}
+    for q in J:
+        for p in core._bits(below[q]):
+            if below[p] >> q & 1:
+                rep.setdefault(p, q)
+    return below, rep
+
+
+def reference_ji_order(con):
+    """``con.ji_order`` built as the checked ``core.Poset`` of its covers."""
+    P = con.ji_order
+    return core.Poset(P.n, core._reduce(range(P.n), P._up))
+
+
+GRID_FIELDS = ("lc", "rc", "lower_left", "upper_left", "lower_right", "upper_right", "eyes")
+
+
+def check_grid(R, eye_of):
+    """Raise :class:`PostconditionFailed` unless the eyed grid R, with its
+    map ``eye_of`` from cells to eyes, has the corners, the four chains and
+    the eyes that ``make_rectangular`` recognizes in its lattice, and the
+    eyes are the values of ``eye_of``.  Raises also under ``python -O``."""
+    S = rl.make_rectangular(R.lattice)
+    for field in GRID_FIELDS:
+        if getattr(R, field) != getattr(S, field):
+            raise PostconditionFailed(f"{field} of the grid is not make_rectangular's")
+    if sorted(eye_of.values()) != list(S.eyes):
+        raise PostconditionFailed("the inserted eyes are not the eyes of the grid")
 
 
 def reference_is_semimodular(L):

@@ -247,6 +247,26 @@ class TestOneSweepPerHom:
                 total += 1
         assert len(_duality_pairs()) == 49 and total == 2_909
 
+    def test_dual_map_equals_the_checked_map(self):
+        # ji_of_hom builds its map with no re-check; the checked constructor
+        # accepts every one and gives an equal map, on the 2,692 homs among
+        # Con(grid-3x3), c3xc3, Con(s7) and c4xc4
+        lats = [cg.congruence_lattice(rl.grid(3, 3).lattice).as_lattice(),
+                rl.grid(3, 3).lattice, cg.congruence_lattice(catalog.s7().lattice).as_lattice(),
+                rl.grid(4, 4).lattice]
+        total = 0
+        for D in lats:
+            for E in lats:
+                for phi in bk.enumerate_bounded_homs(D, E):
+                    psi = bk.ji_of_hom(phi)
+                    checked = bk.IsotoneMap(psi.source, psi.target, psi.assignment)
+                    assert psi == checked and type(psi) is bk.IsotoneMap
+                    assert psi.source is core.join_irreducibles(E)
+                    assert psi.target is core.join_irreducibles(D)
+                    assert all(type(v) is int for v in psi.assignment)
+                    total += 1
+        assert total == 2_692
+
     def test_sweep_counts(self, monkeypatch):
         sweeps = []
         sweep = bk._pullbacks

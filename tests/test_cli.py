@@ -243,6 +243,23 @@ class TestSizeLimit:
             f"error: {path}: more than 16384 congruences of 64 elements exceed the budget"
             " of 1048576 congruences times elements\n")
 
+    def test_search_beyond_the_budget_is_input_error(self):
+        # 8,416 candidates at 48 are counted, none built
+        proc = self._run("check-ideal", "--search", "--max-size", "48")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: --max-size 48: more than 8192 rectangular candidates"
+                               " exceed the search budget\n")
+
+    def test_search_count_stops_at_the_budget(self, capsys, monkeypatch):
+        # a size far beyond the budget is refused at once, before any build
+        monkeypatch.setattr(catalog, "search_rectangular", None)
+        assert main(["check-ideal", "--search", "--max-size", str(10 ** 12)]) == 2
+        assert "more than 8192 rectangular candidates" in capsys.readouterr().err
+
+    def test_search_budget_admits_the_benchmark_size(self):
+        assert catalog._candidate_count(24) == 587
+        assert catalog._candidate_count(47) <= cli._SEARCH_BUDGET < catalog._candidate_count(48)
+
     @staticmethod
     def _count_closures(monkeypatch):
         """A list that records each principal closure run from now on."""

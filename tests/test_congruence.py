@@ -307,6 +307,31 @@ class TestDRowsFromMeetIrreducibles:
         self._agree([helpers.random_closure_lattice(rng) for _ in range(200)])
 
 
+class TestDStarByReachability:
+    """D* closed by one search per row against Warshall's pass, and the
+    order of the colors read off its masks against the checked ``Poset``."""
+
+    def test_below_and_rep_match_warshall(self, a6_outputs):
+        searched = [R.lattice for _, R in catalog.search_rectangular(24)]
+        assert len(searched) == 564
+        classes = 0
+        for L in list(helpers.small_lattices()) + searched + list(a6_outputs) + [core.chain(512)]:
+            below, rep = cg._d_star(L)
+            ref_below, ref_rep = helpers.reference_d_star(L)
+            assert list(below.items()) == list(ref_below.items())
+            assert rep == ref_rep
+            classes += len(set(rep.values())) < len(rep)
+        assert classes > 0  # some classes of mutual D* hold more than one element
+
+    def test_ji_order_matches_the_checked_poset(self, a6_outputs):
+        for L in list(helpers.small_lattices()) + list(a6_outputs):
+            P = cg.congruence_lattice(L).ji_order
+            Q = helpers.reference_ji_order(cg.congruence_lattice(L))
+            assert type(P) is core.Poset and P == Q
+            assert (P.n, P.labels, P._up, P._down, P._upper, P._lower) == (
+                Q.n, Q.labels, Q._up, Q._down, Q._upper, Q._lower)
+
+
 class TestGeneratedCongruence:
     """The Technical Lemma closure against the closure over every element."""
 

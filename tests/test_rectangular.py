@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -115,6 +115,25 @@ class TestGridsAndEyes:
             kept = catalog.search_rectangular(max_size)
             assert all(R.n <= max_size for _, R in kept), max_size
             assert bool(kept) == (max_size >= 4)
+
+    def test_candidate_count_is_the_number_of_builds(self, monkeypatch):
+        builds = []
+        for name in ("diamond", "s7", "s7_eye"):
+            monkeypatch.setattr(catalog, name, lambda *args, real=getattr(catalog, name), name=name:
+                                builds.append(name) or real(*args))
+        real_grid = rl.grid_with_eyes
+        monkeypatch.setattr(rl, "grid_with_eyes", lambda *args: builds.append("grid")
+                            or real_grid(*args))
+        for max_size in range(31):
+            builds.clear()
+            catalog.search_rectangular(max_size)
+            # each eyed fork is built on one fork of its own
+            full = catalog._candidate_count(max_size)
+            assert len(builds) - builds.count("s7_eye") == full
+            stopped = catalog._candidate_count(max_size, 10)
+            assert stopped == full if full <= 10 else 10 < stopped <= full
+        assert catalog._candidate_count(30) == 1504
+        assert catalog._candidate_count(30, 10) < 100  # stopped after the first grid
 
     def test_m3_from_eyed_square(self):
         R, eye_of = rl.grid_with_eyes(2, 2, [(0, 0)])
@@ -407,16 +426,9 @@ class TestTripleGlueOracle:
 
     def test_one_build_per_triple_gluing(self, monkeypatch):
         g22 = rl.grid(2, 2)
-        builds = []
-        make = core.make_lattice_with_map
-
-        def counted(*args):
-            builds.append(args[0])
-            return make(*args)
-
-        monkeypatch.setattr(core, "make_lattice_with_map", counted)
+        builds = _count_builds(monkeypatch)
         R, _ = rl.triple_glue(g22, g22, g22, g22)
-        assert builds == [R.n]
+        assert builds == {"_trusted_lattice": [R.n], "make_lattice_with_map": []}
         assert not [s for s in rl.TripleGluingAssembly.__slots__ if s.startswith("stage")]
 
 
@@ -424,28 +436,73 @@ G33 = rl.grid(3, 3)
 FORK = catalog.s7()
 C2 = core.chain(2)
 
+def _count_builds(monkeypatch):
+    """The sizes of the lattices built through each of the two entries of
+    ``core``, the checked and the trusted one, recorded as they are called
+    through the module attribute with positional arguments only."""
+    builds = {"make_lattice_with_map": [], "_trusted_lattice": []}
+    checked, trusted = core.make_lattice_with_map, core._trusted_lattice
+    monkeypatch.setattr(core, "make_lattice_with_map",
+                        lambda *args: builds["make_lattice_with_map"].append(args[0])
+                        or checked(*args))
+    monkeypatch.setattr(core, "_trusted_lattice",
+                        lambda *args: builds["_trusted_lattice"].append(len(args[0]))
+                        or trusted(*args))
+    return builds
+
+
+# (constructor, build, size, entry): the planar constructors build through
+# the trusted entry, the generic transformations through the checked one
 ONE_BUILD = [
-    ("grid_with_eyes", lambda: rl.grid_with_eyes(3, 3, [(0, 0), (1, 1)]), 11),
-    ("sublattice", lambda: core.sublattice(G33.lattice, [4, 3, 1, 0]), 4),
-    ("insert_eye", lambda: rl.insert_eye(FORK, rl.cells(FORK)[1]), 8),
-    ("direct_product", lambda: core.direct_product(FORK.lattice, C2), 14),
+    ("grid_with_eyes", lambda: rl.grid_with_eyes(3, 3, [(0, 0), (1, 1)]), 11, "_trusted_lattice"),
+    ("sublattice", lambda: core.sublattice(G33.lattice, [4, 3, 1, 0]), 4, "make_lattice_with_map"),
+    ("insert_eye", lambda: rl.insert_eye(FORK, rl.cells(FORK)[1]), 8, "_trusted_lattice"),
+    ("direct_product", lambda: core.direct_product(FORK.lattice, C2), 14, "make_lattice_with_map"),
 ]
 
 
-@pytest.mark.parametrize("build, size", [b[1:] for b in ONE_BUILD], ids=[b[0] for b in ONE_BUILD])
-def test_one_build_per_planar_constructor(monkeypatch, build, size):
+@pytest.mark.parametrize("build, size, entry", [b[1:] for b in ONE_BUILD],
+                         ids=[b[0] for b in ONE_BUILD])
+def test_one_build_per_planar_constructor(monkeypatch, build, size, entry):
     """Each planar constructor builds its lattice once, through the module
-    attribute and with positional arguments only."""
-    builds = []
-    make = core.make_lattice_with_map
-
-    def counted(*args):
-        builds.append(args[0])
-        return make(*args)
-
-    monkeypatch.setattr(core, "make_lattice_with_map", counted)
+    attribute of one entry and with positional arguments only."""
+    builds = _count_builds(monkeypatch)
     build()
-    assert builds == [size]
+    assert builds[entry] == [size]
+    assert sum(map(len, builds.values())) == 1
+
+
+class TestGridFromCoordinates:
+    """``grid_with_eyes`` reads its corners, chains and eyes off the grid
+    coordinates; ``make_rectangular`` of its lattice is the oracle."""
+
+    def test_every_grid_up_to_five_with_two_eyes(self):
+        built = 0
+        for m, n in product(range(2, 6), repeat=2):
+            cells = [(i, k) for i in range(m - 1) for k in range(n - 1)]
+            for r in range(3):
+                for eyes in combinations(cells, r):
+                    helpers.check_grid(*rl.grid_with_eyes(m, n, eyes))
+                    built += 1
+        assert built == 516
+
+    def test_grids_of_the_search_and_the_catalog(self, monkeypatch):
+        real, seen = rl.grid_with_eyes, []
+        monkeypatch.setattr(rl, "grid_with_eyes",
+                            lambda *args: seen.append(real(*args)) or seen[-1])
+        catalog.search_rectangular(24)
+        catalog.rect_catalog()
+        monkeypatch.undo()
+        assert len(seen) > 500
+        for R, eye_of in seen:
+            helpers.check_grid(R, eye_of)
+
+    def test_eyes_listed_out_of_order(self):
+        # the eyes take temporary ids in the order listed, and Kahn's order
+        # numbers them anew
+        R, eye_of = rl.grid_with_eyes(4, 3, [(2, 1), (0, 0), (1, 1)])
+        assert sorted(eye_of.values()) != list(eye_of.values())
+        helpers.check_grid(R, eye_of)
 
 
 def _without_eyes(R):
@@ -470,10 +527,14 @@ class TestPostconditions:
     staged gluing in ``helpers``, raise, also under ``python -O``."""
 
     def test_inserted_eyes_are_the_eyes(self, monkeypatch):
-        make = rl.make_rectangular
-        monkeypatch.setattr(rl, "make_rectangular", lambda L: _without_eyes(make(L)))
-        with pytest.raises(PostconditionFailed, match="inserted eyes"):
-            rl.grid_with_eyes(2, 2, [(0, 0)])
+        # a grid that loses its eyes is built without complaint, and the
+        # oracle against make_rectangular catches it
+        real = rl.RectLattice
+        monkeypatch.setattr(rl, "RectLattice", lambda *args: real(*args[:-1], ()))
+        R, eye_of = rl.grid_with_eyes(2, 2, [(0, 0)])
+        monkeypatch.undo()
+        with pytest.raises(PostconditionFailed, match="^eyes of the grid"):
+            helpers.check_grid(R, eye_of)
 
     def test_cell_middles_are_eyes(self):
         with pytest.raises(PostconditionFailed, match="is not an eye"):
@@ -514,9 +575,11 @@ class TestPostconditions:
 
     UNDER_OPTIMIZE = {
         "inserted-eyes": (
-            "make = rl.make_rectangular\n"
-            "rl.make_rectangular = lambda L: without_eyes(make(L))\n"
-            "rl.grid_with_eyes(2, 2, [(0, 0)])\n"
+            "real = rl.RectLattice\n"
+            "rl.RectLattice = lambda *args: real(*args[:-1], ())\n"
+            "R, eye_of = rl.grid_with_eyes(2, 2, [(0, 0)])\n"
+            "rl.RectLattice = real\n"
+            "helpers.check_grid(R, eye_of)\n"
         ),
         "cell-middles": "rl.cells(without_eyes(catalog.m3()))\n",
         "glued-extension": (

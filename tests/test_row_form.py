@@ -1,4 +1,5 @@
-"""``make_lattice_with_map``'s row form against its cover-pair form.
+"""``make_lattice_with_map``'s row form against its cover-pair form, and
+the trusted entry ``core._trusted_lattice`` against the row form.
 
 The cover-pair form, ``covers`` with full ``upper_order`` and
 ``lower_order`` mappings, is the oracle.  For the same rows both forms must
@@ -49,15 +50,16 @@ def _relabelled(n, upper, lower, perm):
 
 
 @pytest.fixture(scope="module")
-def planar_rows():
-    """Every row-form build, as ``(n, upper, lower)``, made by
-    ``search_rectangular(16)``, the catalogs, the A6 filter representations
-    with their triple gluings and verification, the numbered Con L of the
-    searched lattices, sublattice copies taken in and against a linear
-    extension, and direct products.  ``lower`` is None where no lower rows
-    were given."""
-    calls = []
-    make = core.make_lattice_with_map
+def recorded():
+    """Every row-form build and every trusted build, as ``(n, upper,
+    lower)`` lists, made by ``search_rectangular(16)``, the catalogs, the
+    A6 filter representations with their triple gluings and verification,
+    the numbered Con L of the searched lattices, sublattice copies taken in
+    and against a linear extension, and direct products.  ``lower`` is None
+    where no lower rows were given.  Each trusted build is kept with its
+    result."""
+    calls, trusted = [], []
+    make, build = core.make_lattice_with_map, core._trusted_lattice
 
     def record(n, covers, upper=None, lower=None):
         if covers is None:
@@ -65,8 +67,16 @@ def planar_rows():
             calls.append((n, [tuple(r) for r in upper], low))
         return make(n, covers, upper, lower)
 
+    def record_trusted(upper, lower):
+        rows = (len(upper), [tuple(r) for r in upper], [tuple(r) for r in lower])
+        out = build(upper, lower)
+        calls.append(rows)
+        trusted.append((rows, out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "make_lattice_with_map", record)
+        mp.setattr(core, "_trusted_lattice", record_trusted)
         for _, R in catalog.search_rectangular(16):
             cg.congruence_lattice(R.lattice).as_lattice()
         catalog.congruence_catalog()
@@ -88,7 +98,12 @@ def planar_rows():
         for A, B in ((catalog.s7().lattice, core.chain(3)), (G, core.chain(2)),
                      (catalog.m4().lattice, catalog.m3().lattice)):
             core.direct_product(A, B)
-    return calls
+    return calls, trusted
+
+
+@pytest.fixture(scope="module")
+def planar_rows(recorded):
+    return recorded[0]
 
 
 def _assert_same_build(n, upper, lower):
@@ -100,11 +115,25 @@ def _assert_same_build(n, upper, lower):
     return k_map
 
 
-def test_recorded_builds_cover_the_constructors(planar_rows):
+def test_recorded_builds_cover_the_constructors(recorded):
+    planar_rows, trusted = recorded
     assert len(planar_rows) > 300
     renumbered = [r for r in planar_rows if _row_form(*r)[1] != tuple(range(r[0]))]
     assert renumbered  # grid_with_eyes appends its eyes out of order
     assert sum(lower is None for _, _, lower in planar_rows) >= 117  # Con L, upper rows only
+    # the grids, eyes and gluings build through the trusted entry
+    assert len(trusted) > 200
+    assert any(out[1] != tuple(range(rows[0])) for rows, out in trusted)
+
+
+def test_trusted_build_matches_checked(recorded):
+    """Each trusted build equals ``make_lattice_with_map`` on the same rows,
+    in its row form: rows, masks and renumbering."""
+    for (n, upper, lower), (K, k_map) in recorded[1]:
+        P, p_map = _row_form(n, upper, lower)
+        assert (K.n, K._upper, K._lower, K._up, K._down) == (P.n, P._upper, P._lower, P._up, P._down)
+        assert k_map == p_map
+        assert type(K) is core.FiniteLattice
 
 
 def test_row_form_matches_pair_form(planar_rows):

@@ -452,17 +452,20 @@ class TestCopiesReadThroughInputs:
         F, G = G22, S7
         homs = [_hom(F, G, k) for k in (0, -1)]
         cn.filter_representation(F, G, homs[0])
-        sizes = []
-        real = core.make_lattice_with_map
+        sizes, checked = [], []
+        real, trusted = core.make_lattice_with_map, core._trusted_lattice
         monkeypatch.setattr(core, "make_lattice_with_map",
-                            lambda *args: sizes.append(args[0]) or real(*args))
+                            lambda *args: checked.append(args[0]) or real(*args))
+        monkeypatch.setattr(core, "_trusted_lattice",
+                            lambda *args: sizes.append(len(args[0])) or trusted(*args))
         L, rep = cn.filter_representation(F, G, homs[1])
-        assert len(sizes) == 3 and sizes[-1] == L.lattice.n
+        # the three are gluings, so they take the trusted entry
+        assert len(sizes) == 3 and sizes[-1] == L.lattice.n and checked == []
         sizes.clear()
         out = vf.verify_filter_representation(
             L.lattice, rep.embedded_f, rep.embedded_g, homs[1], inputs=(F.lattice, G.lattice)
         )
-        assert out.summary and sizes == []
+        assert out.summary and sizes == checked == []
 
     def test_warmed_pipeline_computes_con_of_the_output_only(self, monkeypatch):
         for F, G in ((G22, M3), (S7, S7), (M3, S7)):
