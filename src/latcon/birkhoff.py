@@ -270,9 +270,15 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     D = phi._source
     jd = core.join_irreducibles(D)
     pos = _spine(D, jd)[1]
+    return _trusted_isotone(core.join_irreducibles(phi._target), jd,
+                            tuple([pos[(s & -s).bit_length() - 1] for s in phi._pulled]))
+
+
+def _trusted_isotone(source: Poset, target: Poset, assignment: tuple[int, ...]) -> IsotoneMap:
+    """An :class:`IsotoneMap` built with no check, for an ``assignment``
+    its caller has proved isotone and in range."""
     psi = object.__new__(IsotoneMap)
-    psi._source, psi._target = core.join_irreducibles(phi._target), jd
-    psi._assignment = tuple([pos[(s & -s).bit_length() - 1] for s in phi._pulled])
+    psi._source, psi._target, psi._assignment = source, target, assignment
     return psi
 
 
@@ -421,6 +427,14 @@ def enumerate_isotone_maps(P: Poset, Q: Poset) -> Iterator[tuple[int, ...]]:
     extension.  The depth-first search keeps one iterator of candidate
     images per filled position on an explicit stack, so its depth is bounded
     by memory, not by the recursion limit.
+
+    Every assignment yielded is isotone, so it needs no second check.
+    Proof: it has one image in ``range(Q.n)`` per position of P.  For a
+    cover ``a < b`` of P, let x be the later of a and b in id order and y
+    the other; when x is filled, y is filled, and x's image is drawn from
+    ``↑f(y)`` if y is a lower cover of x and from ``↓f(y)`` if an upper one.
+    So ``f(a) <= f(b)`` on every cover, and by transitivity in Q on every
+    pair ``a <= b`` of P, as :class:`IsotoneMap` argues.
     """
     if P.n == 0:
         yield ()
@@ -459,14 +473,16 @@ def enumerate_bounded_homs(D: FiniteLattice, E: FiniteLattice) -> list[BoundedHo
 
     Enumerated through the duality (isotone maps Ji E -> Ji D) rather than
     by filtering all element functions; both lattices are checked to be
-    distributive first.  A one-element D has no join-irreducibles, so it
-    gets no map unless E has none either.
+    distributive first.  Each map is isotone by construction
+    (:func:`enumerate_isotone_maps`), so it is built unchecked.  A
+    one-element D has no join-irreducibles, so it gets no map unless E has
+    none either.
     """
     _require_distributive(D, E)
     jd = core.join_irreducibles(D)
     je = core.join_irreducibles(E)
     homs = [
-        hom_of_isotone(IsotoneMap(je, jd, a), D, E)
+        hom_of_isotone(_trusted_isotone(je, jd, a), D, E)
         for a in enumerate_isotone_maps(je, jd)
     ]
     homs.sort(key=lambda h: h._assignment)

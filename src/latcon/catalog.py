@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import comb
+from typing import Callable, Iterator
 
 from . import congruence as cg, core, rectangular as rl
 from .core import FiniteLattice
@@ -120,20 +120,28 @@ def brt_catalog() -> dict[str, FiniteLattice]:
     }
 
 
-def _candidate_count(max_size: int, stop: int | None = None) -> int:
-    """How many candidates :func:`search_rectangular` builds for
-    ``max_size``, counted with no build: for each grid m x n, one per set
-    of at most ``min(2, max_size - m*n)`` of its (m-1)(n-1) cells, then the
-    diamonds, the fork and its three eyed variants.  The count stops once
-    it passes ``stop``, so a bound is checked in time linear in it."""
-    count = max(0, max_size - 4) + (max_size >= 7) + 3 * (max_size >= 8)
+def _candidates(max_size: int) -> Iterator[tuple[str, Callable[[], RectLattice]]]:
+    """The candidates :func:`search_rectangular` builds for ``max_size``,
+    each as its name and a call that builds it, in build order: for each
+    grid m x n, one per set of at most ``min(2, max_size - m*n)`` of its
+    (m-1)(n-1) cells, then the diamonds, the fork and its three eyed
+    variants.  Nothing is built until a call is made, so the candidates
+    can be counted first, cut at a budget (:func:`core._count`)."""
     for m in range(2, max_size // 2 + 1):
         for n in range(m, max_size // m + 1):
-            cells = (m - 1) * (n - 1)
-            count += sum(comb(cells, r) for r in range(min(2, max_size - m * n) + 1))
-            if stop is not None and count > stop:
-                return count
-    return count
+            cells = [(i, k) for i in range(m - 1) for k in range(n - 1)]
+            for r in range(min(2, max_size - m * n) + 1):
+                for eyes in combinations(cells, r):
+                    tag = "".join(f"-{i}.{k}" for i, k in eyes)
+                    name = f"grid-{m}x{n}" + ("", "-eye", "-eyes")[r] + tag
+                    yield name, lambda m=m, n=n, eyes=eyes: rl.grid_with_eyes(m, n, eyes)[0]
+    for k in range(3, max_size - 1):
+        yield f"diamond-{k}", lambda k=k: diamond(k)
+    if max_size >= 7:
+        yield "fork", s7
+    if max_size >= 8:
+        for c in range(3):
+            yield f"fork-eye-{c}", lambda c=c: s7_eye(c)
 
 
 def search_rectangular(
@@ -142,29 +150,14 @@ def search_rectangular(
     """Rectangular lattices up to ``max_size`` elements, up to isomorphism.
 
     Families: grids, grids with one or two eyes, diamonds, and the fork
-    lattice with up to one eye.  Each candidate is compared only with the
-    kept lattices that share its :func:`core.invariant`.  ``seed`` shuffles
-    the returned list; which lattices are kept does not depend on it.
-    A ``max_size`` that is no integer ``>= 0`` raises :class:`SizeTooSmall`.
+    lattice with up to one eye (:func:`_candidates`).  Each candidate is
+    compared only with the kept lattices that share its
+    :func:`core.invariant`.  ``seed`` shuffles the returned list; which
+    lattices are kept does not depend on it.  A ``max_size`` that is no
+    integer ``>= 0`` raises :class:`SizeTooSmall`.
     """
     max_size = core._size(max_size, 0, SizeTooSmall, "max_size")
-    candidates: list[tuple[str, RectLattice]] = []
-    for m in range(2, max_size // 2 + 1):
-        for n in range(m, max_size // m + 1):
-            cells = [(i, k) for i in range(m - 1) for k in range(n - 1)]
-            for r in range(min(2, max_size - m * n) + 1):
-                for eyes in combinations(cells, r):
-                    tag = "".join(f"-{i}.{k}" for i, k in eyes)
-                    name = f"grid-{m}x{n}" + ("", "-eye", "-eyes")[r] + tag
-                    candidates.append((name, rl.grid_with_eyes(m, n, eyes)[0]))
-    for k in range(3, max_size - 1):
-        candidates.append((f"diamond-{k}", diamond(k)))
-    if max_size >= 7:
-        candidates.append(("fork", s7()))
-    if max_size >= 8:
-        for c in range(3):
-            candidates.append((f"fork-eye-{c}", s7_eye(c)))
-
+    candidates = [(name, build()) for name, build in _candidates(max_size)]
     candidates.sort(key=lambda item: (item[1].n, item[0]))
     out: list[tuple[str, RectLattice]] = []
     kept: dict[tuple, list[FiniteLattice]] = {}

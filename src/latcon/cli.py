@@ -132,13 +132,36 @@ def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
 
         return _load(args.phi, from_obj, _no_file)
     if args.hom_index is not None:
-        homs = bk.enumerate_bounded_homs(conF.as_lattice(), conG.as_lattice())
-        if not 0 <= args.hom_index < len(homs):
-            raise _InputError(
-                f"--hom-index {args.hom_index} out of range ({len(homs)} homs)"
-            )
-        return homs[args.hom_index]
+        _con_listable(args.f, F.n, conF.ji_order)
+        _con_listable(args.g, G.n, conG.ji_order)
+        count = _hom_count(f"Con {args.f}", f"Con {args.g}", conG.ji_order, conF.ji_order)
+        if not 0 <= args.hom_index < count:
+            raise _InputError(f"--hom-index {args.hom_index} out of range ({count} homs)")
+        return bk.enumerate_bounded_homs(conF.as_lattice(), conG.as_lattice())[args.hom_index]
     raise _InputError("a hom file or --hom-index is required")
+
+
+# The most bounded homs ``--hom-index`` and ``latcon brt`` enumerate.  Both
+# build and sort every hom before they use one, and ``brt`` reports on
+# each.  Two 64-element Boolean lattices have 46,656 homs: ``brt`` on them
+# takes 6.6 s at 63 MB peak RSS, and ``--hom-index 0`` from grid(4, 4) to
+# itself, whose Con lattices they are, 3.0 s at 63 MB (CPython 3.11,
+# x86-64 Linux).  Two with 128 elements have 823,543.  The homs D -> E
+# are counted as the isotone maps J(E) -> J(D), cut at the budget, before
+# any hom is built.
+_HOM_BUDGET = 1 << 16
+
+
+def _hom_count(source: str, target: str, je: core.Poset, jd: core.Poset) -> int:
+    """The number of bounded homs from the lattice named ``source``, whose
+    join-irreducibles are ordered as ``jd``, to the one named ``target``,
+    with ``je``; raise an :class:`_InputError` once it passes
+    :data:`_HOM_BUDGET`."""
+    count = core._count(bk.enumerate_isotone_maps(je, jd), _HOM_BUDGET + 1)
+    if count > _HOM_BUDGET:
+        raise _InputError(f"{source} -> {target}: more than {_HOM_BUDGET} bounded homs"
+                          " exceed the hom budget")
+    return count
 
 
 def _os_error(exc: OSError, path: Path) -> _InputError:
@@ -210,13 +233,14 @@ def cmd_embed_simple(args) -> int:
 # every candidate and the Con L of every kept lattice, and a run peaks at
 # about 15 KB per candidate: --max-size 47 (8,180 candidates, the most
 # admitted) peaks at 121 MB RSS in 6.8 s and --max-size 64 (23,917) at
-# 430 MB in 27 s (CPython 3.11, x86-64 Linux).  The count takes no build.
+# 430 MB in 27 s (CPython 3.11, x86-64 Linux).  The candidates are counted,
+# cut at the budget, before any is built.
 _SEARCH_BUDGET = 1 << 13
 
 
 def cmd_check_ideal(args) -> int:
     if args.search:
-        if catalog._candidate_count(args.max_size, _SEARCH_BUDGET) > _SEARCH_BUDGET:
+        if core._count(catalog._candidates(args.max_size), _SEARCH_BUDGET + 1) > _SEARCH_BUDGET:
             raise _InputError(f"--max-size {args.max_size}: more than {_SEARCH_BUDGET}"
                               " rectangular candidates exceed the search budget")
         try:
@@ -258,8 +282,20 @@ def cmd_check_ideal(args) -> int:
 # bytes per entry.  The 1,024-element Boolean lattice (1,048,576 entries,
 # the most admitted) peaks at 170 MB RSS and a 16-element chain (524,288)
 # at 157 MB; without the budget a 17-element chain (1,114,112) peaked at
-# 312 MB (CPython 3.11, x86-64 Linux).  The count stops at the budget.
+# 312 MB (CPython 3.11, x86-64 Linux).  ``--hom-index`` holds Con F and
+# Con G to the same budget before it builds either as a lattice.
 _CON_BUDGET = 1 << 20
+
+
+def _con_listable(arg: str, n: int, colors: core.Poset) -> None:
+    """Raise an :class:`_InputError` unless the congruences of the
+    ``n``-element lattice ``arg`` names, the down-sets of its ordered
+    ``colors``, times ``n`` are within :data:`_CON_BUDGET`.  The down-sets
+    are counted no further than the budget, and no congruence is built."""
+    most = _CON_BUDGET // n
+    if core._count(core._downsets(colors), most + 1) > most:
+        raise _InputError(f"{arg}: more than {most} congruences of {n} elements"
+                          f" exceed the budget of {_CON_BUDGET} congruences times elements")
 
 
 def cmd_con(args) -> int:
@@ -270,11 +306,7 @@ def cmd_con(args) -> int:
     # take the reverse order, which has as many down-sets
     below, rep = cg._d_star(L)
     colors = sorted(set(rep.values()))
-    reverse = core.Poset(len(colors), core._reduce(colors, below))
-    most = _CON_BUDGET // L.n
-    if len(core._downsets_upto(reverse, most + 1)) > most:
-        raise _InputError(f"{args.lattice}: more than {most} congruences of {L.n} elements"
-                          f" exceed the budget of {_CON_BUDGET} congruences times elements")
+    _con_listable(args.lattice, L.n, core.Poset(len(colors), core._reduce(colors, below)))
     return _emit(jio.dumps(jio.con_lattice_to_obj(cg.congruence_lattice(L))), args.out)
 
 
@@ -282,6 +314,8 @@ def cmd_brt(args) -> int:
     D = _load_lattice(args.d)
     E = _load_lattice(args.e)
     try:
+        bk._require_distributive(D, E)
+        _hom_count(args.d, args.e, core.join_irreducibles(E), core.join_irreducibles(D))
         homs = bk.enumerate_bounded_homs(D, E)
     except LatconError as exc:
         raise _InputError(str(exc)) from exc

@@ -345,7 +345,7 @@ class ConLattice:
 
     def __len__(self) -> int:
         if self._size is None:
-            self._size = len(core._downsets_upto(self.ji_order))
+            self._size = sum(1 for _ in core._downsets(self.ji_order))
         return self._size
 
     def __iter__(self):
@@ -382,9 +382,12 @@ class ConLattice:
         order is fixed by its covers, and Con L has no planar order, so a
         lattice that differs from :meth:`as_lattice` in the order within
         some rows only is the same numbered lattice.  The rows are compared
-        one by one, each of ``lat``'s sorted.
+        one by one, each of ``lat``'s sorted.  Before Con L is counted or
+        built, its down-sets are counted no further than ``lat.n + 1``, so
+        a small ``lat`` is told apart from a large Con L at once.
         """
-        return lat.n == len(self) and list(map(sorted, lat._upper)) == list(self._build().rows)
+        size = self._size or core._count(core._downsets(self.ji_order), lat.n + 1)
+        return lat.n == size and list(map(sorted, lat._upper)) == list(self._build().rows)
 
 
 def _rank(c: Congruence) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping
-from itertools import chain as _chain, combinations, starmap
+from itertools import chain as _chain, combinations, islice, starmap
 from operator import contains, eq, index as _index
 from typing import Iterable, Iterator, Sequence
 
@@ -838,30 +838,39 @@ def _downset_rows(P: Poset, ds: Sequence[int]) -> tuple[list[int], ...]:
     return tuple(sorted([index[d | 1 << x] for x in _addable(P, d)]) for d in ds)
 
 
-def _downsets_upto(P: Poset, stop: int | None = None) -> list[int]:
-    """The down-sets of P as bitmasks, each once and by size, or only the
-    first ``stop`` of them when ``stop`` is given: a count up to a bound
-    never lists more.
+def _downsets(P: Poset) -> Iterator[int]:
+    """The down-sets of P as bitmasks, each once and by size.
 
     Grown breadth first from the empty one: a down-set of size ``s + 1``
     is one of size ``s`` with one addable element added, so the work is
-    linear in the number of down-sets times ``P.n``.
+    linear in the number of down-sets times ``P.n``.  Each is yielded as
+    soon as it is found, so a count cut at a bound (:func:`_count`) never
+    finds more than the bound.
     """
+    yield 0
     found, seen = [0], {0}
     for d in found:
         for x in _addable(P, d):
             e = d | 1 << x
             if e not in seen:
-                if len(found) == stop:
-                    return found
                 seen.add(e)
                 found.append(e)
-    return found
+                yield e
+
+
+def _count(items: Iterable, stop: int) -> int:
+    """How many ``items`` there are, counted no further than ``stop``.
+
+    The one cut on an enumeration: a generator is drawn at most ``stop``
+    times, so ``_count(items, most + 1) > most`` decides a budget of
+    ``most`` in time linear in it, however many items there are.
+    """
+    return sum(1 for _ in islice(items, stop))
 
 
 def downsets(P: Poset) -> list[int]:
     """All down-sets of P as bitmasks, sorted by (size, mask value)."""
-    return sorted(sorted(_downsets_upto(P)), key=int.bit_count)
+    return sorted(sorted(_downsets(P)), key=int.bit_count)
 
 
 def _heights(L: FiniteLattice) -> tuple[list[int], list[int]]:

@@ -440,6 +440,30 @@ class TestEnumeration:
             Q = helpers.random_poset(rng, rng.randint(1, 4))
             assert list(bk.enumerate_isotone_maps(P, Q)) == helpers.brute_isotone_maps(P, Q)
 
+    def test_unchecked_maps_equal_the_checked_ones(self, monkeypatch):
+        # each map that enumerate_bounded_homs builds unchecked passes
+        # IsotoneMap's check and equals its result: on the 2,692 homs of
+        # the duality workload's lattices and on seeded random posets
+        built = []
+        real = bk.hom_of_isotone
+        monkeypatch.setattr(bk, "hom_of_isotone", lambda psi, D, E: built.append(psi)
+                            or real(psi, D, E))
+        duality = [cg.congruence_lattice(rl.grid(3, 3).lattice).as_lattice(), C3SQ, CON_S7,
+                   rl.grid(4, 4).lattice]
+        for D in duality:
+            for E in duality:
+                bk.enumerate_bounded_homs(D, E)
+        assert len(built) == 2692
+        for psi in built:
+            assert type(psi) is bk.IsotoneMap
+            assert psi == bk.IsotoneMap(psi.source, psi.target, psi.assignment)
+        rng = random.Random(39)
+        for _ in range(80):
+            P = helpers.random_poset(rng, rng.randint(0, 6))
+            Q = helpers.random_poset(rng, rng.randint(1, 4))
+            for a in bk.enumerate_isotone_maps(P, Q):
+                assert bk._trusted_isotone(P, Q, a) == bk.IsotoneMap(P, Q, a)
+
     def test_long_chain_needs_no_recursion(self):
         n = 1500
         P = core.Poset(n, [(i, i + 1) for i in range(n - 1)])

@@ -20,6 +20,7 @@ from latcon import catalog, cli, core
 from latcon import congruence as cg
 from latcon import construction as cn
 from latcon import jsonio as jio
+from latcon import rectangular as rl
 from latcon import verify as vf
 from latcon.cli import main
 from latcon.errors import LatconError
@@ -257,8 +258,11 @@ class TestSizeLimit:
         assert "more than 8192 rectangular candidates" in capsys.readouterr().err
 
     def test_search_budget_admits_the_benchmark_size(self):
-        assert catalog._candidate_count(24) == 587
-        assert catalog._candidate_count(47) <= cli._SEARCH_BUDGET < catalog._candidate_count(48)
+        def count(max_size):
+            return core._count(catalog._candidates(max_size), cli._SEARCH_BUDGET + 1)
+
+        assert count(24) == 587
+        assert count(47) <= cli._SEARCH_BUDGET < count(48)
 
     @staticmethod
     def _count_closures(monkeypatch):
@@ -327,6 +331,99 @@ class TestSizeLimit:
         assert proc.stderr == (
             f"error: {path}: 4096 elements times 4095 join-irreducibles exceed the budget"
             " of 2097152 for the congruence lattice\n")
+
+    @staticmethod
+    def _write(path, obj):
+        path.write_text(jio.dumps(obj))
+        return str(path)
+
+    def test_hom_index_beyond_the_hom_budget_is_input_error(self, tmp_path):
+        # both Con lattices of grid(7, 7) have 12 colors in an antichain:
+        # 12^12 isotone maps, of which the count draws one past the budget
+        grid = self._write(tmp_path / "grid.json", jio.rect_to_obj(rl.grid(7, 7)))
+        proc = self._run("build-filter", grid, grid, "--hom-index", "0", "-o", str(tmp_path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: Con {grid} -> Con {grid}: more than 65536 bounded homs"
+                               " exceed the hom budget\n")
+
+    def test_hom_index_beyond_the_con_budget_is_input_error(self, tmp_path):
+        # Con of grid(9, 9) has 2^16 congruences of 81 elements: refused
+        # before it is built as a lattice
+        grid = self._write(tmp_path / "grid.json", jio.rect_to_obj(rl.grid(9, 9)))
+        proc = self._run("build-filter", grid, "m3", "--hom-index", "0", "-o", str(tmp_path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {grid}: more than 12945 congruences of 81 elements"
+                               " exceed the budget of 1048576 congruences times elements\n")
+
+    def test_brt_beyond_the_hom_budget_is_input_error(self, tmp_path):
+        # two 128-element Boolean lattices have 7^7 bounded homs
+        B = core.chain(2)
+        for _ in range(6):
+            B = core.direct_product(B, core.chain(2))
+        path = self._write(tmp_path / "boolean.json", jio.lattice_to_obj(B))
+        proc = self._run("brt", path, path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {path} -> {path}: more than 65536 bounded homs"
+                               " exceed the hom budget\n")
+
+    def test_hom_file_against_a_large_con_is_input_error(self, tmp_path):
+        # grid(16, 16) is within the congruence cost, and its Con has 2^30
+        # elements: a 2-element endpoint is told apart after 3 down-sets
+        grid = self._write(tmp_path / "grid.json", jio.rect_to_obj(rl.grid(16, 16)))
+        c2 = jio.lattice_to_obj(core.chain(2))
+        hom = self._write(tmp_path / "hom.json", {"source": c2, "target": c2, "map": [0, 1]})
+        proc = self._run("build-filter", grid, grid, hom, "-o", str(tmp_path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {hom}: homomorphism endpoints do not match the"
+                               " congruence lattices of the inputs\n")
+
+    def test_hom_budget_admits_the_benchmark_pairs(self):
+        # the duality workload's lattices, counted as ``brt`` counts, and
+        # the A6 sweep's Con lattices, counted as ``--hom-index`` counts
+        # (on ``ji_order``); each count is the number of homs enumerated
+        duality = [cg.congruence_lattice(rl.grid(3, 3).lattice).as_lattice(),
+                   rl.grid(3, 3).lattice,
+                   cg.congruence_lattice(catalog.s7().lattice).as_lattice(),
+                   rl.grid(4, 4).lattice]
+        counts = []
+        for D in duality:
+            for E in duality:
+                count = cli._hom_count("D", "E", core.join_irreducibles(E),
+                                       core.join_irreducibles(D))
+                assert count == len(bk.enumerate_bounded_homs(D, E))
+                counts.append((count, D.n, E.n))
+        assert sum(c for c, _, _ in counts) == 2692
+        assert max(counts) == (1296, 16, 16)
+        cons = [cg.congruence_lattice(catalog.get(name)) for name in ("grid-2x2", "m3", "s7")]
+        total = 0
+        for conF in cons:
+            for conG in cons:
+                count = cli._hom_count("F", "G", conG.ji_order, conF.ji_order)
+                assert count == len(bk.enumerate_bounded_homs(conF.as_lattice(),
+                                                              conG.as_lattice()))
+                total += count
+        assert total == 34
+
+    def test_hom_budget_is_the_most_homs_enumerated(self, tmp_path, capsys, monkeypatch):
+        # grid-2x2 -> m3 has 2 homs; the hom budget is checked after the
+        # con budget and before any Con is built as a lattice
+        assert cli._HOM_BUDGET == 1 << 16
+        monkeypatch.setattr(cli, "_HOM_BUDGET", 2)
+        argv = ["build-filter", "grid-2x2", "m3", "--hom-index", "1", "-o", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_HOM_BUDGET", 1)
+        assert main(["brt", "c2", "c2"]) == 0
+        capsys.readouterr()
+        assert main(["brt", "c2xc2", "c2"]) == 2
+        assert capsys.readouterr() == ("", "error: c2xc2 -> c2: more than 1 bounded homs"
+                                           " exceed the hom budget\n")
+        assert main(["brt", "n5", "c2xc2"]) == 2  # distributivity is checked first
+        assert capsys.readouterr() == ("", "error: source lattice is not distributive\n")
+        monkeypatch.setattr(cg.ConLattice, "as_lattice", None)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: Con grid-2x2 -> Con m3: more than 1"
+                                           " bounded homs exceed the hom budget\n")
 
     def test_con_cost_is_the_most_entries_computed(self, capsys, monkeypatch):
         # grid-3x3 has 9 elements and 4 join-irreducibles; a rectangular

@@ -860,13 +860,14 @@ class TestDownsets:
         rng = random.Random(35)
         for _ in range(40):
             P = helpers.random_poset(rng, rng.randint(0, 8))
-            found = core._downsets_upto(P)
+            found = list(core._downsets(P))
             assert sorted(found) == sorted(core.downsets(P))
             assert list(map(int.bit_count, found)) == sorted(map(int.bit_count, found))
             for stop in range(1, len(found) + 2):
-                assert core._downsets_upto(P, stop) == found[:stop]
+                assert list(itertools.islice(core._downsets(P), stop)) == found[:stop]
+                assert core._count(core._downsets(P), stop) == min(stop, len(found))
         wide = core.Poset(63, [])  # 2^63 down-sets
-        assert len(core._downsets_upto(wide, 16385)) == 16385
+        assert core._count(core._downsets(wide), 16385) == 16385
 
 
 class TestIsomorphism:

@@ -128,12 +128,15 @@ class TestGridsAndEyes:
             builds.clear()
             catalog.search_rectangular(max_size)
             # each eyed fork is built on one fork of its own
-            full = catalog._candidate_count(max_size)
-            assert len(builds) - builds.count("s7_eye") == full
-            stopped = catalog._candidate_count(max_size, 10)
+            built = len(builds) - builds.count("s7_eye")
+            builds.clear()
+            full = core._count(catalog._candidates(max_size), 10 ** 6)
+            assert built == full
+            stopped = core._count(catalog._candidates(max_size), 11)
             assert stopped == full if full <= 10 else 10 < stopped <= full
-        assert catalog._candidate_count(30) == 1504
-        assert catalog._candidate_count(30, 10) < 100  # stopped after the first grid
+            assert builds == []  # counting builds nothing
+        assert core._count(catalog._candidates(30), 10 ** 6) == 1504
+        assert core._count(catalog._candidates(30), 11) < 100  # stopped after the first grid
 
     def test_m3_from_eyed_square(self):
         R, eye_of = rl.grid_with_eyes(2, 2, [(0, 0)])

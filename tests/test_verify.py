@@ -388,6 +388,26 @@ class TestEndpointTest:
                 verdicts.append(ok)
         assert (len(verdicts), sum(verdicts)) == (82 * (2 + 2 * 21), 524)
 
+    def test_cold_count_stops_past_the_endpoint_and_a_warm_one_is_not_redone(self, monkeypatch):
+        # a cold Con L counts its down-sets no further than one past the
+        # endpoint's size; one whose size is known counts none
+        drawn = []
+        real = core._downsets
+
+        def counted(P):
+            for d in real(P):
+                drawn.append(d)
+                yield d
+
+        monkeypatch.setattr(core, "_downsets", counted)
+        con = cg.congruence_lattice(rl.grid(16, 16).lattice)  # 2^30 congruences
+        assert not con._numbers(core.chain(2))
+        assert len(drawn) == 3
+        warm = cg.congruence_lattice(catalog.s7().lattice)
+        lat = warm.as_lattice()
+        drawn.clear()
+        assert warm._numbers(lat) and drawn == []
+
     def test_other_ids_for_the_same_order_are_rejected(self):
         F = catalog.rect_catalog()["grid-2x3"]
         phi = _hom(F, M3)
