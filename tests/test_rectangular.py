@@ -136,7 +136,7 @@ class TestGridsAndEyes:
             assert stopped == full if full <= 10 else 10 < stopped <= full
             assert builds == []  # counting builds nothing
         assert core._count(catalog._candidates(30), 10 ** 6) == 1504
-        assert core._count(catalog._candidates(30), 11) < 100  # stopped after the first grid
+        assert core._count(catalog._candidates(30), 11) == 11  # cut at 11 of the 1,504
 
     def test_m3_from_eyed_square(self):
         R, eye_of = rl.grid_with_eyes(2, 2, [(0, 0)])
