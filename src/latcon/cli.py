@@ -152,16 +152,24 @@ def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
 _HOM_BUDGET = 1 << 16
 
 
+def _within(items, most: int, refusal: str) -> int:
+    """How many ``items`` there are, counted no further than ``most + 1``
+    (:func:`core._count`); raise an :class:`_InputError` with the text
+    ``refusal`` when there are more than ``most``.  The one gate of every
+    budget on an enumeration."""
+    if (count := core._count(items, most + 1)) > most:
+        raise _InputError(refusal)
+    return count
+
+
 def _hom_count(source: str, target: str, je: core.Poset, jd: core.Poset) -> int:
     """The number of bounded homs from the lattice named ``source``, whose
     join-irreducibles are ordered as ``jd``, to the one named ``target``,
     with ``je``; raise an :class:`_InputError` once it passes
     :data:`_HOM_BUDGET`."""
-    count = core._count(bk.enumerate_isotone_maps(je, jd), _HOM_BUDGET + 1)
-    if count > _HOM_BUDGET:
-        raise _InputError(f"{source} -> {target}: more than {_HOM_BUDGET} bounded homs"
-                          " exceed the hom budget")
-    return count
+    return _within(bk.enumerate_isotone_maps(je, jd), _HOM_BUDGET,
+                   f"{source} -> {target}: more than {_HOM_BUDGET} bounded homs"
+                   " exceed the hom budget")
 
 
 def _os_error(exc: OSError, path: Path) -> _InputError:
@@ -222,6 +230,7 @@ def _cmd_build(args) -> int:
 
 def cmd_embed_simple(args) -> int:
     G = _load_rect(args.g)
+    _con_listable(args.g, G.n, cg.congruence_lattice(G.lattice).ji_order)
     out = _out_dir(args.out)
     L, crep = cn.simple_ideal_embedding(G)
     _emit_build(out, crep)
@@ -240,9 +249,9 @@ _SEARCH_BUDGET = 1 << 13
 
 def cmd_check_ideal(args) -> int:
     if args.search:
-        if core._count(catalog._candidates(args.max_size), _SEARCH_BUDGET + 1) > _SEARCH_BUDGET:
-            raise _InputError(f"--max-size {args.max_size}: more than {_SEARCH_BUDGET}"
-                              " rectangular candidates exceed the search budget")
+        _within(catalog._candidates(args.max_size), _SEARCH_BUDGET,
+                f"--max-size {args.max_size}: more than {_SEARCH_BUDGET}"
+                " rectangular candidates exceed the search budget")
         try:
             kept = catalog.search_rectangular(args.max_size, args.seed)
         except SizeTooSmall as exc:
@@ -283,7 +292,8 @@ def cmd_check_ideal(args) -> int:
 # the most admitted) peaks at 170 MB RSS and a 16-element chain (524,288)
 # at 157 MB; without the budget a 17-element chain (1,114,112) peaked at
 # 312 MB (CPython 3.11, x86-64 Linux).  ``--hom-index`` holds Con F and
-# Con G to the same budget before it builds either as a lattice.
+# Con G, and ``embed-simple`` Con G, to the same budget before it builds
+# either as a lattice.
 _CON_BUDGET = 1 << 20
 
 
@@ -293,20 +303,15 @@ def _con_listable(arg: str, n: int, colors: core.Poset) -> None:
     ``colors``, times ``n`` are within :data:`_CON_BUDGET`.  The down-sets
     are counted no further than the budget, and no congruence is built."""
     most = _CON_BUDGET // n
-    if core._count(core._downsets(colors), most + 1) > most:
-        raise _InputError(f"{arg}: more than {most} congruences of {n} elements"
-                          f" exceed the budget of {_CON_BUDGET} congruences times elements")
+    _within(core._downsets(colors), most, f"{arg}: more than {most} congruences of {n} elements"
+            f" exceed the budget of {_CON_BUDGET} congruences times elements")
 
 
 def cmd_con(args) -> int:
     L = _load_lattice(args.lattice)
     _con_affordable(args.lattice, L)
-    # the congruences are the down-sets of the colors under D*, counted
-    # before any closure runs; with ``below`` read as up-sets the colors
-    # take the reverse order, which has as many down-sets
-    below, rep = cg._d_star(L)
-    colors = sorted(set(rep.values()))
-    _con_listable(args.lattice, L.n, core.Poset(len(colors), core._reduce(colors, below)))
+    # the congruences are the down-sets of the colors, counted before any closure runs
+    _con_listable(args.lattice, L.n, cg._color_order(L))
     return _emit(jio.dumps(jio.con_lattice_to_obj(cg.congruence_lattice(L))), args.out)
 
 

@@ -363,12 +363,27 @@ class ConLattice:
 
     def as_lattice(self) -> FiniteLattice:
         """Con L as a FiniteLattice with :meth:`covers`; element i is
-        ``congruences[i]``.  The list build's rows go to
-        :func:`core.make_lattice_with_map` in its row form, as they are, and
-        the build must keep the numbering."""
+        ``congruences[i]``.
+
+        The list build's rows go to :func:`core._trusted_lattice` as they
+        are, with no re-validation, and the build must keep the numbering.
+        They are a distributive lattice's, numbered along a linear
+        extension.  Proof: the down-sets of the finite poset ``ji_order``
+        under inclusion are closed under union and intersection, which are
+        their join and meet and distribute over each other.  A down-set
+        ``e`` strictly above ``d`` holds a minimal element ``x`` of ``e - d``,
+        and ``d + {x}`` is a down-set, so ``e`` covers ``d`` exactly when
+        ``e = d + {x}``: the rows of :func:`core._downset_rows` list each
+        cover once, and none is implied, as a cover adds one element.
+        Distinct down-sets join to distinct congruences (checked in
+        :meth:`_build`), so row i belongs to ``congruences[i]``.  And the
+        canonical order is a linear extension: a congruence strictly
+        above another has strictly fewer blocks.  So :func:`core._kahn`
+        finds every cover going up in id and keeps the numbering, which
+        the postcondition checks."""
         if self._lattice_view is None:
             rows = self._build().rows
-            lat, renum = core.make_lattice_with_map(len(rows), None, rows)
+            lat, renum = core._trusted_lattice(rows, core._sort(rows))
             if renum != tuple(range(len(rows))):
                 raise PostconditionFailed("canonical congruence order is not a linear extension")
             self._lattice_view = lat
@@ -445,8 +460,8 @@ def _d_star(L: FiniteLattice) -> tuple[dict[int, int], dict[int, int]]:
     q_* and not above q).  The least q of a class, reached first in id
     order, is its color, and the class is the p of its row whose row holds
     q; so ``rep`` is read once per class, not once per row.
-    The CLI reads the order of the colors here to count the congruences
-    before it pays for :func:`congruence_lattice`.
+    :func:`_color_order` orders the colors here for the CLI, which counts
+    the congruences before it pays for :func:`congruence_lattice`.
     """
     d = _d_rows(L)
     below: dict[int, int] = {}
@@ -475,6 +490,33 @@ def _d_star(L: FiniteLattice) -> tuple[dict[int, int], dict[int, int]]:
     return below, rep
 
 
+def _color_poset(below: dict[int, int], order: Sequence[int]) -> Poset:
+    """D* on the colors ``order``, a linear extension of it, as an
+    unlabelled poset on positions in ``order``.  Read off the D* rows
+    ``below`` with no re-validation (:func:`core._poset_of_up_sets`): the
+    up-set of ``r`` is the colors ``c`` whose row holds ``r``, closed as D*
+    is transitive, and holding no position below r's, as ``order`` is a
+    linear extension.  One pass over the bits of the rows transposes them."""
+    pos = {c: i for i, c in enumerate(order)}
+    up = [0] * len(order)
+    for c in order:
+        for r in core._bits(below[c]):
+            if r in pos:
+                up[pos[r]] |= 1 << pos[c]
+    return core._poset_of_up_sets(up)
+
+
+def _color_order(L: FiniteLattice) -> Poset:
+    """The colors of L ordered by D*, with no closure: its down-sets are
+    the congruences, so the CLI counts them here before it pays for
+    :func:`congruence_lattice`.  The colors are numbered by the size of
+    their D* rows, then by id, a linear extension, as a color strictly D*
+    below another has a strictly smaller row; ``ji_order`` is the same poset
+    numbered in the canonical order."""
+    below, rep = _d_star(L)
+    return _color_poset(below, sorted(set(rep.values()), key=lambda c: (below[c].bit_count(), c)))
+
+
 def congruence_lattice(L: FiniteLattice) -> ConLattice:
     """The join-irreducible congruences of L, their order, and the edge coloring.
 
@@ -493,9 +535,8 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     theta[c] is generated by the cover (c_*, c) of color c; so theta[c] is
     join-irreducible, hence join-prime in the distributive Con L, and a
     down-set is the set of colors c with theta[c] below its join.
-    ``ji_order`` is read off the D* rows with no re-validation
-    (:func:`core._poset_of_up_sets`): the masks are closed, and ordered
-    along a linear extension, as the canonical order is one.
+    ``ji_order`` is read off the D* rows by :func:`_color_poset`, in the
+    canonical order of the ``theta``, a linear extension.
     Computed once per lattice instance and cached.
     """
     if L._con is not None:
@@ -523,10 +564,8 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
 
     order = sorted(theta, key=lambda r: _rank(theta[r]))
     pos = {r: i for i, r in enumerate(order)}
-    up = [sum(1 << pos[c] for c in order if below[c] >> r & 1) for r in order]
-    ji_order = core._poset_of_up_sets(up)
     colors = _Colors(L._upper, map(pos.__getitem__, color))
-    con = ConLattice(L, ji_order, colors)
+    con = ConLattice(L, _color_poset(below, order), colors)
     L._con = con
     return con
 

@@ -196,16 +196,18 @@ def _numbered(upper, lower, order: list[int] | None, new_id: Sequence[int], pair
 
 
 def _trusted_lattice(upper, lower) -> tuple[FiniteLattice, tuple[int, ...]]:
-    """The lattice of cover rows that a planar constructor knows to be a
-    lattice's, with the renumbering map, as :func:`make_lattice_with_map`
-    builds it from the same rows in its row form, with none of its checks.
+    """The lattice of cover rows that the library knows to be a lattice's,
+    with the renumbering map, as :func:`make_lattice_with_map` builds it
+    from the same rows in its row form, with none of its checks.
 
     ``upper`` and ``lower`` are the upper and lower cover rows of each
     element, in planar order, with int entries, each row of one the
     permutation of what the other gives, no cover repeated or implied by
-    transitivity, and the order they generate a lattice.  Only
-    :mod:`latcon.rectangular` calls this, on the rows of an eyed grid, of
-    an eye put into a cell, and of a gluing, each a lattice by theorem."""
+    transitivity, and the order they generate a lattice.  The callers hold
+    such rows by theorem: :mod:`latcon.rectangular` on an eyed grid, an
+    eye put into a cell and a gluing, :func:`direct_product` on a product
+    of two lattices, and ``ConLattice.as_lattice`` on the down-sets of
+    J(Con L)."""
     order, new_id = _kahn(upper, lower)
     return _numbered(upper, lower, order, new_id), tuple(new_id)
 
@@ -247,23 +249,19 @@ def _close(order, succ, pred, pairs, new_id: Sequence[int], name: Sequence[int])
     return up, down
 
 
-def _reduce(elems: Sequence[int], up: Sequence[int] | dict[int, int]) -> list[tuple[int, int]]:
-    """Cover pairs, as positions in ``elems``, of the order on ``elems``.
-
-    ``elems`` is ascending and ``up[x]`` is the up-set of ``x`` as a
-    bitmask; bits outside ``elems`` are ignored.  ``y`` covers ``x`` when
-    it lies strictly above ``x`` and strictly above nothing that lies
-    strictly above ``x``.
+def _reduce(up: Sequence[int]) -> list[list[int]]:
+    """Upper cover rows, each ascending, of the order on ``0..n-1`` whose
+    up-sets are the bitmasks ``up``, each ``up[x]`` holding ``x`` and no id
+    outside ``0..n-1``.  ``y`` covers ``x`` when it lies strictly above
+    ``x`` and strictly above nothing that lies strictly above ``x``.
     """
-    pos = {x: i for i, x in enumerate(elems)}
-    inside = sum(1 << x for x in elems)
-    above = {x: up[x] & inside & ~(1 << x) for x in elems}
+    above = [m & ~(1 << x) for x, m in enumerate(up)]
     out = []
-    for x in elems:
+    for a in above:
         far = 0
-        for c in _bits(above[x]):
+        for c in _bits(a):
             far |= above[c]
-        out.extend((pos[x], pos[y]) for y in _bits(above[x] & ~far))
+        out.append(list(_bits(a & ~far)))
     return out
 
 
@@ -338,25 +336,20 @@ class Poset(_Order):
         return f"Poset(n={self.n}, covers={self.covers()!r})"
 
 
-def _poset_of_up_sets(up: Sequence[int]) -> Poset:
-    """The poset on ``0..n-1`` whose up-sets are the masks ``up``, with
-    none of :class:`Poset`'s checks: the masks must be reflexive and
-    transitive and ``up[x]`` hold no id below ``x``.  The covers are one
-    :func:`_reduce`, the down-sets the transposed masks; every field equals
-    that of ``Poset(n, _reduce(range(n), up))``, whose cover rows come out
-    ascending as :func:`_reduce` lists them."""
-    n = len(up)
-    upper: list[list[int]] = [[] for _ in range(n)]
-    lower: list[list[int]] = [[] for _ in range(n)]
-    for a, b in _reduce(range(n), up):
-        upper[a].append(b)
-        lower[b].append(a)
-    down = [0] * n
-    for x, m in enumerate(up):
-        for y in _bits(m):
-            down[y] |= 1 << x
+def _poset_of_up_sets(up: Sequence[int], labels: Sequence[int] | None = None) -> Poset:
+    """The poset on ``0..n-1`` whose up-sets are the masks ``up``, labelled
+    ``labels`` (``0..n-1`` without them), with none of :class:`Poset`'s
+    checks: the masks must be reflexive and transitive and ``up[x]`` hold
+    no id below ``x``.  The cover rows are one :func:`_reduce`, the
+    down-sets their closure along ``0..n-1``, a linear extension; every
+    field equals that of ``Poset(n, covers, labels)`` on the pairs of
+    those rows, whose rows come out ascending as :func:`_reduce` gives
+    them."""
+    n, upper = len(up), _reduce(up)
+    lower = _sort(upper)
     P = object.__new__(Poset)
-    P.n, P.labels, P._up, P._down = n, tuple(range(n)), list(up), down
+    P.n, P._up, P._down = n, list(up), _close(range(n), upper, lower, (), range(n), range(n))[1]
+    P.labels = tuple(range(n)) if labels is None else tuple(labels)
     P._upper, P._lower = list(map(tuple, upper)), list(map(tuple, lower))
     return P
 
@@ -470,16 +463,18 @@ def make_lattice_with_map(
     left-to-right order of some elements' covers, as a mapping from an
     element to its row or as a sequence of rows, read as the mapping from
     each position to its row; a row left open is sorted ascending in the
-    final ids.  In the row form ``covers``
-    is ``None`` and ``upper_order`` is a sequence of one row of upper covers
-    per element, in planar order: the covers are the pairs the rows give.
-    ``sublattice``, ``direct_product`` and ``ConLattice.as_lattice`` hold
-    their rows anyway and use the row form.  The planar constructors, whose
-    rows are a lattice's by theorem, hand them to :func:`_trusted_lattice`
-    instead: the same numbering and closure (:func:`_kahn`,
-    :func:`_numbered`) with none of the checks.
-    The cover pairs become rows at once, and both forms run the same
-    checks, in this order:
+    final ids.  In the row form ``covers`` is ``None`` and ``upper_order``
+    is a sequence of one row of upper covers per element, in planar order:
+    the covers are the pairs the rows give.  :func:`sublattice`, whose
+    element set comes from the caller, and the catalog's ``diamond`` hold
+    their rows anyway and use the row form; :mod:`latcon.jsonio`, the
+    catalog's other literal constructors and :func:`chain` use the
+    cover-pair form.  Rows that are a lattice's by theorem, those of the
+    planar constructors, of :func:`direct_product` and of
+    ``ConLattice.as_lattice``, go to :func:`_trusted_lattice` instead: the
+    same numbering and closure (:func:`_kahn`, :func:`_numbered`) with none
+    of the checks.  The cover pairs become rows at once, and both forms
+    run the same checks, in this order:
 
     - the ids: one pass of ``type`` over all entries, and only if some
       entry is no ``int`` one ``map`` of ``operator.index`` per row; the
@@ -493,7 +488,9 @@ def make_lattice_with_map(
     - ``upper_order`` and ``lower_order``: their ids, as above, and that
       each row is a permutation of its element's covers, by one
       ``map(sorted)`` and one comparison with the sorted computed rows.  A
-      fault is held and raised after the lattice checks, as it always
+      sequence of rows is read as the mapping from each position to its
+      row, so a full sequence and the equal mapping give the same lattice.
+      A fault is held and raised after the lattice checks, as it always
       was; valid rows stand in for the computed ones from here on;
     - each row is renumbered once, the masks are closed once, and one mask
       test per row finds a cover implied by transitivity
@@ -534,15 +531,10 @@ def make_lattice_with_map(
         """The rows of one side in the input's ids: ``spec``'s where it fixes
         them, else ``computed``'s, sorted as the final ids will be; and the
         fault of ``spec``, held to be raised after the lattice checks."""
-        if spec is not None:
-            want = pred if computed is pred else list(map(sorted, computed))
-            plain = not isinstance(spec, Mapping) and set(map(type, spec)) <= {tuple, list}
-            if (plain and len(spec) == n and set(map(type, _chain.from_iterable(spec))) <= {int}
-                    and list(map(sorted, spec)) == want):
-                return spec, None  # rows handed over in planar order
         rows = [sorted(r, key=new_id.__getitem__) for r in computed]
         if spec is None:
             return rows, None
+        want = pred if computed is pred else list(map(sorted, computed))
         try:  # a sequence of rows is read as the mapping from each position to its row
             items = spec.items() if isinstance(spec, Mapping) else enumerate(spec)
             given = {r[0]: r[1:] for r in _id_rows([(k, *r) for k, r in items])}  # read once
@@ -644,7 +636,10 @@ def direct_product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
     """Componentwise product; element ``(a, b)`` gets id ``a * |B| + b``.
 
     The first factor runs to the upper left: each element's upper covers list
-    the A-step first, matching the planar grid convention.
+    the A-step first, matching the planar grid convention.  The product of
+    two lattices is a lattice, its covers are the steps in one coordinate,
+    none repeated or implied, and each step raises the id, so the rows go
+    to :func:`_trusted_lattice` and keep their numbering.
     """
     nb = B.n
     cells = [(a, b) for a in range(A.n) for b in range(nb)]
@@ -652,7 +647,7 @@ def direct_product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
              for a, b in cells]
     lower = [[a * nb + b2 for b2 in B._lower[b]] + [a2 * nb + b for a2 in A._lower[a]]
              for a, b in cells]
-    return make_lattice(len(cells), None, upper, lower)
+    return _trusted_lattice(upper, lower)[0]
 
 
 def is_distributive(L: FiniteLattice) -> bool:
@@ -817,11 +812,20 @@ def _carries(L: FiniteLattice, S: Sequence[int], K: FiniteLattice) -> bool:
 def join_irreducibles(L: FiniteLattice) -> Poset:
     """The poset of join-irreducible elements, labeled by their lattice ids.
 
-    Built once per lattice and kept on it; every call returns that object.
+    Read off L's up-set masks with no re-validation
+    (:func:`_poset_of_up_sets`): position ``i`` is the ``i``-th
+    join-irreducible in id order, and its mask holds the positions of the
+    join-irreducibles in its up-set.  These are L's order kept to J(L), so
+    reflexive and transitive, and L's ids form a linear extension, so no
+    mask holds a position below its own.  Built once per lattice and kept
+    on it; every call returns that object.
     """
     if L._ji is None:
         elems = L.ji_elements()
-        L._ji = Poset(len(elems), _reduce(elems, L._up), labels=elems)
+        pos = {p: i for i, p in enumerate(elems)}
+        inside = sum(1 << p for p in elems)
+        up = [sum(1 << pos[q] for q in _bits(L._up[p] & inside)) for p in elems]
+        L._ji = _poset_of_up_sets(up, elems)
     return L._ji
 
 

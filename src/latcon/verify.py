@@ -148,8 +148,8 @@ def _verify_representation(
 
     # the diagram: restricting to the target copy must act as phi
     D, E = phi.source, phi.target
-    pulled = [sum(1 << j for j, x in enumerate(D.ji_elements()) if E.leq(y, phi(x)))
-              for y in E.ji_elements()]
+    jd = D.ji_elements()
+    pulled = [sum(1 << j for j, x in enumerate(jd) if E.leq(y, phi(x))) for y in E.ji_elements()]
     bad = [r for r, (f, g) in enumerate(zip(f_masks, cg._restricted(conL, g_emb, conG)))
            if g != sum(1 << q for q, m in enumerate(pulled) if m & f)]
     witness = None if not bad else (

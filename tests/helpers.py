@@ -477,7 +477,7 @@ def reference_d_star(L):
 def reference_ji_order(con):
     """``con.ji_order`` built as the checked ``core.Poset`` of its covers."""
     P = con.ji_order
-    return core.Poset(P.n, core._reduce(range(P.n), P._up))
+    return core.Poset(P.n, P.covers())
 
 
 GRID_FIELDS = ("lc", "rc", "lower_left", "upper_left", "lower_right", "upper_right", "eyes")
@@ -887,7 +887,7 @@ def random_poset(rng, n, shuffle=True):
         for k in range(i + 1, n):
             if rng.random() < 0.3:
                 up[perm[i]] |= up[perm[k]]
-    return core.Poset(n, core._reduce(range(n), up))
+    return core.Poset(n, [(x, y) for x, row in enumerate(core._reduce(up)) for y in row])
 
 
 def random_closure_lattice(rng):

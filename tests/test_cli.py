@@ -377,6 +377,30 @@ class TestSizeLimit:
         assert proc.stderr == (f"error: {hom}: homomorphism endpoints do not match the"
                                " congruence lattices of the inputs\n")
 
+    def test_embed_simple_beyond_the_con_budget_is_input_error(self, tmp_path):
+        # Con of grid(9, 9) has 2^16 congruences of 81 elements: refused
+        # before it is built as a lattice, and before the output directory
+        grid = self._write(tmp_path / "grid.json", jio.rect_to_obj(rl.grid(9, 9)))
+        out = tmp_path / "out"
+        proc = self._run("embed-simple", grid, "-o", str(out))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {grid}: more than 12945 congruences of 81 elements"
+                               " exceed the budget of 1048576 congruences times elements\n")
+        assert not out.exists()
+
+    def test_embed_simple_con_budget_is_the_most_entries_listed(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # Con of grid-3x3 has 16 congruences of 9 elements
+        monkeypatch.setattr(cli, "_CON_BUDGET", 16 * 9)
+        assert main(["embed-simple", "grid-3x3", "-o", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("output: 32 elements, 2 congruences\n")
+        monkeypatch.setattr(cli, "_CON_BUDGET", 16 * 9 - 1)
+        monkeypatch.setattr(cg.ConLattice, "as_lattice", None)
+        assert main(["embed-simple", "grid-3x3", "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: grid-3x3: more than 15 congruences of 9 elements exceed the budget"
+            " of 143 congruences times elements\n"))
+
     def test_hom_budget_admits_the_benchmark_pairs(self):
         # the duality workload's lattices, counted as ``brt`` counts, and
         # the A6 sweep's Con lattices, counted as ``--hom-index`` counts
@@ -863,6 +887,18 @@ def test_lattices_built_only_through_their_builders():
             if name in builders:
                 found.append(f"{stem}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_every_budget_is_counted_by_one_gate():
+    # the search, congruence and hom budgets count through one helper,
+    # which alone calls core._count and compares
+    tree = ast.parse(Path(cli.__file__).read_text())
+    counting = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                for node in ast.walk(top) if getattr(node, "attr", None) == "_count"}
+    assert counting == {"_within"}
+    gated = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+             for node in ast.walk(top) if getattr(node, "id", None) == "_within"}
+    assert gated == {"_hom_count", "_con_listable", "cmd_check_ideal"}
 
 
 def test_hom_slots_stay_in_birkhoff():

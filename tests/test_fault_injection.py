@@ -38,13 +38,13 @@ def test_broken_pair_scan_that_finds_none_is_a_postcondition(monkeypatch):
 
 def test_con_lattice_renumbered_by_its_build_is_a_postcondition(monkeypatch):
     con = cg.congruence_lattice(catalog.s7().lattice)
-    real = core.make_lattice_with_map
+    real = core._trusted_lattice
 
-    def swapped(n, *rows):
-        lat, renum = real(n, *rows)
+    def swapped(*rows):
+        lat, renum = real(*rows)
         return lat, tuple(reversed(renum))
 
-    monkeypatch.setattr(core, "make_lattice_with_map", swapped)
+    monkeypatch.setattr(core, "_trusted_lattice", swapped)
     with pytest.raises(PostconditionFailed, match="^canonical congruence order is not a linear"):
         con.as_lattice()
 

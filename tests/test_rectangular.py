@@ -454,13 +454,14 @@ def _count_builds(monkeypatch):
     return builds
 
 
-# (constructor, build, size, entry): the planar constructors build through
-# the trusted entry, the generic transformations through the checked one
+# (constructor, build, size, entry): the planar constructors and the
+# product build through the trusted entry, a sublattice, whose element set
+# comes from the caller, through the checked one
 ONE_BUILD = [
     ("grid_with_eyes", lambda: rl.grid_with_eyes(3, 3, [(0, 0), (1, 1)]), 11, "_trusted_lattice"),
     ("sublattice", lambda: core.sublattice(G33.lattice, [4, 3, 1, 0]), 4, "make_lattice_with_map"),
     ("insert_eye", lambda: rl.insert_eye(FORK, rl.cells(FORK)[1]), 8, "_trusted_lattice"),
-    ("direct_product", lambda: core.direct_product(FORK.lattice, C2), 14, "make_lattice_with_map"),
+    ("direct_product", lambda: core.direct_product(FORK.lattice, C2), 14, "_trusted_lattice"),
 ]
 
 

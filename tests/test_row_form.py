@@ -5,9 +5,9 @@ The cover-pair form, ``covers`` with full ``upper_order`` and
 ``lower_order`` mappings, is the oracle.  For the same rows both forms must
 build an equal lattice, with the same masks and the same renumbering map,
 and must fail with the same error class and text.  The rows are those the
-planar constructors hand over, and the upper rows alone that
-``ConLattice.as_lattice`` hands over, as they hand them over and under
-seeded random relabellings, so that the renumbering runs."""
+library's constructors hand over, and the upper rows alone of each
+numbered Con L, as the constructors hand them over and under seeded random
+relabellings, so that the renumbering runs."""
 
 import random
 import re
@@ -54,10 +54,10 @@ def recorded():
     """Every row-form build and every trusted build, as ``(n, upper,
     lower)`` lists, made by ``search_rectangular(16)``, the catalogs, the
     A6 filter representations with their triple gluings and verification,
-    the numbered Con L of the searched lattices, sublattice copies taken in
-    and against a linear extension, and direct products.  ``lower`` is None
-    where no lower rows were given.  Each trusted build is kept with its
-    result."""
+    the numbered Con L of the searched lattices, each also built in the row
+    form from its upper rows alone, sublattice copies taken in and against
+    a linear extension, and direct products.  ``lower`` is None where no
+    lower rows were given.  Each trusted build is kept with its result."""
     calls, trusted = [], []
     make, build = core.make_lattice_with_map, core._trusted_lattice
 
@@ -78,7 +78,10 @@ def recorded():
         mp.setattr(core, "make_lattice_with_map", record)
         mp.setattr(core, "_trusted_lattice", record_trusted)
         for _, R in catalog.search_rectangular(16):
-            cg.congruence_lattice(R.lattice).as_lattice()
+            con = cg.congruence_lattice(R.lattice)
+            con.as_lattice()
+            rows = con._build().rows
+            core.make_lattice_with_map(len(rows), None, rows)
         catalog.congruence_catalog()
         rect = catalog.rect_catalog()
         for f in ("grid-2x2", "m3", "s7"):
@@ -121,8 +124,8 @@ def test_recorded_builds_cover_the_constructors(recorded):
     renumbered = [r for r in planar_rows if _row_form(*r)[1] != tuple(range(r[0]))]
     assert renumbered  # grid_with_eyes appends its eyes out of order
     assert sum(lower is None for _, _, lower in planar_rows) >= 117  # Con L, upper rows only
-    # the grids, eyes and gluings build through the trusted entry
-    assert len(trusted) > 200
+    # the grids, eyes, gluings, products and Con L build through the trusted entry
+    assert len(trusted) > 200 + 117
     assert any(out[1] != tuple(range(rows[0])) for rows, out in trusted)
 
 
@@ -149,6 +152,18 @@ def test_row_form_matches_pair_form_relabelled(planar_rows, seed):
         perm = rng.sample(range(n), n)
         moved += _assert_same_build(*_relabelled(n, upper, lower, perm)) != tuple(range(n))
     assert moved > len(planar_rows) // 2
+
+
+def test_full_lower_rows_build_as_the_equal_mapping(planar_rows):
+    """A sequence of one lower row per element and the mapping from each
+    position to the same row give the same lattice and renumbering."""
+    full = [(n, upper, lower) for n, upper, lower in planar_rows if lower is not None]
+    assert len(full) > 300
+    for n, upper, lower in full:
+        K, k_map = core.make_lattice_with_map(n, None, upper, lower)
+        P, p_map = core.make_lattice_with_map(n, None, upper, dict(enumerate(lower)))
+        assert (K._upper, K._lower, K._up, K._down, k_map) == (
+            P._upper, P._lower, P._up, P._down, p_map)
 
 
 def test_row_form_accepts_integer_types_and_any_rows():

@@ -1,10 +1,18 @@
-"""Who reaches ``core._trusted_lattice``, found with ``ast`` and by running.
+"""Who reaches the trusted entries of ``core``, found with ``ast`` and by
+running.
 
-The trusted entry numbers and closes cover rows with none of the checks of
-``make_lattice_with_map``, so only constructors whose rows are a lattice's
-by theorem may call it: ``grid_with_eyes``, ``insert_eye`` and
-``_assemble`` (so ``glue`` and ``triple_glue``).  The modules that read
-outside input, ``jsonio`` and ``cli``, build through the checked entry.
+``core._trusted_lattice`` numbers and closes cover rows with none of the
+checks of ``make_lattice_with_map``, and ``core._poset_of_up_sets`` reads a
+poset off up-set masks with none of the checks of ``Poset``.  So only code
+whose rows or masks are a lattice's or an order's by theorem may call
+them: the planar constructors ``grid_with_eyes``, ``insert_eye`` and
+``_assemble`` (so ``glue`` and ``triple_glue``), ``direct_product`` and
+``ConLattice.as_lattice`` the one, ``join_irreducibles`` and
+``congruence``'s order of the colors the other.  The modules that read
+outside input, ``jsonio`` and ``cli``, reference neither.  The checked
+entry is reached only where the element set or the rows come from outside
+the library: ``jsonio``, the catalog's literal constructors, ``chain`` and
+``sublattice``; and no module of the package constructs a ``Poset``.
 """
 
 import ast
@@ -14,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from latcon import catalog, core
+from latcon import congruence as cg
 from latcon import jsonio as jio
 from latcon import rectangular as rl
 from latcon.cli import main
@@ -21,46 +30,93 @@ from latcon.errors import LatconError
 
 PACKAGE = Path(core.__file__).resolve().parent
 TRUSTED = "_trusted_lattice"
+POSET_READER = "_poset_of_up_sets"
+
+# each trusted entry and the (module, function) pairs that may call it
+ALLOWED = {
+    TRUSTED: {("rectangular", "grid_with_eyes"), ("rectangular", "insert_eye"),
+              ("rectangular", "_assemble"), ("core", "direct_product"),
+              ("congruence", "ConLattice.as_lattice")},
+    POSET_READER: {("core", "join_irreducibles"), ("congruence", "_color_poset")},
+}
+
+# the callers of the checked entry, through ``make_lattice`` or directly
+CHECKED_CALLERS = {("jsonio", "lattice_from_obj_with_map"), ("catalog", "s7"),
+                   ("catalog", "n5"), ("catalog", "diamond"), ("core", "chain"),
+                   ("core", "sublattice")}
 
 
 def _modules():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _mentions(node, name):
+    return any((isinstance(sub, ast.Name) and sub.id == name)
+               or (isinstance(sub, ast.Attribute) and sub.attr == name)
+               for sub in ast.walk(node))
+
+
 def _referencing_functions(tree, name):
-    """The names of the outermost functions of ``tree`` that mention
-    ``name`` as a bare name or an attribute; ``<module>`` for a mention at
-    the top level."""
+    """The names of the functions of ``tree`` that mention ``name`` as a
+    bare name or an attribute: an outermost function by its name, a
+    method as ``Class.method``, and ``<module>`` for a mention at the top
+    level or in a class body outside its methods."""
     out = set()
     for node in tree.body:
-        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-        for sub in ast.walk(node):
-            if (isinstance(sub, ast.Name) and sub.id == name) or (
-                    isinstance(sub, ast.Attribute) and sub.attr == name):
-                out.add(where)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    if _mentions(item, name):
+                        out.add(f"{node.name}.{item.name}")
+                elif _mentions(item, name):
+                    out.add("<module>")
+        elif _mentions(node, name):
+            out.add(node.name if isinstance(node, ast.FunctionDef) else "<module>")
     return out
 
 
-def test_only_the_planar_constructors_reference_the_trusted_entry():
-    found = {(module, f) for module, tree in _modules().items()
-             for f in _referencing_functions(tree, TRUSTED)}
-    assert found == {("rectangular", "grid_with_eyes"), ("rectangular", "insert_eye"),
-                     ("rectangular", "_assemble")}
+def _callers(name):
+    return {(module, f) for module, tree in _modules().items()
+            for f in _referencing_functions(tree, name)}
+
+
+@pytest.mark.parametrize("entry", sorted(ALLOWED))
+def test_each_trusted_entry_has_its_allowed_callers(entry):
+    assert _callers(entry) == ALLOWED[entry]
 
 
 def test_input_readers_build_through_the_checked_entry():
     modules = _modules()
     for module in ("jsonio", "cli"):
-        for name in (TRUSTED, "grid_with_eyes", "insert_eye", "_assemble", "glue"):
+        for name in (*ALLOWED, "grid_with_eyes", "insert_eye", "_assemble", "glue"):
             assert not _referencing_functions(modules[module], name), (module, name)
     assert "lattice_from_obj_with_map" in _referencing_functions(
         modules["jsonio"], "make_lattice_with_map")
     assert "rect_from_obj" in _referencing_functions(modules["jsonio"], "make_rectangular")
 
 
+def test_the_checked_entry_has_its_listed_callers():
+    found = _callers("make_lattice_with_map") | _callers("make_lattice")
+    assert found - {("core", "make_lattice")} == CHECKED_CALLERS
+
+
+def _poset_calls(tree):
+    """The lines of ``tree`` that call ``Poset`` as a bare name or an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "Poset" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_no_module_constructs_a_poset():
+    assert {module: _poset_calls(tree) for module, tree in _modules().items()
+            if _poset_calls(tree)} == {}
+    assert _poset_calls(ast.parse("P = core.Poset(2, [])\nQ = Poset(1, [])\n")) == [1, 2]
+
+
 def test_the_guard_sees_a_reference():
-    tree = ast.parse("def f():\n    return core._trusted_lattice(u, l)\nx = _trusted_lattice\n")
-    assert _referencing_functions(tree, TRUSTED) == {"f", "<module>"}
+    tree = ast.parse("def f():\n    return core._trusted_lattice(u, l)\nx = _trusted_lattice\n"
+                     "class C:\n    y = _trusted_lattice\n    def g(self):\n"
+                     "        return _trusted_lattice\n")
+    assert _referencing_functions(tree, TRUSTED) == {"f", "<module>", "C.g"}
 
 
 @pytest.fixture
@@ -88,8 +144,10 @@ def test_a_bad_file_is_refused_by_the_checks(no_trusted_build):
                            "eyes": []})
 
 
-def test_the_planar_constructors_do_reach_it(no_trusted_build):
+def test_the_allowed_callers_do_reach_it(no_trusted_build):
+    con = cg.congruence_lattice(core.chain(3))
     for build in (lambda: rl.grid(2, 2), lambda: catalog.s7_eye(0),
-                  lambda: rl.glue(core.chain(2), core.chain(2), {1: 0})):
+                  lambda: rl.glue(core.chain(2), core.chain(2), {1: 0}),
+                  lambda: core.direct_product(core.chain(2), core.chain(2)), con.as_lattice):
         with pytest.raises(AssertionError, match="trusted entry was reached"):
             build()
