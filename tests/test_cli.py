@@ -743,6 +743,45 @@ class TestFrozenOutputBytes:
         assert got == want
 
 
+class TestFrozenRectangularBytes:
+    # sha256 of stdout and of every written file, taken while RectLattice
+    # still stored its four boundary chains and insert_eye and triple_glue
+    # read their results through make_rectangular: the search's fork-eye
+    # lattices come from insert_eye, the ideal pipelines' from triple_glue
+    DIGESTS = {
+        ("check-ideal", "--search", "--max-size", "24"): {
+            "stdout": "a8a47fc769825667b22fc41e8819ae6ad0bd2bb4ad117642673ec3a33b6a77f4",
+        },
+        ("check-ideal", "--search", "--max-size", "24", "--seed", "3"): {
+            "stdout": "df495f98a678c37bca07c471da402d37bc427a43dc48cdc29cff7a34f4028d9d",
+        },
+        ("brt", "con-s7", "c3xc3"): {
+            "stdout": "80c1f2e642273affb50e3ec73b458c72c68d7f9ab76a59dca28922a537b71327",
+        },
+        ("build-ideal", "s7", "grid-3x3", "--hom-index", "3"): {
+            "stdout": "f2ebdde8b693a49457be62cee2c1464eced5e3e0e7010d69e94bf52c9b70986c",
+            "report.json": "46448f8640eec0b4687bf2adec2f0694dce447d1e7268d0897cab62e50484447",
+            "result.json": "6e83001004da3cd96ec0266426503e9e02e46dd4f27c04c4b5b68dba40138717",
+        },
+        ("embed-simple", "grid-2x3"): {
+            "stdout": "017e513129643675cacc78bc4074b78a48e87644a939149b93dd742a2ac0e779",
+            "report.json": "8dafe73363adfbf843f623629d10587181200aa6e2bf37244e8e0ebb13665dd6",
+            "result.json": "fad2beffe8a6418c8f39248fa6fb1947dbf6b23a065763058c58286a29bc481d",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "argv", list(DIGESTS),
+        ids=["search", "search-seed-3", "brt", "build-ideal", "embed-simple"],
+    )
+    def test_digests(self, tmp_path, capsys, argv):
+        writes = argv[0] in ("build-ideal", "embed-simple")
+        assert main([*argv, *(["--out", str(tmp_path)] if writes else [])]) == 0
+        got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+        got.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in tmp_path.iterdir())
+        assert got == self.DIGESTS[argv]
+
+
 class TestFrozenConBytes:
     # sha256 of `latcon con NAME` stdout, written while Con L still kept
     # its join-irreducible congruences as Congruence objects
