@@ -20,9 +20,8 @@ a filter to an isomorphic ideal (G. Grätzer and E. Knapp, Acta Sci. Math.
 hands its rows to one call of ``core._trusted_lattice``, which numbers and
 closes them as ``core.make_lattice_with_map`` does in its row form, with
 none of the checks meant for outside input; no cover list or order
-mapping is built.  ``grid_with_eyes`` reads its corners, chains and eyes
-off the grid coordinates; ``insert_eye`` and ``triple_glue`` still pass
-their outputs through :func:`make_rectangular`.
+mapping is built.  Each states its result's corners and eyes, proved in
+its docstring; :func:`make_rectangular` checks only lattices from outside.
 """
 
 from __future__ import annotations
@@ -52,25 +51,24 @@ from .errors import (
 
 
 class RectLattice:
-    """A validated rectangular lattice with its boundary data.
+    """A rectangular lattice: its ``lattice``, its corners ``lc`` and ``rc``
+    and its ``eyes``, ascending.
 
-    ``lower_left``/``upper_left`` run 0..lc..1 and ``lower_right``/
-    ``upper_right`` run 0..rc..1, all bottom-up.  ``bl``, ``tl``, ``br``,
+    Nothing here is checked: :func:`make_rectangular` checks a lattice from
+    outside, and the constructors of this module build theirs by theorem.
+    The four boundary chains are read off the corners: ``lower_left`` and
+    ``upper_left`` are the down- and up-set of ``lc``, ``lower_right`` and
+    ``upper_right`` those of ``rc``.  Each is listed by ascending id, which
+    is bottom-up as ids form a linear extension.  ``bl``, ``tl``, ``br``,
     ``tr`` are the element counts of the four chains.
     """
 
-    __slots__ = ("lattice", "lc", "rc", "lower_left", "upper_left",
-                 "lower_right", "upper_right", "eyes", "_bce")
+    __slots__ = ("lattice", "lc", "rc", "eyes", "_bce")
 
-    def __init__(self, lattice, lc, rc, lower_left, upper_left,
-                 lower_right, upper_right, eyes):
+    def __init__(self, lattice, lc, rc, eyes):
         self.lattice = lattice
         self.lc = lc
         self.rc = rc
-        self.lower_left = lower_left
-        self.upper_left = upper_left
-        self.lower_right = lower_right
-        self.upper_right = upper_right
         self.eyes = eyes
         self._bce = None  # boundary-color-extension cache, set lazily
 
@@ -78,21 +76,14 @@ class RectLattice:
     def n(self) -> int:
         return self.lattice.n
 
-    @property
-    def bl(self) -> int:
-        return len(self.lower_left)
-
-    @property
-    def tl(self) -> int:
-        return len(self.upper_left)
-
-    @property
-    def br(self) -> int:
-        return len(self.lower_right)
-
-    @property
-    def tr(self) -> int:
-        return len(self.upper_right)
+    lower_left = property(lambda self: core._bits(self.lattice._down[self.lc]))
+    upper_left = property(lambda self: core._bits(self.lattice._up[self.lc]))
+    lower_right = property(lambda self: core._bits(self.lattice._down[self.rc]))
+    upper_right = property(lambda self: core._bits(self.lattice._up[self.rc]))
+    bl = property(lambda self: self.lattice._down[self.lc].bit_count())
+    tl = property(lambda self: self.lattice._up[self.lc].bit_count())
+    br = property(lambda self: self.lattice._down[self.rc].bit_count())
+    tr = property(lambda self: self.lattice._up[self.rc].bit_count())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RectLattice):
@@ -135,29 +126,30 @@ def _boundary_walk(L: FiniteLattice, last: bool) -> list[int]:
 
 
 def make_rectangular(L: FiniteLattice) -> RectLattice:
-    """Validate a planar-ordered lattice as rectangular.
+    """Validate a planar-ordered lattice from outside as rectangular.
 
     The boundary walks follow the first (left) or last (right) upper cover
     from bottom to top; each walk must carry exactly one doubly irreducible
     element strictly inside it (the corner), the corners must be distinct
     complements, and the corner down-/up-sets must be exactly the walk
-    segments (hence chains).
+    segments (hence chains).  The eyes are the doubly irreducible elements
+    off both walks.  Each walk element costs one mask test, and an error
+    text names at most ten candidates (:func:`core._listed`).
     """
     if not core.is_semimodular(L):
         raise NotSemimodular("lattice is not semimodular")
 
-    doubly = [x for x in range(L.n) if len(L._lower[x]) == 1 == len(L._upper[x])]
+    doubly = sum(1 << x for x in range(L.n) if len(L._lower[x]) == 1 == len(L._upper[x]))
     corners = []
     walks = []
     for side, last in (("left", False), ("right", True)):
         walk = _boundary_walk(L, last)
-        cand = [x for x in walk[1:-1] if x in doubly]
+        cand = [x for x in walk[1:-1] if doubly >> x & 1]
         if not cand:
             raise NoCorner(f"no doubly irreducible element on the {side} boundary walk")
         if len(cand) > 1:
-            raise AmbiguousCorner(
-                f"multiple doubly irreducible elements {cand} on the {side} boundary walk"
-            )
+            raise AmbiguousCorner(f"multiple doubly irreducible elements"
+                                  f" {core._listed(cand)} on the {side} boundary walk")
         corners.append(cand[0])
         walks.append(walk)
     lc, rc = corners
@@ -168,24 +160,19 @@ def make_rectangular(L: FiniteLattice) -> RectLattice:
             f"corners {lc} and {rc} are not complementary"
         )
 
-    chains = []
+    on_walks = 0
     for corner, walk, side in ((lc, walks[0], "left"), (rc, walks[1], "right")):
         i = walk.index(corner)
-        low, high = walk[: i + 1], walk[i:]
-        if L.down_mask(corner).bit_count() != len(low):
+        if L._down[corner].bit_count() != i + 1:
             raise BoundaryNotChain(
                 f"elements below the {side} corner do not form its walk segment"
             )
-        if L.up_mask(corner).bit_count() != len(high):
+        if L._up[corner].bit_count() != len(walk) - i:
             raise BoundaryNotChain(
                 f"elements above the {side} corner do not form its walk segment"
             )
-        chains.append((tuple(low), tuple(high)))
-    (ll, ul), (lr, ur) = chains
-
-    on_boundary = set(walks[0]) | set(walks[1])
-    eyes = tuple(x for x in doubly if x not in on_boundary)
-    return RectLattice(L, lc, rc, ll, ul, lr, ur, eyes)
+        on_walks |= sum(1 << x for x in walk)
+    return RectLattice(L, lc, rc, core._bits(doubly & ~on_walks))
 
 
 def grid_with_eyes(
@@ -200,11 +187,10 @@ def grid_with_eyes(
     a coordinate that is no integer :class:`ElementOutOfRange`.
 
     Grid point (a, b) has temporary id ``a*n + b`` and the eyes follow.
-    The result is rectangular with the corners and chains of the grid, read
-    off the coordinates with no :func:`make_rectangular`: ``lc`` is
-    (m-1, 0) and ``rc`` is (0, n-1), the only grid points with one lower
-    and one upper cover, and the four boundary chains are the grid's.  An
-    eye covers the bottom of its cell and is covered by its top, which
+    The result is rectangular with the corners of the grid, read off the
+    coordinates with no :func:`make_rectangular`: ``lc`` is (m-1, 0) and
+    ``rc`` is (0, n-1), the only grid points with one lower and one upper
+    cover.  An eye covers the bottom of its cell and is covered by its top, which
     keeps the order a lattice (a new element ``e`` of a height-2 interval
     ``[b, t]`` joins to ``e`` what lies below ``b`` and to ``t \\/ x`` any
     other ``x``, and dually), keeps it semimodular (``e`` and another upper
@@ -240,11 +226,7 @@ def grid_with_eyes(
 
     lat, renum = core._trusted_lattice(upper, lower)
     eye_of = {cell: renum[e] for cell, e in temp_eye.items()}
-    lc, rc = (m - 1) * n, n - 1
-    R = RectLattice(lat, renum[lc], renum[rc],
-                    tuple(renum[a * n] for a in range(m)), tuple(renum[lc + b] for b in range(n)),
-                    tuple(renum[:n]), tuple(renum[rc + a * n] for a in range(m)),
-                    tuple(sorted(eye_of.values())))
+    R = RectLattice(lat, renum[(m - 1) * n], renum[n - 1], tuple(sorted(eye_of.values())))
     return R, eye_of
 
 
@@ -299,13 +281,32 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
     The new element goes immediately right of the leftmost existing middle
     (or of the left side when the cell has none), keeping output
     deterministic.
+
+    The result is rectangular with R's corners, renumbered, and its eyes
+    are R's and the new one; no :func:`make_rectangular` runs.  The new
+    element ``e`` is doubly irreducible, so it is no meet or join of two
+    others and theirs stay as they were.  R is planar and semimodular, so
+    every upper cover of the cell's bottom lies in the cell (three with
+    distinct pairwise joins would generate the cube, which is not planar):
+    ``e`` and any of them join to the top, which covers both, so the result
+    is semimodular.  Only the bottom and the top gain a cover, and each
+    already had two on that side, the left and the right, so no other
+    element becomes doubly irreducible.  ``e`` sits strictly between the
+    left and the right in both rows, so the first and last upper covers,
+    hence the boundary walks and their corners, stay, and ``e`` is off both
+    walks.  The top has two lower covers and the bottom two upper ones,
+    where an element of a corner's down-set, respectively up-set, a chain,
+    has one; so the top is below no corner and the bottom above none, and
+    the corners' chains, which ``e`` could join only through them, stay.
     """
     if cell not in cells(R):
         raise NotACell(f"{cell} is not a cell of this lattice")
     upper, lower = list(R.lattice._upper), list(R.lattice._lower)
-    _add_eye(upper, lower, cell.bottom, cell.top, cell.middles[0] if cell.middles else cell.left)
-    lat, _ = core._trusted_lattice(upper, lower)
-    return make_rectangular(lat)
+    eye = _add_eye(upper, lower, cell.bottom, cell.top,
+                   cell.middles[0] if cell.middles else cell.left)
+    lat, renum = core._trusted_lattice(upper, lower)
+    return RectLattice(lat, renum[R.lc], renum[R.rc],
+                       tuple(sorted(renum[e] for e in (*R.eyes, eye))))
 
 
 class GluedLattice:
@@ -453,6 +454,26 @@ def triple_glue(
     The result is built in one pass: B keeps its ids, then come the new
     elements of the left flap, the right flap and the top, each ascending
     (the numbering of gluing B + Lf and Rf + T, then the second on the first).
+
+    Its corners are ``lf_map[Lf.lc]`` and ``rf_map[Rf.rc]`` and its eyes
+    the four pieces' eyes under the maps; no :func:`make_rectangular` runs.
+    In a rectangular piece, an element of an upper chain other than the
+    corner has two lower covers: the top covers one element of each upper
+    chain, and any other has one upper cover and is no corner, so it is not
+    doubly irreducible.  Dually each element of a lower chain other than
+    the corner has two upper covers.  Each tie identifies an upper chain of
+    a lower piece with a lower chain of an upper piece, bottom to bottom.
+    A shared element ``x`` takes its lower covers from its lowest piece P,
+    where it is on an upper chain, and its upper covers from its highest.
+    If ``x`` is not P's corner, it has two lower covers.  If it is, it is
+    the bottom of a piece Q above, on no upper chain of Q, so Q is its
+    highest piece and gives it two upper covers.  So no shared element is
+    doubly irreducible, and every other element keeps its piece's covers:
+    the doubly irreducible elements are the pieces' eyes, which lie on no
+    chain, and the two corners on no tied chain, ``Lf.lc`` and ``Rf.rc``.
+    The left boundary walk runs up B's to ``B.lc``, the left flap's bottom,
+    and on up the left flap's, so it holds ``Lf.lc``; dually the right walk
+    holds ``Rf.rc``.  So these are the corners, and the eyes are the rest.
     """
     for name, got, want in (
         ("upper-right of left flap vs lower-left of top", Lf.tr, T.bl),
@@ -477,8 +498,7 @@ def triple_glue(
         raise PostconditionFailed(
             "the bottom is not the ideal below c or the top not the filter above c"
         )
-    R = make_rectangular(L)
-    if (R.lc, R.rc) != (lf_map[Lf.lc], rf_map[Rf.rc]):
-        raise PostconditionFailed("the corners of the result are not those of the flaps")
-
+    eyes = sorted(emap[e] for P, emap in ((B, b_map), (Lf, lf_map), (Rf, rf_map), (T, t_map))
+                  for e in P.eyes)
+    R = RectLattice(L, lf_map[Lf.lc], rf_map[Rf.rc], tuple(eyes))
     return R, TripleGluingAssembly(T, B, Lf, Rf, c, R, t_map, b_map, lf_map, rf_map)

@@ -34,8 +34,8 @@ on every bounded poset of :func:`bounded_posets`;
 :func:`reference_d_rows`, Freese's D rows from every witness;
 :func:`reference_d_star`, D closed by Warshall's pass;
 :func:`reference_ji_order`, the order of the colors as a checked ``Poset``;
-:func:`check_grid`, an eyed grid's corners, chains and eyes against
-``make_rectangular``;
+:func:`check_grid`, the corners, chains and eyes of any ``RectLattice``
+the library builds against ``make_rectangular``;
 :func:`reference_is_semimodular`, Birkhoff's condition on cover masks;
 :func:`reference_induced_copy`, the verifier's own rebuild of an embedded
 copy from the ambient covers; :func:`reference_carries`, whether an
@@ -480,19 +480,21 @@ def reference_ji_order(con):
     return core.Poset(P.n, P.covers())
 
 
-GRID_FIELDS = ("lc", "rc", "lower_left", "upper_left", "lower_right", "upper_right", "eyes")
+RECT_FIELDS = ("lc", "rc", "lower_left", "upper_left", "lower_right", "upper_right",
+               "bl", "tl", "br", "tr", "eyes")
 
 
-def check_grid(R, eye_of):
-    """Raise :class:`PostconditionFailed` unless the eyed grid R, with its
-    map ``eye_of`` from cells to eyes, has the corners, the four chains and
-    the eyes that ``make_rectangular`` recognizes in its lattice, and the
-    eyes are the values of ``eye_of``.  Raises also under ``python -O``."""
+def check_grid(R, eye_of=None):
+    """Raise :class:`PostconditionFailed` unless the rectangular lattice R
+    has the corners, the four chains, their lengths and the eyes that
+    ``make_rectangular`` recognizes in its lattice, and, for an eyed grid
+    with its map ``eye_of`` from cells to eyes, the eyes are the values of
+    ``eye_of``.  Raises also under ``python -O``."""
     S = rl.make_rectangular(R.lattice)
-    for field in GRID_FIELDS:
+    for field in RECT_FIELDS:
         if getattr(R, field) != getattr(S, field):
-            raise PostconditionFailed(f"{field} of the grid is not make_rectangular's")
-    if sorted(eye_of.values()) != list(S.eyes):
+            raise PostconditionFailed(f"{field} of the rectangular lattice is not make_rectangular's")
+    if eye_of is not None and sorted(eye_of.values()) != list(S.eyes):
         raise PostconditionFailed("the inserted eyes are not the eyes of the grid")
 
 
@@ -513,21 +515,28 @@ def reference_is_semimodular(L):
     return True
 
 
+def catalog_homs(names):
+    """``(F, G, phi)`` for every bounded hom ``phi: Con F -> Con G`` among
+    the rectangular catalog lattices ``names``, freshly built, in the order
+    of the pairs and then of ``enumerate_bounded_homs``."""
+    rect = catalog.rect_catalog()
+    out = []
+    for f in names:
+        for g in names:
+            F, G = rect[f], rect[g]
+            D = cg.congruence_lattice(F.lattice).as_lattice()
+            E = cg.congruence_lattice(G.lattice).as_lattice()
+            out += [(F, G, phi) for phi in bk.enumerate_bounded_homs(D, E)]
+    return out
+
+
 @functools.cache
 def a6_outputs():
     """The output lattices of the 34 filter representations of the A6
     sweep, every bounded hom among Con of grid-2x2, m3 and s7; up to 65
     elements."""
-    rect = catalog.rect_catalog()
-    out = []
-    for f in ("grid-2x2", "m3", "s7"):
-        for g in ("grid-2x2", "m3", "s7"):
-            F, G = rect[f], rect[g]
-            D = cg.congruence_lattice(F.lattice).as_lattice()
-            E = cg.congruence_lattice(G.lattice).as_lattice()
-            for phi in bk.enumerate_bounded_homs(D, E):
-                out.append(cn.filter_representation(F, G, phi)[0].lattice)
-    return tuple(out)
+    return tuple(cn.filter_representation(*job)[0].lattice
+                 for job in catalog_homs(("grid-2x2", "m3", "s7")))
 
 
 @functools.cache

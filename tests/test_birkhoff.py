@@ -321,6 +321,26 @@ class TestBrtReport:
                 total += 1
         assert total == 2_909
 
+    def test_witness_when_injective_is_not_dual_onto(self, monkeypatch):
+        # c2xc2 -> c2 folding the square: not injective, and its dual map
+        # not onto, until the hom is made to read as injective
+        phi = bk.make_bounded_hom(C2SQ, C2, (0, 1, 0, 1))
+        monkeypatch.setattr(bk.BoundedHom, "_injective_onto", lambda self: (True, True))
+        rep = bk.brt_report(phi)
+        assert rep == (True, True, False, True, True,
+                       "injective=True but dual map onto=False")
+        assert not rep.ok
+
+    def test_witness_when_onto_is_not_dual_embedding(self, monkeypatch):
+        # the same hom is onto, and its dual map an order embedding, until
+        # the dual map is made to lose an up-set
+        phi = bk.make_bounded_hom(C2SQ, C2, (0, 1, 0, 1))
+        monkeypatch.setattr(bk.IsotoneMap, "_keeps_up_sizes", lambda self: False)
+        rep = bk.brt_report(phi)
+        assert rep == (True, False, False, True, False,
+                       "onto=True but dual map order-embedding=False")
+        assert not rep.ok
+
     def test_properties_see_each_broken_statement(self):
         assert not bk.BrtReport(False, True, True, True, True).ok
         rep = bk.BrtReport(True, True, False, True, True)

@@ -39,6 +39,7 @@ def test_acceptance_gate_passes_under_optimize():
     verdicts = [line.partition(" — ")[0] for line in proc.stdout.splitlines()
                 if line.startswith("A") and " — " in line]
     assert verdicts == [f"A{k}: PASS" for k in range(1, 10)]
+    assert "9 passed" in proc.stdout
 
 
 def test_fault_injection_passes_under_optimize():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -79,6 +80,25 @@ class TestMakeRectangular:
     def test_rejects_cube(self):
         with pytest.raises(NoCorner):
             rl.make_rectangular(catalog.get("cube"))
+
+    def test_names_ten_candidates_as_a_list(self):
+        with pytest.raises(AmbiguousCorner) as err:
+            rl.make_rectangular(core.chain(12))
+        assert str(err.value) == (
+            "multiple doubly irreducible elements [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"
+            " on the left boundary walk")
+
+    def test_long_chain_fails_fast_with_a_short_text(self):
+        # one mask test per walk element, and at most ten candidates named:
+        # 0.35-0.57 s and a 48,096-character text when each test scanned a list
+        L = core.chain(8192)
+        start = time.perf_counter()
+        with pytest.raises(AmbiguousCorner) as err:
+            rl.make_rectangular(L)
+        assert time.perf_counter() - start < 0.1
+        assert str(err.value) == (
+            "multiple doubly irreducible elements [1, 2, 3, 4, 5, 6, 7, 8, 9, 10,"
+            " … (8180 more)] on the left boundary walk")
 
     def test_rejects_non_semimodular(self):
         with pytest.raises(NotSemimodular):
@@ -477,7 +497,7 @@ def test_one_build_per_planar_constructor(monkeypatch, build, size, entry):
 
 
 class TestGridFromCoordinates:
-    """``grid_with_eyes`` reads its corners, chains and eyes off the grid
+    """``grid_with_eyes`` reads its corners and eyes off the grid
     coordinates; ``make_rectangular`` of its lattice is the oracle."""
 
     def test_every_grid_up_to_five_with_two_eyes(self):
@@ -509,21 +529,72 @@ class TestGridFromCoordinates:
         helpers.check_grid(R, eye_of)
 
 
+def _never_recognized(monkeypatch):
+    """Make ``make_rectangular`` raise, and record every ``RectLattice``
+    that ``grid_with_eyes`` and ``triple_glue`` return from now on."""
+    def refuse(L):
+        raise AssertionError("a library constructor ran make_rectangular")
+
+    def recorded(real):
+        def build(*args):
+            out = real(*args)
+            built.append(out[0])
+            return out
+        return build
+
+    built = []
+    for name in ("grid_with_eyes", "triple_glue"):
+        monkeypatch.setattr(rl, name, recorded(getattr(rl, name)))
+    monkeypatch.setattr(rl, "make_rectangular", refuse)
+    return built
+
+
+class TestStatedCornersAndEyes:
+    """``grid_with_eyes``, ``insert_eye`` and ``triple_glue`` state their
+    corners and eyes and never run ``make_rectangular``, which is the
+    oracle (:func:`helpers.check_grid`) on what they build."""
+
+    def test_filter_sweep(self, monkeypatch):
+        jobs = helpers.catalog_homs(("grid-2x2", "m3", "s7"))
+        assert len(jobs) == 34
+        built = _never_recognized(monkeypatch)
+        for job in jobs:
+            cn.filter_representation(*job)
+        monkeypatch.undo()
+        assert len(built) > 3 * 34
+        for R in built:
+            helpers.check_grid(R)
+
+    def test_ideal_representations(self, monkeypatch):
+        jobs = helpers.catalog_homs(("grid-2x3", "grid-3x3", "m4"))
+        assert len(jobs) == 438
+        built = _never_recognized(monkeypatch)
+        for job in jobs:
+            cn.ideal_representation(*job)
+        monkeypatch.undo()
+        assert len(built) > 3 * 438
+        for R in built:
+            helpers.check_grid(R)
+
+    def test_insert_eye_in_every_cell_of_the_search(self, monkeypatch):
+        found = [R for _, R in catalog.search_rectangular(14)]
+        _never_recognized(monkeypatch)
+        built = [(R, rl.insert_eye(R, cell)) for R in found for cell in rl.cells(R)]
+        monkeypatch.undo()
+        assert len(built) == 343
+        for R, E in built:
+            helpers.check_grid(E)
+            assert (E.n, len(E.eyes)) == (R.n + 1, len(R.eyes) + 1)
+
+
 def _without_eyes(R):
     """R with its list of eyes emptied, as a faulty recognizer returns it."""
-    return rl.RectLattice(R.lattice, R.lc, R.rc, R.lower_left, R.upper_left,
-                          R.lower_right, R.upper_right, ())
+    return rl.RectLattice(R.lattice, R.lc, R.rc, ())
 
 
 def _top_alone(L, *args):
     """Everything but the top in one class: no congruence of a glued grid."""
     return cg.Congruence(L, [0] * (L.n - 1) + [1])
-
-
-def _mirrored(R):
-    """R read right to left: the corners and their chains swapped."""
-    return rl.RectLattice(R.lattice, R.rc, R.lc, R.lower_right, R.upper_right,
-                          R.lower_left, R.upper_left, R.eyes)
 
 
 class TestPostconditions:
@@ -537,7 +608,7 @@ class TestPostconditions:
         monkeypatch.setattr(rl, "RectLattice", lambda *args: real(*args[:-1], ()))
         R, eye_of = rl.grid_with_eyes(2, 2, [(0, 0)])
         monkeypatch.undo()
-        with pytest.raises(PostconditionFailed, match="^eyes of the grid"):
+        with pytest.raises(PostconditionFailed, match="^eyes of the rectangular lattice"):
             helpers.check_grid(R, eye_of)
 
     def test_cell_middles_are_eyes(self):
@@ -561,12 +632,15 @@ class TestPostconditions:
         with pytest.raises(PostconditionFailed, match="not the ideal below c"):
             rl.triple_glue(g22, g22, g22, g22)
 
-    def test_flap_corners_are_the_corners(self, monkeypatch):
-        g22 = rl.grid(2, 2)
-        make = rl.make_rectangular
-        monkeypatch.setattr(rl, "make_rectangular", lambda L: _mirrored(make(L)))
-        with pytest.raises(PostconditionFailed, match="corners of the result"):
-            rl.triple_glue(g22, g22, g22, g22)
+    def test_glued_corners_are_make_rectangulars(self, monkeypatch):
+        # a gluing that swaps its corners is built without complaint, and
+        # the oracle against make_rectangular catches it
+        g22, real = rl.grid(2, 2), rl.RectLattice
+        monkeypatch.setattr(rl, "RectLattice", lambda L, lc, rc, eyes: real(L, rc, lc, eyes))
+        R, _ = rl.triple_glue(g22, g22, g22, g22)
+        monkeypatch.undo()
+        with pytest.raises(PostconditionFailed, match="^lc of the rectangular lattice"):
+            helpers.check_grid(R)
 
     def test_triple_extension_is_a_congruence(self, monkeypatch):
         asm = lemmas.assemblies()["four-grids"]
@@ -598,11 +672,12 @@ class TestPostconditions:
             "rl._assemble = lambda n, pieces: core.chain(n)\n"
             "rl.triple_glue(g22, g22, g22, g22)\n"
         ),
-        "flap-corners": (
-            "g22 = rl.grid(2, 2)\n"
-            "make = rl.make_rectangular\n"
-            "rl.make_rectangular = lambda L: mirrored(make(L))\n"
-            "rl.triple_glue(g22, g22, g22, g22)\n"
+        "glued-corners": (
+            "g22, real = rl.grid(2, 2), rl.RectLattice\n"
+            "rl.RectLattice = lambda L, lc, rc, eyes: real(L, rc, lc, eyes)\n"
+            "R = rl.triple_glue(g22, g22, g22, g22)[0]\n"
+            "rl.RectLattice = real\n"
+            "helpers.check_grid(R)\n"
         ),
         "triple-extension": (
             "asm = lemmas.assemblies()['four-grids']\n"
@@ -622,13 +697,9 @@ class TestPostconditions:
             "from latcon.errors import PostconditionFailed\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "def without_eyes(R):\n"
-            "    return rl.RectLattice(R.lattice, R.lc, R.rc, R.lower_left, R.upper_left,\n"
-            "                          R.lower_right, R.upper_right, ())\n"
+            "    return rl.RectLattice(R.lattice, R.lc, R.rc, ())\n"
             "def delta(L):\n"
             "    return cg.Congruence(L, range(L.n))\n"
-            "def mirrored(R):\n"
-            "    return rl.RectLattice(R.lattice, R.rc, R.lc, R.lower_right, R.upper_right,\n"
-            "                          R.lower_left, R.upper_left, R.eyes)\n"
             "try:\n"
             + "".join("    " + line + "\n" for line in self.UNDER_OPTIMIZE[fault].splitlines())
             + "except PostconditionFailed:\n"

@@ -13,6 +13,8 @@ outside input, ``jsonio`` and ``cli``, reference neither.  The checked
 entry is reached only where the element set or the rows come from outside
 the library: ``jsonio``, the catalog's literal constructors, ``chain`` and
 ``sublattice``; and no module of the package constructs a ``Poset``.
+Likewise only a lattice from outside goes through ``make_rectangular``:
+files, catalog names and the literal diamonds and fork.
 """
 
 import ast
@@ -44,6 +46,12 @@ ALLOWED = {
 CHECKED_CALLERS = {("jsonio", "lattice_from_obj_with_map"), ("catalog", "s7"),
                    ("catalog", "n5"), ("catalog", "diamond"), ("core", "chain"),
                    ("core", "sublattice")}
+
+
+# the callers of the rectangular recognizer: a file, a catalog name, and
+# the two literal rectangular lattices of the catalog
+RECOGNIZER_CALLERS = {("jsonio", "rect_from_obj"), ("cli", "_catalog_rect"),
+                      ("catalog", "diamond"), ("catalog", "s7")}
 
 
 def _modules():
@@ -98,6 +106,11 @@ def test_input_readers_build_through_the_checked_entry():
 def test_the_checked_entry_has_its_listed_callers():
     found = _callers("make_lattice_with_map") | _callers("make_lattice")
     assert found - {("core", "make_lattice")} == CHECKED_CALLERS
+
+
+def test_the_recognizer_has_its_listed_callers():
+    # the constructors of ``rectangular`` state their corners and eyes
+    assert _callers("make_rectangular") == RECOGNIZER_CALLERS
 
 
 def _poset_calls(tree):

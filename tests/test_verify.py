@@ -304,18 +304,8 @@ def _sweep_jobs():
     """``(build, verify, F, G, phi)`` for the 34 items of the A6 filter sweep
     and a seeded 48 of the 438 ideal representations among grid-2x3,
     grid-3x3 and m4."""
-    rect = catalog.rect_catalog()
-
-    def homs(f, g):
-        F, G = rect[f], rect[g]
-        D = cg.congruence_lattice(F.lattice).as_lattice()
-        E = cg.congruence_lattice(G.lattice).as_lattice()
-        return [(F, G, phi) for phi in bk.enumerate_bounded_homs(D, E)]
-
-    sweep = ("grid-2x2", "m3", "s7")
-    filters = [job for f in sweep for g in sweep for job in homs(f, g)]
-    ideal = ("grid-2x3", "grid-3x3", "m4")
-    ideals = [job for f in ideal for g in ideal for job in homs(f, g)]
+    filters = helpers.catalog_homs(("grid-2x2", "m3", "s7"))
+    ideals = helpers.catalog_homs(("grid-2x3", "grid-3x3", "m4"))
     assert (len(filters), len(ideals)) == (34, 438)
     runs = [(cn.filter_representation, vf.verify_filter_representation, *job)
             for job in filters]
@@ -664,12 +654,20 @@ class TestLemmaSuite:
         assert "rect_ideal_corners_on_lower_chains" in names
 
 
-def _rect(R, **changed):
-    """A copy of R with some boundary fields replaced, validated by nothing."""
-    fields = {f: getattr(R, f) for f in (
-        "lattice", "lc", "rc", "lower_left", "upper_left", "lower_right", "upper_right", "eyes"
-    )}
-    return rl.RectLattice(**{**fields, **changed})
+class _UpperAsLower(rl.RectLattice):
+    """A RectLattice that reads its lower chains off the corners' up-sets,
+    as a faulty recognizer would."""
+
+    __slots__ = ()
+    lower_left = rl.RectLattice.upper_left
+    lower_right = rl.RectLattice.upper_right
+
+
+def _rect(R, cls=rl.RectLattice, **changed):
+    """A copy of R as a ``cls`` with some of its fields replaced, validated
+    by nothing."""
+    fields = {f: getattr(R, f) for f in ("lattice", "lc", "rc", "eyes")}
+    return cls(**{**fields, **changed})
 
 
 def _corners_at_top(monkeypatch):
@@ -705,11 +703,7 @@ FAILURES = {
         "ideal [0] with [[0]] on a 7-element lattice",
     ),
     "rect_ideal_corners_on_lower_chains": (
-        lambda mp: [_rect(
-            rl.grid(3, 3),
-            lower_left=rl.grid(3, 3).upper_left,
-            lower_right=rl.grid(3, 3).upper_right,
-        )],
+        lambda mp: [_rect(rl.grid(3, 3), cls=_UpperAsLower)],
         "ideal [0, 1, 3, 4] of a 9-element lattice has corners 3, 1 off the lower chains",
     ),
     "non_eye_corner_decomposition": (
