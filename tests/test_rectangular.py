@@ -554,25 +554,18 @@ class TestStatedCornersAndEyes:
     corners and eyes and never run ``make_rectangular``, which is the
     oracle (:func:`helpers.check_grid`) on what they build."""
 
-    def test_filter_sweep(self, monkeypatch):
-        jobs = helpers.catalog_homs(("grid-2x2", "m3", "s7"))
-        assert len(jobs) == 34
+    @pytest.mark.parametrize("represent, names, homs", [
+        (cn.filter_representation, ("grid-2x2", "m3", "s7"), 34),
+        (cn.ideal_representation, ("grid-2x3", "grid-3x3", "m4"), 438),
+    ], ids=["a6-filter-sweep", "ideal"])
+    def test_representations(self, monkeypatch, represent, names, homs):
+        jobs = helpers.catalog_homs(names)
+        assert len(jobs) == homs
         built = _never_recognized(monkeypatch)
         for job in jobs:
-            cn.filter_representation(*job)
+            represent(*job)
         monkeypatch.undo()
-        assert len(built) > 3 * 34
-        for R in built:
-            helpers.check_grid(R)
-
-    def test_ideal_representations(self, monkeypatch):
-        jobs = helpers.catalog_homs(("grid-2x3", "grid-3x3", "m4"))
-        assert len(jobs) == 438
-        built = _never_recognized(monkeypatch)
-        for job in jobs:
-            cn.ideal_representation(*job)
-        monkeypatch.undo()
-        assert len(built) > 3 * 438
+        assert len(built) > 3 * homs  # two flaps and a gluing per hom, and extensions
         for R in built:
             helpers.check_grid(R)
 
