@@ -782,6 +782,95 @@ class TestFrozenRectangularBytes:
         assert got == self.DIGESTS[argv]
 
 
+def _boolean(k):
+    """The Boolean lattice of 2^k elements."""
+    B = core.chain(2)
+    for _ in range(k - 1):
+        B = core.direct_product(B, core.chain(2))
+    return B
+
+
+class TestFrozenCommandBytes:
+    # sha256 of stdout and of every written file, and of stderr and the exit
+    # code of one refusal per bound, taken while the checked lattice entry
+    # still ran bulk pre-checks before its scans
+    DIGESTS = {
+        ("build-filter", "s7", "m3", "--hom-index", "1"): {
+            "stdout": "0fe70e380599a2501525f54abfa408171bedb6ff2e1693c8488afd72f6f2a7ae",
+            "report.json": "0e0be1957c65922a00215c16ec24055f95715175d219264b0fbfbeb13bbb8906",
+            "result.json": "5bb1b26dc3eb2d143631e7327ae9c960c2d364f57aee00286f8f3d5956780388",
+        },
+        ("check-ideal", "--search", "--max-size", "16"): {
+            "stdout": "dd0ff70351ce81a7d898e9345260b3932b910299382d6eaf4978f7fb068ad64b",
+        },
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS), ids=["build-filter", "search-16"])
+    def test_digests(self, tmp_path, capsys, argv):
+        writes = argv[0] == "build-filter"
+        assert main([*argv, *(["--out", str(tmp_path)] if writes else [])]) == 0
+        got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+        got.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in tmp_path.iterdir())
+        assert got == self.DIGESTS[argv]
+
+    # each input file, written into the working directory so that stderr,
+    # which names it, does not depend on where the test runs
+    FILES = {
+        "chain-1449.json": lambda: jio.lattice_to_obj(core.chain(1449)),
+        "chain-17.json": lambda: jio.lattice_to_obj(core.chain(17)),
+        "boolean-128.json": lambda: jio.lattice_to_obj(_boolean(7)),
+        "grid-9x9.json": lambda: jio.rect_to_obj(rl.grid(9, 9)),
+        "size-32769.json": lambda: {"size": 32769, "covers": []},
+    }
+    REFUSALS = {  # the bound: (argv, sha256 of stderr); each exits 2 with no stdout
+        "search candidates": (
+            ("check-ideal", "--search", "--max-size", "48"),
+            "089d6b5bf502ea09cf98021bd4b8a604b169291786e061d9703182ee7fa273da"),
+        "_CON_COST": (
+            ("con", "chain-1449.json"),
+            "eb66029bc4540d12c4ea5f58cb02f3d90e2974ea73f53fe0ffa739f8f8c3608b"),
+        "_CON_BUDGET": (
+            ("con", "chain-17.json"),
+            "72848398dac1813f6fbdf9a865f6d9b328418bdccb776af9129c15da973b3c56"),
+        "_HOM_BUDGET": (
+            ("brt", "boolean-128.json", "boolean-128.json"),
+            "b24eab6a99bd23c2f9839999180c9e609deef46ceefcc2785cb46e0bd86b4be2"),
+        "embed-simple": (
+            ("embed-simple", "grid-9x9.json", "-o", "out"),
+            "b54855d5eb9a9098982e57fcdf2776e90e5c6743d297b4cca093b3ea14a9b1ec"),
+        "_MAX_SIZE": (
+            ("con", "size-32769.json"),
+            "57af4f5ce810bf185116b42d0521160b74e7de15c2a73e53586e0255488b08c1"),
+    }
+
+    @pytest.mark.parametrize("bound", list(REFUSALS))
+    def test_refusal(self, tmp_path, capsys, monkeypatch, bound):
+        argv, digest = self.REFUSALS[bound]
+        monkeypatch.chdir(tmp_path)
+        for name in argv:
+            if name in self.FILES:
+                Path(name).write_text(jio.dumps(self.FILES[name]()))
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert hashlib.sha256(err.encode()).hexdigest() == digest
+        assert not Path("out").exists()
+
+    def test_search_under_another_hash_seed(self):
+        # the suite's own PYTHONHASHSEED is not this one: the listing is
+        # TestFrozenRectangularBytes's, whatever order sets iterate in
+        src = Path(latcon.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "latcon.cli", "check-ideal", "--search", "--max-size", "24",
+             "--seed", "3"], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "12345"},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        want = TestFrozenRectangularBytes.DIGESTS[
+            ("check-ideal", "--search", "--max-size", "24", "--seed", "3")]["stdout"]
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want
+
+
 class TestFrozenConBytes:
     # sha256 of `latcon con NAME` stdout, written while Con L still kept
     # its join-irreducible congruences as Congruence objects
