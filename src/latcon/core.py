@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping
-from itertools import chain as _chain, combinations, islice, starmap
-from operator import contains, eq, index as _index
+from itertools import chain as _chain, combinations, islice
+from operator import index as _index
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -95,48 +95,30 @@ def _size(n, least: int, error: type[Exception], what: str) -> int:
     raise error(f"{what} must be an integer >= {least}, got {n!r}")
 
 
-def _id_rows(rows: Sequence[Sequence]) -> Sequence[Sequence[int]]:
-    """``rows`` with every entry an ``int``: the rows themselves when each
-    entry already is one, else each row converted by one ``map`` of
-    ``operator.index``; on failure the rows are read again with
-    :func:`_element_id`, which names the first entry that is no integer."""
-    if not set(map(type, rows)) <= {tuple, list}:
-        rows = list(map(tuple, rows))  # a row of another kind may be read once only
-    if set(map(type, _chain.from_iterable(rows))) <= {int}:
-        return rows
-    try:
-        return [tuple(map(_index, r)) for r in rows]
-    except TypeError:
-        return [tuple(map(_element_id, r)) for r in rows]
-
-
 def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
-    """Upper cover rows on ``0..n-1`` with int entries, from the pairs
-    ``covers`` or, when it is ``None``, from ``rows``; and the pairs in
-    their order, to be read once.  Bulk checks find a bad cover; only then
-    are the pairs read one by one, to raise :class:`ElementOutOfRange` or
-    :class:`Cyclic` (a self-loop) at the first."""
+    """Upper cover rows on ``0..n-1`` with int entries, and the cover
+    pairs with int ids in their order, from the pairs ``covers`` or, when
+    it is ``None``, from ``rows``, which become the pairs they list at
+    once, row by row.  Every id is converted first, and
+    :func:`_element_ids` names the first that is no integer; then one
+    pass over the pairs raises :class:`ElementOutOfRange` at the first out
+    of range and :class:`Cyclic` at the first self-loop, and otherwise
+    puts each pair into its row."""
     if covers is None:
         if rows is None or isinstance(rows, Mapping) or len(rows) != n:
             raise InvalidLattice(f"without covers, upper_order must be {n} rows, one per element")
-        succ = _id_rows(rows)
-        pairs = ((a, b) for a, row in enumerate(succ) for b in row)
-        ids = list(_chain.from_iterable(succ))
-        loops = any(map(contains, succ, range(n)))
+        pairs = [(a, b) for a, row in enumerate(rows) for b in row]
     else:
-        ids = _element_ids(_chain.from_iterable([(a, b) for a, b in covers]))
-        pairs = list(zip(ids[0::2], ids[1::2]))
-        loops = any(starmap(eq, pairs))
-    if ids and (min(ids) < 0 or max(ids) >= n) or loops:
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
-            if a == b:
-                raise Cyclic(f"self-loop at element {a}")
-    if covers is not None:
-        succ = [[] for _ in range(n)]
-        for a, b in pairs:
-            succ[a].append(b)
+        pairs = [(a, b) for a, b in covers]
+    ids = _element_ids(_chain.from_iterable(pairs))
+    pairs = list(zip(ids[0::2], ids[1::2]))
+    succ = [[] for _ in range(n)]
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
+        if a == b:
+            raise Cyclic(f"self-loop at element {a}")
+        succ[a].append(b)
     return succ, pairs
 
 
@@ -306,6 +288,8 @@ class Poset(_Order):
         labels: Sequence[object] | None = None,
     ):
         n = _size(n, 0, ZeroSize, "poset size")
+        if covers is None:
+            raise InvalidLattice("poset covers must be cover pairs, got None")
         succ, pairs = _cover_rows(n, covers, None)
         pred = _sort(succ)
         up, down = _close(_kahn(succ, pred)[0] or range(n), succ, pred, pairs, range(n), range(n))
@@ -473,33 +457,32 @@ def make_lattice_with_map(
     planar constructors, of :func:`direct_product` and of
     ``ConLattice.as_lattice``, go to :func:`_trusted_lattice` instead: the
     same numbering and closure (:func:`_kahn`, :func:`_numbered`) with none
-    of the checks.  The cover pairs become rows at once, and both forms
-    run the same checks, in this order:
+    of the checks.  The rows of the row form become the pairs they list at
+    once, and both forms run the same checks, each one pass over its
+    input, in this order:
 
-    - the ids: one pass of ``type`` over all entries, and only if some
-      entry is no ``int`` one ``map`` of ``operator.index`` per row; the
-      range by ``min``/``max``; self-loops by one ``map`` of ``contains``.
-      Only a failure reads the covers one by one, to name the first bad
-      one (:class:`ElementOutOfRange`, :class:`Cyclic`);
+    - the ids: each converted by :func:`_element_ids`, which names the
+      first that is no integer; then one pass over the pairs in input
+      order stops at the first out of range (:class:`ElementOutOfRange`)
+      or self-loop (:class:`Cyclic`) and puts every other pair into its
+      element's upper row;
     - a repeated cover, as a row longer than its set (:class:`NotReduced`);
     - the lower cover rows, derived from the upper ones in one pass over
       the covers; if every cover goes up in id the order is ``0..n-1``,
       else Kahn's with a min-heap tie-break (:class:`Cyclic`);
-    - ``upper_order`` and ``lower_order``: their ids, as above, and that
-      each row is a permutation of its element's covers, by one
-      ``map(sorted)`` and one comparison with the sorted computed rows.  A
-      sequence of rows is read as the mapping from each position to its
-      row, so a full sequence and the equal mapping give the same lattice.
-      A fault is held and raised after the lattice checks, as it always
-      was; valid rows stand in for the computed ones from here on;
+    - ``upper_order`` and ``lower_order``: each row's ids converted as
+      above, then one pass for the first id out of range
+      (:class:`ElementOutOfRange`) and one, in Kahn's order, for the
+      first row that is no permutation of its element's covers
+      (:class:`InvalidLattice`).  A sequence of rows is read as the
+      mapping from each position to its row, so a full sequence and the
+      equal mapping give the same lattice.  A fault is held and raised
+      after the lattice checks, as it always was; valid rows stand in for
+      the computed ones from here on;
     - each row is renumbered once, the masks are closed once, and one mask
       test per row finds a cover implied by transitivity
       (:class:`NotReduced`, naming the first such cover in input order);
     - a unique bottom and top, and the joins below (:class:`NotALattice`).
-
-    Only deriving the lower rows, Kahn's order (when it runs), the closure
-    and the join test loop over covers in Python; the other checks are
-    C-level passes over the rows.
 
     Only the joins of two upper covers of a common element are checked, by
     the claim: a finite poset with a least element is a lattice iff any
@@ -534,18 +517,17 @@ def make_lattice_with_map(
         rows = [sorted(r, key=new_id.__getitem__) for r in computed]
         if spec is None:
             return rows, None
-        want = pred if computed is pred else list(map(sorted, computed))
+        want = list(map(sorted, computed))
         try:  # a sequence of rows is read as the mapping from each position to its row
             items = spec.items() if isinstance(spec, Mapping) else enumerate(spec)
-            given = {r[0]: r[1:] for r in _id_rows([(k, *r) for k, r in items])}  # read once
-            ids = [e for k, r in given.items() for e in (k, *r)]
-            if ids and (min(ids) < 0 or max(ids) >= n):
-                far = next(e for e in ids if not 0 <= e < n)
+            given = {r[0]: r[1:] for r in map(_element_ids, [(k, *r) for k, r in items])}
+            far = next((e for k, r in given.items() for e in (k, *r) if not 0 <= e < n), None)
+            if far is not None:
                 raise ElementOutOfRange(f"{kind} names element {far}, out of range for size {n}")
             for k, r in given.items():
                 rows[k] = r
-            if list(map(sorted, rows)) != want:
-                x = next(x for x in order if sorted(rows[x]) != want[x])
+            x = next((x for x in order if sorted(rows[x]) != want[x]), None)
+            if x is not None:
                 raise InvalidLattice(f"{kind} for element {x} is not a permutation of its covers")
         except (ElementOutOfRange, InvalidLattice) as e:
             return computed, e

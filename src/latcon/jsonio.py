@@ -129,9 +129,13 @@ def rect_to_obj(R: RectLattice) -> dict:
 
 
 def rect_from_obj(obj: Any) -> RectLattice:
+    """The rectangular lattice of ``obj``, its corners and eyes recomputed.
+    A plain lattice file claims none; once ``lc``, ``rc`` or ``eyes`` is
+    present, all three must be, and equal the recomputed ones, the eyes as
+    a sorted list, so that a repeated or a missing eye fails."""
     lat, renum = lattice_from_obj_with_map(obj)
     R = rl.make_rectangular(lat)
-    if "lc" in obj:
+    if any(k in obj for k in ("lc", "rc", "eyes")):
         claimed = {
             k: renum[_element(_require(obj, k, int), lat.n, k)] for k in ("lc", "rc")
         }
@@ -140,11 +144,10 @@ def rect_from_obj(obj: Any) -> RectLattice:
                 f"claimed corners {claimed} differ from the recomputed"
                 f" ({R.lc}, {R.rc})"
             )
-        eyes = {renum[_element(e, lat.n, "eye")] for e in _require(obj, "eyes", list)}
-        if eyes != set(R.eyes):
+        eyes = sorted(renum[_element(e, lat.n, "eye")] for e in _require(obj, "eyes", list))
+        if eyes != sorted(R.eyes):
             raise InvalidLattice(
-                f"claimed eyes {sorted(eyes)} differ from the recomputed"
-                f" {sorted(R.eyes)}"
+                f"claimed eyes {eyes} differ from the recomputed {sorted(R.eyes)}"
             )
     return R
 

@@ -290,11 +290,6 @@ def brute_congruences(L):
     }
 
 
-def brute_meet_congruences(L):
-    """Partitions with the substitution property for meet alone."""
-    return {blocks_key(p) for p in set_partitions(L.n) if respects(L, p, L.meet)}
-
-
 def is_hom(D, E, f):
     for x in range(D.n):
         for y in range(D.n):

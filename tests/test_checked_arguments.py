@@ -51,7 +51,13 @@ from latcon import core
 from latcon import rectangular as rl
 from latcon import verify as vf
 from latcon.cli import main
-from latcon.errors import ElementOutOfRange, IndexOutOfRange, LatconError, SizeTooSmall
+from latcon.errors import (
+    ElementOutOfRange,
+    IndexOutOfRange,
+    InvalidLattice,
+    LatconError,
+    SizeTooSmall,
+)
 
 C3SQ = catalog.get("c3xc3")
 G33 = rl.grid(3, 3).lattice
@@ -159,6 +165,9 @@ ROWS = ID_ROWS + [
      "max_size must be an integer >= 0, got 'a'"),
     ("max-size-negative", lambda: catalog.search_rectangular(-3), SizeTooSmall,
      "max_size must be an integer >= 0, got -3"),
+    # Poset takes no upper_order, yet its error for no covers used to name one
+    ("poset-covers-none", lambda: core.Poset(3, None), InvalidLattice,
+     "poset covers must be cover pairs, got None"),
 ]
 
 

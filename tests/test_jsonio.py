@@ -63,10 +63,11 @@ class TestLattice:
 
 class TestRect:
     def test_round_trip(self):
-        R = catalog.s7()
-        back = jio.rect_from_obj(jio.rect_to_obj(R))
-        assert back.lattice.covers() == R.lattice.covers()
-        assert (back.lc, back.rc, back.eyes) == (R.lc, R.rc, R.eyes)
+        rects = [catalog.s7(), catalog.m3(), catalog.s7_eye(1), *catalog.rect_catalog().values()]
+        for R in rects:
+            back = jio.rect_from_obj(json.loads(jio.dumps(jio.rect_to_obj(R))))
+            assert back.lattice.covers() == R.lattice.covers()
+            assert (back.lc, back.rc, back.eyes) == (R.lc, R.rc, R.eyes)
 
     def test_claimed_corners_validated(self):
         obj = jio.rect_to_obj(catalog.s7())
@@ -79,6 +80,40 @@ class TestRect:
         obj["eyes"] = []
         with pytest.raises(InvalidLattice):
             jio.rect_from_obj(obj)
+
+    @staticmethod
+    def _m3_claims(**claims):
+        """``rect_to_obj`` of m3, whose claims are ``lc`` 2, ``rc`` 1 and eyes
+        ``[3]``, with ``claims`` put in; a claim of ``None`` is deleted."""
+        obj = jio.rect_to_obj(catalog.m3())
+        assert (obj["lc"], obj["rc"], obj["eyes"]) == (2, 1, [3])
+        for k, v in claims.items():
+            if v is None:
+                del obj[k]
+            else:
+                obj[k] = v
+        return obj
+
+    @pytest.mark.parametrize(
+        "claims, message",
+        [
+            ({"lc": None, "rc": 4, "eyes": [0, 1]}, "missing 'lc' in JSON object"),
+            ({"lc": None, "rc": None, "eyes": [0]}, "missing 'lc' in JSON object"),
+            ({"eyes": None}, "missing 'eyes' in JSON object"),
+            ({"eyes": [3, 3]}, "claimed eyes [3, 3] differ from the recomputed [3]"),
+        ],
+        ids=["no-lc", "no-corners", "no-eyes", "repeated-eye"],
+    )
+    def test_any_claim_needs_all_three(self, claims, message):
+        with pytest.raises(LatconError) as exc:
+            jio.rect_from_obj(self._m3_claims(**claims))
+        assert str(exc.value) == message
+
+    def test_partial_claim_is_one_cli_error(self, tmp_path, capsys):
+        p = tmp_path / "m3.json"
+        p.write_text(jio.dumps(self._m3_claims(lc=None, rc=4, eyes=[0, 1])))
+        assert main(["check-ideal", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"error: {p}: missing 'lc' in JSON object\n")
 
 
 class TestCongruenceAndHom:
