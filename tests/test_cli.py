@@ -30,6 +30,14 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def _boolean(k):
+    """The Boolean lattice of 2^k elements."""
+    B = core.chain(2)
+    for _ in range(k - 1):
+        B = core.direct_product(B, core.chain(2))
+    return B
+
+
 class TestInputResolution:
     def test_catalog_name(self, capsys):
         assert main(["con", "s7"]) == 0
@@ -357,10 +365,7 @@ class TestSizeLimit:
 
     def test_brt_beyond_the_hom_budget_is_input_error(self, tmp_path):
         # two 128-element Boolean lattices have 7^7 bounded homs
-        B = core.chain(2)
-        for _ in range(6):
-            B = core.direct_product(B, core.chain(2))
-        path = self._write(tmp_path / "boolean.json", jio.lattice_to_obj(B))
+        path = self._write(tmp_path / "boolean.json", jio.lattice_to_obj(_boolean(7)))
         proc = self._run("brt", path, path)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: {path} -> {path}: more than 65536 bounded homs"
@@ -780,14 +785,6 @@ class TestFrozenRectangularBytes:
         got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
         got.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()) for p in tmp_path.iterdir())
         assert got == self.DIGESTS[argv]
-
-
-def _boolean(k):
-    """The Boolean lattice of 2^k elements."""
-    B = core.chain(2)
-    for _ in range(k - 1):
-        B = core.direct_product(B, core.chain(2))
-    return B
 
 
 class TestFrozenCommandBytes:
