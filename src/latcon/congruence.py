@@ -87,10 +87,6 @@ class Congruence:
     def nblocks(self) -> int:
         return len(self.blocks)
 
-    def collapses(self, x: int, y: int) -> bool:
-        n = len(self.cls)
-        return self.cls[core._checked_id(x, n)] == self.cls[core._checked_id(y, n)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Congruence):
             return NotImplemented

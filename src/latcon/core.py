@@ -99,17 +99,29 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
     """Upper cover rows on ``0..n-1`` with int entries, and the cover
     pairs with int ids in their order, from the pairs ``covers`` or, when
     it is ``None``, from ``rows``, which become the pairs they list at
-    once, row by row.  Every id is converted first, and
-    :func:`_element_ids` names the first that is no integer; then one
-    pass over the pairs raises :class:`ElementOutOfRange` at the first out
-    of range and :class:`Cyclic` at the first self-loop, and otherwise
-    puts each pair into its row."""
+    once, row by row.  ``covers`` must be iterable and each entry unpack
+    to two ids, or :class:`InvalidLattice` names it or its first bad
+    entry.  Every id is converted next, and :func:`_element_ids` names
+    the first that is no integer; then one pass over the pairs raises
+    :class:`ElementOutOfRange` at the first out of range and
+    :class:`Cyclic` at the first self-loop, and otherwise puts each pair
+    into its row."""
     if covers is None:
         if rows is None or isinstance(rows, Mapping) or len(rows) != n:
             raise InvalidLattice(f"without covers, upper_order must be {n} rows, one per element")
         pairs = [(a, b) for a, row in enumerate(rows) for b in row]
     else:
-        pairs = [(a, b) for a, b in covers]
+        try:
+            entries = iter(covers)
+        except TypeError:
+            raise InvalidLattice(f"covers must be cover pairs, got {covers!r}") from None
+        pairs = []
+        for entry in entries:
+            try:
+                a, b = entry
+            except (TypeError, ValueError):
+                raise InvalidLattice(f"covers must be cover pairs, got entry {entry!r}") from None
+            pairs.append((a, b))
     ids = _element_ids(_chain.from_iterable(pairs))
     pairs = list(zip(ids[0::2], ids[1::2]))
     succ = [[] for _ in range(n)]
@@ -385,21 +397,6 @@ class FiniteLattice(_Order):
     def top(self) -> int:
         return self.n - 1
 
-    def up_mask(self, x: int) -> int:
-        return self._up[_checked_id(x, self.n)]
-
-    def down_mask(self, x: int) -> int:
-        return self._down[_checked_id(x, self.n)]
-
-    def atoms(self) -> tuple[int, ...]:
-        return self._upper[0]
-
-    def height(self, x: int) -> int:
-        """Length of a longest chain from the bottom to ``x``.  Nothing is
-        kept, so each call costs O(n + covers)."""
-        x = _checked_id(x, self.n)
-        return _heights(self)[0][x]
-
     # -- algebra -----------------------------------------------------------
 
     def meet(self, x: int, y: int) -> int:
@@ -461,6 +458,8 @@ def make_lattice_with_map(
     once, and both forms run the same checks, each one pass over its
     input, in this order:
 
+    - the shape: ``covers`` must be iterable and each entry a pair, or
+      :class:`InvalidLattice` names the value or its first bad entry;
     - the ids: each converted by :func:`_element_ids`, which names the
       first that is no integer; then one pass over the pairs in input
       order stops at the first out of range (:class:`ElementOutOfRange`)

@@ -80,15 +80,15 @@ def to_svg(L: FiniteLattice) -> str:
     xs = [p[0] for p in spec.coords.values()]
     ys = [p[1] for p in spec.coords.values()]
     stepx, stepy, margin, r = 70.0, 70.0, 30.0, 9.0
-    top = max(ys)
+    left, top = min(xs), max(ys)
 
     def px(x: float) -> float:
-        return margin + (x - min(xs)) * stepx
+        return margin + (x - left) * stepx
 
     def py(y: float) -> float:
         return margin + (top - y) * stepy
 
-    width = _fmt(2 * margin + (max(xs) - min(xs)) * stepx)
+    width = _fmt(2 * margin + (max(xs) - left) * stepx)
     height = _fmt(2 * margin + top * stepy)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -446,7 +446,7 @@ def reference_d_rows(L):
         m = 0
         for y in range(L.n):
             if L.leq(qstar, y) and not L.leq(q, y):
-                m |= L.down_mask(L.join(q, y)) & ~L.down_mask(y)
+                m |= L._down[L.join(q, y)] & ~L._down[y]
         rows[q] = m & jmask
     return rows
 
@@ -717,7 +717,7 @@ def brute_heights(L):
     order nor the cover rows are used."""
     n = L.n
     height, depth = [0] * n, [0] * n
-    above = [(x, y) for x in range(n) for y in range(n) if x != y and L.up_mask(x) >> y & 1]
+    above = [(x, y) for x in range(n) for y in range(n) if x != y and L._up[x] >> y & 1]
     changed = True
     while changed:
         changed = False
@@ -1001,7 +1001,7 @@ def reference_upper_chain_collapse_check(G):
         for ch in (G.upper_left, G.upper_right)
         for e in zip(ch, ch[1:])
     }
-    atom_misses = tuple(con.congruences[t] for t in con.as_lattice().atoms() if t not in upper)
+    atom_misses = tuple(con.congruences[t] for t in con.as_lattice()._upper[0] if t not in upper)
     return cn.ChainCollapseReport(not atom_misses, atom_misses)
 
 
@@ -1052,7 +1052,7 @@ def condition_oracle(R):
     for alpha in cg.congruence_lattice(R.lattice):
         if alpha.nblocks == R.n:
             continue
-        if not any(alpha.collapses(a, b) for a, b in ul + ur):
+        if not any(alpha.cls[a] == alpha.cls[b] for a, b in ul + ur):
             bad.append(alpha)
     return not bad, bad
 
@@ -1313,8 +1313,8 @@ def reference_triple_glue_congruence(ref, alpha_t, alpha_lf, alpha_rf, alpha_b):
         ("bottom/left-flap", alpha_b, ref.bottom.upper_left, alpha_lf, ref.left.lower_right),
         ("bottom/right-flap", alpha_b, ref.bottom.upper_right, alpha_rf, ref.right.lower_left),
     ):
-        if [a1.collapses(x, y) for x, y in zip(ch1, ch1[1:])] != [
-            a2.collapses(x, y) for x, y in zip(ch2, ch2[1:])
+        if [a1.cls[x] == a1.cls[y] for x, y in zip(ch1, ch1[1:])] != [
+            a2.cls[x] == a2.cls[y] for x, y in zip(ch2, ch2[1:])
         ]:
             raise Incompatible(f"facing boundary {name}: restrictions differ")
     x, w, v = ref.stages

@@ -82,12 +82,6 @@ def _restriction_mismatch(emb):
 
 # each used to return a wrong answer or raise a bare error on grid-3x3
 ID_ROWS = [
-    ("height(-1)", lambda: G33.height(-1), ElementOutOfRange,
-     "element -1 out of range for size 9"),
-    ("height(99)", lambda: G33.height(99), ElementOutOfRange,
-     "element 99 out of range for size 9"),
-    ("height(1.5)", lambda: G33.height(1.5), ElementOutOfRange,
-     "element id 1.5 is not an integer"),
     # a negative id used to read the top's row
     ("lower_covers(-1)", lambda: G33.lower_covers(-1), ElementOutOfRange,
      "element -1 out of range for size 9"),
@@ -105,11 +99,7 @@ ID_ROWS = [
     # a negative id used to read the top's masks
     ("join(-1, 0)", lambda: G33.join(-1, 0), ElementOutOfRange,
      "element -1 out of range for size 9"),
-    ("down_mask(-1)", lambda: G33.down_mask(-1), ElementOutOfRange,
-     "element -1 out of range for size 9"),
     ("meet(0, 99)", lambda: G33.meet(0, 99), ElementOutOfRange,
-     "element 99 out of range for size 9"),
-    ("up_mask(99)", lambda: G33.up_mask(99), ElementOutOfRange,
      "element 99 out of range for size 9"),
     ("leq(0, 'a')", lambda: G33.leq(0, "a"), ElementOutOfRange,
      "element id 'a' is not an integer"),
@@ -125,13 +115,6 @@ ID_ROWS = [
      "diamond atoms must be an integer >= 3, got None"),
     ("diamond(True)", lambda: catalog.diamond(True), SizeTooSmall,
      "diamond atoms must be an integer >= 3, got True"),
-    # a negative id used to read the top's class
-    ("collapses(-1, 0)", lambda: THETA.collapses(-1, 0), ElementOutOfRange,
-     "element -1 out of range for size 9"),
-    ("collapses(0, 99)", lambda: THETA.collapses(0, 99), ElementOutOfRange,
-     "element 99 out of range for size 9"),
-    ("collapses(0, 1.5)", lambda: THETA.collapses(0, 1.5), ElementOutOfRange,
-     "element id 1.5 is not an integer"),
     # a negative index used to pick the eye in cell 2
     ("s7_eye(-1)", lambda: catalog.s7_eye(-1), IndexOutOfRange, "fork cell -1 is not 0, 1 or 2"),
     ("s7_eye(5)", lambda: catalog.s7_eye(5), IndexOutOfRange, "fork cell 5 is not 0, 1 or 2"),
@@ -168,6 +151,19 @@ ROWS = ID_ROWS + [
     # Poset takes no upper_order, yet its error for no covers used to name one
     ("poset-covers-none", lambda: core.Poset(3, None), InvalidLattice,
      "poset covers must be cover pairs, got None"),
+    # a cover entry that is no pair used to raise a bare TypeError or ValueError
+    ("covers-entry-int", lambda: core.make_lattice(2, [0, 1]), InvalidLattice,
+     "covers must be cover pairs, got entry 0"),
+    ("covers-int", lambda: core.make_lattice(2, 5), InvalidLattice,
+     "covers must be cover pairs, got 5"),
+    ("covers-entry-triple", lambda: core.make_lattice(3, [(0, 1, 2)]), InvalidLattice,
+     "covers must be cover pairs, got entry (0, 1, 2)"),
+    ("covers-entry-after-pairs", lambda: core.make_lattice_with_map(3, iter([(0, 1), [1]])),
+     InvalidLattice, "covers must be cover pairs, got entry [1]"),
+    ("poset-covers-int", lambda: core.Poset(2, 5), InvalidLattice,
+     "covers must be cover pairs, got 5"),
+    ("poset-covers-entry-single", lambda: core.Poset(2, [(0,)]), InvalidLattice,
+     "covers must be cover pairs, got entry (0,)"),
 ]
 
 
@@ -197,7 +193,7 @@ def test_id_checks_run_under_optimize():
 
 
 def test_good_arguments_unchanged():
-    assert [G33.height(x) for x in range(9)] == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+    assert core._heights(G33)[0] == [0, 1, 2, 1, 2, 3, 2, 3, 4]
     assert [G33.upper_covers(x) for x in range(9)] == [
         (3, 1), (4, 2), (5,), (6, 4), (7, 5), (8,), (7,), (8,), ()]
     assert [G33.lower_covers(x) for x in range(9)] == [
@@ -206,11 +202,12 @@ def test_good_arguments_unchanged():
     # the corners are the doubly irreducible elements
     assert [x for x in range(9) if len(G33.lower_covers(x)) == 1 == len(G33.upper_covers(x))] == [2, 6]
     assert G33.join(2, 6) == 8 and G33.meet(2, 6) == 0 and G33.leq(True, helpers.IntLike(4))
-    assert G33.up_mask(4) == 0b110110000 and G33.down_mask(4) == 0b000011011
+    assert G33._up[4] == 0b110110000 and G33._down[4] == 0b000011011
     con = cg.congruence_lattice(G33)
     assert cg.restriction_mismatch(con, range(9), con) is None
     assert catalog.diamond(helpers.IntLike(3)).n == 5
-    assert [THETA.collapses(x, y) for x, y in ((0, 1), (6, 7), (0, 3))] == [True, True, False]
+    assert [THETA.cls[x] == THETA.cls[y] for x, y in ((0, 1), (6, 7), (0, 3))] == [
+        True, True, False]
     assert catalog.s7_eye(helpers.IntLike(2)) == catalog.s7_eye(2) != catalog.s7_eye()
     assert core.is_ideal(G33, iter([0, 1, 3, 4])) and core.is_filter(G33, iter([4, 5, 7, 8]))
     assert not core.is_ideal(G33, [0, 4]) and not core.is_filter(G33, [8, 4])
@@ -274,9 +271,6 @@ CONTRACT = [
     ("FiniteLattice.down", "x", "id", 9, G33.down),
     ("FiniteLattice.upper_covers", "x", "id", 9, G33.upper_covers),
     ("FiniteLattice.lower_covers", "x", "id", 9, G33.lower_covers),
-    ("FiniteLattice.up_mask", "x", "id", 9, G33.up_mask),
-    ("FiniteLattice.down_mask", "x", "id", 9, G33.down_mask),
-    ("FiniteLattice.height", "x", "id", 9, G33.height),
     ("FiniteLattice.meet", "y", "id", 9, lambda v: G33.meet(8, v)),
     ("FiniteLattice.join", "x", "id", 9, lambda v: G33.join(v, 0)),
     ("core.Poset", "n", "size", None, lambda v: core.Poset(v, [])),
@@ -290,8 +284,6 @@ CONTRACT = [
     ("birkhoff.IsotoneMap", "assignment", "ids", 4,
      lambda v: bk.IsotoneMap(P4, P4, [0, 1, 2, v])),
     ("IsotoneMap.__call__", "x", "id", 4, lambda v: _psi()(v)),
-    ("Congruence.collapses", "x", "id", 9, lambda v: THETA.collapses(v, 0)),
-    ("Congruence.collapses", "y", "id", 9, lambda v: THETA.collapses(0, v)),
     ("congruence.generated_congruence", "pairs", "ids", 9,
      lambda v: cg.generated_congruence(G33, [(0, 1), (2, v)])),
     ("congruence.principal_congruence", "b", "id", 9,
@@ -330,7 +322,7 @@ NO_ID = {
     "core.direct_product", "core.is_distributive", "core.is_semimodular",
     "core.join_irreducibles", "core.downsets", "core.invariant", "core.find_isomorphism",
     "core.are_isomorphic",
-    "FiniteLattice.atoms", "FiniteLattice.covers", "FiniteLattice.ji_elements", "Poset.covers",
+    "FiniteLattice.covers", "FiniteLattice.ji_elements", "Poset.covers",
     "congruence.congruence_lattice", "congruence.is_simple",
     "ConLattice.as_lattice", "ConLattice.covers",
     "birkhoff.ji_of_hom", "birkhoff.hom_of_isotone", "birkhoff.brt_report",
@@ -409,13 +401,19 @@ def test_every_public_callable_has_a_contract_row():
 
 
 # members that no module read, deleted for the cover rows,
-# ``_injective_onto`` and ``_keeps_up_sizes``
+# ``_injective_onto`` and ``_keeps_up_sizes``, and then for what the
+# library reads itself: the mask rows, ``_heights``, ``_upper[0]`` and ``cls``
 DELETED = [
     (core.FiniteLattice, "is_cover"),
     (core.FiniteLattice, "is_doubly_irreducible"),
     (bk._Map, "is_onto"),
     (bk.BoundedHom, "is_injective"),
     (bk.IsotoneMap, "is_order_embedding"),
+    (core.FiniteLattice, "up_mask"),
+    (core.FiniteLattice, "down_mask"),
+    (core.FiniteLattice, "atoms"),
+    (core.FiniteLattice, "height"),
+    (cg.Congruence, "collapses"),
 ]
 
 

@@ -53,7 +53,7 @@ class TestCongruenceObject:
         a = cg.Congruence(S7, [3, 2, 1, 2, 0, 1, 0])
         assert a.blocks == ((0,), (1, 3), (2, 5), (4, 6))
         assert a.cls == (0, 1, 2, 1, 3, 2, 3)
-        assert a.collapses(4, 6) and not a.collapses(0, 1)
+        assert a.cls[4] == a.cls[6] and a.cls[0] != a.cls[1]
 
     @pytest.mark.parametrize(
         "ideal_part",

@@ -50,7 +50,7 @@ class TestLayout:
         L = catalog.s7().lattice
         spec = rd.render_spec(L)
         for v, (_, y) in spec.coords.items():
-            assert y == L.height(v)
+            assert y == core._heights(L)[0][v]
 
     def test_one_node_per_slot(self):
         for name in ("s7", "grid-3x3", "cube", "stacked-m3"):
@@ -67,6 +67,24 @@ class TestEmitters:
         assert a.count("<line") == 9
         assert a.count('class="steep"') == 1
         assert a.endswith("\n")
+
+    def test_svg_takes_the_left_edge_once(self, monkeypatch):
+        # the x offset used to be a ``min`` over all coordinates per
+        # coordinate written, so an SVG cost O(n^2)
+        calls = []
+
+        def counting_min(*args, **kwargs):
+            calls.append(1)
+            return min(*args, **kwargs)
+
+        monkeypatch.setattr(rd, "min", counting_min, raising=False)
+        counts = []
+        for n in (64, 512):
+            calls.clear()
+            svg = rd.to_svg(core.chain(n))
+            assert svg.count("<circle") == n
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_svg_labels_every_element(self):
         svg = rd.to_svg(catalog.get("grid-2x3"))
