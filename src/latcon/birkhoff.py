@@ -8,20 +8,30 @@ that correspondence; ``brt_report`` evaluates the classical equivalences
 
 Every kernel works on the up- and down-set bitmasks along covers: an
 isotone map is checked on the source's covers, a homomorphism by the
-pull-backs of the target's join-irreducibles, found in one top-down
-sweep by ``make_bounded_hom``, the only builder of a hom, and kept on
-the hom for ``ji_of_hom`` and ``brt_report``; ``hom_of_isotone`` builds
-each image from that of a lower cover.  The walk it follows is the
-source's spine (:func:`_spine`): for each element its first lower cover
-and the join-irreducibles the cover adds, which in a distributive
-lattice is always exactly one.  The spine depends on the lattice alone,
-so it is built once and kept on it.  Only a failed check scans every
-pair, to name the first one broken.
+pull-backs of the target's join-irreducibles, found by
+``make_bounded_hom``, the only builder of a hom, and kept on the hom for
+``ji_of_hom`` and ``brt_report``; ``hom_of_isotone`` builds each image
+from that of a lower cover.  The walk it follows is the source's spine:
+for each element its first lower cover and the join-irreducibles the
+cover adds, which in a distributive lattice is always exactly one.
+
+Each lattice has one Birkhoff table, built on first use by
+:func:`_spine` and kept on the lattice, since it depends on the lattice
+alone: the spine, the join-irreducibles below each element, and the id
+of each element and the position of each join-irreducible by its
+up-mask.  The four kernels read it in place of a sweep or a scan per
+call.  ``_pullbacks`` ORs each element into the rows of the
+join-irreducibles below its image; ``make_bounded_hom`` checks all the
+pull-backs by one set test against the up-masks of the source's
+join-irreducibles; ``ji_of_hom`` reads each position off a pull-back;
+``_isotone_assignment`` walks the spine and reads each image's id off
+its up-mask.  Only a failed check scans every pair, to name the first
+one broken.
 
 A report costs little beyond its checks: :class:`BrtReport` is a named
 tuple, and a map's injectivity and onto-ness are read off one set of its
-images, once for the hom and once for its dual map.  Calling a map, ``phi(x)``, range-checks ``x`` as ``L.up(x)``
-does.
+images, once for the hom and once for its dual map.  Calling a map,
+``phi(x)``, range-checks ``x`` as ``L.up(x)`` does.
 """
 
 from __future__ import annotations
@@ -179,23 +189,18 @@ def _pullbacks(f: Sequence[int], E: FiniteLattice) -> list[int]:
     """For each join-irreducible ``q`` of E, in id order, the mask of the
     ``x`` with ``q <= f(x)``.
 
-    One top-down sweep of E: ``above[e]``, the mask of the ``x`` with
-    ``e <= f(x)``, is the ``x`` with ``f(x) = e`` together with
-    ``above[c]`` for each upper cover ``c`` of ``e``, since ``↑e`` is
-    ``e`` and the up-sets of its upper covers.  Ids form a linear
-    extension, so every ``above[c]`` is done before ``e``.  The cost is
-    ``O(|E| + covers)``.
+    Each ``x`` is ORed into the rows of the join-irreducibles below
+    ``f(x)``, read off E's table (:func:`_spine`): ``q <= f(x)`` iff
+    ``q`` is one of them.  The cost is the number of pairs ``q <= f(x)``,
+    with no sweep of E.
     """
-    above = [0] * E.n
+    below = (E._spine or _table(E))[3]
+    rows = [0] * E._ji.n
     for x, e in enumerate(f):
-        above[e] |= 1 << x
-    upper = E._upper
-    for e in range(E.n - 1, -1, -1):
-        m = above[e]
-        for c in upper[e]:
-            m |= above[c]
-        above[e] = m
-    return [above[q] for q in core.join_irreducibles(E).labels]
+        b = 1 << x
+        for q in below[e]:
+            rows[q] |= b
+    return rows
 
 
 def _first_broken_pair(D: FiniteLattice, E: FiniteLattice, f: Sequence[int]) -> NotHomomorphic:
@@ -233,8 +238,14 @@ def make_bounded_hom(
     pull-back of the prime filter ``up(q)`` under a {0,1}-homomorphism is a
     prime filter, nonempty as it holds the top and proper as it misses the
     bottom, so it is ``up(p)`` with p join-prime, hence join-irreducible.
-    The pull-backs take one sweep of E (:func:`_pullbacks`); only a
-    failure scans the pairs, to name the first one f breaks.
+    The pull-backs are read off E's table (:func:`_pullbacks`), and all of
+    them are checked by one set test: each is in the set of up-masks of
+    J(D) on D's table.  That is the test of each pull-back ``m`` in turn,
+    ``m == up(p)`` with p its least id and join-irreducible: if
+    ``m = up(p')`` with p' join-irreducible, then ``m`` holds ``p'`` and,
+    ids forming a linear extension, no smaller id, so ``p = p'``; the
+    converse is the definition.  Only a failure scans the pairs, to name
+    the first one f breaks.
     """
     _require_distributive(D, E)
     f = _assignment(assignment, D.n, E.n)
@@ -242,10 +253,9 @@ def make_bounded_hom(
         raise NotBounded(f"bottom maps to {f[D.bottom]}, not {E.bottom}")
     if f[D.top] != E.top:
         raise NotBounded(f"top maps to {f[D.top]}, not {E.top}")
-    for m in (pulled := tuple(_pullbacks(f, E))):
-        p = (m & -m).bit_length() - 1
-        if m != D._up[p] or len(D._lower[p]) != 1:
-            raise _first_broken_pair(D, E, f)
+    pulled = tuple(_pullbacks(f, E))
+    if not (D._spine or _table(D))[5].issuperset(pulled):
+        raise _first_broken_pair(D, E, f)
     phi = object.__new__(BoundedHom)
     phi._source, phi._target, phi._assignment, phi._pulled = D, E, f, pulled
     return phi
@@ -257,8 +267,8 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     A join-irreducible x of the target is sent to the least source element
     whose image lies above x.  The pull-back of x is ``up(p)`` with p
     join-irreducible, which :func:`make_bounded_hom` checked when it built
-    ``phi`` and kept in ``phi._pulled``; p is its least id, and its
-    position in ``J(D)`` is read off the source's spine.
+    ``phi`` and kept in ``phi._pulled``; so p's position in ``J(D)`` is
+    read off the source's table (:func:`_spine`) by that up-mask.
 
     The map is built as :func:`make_bounded_hom` builds a hom, with no
     re-check: every position is one of ``J(D)``, one per join-irreducible
@@ -268,10 +278,9 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     p', and ``p <= p'``.
     """
     D = phi._source
-    jd = core.join_irreducibles(D)
-    pos = _spine(D, jd)[1]
-    return _trusted_isotone(core.join_irreducibles(phi._target), jd,
-                            tuple([pos[(s & -s).bit_length() - 1] for s in phi._pulled]))
+    jpos = (D._spine or _table(D))[4]
+    return _trusted_isotone(core.join_irreducibles(phi._target), core.join_irreducibles(D),
+                            tuple([jpos[m] for m in phi._pulled]))
 
 
 def _trusted_isotone(source: Poset, target: Poset, assignment: tuple[int, ...]) -> IsotoneMap:
@@ -283,28 +292,63 @@ def _trusted_isotone(source: Poset, target: Poset, assignment: tuple[int, ...]) 
 
 
 def _spine(D: FiniteLattice, jd: Poset) -> tuple[tuple, tuple]:
-    """D's spine and the positions of its join-irreducibles, built on
-    first use and kept on D; ``jd`` is ``core.join_irreducibles(D)``.
+    """D's spine and the positions of its join-irreducibles; ``jd`` is
+    ``core.join_irreducibles(D)``.
 
     The spine has one step per element ``e >= 1``, in id order:
     ``(e_*, qs)``, with ``e_*`` the first lower cover of ``e`` and ``qs``
     the positions in ``jd.labels`` of ``J(e) ∖ J(e_*)``, where ``J(e)`` is
     the set of join-irreducibles below ``e``.  The positions are a tuple
-    over D's elements, ``None`` off ``J(D)``.  Both hold ints only, so the
-    spine reaches no lattice.
+    over D's elements, ``None`` off ``J(D)``.
+
+    The spine is the first entry of D's Birkhoff table, which this
+    function alone builds, on first use, and keeps in ``D._spine``.  The
+    table is a tuple of six entries, each a function of D alone:
+
+    0. the spine and the positions, ``(steps, pos)``, which is returned;
+    1. the steps as ``(e_*, q)`` pairs when every step adds exactly one
+       position, as it does when D is distributive (see
+       :func:`_isotone_assignment`), and ``None`` otherwise;
+    2. ``{up[e]: e}``, the id of each element by its up-mask;
+    3. for each element ``e``, the positions of ``J(e)``, ascending;
+    4. ``{up[p]: i}``, the position of each join-irreducible ``p`` by its
+       up-mask;
+    5. the up-masks of ``J(D)``, as a frozenset.
+
+    Up-masks are distinct, since ``up[x] = up[y]`` gives ``x <= y <= x``,
+    so 2 and 4 lose no element.  The table holds only ints, ``None`` and
+    containers of them, so it reaches no lattice.
     """
     if D._spine is None:
+        up, down, lower = D._up, D._down, D._lower
         pos = [None] * D.n
         jmask = 0
         for i, p in enumerate(jd.labels):
             pos[p] = i
             jmask |= 1 << p
-        down, lower = D._down, D._lower
         steps = []
         for e in range(1, D.n):
             s = lower[e][0]
             steps.append((s, tuple([pos[p] for p in core._bits(down[e] & ~down[s] & jmask)])))
-        D._spine = (tuple(steps), tuple(pos))
+        single = None
+        if all(len(qs) == 1 for _, qs in steps):
+            single = tuple([(s, qs[0]) for s, qs in steps])
+        jpos = {up[p]: i for i, p in enumerate(jd.labels)}
+        D._spine = (
+            (tuple(steps), tuple(pos)),
+            single,
+            {m: e for e, m in enumerate(up)},
+            tuple([tuple([pos[p] for p in core._bits(d & jmask)]) for d in down]),
+            jpos,
+            frozenset(jpos),
+        )
+    return D._spine[0]
+
+
+def _table(D: FiniteLattice) -> tuple:
+    """D's Birkhoff table (see :func:`_spine`), built by :func:`_spine`;
+    the kernels read ``D._spine`` and call this only while it is unset."""
+    _spine(D, core.join_irreducibles(D))
     return D._spine
 
 
@@ -321,8 +365,9 @@ def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> 
     ``J(e_*) ⊆ J(e)``, so ``J(e) = J(e_*) ∪ (J(e) ∖ J(e_*))`` and, by
     associativity of the join, ``f(e) = f(e_*) ∨ ⋁{g[q] : q ∈ J(e) ∖
     J(e_*)}``.  Ids form a linear extension, so walking D in id order finds
-    ``f(e_*)`` done.  When D is distributive each difference is a single
-    join-irreducible, so each image costs one join: by Birkhoff,
+    ``f(e_*)`` done.  When each difference is a single join-irreducible,
+    each image costs one join, and the walk takes the table's
+    ``(e_*, q)`` pairs.  That is so whenever D is distributive: by Birkhoff,
     ``e -> J(e)`` is an order isomorphism of D onto the down-sets of
     ``J(D)`` (see :func:`core.is_distributive`), so the cover ``e_* < e``
     goes to a cover ``J(e_*) ⊂ J(e)`` of down-sets; and down-sets
@@ -330,12 +375,17 @@ def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> 
     minimal in ``B ∖ A`` the down-set ``A ∪ {x}`` lies between them.  A
     non-distributive D may add several at a step, with the same result.
 
-    Joins are kept as up-masks, since ``↑(a ∨ b) = ↑a ∩ ↑b``.  A ``q`` that
+    Joins are kept as up-masks, since ``↑(a ∨ b) = ↑a ∩ ↑b``, and each
+    image's id is read back off E's table by its up-mask.  A ``q`` that
     no x maps to has ``g[q]`` the bottom, whose up-mask is all of E, so
     the AND with it changes nothing.
+
+    The tables are read straight off ``D._spine`` and ``E._spine``, and
+    the posets off ``D._ji`` and ``E._ji``, which building a table sets.
     """
-    jd = core.join_irreducibles(D)
-    je = core.join_irreducibles(E)
+    td = D._spine or _table(D)
+    ids = (E._spine or _table(E))[2]
+    jd, je = D._ji, E._ji
     src, tgt = psi._source, psi._target
     # identity first: psi is nearly always over the posets kept on E and
     # D, and the test then makes no Python-level __eq__ call
@@ -350,12 +400,16 @@ def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> 
         g[q] &= up[x]
     fup = [bottom]  # fup[e]: the up-mask of f(e), appended in id order
     append = fup.append
-    for s, qs in _spine(D, jd)[0]:
-        m = fup[s]
-        for q in qs:
-            m &= g[q]
-        append(m)
-    return tuple([(m & -m).bit_length() - 1 for m in fup])
+    if (single := td[1]) is not None:
+        for s, q in single:
+            append(fup[s] & g[q])
+    else:
+        for s, qs in td[0][0]:
+            m = fup[s]
+            for q in qs:
+                m &= g[q]
+            append(m)
+    return tuple([ids[m] for m in fup])
 
 
 def hom_of_isotone(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> BoundedHom:
@@ -393,7 +447,7 @@ class BrtReport(NamedTuple):
 
 
 def brt_report(phi: BoundedHom) -> BrtReport:
-    """The duality statements on ``phi``, with no pull-back sweep.
+    """The duality statements on ``phi``, with no pull-back taken.
 
     The round trip holds when the assignment ``f`` that
     :func:`_isotone_assignment` builds from ``ji_of_hom(phi)`` is

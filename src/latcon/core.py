@@ -17,7 +17,7 @@ transformations so the planar modules can use it.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
+from collections.abc import Mapping, Sized
 from itertools import chain as _chain, combinations, islice
 from operator import index as _index
 from typing import Iterable, Iterator, Sequence
@@ -101,15 +101,19 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
     it is ``None``, from ``rows``, which become the pairs they list at
     once, row by row.  ``covers`` must be iterable and each entry unpack
     to two ids, or :class:`InvalidLattice` names it or its first bad
-    entry.  Every id is converted next, and :func:`_element_ids` names
-    the first that is no integer; then one pass over the pairs raises
-    :class:`ElementOutOfRange` at the first out of range and
-    :class:`Cyclic` at the first self-loop, and otherwise puts each pair
-    into its row."""
+    entry; ``rows`` must be ``n`` rows, or it names the first that is not
+    iterable (:func:`_row_fault`).  Every id is converted next, and
+    :func:`_element_ids` names the first that is no integer; then one pass
+    over the pairs raises :class:`ElementOutOfRange` at the first out of
+    range and :class:`Cyclic` at the first self-loop, and otherwise puts
+    each pair into its row."""
     if covers is None:
-        if rows is None or isinstance(rows, Mapping) or len(rows) != n:
+        if not isinstance(rows, Sized) or isinstance(rows, Mapping) or len(rows) != n:
             raise InvalidLattice(f"without covers, upper_order must be {n} rows, one per element")
-        pairs = [(a, b) for a, row in enumerate(rows) for b in row]
+        try:
+            pairs = [(a, b) for a, row in enumerate(rows) for b in row]
+        except TypeError:
+            raise _row_fault(rows, "upper_order") from None
     else:
         try:
             entries = iter(covers)
@@ -132,6 +136,19 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
             raise Cyclic(f"self-loop at element {a}")
         succ[a].append(b)
     return succ, pairs
+
+
+def _row_fault(spec, kind: str) -> InvalidLattice:
+    """The error for order rows ``spec``, a mapping from elements to rows
+    or a sequence of rows, whose reading raised a ``TypeError``: it names
+    the first row that is not iterable, or else ``spec`` itself, when it
+    is neither a mapping nor iterable."""
+    if isinstance(spec, Iterable):
+        items = spec.items() if isinstance(spec, Mapping) else enumerate(spec)
+        for k, row in items:
+            if not isinstance(row, Iterable):
+                return InvalidLattice(f"{kind} for element {k} is not a row of ids, got {row!r}")
+    return InvalidLattice(f"{kind} must be a mapping or a sequence of rows, got {spec!r}")
 
 
 def _sort(succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -362,9 +379,9 @@ class FiniteLattice(_Order):
     call by the few readers that need them.  Four slots are derived data,
     each set lazily on first use and then kept: ``_con``, the congruence
     lattice; ``_ji``, the join-irreducible poset; ``_distributive``, the
-    verdict of :func:`is_distributive`; and ``_spine``, the walk along
-    first lower covers that ``birkhoff`` builds homomorphisms on (see
-    ``birkhoff._spine``).
+    verdict of :func:`is_distributive`; and ``_spine``, the Birkhoff
+    table that ``birkhoff`` builds and checks homomorphisms on, its walk
+    along first lower covers among them (see ``birkhoff._spine``).
     """
 
     __slots__ = ("_con", "_ji", "_distributive", "_spine")
@@ -385,7 +402,7 @@ class FiniteLattice(_Order):
         self._con = None  # congruence-lattice cache, set lazily
         self._ji = None  # join-irreducible poset, set lazily
         self._distributive = None  # is_distributive's verdict, set lazily
-        self._spine = None  # birkhoff's walk along first lower covers, set lazily
+        self._spine = None  # birkhoff's table, set lazily
 
     # -- order -------------------------------------------------------------
 
@@ -458,8 +475,9 @@ def make_lattice_with_map(
     once, and both forms run the same checks, each one pass over its
     input, in this order:
 
-    - the shape: ``covers`` must be iterable and each entry a pair, or
-      :class:`InvalidLattice` names the value or its first bad entry;
+    - the shape: ``covers`` must be iterable and each entry a pair, and
+      the row form's rows iterable, or :class:`InvalidLattice` names the
+      value or its first bad entry or row;
     - the ids: each converted by :func:`_element_ids`, which names the
       first that is no integer; then one pass over the pairs in input
       order stops at the first out of range (:class:`ElementOutOfRange`)
@@ -469,8 +487,10 @@ def make_lattice_with_map(
     - the lower cover rows, derived from the upper ones in one pass over
       the covers; if every cover goes up in id the order is ``0..n-1``,
       else Kahn's with a min-heap tie-break (:class:`Cyclic`);
-    - ``upper_order`` and ``lower_order``: each row's ids converted as
-      above, then one pass for the first id out of range
+    - ``upper_order`` and ``lower_order``: a value that is no mapping or
+      sequence, or a row that is not iterable, is named
+      (:class:`InvalidLattice`, :func:`_row_fault`); each row's ids are
+      converted as above, then one pass for the first id out of range
       (:class:`ElementOutOfRange`) and one, in Kahn's order, for the
       first row that is no permutation of its element's covers
       (:class:`InvalidLattice`).  A sequence of rows is read as the
@@ -518,8 +538,11 @@ def make_lattice_with_map(
             return rows, None
         want = list(map(sorted, computed))
         try:  # a sequence of rows is read as the mapping from each position to its row
-            items = spec.items() if isinstance(spec, Mapping) else enumerate(spec)
-            given = {r[0]: r[1:] for r in map(_element_ids, [(k, *r) for k, r in items])}
+            try:
+                items = spec.items() if isinstance(spec, Mapping) else enumerate(spec)
+                given = {r[0]: r[1:] for r in map(_element_ids, [(k, *r) for k, r in items])}
+            except TypeError:
+                raise _row_fault(spec, kind) from None
             far = next((e for k, r in given.items() for e in (k, *r) if not 0 <= e < n), None)
             if far is not None:
                 raise ElementOutOfRange(f"{kind} names element {far}, out of range for size {n}")

@@ -801,6 +801,27 @@ class TestSpine:
                 want.append((s, tuple(ji.index(x) for x in adds)))
             assert steps == tuple(want)
 
+    def test_table_against_its_definitions(self):
+        # the rest of the Birkhoff table that _spine keeps, entry by entry
+        kinds = {True: 0, False: 0}
+        for D in [*self.NON_DISTRIBUTIVE, *self.TARGETS, *PAIR_POOL]:
+            jd = core.join_irreducibles(D)
+            ji = helpers.brute_join_irreducibles(D)
+            steps, pos = bk._spine(D, jd)
+            spine, single, ids, below, jpos, jups = D._spine
+            assert spine == (steps, pos)
+            up = [sum(1 << y for y in range(D.n) if D.leq(x, y)) for x in range(D.n)]
+            assert ids == {up[x]: x for x in range(D.n)} and len(ids) == D.n
+            assert below == tuple(
+                tuple(i for i, p in enumerate(ji) if D.leq(p, e)) for e in range(D.n)
+            )
+            assert jpos == {up[p]: i for i, p in enumerate(ji)} and len(jpos) == len(ji)
+            assert jups == set(jpos) and type(jups) is frozenset
+            ones = all(len(qs) == 1 for _, qs in steps)
+            assert single == (tuple((s, qs[0]) for s, qs in steps) if ones else None)
+            kinds[ones] += 1
+        assert kinds[True] > 10 and kinds[False] > 10
+
     def test_one_position_per_step_when_distributive(self):
         pool = [
             *catalog.brt_catalog().values(),
@@ -829,13 +850,18 @@ class TestSpine:
             assert bk._isotone_assignment(bk.IsotoneMap(copy_e, copy_d, a), D, E) == want
 
     def test_built_once_per_lattice(self, monkeypatch):
-        built = []
+        # the table is built once per lattice, by _spine: every kernel
+        # reaches it through the module's _spine, replaced here
+        built, tables = [], {}
         spine = bk._spine
 
         def counted(D, jd):
-            if D._spine is None:
-                built.append(D)
-            return spine(D, jd)
+            if D._spine is not None:
+                return spine(D, jd)
+            built.append(D)
+            got = spine(D, jd)
+            tables[id(D)] = D._spine
+            return got
 
         monkeypatch.setattr(bk, "_spine", counted)
         lats = [D for D in _fresh_lattices() if core.is_distributive(D)]
@@ -845,6 +871,7 @@ class TestSpine:
                 for phi in bk.enumerate_bounded_homs(D, E):
                     assert bk.brt_report(phi).ok
         assert sorted(map(id, built)) == sorted(map(id, lats))
+        assert all(D._spine is tables[id(D)] for D in lats)
         kept = [D._spine for D in lats]
         for D in lats:
             bk.enumerate_bounded_homs(D, D)

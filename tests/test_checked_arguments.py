@@ -164,6 +164,15 @@ ROWS = ID_ROWS + [
      "covers must be cover pairs, got 5"),
     ("poset-covers-entry-single", lambda: core.Poset(2, [(0,)]), InvalidLattice,
      "covers must be cover pairs, got entry (0,)"),
+    # order rows of the wrong shape used to raise a bare TypeError
+    ("rows-int", lambda: core.make_lattice(2, None, 5), InvalidLattice,
+     "without covers, upper_order must be 2 rows, one per element"),
+    ("rows-row-int", lambda: core.make_lattice(2, None, [5, []]), InvalidLattice,
+     "upper_order for element 0 is not a row of ids, got 5"),
+    ("order-rows-int", lambda: core.make_lattice(3, [(0, 1), (1, 2)], 5), InvalidLattice,
+     "upper_order must be a mapping or a sequence of rows, got 5"),
+    ("order-mapping-row-int", lambda: core.make_lattice(3, [(0, 1), (1, 2)], {0: 5}),
+     InvalidLattice, "upper_order for element 0 is not a row of ids, got 5"),
 ]
 
 

@@ -1,0 +1,63 @@
+"""The summary of ``tests/pairs.py`` on canned records, with no benchmark run."""
+
+import pytest
+
+import pairs
+
+BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "peak_rss_mb": "lower"}
+
+
+def _records(**columns):
+    """One record per position, from ``name=(parent values, change values)``."""
+    n = len(next(iter(columns.values()))[0])
+    return [
+        {"parent": {k: p[i] for k, (p, _) in columns.items()},
+         "change": {k: c[i] for k, (_, c) in columns.items()}}
+        for i in range(n)
+    ]
+
+
+def test_higher_is_better():
+    records = _records(items_per_s=([100, 110, 90, 105, 95], [120, 108, 115, 125, 118]))
+    s = pairs.summarize(records, BETTER)["items_per_s"]
+    # the parent's quartiles of 90..110 are 92.5 and 107.5, 15 apart; the
+    # medians are 18 apart
+    assert (s["won"], s["pairs"]) == (4, 5)
+    assert (s["parent"], s["change"]) == (100, 118)
+    assert s["gain"] == pytest.approx(0.18)
+    assert (s["parent_q1"], s["parent_q3"]) == (92.5, 107.5)
+    assert s["clear"]
+
+
+def test_lower_is_better_and_a_gain_inside_the_quartiles():
+    records = _records(
+        item_p50_ms=([1.0, 1.0, 1.0], [0.9, 1.1, 0.95]),
+        peak_rss_mb=([17.2, 17.4, 17.3], [17.25, 17.3, 17.35]),
+    )
+    got = pairs.summarize(records, BETTER)
+    assert set(got) == {"item_p50_ms", "peak_rss_mb"}
+    p50 = got["item_p50_ms"]
+    assert (p50["won"], p50["change"]) == (2, 0.95)
+    assert p50["gain"] == pytest.approx(0.05) and p50["clear"]
+    rss = got["peak_rss_mb"]
+    # equal medians, and a win in one pair of three
+    assert rss["won"] == 1 and rss["gain"] == pytest.approx(0.0) and not rss["clear"]
+
+
+def test_a_worse_median_is_a_negative_gain():
+    records = _records(items_per_s=([100, 100], [90, 95]))
+    s = pairs.summarize(records, BETTER)["items_per_s"]
+    assert s["won"] == 0 and s["gain"] == pytest.approx(-0.075) and not s["clear"]
+
+
+def test_one_record_and_a_missing_metric():
+    records = _records(items_per_s=([100], [110]))
+    records.append({"parent": {"items_per_s": 100}, "change": {}})
+    s = pairs.summarize(records, BETTER)["items_per_s"]
+    assert s["pairs"] == 1 and (s["parent_q1"], s["parent_q3"]) == (100, 100)
+    assert s["won"] == 1 and s["clear"]
+
+
+def test_seed_ranges():
+    assert pairs.seeds("1-10") == list(range(1, 11))
+    assert pairs.seeds("7") == [7]
