@@ -12,11 +12,11 @@ pull-backs of the target's join-irreducibles, found by
 ``make_bounded_hom``, the only builder of a hom, and kept on the hom for
 ``ji_of_hom`` and ``brt_report``; ``hom_of_isotone`` builds each image
 from that of a lower cover.  The walk it follows is the source's spine:
-for each element its first lower cover and the join-irreducibles the
-cover adds, which in a distributive lattice is always exactly one.
+for each element its first lower cover and the one join-irreducible the
+cover adds, the source being distributive.
 
 Each lattice has one Birkhoff table, built on first use by
-:func:`_spine` and kept on the lattice, since it depends on the lattice
+:func:`_table` and kept on the lattice, since it depends on the lattice
 alone: the spine, the join-irreducibles below each element, and the id
 of each element and the position of each join-irreducible by its
 up-mask.  The four kernels read it in place of a sweep or a scan per
@@ -190,11 +190,11 @@ def _pullbacks(f: Sequence[int], E: FiniteLattice) -> list[int]:
     ``x`` with ``q <= f(x)``.
 
     Each ``x`` is ORed into the rows of the join-irreducibles below
-    ``f(x)``, read off E's table (:func:`_spine`): ``q <= f(x)`` iff
+    ``f(x)``, read off E's table (:func:`_table`): ``q <= f(x)`` iff
     ``q`` is one of them.  The cost is the number of pairs ``q <= f(x)``,
     with no sweep of E.
     """
-    below = (E._spine or _table(E))[3]
+    below = (E._birkhoff or _table(E))[2]
     rows = [0] * E._ji.n
     for x, e in enumerate(f):
         b = 1 << x
@@ -254,7 +254,7 @@ def make_bounded_hom(
     if f[D.top] != E.top:
         raise NotBounded(f"top maps to {f[D.top]}, not {E.top}")
     pulled = tuple(_pullbacks(f, E))
-    if not (D._spine or _table(D))[5].issuperset(pulled):
+    if not (D._birkhoff or _table(D))[4].issuperset(pulled):
         raise _first_broken_pair(D, E, f)
     phi = object.__new__(BoundedHom)
     phi._source, phi._target, phi._assignment, phi._pulled = D, E, f, pulled
@@ -268,7 +268,7 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     whose image lies above x.  The pull-back of x is ``up(p)`` with p
     join-irreducible, which :func:`make_bounded_hom` checked when it built
     ``phi`` and kept in ``phi._pulled``; so p's position in ``J(D)`` is
-    read off the source's table (:func:`_spine`) by that up-mask.
+    read off the source's table (:func:`_table`) by that up-mask.
 
     The map is built as :func:`make_bounded_hom` builds a hom, with no
     re-check: every position is one of ``J(D)``, one per join-irreducible
@@ -278,7 +278,7 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     p', and ``p <= p'``.
     """
     D = phi._source
-    jpos = (D._spine or _table(D))[4]
+    jpos = (D._birkhoff or _table(D))[3]
     return _trusted_isotone(core.join_irreducibles(phi._target), core.join_irreducibles(D),
                             tuple([jpos[m] for m in phi._pulled]))
 
@@ -291,65 +291,56 @@ def _trusted_isotone(source: Poset, target: Poset, assignment: tuple[int, ...]) 
     return psi
 
 
-def _spine(D: FiniteLattice, jd: Poset) -> tuple[tuple, tuple]:
-    """D's spine and the positions of its join-irreducibles; ``jd`` is
-    ``core.join_irreducibles(D)``.
+def _table(D: FiniteLattice) -> tuple:
+    """D's Birkhoff table, built on first use and kept in ``D._birkhoff``;
+    the kernels read the slot and call this only while it is unset.
 
-    The spine has one step per element ``e >= 1``, in id order:
-    ``(e_*, qs)``, with ``e_*`` the first lower cover of ``e`` and ``qs``
-    the positions in ``jd.labels`` of ``J(e) ∖ J(e_*)``, where ``J(e)`` is
-    the set of join-irreducibles below ``e``.  The positions are a tuple
-    over D's elements, ``None`` off ``J(D)``.
+    The table is a tuple of five entries, each a function of D alone.  A
+    position is one in ``core.join_irreducibles(D).labels``, and ``J(e)``
+    is the set of join-irreducibles below ``e``:
 
-    The spine is the first entry of D's Birkhoff table, which this
-    function alone builds, on first use, and keeps in ``D._spine``.  The
-    table is a tuple of six entries, each a function of D alone:
-
-    0. the spine and the positions, ``(steps, pos)``, which is returned;
-    1. the steps as ``(e_*, q)`` pairs when every step adds exactly one
-       position, as it does when D is distributive (see
-       :func:`_isotone_assignment`), and ``None`` otherwise;
-    2. ``{up[e]: e}``, the id of each element by its up-mask;
-    3. for each element ``e``, the positions of ``J(e)``, ascending;
-    4. ``{up[p]: i}``, the position of each join-irreducible ``p`` by its
+    0. the spine: one step ``(e_*, q)`` per element ``e >= 1``, in id
+       order, with ``e_*`` the first lower cover of ``e`` and ``q`` the
+       least position of ``J(e) ∖ J(e_*)``;
+    1. ``{up[e]: e}``, the id of each element by its up-mask;
+    2. for each element ``e``, the positions of ``J(e)``, ascending;
+    3. ``{up[p]: i}``, the position of each join-irreducible ``p`` by its
        up-mask;
-    5. the up-masks of ``J(D)``, as a frozenset.
+    4. the up-masks of ``J(D)``, as a frozenset.
 
+    ``J(e) ∖ J(e_*)`` is never empty, since ``e`` is the join of ``J(e)``
+    and is not below ``e_*``.  When D is distributive it is ``{q}``
+    alone: by Birkhoff, ``e -> J(e)`` is an order isomorphism of D onto
+    the down-sets of ``J(D)`` (see :func:`core.is_distributive`), so the
+    cover ``e_* < e`` goes to a cover ``J(e_*) ⊂ J(e)`` of down-sets; and
+    down-sets ``A ⊂ B`` form a cover only if ``B = A ∪ {x}``, since for
+    ``x`` minimal in ``B ∖ A`` the down-set ``A ∪ {x}`` lies between them.
     Up-masks are distinct, since ``up[x] = up[y]`` gives ``x <= y <= x``,
-    so 2 and 4 lose no element.  The table holds only ints, ``None`` and
-    containers of them, so it reaches no lattice.
+    so 1 and 3 lose no element.  The table holds only ints and containers
+    of them, so it reaches no lattice.
     """
-    if D._spine is None:
+    if D._birkhoff is None:
+        jd = core.join_irreducibles(D)
         up, down, lower = D._up, D._down, D._lower
         pos = [None] * D.n
         jmask = 0
         for i, p in enumerate(jd.labels):
             pos[p] = i
             jmask |= 1 << p
-        steps = []
+        spine = []
         for e in range(1, D.n):
             s = lower[e][0]
-            steps.append((s, tuple([pos[p] for p in core._bits(down[e] & ~down[s] & jmask)])))
-        single = None
-        if all(len(qs) == 1 for _, qs in steps):
-            single = tuple([(s, qs[0]) for s, qs in steps])
+            adds = down[e] & ~down[s] & jmask
+            spine.append((s, pos[(adds & -adds).bit_length() - 1]))
         jpos = {up[p]: i for i, p in enumerate(jd.labels)}
-        D._spine = (
-            (tuple(steps), tuple(pos)),
-            single,
+        D._birkhoff = (
+            tuple(spine),
             {m: e for e, m in enumerate(up)},
             tuple([tuple([pos[p] for p in core._bits(d & jmask)]) for d in down]),
             jpos,
             frozenset(jpos),
         )
-    return D._spine[0]
-
-
-def _table(D: FiniteLattice) -> tuple:
-    """D's Birkhoff table (see :func:`_spine`), built by :func:`_spine`;
-    the kernels read ``D._spine`` and call this only while it is unset."""
-    _spine(D, core.join_irreducibles(D))
-    return D._spine
+    return D._birkhoff
 
 
 def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> tuple[int, ...]:
@@ -360,32 +351,24 @@ def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> 
     ``f(e) = ⋁{g[q] : q ∈ J(e)}`` with ``g[q] = ⋁{x : psi(x) = q}`` and
     ``J(e)`` the join-irreducibles of D below e.
 
-    The images are built along D's spine (:func:`_spine`).  Proof, in any
-    lattice D: for ``e`` above the bottom, with first lower cover ``e_*``,
-    ``J(e_*) ⊆ J(e)``, so ``J(e) = J(e_*) ∪ (J(e) ∖ J(e_*))`` and, by
-    associativity of the join, ``f(e) = f(e_*) ∨ ⋁{g[q] : q ∈ J(e) ∖
-    J(e_*)}``.  Ids form a linear extension, so walking D in id order finds
-    ``f(e_*)`` done.  When each difference is a single join-irreducible,
-    each image costs one join, and the walk takes the table's
-    ``(e_*, q)`` pairs.  That is so whenever D is distributive: by Birkhoff,
-    ``e -> J(e)`` is an order isomorphism of D onto the down-sets of
-    ``J(D)`` (see :func:`core.is_distributive`), so the cover ``e_* < e``
-    goes to a cover ``J(e_*) ⊂ J(e)`` of down-sets; and down-sets
-    ``A ⊂ B`` form a cover only if ``B = A ∪ {x}``, since for ``x``
-    minimal in ``B ∖ A`` the down-set ``A ∪ {x}`` lies between them.  A
-    non-distributive D may add several at a step, with the same result.
+    The images are built along D's spine (:func:`_table`), one join per
+    element.  Proof: for ``e`` above the bottom, with first lower cover
+    ``e_*``, D being distributive gives ``J(e) = J(e_*) ∪ {q}`` for the
+    spine's ``q``, so ``f(e) = f(e_*) ∨ g[q]`` by associativity of the
+    join.  Ids form a linear extension, so walking D in id order finds
+    ``f(e_*)`` done.  A source that is not distributive raises
+    :class:`NotDistributive`, after the check that psi is between the
+    posets and before the walk.
 
     Joins are kept as up-masks, since ``↑(a ∨ b) = ↑a ∩ ↑b``, and each
     image's id is read back off E's table by its up-mask.  A ``q`` that
     no x maps to has ``g[q]`` the bottom, whose up-mask is all of E, so
     the AND with it changes nothing.
 
-    The tables are read straight off ``D._spine`` and ``E._spine``, and
-    the posets off ``D._ji`` and ``E._ji``, which building a table sets.
+    The posets, the verdict and the tables are read straight off the
+    slots ``_ji``, ``_distributive`` and ``_birkhoff`` while they are set.
     """
-    td = D._spine or _table(D)
-    ids = (E._spine or _table(E))[2]
-    jd, je = D._ji, E._ji
+    jd, je = D._ji or core.join_irreducibles(D), E._ji or core.join_irreducibles(E)
     src, tgt = psi._source, psi._target
     # identity first: psi is nearly always over the posets kept on E and
     # D, and the test then makes no Python-level __eq__ call
@@ -393,6 +376,10 @@ def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> 
         raise LatconError(
             "map is not between the join-irreducible posets of target and source"
         )
+    if not (D._distributive or core.is_distributive(D)):
+        raise NotDistributive("source lattice is not distributive")
+    spine = (D._birkhoff or _table(D))[0]
+    ids = (E._birkhoff or _table(E))[1]
     up = E._up
     bottom = up[0]
     g = [bottom] * jd.n  # g[q]: the up-mask of the join of the x with psi(x) = q
@@ -400,15 +387,8 @@ def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> 
         g[q] &= up[x]
     fup = [bottom]  # fup[e]: the up-mask of f(e), appended in id order
     append = fup.append
-    if (single := td[1]) is not None:
-        for s, q in single:
-            append(fup[s] & g[q])
-    else:
-        for s, qs in td[0][0]:
-            m = fup[s]
-            for q in qs:
-                m &= g[q]
-            append(m)
+    for s, q in spine:
+        append(fup[s] & g[q])
     return tuple([ids[m] for m in fup])
 
 

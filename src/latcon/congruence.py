@@ -322,11 +322,14 @@ class ConLattice:
         (:meth:`_congruences`), and the upper cover rows of Con L in the
         canonical numbering.  Distinct down-sets join to distinct
         congruences, so the rows are those of the down-sets under inclusion
-        (:func:`core._downset_rows`).  Run once, on first use.
+        (:func:`core._downset_rows`).  The down-sets come in the order
+        :func:`core._downsets` finds them, and the numbering is the sort by
+        :func:`_rank` alone, whose keys are distinct as the congruences
+        are, which is checked.  Run once, on first use.
         """
         if self._full is not None:
             return self._full
-        ds = core.downsets(self.ji_order)
+        ds = list(core._downsets(self.ji_order))
         cons = list(self._congruences(ds))
         perm = sorted(range(len(cons)), key=lambda k: _rank(cons[k]))
         ordered = tuple(cons[k] for k in perm)

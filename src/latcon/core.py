@@ -379,12 +379,12 @@ class FiniteLattice(_Order):
     call by the few readers that need them.  Four slots are derived data,
     each set lazily on first use and then kept: ``_con``, the congruence
     lattice; ``_ji``, the join-irreducible poset; ``_distributive``, the
-    verdict of :func:`is_distributive`; and ``_spine``, the Birkhoff
-    table that ``birkhoff`` builds and checks homomorphisms on, its walk
-    along first lower covers among them (see ``birkhoff._spine``).
+    verdict of :func:`is_distributive`; and ``_birkhoff``, the Birkhoff
+    table that ``birkhoff`` builds and checks homomorphisms on (see
+    ``birkhoff._table``).
     """
 
-    __slots__ = ("_con", "_ji", "_distributive", "_spine")
+    __slots__ = ("_con", "_ji", "_distributive", "_birkhoff")
 
     def __init__(
         self,
@@ -402,7 +402,7 @@ class FiniteLattice(_Order):
         self._con = None  # congruence-lattice cache, set lazily
         self._ji = None  # join-irreducible poset, set lazily
         self._distributive = None  # is_distributive's verdict, set lazily
-        self._spine = None  # birkhoff's table, set lazily
+        self._birkhoff = None  # birkhoff's table, set lazily
 
     # -- order -------------------------------------------------------------
 
@@ -874,11 +874,6 @@ def _count(items: Iterable, stop: int) -> int:
     ``most`` in time linear in it, however many items there are.
     """
     return sum(1 for _ in islice(items, stop))
-
-
-def downsets(P: Poset) -> list[int]:
-    """All down-sets of P as bitmasks, sorted by (size, mask value)."""
-    return sorted(sorted(_downsets(P)), key=int.bit_count)
 
 
 def _heights(L: FiniteLattice) -> tuple[list[int], list[int]]:

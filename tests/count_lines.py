@@ -5,13 +5,22 @@ blank, not a comment and not inside a module, class or function
 docstring, found with ``ast``.  Run from anywhere::
 
     python tests/count_lines.py
+    python tests/count_lines.py --against HEAD~1
+
+With ``--against REV`` each row also gives the change in both counts
+since the git revision ``REV``, whose modules are read with
+``git show REV:src/latcon/<module>.py``; a module present on one side
+only counts as empty on the other.
 """
 
+import argparse
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latcon"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "latcon"
 
 
 def _docstring_lines(tree: ast.Module) -> set[int]:
@@ -25,9 +34,8 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
     return out
 
 
-def counts(path: Path) -> tuple[int, int]:
-    """All lines of ``path`` and its code lines."""
-    text = path.read_text()
+def counts(text: str) -> tuple[int, int]:
+    """All lines of the module source ``text`` and its code lines."""
     doc = _docstring_lines(ast.parse(text))
     lines = text.splitlines()
     code = sum(
@@ -37,15 +45,51 @@ def counts(path: Path) -> tuple[int, int]:
     return len(lines), code
 
 
-def main() -> int:
-    total_all = total_code = 0
-    print(f"{'module':<16}{'lines':>7}{'code':>7}")
-    for path in sorted(PACKAGE.glob("*.py")):
-        n_all, n_code = counts(path)
-        total_all += n_all
-        total_code += n_code
-        print(f"{path.stem:<16}{n_all:>7}{n_code:>7}")
-    print(f"{'total':<16}{total_all:>7}{total_code:>7}")
+def table(new: dict[str, str], old: dict[str, str] | None = None) -> list[str]:
+    """The rows for the module texts ``new``, by module name, then the
+    totals; given the texts ``old`` of another revision, each row also
+    gives the change in lines and in code lines since it."""
+    delta = old is not None
+    head = f"{'module':<16}{'lines':>7}{'code':>7}"
+    rows = [head + f"{'Δlines':>8}{'Δcode':>7}" if delta else head]
+    total = [0, 0, 0, 0]
+    for name in sorted(new.keys() | (old or {}).keys()):
+        n_all, n_code = counts(new.get(name, ""))
+        o_all, o_code = counts(old.get(name, "")) if delta else (0, 0)
+        cells = (n_all, n_code, n_all - o_all, n_code - o_code)
+        total = [t + c for t, c in zip(total, cells)]
+        rows.append(_row(name, cells, delta))
+    rows.append(_row("total", total, delta))
+    return rows
+
+
+def _row(name: str, cells, delta: bool) -> str:
+    row = f"{name:<16}{cells[0]:>7}{cells[1]:>7}"
+    return row + f"{cells[2]:>+8}{cells[3]:>+7}" if delta else row
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def modules_at(rev: str) -> dict[str, str]:
+    """The package's module texts at the git revision ``rev``."""
+    names = _git("ls-tree", "--name-only", f"{rev}:src/latcon").split()
+    return {
+        name[:-3]: _git("show", f"{rev}:src/latcon/{name}")
+        for name in names if name.endswith(".py")
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also print each module's change since this git revision")
+    args = parser.parse_args(argv)
+    new = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    old = None if args.against is None else modules_at(args.against)
+    print("\n".join(table(new, old)))
     return 0
 
 

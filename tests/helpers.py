@@ -868,7 +868,7 @@ def brute_downsets(P):
 
 def downset_lattice(P):
     """The distributive lattice of down-sets of P, ordered by inclusion."""
-    ds = core.downsets(P)
+    ds = brute_downsets(P)
     return core.make_lattice(len(ds), None, core._downset_rows(P, ds))
 
 

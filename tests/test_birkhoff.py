@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -668,12 +668,48 @@ class TestCoverKernelsAgainstReference:
         }
 
 
+def _first_isotone(D, E):
+    """The first isotone map from J(E) to J(D), checked."""
+    je, jd = core.join_irreducibles(E), core.join_irreducibles(D)
+    return bk.IsotoneMap(je, jd, next(bk.enumerate_isotone_maps(je, jd)))
+
+
 class TestErrorPaths:
     def test_non_distributive_source(self):
         M3 = catalog.get("m3")
         psi = bk.IsotoneMap(core.join_irreducibles(C2), core.join_irreducibles(M3), (0,))
         with pytest.raises(NotDistributive, match="^source lattice is not distributive$"):
             bk.hom_of_isotone(psi, M3, C2)
+
+    def test_hom_of_isotone_raises_in_order(self):
+        # the poset check first, then the source's distributivity, then the
+        # target's, as when make_bounded_hom raised both
+        M3, N5 = catalog.get("m3"), catalog.get("n5")
+        j2 = core.join_irreducibles(C2)
+        for E in (C2, M3):
+            wrong = bk.IsotoneMap(j2, j2, (0,))
+            with pytest.raises(LatconError, match="^map is not between the join-irreducible posets"):
+                bk.hom_of_isotone(wrong, M3, E)
+        for D in (M3, N5):
+            for E in (C2, C3SQ, M3, N5):
+                psi = _first_isotone(D, E)
+                with pytest.raises(NotDistributive, match="^source lattice is not distributive$"):
+                    bk.hom_of_isotone(psi, D, E)
+        for E in (M3, N5):
+            psi = _first_isotone(C3SQ, E)
+            with pytest.raises(NotDistributive, match="^target lattice is not distributive$"):
+                bk.hom_of_isotone(psi, C3SQ, E)
+
+    def test_isotone_assignment_refuses_a_non_distributive_source(self):
+        # the walk is made only over a distributive source, after the poset check
+        M3, N5 = catalog.get("m3"), catalog.get("n5")
+        j2 = core.join_irreducibles(C2)
+        with pytest.raises(LatconError, match="^map is not between the join-irreducible posets"):
+            bk._isotone_assignment(bk.IsotoneMap(j2, j2, (0,)), catalog.m3().lattice, C2)
+        for D in (M3, N5, catalog.m3().lattice, catalog.n5()):
+            for E in (C2, M3):
+                with pytest.raises(NotDistributive, match="^source lattice is not distributive$"):
+                    bk._isotone_assignment(_first_isotone(D, E), D, E)
 
     @pytest.mark.parametrize(
         "f, text",
@@ -743,10 +779,11 @@ def _fresh_lattices():
 
 
 class TestSpine:
-    """``_isotone_assignment`` along the per-lattice spine, against the
-    join formula ``f(e) = ⋁{x : psi(x) <= e}`` of ``helpers``."""
+    """The per-lattice Birkhoff table, and ``_isotone_assignment`` along its
+    spine, against the join formula ``f(e) = ⋁{x : psi(x) <= e}`` of
+    ``helpers``."""
 
-    # sources whose covers may add several join-irreducibles at once
+    # the table's entries other than the spine's meaning hold on these too
     NON_DISTRIBUTIVE = [catalog.get("m3"), catalog.get("n5"), catalog.get("s7")] + [
         R.lattice for _, R in catalog.search_rectangular(10)
     ]
@@ -765,51 +802,24 @@ class TestSpine:
                     checked += 1
         return checked
 
-    def test_non_distributive_sources_against_the_join_formula(self):
-        names = [name for name, _ in catalog.search_rectangular(10)]
-        assert {"fork", "fork-eye-0", "fork-eye-1"} <= set(names)
-        several = [
-            D for D in self.NON_DISTRIBUTIVE
-            if any(len(qs) > 1 for _, qs in bk._spine(D, core.join_irreducibles(D))[0])
-        ]
-        assert catalog.get("m3") in several and len(several) >= 20
-        assert self._check_every_isotone_map(self.NON_DISTRIBUTIVE, self.TARGETS) > 5_000
-
     def test_distributive_sources_against_the_join_formula(self):
         pool = list(catalog.brt_catalog().values())
         assert self._check_every_isotone_map(pool, pool) == TOTAL_HOMS
 
-    def test_m3_top_adds_two_positions(self):
-        # the top of m3 adds two join-irreducibles to its first lower
-        # cover; the first of them alone would give (0, 0, 0, 1, 0)
-        M3 = catalog.get("m3")
-        jd, je = core.join_irreducibles(M3), core.join_irreducibles(C2)
-        assert bk._spine(M3, jd)[0][-1] == (2, (0, 2))
-        psi = bk.IsotoneMap(je, jd, (2,))
-        assert bk._isotone_assignment(psi, M3, C2) == (0, 0, 0, 1, 1)
-
-    def test_steps_against_their_definition(self):
+    def test_table_against_its_definitions(self):
+        # every entry of the table, on any lattice: the spine's step takes
+        # the least position that the first lower cover leaves out
+        kinds = {True: 0, False: 0}
         for D in [*self.NON_DISTRIBUTIVE, *self.TARGETS, *PAIR_POOL]:
-            jd = core.join_irreducibles(D)
             ji = helpers.brute_join_irreducibles(D)
-            steps, pos = bk._spine(D, jd)
-            assert pos == tuple(ji.index(x) if x in ji else None for x in range(D.n))
+            spine, ids, below, jpos, jups = bk._table(D)
+            assert D._birkhoff is bk._table(D)
             want = []
             for e in range(1, D.n):
                 s = D.lower_covers(e)[0]
                 adds = [x for x in ji if D.leq(x, e) and not D.leq(x, s)]
-                want.append((s, tuple(ji.index(x) for x in adds)))
-            assert steps == tuple(want)
-
-    def test_table_against_its_definitions(self):
-        # the rest of the Birkhoff table that _spine keeps, entry by entry
-        kinds = {True: 0, False: 0}
-        for D in [*self.NON_DISTRIBUTIVE, *self.TARGETS, *PAIR_POOL]:
-            jd = core.join_irreducibles(D)
-            ji = helpers.brute_join_irreducibles(D)
-            steps, pos = bk._spine(D, jd)
-            spine, single, ids, below, jpos, jups = D._spine
-            assert spine == (steps, pos)
+                want.append((s, ji.index(min(adds))))
+            assert spine == tuple(want)
             up = [sum(1 << y for y in range(D.n) if D.leq(x, y)) for x in range(D.n)]
             assert ids == {up[x]: x for x in range(D.n)} and len(ids) == D.n
             assert below == tuple(
@@ -817,12 +827,11 @@ class TestSpine:
             )
             assert jpos == {up[p]: i for i, p in enumerate(ji)} and len(jpos) == len(ji)
             assert jups == set(jpos) and type(jups) is frozenset
-            ones = all(len(qs) == 1 for _, qs in steps)
-            assert single == (tuple((s, qs[0]) for s, qs in steps) if ones else None)
-            kinds[ones] += 1
+            kinds[helpers.brute_is_distributive(D)] += 1
         assert kinds[True] > 10 and kinds[False] > 10
 
-    def test_one_position_per_step_when_distributive(self):
+    def test_spine_adds_one_position_when_distributive(self):
+        # on a distributive lattice q is the only join-irreducible a step adds
         pool = [
             *catalog.brt_catalog().values(),
             *(catalog.get(n) for n in lemmas.names()),
@@ -834,10 +843,28 @@ class TestSpine:
         distributive = 0
         for D in pool:
             if helpers.brute_is_distributive(D):
-                steps = bk._spine(D, core.join_irreducibles(D))[0]
-                assert all(len(qs) == 1 for _, qs in steps)
+                ji = helpers.brute_join_irreducibles(D)
+                for e, (s, q) in enumerate(bk._table(D)[0], 1):
+                    assert s == D.lower_covers(e)[0]
+                    assert [x for x in ji if D.leq(x, e) and not D.leq(x, s)] == [ji[q]]
                 distributive += 1
         assert len(pool) == 62 and distributive == 34
+
+    def test_fresh_source_reads_its_slots_once_set(self):
+        # a source that no kernel has met gets its poset, verdict and table
+        # from the walk itself; psi is over the poset of an equal twin
+        fresh, twins = ([D for D in _fresh_lattices() if helpers.brute_is_distributive(D)]
+                        for _ in range(2))
+        je = core.join_irreducibles(C3SQ)
+        for D, twin in zip(fresh, twins):
+            assert (D._ji, D._distributive, D._birkhoff) == (None, None, None)
+            jd = core.join_irreducibles(twin)
+            for a in islice(bk.enumerate_isotone_maps(je, jd), 3):
+                psi = bk.IsotoneMap(je, jd, a)
+                want = helpers.reference_isotone_assignment(psi, twin, C3SQ)
+                assert bk._isotone_assignment(psi, D, C3SQ) == want
+            assert D._ji == jd and D._distributive is True and D._birkhoff is not None
+        assert len(fresh) == 4
 
     def test_equal_posets_that_are_not_the_cached_ones(self):
         D, E = CON_S7, C3SQ
@@ -850,37 +877,35 @@ class TestSpine:
             assert bk._isotone_assignment(bk.IsotoneMap(copy_e, copy_d, a), D, E) == want
 
     def test_built_once_per_lattice(self, monkeypatch):
-        # the table is built once per lattice, by _spine: every kernel
-        # reaches it through the module's _spine, replaced here
+        # the table is built once per lattice, by _table: every kernel
+        # reaches it through the module's _table, replaced here
         built, tables = [], {}
-        spine = bk._spine
+        table = bk._table
 
-        def counted(D, jd):
-            if D._spine is not None:
-                return spine(D, jd)
+        def counted(D):
+            if D._birkhoff is not None:
+                return table(D)
             built.append(D)
-            got = spine(D, jd)
-            tables[id(D)] = D._spine
-            return got
+            tables[id(D)] = table(D)
+            return tables[id(D)]
 
-        monkeypatch.setattr(bk, "_spine", counted)
+        monkeypatch.setattr(bk, "_table", counted)
         lats = [D for D in _fresh_lattices() if core.is_distributive(D)]
-        assert len(lats) == 4 and all(D._spine is None for D in lats)
+        assert len(lats) == 4 and all(D._birkhoff is None for D in lats)
         for D in lats:
             for E in lats:
                 for phi in bk.enumerate_bounded_homs(D, E):
                     assert bk.brt_report(phi).ok
         assert sorted(map(id, built)) == sorted(map(id, lats))
-        assert all(D._spine is tables[id(D)] for D in lats)
-        kept = [D._spine for D in lats]
+        assert all(D._birkhoff is tables[id(D)] for D in lats)
+        kept = [D._birkhoff for D in lats]
         for D in lats:
             bk.enumerate_bounded_homs(D, D)
-        assert all(D._spine is k for D, k in zip(lats, kept))
+        assert all(D._birkhoff is k for D, k in zip(lats, kept))
 
     def test_reaches_no_lattice(self):
         for D in [CON_S7, C3SQ, catalog.get("m3")]:
-            bk._spine(D, core.join_irreducibles(D))
-            seen, stack = set(), [D._spine]
+            seen, stack = set(), [bk._table(D)]
             while stack:
                 obj = stack.pop()
                 if id(obj) in seen:
@@ -891,10 +916,10 @@ class TestSpine:
             assert len(seen) > D.n
 
     def test_congruence_work_builds_none(self, monkeypatch):
-        def forbidden(D, jd):
-            raise AssertionError("a spine was built")
+        def forbidden(D):
+            raise AssertionError("a Birkhoff table was built")
 
-        monkeypatch.setattr(bk, "_spine", forbidden)
+        monkeypatch.setattr(bk, "_table", forbidden)
         lats = _fresh_lattices()
         for L in lats:
             cg.congruence_lattice(L).as_lattice()
@@ -902,8 +927,8 @@ class TestSpine:
         for _, R in kept:
             construction.upper_chain_collapse_check(R)
         assert len(kept) > 50
-        assert all(L._spine is None for L in lats)
-        assert all(R.lattice._spine is None for _, R in kept)
+        assert all(L._birkhoff is None for L in lats)
+        assert all(R.lattice._birkhoff is None for _, R in kept)
 
 
 class TestReadOnlyMaps:

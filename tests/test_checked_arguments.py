@@ -329,7 +329,7 @@ CONTRACT = [
 # public callables that take no element id and no size
 NO_ID = {
     "core.direct_product", "core.is_distributive", "core.is_semimodular",
-    "core.join_irreducibles", "core.downsets", "core.invariant", "core.find_isomorphism",
+    "core.join_irreducibles", "core.invariant", "core.find_isomorphism",
     "core.are_isomorphic",
     "FiniteLattice.covers", "FiniteLattice.ji_elements", "Poset.covers",
     "congruence.congruence_lattice", "congruence.is_simple",

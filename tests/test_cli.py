@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import count_lines
 import helpers
 import latcon
 import lemmas
@@ -970,6 +971,34 @@ def test_line_counter_runs():
     assert len(totals) == 1
     _, lines, code = totals[0]
     assert int(lines) > int(code) > 0
+
+
+def test_line_counter_deltas_on_canned_modules():
+    # --against REV's table, on module texts given here rather than read
+    # from git: a docstring, a comment and blank lines are not code, and a
+    # module on one side only counts as empty on the other
+    old = {
+        "a": '"""Doc."""\n\nx = 1\n',
+        "gone": "y = 2\nz = 3\n",
+    }
+    new = {
+        "a": '"""Doc,\nlonger."""\n\n# note\nx = 1\nw = x\n',
+        "born": "def f():\n    \"\"\"Doc.\"\"\"\n    return 1\n",
+    }
+    assert count_lines.counts(new["a"]) == (6, 2)
+    assert count_lines.table(new, old) == [
+        "module            lines   code  Δlines  Δcode",
+        "a                     6      2      +3     +1",
+        "born                  3      2      +3     +2",
+        "gone                  0      0      -2     -2",
+        "total                 9      4      +4     +1",
+    ]
+    assert count_lines.table(new) == [
+        "module            lines   code",
+        "a                     6      2",
+        "born                  3      2",
+        "total                 9      4",
+    ]
 
 
 def test_every_export_resolves():
