@@ -456,11 +456,9 @@ def brt_report(phi: BoundedHom) -> BrtReport:
 def enumerate_isotone_maps(P: Poset, Q: Poset) -> Iterator[tuple[int, ...]]:
     """All isotone assignments P -> Q, in lexicographic order.
 
-    Positions are filled in id order, and each cover of P is checked when
-    the later of its two ends is filled, so P's ids need not be a linear
-    extension.  The depth-first search keeps one iterator of candidate
-    images per filled position on an explicit stack, so its depth is bounded
-    by memory, not by the recursion limit.
+    Positions are filled in id order by :func:`core._depth_first`, and
+    each cover of P is checked when the later of its two ends is filled,
+    so P's ids need not be a linear extension.
 
     Every assignment yielded is isotone, so it needs no second check.
     Proof: it has one image in ``range(Q.n)`` per position of P.  For a
@@ -470,15 +468,10 @@ def enumerate_isotone_maps(P: Poset, Q: Poset) -> Iterator[tuple[int, ...]]:
     So ``f(a) <= f(b)`` on every cover, and by transitivity in Q on every
     pair ``a <= b`` of P, as :class:`IsotoneMap` argues.
     """
-    if P.n == 0:
-        yield ()
-        return
     everything = (1 << Q.n) - 1
     out = [0] * P.n
 
-    def candidates(x: int) -> Iterator[int]:
-        # the images allowed at x: above the image of each filled lower
-        # cover of x, below that of each filled upper cover
+    def candidates(x: int) -> tuple[int, ...]:
         allowed = everything
         for y in P._lower[x]:
             if y < x:
@@ -486,20 +479,10 @@ def enumerate_isotone_maps(P: Poset, Q: Poset) -> Iterator[tuple[int, ...]]:
         for y in P._upper[x]:
             if y < x:
                 allowed &= Q._down[out[y]]
-        return iter(core._bits(allowed))
+        return core._bits(allowed)
 
-    stack = [candidates(0)]
-    while stack:
-        q = next(stack[-1], None)
-        if q is None:
-            stack.pop()
-            continue
-        x = len(stack) - 1
-        out[x] = q
-        if x + 1 == P.n:
-            yield tuple(out)
-        else:
-            stack.append(candidates(x + 1))
+    for _ in core._depth_first(P.n, candidates, out):
+        yield tuple(out)
 
 
 def enumerate_bounded_homs(D: FiniteLattice, E: FiniteLattice) -> list[BoundedHom]:

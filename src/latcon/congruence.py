@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
-from .errors import ElementOutOfRange, EmbeddingInvalid, PostconditionFailed
+from .errors import ElementOutOfRange, EmbeddingInvalid, LatconError, PostconditionFailed
 
 
 def _key(labels: Iterable) -> tuple[int, ...]:
@@ -185,7 +185,7 @@ def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> 
     """
     n = L.n
     work = []
-    for a, b in pairs:
+    for a, b in core._pairs(pairs, LatconError, "pairs must be pairs of element ids"):
         a, b = core._element_id(a), core._element_id(b)
         if not (0 <= a < n and 0 <= b < n):
             raise ElementOutOfRange(f"pair ({a}, {b}) out of range for size {n}")
@@ -322,11 +322,10 @@ class ConLattice:
         (:meth:`_congruences`), and the upper cover rows of Con L in the
         canonical numbering.  Distinct down-sets join to distinct
         congruences, so the rows are those of the down-sets under inclusion
-        (:func:`core._downset_rows`).  The down-sets come in the order
-        :func:`core._downsets` finds them, and the numbering is the sort by
-        :func:`_rank` alone, whose keys are distinct as the congruences
-        are, which is checked.  Run once, on first use.
-        """
+        (:func:`core._downset_rows`).  The numbering is the sort by
+        :func:`_rank` alone, whatever order :func:`core._downsets` finds
+        the down-sets in: its keys are distinct as the congruences are,
+        which is checked.  Run once, on first use."""
         if self._full is not None:
             return self._full
         ds = list(core._downsets(self.ji_order))

@@ -20,7 +20,7 @@ import heapq
 from collections.abc import Mapping, Sized
 from itertools import chain as _chain, combinations, islice
 from operator import index as _index
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     Cyclic,
@@ -97,12 +97,11 @@ def _size(n, least: int, error: type[Exception], what: str) -> int:
 
 def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
     """Upper cover rows on ``0..n-1`` with int entries, and the cover
-    pairs with int ids in their order, from the pairs ``covers`` or, when
-    it is ``None``, from ``rows``, which become the pairs they list at
-    once, row by row.  ``covers`` must be iterable and each entry unpack
-    to two ids, or :class:`InvalidLattice` names it or its first bad
-    entry; ``rows`` must be ``n`` rows, or it names the first that is not
-    iterable (:func:`_row_fault`).  Every id is converted next, and
+    pairs with int ids in their order, from the pairs ``covers``, read by
+    :func:`_pairs`, which raises :class:`InvalidLattice`, or, when it is
+    ``None``, from ``rows``, which become the pairs they list at once, row
+    by row; ``rows`` must be ``n`` rows, or it names the first that is
+    not iterable (:func:`_row_fault`).  Every id is converted next, and
     :func:`_element_ids` names the first that is no integer; then one pass
     over the pairs raises :class:`ElementOutOfRange` at the first out of
     range and :class:`Cyclic` at the first self-loop, and otherwise puts
@@ -115,17 +114,7 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
         except TypeError:
             raise _row_fault(rows, "upper_order") from None
     else:
-        try:
-            entries = iter(covers)
-        except TypeError:
-            raise InvalidLattice(f"covers must be cover pairs, got {covers!r}") from None
-        pairs = []
-        for entry in entries:
-            try:
-                a, b = entry
-            except (TypeError, ValueError):
-                raise InvalidLattice(f"covers must be cover pairs, got entry {entry!r}") from None
-            pairs.append((a, b))
+        pairs = _pairs(covers, InvalidLattice, "covers must be cover pairs")
     ids = _element_ids(_chain.from_iterable(pairs))
     pairs = list(zip(ids[0::2], ids[1::2]))
     succ = [[] for _ in range(n)]
@@ -136,6 +125,23 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
             raise Cyclic(f"self-loop at element {a}")
         succ[a].append(b)
     return succ, pairs
+
+
+def _pairs(items, error: type[Exception], what: str) -> list[tuple]:
+    """The pairs ``items`` from outside as 2-tuples; ``error``, after the
+    text ``what``, names ``items`` if not iterable or its first non-pair."""
+    try:
+        entries = iter(items)
+    except TypeError:
+        raise error(f"{what}, got {items!r}") from None
+    pairs = []
+    for entry in entries:
+        try:
+            a, b = entry
+        except (TypeError, ValueError):
+            raise error(f"{what}, got entry {entry!r}") from None
+        pairs.append((a, b))
+    return pairs
 
 
 def _row_fault(spec, kind: str) -> InvalidLattice:
@@ -833,37 +839,58 @@ def join_irreducibles(L: FiniteLattice) -> Poset:
     return L._ji
 
 
-def _addable(P: Poset, d: int) -> list[int]:
-    """Elements ``x`` outside the down-set ``d`` of P with ``d | 1 << x`` a
-    down-set: the down-sets covering ``d`` under inclusion."""
-    return [x for x in range(P.n) if not d >> x & 1 and not P._down[x] & ~(d | 1 << x)]
-
-
 def _downset_rows(P: Poset, ds: Sequence[int]) -> tuple[list[int], ...]:
     """Upper cover rows, as positions in ``ds`` and each ascending, of the
-    inclusion order on ``ds``, a list of all down-sets of P."""
-    index = {m: i for i, m in enumerate(ds)}
-    return tuple(sorted([index[d | 1 << x] for x in _addable(P, d)]) for d in ds)
+    inclusion order on ``ds``, a list of all down-sets of P: ``d`` is covered
+    by each ``d | 1 << x`` with ``x`` the only element of its down-set outside ``d``."""
+    index, down = {m: i for i, m in enumerate(ds)}, P._down
+    return tuple(sorted([index[d | 1 << x] for x in range(P.n) if down[x] & ~d == 1 << x])
+                 for d in ds)
+
+
+def _depth_first(n: int, candidates: Callable[[int], Iterable], out: list) -> Iterator[None]:
+    """Each filling of ``out[0..n-1]`` in the candidates' lexicographic
+    order: ``out[x]`` takes each value, never ``None``, of ``candidates(x)``,
+    read once ``out[0..x-1]`` is set.  Yields once per full filling, ``out``
+    holding it, and once if ``n == 0``.  The package's one backtracking
+    search: one iterator of candidates per filled position on an explicit
+    stack, so its depth is bounded by memory, not by the recursion limit."""
+    stack: list[Iterator] = []
+    while True:
+        if len(stack) == n:
+            yield
+        else:
+            stack.append(iter(candidates(len(stack))))
+        while stack and (y := next(stack[-1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        out[len(stack) - 1] = y
 
 
 def _downsets(P: Poset) -> Iterator[int]:
-    """The down-sets of P as bitmasks, each once and by size.
+    """The down-sets of P as bitmasks, each once.
 
-    Grown breadth first from the empty one: a down-set of size ``s + 1``
-    is one of size ``s`` with one addable element added, so the work is
-    linear in the number of down-sets times ``P.n``.  Each is yielded as
-    soon as it is found, so a count cut at a bound (:func:`_count`) never
-    finds more than the bound.
+    :func:`_depth_first` decides membership in id order, out before in,
+    ``out[x]`` holding the members among ``0..x``: x may stay out when no
+    member lies above it, and join when no element decided out lies below
+    it.  Each such choice extends to a down-set, the members' down-closure,
+    so the search meets no dead end and needs no linear extension: its work
+    is linear in the number of down-sets times ``P.n``.  Each is yielded
+    when found, so a count cut at a bound (:func:`_count`) finds no more.
     """
-    yield 0
-    found, seen = [0], {0}
-    for d in found:
-        for x in _addable(P, d):
-            e = d | 1 << x
-            if e not in seen:
-                seen.add(e)
-                found.append(e)
-                yield e
+    up, down = P._up, P._down
+    out = [0] * P.n
+
+    def choices(x: int) -> Iterator[int]:
+        d = out[x - 1] if x else 0
+        if not up[x] & d:
+            yield d
+        if not down[x] & ~d & ((1 << x) - 1):
+            yield d | 1 << x
+
+    for _ in _depth_first(P.n, choices, out):
+        yield out[-1] if out else 0
 
 
 def _count(items: Iterable, stop: int) -> int:
@@ -913,16 +940,14 @@ def invariant(L: FiniteLattice) -> tuple:
 def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
     """A lattice isomorphism A -> B as a list, or None.
 
-    Backtracking in id order with degree/height refinement; instances here
-    are small, so no fancier invariants are needed.  An image ``y`` for
+    The first filling of :func:`_depth_first` in id order, with
+    degree/height refinement; instances here are small, so no fancier
+    invariants are needed.  An image ``y`` for
     ``x`` is consistent with the images ``placed`` of ``0..x-1`` when the
     placed elements below ``y`` are the images of the elements below ``x``
     and none lies above ``y``: ids form linear extensions, so every element
     below ``x`` is placed and none above it.  Both are one mask test, and
-    the images below ``x`` are those below and at its lower covers.  The
-    depth-first search keeps one iterator of consistent images per
-    assigned element on an explicit stack, so its depth is bounded by
-    memory, not by the recursion limit.
+    the images below ``x`` are those below and at its lower covers.
     """
     sig_a, sig_b = _signatures(A), _signatures(B)
     if sorted(sig_a) != sorted(sig_b):
@@ -937,6 +962,8 @@ def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
     below = [0] * n  # below[x]: the mask of the images of the elements below x
 
     def images(x: int) -> Iterator[int]:
+        if x:
+            placed[x] = placed[x - 1] | 1 << fwd[x - 1]
         done, m = placed[x], 0
         for c in A._lower[x]:
             m |= below[c] | 1 << fwd[c]
@@ -945,18 +972,7 @@ def find_isomorphism(A: FiniteLattice, B: FiniteLattice) -> list[int] | None:
             if B._down[y] & done == m and not B._up[y] & done:
                 yield y
 
-    stack = [images(0)]
-    while stack:
-        x = len(stack) - 1
-        fwd[x] = next(stack[-1], -1)
-        if fwd[x] < 0:
-            stack.pop()
-        elif x + 1 == n:
-            return fwd
-        else:
-            placed[x + 1] = placed[x] | 1 << fwd[x]
-            stack.append(images(x + 1))
-    return None
+    return next((fwd for _ in _depth_first(n, images, fwd)), None)
 
 
 def are_isomorphic(A: FiniteLattice, B: FiniteLattice) -> bool:

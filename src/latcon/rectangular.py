@@ -389,7 +389,9 @@ def glue(
     elements read their lower covers from A and their upper covers from B.
     """
     eid = core._element_id
-    pairs = sorted((eid(x), eid(y)) for x, y in (iso.items() if isinstance(iso, Mapping) else iso))
+    pairs = iso.items() if isinstance(iso, Mapping) else core._pairs(
+        iso, LatconError, "iso must be a mapping or id pairs")
+    pairs = sorted((eid(x), eid(y)) for x, y in pairs)
     F = [p[0] for p in pairs]
     I = [p[1] for p in pairs]
     if len(set(F)) != len(F) or len(set(I)) != len(I):

@@ -16,7 +16,13 @@ public callables that take no id or size, ``BUILT_BY_LIBRARY`` the public
 classes whose instances the library builds, and a guard fails on any
 callable or class in none of the three.
 
-The contract covers ids and sizes only.  Out of its scope:
+The contract covers ids and sizes only, and the shape of a list of pairs
+from outside: the cover pairs of ``make_lattice`` and ``Poset``, the
+identification of ``rectangular.glue`` and the pairs of
+``congruence.generated_congruence`` are read by one pair reader,
+``core._pairs``, so a list that is not iterable or an entry that is no
+pair fails as a named ``LatconError``, pinned in ``ROWS``.  Out of its
+scope:
 
 - an argument of the wrong object type, such as ``cells(L)`` on a
   ``FiniteLattice`` or ``congruence_lattice("a")``, which raises a bare
@@ -164,6 +170,17 @@ ROWS = ID_ROWS + [
      "covers must be cover pairs, got 5"),
     ("poset-covers-entry-single", lambda: core.Poset(2, [(0,)]), InvalidLattice,
      "covers must be cover pairs, got entry (0,)"),
+    # a pair list of the wrong shape used to raise a bare TypeError or ValueError
+    ("glue-entry-single", lambda: rl.glue(core.chain(2), core.chain(2), [(1,)]), LatconError,
+     "iso must be a mapping or id pairs, got entry (1,)"),
+    ("glue-iso-int", lambda: rl.glue(core.chain(2), core.chain(2), 5), LatconError,
+     "iso must be a mapping or id pairs, got 5"),
+    ("generated-entry-single", lambda: cg.generated_congruence(core.chain(3), [(0,)]),
+     LatconError, "pairs must be pairs of element ids, got entry (0,)"),
+    ("generated-entry-int", lambda: cg.generated_congruence(core.chain(3), [(0, 1), 2]),
+     LatconError, "pairs must be pairs of element ids, got entry 2"),
+    ("generated-pairs-int", lambda: cg.generated_congruence(core.chain(3), 5), LatconError,
+     "pairs must be pairs of element ids, got 5"),
     # order rows of the wrong shape used to raise a bare TypeError
     ("rows-int", lambda: core.make_lattice(2, None, 5), InvalidLattice,
      "without covers, upper_order must be 2 rows, one per element"),

@@ -856,18 +856,39 @@ class TestDownsets:
             )
 
     def test_bounded_count_stops_at_its_bound(self):
-        # the first ``stop`` down-sets, by size, and never more
+        # the first ``stop`` down-sets, and never more
         rng = random.Random(35)
         for _ in range(40):
             P = helpers.random_poset(rng, rng.randint(0, 8))
             found = list(core._downsets(P))
             assert sorted(found) == sorted(helpers.brute_downsets(P))
-            assert list(map(int.bit_count, found)) == sorted(map(int.bit_count, found))
             for stop in range(1, len(found) + 2):
                 assert list(itertools.islice(core._downsets(P), stop)) == found[:stop]
                 assert core._count(core._downsets(P), stop) == min(stop, len(found))
         wide = core.Poset(63, [])  # 2^63 down-sets
         assert core._count(core._downsets(wide), 16385) == 16385
+
+    def test_zero_sets_of_maps_to_two(self):
+        # x -> [x not in d] is an isotone map to the 2-chain for each
+        # down-set d, and every such map is one; numberings include ones
+        # that are no linear extension
+        two = core.Poset(2, [(0, 1)])
+        rng = random.Random(46)
+        for k in range(60):
+            P = helpers.random_poset(rng, rng.randint(0, 9), shuffle=k % 2 == 0)
+            zeros = [sum(1 << x for x, v in enumerate(f) if not v)
+                     for f in birkhoff.enumerate_isotone_maps(P, two)]
+            assert sorted(core._downsets(P)) == sorted(zeros)
+
+    def test_depth_first_fills_nothing_once(self):
+        def never(x):
+            raise AssertionError(f"candidates({x}) read for n == 0")
+        assert list(core._depth_first(0, never, [])) == [None]
+
+    def test_depth_first_outlasts_the_recursion_limit(self):
+        out = [0] * 5000
+        assert sum(1 for _ in core._depth_first(5000, lambda x: (x,), out)) == 1
+        assert out == list(range(5000))
 
 
 class TestIsomorphism:
