@@ -37,8 +37,7 @@ rebuilt from the output and verified as rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import birkhoff, congruence as cg, rectangular as rl, verify
 from .birkhoff import BoundedHom
@@ -55,8 +54,7 @@ from .rectangular import RectLattice, TripleGluingAssembly
 CHAIN_NAMES = ("ll", "ul", "lr", "ur")
 
 
-@dataclass(frozen=True)
-class EyeRecord:
+class EyeRecord(NamedTuple):
     """One eye insertion: which flap, which cell, which two colors it ties.
 
     ``color_x`` is the tied color of the piece whose edges the pipeline
@@ -71,15 +69,15 @@ class EyeRecord:
     color_y: int
 
 
-@dataclass
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     """What a pipeline built and how.
 
-    ``assembly`` is the gluing bookkeeping, from which ``output`` and
-    ``pieces`` (by role) are read.  ``embedded_f``/``embedded_g`` map input
-    element ids to output ids; ``eye_log`` records every inserted eye;
-    ``color_table`` maps each color of the output to the edge positions
-    where it appears along the four boundary chains.
+    ``assembly`` is the gluing bookkeeping, from which ``output``,
+    ``pieces`` (by role) and ``color_table`` are read.
+    ``embedded_f``/``embedded_g`` map input element ids to output ids;
+    ``eye_log`` records every inserted eye; ``color_table`` maps each color
+    of the output to the edge positions where it appears along the four
+    boundary chains.
     ``inner`` is the report of a nested pipeline stage, when there is one.
     ``verification`` is the passing :mod:`latcon.verify` report of a
     representation pipeline (``None`` for the boundary color extension).
@@ -88,7 +86,6 @@ class ConstructionReport:
     embedded_f: tuple[int, ...]
     embedded_g: tuple[int, ...] | None
     eye_log: tuple[EyeRecord, ...]
-    color_table: dict[int, dict[str, tuple[int, ...]]]
     assembly: TripleGluingAssembly
     inner: "ConstructionReport | None" = None
     verification: verify.VerificationReport | None = None
@@ -102,9 +99,12 @@ class ConstructionReport:
         a = self.assembly
         return {"top": a.top, "bottom": a.bottom, "left": a.left, "right": a.right}
 
+    @property
+    def color_table(self) -> dict[int, dict[str, tuple[int, ...]]]:
+        return _color_table(self.output)
 
-@dataclass(frozen=True)
-class ChainCollapseReport:
+
+class ChainCollapseReport(NamedTuple):
     """Whether every nontrivial congruence collapses an upper-chain edge."""
 
     holds: bool
@@ -192,7 +192,6 @@ def _verified(
         embedded_f=embedded_f,
         embedded_g=g_map,
         eye_log=log,
-        color_table=_color_table(L),
         assembly=asm,
         inner=inner,
         verification=vrep,
@@ -226,16 +225,14 @@ def boundary_color_extension(F: RectLattice) -> tuple[RectLattice, ConstructionR
 
     if not cg.is_cp_extension(R.lattice, asm.t_map):
         raise PostconditionFailed("the extension does not preserve the congruences of F")
-    table = _color_table(R)
     # the lower chains are the bottom grid's, one diagonal eye per color
-    if not all(all(row.values()) for row in table.values()):
+    if not all(all(row.values()) for row in _color_table(R).values()):
         raise PostconditionFailed("every color must appear on all four boundary chains")
 
     report = ConstructionReport(
         embedded_f=asm.t_map,
         embedded_g=None,
         eye_log=tuple(EyeRecord("bottom", (p, p), p, p) for p in range(j)) + flap_log,
-        color_table=table,
         assembly=asm,
     )
     F._bce = (R, report)
@@ -261,11 +258,12 @@ def filter_representation(
 
     inner, tie = _tied_colors(F, phi)
     chains = _chain_colors(G, conG)
+    below = _chain_colors(inner.output, cg.congruence_lattice(inner.output.lattice))
     ties = []
     for q, lifted in enumerate(tie):
         flap, a = _first_lower_edge(chains, q)
         facing = "ul" if flap == "left" else "ur"
-        ties.append((flap, a, inner.color_table[lifted][facing][0], q, lifted))
+        ties.append((flap, a, below[facing].index(lifted), q, lifted))
     asm, log = _glue_flaps(G, inner.output, ties)
     check = verify.verify_filter_representation
     return _verified(check, F, G, phi, inner, asm, log, asm.b_map, asm.t_map)
@@ -312,8 +310,9 @@ def ideal_representation(
 
     inner, tie = _tied_colors(F, phi)
     chains = _chain_colors(G, conG)
+    above = _chain_colors(inner.output, cg.congruence_lattice(inner.output.lattice))
     ties = [
-        (flap, inner.color_table[tie[q]][facing][0], a, q, tie[q])
+        (flap, above[facing].index(tie[q]), a, q, tie[q])
         for upper, facing, flap in (("ul", "ll", "left"), ("ur", "lr", "right"))
         for a, q in enumerate(chains[upper])
     ]

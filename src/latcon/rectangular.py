@@ -26,9 +26,8 @@ its docstring; :func:`make_rectangular` checks only lattices from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import core
 from .core import FiniteLattice
@@ -100,8 +99,7 @@ class RectLattice:
                 f"eyes={list(self.eyes)})")
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """A height-2 interval whose interior is an antichain of covers.
 
     ``left`` and ``right`` are the outermost interior elements in planar
@@ -299,7 +297,8 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
     has one; so the top is below no corner and the bottom above none, and
     the corners' chains, which ``e`` could join only through them, stay.
     """
-    if cell not in cells(R):
+    # a Cell equals the plain tuple of its fields, which is no cell
+    if not (isinstance(cell, Cell) and cell in cells(R)):
         raise NotACell(f"{cell} is not a cell of this lattice")
     upper, lower = list(R.lattice._upper), list(R.lattice._lower)
     eye = _add_eye(upper, lower, cell.bottom, cell.top,
@@ -309,7 +308,7 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
                        tuple(sorted(renum[e] for e in (*R.eyes, eye))))
 
 
-class GluedLattice:
+class GluedLattice(NamedTuple):
     """Result of identifying a filter of one lattice with an ideal of another.
 
     ``a_map``/``b_map`` send the piece elements to result elements; the
@@ -317,17 +316,13 @@ class GluedLattice:
     ``iso`` records the identified (filter-element, ideal-element) pairs.
     """
 
-    __slots__ = ("lattice", "a_lattice", "b_lattice", "a_map", "b_map",
-                 "shared", "iso")
-
-    def __init__(self, lattice, a_lattice, b_lattice, a_map, b_map, shared, iso):
-        self.lattice = lattice
-        self.a_lattice = a_lattice
-        self.b_lattice = b_lattice
-        self.a_map = a_map
-        self.b_map = b_map
-        self.shared = shared
-        self.iso = iso
+    lattice: FiniteLattice
+    a_lattice: FiniteLattice
+    b_lattice: FiniteLattice
+    a_map: tuple[int, ...]
+    b_map: tuple[int, ...]
+    shared: tuple[int, ...]
+    iso: tuple[tuple[int, int], ...]
 
     def __repr__(self) -> str:
         return (f"GluedLattice(n={self.lattice.n}, lower={self.a_lattice.n}, "
@@ -417,25 +412,20 @@ def glue(
     return GluedLattice(lat, A, B, a_map, b_map, tuple(F), tuple(pairs))
 
 
-class TripleGluingAssembly:
+class TripleGluingAssembly(NamedTuple):
     """Bookkeeping for a triple gluing: the pieces, the center ``c`` and
     the maps of the pieces into the result."""
 
-    __slots__ = ("top", "bottom", "left", "right", "c", "result",
-                 "t_map", "b_map", "lf_map", "rf_map")
-
-    def __init__(self, top, bottom, left, right, c, result,
-                 t_map, b_map, lf_map, rf_map):
-        self.top = top
-        self.bottom = bottom
-        self.left = left
-        self.right = right
-        self.c = c
-        self.result = result
-        self.t_map = t_map
-        self.b_map = b_map
-        self.lf_map = lf_map
-        self.rf_map = rf_map
+    top: RectLattice
+    bottom: RectLattice
+    left: RectLattice
+    right: RectLattice
+    c: int
+    result: RectLattice
+    t_map: tuple[int, ...]
+    b_map: tuple[int, ...]
+    lf_map: tuple[int, ...]
+    rf_map: tuple[int, ...]
 
     def __repr__(self) -> str:
         return (f"TripleGluingAssembly(n={self.result.n}, c={self.c}, "

@@ -10,13 +10,12 @@ slope.  Output is byte-identical for identical input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import FiniteLattice, _heights
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(NamedTuple):
     """Coordinates per element plus the set of steep cover edges."""
 
     coords: dict[int, tuple[float, float]]

@@ -23,8 +23,7 @@ immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import congruence as cg, core
 from .birkhoff import BoundedHom
@@ -32,15 +31,13 @@ from .core import FiniteLattice
 from .errors import EmbeddingInvalid, LatconError
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -38,7 +38,6 @@ scope:
   lattices, not ids.
 """
 
-import dataclasses
 import inspect
 import os
 import re
@@ -62,6 +61,7 @@ from latcon.errors import (
     IndexOutOfRange,
     InvalidLattice,
     LatconError,
+    NotACell,
     SizeTooSmall,
 )
 
@@ -266,7 +266,7 @@ P4 = core.join_irreducibles(C3SQ)  # four join-irreducibles
 
 def _cell(bottom):
     """The first cell of the fork lattice with its bottom replaced."""
-    return dataclasses.replace(rl.cells(S7)[0], bottom=bottom)
+    return rl.cells(S7)[0]._replace(bottom=bottom)
 
 
 # (callable, argument, kind, n, call with a bad value in that argument);
@@ -397,6 +397,13 @@ CASES = [
 def test_contract_bad_id_or_size_is_a_latcon_error(call, value):
     with pytest.raises(LatconError):
         call(value)
+
+
+def test_insert_eye_refuses_a_plain_tuple_equal_to_a_cell():
+    # a cell is a named tuple, so it equals the plain tuple of its fields
+    c = rl.cells(S7)[0]
+    with pytest.raises(NotACell, match=r"is not a cell of this lattice$"):
+        rl.insert_eye(S7, (c.bottom, c.top, c.left, c.right, c.middles))
 
 
 def _public_callables():

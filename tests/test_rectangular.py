@@ -452,7 +452,7 @@ class TestTripleGlueOracle:
         builds = _count_builds(monkeypatch)
         R, _ = rl.triple_glue(g22, g22, g22, g22)
         assert builds == {"_trusted_lattice": [R.n], "make_lattice_with_map": []}
-        assert not [s for s in rl.TripleGluingAssembly.__slots__ if s.startswith("stage")]
+        assert not [s for s in rl.TripleGluingAssembly._fields if s.startswith("stage")]
 
 
 G33 = rl.grid(3, 3)

@@ -681,9 +681,8 @@ def _corners_at_top(monkeypatch):
 
 def _flap_off_center():
     asm = lemmas.assemblies()["four-grids"]
-    fields = {s: getattr(asm, s) for s in rl.TripleGluingAssembly.__slots__}
     R = asm.result
-    return [rl.TripleGluingAssembly(**{**fields, "lf_map": (R.lc, R.rc)})]
+    return [asm._replace(lf_map=(R.lc, R.rc))]
 
 
 def _total(stage, alpha_a, alpha_b):
