@@ -600,7 +600,8 @@ def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattic
     :func:`_mismatch`.
     """
     L = con_l.lattice
-    emb = [core._checked_id(x, L.n) for x in emb]
+    emb = [core._checked_id(x, L.n)
+           for x in core._entries(emb, ElementOutOfRange, "element ids must be iterable")]
     if not core._carries(L, emb, con_k.lattice):
         raise EmbeddingInvalid(f"{core._listed(emb)} does not list K as a convex sublattice of L")
     return _mismatch(con_l, _restricted(con_l, emb, con_k), con_k)

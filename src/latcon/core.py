@@ -44,14 +44,14 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _listed(elems: Iterable[int], limit: int = 10) -> str:
-    """``elems`` as a list for an error text: the first ``limit`` entries,
-    then the count of the rest, so a message stays short on any input."""
+def _listed(elems: Iterable[int]) -> str:
+    """``elems`` as a list for an error text: the first ten entries, then
+    the count of the rest, so a message stays short on any input."""
     elems = list(elems)
-    if len(elems) <= limit:
+    if len(elems) <= 10:
         return str(elems)
-    head = ", ".join(map(str, elems[:limit]))
-    return f"[{head}, … ({len(elems) - limit} more)]"
+    head = ", ".join(map(str, elems[:10]))
+    return f"[{head}, … ({len(elems) - 10} more)]"
 
 
 def _element_id(x) -> int:
@@ -71,10 +71,26 @@ def _checked_id(x, n: int) -> int:
     return x
 
 
+def _entries(items, error: type[Exception], what: str) -> Iterator:
+    """An iterator over ``items`` from outside; ``error``, after the text
+    ``what``, names ``items`` if it is not iterable."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise error(f"{what}, got {items!r}") from None
+
+
 def _element_ids(xs: Iterable) -> tuple[int, ...]:
     """:func:`_element_id` of each entry, by one ``map`` of ``operator.index``
-    unless it fails; ``xs`` is read once."""
-    xs = tuple(xs)
+    unless it fails; ``xs`` is read once.  :func:`_entries` names an ``xs``
+    that is not iterable only after ``tuple`` fails, so the common call
+    pays for no iterator; a ``TypeError`` raised while an iterable ``xs``
+    is read is the caller's and propagates."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        _entries(xs, ElementOutOfRange, "element ids must be iterable")
+        raise
     try:
         return tuple(map(_index, xs))
     except TypeError:
@@ -129,13 +145,10 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
 
 def _pairs(items, error: type[Exception], what: str) -> list[tuple]:
     """The pairs ``items`` from outside as 2-tuples; ``error``, after the
-    text ``what``, names ``items`` if not iterable or its first non-pair."""
-    try:
-        entries = iter(items)
-    except TypeError:
-        raise error(f"{what}, got {items!r}") from None
+    text ``what``, names ``items`` if not iterable (:func:`_entries`) or
+    its first non-pair."""
     pairs = []
-    for entry in entries:
+    for entry in _entries(items, error, what):
         try:
             a, b = entry
         except (TypeError, ValueError):
@@ -329,7 +342,10 @@ class Poset(_Order):
         pred = _sort(succ)
         up, down = _close(_kahn(succ, pred)[0] or range(n), succ, pred, pairs, range(n), range(n))
         self.n = n
-        self.labels = tuple(labels) if labels is not None else tuple(range(n))
+        self.labels = (
+            tuple(_entries(labels, InvalidLattice, "labels must be iterable"))
+            if labels is not None else tuple(range(n))
+        )
         if len(self.labels) != n:
             raise InvalidLattice("labels length does not match poset size")
         self._up = up
@@ -679,10 +695,8 @@ def is_distributive(L: FiniteLattice) -> bool:
 
 def _birkhoff_onto(L: FiniteLattice) -> bool:
     up, down = L._up, L._down
-    ji = [(p, L._lower[p][0]) for p in range(L.n) if len(L._lower[p]) == 1]
-    jmask = 0
-    for p, _ in ji:
-        jmask |= 1 << p
+    ji = [(p, L._lower[p][0]) for p in L.ji_elements()]
+    jmask = sum(1 << p for p, _ in ji)
     for x in range(L.n):
         dx, ux = down[x], up[x]
         jx = dx & jmask
@@ -719,12 +733,13 @@ def is_semimodular(L: FiniteLattice) -> bool:
 def _hull(L: FiniteLattice, S: Iterable[int]) -> tuple[int, int, int]:
     """The mask of the element set ``S``, the up-set of its meet and the
     down-set of its join.  This is the only reader of an element-set
-    argument: ``S`` is read once, and each id is converted and
-    range-checked as it is read.  An empty ``S`` has mask 0, its meet is
-    the top and its join the bottom."""
+    argument: ``S`` is read once, :func:`_entries` names it if it is not
+    iterable, and each id is converted and range-checked as it is read.
+    An empty ``S`` has mask 0, its meet is the top and its join the
+    bottom."""
     n, up, down = L.n, L._up, L._down
     mask, above, below = 0, up[0], down[n - 1]  # common upper and lower bounds
-    for x in S:
+    for x in _entries(S, ElementOutOfRange, "element ids must be iterable"):
         x = _checked_id(x, n)
         mask |= 1 << x
         above &= up[x]

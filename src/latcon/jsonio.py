@@ -187,15 +187,7 @@ def construction_report_to_obj(rep: ConstructionReport) -> dict:
         "output": rect_to_obj(rep.output),
         "embedded_f": list(rep.embedded_f),
         "embedded_g": None if rep.embedded_g is None else list(rep.embedded_g),
-        "eye_log": [
-            {
-                "flap": e.flap,
-                "cell": list(e.cell),
-                "color_x": e.color_x,
-                "color_y": e.color_y,
-            }
-            for e in rep.eye_log
-        ],
+        "eye_log": [{**e._asdict(), "cell": list(e.cell)} for e in rep.eye_log],
         "color_table": {
             str(p): {nm: list(v) for nm, v in row.items()}
             for p, row in rep.color_table.items()
@@ -206,10 +198,4 @@ def construction_report_to_obj(rep: ConstructionReport) -> dict:
 
 
 def verification_report_to_obj(rep: VerificationReport) -> dict:
-    return {
-        "checks": [
-            {"name": c.name, "passed": c.passed, "witness": c.witness}
-            for c in rep.checks
-        ],
-        "summary": rep.summary,
-    }
+    return {"checks": [c._asdict() for c in rep.checks], "summary": rep.summary}

@@ -209,7 +209,7 @@ def grid_with_eyes(
             lower.append(([x - 1] if b else []) + ([x - n] if a else []))
 
     temp_eye: dict[tuple[int, int], int] = {}
-    for cell in eye_cells:
+    for cell in core._entries(eye_cells, LatconError, "eye cells must be iterable"):
         try:
             i, k = cell
         except (TypeError, ValueError):

@@ -29,41 +29,33 @@ def steep_edges(L: FiniteLattice) -> frozenset:
     three lower covers of ``v``, or dually ``v`` strictly inside the upper
     covers of ``u``.
     """
-    out = set()
-    for u, v in L.covers():
-        lows = L.lower_covers(v)
-        ups = L.upper_covers(u)
-        if len(lows) >= 3 and u not in (lows[0], lows[-1]):
-            out.add((u, v))
-        elif len(ups) >= 3 and v not in (ups[0], ups[-1]):
-            out.add((u, v))
-    return frozenset(out)
+    def inside(row: tuple[int, ...], x: int) -> bool:
+        return len(row) >= 3 and x not in (row[0], row[-1])
+
+    return frozenset(
+        (u, v) for u, v in L.covers() if inside(L._lower[v], u) or inside(L._upper[u], v)
+    )
 
 
 def render_spec(L: FiniteLattice) -> RenderSpec:
+    lower, upper = L._lower, L._upper
+    coords: dict[int, tuple[float, float]] = {}
+
+    def key(x: int) -> tuple[float, float, int]:
+        # the barycenter of the lower covers, ties broken by the planar
+        # position among the parents' covers, then by id
+        d = max(len(lower[x]), 1)
+        return (
+            sum(coords[y][0] for y in lower[x]) / d,
+            sum(upper[y].index(x) for y in lower[x]) / d,
+            x,
+        )
+
     levels: dict[int, list[int]] = {}
     for x, h in enumerate(_heights(L)[0]):
         levels.setdefault(h, []).append(x)
-    coords: dict[int, tuple[float, float]] = {}
     for lvl in sorted(levels):
-        members = levels[lvl]
-        if lvl == 0:
-            order = sorted(members)
-        else:
-            bary = {
-                x: (
-                    sum(coords[y][0] for y in L.lower_covers(x))
-                    / max(len(L.lower_covers(x)), 1)
-                )
-                for x in members
-            }
-            # ties broken by the planar position among the parents' covers
-            slot = {
-                x: sum(L.upper_covers(y).index(x) for y in L.lower_covers(x))
-                / max(len(L.lower_covers(x)), 1)
-                for x in members
-            }
-            order = sorted(members, key=lambda x: (bary[x], slot[x], x))
+        order = sorted(levels[lvl], key=key)
         k = len(order)
         for i, x in enumerate(order):
             coords[x] = (i - (k - 1) / 2.0, float(lvl))

@@ -21,8 +21,9 @@ from outside: the cover pairs of ``make_lattice`` and ``Poset``, the
 identification of ``rectangular.glue`` and the pairs of
 ``congruence.generated_congruence`` are read by one pair reader,
 ``core._pairs``, so a list that is not iterable or an entry that is no
-pair fails as a named ``LatconError``, pinned in ``ROWS``.  Out of its
-scope:
+pair fails as a named ``LatconError``, pinned in ``ROWS``.
+``NOT_ITERABLE`` pins the error and text of each collection argument
+given ``5`` or ``None`` in place of a collection.  Out of its scope:
 
 - an argument of the wrong object type, such as ``cells(L)`` on a
   ``FiniteLattice`` or ``congruence_lattice("a")``, which raises a bare
@@ -397,6 +398,52 @@ CASES = [
 def test_contract_bad_id_or_size_is_a_latcon_error(call, value):
     with pytest.raises(LatconError):
         call(value)
+
+
+_IDS = (ElementOutOfRange, "element ids must be iterable")
+
+# (callable, argument, error and text before the value, call with the
+# value in that argument, values): 5 and None in place of a collection,
+# unless None is the documented default
+NOT_ITERABLE = [
+    ("core.sublattice", "S", _IDS, lambda v: core.sublattice(G33, v)),
+    ("core.is_convex_sublattice", "S", _IDS, lambda v: core.is_convex_sublattice(G33, v)),
+    ("core.is_ideal", "S", _IDS, lambda v: core.is_ideal(G33, v)),
+    ("core.is_filter", "S", _IDS, lambda v: core.is_filter(G33, v)),
+    ("congruence.is_cp_extension", "K", _IDS, lambda v: cg.is_cp_extension(G33, v)),
+    ("congruence.restriction_mismatch", "emb", _IDS, _restriction_mismatch),
+    ("birkhoff.make_bounded_hom", "assignment", _IDS,
+     lambda v: bk.make_bounded_hom(C3SQ, C3SQ, v)),
+    ("birkhoff.IsotoneMap", "assignment", _IDS, lambda v: bk.IsotoneMap(P4, P4, v)),
+    ("verify.verify_filter_representation", "f_emb", _IDS,
+     lambda v: vf.verify_filter_representation(G33, v, range(9), _phi())),
+    ("verify.verify_filter_representation", "g_emb", _IDS,
+     lambda v: vf.verify_filter_representation(G33, range(9), v, _phi())),
+    ("verify.verify_ideal_representation", "f_emb", _IDS,
+     lambda v: vf.verify_ideal_representation(G33, v, range(9), _phi())),
+    ("verify.verify_ideal_representation", "g_emb", _IDS,
+     lambda v: vf.verify_ideal_representation(G33, range(9), v, _phi())),
+    ("core.Poset", "labels", (InvalidLattice, "labels must be iterable"),
+     lambda v: core.Poset(2, [(0, 1)], v)),
+    ("rectangular.grid_with_eyes", "eye_cells", (LatconError, "eye cells must be iterable"),
+     lambda v: rl.grid_with_eyes(3, 3, v)),
+]
+
+NOT_ITERABLE_CASES = [
+    pytest.param(call, value, error, f"{what}, got {value!r}", id=f"{name}:{arg}={value!r}")
+    for name, arg, (error, what), call in NOT_ITERABLE
+    for value in ((5,) if (name, arg) == ("core.Poset", "labels") else (5, None))
+]
+
+
+@pytest.mark.parametrize("call, value, error, text", NOT_ITERABLE_CASES)
+def test_collection_that_is_not_iterable_is_named(call, value, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(value)
+
+
+def test_poset_labels_default_to_the_ids():
+    assert core.Poset(2, [(0, 1)], None).labels == (0, 1)
 
 
 def test_insert_eye_refuses_a_plain_tuple_equal_to_a_cell():

@@ -158,6 +158,7 @@ class TestConLatticeAndReports:
         b = jio.dumps(jio.construction_report_to_obj(rep))
         assert a == b
         obj = json.loads(a)
+        assert obj == jio.construction_report_to_obj(rep)  # already JSON values
         assert obj["output"]["size"] == 12
         assert {e["flap"] for e in obj["eye_log"]} <= {"bottom", "left", "right"}
         assert set(obj["pieces"]) == {"top", "bottom", "left", "right"}
@@ -173,6 +174,7 @@ class TestConLatticeAndReports:
             L.lattice, rep.embedded_f, rep.embedded_g, phi
         )
         obj = jio.verification_report_to_obj(out)
+        assert json.loads(jio.dumps(obj)) == obj
         assert obj["summary"] is True
         assert [c["name"] for c in obj["checks"]] == [
             "target-copy-is-filter",

@@ -1,7 +1,12 @@
 """Diagram layout and the SVG/DOT emitters."""
 
+import hashlib
+
 import lemmas
+from latcon import birkhoff as bk
 from latcon import catalog, core
+from latcon import congruence as cg
+from latcon import construction as cn
 from latcon import render as rd
 from latcon import rectangular as rl
 
@@ -101,3 +106,33 @@ class TestEmitters:
     def test_dot_pins_positions(self):
         dot = rd.to_dot(catalog.get("m3"))
         assert 'pos="' in dot and '!"' in dot
+
+
+def _layout_corpus():
+    """330 lattices: both catalogs, every rectangular lattice of at most
+    20 elements, four chains, a product, n5 and four fork filter
+    representations."""
+    S7 = catalog.s7()
+    con = cg.congruence_lattice(S7.lattice).as_lattice()
+    homs = bk.enumerate_bounded_homs(con, con)
+    return [
+        *catalog.congruence_catalog().values(),
+        *catalog.brt_catalog().values(),
+        *(R.lattice for _, R in catalog.search_rectangular(20)),
+        *(core.chain(n) for n in (1, 2, 5, 40)),
+        core.direct_product(catalog.n5(), core.chain(3)),
+        catalog.n5(),
+        *(cn.filter_representation(S7, S7, homs[k])[0].lattice for k in range(4)),
+    ]
+
+
+def test_layout_corpus_digest_frozen():
+    # every coordinate and steep edge of the corpus, as SVG and DOT bytes
+    corpus = _layout_corpus()
+    assert len(corpus) == 330
+    digest = hashlib.sha256()
+    for L in corpus:
+        digest.update(rd.to_svg(L).encode())
+        digest.update(rd.to_dot(L).encode())
+    assert digest.hexdigest() == (
+        "6eb02bb945eb123fd3de25a63860dc1822e681b9a77eccfa7652a868cbea2a43")
