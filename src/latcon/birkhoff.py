@@ -172,7 +172,7 @@ def _assignment(xs: Sequence[int], m: int, n: int) -> tuple[int, ...]:
         raise LatconError(f"assignment length {len(f)} != source size {m}")
     if f and not (0 <= min(f) and max(f) < n):
         v = next(v for v in f if not 0 <= v < n)
-        raise ElementOutOfRange(f"image {v} out of range for size {n}")
+        raise ElementOutOfRange(f"image {core._quoted(v)} out of range for size {n}")
     return f
 
 

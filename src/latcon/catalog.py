@@ -55,7 +55,7 @@ def s7_eye(cell_index: int = 0) -> RectLattice:
     try:
         i = core._checked_id(cell_index, 3)
     except ElementOutOfRange:
-        raise IndexOutOfRange(f"fork cell {cell_index!r} is not 0, 1 or 2") from None
+        raise IndexOutOfRange(f"fork cell {core._quoted(cell_index)} is not 0, 1 or 2") from None
     base = s7()
     return rl.insert_eye(base, rl.cells(base)[i])
 
@@ -180,4 +180,4 @@ def get(name: str) -> FiniteLattice:
     extra = brt_catalog()
     if name in extra:
         return extra[name]
-    raise LatconError(f"unknown catalog lattice {name!r}")
+    raise LatconError(f"unknown catalog lattice {core._quoted(name)}")

@@ -38,20 +38,28 @@ class _InputError(Exception):
 
 
 def _find_json(arg: str) -> Path | None:
-    """The JSON file a path names, or a $LATCON_CATALOG entry, or None."""
+    """The JSON file a path names, or a $LATCON_CATALOG entry, or None.
+    A path the system refuses to look up, such as an overlong name, is an
+    :class:`_InputError`."""
     paths = [Path(arg)]
     env = os.environ.get("LATCON_CATALOG")
     if env:
         paths += [Path(env) / arg, Path(env) / f"{arg}.json"]
-    return next((p for p in paths if p.is_file()), None)
+    try:
+        return next((p for p in paths if p.is_file()), None)
+    except OSError as exc:
+        raise _os_error(exc, Path(arg)) from exc
 
 
 def _read_json(p: Path):
+    """The JSON value in the file ``p``.  Text that is not UTF-8 or not JSON,
+    nesting too deep to parse and an integer too long to convert each raise
+    an :class:`_InputError` naming ``p``."""
     try:
         return json.loads(p.read_text())
     except OSError as exc:
         raise _os_error(exc, p) from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError among them
         raise _InputError(f"{p}: {exc}") from exc
 
 
@@ -119,19 +127,19 @@ def _no_file(arg: str):
 
 
 def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
-    conF = cg.congruence_lattice(F.lattice)
-    conG = cg.congruence_lattice(G.lattice)
     if args.phi is not None and args.hom_index is not None:
         raise _InputError("give either a hom file or --hom-index, not both")
     if args.phi is not None:
 
         def from_obj(obj) -> bk.BoundedHom:
             phi = jio.hom_from_obj(obj)
-            cn._check_hom_endpoints(phi, conF, conG)
+            cn._check_hom_endpoints(phi, F, G)
             return phi
 
         return _load(args.phi, from_obj, _no_file)
     if args.hom_index is not None:
+        conF = cg.congruence_lattice(F.lattice)
+        conG = cg.congruence_lattice(G.lattice)
         _con_listable(args.f, F.n, conF.ji_order)
         _con_listable(args.g, G.n, conG.ji_order)
         count = _hom_count(f"Con {args.f}", f"Con {args.g}", conG.ji_order, conF.ji_order)
@@ -342,7 +350,7 @@ def cmd_render(args) -> int:
 
 def cmd_demo(args) -> int:
     if args.name != "s7":
-        raise _InputError(f"unknown demo {args.name!r}")
+        raise _InputError(f"unknown demo {core._quoted(args.name)}")
     out = _out_dir(args.out)
     F = catalog.s7()
     conS = cg.congruence_lattice(F.lattice).as_lattice()

@@ -188,7 +188,8 @@ def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> 
     for a, b in core._pairs(pairs, LatconError, "pairs must be pairs of element ids"):
         a, b = core._element_id(a), core._element_id(b)
         if not (0 <= a < n and 0 <= b < n):
-            raise ElementOutOfRange(f"pair ({a}, {b}) out of range for size {n}")
+            raise ElementOutOfRange(
+                f"pair ({core._quoted(a)}, {core._quoted(b)}) out of range for size {n}")
         work.append((a, b))
     return Congruence(L, _closure(L, work))
 
@@ -603,7 +604,7 @@ def restriction_mismatch(con_l: ConLattice, emb: Sequence[int], con_k: ConLattic
     emb = [core._checked_id(x, L.n)
            for x in core._entries(emb, ElementOutOfRange, "element ids must be iterable")]
     if not core._carries(L, emb, con_k.lattice):
-        raise EmbeddingInvalid(f"{core._listed(emb)} does not list K as a convex sublattice of L")
+        raise EmbeddingInvalid(f"{core._quoted(emb)} does not list K as a convex sublattice of L")
     return _mismatch(con_l, _restricted(con_l, emb, con_k), con_k)
 
 

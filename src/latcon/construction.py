@@ -20,7 +20,14 @@ boundary color of another.  The pipelines are:
 The pipelines work on colors, positions in the join-irreducible order
 that :attr:`ConLattice.colors` gives every edge, and one
 routine (:func:`_glue_flaps`) turns ties between colors into flap eyes and
-glues the pieces.  All return ``(RectLattice, ConstructionReport)``.  The
+glues the pieces.  Both representation pipelines first check the hom's
+endpoints (:func:`_check_hom_endpoints`), the ideal one then its
+upper-chain condition, so a failing input is refused before any
+extension is built; then both share one start, :func:`_tied_colors`: F's
+boundary color extension, the color of it tied to each color of G, and
+the chain colors of G and of the extension.  Every helper reads Con L
+off the lattice it is given, where it is cached.  All return
+``(RectLattice, ConstructionReport)``.  The
 representation pipelines check their output once through
 :mod:`latcon.verify`, which restricts the output's join-irreducible
 congruences to both copies on the colorings, never builds the output's list
@@ -41,7 +48,7 @@ from typing import NamedTuple, Sequence
 
 from . import birkhoff, congruence as cg, rectangular as rl, verify
 from .birkhoff import BoundedHom
-from .congruence import ConLattice, Congruence
+from .congruence import Congruence
 from .errors import (
     ColorMissingOnLowerBoundary,
     LatconError,
@@ -111,21 +118,19 @@ class ChainCollapseReport(NamedTuple):
     witnesses: tuple[Congruence, ...]
 
 
-def _chain_colors(R: RectLattice, con: ConLattice) -> dict[str, tuple[int, ...]]:
+def _chain_colors(R: RectLattice) -> dict[str, tuple[int, ...]]:
     """The colors of each boundary chain's edges, bottom-up, by chain name."""
+    colors = cg.congruence_lattice(R.lattice).colors
     chains = (R.lower_left, R.upper_left, R.lower_right, R.upper_right)
-    return {
-        nm: tuple(con.colors[e] for e in zip(ch, ch[1:])) for nm, ch in zip(CHAIN_NAMES, chains)
-    }
+    return {nm: tuple(colors[e] for e in zip(ch, ch[1:])) for nm, ch in zip(CHAIN_NAMES, chains)}
 
 
 def _color_table(R: RectLattice) -> dict[int, dict[str, tuple[int, ...]]]:
     """Edge positions of every join-irreducible color on the boundary chains."""
-    con = cg.congruence_lattice(R.lattice)
-    chains = _chain_colors(R, con)
+    chains = _chain_colors(R)
     return {
         p: {nm: tuple(i for i, c in enumerate(chains[nm]) if c == p) for nm in CHAIN_NAMES}
-        for p in range(con.ji_order.n)
+        for p in range(cg.congruence_lattice(R.lattice).ji_order.n)
     }
 
 
@@ -137,14 +142,19 @@ def _first_lower_edge(chains: dict[str, tuple[int, ...]], color: int) -> tuple[s
     raise ColorMissingOnLowerBoundary(f"color {color} is on no lower-boundary edge")
 
 
-def _check_hom_endpoints(phi: BoundedHom, conF: ConLattice, conG: ConLattice) -> None:
-    if not (conF._numbers(phi.source) and conG._numbers(phi.target)):
+def _check_hom_endpoints(phi: BoundedHom, F: RectLattice, G: RectLattice) -> None:
+    con = cg.congruence_lattice
+    if not (con(F.lattice)._numbers(phi.source) and con(G.lattice)._numbers(phi.target)):
         msg = "homomorphism endpoints do not match the congruence lattices of the inputs"
         raise LatconError(msg)
 
 
-def _tied_colors(F: RectLattice, phi: BoundedHom) -> tuple[ConstructionReport, list[int]]:
-    """F's boundary color extension R, and the color of R that ``phi`` sends each color of G to.
+def _tied_colors(F: RectLattice, G: RectLattice, phi: BoundedHom) -> tuple[
+    ConstructionReport, list[int], dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]
+]:
+    """The shared start of both representation pipelines: F's boundary color
+    extension R, the color of R that ``phi`` sends each color of G to, and
+    the chain colors (:func:`_chain_colors`) of G and of R.
 
     F's colors are lifted to R along the edges of F's copy: F is a filter of
     R and R preserves F's congruences, so each color of F has one in R.
@@ -154,7 +164,8 @@ def _tied_colors(F: RectLattice, phi: BoundedHom) -> tuple[ConstructionReport, l
     colors_r = cg.congruence_lattice(R.lattice).colors
     emb = inner.embedded_f
     lift = {p: colors_r[emb[a], emb[b]] for (a, b), p in colors_f.items()}
-    return inner, [lift[p] for p in birkhoff.ji_of_hom(phi).assignment]
+    tie = [lift[p] for p in birkhoff.ji_of_hom(phi).assignment]
+    return inner, tie, _chain_colors(G), _chain_colors(R)
 
 
 def _glue_flaps(
@@ -217,7 +228,7 @@ def boundary_color_extension(F: RectLattice) -> tuple[RectLattice, ConstructionR
 
     # precondition: every color owns a lower-boundary edge; color p sits on
     # edge p of both upper chains of U
-    chains = _chain_colors(F, con)
+    chains = _chain_colors(F)
     ties = [(*_first_lower_edge(chains, p), p, p, p) for p in range(j)]
     u_rect, _ = rl.grid_with_eyes(j + 1, j + 1, [(p, p) for p in range(j)])
     asm, flap_log = _glue_flaps(F, u_rect, ties)
@@ -253,12 +264,8 @@ def filter_representation(
     :mod:`latcon.verify` before returning, and :class:`VerificationFailed`
     is raised when one fails.
     """
-    conG = cg.congruence_lattice(G.lattice)
-    _check_hom_endpoints(phi, cg.congruence_lattice(F.lattice), conG)
-
-    inner, tie = _tied_colors(F, phi)
-    chains = _chain_colors(G, conG)
-    below = _chain_colors(inner.output, cg.congruence_lattice(inner.output.lattice))
+    _check_hom_endpoints(phi, F, G)
+    inner, tie, chains, below = _tied_colors(F, G, phi)
     ties = []
     for q, lifted in enumerate(tie):
         flap, a = _first_lower_edge(chains, q)
@@ -279,7 +286,7 @@ def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     off the coloring.
     """
     con = cg.congruence_lattice(G.lattice)
-    chains = _chain_colors(G, con)
+    chains = _chain_colors(G)
     upper = set(chains["ul"] + chains["ur"])
     P = con.ji_order
     misses = [P._down[p] for p in range(P.n) if not P._lower[p] and p not in upper]
@@ -300,17 +307,13 @@ def ideal_representation(
     image color on the facing lower chain above.  The output is checked
     through :mod:`latcon.verify` as in :func:`filter_representation`.
     """
-    conG = cg.congruence_lattice(G.lattice)
-    _check_hom_endpoints(phi, cg.congruence_lattice(F.lattice), conG)
-
+    _check_hom_endpoints(phi, F, G)
     chk = upper_chain_collapse_check(G)
     if not chk.holds:
         blocks = ", ".join(str(list(map(list, w.blocks))) for w in chk.witnesses)
         raise UpperChainConditionFails(f"congruence collapsing no upper-chain edge: {blocks}")
 
-    inner, tie = _tied_colors(F, phi)
-    chains = _chain_colors(G, conG)
-    above = _chain_colors(inner.output, cg.congruence_lattice(inner.output.lattice))
+    inner, tie, chains, above = _tied_colors(F, G, phi)
     ties = [
         (flap, above[facing].index(tie[q]), a, q, tie[q])
         for upper, facing, flap in (("ul", "ll", "left"), ("ur", "lr", "right"))

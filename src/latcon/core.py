@@ -44,14 +44,30 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _listed(elems: Iterable[int]) -> str:
-    """``elems`` as a list for an error text: the first ten entries, then
-    the count of the rest, so a message stays short on any input."""
-    elems = list(elems)
-    if len(elems) <= 10:
-        return str(elems)
-    head = ", ".join(map(str, elems[:10]))
-    return f"[{head}, … ({len(elems) - 10} more)]"
+def _quoted(value, depth: int = 2) -> str:
+    """``value`` for an error text: its ``repr``, bounded on any input.  A
+    list, tuple, set or dict shows its first ten entries, each quoted the
+    same way, then the count of the rest, and one nested more than
+    ``depth`` levels deep its brackets only; a string longer than 40
+    characters shows its first 40, and an integer of more than 256 bits
+    its sign and bit length (``repr`` refuses one of more than 4,300
+    digits); any other ``repr`` is cut at 100 characters.  The one quoter
+    of an outside value in an error text."""
+    if isinstance(value, int) and value.bit_length() > 256:
+        return f"<{'negative ' if value < 0 else ''}integer of {value.bit_length()} bits>"
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:40]!r}… ({len(value) - 40} more characters)"
+    ends = {list: "[]", tuple: "()", set: "{}", dict: "{}"}.get(type(value))
+    if ends is None or not value:
+        text = repr(value)
+        return text if len(text) <= 100 else f"{text[:100]}…"
+    if not depth:
+        return f"{ends[0]}…{ends[1]}"
+    entries = value.items() if isinstance(value, dict) else zip(value)  # 2-tuples or 1-tuples
+    head = [": ".join(_quoted(x, depth - 1) for x in e) for e in islice(entries, 10)]
+    rest = len(value) - 10
+    tail = f", … ({rest} more)" if rest > 0 else "," if ends == "()" and len(value) == 1 else ""
+    return f"{ends[0]}{', '.join(head)}{tail}{ends[1]}"
 
 
 def _element_id(x) -> int:
@@ -60,14 +76,14 @@ def _element_id(x) -> int:
     try:
         return _index(x)
     except TypeError:
-        raise ElementOutOfRange(f"element id {x!r} is not an integer") from None
+        raise ElementOutOfRange(f"element id {_quoted(x)} is not an integer") from None
 
 
 def _checked_id(x, n: int) -> int:
     """:func:`_element_id` of ``x``, which must lie in ``0..n-1``."""
     x = _element_id(x)
     if not 0 <= x < n:
-        raise ElementOutOfRange(f"element {x} out of range for size {n}")
+        raise ElementOutOfRange(f"element {_quoted(x)} out of range for size {n}")
     return x
 
 
@@ -77,7 +93,7 @@ def _entries(items, error: type[Exception], what: str) -> Iterator:
     try:
         return iter(items)
     except TypeError:
-        raise error(f"{what}, got {items!r}") from None
+        raise error(f"{what}, got {_quoted(items)}") from None
 
 
 def _element_ids(xs: Iterable) -> tuple[int, ...]:
@@ -108,7 +124,7 @@ def _size(n, least: int, error: type[Exception], what: str) -> int:
         else:
             if n >= least:
                 return n
-    raise error(f"{what} must be an integer >= {least}, got {n!r}")
+    raise error(f"{what} must be an integer >= {least}, got {_quoted(n)}")
 
 
 def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
@@ -124,7 +140,8 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
     each pair into its row."""
     if covers is None:
         if not isinstance(rows, Sized) or isinstance(rows, Mapping) or len(rows) != n:
-            raise InvalidLattice(f"without covers, upper_order must be {n} rows, one per element")
+            raise InvalidLattice(
+                f"without covers, upper_order must be {_quoted(n)} rows, one per element")
         try:
             pairs = [(a, b) for a, row in enumerate(rows) for b in row]
         except TypeError:
@@ -136,7 +153,7 @@ def _cover_rows(n: int, covers: Iterable[tuple[int, int]] | None, rows):
     succ = [[] for _ in range(n)]
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
-            raise ElementOutOfRange(f"cover ({a}, {b}) out of range for size {n}")
+            raise ElementOutOfRange(f"cover ({_quoted(a)}, {_quoted(b)}) out of range for size {n}")
         if a == b:
             raise Cyclic(f"self-loop at element {a}")
         succ[a].append(b)
@@ -152,7 +169,7 @@ def _pairs(items, error: type[Exception], what: str) -> list[tuple]:
         try:
             a, b = entry
         except (TypeError, ValueError):
-            raise error(f"{what}, got entry {entry!r}") from None
+            raise error(f"{what}, got entry {_quoted(entry)}") from None
         pairs.append((a, b))
     return pairs
 
@@ -166,8 +183,9 @@ def _row_fault(spec, kind: str) -> InvalidLattice:
         items = spec.items() if isinstance(spec, Mapping) else enumerate(spec)
         for k, row in items:
             if not isinstance(row, Iterable):
-                return InvalidLattice(f"{kind} for element {k} is not a row of ids, got {row!r}")
-    return InvalidLattice(f"{kind} must be a mapping or a sequence of rows, got {spec!r}")
+                return InvalidLattice(
+                    f"{kind} for element {_quoted(k)} is not a row of ids, got {_quoted(row)}")
+    return InvalidLattice(f"{kind} must be a mapping or a sequence of rows, got {_quoted(spec)}")
 
 
 def _sort(succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -274,7 +292,7 @@ def _close(order, succ, pred, pairs, new_id: Sequence[int], name: Sequence[int])
         if between:
             raise NotReduced(
                 f"cover ({a}, {b}) is implied by transitivity through"
-                f" {_listed(sorted(name[i] for i in _bits(between)))}"
+                f" {_quoted(sorted(name[i] for i in _bits(between)))}"
             )
     return up, down
 
@@ -567,7 +585,8 @@ def make_lattice_with_map(
                 raise _row_fault(spec, kind) from None
             far = next((e for k, r in given.items() for e in (k, *r) if not 0 <= e < n), None)
             if far is not None:
-                raise ElementOutOfRange(f"{kind} names element {far}, out of range for size {n}")
+                raise ElementOutOfRange(
+                    f"{kind} names element {_quoted(far)}, out of range for size {n}")
             for k, r in given.items():
                 rows[k] = r
             x = next((x for x in order if sorted(rows[x]) != want[x]), None)
@@ -584,8 +603,8 @@ def make_lattice_with_map(
 
     for rows, kind in ((lower, "bottom: minimal"), (upper, "top: maximal")):
         if rows.count(()) != 1:
-            ends = (order[x] for x in range(n) if not rows[x])
-            raise NotALattice(f"no unique {kind} elements {_listed(ends)}")
+            ends = [order[x] for x in range(n) if not rows[x]]
+            raise NotALattice(f"no unique {kind} elements {_quoted(ends)}")
 
     for ups in upper:
         if len(ups) > 1:
@@ -794,7 +813,7 @@ def sublattice(
     if not elems:
         raise EmptySet("empty set is not a sublattice")
     if not is_convex_sublattice(L, elems):
-        raise NotConvexSublattice(f"{sorted(elems)} is not a convex sublattice")
+        raise NotConvexSublattice(f"{_quoted(sorted(elems))} is not a convex sublattice")
     K, renum = make_lattice_with_map(len(elems), None, *_kept_rows(L, elems))
     to_parent = [0] * len(elems)
     for x, i in zip(elems, renum):

@@ -56,7 +56,7 @@ def _integer(value: Any, what: str) -> int:
     """An element id: a JSON integer, which a bool or a string is not."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise LatconError(f"{what} must be an integer, got {value!r}")
+    raise LatconError(f"{what} must be an integer, got {core._quoted(value)}")
 
 
 def _key_integer(key: str, what: str) -> int:
@@ -65,14 +65,14 @@ def _key_integer(key: str, what: str) -> int:
     ``" 3 "`` and non-ASCII digits."""
     if re.fullmatch(r"-?[0-9]+", key):
         return int(key)
-    raise LatconError(f"{what} must be an integer, got {key!r}")
+    raise LatconError(f"{what} must be an integer, got {core._quoted(key)}")
 
 
 def _element(value: Any, n: int, what: str) -> int:
     """An element id (see :func:`_integer`) of a lattice of size ``n``."""
     x = _integer(value, what)
     if not 0 <= x < n:
-        raise ElementOutOfRange(f"{what} {x} out of range for size {n}")
+        raise ElementOutOfRange(f"{what} {core._quoted(x)} out of range for size {n}")
     return x
 
 
@@ -84,7 +84,7 @@ def _order_maps(obj: dict) -> tuple[dict | None, dict | None]:
             rows = {}
             for k, vs in raw.items():
                 if not isinstance(vs, list):
-                    raise LatconError(f"{key} entry {k!r} must be a list")
+                    raise LatconError(f"{key} entry {core._quoted(k)} must be a list")
                 rows[_key_integer(k, f"{key} key")] = [_integer(v, f"{key} entry") for v in vs]
             out.append(rows)
         else:
@@ -110,11 +110,11 @@ def lattice_from_obj(obj: Any) -> FiniteLattice:
 def lattice_from_obj_with_map(obj: Any) -> tuple[FiniteLattice, tuple[int, ...]]:
     size = _require(obj, "size", int)
     if size > _MAX_SIZE:
-        raise LatconError(f"size {size} exceeds the limit of {_MAX_SIZE} elements")
+        raise LatconError(f"size {core._quoted(size)} exceeds the limit of {_MAX_SIZE} elements")
     covers = []
     for pair in _require(obj, "covers", list):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise LatconError(f"cover entry {pair!r} is not a pair")
+            raise LatconError(f"cover entry {core._quoted(pair)} is not a pair")
         covers.append((_integer(pair[0], "cover entry"), _integer(pair[1], "cover entry")))
     upper, lower = _order_maps(obj)
     return core.make_lattice_with_map(size, covers, upper, lower)
@@ -146,9 +146,8 @@ def rect_from_obj(obj: Any) -> RectLattice:
             )
         eyes = sorted(renum[_element(e, lat.n, "eye")] for e in _require(obj, "eyes", list))
         if eyes != sorted(R.eyes):
-            raise InvalidLattice(
-                f"claimed eyes {eyes} differ from the recomputed {sorted(R.eyes)}"
-            )
+            raise InvalidLattice(f"claimed eyes {core._quoted(eyes)} differ from the"
+                                 f" recomputed {core._quoted(sorted(R.eyes))}")
     return R
 
 

@@ -132,7 +132,7 @@ def make_rectangular(L: FiniteLattice) -> RectLattice:
     complements, and the corner down-/up-sets must be exactly the walk
     segments (hence chains).  The eyes are the doubly irreducible elements
     off both walks.  Each walk element costs one mask test, and an error
-    text names at most ten candidates (:func:`core._listed`).
+    text names at most ten candidates (:func:`core._quoted`).
     """
     if not core.is_semimodular(L):
         raise NotSemimodular("lattice is not semimodular")
@@ -147,7 +147,7 @@ def make_rectangular(L: FiniteLattice) -> RectLattice:
             raise NoCorner(f"no doubly irreducible element on the {side} boundary walk")
         if len(cand) > 1:
             raise AmbiguousCorner(f"multiple doubly irreducible elements"
-                                  f" {core._listed(cand)} on the {side} boundary walk")
+                                  f" {core._quoted(cand)} on the {side} boundary walk")
         corners.append(cand[0])
         walks.append(walk)
     lc, rc = corners
@@ -213,10 +213,12 @@ def grid_with_eyes(
         try:
             i, k = cell
         except (TypeError, ValueError):
-            raise LatconError(f"eye cell {cell!r} is not a (row, column) pair") from None
+            raise LatconError(
+                f"eye cell {core._quoted(cell)} is not a (row, column) pair") from None
         i, k = core._element_id(i), core._element_id(k)
         if not (0 <= i <= m - 2 and 0 <= k <= n - 2):
-            raise IndexOutOfRange(f"cell ({i}, {k}) outside the {m}x{n} grid")
+            raise IndexOutOfRange(
+                f"cell ({core._quoted(i)}, {core._quoted(k)}) outside the {m}x{n} grid")
         if (i, k) in temp_eye:
             raise LatconError(f"cell ({i}, {k}) listed twice")
         bot = i * n + k  # the cell's left side is bot + n, its top bot + n + 1
@@ -299,7 +301,7 @@ def insert_eye(R: RectLattice, cell: Cell) -> RectLattice:
     """
     # a Cell equals the plain tuple of its fields, which is no cell
     if not (isinstance(cell, Cell) and cell in cells(R)):
-        raise NotACell(f"{cell} is not a cell of this lattice")
+        raise NotACell(f"{core._quoted(cell)} is not a cell of this lattice")
     upper, lower = list(R.lattice._upper), list(R.lattice._lower)
     eye = _add_eye(upper, lower, cell.bottom, cell.top,
                    cell.middles[0] if cell.middles else cell.left)
@@ -392,9 +394,9 @@ def glue(
     if len(set(F)) != len(F) or len(set(I)) != len(I):
         raise NotIsomorphic("identification is not a bijection")
     if not core.is_filter(A, F):
-        raise NotAFilter(f"{F} is not a filter of the lower lattice")
+        raise NotAFilter(f"{core._quoted(F)} is not a filter of the lower lattice")
     if not core.is_ideal(B, I):
-        raise NotAnIdeal(f"{I} is not an ideal of the upper lattice")
+        raise NotAnIdeal(f"{core._quoted(I)} is not an ideal of the upper lattice")
     back = {b: a for a, b in pairs}
     i_mask = sum(1 << y for y in I)
     for x, y in pairs:

@@ -132,7 +132,7 @@ def _verify_representation(
         CheckResult(
             f"target-copy-is-{mode}",
             ok,
-            None if ok else f"{sorted(g_emb)} is not {article} of the output",
+            None if ok else f"{core._quoted(sorted(g_emb))} is not {article} of the output",
         )
     )
 

@@ -64,6 +64,7 @@ from latcon.errors import (
     LatconError,
     NotACell,
     SizeTooSmall,
+    ZeroSize,
 )
 
 C3SQ = catalog.get("c3xc3")
@@ -198,6 +199,64 @@ ROWS = ID_ROWS + [
 def test_bad_argument_is_named(call, error, text):
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         call()
+
+
+HUGE = 10**5000  # more digits than ``repr`` of an int writes
+
+# an outside value that is long, or an int too long to write, named in a
+# short text: each once raised a text of up to 688,927 characters or a
+# bare ValueError
+LONG_VALUES = [
+    ("cover-entry-of-100000-ids", lambda: core.make_lattice(3, [[0] * 100000]), InvalidLattice,
+     "covers must be cover pairs, got entry [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, … (99990 more)]"),
+    ("eye-cell-of-100000-ids", lambda: rl.grid_with_eyes(3, 3, [tuple(range(100000))]),
+     LatconError, "eye cell (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, … (99990 more)) is not a (row,"
+     " column) pair"),
+    ("covers-huge-int", lambda: core.make_lattice(3, HUGE), InvalidLattice,
+     "covers must be cover pairs, got <integer of 16610 bits>"),
+    ("cover-huge-id", lambda: core.make_lattice(3, [(0, HUGE)]), ElementOutOfRange,
+     "cover (0, <integer of 16610 bits>) out of range for size 3"),
+    ("eye-cell-huge-id", lambda: rl.grid_with_eyes(3, 3, [(0, HUGE)]), IndexOutOfRange,
+     "cell (0, <integer of 16610 bits>) outside the 3x3 grid"),
+    ("size-huge-negative", lambda: core.make_lattice(-HUGE, []), ZeroSize,
+     "lattice size must be an integer >= 1, got <negative integer of 16610 bits>"),
+    ("id-long-string", lambda: core.sublattice(G33, ["a" * 100000]), ElementOutOfRange,
+     f"element id {'a' * 40!r}… (99960 more characters) is not an integer"),
+    ("catalog-long-name", lambda: catalog.get("a" * 100000), LatconError,
+     f"unknown catalog lattice {'a' * 40!r}… (99960 more characters)"),
+    ("fork-cell-huge", lambda: catalog.s7_eye(HUGE), IndexOutOfRange,
+     "fork cell <integer of 16610 bits> is not 0, 1 or 2"),
+    ("image-huge", lambda: bk.make_bounded_hom(C3SQ, C3SQ, [0] * 8 + [HUGE]), ElementOutOfRange,
+     "image <integer of 16610 bits> out of range for size 9"),
+    ("pair-huge", lambda: cg.generated_congruence(G33, [(HUGE, 0)]), ElementOutOfRange,
+     "pair (<integer of 16610 bits>, 0) out of range for size 9"),
+    ("order-row-nested", lambda: core.make_lattice(2, None, [[[[[0] * 100000]]], []]),
+     ElementOutOfRange, "element id [[[…]]] is not an integer"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", [r[1:] for r in LONG_VALUES],
+                         ids=[r[0] for r in LONG_VALUES])
+def test_long_value_is_named_in_a_short_text(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == text and len(text) < 200
+
+
+@pytest.mark.parametrize("value", [
+    0, -7, 2**256 - 1, True, None, 1.5, "a'b\n", "a" * 40, [], (), (1,), (0, (1, 2)), [0] * 10,
+    set(), {3, 1}, {}, {"k": [1, "v"]}, frozenset({1}), range(5), cn.CHAIN_NAMES,
+])
+def test_short_value_is_quoted_as_repr_writes_it(value):
+    assert core._quoted(value) == repr(value)
+
+
+def test_quoted_text_is_bounded():
+    # ten entries of ten entries of a bounded entry at most
+    worst = [[("a" * 1000, -HUGE)] * 100] * 100
+    assert len(core._quoted(worst)) < 5000
+    assert core._quoted(object.__new__(type("A" * 200, (), {})))[-1] == "…"
 
 
 def test_id_checks_run_under_optimize():

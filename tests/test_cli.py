@@ -99,6 +99,37 @@ class TestInputResolution:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv", [["con", "a" * 5000], ["render", "a" * 300 + "/b"]], ids=["con", "render"])
+    def test_overlong_path_is_input_error(self, capsys, argv):
+        # the system refuses to look such a path up, with ENAMETOOLONG
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[1]}: ") and err.count("\n") == 1
+
+    def test_integer_too_long_to_convert_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "big.json"
+        p.write_text('{"size": 1%s, "covers": []}' % ("0" * 5000))
+        assert main(["con", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"size": 3, "covers": [list(range(100000))]},
+             "cover entry [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, … (99990 more)] is not a pair"),
+            ({"size": 2, "covers": [[0, 1]], "upper_order": {"x" * 100000: [1]}},
+             f"upper_order key must be an integer, got {'x' * 40!r}… (99960 more characters)"),
+        ],
+        ids=["cover-entry-of-100000-ids", "order-key-of-100000-characters"],
+    )
+    def test_long_value_is_named_in_a_short_line(self, tmp_path, capsys, obj, message):
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(obj))
+        assert main(["con", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ('{"size": 3, "covers": [["0", 1], [1, 2]]}',

@@ -404,7 +404,7 @@ def _numbered_lattices(source, a6_outputs):
 @pytest.mark.parametrize("source", ["catalog", "rect12", "a6"])
 class TestNumberedJoinIrreducibles:
     """``construction._tied_colors`` reads ``ji_of_hom(phi).assignment`` as
-    positions in ``conF.ji_order``, ``verify`` reads the j-th
+    positions in the ``ji_order`` of Con F, ``verify`` reads the j-th
     join-irreducible of a hom's endpoint as the congruence of color j, and
     ``jsonio`` writes the elements of the numbered Con L with one lower
     cover as the join-irreducibles by position.  All are right because the

@@ -131,8 +131,11 @@ class TestTiedColors:
             for g in names:
                 F, G = rect[f], rect[g]
                 for phi in bk.enumerate_bounded_homs(con_lat(F), con_lat(G)):
-                    _, tie = cn._tied_colors(F, phi)
+                    inner, tie, chains, inner_chains = cn._tied_colors(F, G, phi)
                     assert tie == helpers.reference_tied_colors(F, G, phi), (f, g, phi.assignment)
+                    assert inner is cn.boundary_color_extension(F)[1]
+                    assert chains == cn._chain_colors(G)
+                    assert inner_chains == cn._chain_colors(inner.output)
                     checked += 1
         assert checked == 145
 
@@ -332,6 +335,16 @@ class TestIdealRepresentation:
         with pytest.raises(UpperChainConditionFails) as exc:
             cn.ideal_representation(G22, S7, hom(G22, S7))
         assert "[[0], [1, 3], [2, 5], [4, 6]]" in str(exc.value)
+
+    def test_checks_run_endpoints_then_condition_then_extension(self, monkeypatch):
+        # S7 fails the condition, but a hom with wrong endpoints is refused for those
+        with pytest.raises(LatconError, match=f"^{ENDPOINTS}$"):
+            cn.ideal_representation(G22, S7, hom(M3, G22))
+        built = []
+        monkeypatch.setattr(cn, "boundary_color_extension", built.append)
+        with pytest.raises(UpperChainConditionFails):
+            cn.ideal_representation(G22, S7, hom(G22, S7))
+        assert built == []
 
 
 class TestSimpleIdealEmbedding:

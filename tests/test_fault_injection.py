@@ -57,8 +57,8 @@ def test_color_off_the_lower_boundary_is_its_own_error(monkeypatch):
     phi = bk.make_bounded_hom(con, con, range(con.n))
     real = cn._chain_colors
 
-    def no_lower_colors(R, con):
-        chains = real(R, con)
+    def no_lower_colors(R):
+        chains = real(R)
         if R is G:
             chains.update(ll=(), lr=())
         return chains
