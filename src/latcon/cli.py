@@ -60,7 +60,7 @@ def _read_json(p: Path):
     except OSError as exc:
         raise _os_error(exc, p) from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError among them
-        raise _InputError(f"{p}: {exc}") from exc
+        raise _InputError(f"{core._clipped(str(p))}: {exc}") from exc
 
 
 def _catalog_rect(name: str) -> rl.RectLattice:
@@ -71,7 +71,7 @@ def _catalog_rect(name: str) -> rl.RectLattice:
     try:
         return rl.make_rectangular(L)
     except LatconError as exc:  # the entry exists: say why it is unusable
-        raise _InputError(f"{name}: {exc}") from exc
+        raise _InputError(f"{core._clipped(name)}: {exc}") from exc
 
 
 def _load(arg: str, from_obj, from_catalog):
@@ -85,11 +85,11 @@ def _load(arg: str, from_obj, from_catalog):
         try:
             return from_obj(obj)
         except LatconError as exc:
-            raise _InputError(f"{arg}: {exc}") from exc
+            raise _InputError(f"{core._clipped(arg)}: {exc}") from exc
     try:
         return from_catalog(arg)
     except LatconError as exc:
-        raise _InputError(f"{arg}: no such file or catalog entry ({exc})") from exc
+        raise _InputError(f"{core._clipped(arg)}: no such file or catalog entry ({exc})") from exc
 
 
 # The most elements times join-irreducibles of a loaded lattice whose
@@ -108,8 +108,8 @@ def _con_affordable(arg: str, L: core.FiniteLattice) -> None:
     :data:`_CON_COST`, before Con L of the lattice ``arg`` names is computed."""
     j = len(L.ji_elements())
     if L.n * j > _CON_COST:
-        raise _InputError(f"{arg}: {L.n} elements times {j} join-irreducibles exceed the"
-                          f" budget of {_CON_COST} for the congruence lattice")
+        raise _InputError(f"{core._clipped(arg)}: {L.n} elements times {j} join-irreducibles"
+                          f" exceed the budget of {_CON_COST} for the congruence lattice")
 
 
 def _load_rect(arg: str) -> rl.RectLattice:
@@ -123,7 +123,7 @@ def _load_lattice(arg: str) -> core.FiniteLattice:
 
 
 def _no_file(arg: str):
-    raise _InputError(f"{arg}: no such file")
+    raise _InputError(f"{core._clipped(arg)}: no such file")
 
 
 def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
@@ -142,7 +142,8 @@ def _load_phi(args, F: rl.RectLattice, G: rl.RectLattice) -> bk.BoundedHom:
         conG = cg.congruence_lattice(G.lattice)
         _con_listable(args.f, F.n, conF.ji_order)
         _con_listable(args.g, G.n, conG.ji_order)
-        count = _hom_count(f"Con {args.f}", f"Con {args.g}", conG.ji_order, conF.ji_order)
+        count = _hom_count(f"Con {core._clipped(args.f)}", f"Con {core._clipped(args.g)}",
+                           conG.ji_order, conF.ji_order)
         if not 0 <= args.hom_index < count:
             raise _InputError(f"--hom-index {args.hom_index} out of range ({count} homs)")
         return bk.enumerate_bounded_homs(conF.as_lattice(), conG.as_lattice())[args.hom_index]
@@ -181,7 +182,7 @@ def _hom_count(source: str, target: str, je: core.Poset, jd: core.Poset) -> int:
 
 
 def _os_error(exc: OSError, path: Path) -> _InputError:
-    return _InputError(f"{exc.filename or path}: {exc.strerror or exc}")
+    return _InputError(f"{core._clipped(str(exc.filename or path))}: {exc.strerror or exc}")
 
 
 def _out_dir(arg: str) -> Path:
@@ -311,8 +312,8 @@ def _con_listable(arg: str, n: int, colors: core.Poset) -> None:
     ``colors``, times ``n`` are within :data:`_CON_BUDGET`.  The down-sets
     are counted no further than the budget, and no congruence is built."""
     most = _CON_BUDGET // n
-    _within(core._downsets(colors), most, f"{arg}: more than {most} congruences of {n} elements"
-            f" exceed the budget of {_CON_BUDGET} congruences times elements")
+    _within(core._downsets(colors), most, f"{core._clipped(arg)}: more than {most} congruences"
+            f" of {n} elements exceed the budget of {_CON_BUDGET} congruences times elements")
 
 
 def cmd_con(args) -> int:
@@ -328,7 +329,8 @@ def cmd_brt(args) -> int:
     E = _load_lattice(args.e)
     try:
         bk._require_distributive(D, E)
-        _hom_count(args.d, args.e, core.join_irreducibles(E), core.join_irreducibles(D))
+        _hom_count(core._clipped(args.d), core._clipped(args.e),
+                   core.join_irreducibles(E), core.join_irreducibles(D))
         homs = bk.enumerate_bounded_homs(D, E)
     except LatconError as exc:
         raise _InputError(str(exc)) from exc

@@ -12,9 +12,12 @@ least join-irreducible ``p`` with ``p <= b``, ``p !<= a``: ``(p_*, p)`` is
 perspective to ``(a, b)``, so con(a, b) = con(p_*, p).  And con(p_*, p) <=
 con(q_*, q) exactly when p D* q, the reflexive-transitive closure of
 Freese's relation p D q: some x has ``p <= q v x``, ``p !<= q_* v x``
-(Freese, Jezek and Nation, *Free Lattices*, 2.5).  The classes of mutual D*
-are the join-irreducible congruences, and the classes of a congruence are
-the connected components of the covers colored in its down-set of them.
+(Freese, Jezek and Nation, *Free Lattices*, 2.5).  So p and q have one
+congruence exactly when they have one row of D*, the set of the
+join-irreducibles D* below them: the equal rows are the join-irreducible
+congruences, each colored by its least member, and the classes of a
+congruence are the connected components of the covers colored in its
+down-set of them.
 Con L is distributive, so :class:`ConLattice` keeps only this Birkhoff
 dual, the order of the colors and the coloring, one flat tuple of
 positions in ``L.covers()`` order read as a mapping from covers.  Every
@@ -456,9 +459,13 @@ def _d_star(L: FiniteLattice) -> tuple[dict[int, int], dict[int, int]]:
     that stops at every row already closed: a closed row holds all that
     reaches its own element, so its bits are taken whole and need no
     search.  Every q lies in its own row (q D q, by a maximal element above
-    q_* and not above q).  The least q of a class, reached first in id
-    order, is its color, and the class is the p of its row whose row holds
-    q; so ``rep`` is read once per class, not once per row.
+    q_* and not above q).
+
+    The classes are the equal rows: p and q reach each other exactly when
+    ``below[p] == below[q]``.  If p D* q, row p lies in row q, as D* is
+    transitive, so mutual reach makes the rows equal; and equal rows hold
+    p and q both, as each row holds its own element.  The color of a class
+    is its least member, the first q in id order with that row.
     :func:`_color_order` orders the colors here for the CLI, which counts
     the congruences before it pays for :func:`congruence_lattice`.
     """
@@ -477,16 +484,10 @@ def _d_star(L: FiniteLattice) -> tuple[dict[int, int], dict[int, int]]:
                 seen |= new
                 todo |= new
         below[q] = seen
-    rep: dict[int, int] = {}
+    first: dict[int, int] = {}
     for q, row in below.items():
-        if q not in rep:
-            while row:
-                low = row & -row
-                row ^= low
-                p = low.bit_length() - 1
-                if below[p] >> q & 1:
-                    rep[p] = q
-    return below, rep
+        first.setdefault(row, q)
+    return below, {p: first[row] for p, row in below.items()}
 
 
 def _color_poset(below: dict[int, int], order: Sequence[int]) -> Poset:
@@ -521,7 +522,10 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
 
     Covers are colored by join-irreducibles and colors are ordered by D*
     (see the module docstring), D's rows read off meet-irreducible
-    witnesses by :func:`_d_rows` and closed by :func:`_d_star`.  The list
+    witnesses by :func:`_d_rows` and closed by :func:`_d_star`.  A cover
+    ``a < b`` takes the color of the least join-irreducible ``p`` with
+    ``p <= b``, ``p !<= a``: the least join-irreducible whose D* row equals
+    p's.  The list
     of all congruences is left to :class:`ConLattice` to build on demand.
     ``theta[r]`` is the principal closure con(r_*, r), and the
     postcondition checks it cover by cover: it must collapse a cover of

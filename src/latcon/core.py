@@ -49,14 +49,14 @@ def _quoted(value, depth: int = 2) -> str:
     list, tuple, set or dict shows its first ten entries, each quoted the
     same way, then the count of the rest, and one nested more than
     ``depth`` levels deep its brackets only; a string longer than 40
-    characters shows its first 40, and an integer of more than 256 bits
-    its sign and bit length (``repr`` refuses one of more than 4,300
-    digits); any other ``repr`` is cut at 100 characters.  The one quoter
-    of an outside value in an error text."""
+    characters shows its first 40 (:func:`_clipped`), and an integer of
+    more than 256 bits its sign and bit length (``repr`` refuses one of more
+    than 4,300 digits); any other ``repr`` is cut at 100 characters.  The
+    one quoter of an outside value in an error text."""
     if isinstance(value, int) and value.bit_length() > 256:
         return f"<{'negative ' if value < 0 else ''}integer of {value.bit_length()} bits>"
     if isinstance(value, str) and len(value) > 40:
-        return f"{value[:40]!r}… ({len(value) - 40} more characters)"
+        return _clipped(value, repr)
     ends = {list: "[]", tuple: "()", set: "{}", dict: "{}"}.get(type(value))
     if ends is None or not value:
         text = repr(value)
@@ -68,6 +68,17 @@ def _quoted(value, depth: int = 2) -> str:
     rest = len(value) - 10
     tail = f", … ({rest} more)" if rest > 0 else "," if ends == "()" and len(value) == 1 else ""
     return f"{ends[0]}{', '.join(head)}{tail}{ends[1]}"
+
+
+def _clipped(text: str, show: Callable[[str], str] = str) -> str:
+    """``show(text)`` if ``text`` has at most 40 characters, else ``show`` of
+    its first 40 and the count of the rest: the one bound of an outside
+    string in an error text.  With ``str``, the plain form of an outside
+    name, such as a path, without quote marks; :func:`_quoted` shows a
+    string through ``repr``."""
+    if len(text) <= 40:
+        return show(text)
+    return f"{show(text[:40])}… ({len(text) - 40} more characters)"
 
 
 def _element_id(x) -> int:
@@ -641,13 +652,10 @@ def _unjoined(up, down, lower, order) -> NotALattice | None:
         if len(low_p) != 1:
             continue
         up_p = up[p]
-        far = everything & ~(up_p | down[p])
-        while far:
-            low = far & -far
-            far ^= low
-            common = up[low.bit_length() - 1] & up_p
+        for x in _bits(everything & ~(up_p | down[p])):
+            common = up[x] & up_p
             if up[(common & -common).bit_length() - 1] != common:
-                x, y = sorted((low.bit_length() - 1, p))
+                x, y = sorted((x, p))
                 return NotALattice(f"elements {order[x]} and {order[y]} have no least upper bound")
     return None
 

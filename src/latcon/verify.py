@@ -55,11 +55,15 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _copy(L: FiniteLattice, emb: Sequence[int]) -> tuple[tuple[int, ...], FiniteLattice]:
-    """The embedding, ids as :func:`core._element_ids` gives them, and the
-    copy it carries, rebuilt by :func:`core.sublattice`.  ``emb[i]`` must be
-    the ambient id of the copy's element ``i``, so ``emb`` must list a
-    convex sublattice in its numbering."""
+def _embedded(L: FiniteLattice, emb: Sequence[int], given: FiniteLattice | None):
+    """The embedding, ids as :func:`core._element_ids` gives them, and
+    ``given`` if the embedding carries it, else the copy it carries,
+    rebuilt by :func:`core.sublattice`.  ``emb[i]`` must be the ambient id
+    of the copy's element ``i``, so ``emb`` must list a convex sublattice
+    in its numbering."""
+    emb = core._element_ids(emb)
+    if given is not None and core._carries(L, emb, given):
+        return emb, given
     try:
         sub, to_parent, _ = core.sublattice(L, emb)
     except LatconError as exc:
@@ -69,15 +73,6 @@ def _copy(L: FiniteLattice, emb: Sequence[int]) -> tuple[tuple[int, ...], Finite
             "embedding order is not the canonical numbering of the copy"
         )
     return emb, sub
-
-
-def _embedded(L: FiniteLattice, emb: Sequence[int], given: FiniteLattice | None):
-    """The embedding as ids, and ``given`` if the embedding carries it, else
-    the copy :func:`_copy` rebuilds."""
-    emb = core._element_ids(emb)
-    if given is not None and core._carries(L, emb, given):
-        return emb, given
-    return _copy(L, emb)
 
 
 def _verify_representation(

@@ -15,8 +15,12 @@ positions of the seed list and second on even ones, so that neither side
 always runs after the other.  Each pair is printed as it ends; then, per
 end-to-end metric, the pairs the change won, the two medians, the median
 gain and the quartiles of the parent's runs.  A gain is ``clear`` when it
-exceeds the distance between those quartiles.  Exits 1 when a run fails
-or reports a wrong output.
+exceeds the distance between those quartiles.  Each metric's line also
+says whether the change's median is worse than the parent's by more than
+the metric's ``bound`` in ``BENCHMARK.json``, and whether a gain meets the
+rule for claiming one: the change won at least nine tenths of the pairs
+(ties count for neither side) and the gain is clear.  Exits 1 when a run
+fails or reports a wrong output.
 """
 
 from __future__ import annotations
@@ -39,14 +43,18 @@ def seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def summarize(records: list[dict], better: dict[str, str]) -> dict[str, dict]:
+def summarize(records: list[dict], better: dict[str, str],
+              bounds: dict[str, float]) -> dict[str, dict]:
     """Per metric of ``better`` (its name to ``"higher"`` or ``"lower"``),
     what the ``records``, each ``{"parent": {...}, "change": {...}}`` of
     metric values, show: the pairs the change won, the medians of both
     sides, the median gain as a share of the parent's median (positive is
     better), the parent's first and third quartiles and whether the gain
-    exceeds their distance.  A metric missing from a record is skipped in
-    that record."""
+    exceeds their distance (``clear``); whether the median gain is a loss
+    of more than the metric's share in ``bounds`` (``worse``); and whether
+    the change won at least nine tenths of the pairs with a clear gain
+    (``claimable``).  A metric missing from a record is skipped in that
+    record."""
     out = {}
     for name, way in better.items():
         pairs = [(r["parent"][name], r["change"][name]) for r in records
@@ -57,15 +65,20 @@ def summarize(records: list[dict], better: dict[str, str]) -> dict[str, dict]:
         before = [p for p, _ in pairs]
         parent, change = statistics.median(before), statistics.median(c for _, c in pairs)
         q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else before * 3
+        won = sum(sign * (c - p) > 0 for p, c in pairs)
+        gain = sign * (change - parent) / parent
+        clear = sign * (change - parent) > q3 - q1
         out[name] = {
-            "won": sum(sign * (c - p) > 0 for p, c in pairs),
+            "won": won,
             "pairs": len(pairs),
             "parent": parent,
             "change": change,
-            "gain": sign * (change - parent) / parent,
+            "gain": gain,
             "parent_q1": q1,
             "parent_q3": q3,
-            "clear": sign * (change - parent) > q3 - q1,
+            "clear": clear,
+            "worse": gain < -bounds[name],
+            "claimable": 10 * won >= 9 * len(pairs) and clear,
         }
     return out
 
@@ -100,6 +113,7 @@ def main() -> int:
     args = ap.parse_args()
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     records = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent_root = Path(tmp)
@@ -115,10 +129,12 @@ def main() -> int:
             print(f"seed {seed}: " + "  ".join(
                 f"{k} {parent[k]:.5g} -> {change[k]:.5g}" for k in better if k in parent
             ), flush=True)
-    for name, s in summarize(records, better).items():
+    for name, s in summarize(records, better, bounds).items():
         print(f"{name:12s} won {s['won']}/{s['pairs']}  median {s['parent']:.5g} -> "
               f"{s['change']:.5g} ({s['gain']:+.1%})  parent quartiles "
-              f"{s['parent_q1']:.5g}..{s['parent_q3']:.5g}" + ("  clear" if s["clear"] else ""))
+              f"{s['parent_q1']:.5g}..{s['parent_q3']:.5g}" + ("  clear" if s["clear"] else "")
+              + f"  {'WORSE than' if s['worse'] else 'within'} bound {bounds[name]:.0%}"
+              + f"  gain rule {'met' if s['claimable'] else 'not met'}")
     return 0
 
 

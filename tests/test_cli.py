@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, files, determinism."""
 
 import ast
+import errno
 import hashlib
 import importlib
 import json
@@ -99,12 +100,41 @@ class TestInputResolution:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv", [["con", "a" * 5000], ["render", "a" * 300 + "/b"]], ids=["con", "render"])
+        "argv", [["con", "a" * 5000], ["render", "a" * 5000]], ids=["con", "render"])
     def test_overlong_path_is_input_error(self, capsys, argv):
-        # the system refuses to look such a path up, with ENAMETOOLONG
+        # the system refuses to look such a path up, with ENAMETOOLONG, and
+        # the line shows the name's first 40 characters
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {argv[1]}: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: {'a' * 40}… (4960 more characters): {os.strerror(errno.ENAMETOOLONG)}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build-filter", "x/" * 150, "m3"],
+             f"{'x/' * 20}… (260 more characters): no such file or catalog entry"
+             f" (unknown catalog lattice {'x/' * 20!r}… (260 more characters))"),
+            (["build-filter", "m3", "m3", "x/" * 150], f"{'x/' * 20}… (260 more characters):"
+             " no such file"),
+        ],
+        ids=["lattice", "hom-file"],
+    )
+    def test_long_missing_name_is_named_in_a_short_line(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_long_names_in_a_budget_refusal(self, tmp_path, capsys):
+        # two 128-element Boolean lattices have 7^7 bounded homs, over the
+        # hom budget; each name shows its first 40 characters
+        d = tmp_path / ("d" * 100) / ("b" * 100 + ".json")
+        e = tmp_path / ("e" * 200 + ".json")
+        d.parent.mkdir()
+        for path in (d, e):
+            path.write_text(jio.dumps(jio.lattice_to_obj(_boolean(7))))
+        assert main(["brt", str(d), str(e)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {'d' * 40}… (166 more characters) -> {'e' * 40}… (165 more characters):"
+            " more than 65536 bounded homs exceed the hom budget\n")
 
     def test_integer_too_long_to_convert_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "big.json"

@@ -657,6 +657,29 @@ def _nabla(L, *args):
     return cg.Congruence(L, [0] * L.n)
 
 
+_D_STAR_LATTICES = {
+    "s7": lambda: catalog.s7().lattice,
+    "grid-3x3": lambda: rl.grid(3, 3).lattice,
+    "s7-eye-1": lambda: catalog.s7_eye(1).lattice,
+    "eyed-grid-3x4": lambda: rl.grid_with_eyes(3, 4, [(0, 1), (1, 2)])[0].lattice,
+}
+
+
+def _gain_a_bit(below, rep):
+    """D* whose first color row that lacks another color gains it."""
+    colors = sorted(set(rep.values()))
+    r, c = next((r, c) for r in colors for c in colors if not below[r] >> c & 1)
+    return {**below, r: below[r] | 1 << c}, rep
+
+
+def _lose_a_bit(below, rep):
+    """D* whose largest color row loses its highest color bit."""
+    colors = sorted(set(rep.values()))
+    r = max(colors, key=lambda c: below[c].bit_count())
+    c = max(c for c in colors if below[r] >> c & 1)
+    return {**below, r: below[r] & ~(1 << c)}, rep
+
+
 class TestPostcondition:
     """Each join-irreducible congruence is a principal closure, checked cover by cover."""
 
@@ -718,6 +741,39 @@ class TestPostcondition:
         )
         assert proc.returncode == 0, proc.stderr
         assert "ordered unlike D*" in proc.stdout
+
+    @pytest.mark.parametrize("fault", [_gain_a_bit, _lose_a_bit], ids=["gained", "lost"])
+    @pytest.mark.parametrize("name", sorted(_D_STAR_LATTICES))
+    def test_d_star_faults_raise(self, monkeypatch, name, fault):
+        L, real = _D_STAR_LATTICES[name](), cg._d_star
+        monkeypatch.setattr(cg, "_d_star", lambda L: fault(*real(L)))
+        with pytest.raises(PostconditionFailed):
+            cg.congruence_lattice(L)
+
+    def test_d_star_fault_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from latcon import catalog, congruence as cg\n"
+            "from latcon.errors import PostconditionFailed\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "real = cg._d_star\n"
+            "def lost(L):\n"
+            "    below, rep = real(L)\n"
+            "    return {**below, 1: below[1] & ~(1 << 3)}, rep\n"
+            "cg._d_star = lost\n"
+            "try:\n"
+            "    cg.congruence_lattice(catalog.s7().lattice)\n"
+            "except PostconditionFailed as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(cg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "colors 3 and 1 are ordered unlike D*\n"
 
 
 class TestPartitionForm:

@@ -5,6 +5,7 @@ import pytest
 import pairs
 
 BETTER = {"items_per_s": "higher", "item_p50_ms": "lower", "peak_rss_mb": "lower"}
+BOUNDS = {"items_per_s": 0.25, "item_p50_ms": 0.25, "peak_rss_mb": 0.05}
 
 
 def _records(**columns):
@@ -19,7 +20,7 @@ def _records(**columns):
 
 def test_higher_is_better():
     records = _records(items_per_s=([100, 110, 90, 105, 95], [120, 108, 115, 125, 118]))
-    s = pairs.summarize(records, BETTER)["items_per_s"]
+    s = pairs.summarize(records, BETTER, BOUNDS)["items_per_s"]
     # the parent's quartiles of 90..110 are 92.5 and 107.5, 15 apart; the
     # medians are 18 apart
     assert (s["won"], s["pairs"]) == (4, 5)
@@ -34,7 +35,7 @@ def test_lower_is_better_and_a_gain_inside_the_quartiles():
         item_p50_ms=([1.0, 1.0, 1.0], [0.9, 1.1, 0.95]),
         peak_rss_mb=([17.2, 17.4, 17.3], [17.25, 17.3, 17.35]),
     )
-    got = pairs.summarize(records, BETTER)
+    got = pairs.summarize(records, BETTER, BOUNDS)
     assert set(got) == {"item_p50_ms", "peak_rss_mb"}
     p50 = got["item_p50_ms"]
     assert (p50["won"], p50["change"]) == (2, 0.95)
@@ -46,16 +47,48 @@ def test_lower_is_better_and_a_gain_inside_the_quartiles():
 
 def test_a_worse_median_is_a_negative_gain():
     records = _records(items_per_s=([100, 100], [90, 95]))
-    s = pairs.summarize(records, BETTER)["items_per_s"]
+    s = pairs.summarize(records, BETTER, BOUNDS)["items_per_s"]
     assert s["won"] == 0 and s["gain"] == pytest.approx(-0.075) and not s["clear"]
 
 
 def test_one_record_and_a_missing_metric():
     records = _records(items_per_s=([100], [110]))
     records.append({"parent": {"items_per_s": 100}, "change": {}})
-    s = pairs.summarize(records, BETTER)["items_per_s"]
+    s = pairs.summarize(records, BETTER, BOUNDS)["items_per_s"]
     assert s["pairs"] == 1 and (s["parent_q1"], s["parent_q3"]) == (100, 100)
     assert s["won"] == 1 and s["clear"]
+
+
+def test_a_loss_beyond_the_bound_is_worse():
+    # items_per_s may lose 25% and peak_rss_mb 5%; each side of each bound
+    records = _records(
+        items_per_s=([100, 100, 100], [70, 74, 80]),
+        peak_rss_mb=([20.0, 20.0, 20.0], [21.2, 20.8, 20.6]),
+    )
+    got = pairs.summarize(records, BETTER, BOUNDS)
+    assert got["items_per_s"]["worse"] and not got["peak_rss_mb"]["worse"]
+    records = _records(
+        items_per_s=([100, 100, 100], [80, 76, 70]),
+        peak_rss_mb=([20.0, 20.0, 20.0], [21.2, 21.1, 20.6]),
+    )
+    got = pairs.summarize(records, BETTER, BOUNDS)
+    assert not got["items_per_s"]["worse"] and got["peak_rss_mb"]["worse"]
+    assert not any(s["claimable"] for s in got.values())
+
+
+@pytest.mark.parametrize(
+    "change, won, claimable",
+    [
+        ([120] * 9 + [90], 9, True),  # clear
+        ([120] * 8 + [90, 105], 8, False),  # clear; the tie counts for neither
+        ([96, 106] * 5, 10, False),  # inside the parent's quartiles
+    ],
+    ids=["nine-of-ten", "eight-and-a-tie", "not-clear"],
+)
+def test_the_gain_rule(change, won, claimable):
+    parent = [95, 105] * 5  # quartiles 95 and 105
+    s = pairs.summarize(_records(items_per_s=(parent, change)), BETTER, BOUNDS)["items_per_s"]
+    assert (s["won"], s["claimable"], s["worse"]) == (won, claimable, False)
 
 
 def test_seed_ranges():

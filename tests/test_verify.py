@@ -250,8 +250,8 @@ class TestCopiesBySublattice:
                 assert helpers.theta_tables(con) == helpers.theta_tables(old_con)
         texts = [check(L, rep.embedded_f, rep.embedded_g, phi).render_text()
                  for check, L, rep, phi in outputs]
-        monkeypatch.setattr(vf, "_copy", lambda L, emb: (
-            core._element_ids(emb), helpers.reference_induced_copy(L, core._element_ids(emb))
+        monkeypatch.setattr(core, "sublattice", lambda L, emb: (
+            helpers.reference_induced_copy(L, emb), emb, {x: i for i, x in enumerate(emb)}
         ))
         assert texts == [check(L, rep.embedded_f, rep.embedded_g, phi).render_text()
                          for check, L, rep, phi in outputs]
