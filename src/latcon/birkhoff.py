@@ -311,8 +311,9 @@ def _table(D: FiniteLattice) -> tuple:
     ``J(e) ∖ J(e_*)`` is never empty, since ``e`` is the join of ``J(e)``
     and is not below ``e_*``.  When D is distributive it is ``{q}``
     alone: by Birkhoff, ``e -> J(e)`` is an order isomorphism of D onto
-    the down-sets of ``J(D)`` (see :func:`core.is_distributive`), so the
-    cover ``e_* < e`` goes to a cover ``J(e_*) ⊂ J(e)`` of down-sets; and
+    the down-sets of ``J(D)`` (Davey and Priestley, *Introduction to
+    Lattices and Order*, 2nd ed., Thm 5.12), so the cover ``e_* < e``
+    goes to a cover ``J(e_*) ⊂ J(e)`` of down-sets; and
     down-sets ``A ⊂ B`` form a cover only if ``B = A ∪ {x}``, since for
     ``x`` minimal in ``B ∖ A`` the down-set ``A ∪ {x}`` lies between them.
     Up-masks are distinct, since ``up[x] = up[y]`` gives ``x <= y <= x``,

@@ -537,7 +537,15 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
     to distinct congruences: theta[c] <= theta[r] exactly when c D* r, as
     theta[c] is generated by the cover (c_*, c) of color c; so theta[c] is
     join-irreducible, hence join-prime in the distributive Con L, and a
-    down-set is the set of colors c with theta[c] below its join.
+    down-set is the set of colors c with theta[c] below its join.  That
+    needs distinct colors to be distinct congruences: the colors' D* rows,
+    each cut to the colors, must be pairwise distinct, or
+    :class:`PostconditionFailed` names two colors that are one congruence.
+    By the cover check, row r holds color d exactly when theta[r]
+    collapses d's covers, that is, when theta[d] <= theta[r]; so
+    theta[r] = theta[c] makes rows r and c agree on every color, and
+    distinct cut rows are distinct congruences.  A ``rep`` that splits a
+    class of mutual D* gives one congruence two colors and fails here.
     ``ji_order`` is read off the D* rows by :func:`_color_poset`, in the
     canonical order of the ``theta``, a linear extension.
     Computed once per lattice instance and cached.
@@ -564,6 +572,11 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
                     f"con({lower[r][0]}, {r}) is not the congruence of color {r}" if wanted
                     else f"colors {c} and {r} are ordered unlike D*"
                 )
+    cmask = sum(1 << r for r in theta)
+    first: dict[int, int] = {}
+    for r in theta:
+        if (c := first.setdefault(below[r] & cmask, r)) != r:
+            raise PostconditionFailed(f"colors {c} and {r} are one congruence")
 
     order = sorted(theta, key=lambda r: _rank(theta[r]))
     pos = {r: i for i, r in enumerate(order)}

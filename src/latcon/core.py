@@ -49,10 +49,10 @@ def _quoted(value, depth: int = 2) -> str:
     list, tuple, set or dict shows its first ten entries, each quoted the
     same way, then the count of the rest, and one nested more than
     ``depth`` levels deep its brackets only; a string longer than 40
-    characters shows its first 40 (:func:`_clipped`), and an integer of
-    more than 256 bits its sign and bit length (``repr`` refuses one of more
-    than 4,300 digits); any other ``repr`` is cut at 100 characters.  The
-    one quoter of an outside value in an error text."""
+    characters shows its first and last 20 (:func:`_clipped`), and an
+    integer of more than 256 bits its sign and bit length (``repr`` refuses
+    one of more than 4,300 digits); any other ``repr`` is cut at 100
+    characters.  The one quoter of an outside value in an error text."""
     if isinstance(value, int) and value.bit_length() > 256:
         return f"<{'negative ' if value < 0 else ''}integer of {value.bit_length()} bits>"
     if isinstance(value, str) and len(value) > 40:
@@ -72,13 +72,14 @@ def _quoted(value, depth: int = 2) -> str:
 
 def _clipped(text: str, show: Callable[[str], str] = str) -> str:
     """``show(text)`` if ``text`` has at most 40 characters, else ``show`` of
-    its first 40 and the count of the rest: the one bound of an outside
-    string in an error text.  With ``str``, the plain form of an outside
-    name, such as a path, without quote marks; :func:`_quoted` shows a
-    string through ``repr``."""
+    its first 20 and of its last 20 around the count of the rest, so a
+    long path keeps its file name: the one bound of an outside string in
+    an error text.  With ``str``, the plain form of an outside name, such
+    as a path, without quote marks; :func:`_quoted` shows a string through
+    ``repr``."""
     if len(text) <= 40:
         return show(text)
-    return f"{show(text[:40])}… ({len(text) - 40} more characters)"
+    return f"{show(text[:20])}… ({len(text) - 40} more characters) …{show(text[-20:])}"
 
 
 def _element_id(x) -> int:
@@ -704,35 +705,28 @@ def direct_product(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
 
 
 def is_distributive(L: FiniteLattice) -> bool:
-    """Birkhoff's criterion: ``x -> J(x)``, the set of join-irreducibles
-    below ``x``, is onto the down-sets of J(L) (Davey and Priestley,
-    *Introduction to Lattices and Order*, 2nd ed., Thm 5.12).
+    """Whether every join-irreducible is join-prime: a finite lattice is
+    distributive exactly then (Davey and Priestley, *Introduction to
+    Lattices and Order*, 2nd ed., Ch. 5).
 
-    The map is one-to-one, so it is onto exactly when ``J(x \\/ p) = J(x) + {p}``
-    for all ``x`` and ji ``p`` with ``p !<= x`` and ``p_* <= x``, ``p_*`` the lower
-    cover of ``p``.  Proof: if onto, ``J(x) + {p}`` is a down-set with join ``x \\/ p``;
-    conversely a down-set minus a maximal ``p`` is some ``J(x)``, and ``p_* <= x``.
-    Costs ``O(n |J|)`` mask operations, once per lattice: the verdict is
-    kept on it.
+    If L is distributive and a join-irreducible ``p <= x \\/ y``, then
+    ``p = (p /\\ x) \\/ (p /\\ y)``, so p is one of the two meets: ``p <= x``
+    or ``p <= y``.  Conversely, if every join-irreducible is join-prime,
+    ``x -> J(x)``, the set of join-irreducibles below ``x``, sends joins to
+    unions as well as meets to intersections, and it is one-to-one, as x is
+    the join of J(x): L embeds in the lattice of down-sets of J(L), which
+    is distributive.  The elements not above a join-irreducible p,
+    ``rest``, form a down-set that holds 0, as p is not 0; p is join-prime
+    exactly when ``rest`` is closed under joins, that is, when it is the
+    principal ideal of its only maximal element, which is its largest id,
+    as the ids form a linear extension.  One mask comparison per
+    join-irreducible; the verdict is kept on L.
     """
     if L._distributive is None:
-        L._distributive = _birkhoff_onto(L)
+        up, down = L._up, L._down
+        L._distributive = all(down[(rest := up[0] & ~up[p]).bit_length() - 1] == rest
+                              for p in L.ji_elements())
     return L._distributive
-
-
-def _birkhoff_onto(L: FiniteLattice) -> bool:
-    up, down = L._up, L._down
-    ji = [(p, L._lower[p][0]) for p in L.ji_elements()]
-    jmask = sum(1 << p for p, _ in ji)
-    for x in range(L.n):
-        dx, ux = down[x], up[x]
-        jx = dx & jmask
-        for p, pstar in ji:
-            if not dx >> p & 1 and dx >> pstar & 1:
-                j = ux & up[p]
-                if down[(j & -j).bit_length() - 1] & jmask != jx | 1 << p:
-                    return False
-    return True
 
 
 def is_semimodular(L: FiniteLattice) -> bool:

@@ -221,9 +221,9 @@ LONG_VALUES = [
     ("size-huge-negative", lambda: core.make_lattice(-HUGE, []), ZeroSize,
      "lattice size must be an integer >= 1, got <negative integer of 16610 bits>"),
     ("id-long-string", lambda: core.sublattice(G33, ["a" * 100000]), ElementOutOfRange,
-     f"element id {'a' * 40!r}… (99960 more characters) is not an integer"),
+     f"element id {'a' * 20!r}… (99960 more characters) …{'a' * 20!r} is not an integer"),
     ("catalog-long-name", lambda: catalog.get("a" * 100000), LatconError,
-     f"unknown catalog lattice {'a' * 40!r}… (99960 more characters)"),
+     f"unknown catalog lattice {'a' * 20!r}… (99960 more characters) …{'a' * 20!r}"),
     ("fork-cell-huge", lambda: catalog.s7_eye(HUGE), IndexOutOfRange,
      "fork cell <integer of 16610 bits> is not 0, 1 or 2"),
     ("image-huge", lambda: bk.make_bounded_hom(C3SQ, C3SQ, [0] * 8 + [HUGE]), ElementOutOfRange,
@@ -250,6 +250,21 @@ def test_long_value_is_named_in_a_short_text(call, error, text):
 ])
 def test_short_value_is_quoted_as_repr_writes_it(value):
     assert core._quoted(value) == repr(value)
+
+
+@pytest.mark.parametrize("size", [0, 1, 39, 40])
+def test_short_text_is_clipped_to_itself(size):
+    text = "".join(chr(ord("a") + i % 26) for i in range(size))
+    assert core._clipped(text) == text and core._clipped(text, repr) == repr(text)
+
+
+def test_long_text_keeps_its_head_and_tail():
+    # a path under pytest's tmp_path keeps the end of its file name
+    path = "/tmp/pytest-of-root/pytest-7/test_json_text_unchanged0/bad.json"
+    assert core._clipped(path) == (
+        "/tmp/pytest-of-root/… (23 more characters) …_unchanged0/bad.json")
+    assert core._clipped("a" * 41, repr) == f"{'a' * 20!r}… (1 more characters) …{'a' * 20!r}"
+    assert core._quoted("a" * 41) == core._clipped("a" * 41, repr)
 
 
 def test_quoted_text_is_bounded():

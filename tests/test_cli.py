@@ -103,19 +103,20 @@ class TestInputResolution:
         "argv", [["con", "a" * 5000], ["render", "a" * 5000]], ids=["con", "render"])
     def test_overlong_path_is_input_error(self, capsys, argv):
         # the system refuses to look such a path up, with ENAMETOOLONG, and
-        # the line shows the name's first 40 characters
+        # the line shows the name's first and last 20 characters
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: {'a' * 40}… (4960 more characters): {os.strerror(errno.ENAMETOOLONG)}\n")
+            f"error: {'a' * 20}… (4960 more characters) …{'a' * 20}:"
+            f" {os.strerror(errno.ENAMETOOLONG)}\n")
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["build-filter", "x/" * 150, "m3"],
-             f"{'x/' * 20}… (260 more characters): no such file or catalog entry"
-             f" (unknown catalog lattice {'x/' * 20!r}… (260 more characters))"),
-            (["build-filter", "m3", "m3", "x/" * 150], f"{'x/' * 20}… (260 more characters):"
-             " no such file"),
+             f"{'x/' * 10}… (260 more characters) …{'x/' * 10}: no such file or catalog entry"
+             f" (unknown catalog lattice {'x/' * 10!r}… (260 more characters) …{'x/' * 10!r})"),
+            (["build-filter", "m3", "m3", "x/" * 150],
+             f"{'x/' * 10}… (260 more characters) …{'x/' * 10}: no such file"),
         ],
         ids=["lattice", "hom-file"],
     )
@@ -123,9 +124,18 @@ class TestInputResolution:
         assert main([*argv, "-o", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_long_path_keeps_its_file_name(self, tmp_path, capsys):
+        p = tmp_path / ("d" * 50) / "bad.json"
+        p.parent.mkdir()
+        p.write_text("{")
+        assert main(["con", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {'d' * 20}… (19 more characters) …{'d' * 11}/bad.json: ")
+
     def test_long_names_in_a_budget_refusal(self, tmp_path, capsys):
         # two 128-element Boolean lattices have 7^7 bounded homs, over the
-        # hom budget; each name shows its first 40 characters
+        # hom budget; each name shows its first and last 20 characters, so
+        # the end of its file name
         d = tmp_path / ("d" * 100) / ("b" * 100 + ".json")
         e = tmp_path / ("e" * 200 + ".json")
         d.parent.mkdir()
@@ -133,7 +143,8 @@ class TestInputResolution:
             path.write_text(jio.dumps(jio.lattice_to_obj(_boolean(7))))
         assert main(["brt", str(d), str(e)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {'d' * 40}… (166 more characters) -> {'e' * 40}… (165 more characters):"
+            f"error: {'d' * 20}… (166 more characters) …{'b' * 15}.json ->"
+            f" {'e' * 20}… (165 more characters) …{'e' * 15}.json:"
             " more than 65536 bounded homs exceed the hom budget\n")
 
     def test_integer_too_long_to_convert_is_input_error(self, tmp_path, capsys):
@@ -149,7 +160,8 @@ class TestInputResolution:
             ({"size": 3, "covers": [list(range(100000))]},
              "cover entry [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, … (99990 more)] is not a pair"),
             ({"size": 2, "covers": [[0, 1]], "upper_order": {"x" * 100000: [1]}},
-             f"upper_order key must be an integer, got {'x' * 40!r}… (99960 more characters)"),
+             f"upper_order key must be an integer, got {'x' * 20!r}… (99960 more characters)"
+             f" …{'x' * 20!r}"),
         ],
         ids=["cover-entry-of-100000-ids", "order-key-of-100000-characters"],
     )
@@ -264,6 +276,13 @@ class TestInputResolution:
     def test_catalog_entry_not_rectangular_is_not_missing(self, tmp_path, capsys, argv, err):
         assert main([a.format(o=tmp_path / "out") for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("name", list(catalog.rect_catalog()))
+    def test_catalog_rect_is_the_named_rectangular_lattice(self, name):
+        # read off catalog.get by make_rectangular: the same rows, corners and eyes
+        got, want = cli._catalog_rect(name), catalog.rect_catalog()[name]
+        assert (got.lattice._upper, got.lattice._lower, got.lc, got.rc, list(got.eyes)) == (
+            want.lattice._upper, want.lattice._lower, want.lc, want.rc, list(want.eyes))
 
     def test_plain_lattice_accepted_for_rect_argument(self, tmp_path, capsys):
         p = tmp_path / "sq.json"
@@ -433,6 +452,15 @@ class TestSizeLimit:
         assert proc.stderr == (f"error: {path} -> {path}: more than 65536 bounded homs"
                                " exceed the hom budget\n")
 
+    def test_brt_beyond_the_hom_entries_is_input_error(self, tmp_path):
+        # a 4,096-element chain has 4,095 bounded homs to c2, within the hom
+        # budget, each of 4,096 entries: refused before any hom is built
+        path = self._write(tmp_path / "chain.json", jio.lattice_to_obj(core.chain(4096)))
+        proc = self._run("brt", path, "c2")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {path} -> c2: 4095 bounded homs of 4096 elements"
+                               " exceed the budget of 4194304 homs times elements\n")
+
     def test_hom_file_against_a_large_con_is_input_error(self, tmp_path):
         # grid(16, 16) is within the congruence cost, and its Con has 2^30
         # elements: a 2-element endpoint is told apart after 3 down-sets
@@ -480,7 +508,7 @@ class TestSizeLimit:
         for D in duality:
             for E in duality:
                 count = cli._hom_count("D", "E", core.join_irreducibles(E),
-                                       core.join_irreducibles(D))
+                                       core.join_irreducibles(D), D.n)
                 assert count == len(bk.enumerate_bounded_homs(D, E))
                 counts.append((count, D.n, E.n))
         assert sum(c for c, _, _ in counts) == 2692
@@ -489,7 +517,8 @@ class TestSizeLimit:
         total = 0
         for conF in cons:
             for conG in cons:
-                count = cli._hom_count("F", "G", conG.ji_order, conF.ji_order)
+                count = cli._hom_count("F", "G", conG.ji_order, conF.ji_order,
+                                       conF.as_lattice().n)
                 assert count == len(bk.enumerate_bounded_homs(conF.as_lattice(),
                                                               conG.as_lattice()))
                 total += count
@@ -515,6 +544,31 @@ class TestSizeLimit:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: Con grid-2x2 -> Con m3: more than 1"
                                            " bounded homs exceed the hom budget\n")
+
+    def test_hom_entries_are_the_most_entries_built(self, tmp_path, capsys, monkeypatch):
+        # c3 -> c2 has 2 homs of 3 entries, and Con grid-2x2 -> Con m3 2 homs
+        # of 4; the entries are checked after the hom count and before any
+        # hom is built
+        assert cli._HOM_ENTRIES == 1 << 22
+        argv = ["build-filter", "grid-2x2", "m3", "--hom-index", "1", "-o", str(tmp_path)]
+        monkeypatch.setattr(cli, "_HOM_ENTRIES", 8)
+        assert main(["brt", "c3", "c2"]) == 0
+        assert capsys.readouterr().out.endswith("\n2 bounded homs\n")
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_HOM_ENTRIES", 7)
+        monkeypatch.setattr(bk, "enumerate_bounded_homs", None)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: Con grid-2x2 -> Con m3: 2 bounded homs of 4"
+                                           " elements exceed the budget of 7 homs times elements\n")
+        monkeypatch.setattr(cli, "_HOM_ENTRIES", 5)
+        assert main(["brt", "c3", "c2"]) == 2
+        assert capsys.readouterr() == ("", "error: c3 -> c2: 2 bounded homs of 3 elements"
+                                           " exceed the budget of 5 homs times elements\n")
+        monkeypatch.setattr(cli, "_HOM_BUDGET", 1)
+        assert main(["brt", "c3", "c2"]) == 2  # the hom count is checked first
+        assert capsys.readouterr() == ("", "error: c3 -> c2: more than 1 bounded homs"
+                                           " exceed the hom budget\n")
 
     def test_con_cost_is_the_most_entries_computed(self, capsys, monkeypatch):
         # grid-3x3 has 9 elements and 4 join-irreducibles; a rectangular
@@ -878,6 +932,7 @@ class TestFrozenCommandBytes:
         "chain-1449.json": lambda: jio.lattice_to_obj(core.chain(1449)),
         "chain-17.json": lambda: jio.lattice_to_obj(core.chain(17)),
         "boolean-128.json": lambda: jio.lattice_to_obj(_boolean(7)),
+        "chain-4096.json": lambda: jio.lattice_to_obj(core.chain(4096)),
         "grid-9x9.json": lambda: jio.rect_to_obj(rl.grid(9, 9)),
         "size-32769.json": lambda: {"size": 32769, "covers": []},
     }
@@ -894,6 +949,9 @@ class TestFrozenCommandBytes:
         "_HOM_BUDGET": (
             ("brt", "boolean-128.json", "boolean-128.json"),
             "b24eab6a99bd23c2f9839999180c9e609deef46ceefcc2785cb46e0bd86b4be2"),
+        "_HOM_ENTRIES": (
+            ("brt", "chain-4096.json", "c2"),
+            "f9100ec4f79ca17fd1d9293bd56a80c62a6fcfed8d21995a2e08b62898ddc366"),
         "embed-simple": (
             ("embed-simple", "grid-9x9.json", "-o", "out"),
             "b54855d5eb9a9098982e57fcdf2776e90e5c6743d297b4cca093b3ea14a9b1ec"),

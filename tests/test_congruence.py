@@ -680,6 +680,14 @@ def _lose_a_bit(below, rep):
     return {**below, r: below[r] & ~(1 << c)}, rep
 
 
+def _split(real, p):
+    """``_d_star`` that keeps its rows and gives p its own color."""
+    def fault(L):
+        below, rep = real(L)
+        return below, {**rep, p: p}
+    return fault
+
+
 class TestPostcondition:
     """Each join-irreducible congruence is a principal closure, checked cover by cover."""
 
@@ -774,6 +782,53 @@ class TestPostcondition:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "colors 3 and 1 are ordered unlike D*\n"
+
+    def test_split_class_raises(self, monkeypatch):
+        # s7_eye(1) colors 3 as 2; with 3 its own color, 3 and 2 would give
+        # 3 join-irreducible congruences and 4 congruences, not 2 and 3
+        L = catalog.s7_eye(1).lattice
+        assert cg._d_star(L)[1] == {1: 1, 2: 2, 3: 2, 5: 2, 6: 2}
+        monkeypatch.setattr(cg, "_d_star", _split(cg._d_star, 3))
+        with pytest.raises(PostconditionFailed, match="^colors 2 and 3 are one congruence$"):
+            cg.congruence_lattice(L)
+        assert L._con is None
+
+    def test_every_split_over_the_search_raises(self, monkeypatch):
+        real, splits = cg._d_star, 0
+        for _, R in catalog.search_rectangular(12):
+            for p, r in real(R.lattice)[1].items():
+                if p != r:
+                    monkeypatch.setattr(cg, "_d_star", _split(real, p))
+                    with pytest.raises(PostconditionFailed,
+                                       match=f"^colors {r} and {p} are one congruence$"):
+                        cg.congruence_lattice(R.lattice)
+                    splits += 1
+        assert splits == 131
+
+    def test_split_class_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from latcon import catalog, congruence as cg\n"
+            "from latcon.errors import PostconditionFailed\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "real = cg._d_star\n"
+            "def split(L):\n"
+            "    below, rep = real(L)\n"
+            "    return below, {**rep, 3: 3}\n"
+            "cg._d_star = split\n"
+            "try:\n"
+            "    cg.congruence_lattice(catalog.s7_eye(1).lattice)\n"
+            "except PostconditionFailed as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(cg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "colors 2 and 3 are one congruence\n"
 
 
 class TestPartitionForm:

@@ -672,7 +672,8 @@ def _order_dual(L):
 
 
 class TestDistributivity:
-    """The join-irreducible criterion against the exhaustive triple scan."""
+    """The join-prime criterion against the exhaustive triple scan and, on
+    lattices too large for it, against Birkhoff's scan of every element."""
 
     def _agree(self, lattices):
         verdicts = [core.is_distributive(L) for L in lattices]
@@ -690,8 +691,10 @@ class TestDistributivity:
 
     def test_random_closure_lattices(self):
         rng = random.Random(11)
-        verdicts = self._agree([helpers.random_closure_lattice(rng) for _ in range(200)])
-        assert verdicts.count(False) > 100
+        drawn = [helpers.random_closure_lattice(rng) for _ in range(200)]
+        verdicts = self._agree(drawn + [_order_dual(L) for L in drawn])
+        assert verdicts[:200].count(False) > 100
+        assert verdicts[200:] == verdicts[:200]  # distributivity is self-dual
 
     def test_downset_lattices_of_random_posets(self):
         rng = random.Random(13)
@@ -700,6 +703,33 @@ class TestDistributivity:
             for _ in range(40)
         ]
         assert all(self._agree(lattices))
+
+    def test_products_of_chains_with_and_without_n5(self):
+        n5, lattices = catalog.n5(), []
+        for a, b in itertools.product(range(1, 5), range(1, 4)):
+            C = core.direct_product(core.chain(a), core.chain(b))
+            lattices += [C, core.direct_product(C, n5), core.direct_product(n5, C)]
+        assert self._agree(lattices) == [True, False, False] * 12
+
+    def test_con_lattices_of_the_catalog(self):
+        lattices = [cg.congruence_lattice(catalog.get(name)).as_lattice()
+                    for name in lemmas.names()]
+        assert all(self._agree(lattices))
+
+    def test_a6_outputs(self):
+        assert len(helpers.a6_outputs()) == 34
+        assert not any(self._agree(helpers.a6_outputs()))
+
+    def test_large_lattices_against_birkhoffs_scan(self):
+        lattices = [
+            core.chain(512), core.chain(1024), rl.grid(24, 24).lattice,
+            rl.grid_with_eyes(16, 16, [(i, i) for i in range(15)])[0].lattice,
+            *(cg.congruence_lattice(rl.grid(k, k).lattice).as_lattice() for k in range(2, 7)),
+        ]
+        verdicts = [core.is_distributive(L) for L in lattices]
+        assert verdicts == [helpers.reference_birkhoff_onto(L) for L in lattices]
+        assert verdicts == [True, True, True, False, True, True, True, True, True]
+        assert lattices[-1].n == 1024
 
 
 class TestSemimodularity:
