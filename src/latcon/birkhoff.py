@@ -28,10 +28,14 @@ join-irreducibles; ``ji_of_hom`` reads each position off a pull-back;
 its up-mask.  Only a failed check scans every pair, to name the first
 one broken.
 
-A report costs little beyond its checks: :class:`BrtReport` is a named
-tuple, and a map's injectivity and onto-ness are read off one set of its
-images, once for the hom and once for its dual map.  Calling a map,
-``phi(x)``, range-checks ``x`` as ``L.up(x)`` does.
+A report costs little beyond its checks, and is built in one body:
+``ji_of_hom`` reads both posets off the ``_ji`` slots and builds the dual
+map's positions off the hom's kept pull-backs, ``brt_report`` reads the
+injectivity and onto-ness of each map off one set of its images, once for
+the hom and once for its dual map, and :class:`BrtReport` is a named tuple
+built as a tuple.  Once the slots are set, neither calls into ``core``,
+and ``make_bounded_hom`` reads both distributivity verdicts off them.
+Calling a map, ``phi(x)``, range-checks ``x`` as ``L.up(x)`` does.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ class _Map:
     of ``i``.  Two maps are equal when source, target and assignment are.
 
     ``source``, ``target`` and ``assignment`` are read-only: each is set
-    once, by :class:`IsotoneMap` or :func:`make_bounded_hom`, into a
+    once, by :class:`IsotoneMap`, :func:`make_bounded_hom` or, for a map
+    proved isotone, :func:`ji_of_hom` and :func:`_trusted_isotone`, into a
     private slot, and assigning or deleting one raises
     :class:`AttributeError`.  Only this module reads the slots directly.
     Calling the map checks its argument: an id outside the source, or one
@@ -79,12 +84,6 @@ class _Map:
 
     def __call__(self, x: int) -> int:
         return self._assignment[core._checked_id(x, self._source.n)]
-
-    def _injective_onto(self) -> tuple[bool, bool]:
-        """Whether the map is injective and whether it is onto, both read
-        off one set of its images."""
-        k = len(set(self._assignment))
-        return k == self._source.n, k == self._target.n
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -216,9 +215,10 @@ def _first_broken_pair(D: FiniteLattice, E: FiniteLattice, f: Sequence[int]) -> 
 
 
 def _require_distributive(D: FiniteLattice, E: FiniteLattice) -> None:
-    if not core.is_distributive(D):
+    """Both verdicts, read off the ``_distributive`` slots while they are set."""
+    if not (D._distributive or core.is_distributive(D)):
         raise NotDistributive("source lattice is not distributive")
-    if not core.is_distributive(E):
+    if not (E._distributive or core.is_distributive(E)):
         raise NotDistributive("target lattice is not distributive")
 
 
@@ -276,11 +276,20 @@ def ji_of_hom(phi: BoundedHom) -> IsotoneMap:
     ``q <= q'`` are nested.  Every x with ``q' <= phi(x)`` has
     ``q <= phi(x)``, so ``up(p') ⊆ up(p)`` for their least elements p and
     p', and ``p <= p'``.
+
+    Both posets are read off the ``_ji`` slots and the positions off the
+    table, as :func:`_isotone_assignment` reads them, so once the slots
+    are set the map is built with no call into ``core``.
     """
-    D = phi._source
+    D, E = phi._source, phi._target
     jpos = (D._birkhoff or _table(D))[3]
-    return _trusted_isotone(core.join_irreducibles(phi._target), core.join_irreducibles(D),
-                            tuple([jpos[m] for m in phi._pulled]))
+    psi = object.__new__(IsotoneMap)
+    psi._source = E._ji or core.join_irreducibles(E)
+    psi._target = D._ji or core.join_irreducibles(D)
+    # from a list, as in _isotone_assignment: the iterator form read a
+    # higher peak RSS on the duality workload here too
+    psi._assignment = tuple([jpos[m] for m in phi._pulled])
+    return psi
 
 
 def _trusted_isotone(source: Poset, target: Poset, assignment: tuple[int, ...]) -> IsotoneMap:
@@ -390,6 +399,11 @@ def _isotone_assignment(psi: IsotoneMap, D: FiniteLattice, E: FiniteLattice) -> 
     append = fup.append
     for s, q in spine:
         append(fup[s] & g[q])
+    # from a list, not by tuple(map(...)): enumerate_bounded_homs keeps
+    # this tuple on every hom, and a tuple read off an iterator of no known
+    # length is allocated in steps and then cut to size, where one read off
+    # a list is allocated once at its size; the iterator form read a higher
+    # peak RSS on the duality workload
     return tuple([ids[m] for m in fup])
 
 
@@ -435,14 +449,23 @@ def brt_report(phi: BoundedHom) -> BrtReport:
     ``phi.assignment``, since homs with ``phi``'s source and target are
     equal exactly when their assignments are.  Any other ``f`` goes
     through :func:`make_bounded_hom`, which raises on a non-hom.
+
+    A map is injective when its set of images has one entry per source
+    element, and onto when it has one per target element; so both
+    verdicts of each map are read off one ``set``, that of ``phi`` against
+    ``|D|`` and ``|E|``, that of its dual map against ``|J(E)|`` and
+    ``|J(D)|``.  The dual map is an order embedding when it is injective
+    and keeps the up-set sizes (:meth:`IsotoneMap._keeps_up_sizes`), which
+    is tested for injective dual maps only.
     """
     D, E = phi._source, phi._target
     psi = ji_of_hom(phi)
     f = _isotone_assignment(psi, D, E)
     round_trip_ok = f == phi._assignment
-    injective, onto = phi._injective_onto()
-    ji_injective, ji_onto = psi._injective_onto()
-    ji_embedding = ji_injective and psi._keeps_up_sizes()
+    k = len(set(phi._assignment))
+    injective, onto = k == D.n, k == E.n
+    k = len(set(psi._assignment))
+    ji_onto, ji_embedding = k == psi._target.n, k == psi._source.n and psi._keeps_up_sizes()
     witness = None
     if not round_trip_ok:
         make_bounded_hom(D, E, f)  # raises on a non-hom
@@ -451,7 +474,8 @@ def brt_report(phi: BoundedHom) -> BrtReport:
         witness = f"injective={injective} but dual map onto={ji_onto}"
     elif onto != ji_embedding:
         witness = f"onto={onto} but dual map order-embedding={ji_embedding}"
-    return BrtReport(round_trip_ok, injective, ji_onto, onto, ji_embedding, witness)
+    # as BrtReport(...) builds it, less the binding of six arguments
+    return tuple.__new__(BrtReport, (round_trip_ok, injective, ji_onto, onto, ji_embedding, witness))
 
 
 def enumerate_isotone_maps(P: Poset, Q: Poset) -> Iterator[tuple[int, ...]]:
@@ -497,8 +521,7 @@ def enumerate_bounded_homs(D: FiniteLattice, E: FiniteLattice) -> list[BoundedHo
     none either.
     """
     _require_distributive(D, E)
-    jd = core.join_irreducibles(D)
-    je = core.join_irreducibles(E)
+    jd, je = core.join_irreducibles(D), core.join_irreducibles(E)
     homs = [
         hom_of_isotone(_trusted_isotone(je, jd, a), D, E)
         for a in enumerate_isotone_maps(je, jd)

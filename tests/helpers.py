@@ -25,7 +25,8 @@ onto the down-sets of J(L), scanned over every element;
 :func:`reference_isotone_check` and :func:`reference_is_order_embedding`,
 the scans of every pair of an isotone map; :func:`reference_hom_of_isotone`,
 each image as a join over the join-irreducibles below it; :func:`brute_pullbacks`, each pull-back
-tested element by element; :func:`reference_find_isomorphism`, the
+tested element by element; :func:`brute_injective_onto`, a map's
+injectivity and onto-ness by counting its images; :func:`reference_find_isomorphism`, the
 recursive isomorphism search; :func:`reference_generated_congruence`, the
 closure over every column of the operation tables;
 :func:`reference_make_lattice`, the lattice check over every pair that
@@ -717,6 +718,16 @@ def brute_pullbacks(f, E):
         sum(1 << x for x, e in enumerate(f) if E.leq(q, e))
         for q in brute_join_irreducibles(E)
     ]
+
+
+def brute_injective_onto(phi):
+    """Whether the map ``phi`` is injective, no two sources sharing an
+    image, and whether it is onto, every target element hit; each source's
+    image is counted over the whole assignment, and each target element is
+    looked for in it."""
+    f = phi.assignment
+    return (all(f.count(e) == 1 for e in f),
+            all(e in f for e in range(phi.target.n)))
 
 
 def brute_is_semimodular(L):

@@ -42,7 +42,7 @@ TOTAL_HOMS = 167
 class TestMakeBoundedHom:
     def test_identity(self):
         phi = bk.make_bounded_hom(C3SQ, C3SQ, range(9))
-        assert phi._injective_onto() == (True, True)
+        assert helpers.brute_injective_onto(phi) == (True, True)
         assert phi(4) == 4
 
     def test_rejects_unbounded(self):
@@ -60,17 +60,21 @@ class TestMakeBoundedHom:
 
     def test_rejects_fresh_non_distributive_lattice(self):
         # a fresh m3 keeps no verdict yet, and C2 keeps True: the check
-        # must still run on whichever end has none
+        # must still run on whichever end has none, and refuse again once
+        # m3 keeps its False verdict
         for fresh_source in (True, False):
             M3 = catalog.m3().lattice
             assert M3._distributive is None and core.is_distributive(C2)
-            if fresh_source:
-                with pytest.raises(NotDistributive, match="^source lattice is not distributive$"):
-                    bk.make_bounded_hom(M3, C2, (0, 1, 1, 1, 1))
-            else:
-                with pytest.raises(NotDistributive, match="^target lattice is not distributive$"):
-                    bk.make_bounded_hom(C2, M3, (0, 4))
-            assert M3._distributive is False
+            for _ in range(2):
+                if fresh_source:
+                    with pytest.raises(NotDistributive,
+                                       match="^source lattice is not distributive$"):
+                        bk.make_bounded_hom(M3, C2, (0, 1, 1, 1, 1))
+                else:
+                    with pytest.raises(NotDistributive,
+                                       match="^target lattice is not distributive$"):
+                        bk.make_bounded_hom(C2, M3, (0, 4))
+                assert M3._distributive is False
 
 
 class TestOnlyValidatedHoms:
@@ -212,7 +216,8 @@ def _old_brt_report(phi):
     psi = bk.ji_of_hom(phi)
     back = bk.hom_of_isotone(psi, phi.source, phi.target)
     round_trip_ok = back == phi
-    (injective, onto), ji_onto = phi._injective_onto(), psi._injective_onto()[1]
+    injective, onto = helpers.brute_injective_onto(phi)
+    ji_onto = helpers.brute_injective_onto(psi)[1]
     ji_embedding = helpers.reference_is_order_embedding(psi)
     witness = None
     if not round_trip_ok:
@@ -227,7 +232,7 @@ def _old_brt_report(phi):
 def _embeds(psi):
     """Whether the isotone map ``psi`` is an order embedding, as
     ``brt_report`` reads it: injective, and keeping the up-set sizes."""
-    return psi._injective_onto()[0] and psi._keeps_up_sizes()
+    return helpers.brute_injective_onto(psi)[0] and psi._keeps_up_sizes()
 
 
 class TestOneSweepPerHom:
@@ -266,6 +271,45 @@ class TestOneSweepPerHom:
                     assert all(type(v) is int for v in psi.assignment)
                     total += 1
         assert total == 2_692
+
+    def test_dual_map_against_brute_pullbacks(self):
+        # each position is the least element of the pull-back, found by
+        # testing every element, as an index in D.ji_elements(); on every
+        # hom of the 49 pairs here and of the 25 pairs of A1
+        a1 = [catalog.get(name) for name in ("c2", "c3", "c2xc2", "c3xc3", "con-s7")]
+        pairs = list(_duality_pairs())
+        pairs += [(D, E, bk.enumerate_bounded_homs(D, E)) for D in a1 for E in a1]
+        total = 0
+        for D, E, homs in pairs:
+            ji = D.ji_elements()
+            for phi in homs:
+                rows = helpers.brute_pullbacks(phi.assignment, E)
+                want = tuple(ji.index(min(x for x in range(D.n) if m >> x & 1)) for m in rows)
+                psi = bk.ji_of_hom(phi)
+                assert psi.assignment == want
+                assert psi.source is core.join_irreducibles(E)
+                assert psi.target is core.join_irreducibles(D)
+                assert all(type(v) is int for v in psi.assignment)
+                total += 1
+        assert len(pairs) == 74 and total == 2_909 + TOTAL_HOMS
+
+    def test_no_call_into_core_once_the_slots_are_set(self, monkeypatch):
+        # with both posets, both verdicts and both tables kept, a report
+        # and a checked hom read the slots and call neither core function
+        D, E = rl.grid(3, 3).lattice, CON_S7
+        homs = bk.enumerate_bounded_homs(D, E)
+        assert D._ji and E._ji and D._distributive and E._distributive
+        assert D._birkhoff and E._birkhoff
+
+        def forbidden(L):
+            raise AssertionError("a kept slot was not read")
+
+        monkeypatch.setattr(core, "join_irreducibles", forbidden)
+        monkeypatch.setattr(core, "is_distributive", forbidden)
+        for phi in homs:
+            assert bk.brt_report(phi).ok
+            assert bk.make_bounded_hom(D, E, phi.assignment) == phi
+        assert len(homs) == 10
 
     def test_sweep_counts(self, monkeypatch):
         sweeps = []
@@ -312,8 +356,8 @@ class TestBrtReport:
             for phi in homs:
                 rep = bk.brt_report(phi)
                 psi = bk.ji_of_hom(phi)
-                assert (rep.injective, rep.onto) == phi._injective_onto()
-                assert rep.ji_onto == psi._injective_onto()[1]
+                assert (rep.injective, rep.onto) == helpers.brute_injective_onto(phi)
+                assert rep.ji_onto == helpers.brute_injective_onto(psi)[1]
                 assert rep.ji_embedding == helpers.reference_is_order_embedding(psi)
                 assert rep.injective_iff_onto is (rep.injective == rep.ji_onto) is True
                 assert rep.onto_iff_embedding is (rep.onto == rep.ji_embedding) is True
@@ -322,12 +366,19 @@ class TestBrtReport:
         assert total == 2_909
 
     def test_witness_when_injective_is_not_dual_onto(self, monkeypatch):
-        # c2xc2 -> c2 folding the square: not injective, and its dual map
-        # not onto, until the hom is made to read as injective
-        phi = bk.make_bounded_hom(C2SQ, C2, (0, 1, 0, 1))
-        monkeypatch.setattr(bk.BoundedHom, "_injective_onto", lambda self: (True, True))
+        # a forged hom: the identity on c2xc2, whose kept pull-backs send
+        # both join-irreducibles of the target to one of the source, so its
+        # dual map is neither onto nor injective; the round trip is made to
+        # give the identity back, so the first statement to break is
+        # injective <-> dual map onto
+        p = core.join_irreducibles(C2SQ).labels[0]
+        phi = object.__new__(bk.BoundedHom)
+        phi._source, phi._target, phi._assignment = C2SQ, C2SQ, (0, 1, 2, 3)
+        phi._pulled = (C2SQ._up[p], C2SQ._up[p])
+        monkeypatch.setattr(bk, "_isotone_assignment", lambda psi, D, E: (0, 1, 2, 3))
+        assert bk.ji_of_hom(phi).assignment == (0, 0)
         rep = bk.brt_report(phi)
-        assert rep == (True, True, False, True, True,
+        assert rep == (True, True, False, True, False,
                        "injective=True but dual map onto=False")
         assert not rep.ok
 
@@ -544,9 +595,9 @@ class TestIsotoneMap:
     def test_onto_and_embedding_flags(self):
         P = core.join_irreducibles(C3SQ)  # two 2-chains side by side
         ident = bk.IsotoneMap(P, P, tuple(range(P.n)))
-        assert ident._injective_onto() == (True, True) and _embeds(ident)
+        assert helpers.brute_injective_onto(ident) == (True, True) and _embeds(ident)
         collapse = bk.IsotoneMap(P, P, (0, 0, 0, 0))
-        assert collapse._injective_onto() == (False, False) and not _embeds(collapse)
+        assert helpers.brute_injective_onto(collapse) == (False, False) and not _embeds(collapse)
 
 
 def _try(fn, *args):
@@ -764,7 +815,7 @@ class TestFastPath:
         n = 3_000
         P = core.Poset(n, [(i, i + 1) for i in range(n - 1)])
         psi = bk.IsotoneMap(P, P, range(n))
-        assert psi._injective_onto() == (True, True) and _embeds(psi)
+        assert helpers.brute_injective_onto(psi) == (True, True) and _embeds(psi)
 
 
 def _fresh_lattices():
