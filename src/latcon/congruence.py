@@ -109,31 +109,35 @@ def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
 
     A union-find by small-to-large relabelling: ``root[x]`` names x's
     class, and each class keeps its members, their bitmask and ``lo``/``hi``,
-    the meet and join of its members.  Merging the smaller class into the
-    larger visits every cover ``a ≺ b`` between the two, which becomes a
-    cover inside the new class, and applies the cover rules to it: for each
-    other upper cover z of a the pair ``(z, b ∨ z)``, for each other lower
-    cover z of b the pair ``(z, a ∧ z)``.  The merge then adds the members
+    the meet and join of its members.  The member list and the mask of a
+    class are made when it first merges: until then ``members[u]`` is None
+    and ``mask[u]`` is 0, and root u stands for {u} and ``1 << u``, so a
+    closure pays per merge, not per element.  Merging the smaller class
+    into the larger, whose list grows in place, visits every cover ``a ≺ b``
+    between the two, which becomes a cover inside the new class, and
+    applies the cover rules to it: for each other upper cover z of a the
+    pair ``(z, b ∨ z)``, for each other lower cover z of b the pair
+    ``(z, a ∧ z)``.  The merge then adds the members
     of ``[lo, hi]`` it lacks, so every class is an interval.  A pair whose
     ends already share a class is not queued, as classes only grow.
     """
     n = L.n
     up, down, upper, lower = L._up, L._down, L._upper, L._lower
     root = list(range(n))
-    members = [[x] for x in range(n)]
-    mask = [1 << x for x in range(n)]
+    members: list[list[int] | None] = [None] * n
+    mask = [0] * n
     lo = list(range(n))
-    hi = list(range(n))
+    hi = lo.copy()
     push = work.append
     while work:
         u, v = work.pop()
         u, v = root[u], root[v]
         if u == v:
             continue
-        if len(members[u]) < len(members[v]):
-            u, v = v, u
-        big = mask[u]
-        small = members[v]
+        mu, small = members[u] or [u], members[v] or [v]
+        if len(mu) < len(small):
+            u, v, mu, small = v, u, small, mu
+        big = mask[u] or 1 << u
         covers = []  # the covers a ≺ b between the two classes
         for a in small:
             root[a] = u
@@ -156,8 +160,9 @@ def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
                     m = (da & down[z]).bit_length() - 1
                     if root[z] != root[m]:
                         push((z, m))
-        members[u] += small
-        m = mask[u] = big | mask[v]
+        mu += small
+        members[u] = mu
+        m = mask[u] = big | (mask[v] or 1 << v)
         x = lo[u] = (down[lo[u]] & down[lo[v]]).bit_length() - 1
         y = up[hi[u]] & up[hi[v]]
         y = hi[u] = (y & -y).bit_length() - 1
@@ -564,12 +569,11 @@ def congruence_lattice(L: FiniteLattice) -> ConLattice:
         color.append(rep[(m & -m).bit_length() - 1])
     theta = {r: principal_congruence(L, lower[r][0], r) for r in sorted(set(rep.values()))}
     for r, t in theta.items():
-        cls = t.cls
+        cls, row = t.cls, below[r]
         for (a, b), c in zip(covers, color):
-            wanted = bool(below[r] >> c & 1)
-            if (cls[a] == cls[b]) != wanted:
+            if (cls[a] == cls[b]) != row >> c & 1:
                 raise PostconditionFailed(
-                    f"con({lower[r][0]}, {r}) is not the congruence of color {r}" if wanted
+                    f"con({lower[r][0]}, {r}) is not the congruence of color {r}" if row >> c & 1
                     else f"colors {c} and {r} are ordered unlike D*"
                 )
     cmask = sum(1 << r for r in theta)

@@ -286,8 +286,7 @@ def upper_chain_collapse_check(G: RectLattice) -> ChainCollapseReport:
     off the coloring.
     """
     con = cg.congruence_lattice(G.lattice)
-    chains = _chain_colors(G)
-    upper = set(chains["ul"] + chains["ur"])
+    upper = {con.colors[e] for ch in (G.upper_left, G.upper_right) for e in zip(ch, ch[1:])}
     P = con.ji_order
     misses = [P._down[p] for p in range(P.n) if not P._lower[p] and p not in upper]
     return ChainCollapseReport(not misses, tuple(con._congruences(misses)) if misses else ())

@@ -4,6 +4,7 @@ Run from anywhere, with the working tree holding the change::
 
     python3 tests/pairs.py --workload duality --seeds 1-10
     python3 tests/pairs.py --workload duality --seeds 1-10 --parent HEAD~1
+    python3 tests/pairs.py --workload all
 
 The parent revision (``HEAD`` by default, the parent of an uncommitted
 change) is exported with ``git archive`` into a temporary directory, which
@@ -19,8 +20,10 @@ exceeds the distance between those quartiles.  Each metric's line also
 says whether the change's median is worse than the parent's by more than
 the metric's ``bound`` in ``BENCHMARK.json``, and whether a gain meets the
 rule for claiming one: the change won at least nine tenths of the pairs
-(ties count for neither side) and the gain is clear.  Exits 1 when a run
-fails or reports a wrong output.
+(ties count for neither side) and the gain is clear.  ``--workload all``
+runs the pairs of each workload of ``BENCHMARK.json`` in turn, each with
+its own summary.  A run that fails or reports a wrong output ends its
+workload's pairs with no summary, and the script then exits 1.
 """
 
 from __future__ import annotations
@@ -104,38 +107,55 @@ def _export(rev: str, dest: Path) -> None:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def main() -> int:
+def _pairs(parent_root: Path, workload: str, seed_list: list[int], seconds: float,
+           better: dict[str, str]) -> list[dict] | None:
+    """The alternating pairs of one workload, each printed as it ends, or
+    None when a run fails."""
+    records = []
+    sides = {"parent": parent_root, "change": ROOT}
+    for i, seed in enumerate(seed_list):
+        got = {side: _run(sides[side], workload, seed, seconds)
+               for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))}
+        if None in got.values():
+            return None
+        records.append(got)
+        parent, change = got["parent"], got["change"]
+        print(f"seed {seed}: " + "  ".join(
+            f"{k} {parent[k]:.5g} -> {change[k]:.5g}" for k in better if k in parent
+        ), flush=True)
+    return records
+
+
+def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    ap.add_argument("--workload", required=True, choices=[*names, "all"],
+                    help="one workload, or all of them in turn")
     ap.add_argument("--seeds", type=seeds, default=seeds("1-10"))
     ap.add_argument("--parent", default="HEAD", help="the revision to compare against")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    records = []
+    failed = False
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent_root = Path(tmp)
         _export(args.parent, parent_root)
-        for i, seed in enumerate(args.seeds):
-            sides = {"parent": parent_root, "change": ROOT}
-            got = {side: _run(sides[side], args.workload, seed, spec["run_seconds"])
-                   for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))}
-            if None in got.values():
-                return 1
-            records.append(got)
-            parent, change = got["parent"], got["change"]
-            print(f"seed {seed}: " + "  ".join(
-                f"{k} {parent[k]:.5g} -> {change[k]:.5g}" for k in better if k in parent
-            ), flush=True)
-    for name, s in summarize(records, better, bounds).items():
-        print(f"{name:12s} won {s['won']}/{s['pairs']}  median {s['parent']:.5g} -> "
-              f"{s['change']:.5g} ({s['gain']:+.1%})  parent quartiles "
-              f"{s['parent_q1']:.5g}..{s['parent_q3']:.5g}" + ("  clear" if s["clear"] else "")
-              + f"  {'WORSE than' if s['worse'] else 'within'} bound {bounds[name]:.0%}"
-              + f"  gain rule {'met' if s['claimable'] else 'not met'}")
-    return 0
+        for workload in names if args.workload == "all" else [args.workload]:
+            print(f"workload {workload}", flush=True)
+            records = _pairs(parent_root, workload, args.seeds, spec["run_seconds"], better)
+            if records is None:
+                failed = True
+                continue
+            for name, s in summarize(records, better, bounds).items():
+                print(f"{name:12s} won {s['won']}/{s['pairs']}  median {s['parent']:.5g} -> "
+                      f"{s['change']:.5g} ({s['gain']:+.1%})  parent quartiles "
+                      f"{s['parent_q1']:.5g}..{s['parent_q3']:.5g}"
+                      + ("  clear" if s["clear"] else "")
+                      + f"  {'WORSE than' if s['worse'] else 'within'} bound {bounds[name]:.0%}"
+                      + f"  gain rule {'met' if s['claimable'] else 'not met'}", flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -66,3 +66,23 @@ def test_color_off_the_lower_boundary_is_its_own_error(monkeypatch):
     monkeypatch.setattr(cn, "_chain_colors", no_lower_colors)
     with pytest.raises(ColorMissingOnLowerBoundary, match="^color 0 is on no lower-boundary edge$"):
         cn.filter_representation(F, G, phi)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 18: the postcondition never proves "
+                   "theta_r <= con(p_*, p), so a merged class passes")
+def test_merged_class_is_a_postcondition(monkeypatch):
+    # s7_eye(1) has colors 1 and 2, the class of 2 being (2, 3, 5, 6); with
+    # that class relabelled as color 1, Con L would have one join-irreducible
+    # and 2 congruences, not 2 and 3
+    L = catalog.s7_eye(1).lattice
+    real = cg._d_star
+    assert real(L)[1] == {1: 1, 2: 2, 3: 2, 5: 2, 6: 2}
+
+    def merged(L):
+        below, rep = real(L)
+        return below, {p: 1 for p in rep}
+
+    monkeypatch.setattr(cg, "_d_star", merged)
+    with pytest.raises(PostconditionFailed):
+        cg.congruence_lattice(L)

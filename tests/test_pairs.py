@@ -1,4 +1,6 @@
-"""The summary of ``tests/pairs.py`` on canned records, with no benchmark run."""
+"""``tests/pairs.py``: its summary on canned records, and its loop over the
+workloads with the export and the runs patched out, so no benchmark runs
+and no child process starts."""
 
 import pytest
 
@@ -94,3 +96,54 @@ def test_the_gain_rule(change, won, claimable):
 def test_seed_ranges():
     assert pairs.seeds("1-10") == list(range(1, 11))
     assert pairs.seeds("7") == [7]
+
+
+def _fake_runs(monkeypatch, fail=None):
+    """Patch out the export and the runs: each run gives fixed metrics, the
+    change's better than the parent's, or fails on the workload ``fail``.
+    Returns the list of ``(side, workload, seed)`` runs made."""
+    runs = []
+
+    def run(root, workload, seed, seconds):
+        side = "change" if root == pairs.ROOT else "parent"
+        runs.append((side, workload, seed))
+        if workload == fail:
+            return None
+        return {"items_per_s": 110.0 if side == "change" else 100.0 + seed}
+
+    monkeypatch.setattr(pairs, "_export", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "_run", run)
+    return runs
+
+
+def test_all_runs_each_workload_in_turn(monkeypatch, capsys):
+    runs = _fake_runs(monkeypatch)
+    assert pairs.main(["--workload", "all", "--seeds", "1-2"]) == 0
+    names = ["filter_sweep", "collapse_scan", "duality"]
+    # the parent runs first at odd positions of the seed list, second at even ones
+    assert runs == [(side, w, seed) for w in names for seed, sides in
+                    ((1, ("parent", "change")), (2, ("change", "parent"))) for side in sides]
+    out = capsys.readouterr().out
+    heads = [line for line in out.splitlines() if line.startswith("workload ")]
+    assert heads == [f"workload {w}" for w in names]
+    summaries = [line for line in out.splitlines() if line.startswith("items_per_s")]
+    assert len(summaries) == 3
+    assert all("won 2/2  median 101.5 -> 110" in line for line in summaries)
+
+
+def test_one_workload(monkeypatch, capsys):
+    runs = _fake_runs(monkeypatch)
+    assert pairs.main(["--workload", "duality", "--seeds", "3"]) == 0
+    assert runs == [("parent", "duality", 3), ("change", "duality", 3)]
+    assert capsys.readouterr().out.startswith("workload duality\nseed 3: items_per_s 103 -> 110\n")
+
+
+def test_a_failed_run_exits_1_after_the_other_workloads(monkeypatch, capsys):
+    runs = _fake_runs(monkeypatch, fail="collapse_scan")
+    assert pairs.main(["--workload", "all", "--seeds", "1-2"]) == 1
+    # the failed workload stops at its first pair, and the next one still runs
+    assert [w for _, w, _ in runs].count("collapse_scan") == 2
+    assert [w for _, w, _ in runs].count("duality") == 4
+    summaries = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("items_per_s")]
+    assert len(summaries) == 2
