@@ -26,7 +26,6 @@ from .congruence import (
     ConLattice,
     Congruence,
     congruence_lattice,
-    generated_congruence,
     is_cp_extension,
     is_simple,
     principal_congruence,
@@ -125,7 +124,6 @@ __all__ = [
     "find_isomorphism",
     "enumerate_isotone_maps",
     "filter_representation",
-    "generated_congruence",
     "glue",
     "grid",
     "grid_with_eyes",

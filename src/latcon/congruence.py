@@ -39,7 +39,7 @@ order of the positions of the dual (see :class:`ConLattice`).
 One kernel, :func:`_closure`, is the module's only union-find.  It
 generates congruences by Grätzer's Technical Lemma: its classes
 are intervals, and merging two of them applies the lemma's cover rules to
-the covers between them (the proof is at :func:`generated_congruence`).
+the covers between them (the proof is in its docstring).
 Each join-irreducible congruence ``theta[r]`` is the principal closure
 con(r_*, r), checked cover by cover against the coloring; every other
 congruence is read off the covers it collapses, as a class is an interval
@@ -55,7 +55,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import FiniteLattice, Poset
-from .errors import ElementOutOfRange, EmbeddingInvalid, LatconError, PostconditionFailed
+from .errors import ElementOutOfRange, EmbeddingInvalid, PostconditionFailed
 
 
 def _key(labels: Iterable) -> tuple[int, ...]:
@@ -120,6 +120,20 @@ def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
     ``(z, a ∧ z)``.  The merge then adds the members
     of ``[lo, hi]`` it lacks, so every class is an interval.  A pair whose
     ends already share a class is not queued, as classes only grow.
+
+    Why the result is the least congruence collapsing ``work``: every union
+    is forced.  A congruence class is a convex sublattice, so it holds the
+    meet and the join of two of its members and all between; and if a ≺ b
+    lie in one class, then for another upper cover z of a, z = a ∨ z is
+    congruent to b ∨ z, and dually for another lower cover z of b,
+    z = b ∧ z is congruent to a ∧ z.  At the fixpoint every class is an
+    interval, every cover inside a class was visited when its ends were
+    joined, and the pairs its cover rules gave lie in one class.  These are
+    the hypotheses of Grätzer's Technical Lemma for finite lattices: an
+    equivalence whose classes are intervals is a congruence iff, whenever
+    x ≺ y, x ≺ z, y ≠ z and x ≡ y, then z ≡ y ∨ z, and dually (G. Grätzer,
+    *The Congruences of a Finite Lattice*, 2nd ed., 2016).  So the result
+    is a congruence, and the least one collapsing the pairs.
     """
     n = L.n
     up, down, upper, lower = L._up, L._down, L._upper, L._lower
@@ -174,37 +188,14 @@ def _closure(L: FiniteLattice, work: list[tuple[int, int]]) -> list[int]:
     return root
 
 
-def generated_congruence(L: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Smallest congruence collapsing every given pair, by :func:`_closure`.
-
-    Why the result is con(pairs): every union is forced.  A congruence
-    class is a convex sublattice, so it holds the meet and the join of two
-    of its members and all between; and if a ≺ b lie in one class, then
-    for another upper cover z of a, z = a ∨ z is congruent to b ∨ z, and
-    dually for another lower cover z of b, z = b ∧ z is congruent to a ∧ z.
-    At the fixpoint every class is an interval, every cover inside a class
-    was visited when its ends were joined, and the pairs its cover rules
-    gave lie in one class.  These are the hypotheses of Grätzer's
-    Technical Lemma for finite lattices: an equivalence whose classes are
-    intervals is a congruence iff, whenever x ≺ y, x ≺ z, y ≠ z and x ≡ y,
-    then z ≡ y ∨ z, and dually (G. Grätzer, *The Congruences of a Finite
-    Lattice*, 2nd ed., 2016).  So the result is a congruence, and the least
-    one collapsing the pairs.
-    """
-    n = L.n
-    work = []
-    for a, b in core._pairs(pairs, LatconError, "pairs must be pairs of element ids"):
-        a, b = core._element_id(a), core._element_id(b)
-        if not (0 <= a < n and 0 <= b < n):
-            raise ElementOutOfRange(
-                f"pair ({core._quoted(a)}, {core._quoted(b)}) out of range for size {n}")
-        work.append((a, b))
-    return Congruence(L, _closure(L, work))
-
-
 def principal_congruence(L: FiniteLattice, a: int, b: int) -> Congruence:
-    """con(a, b): the smallest congruence collapsing {a, b}."""
-    return generated_congruence(L, [(a, b)])
+    """con(a, b): the smallest congruence collapsing {a, b}, by :func:`_closure`."""
+    n = L.n
+    a, b = core._element_id(a), core._element_id(b)
+    if not (0 <= a < n and 0 <= b < n):
+        raise ElementOutOfRange(
+            f"pair ({core._quoted(a)}, {core._quoted(b)}) out of range for size {n}")
+    return Congruence(L, _closure(L, [(a, b)]))
 
 
 class _Partitions(NamedTuple):

@@ -77,15 +77,21 @@ def _element(value: Any, n: int, what: str) -> int:
 
 
 def _order_maps(obj: dict) -> tuple[dict | None, dict | None]:
+    """The two order maps of ``obj``, if given, keyed by element id; two
+    keys that name one id, such as ``"3"`` and ``"03"``, are an error."""
     out = []
     for key in ("upper_order", "lower_order"):
         if key in obj and obj[key] is not None:
             raw = _require(obj, key, dict)
-            rows = {}
+            rows, names = {}, {}
             for k, vs in raw.items():
                 if not isinstance(vs, list):
                     raise LatconError(f"{key} entry {core._quoted(k)} must be a list")
-                rows[_key_integer(k, f"{key} key")] = [_integer(v, f"{key} entry") for v in vs]
+                x = _key_integer(k, f"{key} key")
+                if names.setdefault(x, k) != k:
+                    raise LatconError(f"{key} keys {core._quoted(names[x])} and"
+                                      f" {core._quoted(k)} name one element")
+                rows[x] = [_integer(v, f"{key} entry") for v in vs]
             out.append(rows)
         else:
             out.append(None)

@@ -42,8 +42,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def seeds(text: str) -> list[int]:
+    """The seeds ``lo-hi``, both ends included, or the one seed ``lo``.  An
+    empty or descending range runs no pair, so it is an argparse error."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    got = list(range(int(lo), int(hi or lo) + 1))
+    if not got:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return got
 
 
 def summarize(records: list[dict], better: dict[str, str],

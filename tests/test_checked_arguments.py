@@ -17,9 +17,8 @@ classes whose instances the library builds, and a guard fails on any
 callable or class in none of the three.
 
 The contract covers ids and sizes only, and the shape of a list of pairs
-from outside: the cover pairs of ``make_lattice`` and ``Poset``, the
-identification of ``rectangular.glue`` and the pairs of
-``congruence.generated_congruence`` are read by one pair reader,
+from outside: the cover pairs of ``make_lattice`` and ``Poset`` and the
+identification of ``rectangular.glue`` are read by one pair reader,
 ``core._pairs``, so a list that is not iterable or an entry that is no
 pair fails as a named ``LatconError``, pinned in ``ROWS``.
 ``NOT_ITERABLE`` pins the error and text of each collection argument
@@ -49,6 +48,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+import latcon
 from latcon import birkhoff as bk
 from latcon import catalog
 from latcon import congruence as cg
@@ -177,12 +177,6 @@ ROWS = ID_ROWS + [
      "iso must be a mapping or id pairs, got entry (1,)"),
     ("glue-iso-int", lambda: rl.glue(core.chain(2), core.chain(2), 5), LatconError,
      "iso must be a mapping or id pairs, got 5"),
-    ("generated-entry-single", lambda: cg.generated_congruence(core.chain(3), [(0,)]),
-     LatconError, "pairs must be pairs of element ids, got entry (0,)"),
-    ("generated-entry-int", lambda: cg.generated_congruence(core.chain(3), [(0, 1), 2]),
-     LatconError, "pairs must be pairs of element ids, got entry 2"),
-    ("generated-pairs-int", lambda: cg.generated_congruence(core.chain(3), 5), LatconError,
-     "pairs must be pairs of element ids, got 5"),
     # order rows of the wrong shape used to raise a bare TypeError
     ("rows-int", lambda: core.make_lattice(2, None, 5), InvalidLattice,
      "without covers, upper_order must be 2 rows, one per element"),
@@ -228,7 +222,7 @@ LONG_VALUES = [
      "fork cell <integer of 16610 bits> is not 0, 1 or 2"),
     ("image-huge", lambda: bk.make_bounded_hom(C3SQ, C3SQ, [0] * 8 + [HUGE]), ElementOutOfRange,
      "image <integer of 16610 bits> out of range for size 9"),
-    ("pair-huge", lambda: cg.generated_congruence(G33, [(HUGE, 0)]), ElementOutOfRange,
+    ("pair-huge", lambda: cg.principal_congruence(G33, HUGE, 0), ElementOutOfRange,
      "pair (<integer of 16610 bits>, 0) out of range for size 9"),
     ("order-row-nested", lambda: core.make_lattice(2, None, [[[[[0] * 100000]]], []]),
      ElementOutOfRange, "element id [[[…]]] is not an integer"),
@@ -385,8 +379,6 @@ CONTRACT = [
     ("birkhoff.IsotoneMap", "assignment", "ids", 4,
      lambda v: bk.IsotoneMap(P4, P4, [0, 1, 2, v])),
     ("IsotoneMap.__call__", "x", "id", 4, lambda v: _psi()(v)),
-    ("congruence.generated_congruence", "pairs", "ids", 9,
-     lambda v: cg.generated_congruence(G33, [(0, 1), (2, v)])),
     ("congruence.principal_congruence", "b", "id", 9,
      lambda v: cg.principal_congruence(G33, 0, v)),
     ("congruence.principal_congruence", "a", "id", 9,
@@ -558,7 +550,9 @@ def test_every_public_callable_has_a_contract_row():
 # map's images and ``_keeps_up_sizes``, and then for what the library reads
 # itself: the mask rows, ``_heights``, ``_upper[0]`` and ``cls``; the
 # one-set method, ``_injective_onto``, went too, as ``brt_report`` reads
-# both verdicts of each map off one set inline
+# both verdicts of each map off one set inline; ``generated_congruence``,
+# whose only package caller was ``principal_congruence``, left the module
+# and the package namespace, as ``principal_congruence`` calls the kernel
 DELETED = [
     (core.FiniteLattice, "is_cover"),
     (core.FiniteLattice, "is_doubly_irreducible"),
@@ -571,6 +565,8 @@ DELETED = [
     (core.FiniteLattice, "atoms"),
     (core.FiniteLattice, "height"),
     (cg.Congruence, "collapses"),
+    (cg, "generated_congruence"),
+    (latcon, "generated_congruence"),
 ]
 
 

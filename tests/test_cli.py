@@ -180,8 +180,12 @@ class TestInputResolution:
              "upper_order key must be an integer, got '1_0'"),
             ('{"size": 3, "covers": [[0, 1], [1, 2]], "upper_order": {"-1": [0]}}',
              "upper_order names element -1, out of range for size 3"),
+            # the last of two keys that name one row used to win silently
+            ('{"size": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]],'
+             ' "lower_order": {"3": [1, 2], "03": [2, 1]}}',
+             "lower_order keys '3' and '03' name one element"),
         ],
-        ids=["string-value", "underscore-key", "negative-key"],
+        ids=["string-value", "underscore-key", "negative-key", "two-keys-one-row"],
     )
     def test_ids_are_json_integers_and_keys_numerals(self, tmp_path, capsys, text, message):
         p = tmp_path / "bad.json"

@@ -24,6 +24,12 @@ from latcon.errors import ElementOutOfRange, EmbeddingInvalid, PostconditionFail
 S7 = catalog.get("s7")
 N5 = core.make_lattice(5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
 
+
+def _closure(L, pairs):
+    """The kernel's least congruence collapsing ``pairs`` (ids in range)."""
+    return cg.Congruence(L, cg._closure(L, list(pairs)))
+
+
 # frozen: brute-force partition filtering, cross-checked below
 CON_S7_BLOCKS = [
     ((0,), (1,), (2,), (3,), (4,), (5,), (6,)),
@@ -79,7 +85,7 @@ class TestCongruenceObject:
     def test_principal_generated(self):
         theta = cg.principal_congruence(S7, 4, 6)
         assert theta.blocks == ((0,), (1, 3), (2, 5), (4, 6))
-        grown = cg.generated_congruence(S7, [(4, 6), (0, 1)])
+        grown = _closure(S7, [(4, 6), (0, 1)])
         assert grown.blocks == ((0, 1, 3), (2, 4, 5, 6))
 
 
@@ -336,7 +342,7 @@ class TestGeneratedCongruence:
     """The Technical Lemma closure against the closure over every element."""
 
     def _agree(self, L, pairs):
-        got = cg.generated_congruence(L, pairs)
+        got = _closure(L, pairs)
         assert got.cls == helpers.reference_generated_congruence(L, pairs).cls, pairs
         return got
 
@@ -383,9 +389,10 @@ class TestGeneratedCongruence:
 
     @pytest.mark.parametrize("pair", [(0, 7), (-1, 2), (7, 7)])
     def test_out_of_range(self, pair):
-        for closure in (cg.generated_congruence, helpers.reference_generated_congruence):
-            with pytest.raises(ElementOutOfRange, match="out of range for size 7"):
-                closure(S7, [(0, 1), pair])
+        with pytest.raises(ElementOutOfRange, match="out of range for size 7"):
+            cg.principal_congruence(S7, *pair)
+        with pytest.raises(ElementOutOfRange, match="out of range for size 7"):
+            helpers.reference_generated_congruence(S7, [(0, 1), pair])
 
 
 def _numbered_lattices(source, a6_outputs):
@@ -546,7 +553,7 @@ class TestThetaAsClassTables:
         def merging(target, extra):
             """con(a, b) that also merges the ends of ``extra`` when b is ``target``."""
             def faulty(L, a, b):
-                return cg.generated_congruence(L, [(a, b), extra]) if b == target else closure(L, a, b)
+                return _closure(L, [(a, b), extra]) if b == target else closure(L, a, b)
             return faulty
 
         seen = {"none": 0, "missed": 0, "unordered": 0}
@@ -568,6 +575,25 @@ class TestThetaAsClassTables:
                     assert str(info.value) == want
                 monkeypatch.setattr(cg, "principal_congruence", closure)
         assert min(seen.values()) >= 20, seen
+
+    def test_principal_closures_read_no_outside_pairs(self, monkeypatch):
+        # Con L's closures take ids it made itself, so they pass no pair
+        # list through the readers of outside input
+        named = [R.lattice for _, R in catalog.search_rectangular(12)]
+        named.append(catalog.s7_eye(1).lattice)
+
+        def read_off(lattices):
+            return [(con.ji_order, list(con.colors.items()))
+                    for con in map(cg.congruence_lattice, lattices)]
+
+        def outside_reader(*args):
+            raise AssertionError("a pair list from outside was read")
+
+        want = read_off([core.make_lattice(L.n, L.covers()) for L in named])
+        fresh = [core.make_lattice(L.n, L.covers()) for L in named]
+        monkeypatch.setattr(core, "_pairs", outside_reader)
+        monkeypatch.setattr(core, "_entries", outside_reader)
+        assert read_off(fresh) == want
 
 
 def _filter_output():
@@ -894,7 +920,7 @@ class TestPredicatesAndRestriction:
             want = helpers.brute_congruences(L)
             for p in helpers.set_partitions(L.n):
                 pairs = [(b[0], x) for b in p for x in b[1:]]
-                got = cg.generated_congruence(L, pairs)
+                got = _closure(L, pairs)
                 assert got == helpers.reference_generated_congruence(L, pairs)
                 assert (got.nblocks == len(p)) == (helpers.blocks_key(p) in want)
                 if got.nblocks == len(p):

@@ -332,13 +332,13 @@ class TestNonIntegralIds:
             (lambda: birkhoff.make_bounded_hom(
                 core.chain(3), core.chain(3), (x for x in [0, 1, 2.0])), "2.0"),
             (lambda: cg.principal_congruence(core.chain(3), 0, 1.5), "1.5"),
-            (lambda: cg.generated_congruence(core.chain(3), [(0, 1), ("2", 1)]), "'2'"),
+            (lambda: cg.principal_congruence(core.chain(3), "2", 1), "'2'"),
         ],
         ids=[
             "cover", "upper-order", "lower-order-key", "ideal", "convex", "singleton-ideal",
             "singleton-blocks", "glue", "verify-embedding", "bounded-hom",
             "isotone-map", "bounded-hom-text", "isotone-map-text", "bounded-hom-generator",
-            "principal-congruence", "generated-congruence",
+            "principal-congruence", "principal-congruence-first",
         ],
     )
     def test_rejected_naming_the_value(self, call, bad):
@@ -359,9 +359,7 @@ class TestNonIntegralIds:
         S = s7()
         four, six = helpers.IntLike(4), helpers.IntLike(6)
         assert cg.principal_congruence(S, four, six) == cg.principal_congruence(S, 4, 6)
-        assert cg.generated_congruence(S, [(four, six), (True, 0)]) == cg.generated_congruence(
-            S, [(4, 6), (1, 0)]
-        )
+        assert cg.principal_congruence(S, True, 0) == cg.principal_congruence(S, 1, 0)
         C = core.chain(3)
         ints = [0, True, helpers.IntLike(2)]
         assert birkhoff.make_bounded_hom(C, C, ints).assignment == (0, 1, 2)

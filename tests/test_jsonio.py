@@ -60,6 +60,19 @@ class TestLattice:
         assert main(["con", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {p}: upper_order entry '0' must be a list\n"
 
+    @pytest.mark.parametrize("key, first, second", [
+        ("upper_order", "0", "-0"), ("upper_order", "-0", "00"),
+        ("lower_order", "3", "03"), ("lower_order", "03", "3"),
+    ])
+    def test_two_keys_naming_one_row_are_refused(self, key, first, second):
+        # the square's bottom 0 and top 3 each have two covers; whichever
+        # key came last used to give the row, silently
+        obj = {"size": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]],
+               key: {first: [1, 2], second: [2, 1]}}
+        with pytest.raises(LatconError,
+                           match=f"^{key} keys '{first}' and '{second}' name one element$"):
+            jio.lattice_from_obj(obj)
+
 
 class TestRect:
     def test_round_trip(self):

@@ -98,6 +98,20 @@ def test_seed_ranges():
     assert pairs.seeds("7") == [7]
 
 
+@pytest.mark.parametrize("text", ["5-1", "2-1"])
+def test_an_empty_seed_range_is_an_argument_error(monkeypatch, capsys, text):
+    # it used to run no pair and exit 0, as if there were no regression
+    def export(rev, dest):
+        raise AssertionError("no parent tree is exported for an empty range")
+
+    monkeypatch.setattr(pairs, "_export", export)
+    with pytest.raises(SystemExit) as info:
+        pairs.main(["--workload", "duality", "--seeds", text])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seeds: empty seed range {text!r}" in err
+
+
 def _fake_runs(monkeypatch, fail=None):
     """Patch out the export and the runs: each run gives fixed metrics, the
     change's better than the parent's, or fails on the workload ``fail``.
